@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
-from .service.session import Session, _MISSING, _resolve_failures, _wire_observers
+from .service.session import Session, _wire_observers
 from .sim.checkpoint import discard_checkpoint, load_any_checkpoint_or_none, restore_engine
 from .sim.config import SimConfig
 from .sim.engine import Engine, ScheduledFlow
@@ -88,7 +88,6 @@ def open_session(
     digest: bool = False,
     events: Any = None,
     failures=None,
-    failure_manager=_MISSING,
     checkpoint=None,
     checkpoint_every: Optional[int] = None,
     checkpoint_parts: Optional[int] = None,
@@ -128,7 +127,6 @@ def open_session(
         digest=digest,
         events=events,
         failures=failures,
-        failure_manager=failure_manager,
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,
         checkpoint_parts=checkpoint_parts,
@@ -146,7 +144,6 @@ def simulate(
     digest: bool = False,
     events: Any = None,
     failures=None,
-    failure_manager=_MISSING,
     checkpoint=None,
     checkpoint_every: Optional[int] = None,
 ) -> RunResult:
@@ -180,7 +177,6 @@ def simulate(
         A :class:`RunResult`; bit-exact whether or not the run was
         interrupted and resumed through ``checkpoint``.
     """
-    failures = _resolve_failures(failures, failure_manager)
     resumed_from = None
     engine = None
     if checkpoint is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import inspect
 import time
-import warnings
 from contextlib import ExitStack
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -108,34 +107,14 @@ def experiment_entrypoint(fn):
       ``telemetry`` is truthy and none is ambient, shipping the bundle home
       in ``result.runtime["telemetry"]``;
     * returns an :class:`ExperimentResult` (never nested — an experiment
-      delegating to another decorated entrypoint is flattened);
-    * still accepts positional arguments for one release, with a
-      :class:`DeprecationWarning` mapping them onto the declared keywords.
+      delegating to another decorated entrypoint is flattened).
     """
     declared = list(inspect.signature(fn).parameters.values())
     declared_names = [p.name for p in declared]
     exp_name = fn.__module__.rsplit(".", 1)[-1]
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if args:
-            warnings.warn(
-                f"positional arguments to {exp_name}.run() are deprecated "
-                f"and will become an error in the next release; pass "
-                f"keywords",
-                DeprecationWarning, stacklevel=2,
-            )
-            if len(args) > len(declared_names):
-                raise TypeError(
-                    f"{exp_name}.run() takes at most {len(declared_names)} "
-                    f"positional arguments ({len(args)} given)"
-                )
-            for name, value in zip(declared_names, args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"{exp_name}.run() got multiple values for {name!r}"
-                    )
-                kwargs[name] = value
+    def wrapper(**kwargs):
         cache = kwargs.pop("cache", None)
         telemetry = kwargs.pop("telemetry", None)
         checkpoint_dir = kwargs.pop("checkpoint_dir", None)

@@ -355,7 +355,7 @@ class FailureManager:
                 self._recover_node(engine, event.node, t)
 
     # ------------------------------------------------------------------ #
-    # the wire model (called from Engine._deliver_arrivals)
+    # the wire model (called from object_backend.deliver_arrivals)
 
     def filter_arrival(self, engine, tx: Transmission, t: int):
         """Apply failed receivers, failed links and wire noise to ``tx``.

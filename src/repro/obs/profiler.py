@@ -1,17 +1,16 @@
 """Per-section wall-clock accounting of the engine step.
 
-When attached (``engine.enable_profiler()``), the engine runs a timed twin
-of its step loop that brackets each section — failure-manager advance,
-delivery, injection, TX, metrics sampling, monitor — with a monotonic
-clock.  When not attached the engine runs its normal step, so the feature
-costs nothing unless asked for (the run loop dispatches once, not per
-slot).
+A slot is six named sections — failure-manager advance, delivery,
+injection, TX, metrics sampling, monitor.  Attaching a profiler
+(``engine.enable_profiler()``) replaces each section callable of the slot
+body with a :meth:`StepProfiler.timed` wrapper; nothing else about the
+slot changes, and an engine without a profiler runs the bare callables.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import Callable, Dict
 
 __all__ = ["StepProfiler"]
 
@@ -23,7 +22,7 @@ class StepProfiler:
     """Accumulates wall-clock time per engine-step section.
 
     Attributes:
-        steps: timed steps so far.
+        steps: timeslots advanced under the profiler so far.
         totals: section name -> cumulative seconds.
     """
 
@@ -35,17 +34,31 @@ class StepProfiler:
         #: the clock used to bracket sections (monotonic, sub-microsecond)
         self.clock = time.perf_counter
 
-    def add(self, faults: float, deliver: float, inject: float,
-            tx: float, sample: float, monitor: float) -> None:
-        """Fold one step's section durations (called by the engine)."""
-        totals = self.totals
-        totals["faults"] += faults
-        totals["deliver"] += deliver
-        totals["inject"] += inject
-        totals["tx"] += tx
-        totals["sample"] += sample
-        totals["monitor"] += monitor
-        self.steps += 1
+    def add(self, section: str, seconds: float, slots: int = 0) -> None:
+        """Fold ``seconds`` into ``section`` and ``slots`` into the step
+        count — the one way anything reaches the profile.  A backend that
+        advances many slots in one opaque call (a shard segment) books the
+        whole call as ``"tx"`` with the slots it advanced."""
+        self.totals[section] += seconds
+        self.steps += slots
+
+    def timed(self, section: str, fn: Callable[..., None]
+              ) -> Callable[..., None]:
+        """``fn`` with every call's wall-clock folded into ``section``.
+
+        TX is the one section that runs exactly once per slot in every
+        pipeline, so its wrapper also counts the slot.
+        """
+        clock = self.clock
+        add = self.add
+        slots = 1 if section == "tx" else 0
+
+        def timed_section(*args) -> None:
+            started = clock()
+            fn(*args)
+            add(section, clock() - started, slots)
+
+        return timed_section
 
     @property
     def total_seconds(self) -> float:

@@ -30,7 +30,6 @@ points accept the identical keyword set by construction.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..sim.checkpoint import (
@@ -43,9 +42,6 @@ from ..sim.config import SimConfig
 from ..sim.engine import Engine, ScheduledFlow
 
 __all__ = ["Session"]
-
-#: sentinel distinguishing "keyword not passed" from an explicit None
-_MISSING = object()
 
 
 def _wire_observers(
@@ -98,20 +94,6 @@ def _wire_observers(
     return recorder, monitor_obj, event_log
 
 
-def _resolve_failures(failures, failure_manager):
-    """Collapse the ``failures=`` keyword and its deprecated old name."""
-    if failure_manager is not _MISSING:
-        warnings.warn(
-            "the failure_manager= keyword was renamed to failures=; "
-            "the old name will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if failures is None:
-            failures = failure_manager
-    return failures
-
-
 class Session:
     """A live simulation: incremental stepping, submission, durability.
 
@@ -153,12 +135,10 @@ class Session:
         digest: bool = False,
         events: Any = None,
         failures=None,
-        failure_manager=_MISSING,
         checkpoint=None,
         checkpoint_every: Optional[int] = None,
         checkpoint_parts: Optional[int] = None,
     ):
-        failures = _resolve_failures(failures, failure_manager)
         if source is not None and source.config.n != config.n:
             raise ValueError(
                 f"source was built for n={source.config.n}, "

@@ -2,12 +2,13 @@
 
 The :class:`~repro.sim.engine.Engine` owns the simulated *state* — nodes,
 queues, flows, the wire — while a backend owns the *slot loop* that advances
-it.  Two backends ship:
+it, through the one :meth:`EngineBackend.advance` entry point.  Three
+backends ship:
 
 * ``"object"`` — the reference backend: the per-node object pipelines
-  (``Node.transmit`` / ``Node.receive`` and their inlined twins) exactly as
-  they always ran.  Every mechanism, failure scenario and observer is
-  supported; this is the default.
+  (``Node.transmit`` / ``Node.receive`` and their inlined common cases)
+  exactly as they always ran.  Every mechanism, failure scenario and
+  observer is supported; this is the default.
 * ``"vector"`` — a vectorized slot stepper that keeps per-node queue heads,
   cell headers and flow cursors in flat numpy int64 columns and advances
   every node per timeslot with array operations (see
@@ -68,22 +69,16 @@ class EngineBackend:
     #: registry name; set by :func:`register_backend`
     backend_name: str = ""
 
-    def step_slots(self, engine, end: int, step) -> None:
-        """Advance ``engine`` until ``engine.t >= end``.
+    def advance(self, engine, end: int, drain: bool) -> None:
+        """Advance ``engine`` until ``engine.t >= end`` — or, when
+        ``drain`` is set, until payload quiescence
+        (:attr:`~repro.sim.engine.Engine.has_pending_work` turning false)
+        if that comes first.
 
-        ``step`` is the engine's bound single-slot stepper for this run
-        (:meth:`~repro.sim.engine.Engine.step`, or its profiled twin when a
-        profiler is attached); backends that cannot accelerate the current
-        engine state must fall back to calling it.
-        """
-        raise NotImplementedError
-
-    def drain_slots(self, engine, deadline: int, step) -> None:
-        """Advance ``engine`` until payload quiescence or ``deadline``.
-
-        Quiescence is the :meth:`~repro.sim.engine.Engine.run_until_quiescent`
-        predicate: no pending flow arrivals, no active flows, and no payload
-        cells on the wire.
+        The engine's run driver is the only caller and never calls with
+        nothing to do.  A backend that cannot accelerate the current
+        engine state finishes the call on the reference loop,
+        :func:`repro.sim.backends.object_backend.advance`.
         """
         raise NotImplementedError
 

@@ -1,16 +1,14 @@
 """The reference per-node object backend.
 
-This module owns the engine's per-slot TX/RX loop bodies — the code that
-used to live inline in ``Engine._run_tx`` / ``Engine._deliver_arrivals``
-(the engine keeps thin delegating methods for manual steppers such as
-:class:`~repro.sim.multiclass.MultiClassSimulation`).  Moving the bodies
-here makes the object pipeline one backend among several behind
-:class:`~repro.sim.backends.EngineBackend`, without changing a single
-simulated event: the golden-trace suite pins this extraction bit-exactly.
+This module owns the object pipeline's per-slot RX/TX section bodies
+(:func:`deliver_arrivals`, :func:`run_tx` — two of the six sections of the
+engine's slot body, :meth:`~repro.sim.engine.Engine.step`) and the
+reference slot loop (:func:`advance`) that every backend runs for the
+states it does not accelerate.
 
-Hot-path discipline carries over unchanged: these functions run once per
-slot (``run_tx``) and once per arriving transmission (``deliver_arrivals``),
-so they keep attribute access local and avoid allocation.
+Hot-path discipline: these functions run once per slot (``run_tx``) and
+once per arriving transmission (``deliver_arrivals``), so they keep
+attribute access local and avoid allocation.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from ...core.header import TOKEN_REGULAR, Token
 from ..node import Transmission
 from . import EngineBackend, register_backend
 
-__all__ = ["ObjectBackend", "run_tx", "deliver_arrivals"]
+__all__ = ["ObjectBackend", "advance", "run_tx", "deliver_arrivals"]
 
 
 def deliver_arrivals(engine, t: int, rx_phase: int) -> None:
@@ -303,26 +301,22 @@ def run_tx(engine, t: int, phase: int, offset: int) -> None:
         engine._in_flight_payload += payload
 
 
+def advance(engine, end: int, drain: bool) -> None:
+    """The reference slot loop: one ``engine.step()`` per timeslot.
+
+    ``step`` is looked up on the instance once, at loop entry, so a
+    caller that patches ``engine.step`` sees every slot go through it.
+    """
+    step = engine.step
+    while engine.t < end and (not drain or engine.has_pending_work):
+        step()
+
+
 @register_backend("object")
 class ObjectBackend(EngineBackend):
-    """The default backend: one ``step()`` call per timeslot.
-
-    The per-slot work itself lives in :func:`run_tx` /
-    :func:`deliver_arrivals` above (reached through the engine's step);
-    the backend contributes only the loop, so checkpoint writers and the
-    profiled step twin keep their exact pre-backend timing.
-    """
+    """The default backend: the reference loop and nothing else."""
 
     __slots__ = ()
 
-    def step_slots(self, engine, end: int, step) -> None:
-        while engine.t < end:
-            step()
-
-    def drain_slots(self, engine, deadline: int, step) -> None:
-        while engine.t < deadline and (
-            engine._pending_flows
-            or engine.flows.active_count
-            or engine._in_flight_payload
-        ):
-            step()
+    def advance(self, engine, end: int, drain: bool) -> None:
+        advance(engine, end, drain)

@@ -51,6 +51,7 @@ resynchronises the engine's ``random.Random`` past the consumed words.
 
 from __future__ import annotations
 
+import time
 import traceback
 from collections import deque
 from typing import Any, Dict, List, Optional
@@ -61,6 +62,7 @@ from ...core.cell import Cell
 from ..node import Transmission
 from ..parallel import ShardCrash, ShardWorkerError, get_shard_pool
 from . import EngineBackend, default_shards, register_backend
+from .object_backend import advance as advance_reference
 from .vector import (
     _EV_DELIVERY,
     _VectorRun,
@@ -787,9 +789,10 @@ def _shard_worker_main(idx, count, task_queue, result_queue, mail_queues):
 class ShardBackend(EngineBackend):
     """Multi-process sharded stepper with per-state fallback.
 
-    Scatter/gather happens once per ``step_slots``/``drain_slots``
-    segment, not per slot: the parent packs the object model into
-    per-shard column payloads, the workers advance in lockstep rounds,
+    Scatter/gather happens once per segment (an :meth:`advance` call,
+    split only at the warm-up boundary), not per slot: the parent packs
+    the object model into per-shard column payloads, the workers advance
+    in lockstep rounds,
     and the parent replays the results back into the authoritative
     object model (see the module docstring for the protocol).  States
     the vector stepper cannot accelerate fall back to the reference
@@ -810,31 +813,11 @@ class ShardBackend(EngineBackend):
     # -------------------------------------------------------------- #
     # driver
 
-    def _reference(self, engine, end, step, drain) -> None:
-        if drain:
-            while engine.t < end and (
-                engine._pending_flows
-                or engine.flows.active_count
-                or engine._in_flight_payload
-            ):
-                step()
-        else:
-            while engine.t < end:
-                step()
-
-    def _run(self, engine, end: int, step, drain: bool) -> None:
-        if engine.t >= end:
-            return
-        if drain and not (
-            engine._pending_flows
-            or engine.flows.active_count
-            or engine._in_flight_payload
-        ):
-            return
+    def advance(self, engine, end: int, drain: bool) -> None:
         reason = _fast_ineligible_reason(engine)
         if reason is not None:
             engine.note_backend_effective("object", reason)
-            self._reference(engine, end, step, drain)
+            advance_reference(engine, end, drain)
             return
         cfg = engine.config
         ranges = shard_ranges(cfg.n, engine.coords.r, default_shards())
@@ -842,65 +825,40 @@ class ShardBackend(EngineBackend):
             # nothing to shard over (or no lockstep window): run the
             # in-process vector stepper — still accelerated, so this is
             # not a reference fallback and backend_effective is unchanged
-            self._inner._run(engine, end, step, drain)
+            self._inner.advance(engine, end, drain)
             return
         try:
             pool = get_shard_pool(len(ranges), _shard_worker_main)
         except (ImportError, OSError, ValueError):
-            self._inner._run(engine, end, step, drain)
+            self._inner.advance(engine, end, drain)
             return
         metrics = engine.metrics
-        if not metrics._measuring and engine.t < metrics.warmup < end:
-            # split at the warm-up boundary so the measurement crossing
-            # (a per-slot check in the single-process loop) happens
-            # between segments, at exactly the same slot
-            segments = [metrics.warmup, end]
-        else:
-            segments = [end]
-            if not metrics._measuring and engine.t >= metrics.warmup:
-                metrics.begin_measurement()
-                if engine.telemetry is not None:
-                    engine.telemetry.resnapshot(metrics)
-        for si, seg_end in enumerate(segments):
-            if si:
-                # the crossing mirrors the single-process slot order:
-                # the drain predicate is re-tested first, because a run
-                # that drains at the boundary breaks *before* crossing
-                if drain and not (
-                    engine._pending_flows
-                    or engine.flows.active_count
-                    or engine._in_flight_payload
-                ):
-                    return
-                metrics.begin_measurement()
-                if engine.telemetry is not None:
-                    engine.telemetry.resnapshot(metrics)
-            if engine.t >= seg_end:
-                continue
-            profiler = engine.profiler
-            if profiler is None:
-                self._segment(engine, seg_end, step, drain, ranges, pool)
-            else:
-                w0 = profiler.clock()
-                self._segment(engine, seg_end, step, drain, ranges, pool)
-                profiler.add(0.0, 0.0, 0.0, profiler.clock() - w0, 0.0, 0.0)
-
-    def step_slots(self, engine, end: int, step) -> None:
-        self._run(engine, end, step, drain=False)
-
-    def drain_slots(self, engine, deadline: int, step) -> None:
-        self._run(engine, deadline, step, drain=True)
+        while engine.t < end and (not drain or engine.has_pending_work):
+            # the measurement crossing is a per-slot check in the
+            # single-process loops; workers cannot make it, so a segment
+            # stops at the warm-up boundary and the crossing happens here,
+            # at exactly the same slot (and, like there, only after the
+            # drain test above has had its say)
+            seg_end = end
+            if not metrics._measuring:
+                if engine.t >= metrics.warmup:
+                    engine._enter_measurement()
+                elif metrics.warmup < end:
+                    seg_end = metrics.warmup
+            self._segment(engine, seg_end, drain, ranges, pool)
 
     # -------------------------------------------------------------- #
     # one scatter -> lockstep -> gather segment
 
-    def _segment(self, engine, end, step, drain, ranges, pool) -> None:
-        scat = self._scatter(engine, engine.t, end, drain, ranges)
+    def _segment(self, engine, end, drain, ranges, pool) -> None:
+        t0 = engine.t
+        started = time.perf_counter()
+        scat = self._scatter(engine, t0, end, drain, ranges)
         if scat is None:
             # per-cell disqualification (headers the column layout cannot
             # carry): the inner vector backend re-derives the reason and
             # notes the de-acceleration itself
-            self._inner._run(engine, end, step, drain)
+            self._inner.advance(engine, end, drain)
             return
         tasks, init, rngpay = scat
         key = tasks[0]["tables_key"]
@@ -926,10 +884,16 @@ class ShardBackend(EngineBackend):
                 # the identical segment once, then fall back in-process
                 pool.respawn()
                 if attempt:
-                    self._inner._run(engine, end, step, drain)
+                    self._inner.advance(engine, end, drain)
                     return
-        self._apply(engine, results, ranges, init, rngpay, engine.t, drain)
+        self._apply(engine, results, ranges, init, rngpay, t0, drain)
         self.dispatches += 1
+        if engine.profiler is not None:
+            # the workers' sections are invisible from here: the whole
+            # dispatched segment is booked as TX, with the slots it advanced
+            engine.profiler.add(
+                "tx", time.perf_counter() - started, engine.t - t0
+            )
 
     def _tables_payload(self, engine) -> dict:
         nbr, link_table, _ = self._inner._tables(engine)

@@ -29,10 +29,11 @@ state, so object-mode code continues the identical stream.
 
 Anything outside the fast path — congestion-control machinery, non-vlb
 routing, failure state, attached monitors/tracers/hooks — falls back to the
-reference per-node pipeline (the engine's own ``step``), keeping every
-configuration correct at the cost of speed.  Eligibility is decided once
-per ``step_slots`` call: without a failure manager attached, no mid-run
-event can create failure state, so an eligible segment stays eligible.
+reference loop (:func:`repro.sim.backends.object_backend.advance`),
+keeping every configuration correct at the cost of speed.  Eligibility is
+decided once per ``advance`` call: without a failure manager attached, no
+mid-run event can create failure state, so an eligible segment stays
+eligible.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 from ...core.cell import Cell
 from ..node import Transmission
 from . import EngineBackend, register_backend
+from .object_backend import advance as advance_reference
 
 __all__ = ["VectorBackend"]
 
@@ -587,7 +589,7 @@ class _VectorRun:
         self._resync_rng()
 
     # ------------------------------------------------------------------ #
-    # per-slot sections (mirroring Engine.step exactly)
+    # per-slot sections (the slab's deliver / inject / tx / sample)
 
     def _rx(self, t: int) -> None:
         engine = self.engine
@@ -915,70 +917,37 @@ class _VectorRun:
     # the slot loop
 
     def advance(self, end: int, drain: bool) -> None:
+        """The slab's slot loop: ``Engine.step``'s order over the columns
+        (no faults or monitor section — either would have made the engine
+        ineligible)."""
         engine = self.engine
         metrics = engine.metrics
-        flows = engine.flows
         pending = engine._pending_flows
         batches = self.batches
         epoch = self.epoch
         phase_table = self.phase_table
         warmup = metrics.warmup
         interval = metrics.sample_interval
-        measuring = metrics._measuring
+        rx, inject, tx, sample = self._rx, self._inject, self._tx, self._sample
         profiler = engine.profiler
+        if profiler is not None:
+            rx = profiler.timed("deliver", rx)
+            inject = profiler.timed("inject", inject)
+            tx = profiler.timed("tx", tx)
+            sample = profiler.timed("sample", sample)
         t = engine.t
-        if profiler is None:
-            while t < end:
-                if drain and not (
-                    pending or flows._active or engine._in_flight_payload
-                ):
-                    break
-                if not measuring and t >= warmup:
-                    metrics.begin_measurement()
-                    if engine.telemetry is not None:
-                        engine.telemetry.resnapshot(metrics)
-                    measuring = True
-                slot = t % epoch
-                if batches and batches[0][0] <= t:
-                    self._rx(t)
-                if pending and pending[0][0] <= t:
-                    self._inject(t)
-                self._tx(t, slot, phase_table[slot])
-                if t >= warmup and t % interval == 0:
-                    self._sample(t)
-                t += 1
-        else:
-            # the section-timed twin (matches Engine._step_profiled's
-            # brackets so profiled runs stay on the vector path)
-            clock = profiler.clock
-            add = profiler.add
-            while t < end:
-                if drain and not (
-                    pending or flows._active or engine._in_flight_payload
-                ):
-                    break
-                t0 = clock()
-                if not measuring and t >= warmup:
-                    metrics.begin_measurement()
-                    if engine.telemetry is not None:
-                        engine.telemetry.resnapshot(metrics)
-                    measuring = True
-                slot = t % epoch
-                t1 = clock()
-                if batches and batches[0][0] <= t:
-                    self._rx(t)
-                t2 = clock()
-                if pending and pending[0][0] <= t:
-                    self._inject(t)
-                t3 = clock()
-                self._tx(t, slot, phase_table[slot])
-                t4 = clock()
-                if t >= warmup and t % interval == 0:
-                    self._sample(t)
-                t5 = clock()
-                t6 = clock()
-                add(t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)
-                t += 1
+        while t < end and (not drain or engine.has_pending_work):
+            if not metrics._measuring and t >= warmup:
+                engine._enter_measurement()
+            slot = t % epoch
+            if batches and batches[0][0] <= t:
+                rx(t)
+            if pending and pending[0][0] <= t:
+                inject(t)
+            tx(t, slot, phase_table[slot])
+            if t >= warmup and t % interval == 0:
+                sample(t)
+            t += 1
         engine.t = t
 
 
@@ -1030,42 +999,17 @@ class VectorBackend(EngineBackend):
             self._nbr = nbr
         return self._nbr, self._link_table, self._qt
 
-    def _run(self, engine, end: int, step, drain: bool) -> None:
-        if engine.t >= end:
-            return
-        if drain and not (
-            engine._pending_flows
-            or engine.flows.active_count
-            or engine._in_flight_payload
-        ):
-            return
+    def advance(self, engine, end: int, drain: bool) -> None:
         reason = _fast_ineligible_reason(engine)
         if reason is None:
-            nbr, link_table, qt = self._tables(engine)
-            run = _VectorRun(engine, nbr, link_table, qt)
+            run = _VectorRun(engine, *self._tables(engine))
             if run.pack():
                 run.advance(end, drain)
                 run.unpack()
                 return
             reason = "queued cells carry non-vectorizable headers"
-        engine.note_backend_effective("object", reason)
-        # reference fallback: states the stepper does not accelerate.
-        # Without a failure manager nothing can change eligibility
+        # without a failure manager nothing can change eligibility
         # mid-segment, and with one the segment is ineligible throughout,
-        # so finishing on the object path is both correct and stable.
-        if drain:
-            while engine.t < end and (
-                engine._pending_flows
-                or engine.flows.active_count
-                or engine._in_flight_payload
-            ):
-                step()
-        else:
-            while engine.t < end:
-                step()
-
-    def step_slots(self, engine, end: int, step) -> None:
-        self._run(engine, end, step, drain=False)
-
-    def drain_slots(self, engine, deadline: int, step) -> None:
-        self._run(engine, deadline, step, drain=True)
+        # so finishing on the reference loop is both correct and stable
+        engine.note_backend_effective("object", reason)
+        advance_reference(engine, end, drain)

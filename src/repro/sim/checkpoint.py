@@ -27,7 +27,7 @@ What is **not** captured, by design:
   the resumed engine simply re-grows it.
 * ``StepProfiler`` timings — volatile measurements, not simulation state.
 * Engines driven by manual ``step()`` dispatch (``MultiClassSimulation``)
-  never pass through the run loops, so periodic checkpointing does not
+  never pass through the run driver, so periodic checkpointing does not
   cover them; :meth:`Engine.snapshot` still works for manual use.
 
 The ambient :class:`CheckpointPolicy` mirrors the cell cache's
@@ -505,13 +505,13 @@ def restore_engine(checkpoint: Checkpoint):
 
 
 # ---------------------------------------------------------------------- #
-# periodic writer (driven by the engine's run loops)
+# periodic writer (driven by the engine's run driver)
 
 class CheckpointWriter:
     """Writes a snapshot of one engine every ``every`` timeslots.
 
-    The engine's checkpoint-aware run loops call :meth:`write` whenever the
-    cursor passes :attr:`due_t`; each write atomically replaces ``path``,
+    The engine's run driver ends a backend segment on :attr:`due_t` and
+    calls :meth:`write` there; each write atomically replaces ``path``,
     so the file always holds the latest complete snapshot.
     """
 

@@ -1,11 +1,14 @@
 """The packet-level simulation engine.
 
-The engine advances a synchronous timeslot clock.  Per slot it:
+The engine advances a synchronous timeslot clock.  Per slot
+(:meth:`Engine.step`, the one place the order is written down) it:
 
-1. delivers transmissions whose propagation deadline has passed (RX paths),
-2. injects flows whose arrival time has come,
-3. runs every non-idle node's TX path and puts the result on the wire,
-4. samples metrics at the configured interval.
+1. advances the failure manager, if one is attached,
+2. delivers transmissions whose propagation deadline has passed (RX paths),
+3. injects flows whose arrival time has come,
+4. runs every non-idle node's TX path and puts the result on the wire,
+5. samples metrics at the configured interval,
+6. lets the run monitor, if one is attached, check the slot.
 
 Propagation is modelled with a FIFO of in-flight transmissions: sends happen
 in time order, so the deque stays sorted by arrival deadline and delivery is
@@ -44,6 +47,14 @@ ScheduledFlow = Tuple[int, int, int, int, int]
 #: instrumentation without any plumbing; the list is empty (one truthiness
 #: check per construction) outside a capture context.
 _construction_hooks: List[Callable[["Engine"], None]] = []
+
+
+def _advance_faults(engine: "Engine", t: int) -> None:
+    engine.failure_manager.advance(engine, t)
+
+
+def _check_monitor(engine: "Engine", t: int) -> None:
+    engine.monitor.on_step_end(engine, t)
 
 
 class Engine:
@@ -114,9 +125,8 @@ class Engine:
         #: optional EventLog (repro.obs.events) receiving structured
         #: ``(t, kind, payload)`` run events; attach via its ``attach``
         self.events = None
-        #: optional StepProfiler (repro.obs.profiler); when set the run
-        #: loops dispatch to the timed step twin (:meth:`_step_profiled`),
-        #: so the normal step pays nothing for the feature
+        #: optional StepProfiler (repro.obs.profiler); attach via
+        #: :meth:`enable_profiler`, which also wraps the slot sections
         self.profiler = None
         self._pending_flows: Deque[ScheduledFlow] = deque()
         if workload is not None:
@@ -135,8 +145,7 @@ class Engine:
         # ISD bookkeeping: last time each flow's credit was topped up
         self._isd_last: Dict[int, int] = {}
         #: optional CheckpointWriter (repro.sim.checkpoint); when set the
-        #: run loops dispatch to snapshot-aware twins, so the normal loops
-        #: pay nothing for the feature (same pattern as the profiler)
+        #: run driver cuts each loop into segments ending on snapshot slots
         self._checkpointer = None
         #: loop marker restored from a checkpoint: ``(ordinal, end)`` of the
         #: run/drain loop the snapshot was taken inside (None otherwise)
@@ -147,9 +156,9 @@ class Engine:
         #: observer state from a restored checkpoint, waiting for a
         #: monitor/recorder/event log to be attached and absorb it
         self._pending_restore: Optional[Dict[str, object]] = None
-        #: the slot-loop backend (see repro.sim.backends): owns the
-        #: run/drain loops; the object model stays authoritative between
-        #: backend calls, so observers and manual step() always work
+        #: the slot-loop backend (see repro.sim.backends): owns the slot
+        #: loop; the object model stays authoritative between backend
+        #: calls, so observers and manual step() always work
         self.backend = make_backend(config.backend)
         #: the pipeline that actually ran: starts as the configured backend
         #: name and is downgraded (sticky, with a one-line stderr notice) by
@@ -188,14 +197,19 @@ class Engine:
     def enable_profiler(self):
         """Attach (and return) a step profiler; see repro.obs.profiler.
 
-        Like the digest, the profiler is a pure observer: the simulated
-        event stream is bit-identical with and without it (the timed step
-        twin mirrors :meth:`step` exactly).
+        Like the digest, the profiler is a pure observer: it wraps each
+        section callable of the slot body in a timer and changes nothing
+        else, so the simulated event stream is bit-identical with and
+        without it.
         """
-        from ..obs.profiler import StepProfiler
+        from ..obs.profiler import SECTIONS, StepProfiler
 
-        self.profiler = StepProfiler()
-        return self.profiler
+        profiler = self.profiler = StepProfiler()
+        self._sections = tuple(
+            profiler.timed(name, section)
+            for name, section in zip(SECTIONS, type(self)._sections)
+        )
+        return profiler
 
     def enable_digest(self) -> DeterminismDigest:
         """Attach (and return) a fresh event digest for equivalence tests.
@@ -244,18 +258,9 @@ class Engine:
 
     def run(self, duration: Optional[int] = None) -> MetricsCollector:
         """Run for ``duration`` timeslots (default: ``config.duration``)."""
-        end = self.t + (duration if duration is not None else self.config.duration)
-        ordinal = self._loops_entered
-        self._loops_entered = ordinal + 1
-        if self._resume is not None:
-            end = self._resume_end(ordinal, end)
-            if end is None:
-                return self.metrics  # loop completed before the snapshot
-        step = self.step if self.profiler is None else self._step_profiled
-        if self._checkpointer is not None:
-            self._run_checkpointed(step, end, ordinal)
-        else:
-            self.backend.step_slots(self, end, step)
+        if duration is None:
+            duration = self.config.duration
+        self._drive(self.t + duration, drain=False)
         return self.metrics
 
     def run_until_quiescent(self, max_extra: int = 1_000_000) -> MetricsCollector:
@@ -265,29 +270,45 @@ class Engine:
         attached, liveness probes keep crossing suspect links forever, so
         waiting for an empty wire would never terminate.
         """
-        deadline = self.t + max_extra
+        self._drive(self.t + max_extra, drain=True)
+        return self.metrics
+
+    def _drive(self, end: int, drain: bool) -> None:
+        """The run driver: advance to ``end``, or to quiescence if ``drain``.
+
+        Counts the loop entry (and resolves it against a restored loop
+        marker), then hands the backend one segment at a time.  A segment
+        ends on the next snapshot slot when checkpoints are enabled — so
+        snapshots land on exact slots whatever the backend's own stride —
+        and is the whole loop otherwise.
+        """
         ordinal = self._loops_entered
         self._loops_entered = ordinal + 1
         if self._resume is not None:
-            deadline = self._resume_end(ordinal, deadline)
-            if deadline is None:
-                return self.metrics  # loop completed before the snapshot
-        step = self.step if self.profiler is None else self._step_profiled
-        if self._checkpointer is not None:
-            self._drain_checkpointed(step, deadline, ordinal)
-        else:
-            self.backend.drain_slots(self, deadline, step)
-        return self.metrics
+            end = self._resume_end(ordinal, end)
+            if end is None:
+                return  # loop completed before the snapshot
+        writer = self._checkpointer
+        if writer is not None:
+            writer.arm(self.t)
+        while self.t < end and (not drain or self.has_pending_work):
+            target = end
+            if writer is not None:
+                target = min(end, max(writer.due_t, self.t + 1))
+            self.backend.advance(self, target, drain)
+            if writer is not None and self.t >= writer.due_t:
+                writer.write(self, ordinal, end)
 
     @property
     def has_pending_work(self) -> bool:
         """Whether payload work remains (the drain loop's continue test).
 
         True while flows are waiting to inject, flows are still active, or
-        payload cells are on the wire — exactly the condition
-        :meth:`run_until_quiescent` keeps stepping under.  Public so
-        incremental drivers (the live service) can drain in bounded steps
-        without reaching into engine internals.
+        payload cells are on the wire — the condition
+        :meth:`run_until_quiescent` keeps stepping under, and the only
+        place it is spelled out: the run driver and every backend ask
+        here.  Public so incremental drivers (the live service) can drain
+        in bounded steps without reaching into engine internals.
         """
         return bool(
             self._pending_flows
@@ -309,37 +330,6 @@ class Engine:
             return None
         self._resume = None
         return resume_end if ordinal == resume_ordinal else end
-
-    def _run_checkpointed(self, step, end: int, ordinal: int) -> None:
-        """The :meth:`run` loop with the periodic snapshot hook.
-
-        Kept out of :meth:`run` so the checkpoint-off loop stays exactly
-        as tight as before the feature existed.
-        """
-        writer = self._checkpointer
-        writer.arm(self.t)
-        while self.t < end:
-            # advance in backend segments bounded by the next snapshot
-            # instant, so snapshots land on the exact same slots as the
-            # pre-backend per-step check did
-            target = min(end, max(writer.due_t, self.t + 1))
-            self.backend.step_slots(self, target, step)
-            if self.t >= writer.due_t:
-                writer.write(self, ordinal, end)
-
-    def _drain_checkpointed(self, step, deadline: int, ordinal: int) -> None:
-        """The :meth:`run_until_quiescent` loop with the snapshot hook."""
-        writer = self._checkpointer
-        writer.arm(self.t)
-        while self.t < deadline and (
-            self._pending_flows
-            or self.flows.active_count
-            or self._in_flight_payload
-        ):
-            target = min(deadline, max(writer.due_t, self.t + 1))
-            self.backend.drain_slots(self, target, step)
-            if self.t >= writer.due_t:
-                writer.write(self, ordinal, deadline)
 
     # ------------------------------------------------------------------ #
     # checkpoint/restore (see repro.sim.checkpoint for the format)
@@ -393,78 +383,42 @@ class Engine:
         apply_checkpoint(self, checkpoint)
 
     def step(self) -> None:
-        """Advance the simulation by one timeslot.
-
-        Any change here must be mirrored in :meth:`_step_profiled`, the
-        section-timed twin used when a profiler is attached.
-        """
+        """Advance the simulation by one timeslot."""
         t = self.t
         slot = t % self._epoch_length
         phase = self._phase_table[slot]
-        offset = self._offset_table[slot]
-        if self.failure_manager is not None:
-            self.failure_manager.advance(self, t)
-        metrics = self.metrics
-        if not metrics._measuring and t >= metrics.warmup:
-            # entering the measured interval: drop warm-up window state so
-            # the first post-warmup throughput window starts clean
-            metrics.begin_measurement()
-            if self.telemetry is not None:
-                self.telemetry.resnapshot(metrics)
-        if self._in_flight:
-            self._deliver_arrivals(t, phase)
-        if self._pending_flows:
-            self._inject_flows(t)
-        self._run_tx(t, phase, offset)
-        if t >= metrics.warmup and t % metrics.sample_interval == 0:
-            self._sample_metrics()
-        if self.monitor is not None:
-            self.monitor.on_step_end(self, t)
-        self.t = t + 1
+        self._slot(t, phase, self._offset_table[slot], phase)
 
-    def _step_profiled(self) -> None:
-        """:meth:`step` with each section bracketed by the profiler clock.
+    def _slot(self, t: int, phase: int, offset: int, rx_phase: int) -> None:
+        """The slot body: the six sections, in order, once.
 
-        Kept as a twin rather than inline flag checks so the un-profiled
-        step pays nothing; the golden-trace tests pin both paths to the
-        same event stream.
+        ``phase``/``offset`` select this slot's TX link; ``rx_phase`` is
+        the phase receivers are in, which differs from ``phase`` only under
+        an interleaved master clock (:mod:`repro.sim.multiclass`).
         """
-        profiler = self.profiler
-        clock = profiler.clock
-        t = self.t
-        slot = t % self._epoch_length
-        phase = self._phase_table[slot]
-        offset = self._offset_table[slot]
-        t0 = clock()
+        faults, deliver, inject, tx, sample, monitor = self._sections
         if self.failure_manager is not None:
-            self.failure_manager.advance(self, t)
+            faults(self, t)
         metrics = self.metrics
         if not metrics._measuring and t >= metrics.warmup:
-            metrics.begin_measurement()
-            if self.telemetry is not None:
-                self.telemetry.resnapshot(metrics)
-        t1 = clock()
+            self._enter_measurement()
         if self._in_flight:
-            self._deliver_arrivals(t, phase)
-        t2 = clock()
+            deliver(self, t, rx_phase)
         if self._pending_flows:
-            self._inject_flows(t)
-        t3 = clock()
-        self._run_tx(t, phase, offset)
-        t4 = clock()
+            inject(self, t)
+        tx(self, t, phase, offset)
         if t >= metrics.warmup and t % metrics.sample_interval == 0:
-            self._sample_metrics()
-        t5 = clock()
+            sample(self)
         if self.monitor is not None:
-            self.monitor.on_step_end(self, t)
-        t6 = clock()
-        profiler.add(t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)
+            monitor(self, t)
         self.t = t + 1
 
-    def _deliver_arrivals(self, t: int, rx_phase: int) -> None:
-        """Deliver due transmissions (the reference RX loop; see
-        :func:`repro.sim.backends.object_backend.deliver_arrivals`)."""
-        _object_backend.deliver_arrivals(self, t, rx_phase)
+    def _enter_measurement(self) -> None:
+        """Cross the end of warm-up: drop warm-up window state so the first
+        post-warmup throughput and telemetry windows start clean."""
+        self.metrics.begin_measurement()
+        if self.telemetry is not None:
+            self.telemetry.resnapshot(self.metrics)
 
     def wire_drop(self, tx: Transmission) -> None:
         """Account a payload cell lost on the wire and heal sender credit.
@@ -489,16 +443,24 @@ class Engine:
             # the unconditional heal safe in every interleaving).
             sender.ledger.credit(tx.receiver, (cell.dst, cell.sprays_remaining))
 
-    def _run_tx(self, t: int, phase: int, offset: int) -> None:
-        """Run every non-idle node's TX path (the reference TX loop; see
-        :func:`repro.sim.backends.object_backend.run_tx`)."""
-        _object_backend.run_tx(self, t, phase, offset)
-
     def _sample_metrics(self) -> None:
         """Close one sample window: metrics sampling, then telemetry."""
         self.metrics.sample_engine_nodes(self.nodes)
         if self.telemetry is not None:
             self.telemetry.on_window(self, self.t)
+
+    #: the slot body's section callables, in
+    #: :data:`repro.obs.profiler.SECTIONS` order, each taking the engine
+    #: first; :meth:`enable_profiler` shadows this per instance with timed
+    #: wrappers
+    _sections = (
+        _advance_faults,
+        _object_backend.deliver_arrivals,
+        _inject_flows,
+        _object_backend.run_tx,
+        _sample_metrics,
+        _check_monitor,
+    )
 
     # ------------------------------------------------------------------ #
     # ISD (idealized sender-driven) global rate control
@@ -543,3 +505,4 @@ class Engine:
             f"Engine(n={self.config.n}, h={self.config.h}, "
             f"cc={self.config.congestion_control!r}, t={self.t})"
         )
+

@@ -75,31 +75,20 @@ class MultiClassSimulation:
         owner = self.interleave.owner(t)
         self._dispatch_flows(t)
         engine = self.engines[owner]
-        # The sub-engine runs one of *its* slots, but all timestamps it
-        # records must be master timestamps.
+        _, sub_t = self.interleave.sub_timeslot(t)
+        schedule = engine.schedule
+        # The sub-engine runs one of *its* slots — its TX link comes from
+        # the sub-slot — but every timestamp it records is a master
+        # timestamp, and receivers decode their current phase from the
+        # master clock (the sub-engine's wall time).
         engine.t = t
-        saved_phase = engine.schedule  # noqa: F841  (clarity only)
-        self._step_engine(engine, owner, t)
+        engine._slot(
+            t,
+            schedule.phase_of(sub_t),
+            schedule.offset_of(sub_t),
+            schedule.phase_of(t),
+        )
         self.t = t + 1
-
-    def _step_engine(self, engine: Engine, owner: int, master_t: int) -> None:
-        _, sub_t = self.interleave.sub_timeslot(master_t)
-        phase = engine.schedule.phase_of(sub_t)
-        offset = engine.schedule.offset_of(sub_t)
-        # receivers decode their current phase from the *master* clock (the
-        # sub-engine's wall time), not the sub-slot driving this TX step
-        rx_phase = engine.schedule.phase_of(master_t)
-        engine.t = master_t
-        metrics = engine.metrics
-        if not metrics._measuring and master_t >= metrics.warmup:
-            metrics.begin_measurement()
-            if engine.telemetry is not None:
-                engine.telemetry.resnapshot(metrics)
-        engine._deliver_arrivals(master_t, rx_phase)
-        engine._inject_flows(master_t)
-        engine._run_tx(master_t, phase, offset)
-        if metrics.should_sample(master_t):
-            engine._sample_metrics()
 
     def _dispatch_flows(self, t: int) -> None:
         pending = self._pending

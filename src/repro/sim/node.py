@@ -279,7 +279,7 @@ class Node:
             self.bucket_tracker = None
         self._cache_hbh_state()
         #: True when the engine may run its inlined copy of the common-case
-        #: TX pipeline for this node (see Engine._run_tx): unconditional
+        #: TX pipeline for this node (see object_backend.run_tx): unconditional
         #: flow admission, fifo bare-cell queues, and — under hop-by-hop —
         #: the uniform budget-1 ledger.  Every other configuration (and any
         #: node with failure state) goes through the reference transmit().

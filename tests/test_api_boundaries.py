@@ -149,10 +149,8 @@ def test_every_experiment_has_uniform_tail():
                 name, param.name)
 
 
-def test_positional_calls_warn_but_work():
+def test_positional_calls_are_type_errors():
     from repro.experiments import fig01_tradeoff
 
-    with pytest.warns(DeprecationWarning):
-        result = fig01_tradeoff.run(1024)
-    assert result.payload.n == 1024
-    assert result.name == "fig01_tradeoff"
+    with pytest.raises(TypeError):
+        fig01_tradeoff.run(1024)

@@ -108,7 +108,7 @@ class TestRegistry:
     def test_backend_contract_is_abstract(self):
         engine = _build("object", 16, 2, "none", 1)
         with pytest.raises(NotImplementedError):
-            EngineBackend().step_slots(engine, 1, lambda: None)
+            EngineBackend().advance(engine, 1, drain=False)
 
 
 class TestBitExactEquivalence:

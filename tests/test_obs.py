@@ -25,6 +25,7 @@ from repro.obs.profiler import SECTIONS, StepProfiler
 from repro.obs.serialize import canonical_json
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim import engine as engine_mod
+from repro.sim.backends import set_default_shards
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.parallel import sweep
@@ -34,11 +35,12 @@ pytestmark = pytest.mark.telemetry
 
 
 def make_engine(n=16, h=2, seed=3, duration=600, cc="hop-by-hop",
-                size_cells=20, warmup=0, sample_interval=50):
+                size_cells=20, warmup=0, sample_interval=50,
+                backend="object"):
     cfg = SimConfig(
         n=n, h=h, seed=seed, duration=duration, propagation_delay=4,
         congestion_control=cc, warmup=warmup,
-        metrics_sample_interval=sample_interval,
+        metrics_sample_interval=sample_interval, backend=backend,
     )
     return Engine(cfg, workload=permutation_workload(cfg, size_cells))
 
@@ -244,21 +246,68 @@ class TestEventLog:
 # profiler + manifest
 
 
+#: ``(writer.written, writer.last_t)`` after the run below with
+#: ``enable_checkpoints(path, every=97)``, as recorded at the commit before
+#: the run loops were merged into one driver: snapshots must keep landing
+#: on the same slots, on every backend
+SNAPSHOT_SLOTS = {
+    ("none", False): (3, 291),
+    ("none", True): (4, 397),
+    ("hbh+spray", False): (3, 291),
+    ("hbh+spray", True): (6, 591),
+}
+
+
+@pytest.fixture
+def two_shards():
+    previous = set_default_shards(2)
+    yield
+    set_default_shards(previous)
+
+
 class TestProfiler:
-    def test_profiled_run_matches_unprofiled(self):
-        plain = make_engine(duration=500, seed=9)
-        plain.run(plain.config.duration)
-        profiled = make_engine(duration=500, seed=9)
-        profiler = profiled.enable_profiler()
-        profiled.run(profiled.config.duration)
-        assert profiler.steps == 500
-        assert (profiled.metrics.payload_cells_delivered
-                == plain.metrics.payload_cells_delivered)
-        assert profiler.total_seconds > 0
+    @pytest.mark.parametrize("checkpoints", [False, True],
+                             ids=["ckpt-off", "ckpt-on"])
+    @pytest.mark.parametrize("drain", [False, True],
+                             ids=["run", "run+drain"])
+    @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
+    @pytest.mark.parametrize("backend", ["object", "vector", "shard"])
+    def test_profiled_run_matches_unprofiled(self, backend, cc, drain,
+                                             checkpoints, tmp_path,
+                                             two_shards):
+        def run(observed):
+            # flows outlast the run so the drain has work; the warm-up
+            # boundary falls mid-run so the measurement crossing is covered
+            engine = make_engine(duration=300, seed=9, cc=cc, warmup=100,
+                                 size_cells=120, backend=backend)
+            engine.enable_digest()
+            if observed:
+                engine.enable_profiler()
+                if checkpoints:
+                    engine.enable_checkpoints(tmp_path / "run.ckpt", every=97)
+            engine.run()
+            if drain:
+                engine.run_until_quiescent()
+            return engine
+
+        plain = run(observed=False)
+        profiled = run(observed=True)
+        assert profiled.digest.hexdigest() == plain.digest.hexdigest()
+        assert profiled.t == plain.t
+        assert (plain.t > 300) == drain
+        report = profiled.profiler.report()
+        assert report["steps"] == profiled.t
+        assert tuple(report["sections"]) == SECTIONS
+        assert report["sections"]["tx"]["seconds"] > 0
+        if checkpoints:
+            writer = profiled._checkpointer
+            assert (writer.written, writer.last_t) == SNAPSHOT_SLOTS[cc, drain]
 
     def test_report_structure(self):
         profiler = StepProfiler()
-        profiler.add(0.1, 0.2, 0.0, 0.3, 0.0, 0.0)
+        profiler.add("faults", 0.1)
+        profiler.add("deliver", 0.2)
+        profiler.add("tx", 0.3, slots=1)
         rep = profiler.report()
         assert rep["steps"] == 1
         assert rep["seconds"] == pytest.approx(0.6)

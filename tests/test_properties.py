@@ -223,8 +223,8 @@ class TestWorkloadProperties:
 class TestEngineFastPathEquivalence:
     """The active-set TX fast path must be invisible in simulated behaviour.
 
-    ``Engine._run_tx`` normally visits only the nodes in the active set and
-    runs an inlined copy of the common-case TX pipeline; with
+    ``object_backend.run_tx`` normally visits only the nodes in the active
+    set and runs an inlined copy of the common-case TX pipeline; with
     ``force_full_scan`` it scans every node each slot through the reference
     ``Node.transmit``.  The two paths must produce identical delivery events
     and identical event digests for every mechanism and seed.

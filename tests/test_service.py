@@ -196,14 +196,6 @@ class TestSessionApi:
             session.advance(50)
         assert session.closed
 
-    def test_failure_manager_keyword_warns(self):
-        with pytest.warns(DeprecationWarning, match="failures="):
-            open_session(_cfg(), failure_manager=None)
-
-    def test_simulate_failure_manager_keyword_warns(self):
-        with pytest.warns(DeprecationWarning, match="failures="):
-            simulate(_cfg(duration=50), failure_manager=None)
-
     def test_source_config_mismatch_rejected(self):
         small = OpenLoopSource(_cfg(), load=0.2)
         with pytest.raises(ValueError, match="n="):
