@@ -62,6 +62,7 @@ def run_manifest(engine, wall_seconds: Optional[float] = None
         "congestion_control": config.congestion_control,
         "backend": config.backend,
         "backend_effective": engine.backend_effective,
+        "backend_reason": engine.backend_reason,
         "slots": engine.t,
         "epoch_length": engine.schedule.epoch_length,
         "config": to_jsonable(config),

@@ -349,6 +349,7 @@ class Session:
             "h": self.config.h,
             "congestion_control": self.config.congestion_control,
             "backend": engine.backend_effective,
+            "backend_reason": engine.backend_reason,
             "active_flows": engine.flows.active_count,
             "completed_flows": len(engine.flows.completed),
             "cells_delivered": metrics.payload_cells_delivered,

@@ -168,6 +168,7 @@ class _WorkerRun(_VectorRun):
             config=_Proxy(
                 n=tables["n"], h=tables["h"],
                 propagation_delay=tables["delay"],
+                uses_spray_short=False,
             ),
             coords=_Proxy(r=tables["r"]),
             schedule=_Proxy(
@@ -796,9 +797,11 @@ class ShardBackend(EngineBackend):
     and the parent replays the results back into the authoritative
     object model (see the module docstring for the protocol).  States
     the vector stepper cannot accelerate fall back to the reference
-    pipeline exactly as ``"vector"`` does; configurations where sharding
-    cannot pay (one shard, zero propagation delay, no ``fork``) run on
-    the in-process vector stepper instead — still accelerated, so
+    pipeline exactly as ``"vector"`` does; configurations the workers do
+    not carry columns for (spray-short, the hop-by-hop token family) or
+    where sharding cannot pay (one shard, zero propagation delay, no
+    ``fork``) run on the in-process vector stepper instead — still
+    accelerated, so
     ``backend_effective`` stays ``"shard"`` and manifests remain
     shard-count-invariant.
     """
@@ -814,6 +817,8 @@ class ShardBackend(EngineBackend):
     # driver
 
     def advance(self, engine, end: int, drain: bool) -> None:
+        # two questions: can the slab run this state at all (else the
+        # reference pipeline, reason recorded), and can *workers* run it
         reason = _fast_ineligible_reason(engine)
         if reason is not None:
             engine.note_backend_effective("object", reason)
@@ -821,10 +826,16 @@ class ShardBackend(EngineBackend):
             return
         cfg = engine.config
         ranges = shard_ranges(cfg.n, engine.coords.r, default_shards())
-        if len(ranges) < 2 or cfg.propagation_delay < 1:
-            # nothing to shard over (or no lockstep window): run the
-            # in-process vector stepper — still accelerated, so this is
-            # not a reference fallback and backend_effective is unchanged
+        if (
+            cfg.congestion_control != "none"
+            or len(ranges) < 2
+            or cfg.propagation_delay < 1
+        ):
+            # workers carry no spray-short or token columns, and with one
+            # shard or no lockstep window there is nothing to scatter: run
+            # the in-process vector stepper — still accelerated, so this
+            # is not a reference fallback and backend_effective is
+            # unchanged
             self._inner.advance(engine, end, drain)
             return
         try:

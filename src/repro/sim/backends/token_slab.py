@@ -1,0 +1,642 @@
+"""Hop-by-hop tokens on the vector slab.
+
+:class:`TokenRun` extends the ``cc="none"`` stepper
+(:class:`~repro.sim.backends.vector._VectorRun`) with the paper's
+hop-by-hop flow control (Section 3.3.2) at the uniform budget
+``T = T_F = 1``, bit-exact with ``Node.transmit`` / ``Node.receive``:
+
+* **ledger** — the outstanding ``(node, link, dst, sprays)`` charges.  With
+  a budget of one a pair either has its credit or has spent it, so the
+  ledger is a *set*; it is kept as one sorted int64 key column per link
+  (key ``(node * n + dst) * h + sprays``), because every ledger operation
+  of a slot touches a single link: the TX link for the eligibility lookups
+  and charges, the link the arriving batch came in on for the credits.
+  Its size is the number of tokens outstanding, not ``n * L * n * h``.
+* **PIEO pick** — "first eligible cell, final hop free" runs as scan
+  rounds over the linked-list queues: round one tests every non-empty
+  queue's head, round ``k`` the ``k``-th cell of the queues still blocked.
+  A mid-list pick unlinks through its predecessor, so FIFO order holds.
+* **token return** — per-(node, link) ring buffers of ``dst * h + sprays``
+  codes, drained ``tokens_per_header`` at a time into whatever the node
+  sends toward that neighbour, or into a token-only dummy transmission
+  (a wire row whose cell is ``-1``) when it sends nothing else.
+* **active buckets** — dense per-(node, bucket) reference counts with the
+  per-node active count and its high-water mark.
+
+See DESIGN.md §11 for the column layout and the within-slot event order.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, List
+
+import numpy as np
+
+from ...core.cell import Cell
+from ...core.header import TOKEN_REGULAR, Token
+from ..node import Transmission
+from .vector import _HEADERS, _Decline, _VectorRun
+
+__all__ = ["TokenRun"]
+
+_EV_TOKENS = 4  # DeterminismDigest token tag (see repro.sim.digest)
+
+#: closes every ledger column, so a lookup never indexes past the end
+_LEDGER_END = np.iinfo(np.int64).max
+
+
+class TokenRun(_VectorRun):
+    """One packed stretch of hop-by-hop stepping (see the module docstring).
+
+    ``links`` is :meth:`VectorBackend._link_tables`' result.
+    """
+
+    #: initial token-ring capacity (a power of two; rings double when full)
+    RING_SLOTS = 4
+
+    def __init__(self, engine, nbr, link_table, qt, links):
+        super().__init__(engine, nbr, link_table, qt)
+        self.peer, back, self.pair_key, self.pair_link = links
+        self.back = back.tolist()
+        n, h, L = self.n, self.h, self.L
+        self.nh = n * h
+        self.tph = engine.config.tokens_per_header
+        self.ledger = [
+            np.array([_LEDGER_END], dtype=np.int64) for _ in range(L)
+        ]
+        # active-bucket tracker: ref[node * nh + dst * h + sprays]
+        self.tr_ref = np.zeros(n * self.nh, dtype=np.int32)
+        self.tr_active = np.zeros(n, dtype=np.int64)
+        self.tr_peak = np.zeros(n, dtype=np.int64)
+        # token-return rings, one per queue index ``link * n + node``
+        self.tq_cap = self.RING_SLOTS
+        self.tq = np.zeros((self.Ln, self.tq_cap), dtype=np.int64)
+        # heads run free (positions are read modulo the capacity), so
+        # ``head + len`` counts the tokens a ring has ever held: the object
+        # model keeps a (possibly empty) deque for every ring that held one
+        self.tq_head = np.zeros(self.Ln, dtype=np.int64)
+        self.tq_len = np.zeros(self.Ln, dtype=np.int64)
+        # the link on which the batch being received reaches its senders
+        self._rx_back = 0
+        # per-slot TX scratch: the cell each node sends (-1: none) and
+        # whether it is a fresh emission
+        self._cell_of = np.empty(n, dtype=np.int64)
+        self._fresh = np.zeros(n, dtype=bool)
+        # digest rows for on_tokens: [tag, sender, receiver, t, (dest,
+        # sprays, kind) per token]
+        self._tok_events = np.empty((n, 4 + 3 * self.tph), dtype=np.int64)
+        self._tok_events[:, 0] = _EV_TOKENS
+        self._tok_events[:, 6::3] = TOKEN_REGULAR
+        self._tok_field = np.arange(4 + 3 * self.tph)
+        self._header_slot = np.arange(self.tph)
+
+    # ------------------------------------------------------------------ #
+    # slab management: one more per-cell column, outside the 2-D block so
+    # the cc="none" emission scatter keeps its shape
+
+    def _init_slab(self, count: int) -> None:
+        super()._init_slab(count)
+        #: link on which the cell's current holder reaches ``c_prev``
+        self.c_back = np.zeros(self.cap, dtype=np.int64)
+
+    def _grow_slab(self, need: int) -> None:
+        old = self.c_back
+        super()._grow_slab(need)
+        self.c_back = np.zeros(self.cap, dtype=np.int64)
+        self.c_back[: old.size] = old
+
+    # ------------------------------------------------------------------ #
+    # pack / unpack
+
+    def _link_between(self, nodes, neighbors) -> np.ndarray:
+        """The link on which each of ``nodes`` reaches its ``neighbors``."""
+        key = np.asarray(nodes, dtype=np.int64) * self.n \
+            + np.asarray(neighbors, dtype=np.int64)
+        pos = np.minimum(self.pair_key.searchsorted(key),
+                         self.pair_key.size - 1)
+        if (self.pair_key[pos] != key).any():
+            raise _Decline(_HEADERS)
+        return self.pair_link[pos]
+
+    def _pack_nodes(self) -> int:
+        nid = super()._pack_nodes()
+        n, h, nh = self.n, self.h, self.nh
+        # queued cells sit in rows [Ln, nid) in node-major walk order
+        holders = np.repeat(
+            np.arange(n, dtype=np.int64), self.q_len.sum(axis=0)
+        )
+        self.c_back[self.Ln:nid] = self._link_between(
+            holders, self.c_prev[self.Ln:nid]
+        )
+        ids = np.arange(n, dtype=np.int64)
+        spent: List[tuple] = []     # (neighbour, dst, sprays) ledger keys
+        spent_at: List[int] = []    # how many of them each node holds
+        refs: List[tuple] = []      # (dst, sprays) active buckets
+        counts: List[int] = []      # their reference counts
+        refs_at: List[int] = []
+        rings: List[tuple] = []     # (node, neighbour, codes), non-empty
+        for i, node in enumerate(self.engine.nodes):
+            # the nodes' own hot-path aliases of the ledger/tracker dicts
+            if node._is_first_map:
+                raise _Decline("ledger carries first-hop markings")
+            spent.extend(node._spent_map)
+            spent_at.append(len(node._spent_map))
+            refcount = node._refcount_map
+            refs.extend(refcount)
+            counts.extend(refcount.values())
+            refs_at.append(len(refcount))
+            for nb, tokens in node.token_return.items():
+                if not tokens:
+                    continue  # its (empty) deque stays as it is
+                if any(token.kind != TOKEN_REGULAR for token in tokens):
+                    raise _Decline(_HEADERS)
+                rings.append(
+                    (i, nb, [tok.dest * h + tok.sprays for tok in tokens])
+                )
+        if spent:
+            # with T = T_F = 1 every recorded pair holds exactly one charge
+            holder = np.repeat(ids, spent_at)
+            nb, dst, sprays = np.array(spent, dtype=np.int64).T
+            link = self._link_between(holder, nb)
+            key = (holder * n + dst) * h + sprays
+            for l in np.unique(link).tolist():
+                self.ledger[l] = np.sort(
+                    np.append(key[link == l], _LEDGER_END)
+                )
+        if refs:
+            dst, sprays = np.array(refs, dtype=np.int64).T
+            self.tr_ref[np.repeat(ids, refs_at) * nh + dst * h + sprays] = \
+                counts
+        self.tr_active[:] = refs_at
+        self.tr_peak[:] = [
+            node.bucket_tracker.peak for node in self.engine.nodes
+        ]
+        if rings:
+            link = self._link_between(
+                [ring[0] for ring in rings], [ring[1] for ring in rings]
+            )
+            while self.tq_cap < max(len(ring[2]) for ring in rings):
+                self._grow_rings()
+            for (i, _, codes), l in zip(rings, link.tolist()):
+                q = l * n + i
+                self.tq_len[q] = len(codes)
+                self.tq[q, : len(codes)] = codes
+        return nid
+
+    def _pack_wire(self, nid: int) -> int:
+        h, tph = self.h, self.tph
+        load_cell = self._cell_loader()
+        batch: Dict[str, list] = {}
+        arr = None
+
+        def flush():
+            if not batch:
+                return
+            senders = np.array(batch["senders"], dtype=np.int64)
+            recvs = np.array(batch["recvs"], dtype=np.int64)
+            # one TX slot, one link: every receiver hears its sender on
+            # the same return link
+            back = self._link_between(recvs, senders)
+            if (back != back[0]).any():
+                raise _Decline(_HEADERS)
+            tokens = None
+            if any(batch["tokens"]) or -1 in batch["cells"]:
+                tokens = np.full((tph, senders.size), -1, dtype=np.int64)
+                for col, codes in enumerate(batch["tokens"]):
+                    tokens[: len(codes), col] = codes
+            self.batches.append((
+                arr, senders, np.array(batch["cells"], dtype=np.int64),
+                recvs, np.array(batch["fresh"], dtype=bool), batch["esph"],
+                tokens, int(back[0]),
+            ))
+
+        for tx in self.engine._in_flight:
+            cell = tx.cell
+            if tx.ctrl or cell is None or len(tx.tokens) > tph or any(
+                token.kind != TOKEN_REGULAR for token in tx.tokens
+            ):
+                raise _Decline(_HEADERS)
+            if tx.arrival != arr:
+                flush()
+                arr = tx.arrival
+                batch = {"senders": [], "cells": [], "recvs": [],
+                         "fresh": [], "tokens": [], "esph": 0}
+            batch["senders"].append(tx.sender)
+            batch["recvs"].append(tx.receiver)
+            batch["tokens"].append(
+                [tok.dest * h + tok.sprays for tok in tx.tokens]
+            )
+            if cell.dummy:
+                batch["cells"].append(-1)
+                batch["fresh"].append(False)
+                continue
+            load_cell(cell, nid)
+            batch["cells"].append(nid)
+            spraying = cell.sprays_remaining > 0
+            batch["fresh"].append(spraying)
+            if spraying:
+                batch["esph"] = cell.spray_phase
+            nid += 1
+        flush()
+        return nid
+
+    def _token(self, node, code: int) -> Token:
+        """The regular token ``code`` names, interned per node as the
+        object pipeline interns them."""
+        bucket = divmod(code, self.h)
+        tok = node._token_cache.get(bucket)
+        if tok is None:
+            tok = node._token_cache[bucket] = Token(*bucket)
+        return tok
+
+    def _unpack_wire(self, made: List[Cell]) -> None:
+        nodes = self.engine.nodes
+        in_flight = self.engine._in_flight
+        pos = 0
+        for arr, senders, cells, recvs, _, _, tokens, _ in self.batches:
+            m = senders.size
+            codes = [()] * m if tokens is None else tokens.T.tolist()
+            for s, r, row, cell, header in zip(
+                senders.tolist(), recvs.tolist(), cells.tolist(),
+                made[pos:pos + m], codes,
+            ):
+                if row < 0:
+                    cell = Cell.make_dummy(s, r)
+                tx = Transmission(s, r, cell, tuple(
+                    self._token(nodes[s], code)
+                    for code in header if code >= 0
+                ), ())
+                tx.arrival = arr
+                in_flight.append(tx)
+            pos += m
+
+    def unpack(self) -> None:
+        super().unpack()
+        engine = self.engine
+        nodes = engine.nodes
+        n, h, nh = self.n, self.h, self.nh
+        # the ledger and tracker dicts, through the nodes' hot-path
+        # aliases of them — refilled in place, never rebound
+        spent_maps = [node._spent_map for node in nodes]
+        ref_maps = [node._refcount_map for node in nodes]
+        for spent, refcount in zip(spent_maps, ref_maps):
+            spent.clear()
+            refcount.clear()
+        key = np.concatenate([column[:-1] for column in self.ledger])
+        link = np.repeat(
+            np.arange(self.L), [column.size - 1 for column in self.ledger]
+        )
+        holder, code = np.divmod(key, nh)
+        dst, sprays = np.divmod(code, h)
+        for i, pair in zip(holder.tolist(), zip(
+            self.peer[link, holder].tolist(), dst.tolist(), sprays.tolist()
+        )):
+            spent_maps[i][pair] = 1
+        live = self.tr_ref.nonzero()[0]
+        holder, code = np.divmod(live, nh)
+        dst, sprays = np.divmod(code, h)
+        for i, bucket, count in zip(
+            holder.tolist(), zip(dst.tolist(), sprays.tolist()),
+            self.tr_ref[live].tolist(),
+        ):
+            ref_maps[i][bucket] = count
+        for node, peak in zip(nodes, self.tr_peak.tolist()):
+            node.bucket_tracker.peak = peak
+        used = (self.tq_head + self.tq_len).nonzero()[0]
+        held = (self.tq_head[used, None] + np.arange(self.tq_cap)) \
+            & (self.tq_cap - 1)
+        for q, length, codes, nb in zip(
+            used.tolist(), self.tq_len[used].tolist(),
+            self.tq[used[:, None], held].tolist(),
+            self.peer.reshape(-1)[used].tolist(),
+        ):
+            node = nodes[q % n]
+            ring = node.token_return.get(nb)
+            if ring is None:
+                ring = node.token_return[nb] = deque()
+            ring.clear()
+            ring.extend(self._token(node, code) for code in codes[:length])
+        pending = self.tq_len.reshape(self.L, n).sum(axis=0)
+        for node, owed in zip(nodes, pending.tolist()):
+            node.pending_tokens = owed
+        # a node owing tokens has work even with empty queues
+        engine._active_ids.update(pending.nonzero()[0].tolist())
+
+    # ------------------------------------------------------------------ #
+    # ledger columns
+
+    def _spent(self, link: int, key) -> np.ndarray:
+        column = self.ledger[link]
+        return column[column.searchsorted(key)] == key
+
+    def _charge(self, link: int, keys: List[np.ndarray]) -> None:
+        self.ledger[link] = np.sort(
+            np.concatenate((*keys, self.ledger[link]))
+        )
+
+    def _credit(self, link: int, key) -> None:
+        column = self.ledger[link]
+        pos = column.searchsorted(key)
+        # a token for an un-charged pair is a tolerated no-op
+        pos = pos[column[pos] == key]
+        keep = np.ones(column.size, dtype=bool)
+        keep[pos] = False
+        self.ledger[link] = column[keep]
+
+    # ------------------------------------------------------------------ #
+    # active-bucket tracker (ActiveBucketTracker acquire / release over
+    # distinct nodes)
+
+    def _release(self, nodes, idx) -> None:
+        count = self.tr_ref[idx]
+        self.tr_ref[idx] = count - (count > 0)
+        gone = (count == 1).nonzero()[0]
+        if gone.size:
+            self.tr_active[nodes[gone]] -= 1
+
+    def _active_buckets(self) -> int:
+        return int(self.tr_active.max())
+
+    # ------------------------------------------------------------------ #
+    # token-return rings
+
+    def _grow_rings(self) -> None:
+        cap = self.tq_cap
+        order = (self.tq_head[:, None] + np.arange(cap)) & (cap - 1)
+        grown = np.zeros((self.Ln, 2 * cap), dtype=np.int64)
+        grown[:, :cap] = np.take_along_axis(self.tq, order, axis=1)
+        self.tq = grown
+        # contents now start at position 0; a used ring keeps a non-zero
+        # head that still reads as position 0
+        self.tq_head = np.where(self.tq_head + self.tq_len > 0, 2 * cap, 0)
+        self.tq_cap = 2 * cap
+
+    def _queue_tokens(self, q, code) -> None:
+        """Append one token per ring in ``q`` (distinct rings)."""
+        length = self.tq_len[q]
+        if int(length.max()) >= self.tq_cap:
+            self._grow_rings()
+        self.tq[q, (self.tq_head[q] + length) & (self.tq_cap - 1)] = code
+        self.tq_len[q] = length + 1
+
+    # ------------------------------------------------------------------ #
+    # per-slot sections
+
+    def _rx(self, t: int) -> None:
+        batches = self.batches
+        while batches and batches[0][0] <= t:
+            _, _, cells, recvs, fresh, esph, tokens, back = batches.popleft()
+            if tokens is not None:
+                self._receive_tokens(recvs, tokens, back)
+                payload = cells >= 0
+                if not payload.all():
+                    cells = cells[payload]
+                    recvs = recvs[payload]
+                    fresh = fresh[payload]
+            self._rx_back = back
+            if cells.size:
+                self._arrive(t, cells, recvs, fresh, esph)
+
+    def _receive_tokens(self, recvs, tokens, back: int) -> None:
+        """Header tokens at their receivers: restore the ledger credit and
+        release the bucket, header position by header position (so two
+        tokens in one header act in order)."""
+        keys = []
+        for col in tokens:
+            have = (col >= 0).nonzero()[0]
+            if not have.size:
+                break
+            nodes = recvs[have]
+            idx = nodes * self.nh + col[have]
+            keys.append(idx)
+            self._release(nodes, idx)
+        if keys:
+            self._credit(back, keys[0] if len(keys) == 1
+                         else np.concatenate(keys))
+
+    def _forward(self, fc, rv, t, dd, emask, esph) -> None:
+        super()._forward(fc, rv, t, dd, emask, esph)
+        self.c_back[fc] = self._rx_back
+        # the cell now occupies bucket (dst, sprays) at its receiver
+        idx = rv * self.nh + dd * self.h + self.c_sprays[fc]
+        count = self.tr_ref[idx] + 1
+        self.tr_ref[idx] = count
+        fresh = (count == 1).nonzero()[0]
+        if fresh.size:
+            nodes = rv[fresh]
+            active = self.tr_active[nodes] + 1
+            self.tr_active[nodes] = active
+            self.tr_peak[nodes] = np.maximum(self.tr_peak[nodes], active)
+
+    def _pick(self, link: int, ids, nb):
+        """PIEO extraction on every non-empty queue of ``link``: the first
+        cell that is on its final hop or whose next-hop bucket has credit.
+
+        Returns ``(nodes, cells, pred, dst, sprays, onward, keys)``: the
+        picked cells with their list predecessors, their headers (``onward``
+        is the sprays left after this hop) and the ledger keys to charge
+        (the picks that were not final hops).
+        """
+        n, h = self.n, self.h
+        nxt = self.c_nxt
+        column = self.ledger[link]
+        pred = ids + link * n      # round one: the queue sentinels
+        cells = nxt[pred]
+        found = []
+        while True:
+            dst = self.c_dst[cells]
+            sprays = self.c_sprays[cells]
+            onward = sprays - (sprays > 0)
+            key = (ids * n + dst) * h + onward
+            final = nb[ids] == dst
+            ok = final | (column[column.searchsorted(key)] != key)
+            if ok.all():
+                found.append(
+                    (ids, cells, pred, dst, sprays, onward, key[~final])
+                )
+                break
+            hit = ok.nonzero()[0]
+            found.append((ids[hit], cells[hit], pred[hit], dst[hit],
+                          sprays[hit], onward[hit], key[hit][~final[hit]]))
+            # next round: the following cell of every still-blocked queue
+            pred = cells[~ok]
+            cells = nxt[pred]
+            more = cells >= 0
+            ids = ids[~ok][more]
+            if not ids.size:
+                break
+            pred = pred[more]
+            cells = cells[more]
+        if len(found) == 1:
+            return found[0]
+        return tuple(np.concatenate(part) for part in zip(*found))
+
+    def _admit_blocked(self, link: int, blocked, t: int, esph: int):
+        """``Node._pick_flow``'s fallback for sources whose cursor flow has
+        no first-hop credit: the first waiting flow that has.
+
+        Returns ``(nodes, rows, keys)`` of the cells admitted this way, or
+        None when there are none.
+        """
+        n, h, hm1 = self.n, self.h, self.hm1
+        waiting = [(i, flow) for i in blocked.tolist()
+                   for flow in self.waiting[i]]
+        if not waiting:
+            return None
+        key = np.array([(i * n + flow.dst) * h + hm1 for i, flow in waiting],
+                       dtype=np.int64)
+        chosen: Dict[int, tuple] = {}
+        for (i, flow), k, spent in zip(waiting, key.tolist(),
+                                       self._spent(link, key).tolist()):
+            if not spent and i not in chosen:
+                chosen[i] = (flow, k)
+        if not chosen:
+            return None
+        nodes = np.array(list(chosen), dtype=np.int64)
+        flows = [flow for flow, _ in chosen.values()]
+        rows = self._new_cells(
+            nodes,
+            [flow.dst for flow in flows], [flow.flow_id for flow in flows],
+            [flow.sent for flow in flows], [flow.size_cells for flow in flows],
+            t, esph,
+        )
+        for i, flow in zip(chosen, flows):
+            flow.sent += 1
+            if flow.sent >= flow.size_cells:
+                self.waiting[i].remove(flow)
+        self.engine.metrics.cells_injected += nodes.size
+        return nodes, rows, np.array([k for _, k in chosen.values()],
+                                     dtype=np.int64)
+
+    def _send_forwards(self, link: int, nb, charges: list) -> int:
+        """The PIEO pick on every non-empty queue of ``link``, with what
+        forwarding a cell entails: unlink it, token upstream, bucket
+        release, header update.  Returns the number of cells picked."""
+        n, h = self.n, self.h
+        queued = (self.heads2d[link] >= 0).nonzero()[0]
+        if not queued.size:
+            return 0
+        ids, cells, pred, dst, sprays, onward, keys = self._pick(
+            link, queued, nb
+        )
+        if not ids.size:
+            return 0
+        after = self.c_nxt[cells]
+        self.c_nxt[pred] = after
+        last = (after < 0).nonzero()[0]
+        if last.size:
+            self.q_tail[link][ids[last]] = pred[last]
+        self.q_len[link][ids] -= 1
+        # the token names the bucket the cell occupied here
+        code = dst * h + sprays
+        self._queue_tokens(self.c_back[cells] * n + ids, code)
+        self._release(ids, ids * self.nh + code)
+        self.c_sprays[cells] = onward
+        self.c_prev[cells] = ids
+        self.c_hops[cells] += 1
+        self._cell_of[ids] = cells
+        if keys.size:
+            charges.append(keys)
+        return ids.size
+
+    def _send_admissions(self, link: int, t: int, esph: int,
+                         charges: list) -> int:
+        """First-hop admission for every source with nothing to forward,
+        against the bucket ``(neighbour, flow.dst, h-1)`` — charged even
+        when the neighbour is the destination, as ``_emit_flow_cell``
+        does.  Returns the number of cells admitted."""
+        cell_of, fresh = self._cell_of, self._fresh
+        e = (self.has_flow & (cell_of < 0)).nonzero()[0]
+        if not e.size:
+            return 0
+        admitted = 0
+        key = (e * self.n + self.cur_dst[e]) * self.h + self.hm1
+        spent = self._spent(link, key)
+        if spent.any():
+            other = self._admit_blocked(link, e[spent], t, esph)
+            if other is not None:
+                late, rows, keys = other
+                admitted = late.size
+                cell_of[late] = rows
+                fresh[late] = True
+                charges.append(keys)
+            e = e[~spent]
+            key = key[~spent]
+        if e.size:
+            admitted += e.size
+            cell_of[e] = self._emit(e, t, esph)
+            fresh[e] = True
+            charges.append(key)
+        return admitted
+
+    def _drain_tokens(self, link: int):
+        """Up to ``tokens_per_header`` codes from every non-empty ring
+        toward this slot's neighbour: ``(nodes, codes (k, tph) padded with
+        -1, how many each node sends)``."""
+        lo = link * self.n
+        owed = self.tq_len[lo:lo + self.n]
+        owing = owed.nonzero()[0]
+        if not owing.size:
+            return owing, None, None
+        q = owing + lo
+        head = self.tq_head[q]
+        length = owed[owing]
+        codes = self.tq[
+            q[:, None],
+            (head[:, None] + self._header_slot) & (self.tq_cap - 1),
+        ]
+        codes[self._header_slot >= length[:, None]] = -1
+        taken = np.minimum(length, self.tph)
+        self.tq_head[q] = head + taken
+        owed[owing] = length - taken
+        return owing, codes, taken
+
+    def _tx(self, t: int, slot: int, phase: int) -> None:
+        engine = self.engine
+        link = self.link_table[slot]
+        nb = self.nbr[slot]
+        esph = (phase + 1) % self.h
+        cell_of = self._cell_of
+        cell_of.fill(-1)
+        self._fresh.fill(False)
+        charges: List[np.ndarray] = []
+        payload = self._send_forwards(link, nb, charges)
+        payload += self._send_admissions(link, t, esph, charges)
+        if charges:
+            self._charge(link, charges)
+        owing, codes, taken = self._drain_tokens(link)
+        send = cell_of >= 0
+        if owing.size:
+            send[owing] = True  # token-only dummies where no cell goes
+        senders = send.nonzero()[0]
+        m = senders.size
+        if not m:
+            return
+        metrics = engine.metrics
+        tokens = None
+        if owing.size:
+            # every owing node sends, so its position among the senders
+            # is a search in an ascending list
+            tokens = np.full((self.tph, m), -1, dtype=np.int64)
+            tokens[:, senders.searchsorted(owing)] = codes.T
+            metrics.tokens_sent += int(taken.sum())
+            if engine.digest is not None:
+                # one on_tokens event per token-bearing header, in sender
+                # order (``owing`` is ascending), folded from one table
+                ev = self._tok_events[:owing.size]
+                ev[:, 1] = owing
+                ev[:, 2] = nb[owing]
+                ev[:, 3] = t
+                ev[:, 4::3], ev[:, 5::3] = np.divmod(codes, self.h)
+                engine.digest.fold_events(
+                    ev[self._tok_field < 4 + 3 * taken[:, None]].tolist(),
+                    owing.size,
+                )
+        self.batches.append((
+            t + self.delay, senders, cell_of[senders], nb[senders],
+            self._fresh[senders], esph, tokens, self.back[link],
+        ))
+        metrics.cells_sent += m
+        metrics.dummy_cells_sent += m - payload
+        engine._in_flight_payload += payload

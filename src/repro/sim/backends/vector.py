@@ -27,7 +27,10 @@ word *is* the k-th draw.  On unpack the engine's ``random.Random`` is
 resynchronised by replaying exactly the consumed word count from the packed
 state, so object-mode code continues the identical stream.
 
-Anything outside the fast path — congestion-control machinery, non-vlb
+Shortest-queue spraying (``spray-short``) is a different spraying choice on
+the same columns; the hop-by-hop token protocol adds its own
+(:mod:`repro.sim.backends.token_slab`).  Anything outside the fast path —
+the isd/rd/ndp/priority machinery, token budgets other than one, non-vlb
 routing, failure state, attached monitors/tracers/hooks — falls back to the
 reference loop (:func:`repro.sim.backends.object_backend.advance`),
 keeping every configuration correct at the cost of speed.  Eligibility is
@@ -59,20 +62,43 @@ _SLAB_COLS = (
 )
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
+#: slab columns of a delivery event's fields, in on_delivery order
+#: (flow id, seq, src, dst, hops), shaped to gather a (5, k) block
+_DELIVERY_FIELDS = np.array(
+    [_SLAB_COLS.index(name)
+     for name in ("c_fid", "c_seq", "c_src", "c_dst", "c_hops")]
+)[:, None]
+
+
+#: what ``pack()`` reports when a queued or in-flight cell carries state
+#: the column layout has no field for
+_HEADERS = "queued cells carry non-vectorizable headers"
+
+
+class _Decline(Exception):
+    """Raised inside ``pack()`` helpers: the state cannot be packed."""
 
 
 def _fast_ineligible_reason(engine):
-    """Why the engine state is not vectorizable, or None if it is.
+    """Why the slab cannot run this engine state, or None if it can.
 
-    Per-cell conditions (header tokens, dummies, unset spray hints) are
-    verified during packing; this covers everything visible without
-    walking queues.  The reason string feeds the de-acceleration notice
-    (``Engine.note_backend_effective``), so it names the feature that
-    forced the reference pipeline.
+    Per-cell conditions (failure tokens, control sidecars, unset spray
+    hints) are verified during packing; this covers everything visible
+    without walking queues.  The reason string is recorded as
+    ``Engine.backend_reason`` and feeds the de-acceleration notice, so it
+    names the feature that forced the reference pipeline.
     """
     cfg = engine.config
-    if cfg.congestion_control != "none":
-        return f"congestion_control={cfg.congestion_control!r}"
+    cc = cfg.congestion_control
+    hbh = cfg.uses_hop_by_hop
+    if cc != "none" and not (hbh or cfg.uses_spray_short):
+        return f"congestion_control={cc!r}"
+    if hbh:
+        if cfg.token_budget != 1 or cfg.first_hop_token_budget not in (0, 1):
+            return (f"token_budget={cfg.token_budget}, "
+                    f"first_hop_token_budget={cfg.first_hop_token_budget}")
+        if cfg.use_fifo_for_hbh:
+            return "use_fifo_for_hbh=True"
     if cfg.routing != "vlb":
         return f"routing={cfg.routing!r}"
     if engine.failure_manager is not None:
@@ -87,6 +113,9 @@ def _fast_ineligible_reason(engine):
         return "failed links present"
     if type(engine.rng) is not random.Random:
         return "non-standard RNG"
+    floor = VectorBackend.TOKEN_SLAB_MIN_N
+    if cc != "none" and cfg.n < floor:
+        return f"n={cfg.n} below the token-slab size floor ({floor})"
     for node in engine.nodes:
         if (
             node.failed
@@ -94,17 +123,12 @@ def _fast_ineligible_reason(engine):
             or node.known_failed
             or node.link_invalid
             or node._force_dummy
-            or node.pending_tokens
+            or (node.pending_tokens and not hbh)
             or node.pending_ctrl
             or node.rtx_queue
         ):
             return f"node {node.node_id} carries non-vectorizable state"
     return None
-
-
-def _fast_eligible(engine) -> bool:
-    """Cheap checks that the engine state is vectorizable."""
-    return _fast_ineligible_reason(engine) is None
 
 
 def build_hop_tables(n: int, h: int, r: int):
@@ -230,14 +254,35 @@ class _VectorRun:
         # scratch: one column block per emission slot, scattered into the
         # slab in a single 2-D write
         self._ev = np.empty((len(_SLAB_COLS), self.n), dtype=np.int64)
-        # RNG mirror state (filled by pack)
+        self._ev[4] = self.hm1      # sprays remaining
+        self._ev[9] = 1             # hops
+        self._ev[11] = -1           # nxt
+        # scratch: one digest row per delivery of a batch, [tag, flow id,
+        # seq, src, dst, hops, t]
+        self._del_events = np.empty((self.n, 7), dtype=np.int64)
+        self._del_events[:, 0] = _EV_DELIVERY
+        # RNG mirror state (filled by pack).  One run draws through exactly
+        # one of two cursors over the mirrored word stream: uniform
+        # spraying pre-filters bulk words at a fixed bit width (_draw);
+        # shortest-queue tie-breaks replay ``randrange(count)`` word by
+        # word, because the width is ``count.bit_length()`` per draw
+        # (_draw_ties).  Both leave ``words_consumed`` at the absolute
+        # number of 32-bit words the object pipeline would have drawn.
         self.rng_prestate = None
         self.bg = None
         self.acc_vals = np.empty(0, dtype=np.int64)
         self.acc_end = np.empty(0, dtype=np.int64)
         self.acc_pos = 0
+        self.raw: List[int] = []
+        self.raw_pos = 0
         self.words_generated = 0
         self.words_consumed = 0
+        if cfg.uses_spray_short:
+            self._spray_offsets = self._shortest_queue
+            # flat q_len strides of one phase's r-1 queues, as a column
+            self._phase_stride = (
+                np.arange(self.rm1, dtype=np.int64) * self.n
+            )[:, None]
 
     # ------------------------------------------------------------------ #
     # slab management
@@ -300,10 +345,12 @@ class _VectorRun:
     # ------------------------------------------------------------------ #
     # RNG mirror
 
-    def _mirror_rng(self) -> bool:
+    def _mirror_rng(self) -> None:
         state = self.engine.rng.getstate()
-        if state[0] != 3 or state[2] is not None:
-            return False
+        if state[0] != 3:
+            raise _Decline(f"RNG state version {state[0]} is not MT19937")
+        if state[2] is not None:
+            raise _Decline("RNG holds a cached gauss() value")
         key = state[1]
         self.rng_prestate = {
             "bit_generator": "MT19937",
@@ -314,7 +361,6 @@ class _VectorRun:
         }
         self.bg = np.random.MT19937()
         self.bg.state = self.rng_prestate
-        return True
 
     def _refill(self, k: int) -> None:
         m = max(8192, 4 * k)
@@ -342,6 +388,36 @@ class _VectorRun:
         self.words_consumed = int(self.acc_end[pos + k - 1])
         return out
 
+    def _draw_ties(self, counts: List[int]) -> List[int]:
+        """``randrange(count)`` for each tied ``count > 1``, in stream
+        order (0, and no draw, for a unique minimum).
+
+        CPython's ``_randbelow`` draws ``count.bit_length()`` bits — the
+        top bits of one 32-bit word — until the value fits, so every
+        attempt costs one word whatever the width.
+        """
+        words = self.raw
+        pos = self.raw_pos
+        out = []
+        for count in counts:
+            if count == 1:
+                out.append(0)
+                continue
+            shift = 32 - count.bit_length()
+            while True:
+                if pos == len(words):
+                    words = self.raw = self.bg.random_raw(4096).tolist()
+                    self.words_generated += pos
+                    pos = 0
+                v = words[pos] >> shift
+                pos += 1
+                if v < count:
+                    break
+            out.append(v)
+        self.raw_pos = pos
+        self.words_consumed = self.words_generated + pos
+        return out
+
     def _resync_rng(self) -> None:
         """Advance the engine's Random past the words the stepper consumed."""
         if not self.words_consumed:
@@ -357,19 +433,39 @@ class _VectorRun:
     # ------------------------------------------------------------------ #
     # pack / unpack
 
-    def pack(self) -> bool:
-        """Read the object model into columns; True on success.
+    def pack(self) -> Optional[str]:
+        """Read the object model into columns; None on success, else the
+        reason the state cannot be packed.
 
         Purely read-only until the final commit (clearing the object wire),
         so a mid-scan disqualification leaves the engine untouched.
         """
         engine = self.engine
-        if not self._mirror_rng():
-            return False
-        count = sum(node.total_enqueued for node in engine.nodes)
-        count += len(engine._in_flight)
-        self._init_slab(count)
-        nid = self.Ln  # cell rows start past the queue sentinels
+        try:
+            self._mirror_rng()
+            count = sum(node.total_enqueued for node in engine.nodes)
+            count += len(engine._in_flight)
+            self._init_slab(count)
+            nid = self._pack_wire(self._pack_nodes())
+        except _Decline as declined:
+            return str(declined)
+        # flow completion columns for every active flow
+        for fid, flow in engine.flows._active.items():
+            self._ensure_flow(fid)
+            self.f_del[fid] = flow.delivered
+            self.f_size[fid] = flow.size_cells
+        # commit: remaining rows form the freelist; the object wire empties
+        self.free[: self.cap - nid] = np.arange(nid, self.cap, dtype=np.int64)
+        self.free_top = self.cap - nid
+        engine._in_flight.clear()
+        return None
+
+    def _cell_loader(self):
+        """``load(cell, row)``: one payload cell into a slab row.
+
+        Runs once per queued and in-flight cell of every pack, so the
+        column views are bound as closure locals.
+        """
         c_src = self.c_src
         c_dst = self.c_dst
         c_fid = self.c_fid
@@ -381,9 +477,10 @@ class _VectorRun:
         c_fsize = self.c_fsize
         c_hops = self.c_hops
         c_enqat = self.c_enqat
-        c_nxt = self.c_nxt
 
-        def load_cell(cell, row):
+        def load(cell, row):
+            if cell.dummy or cell.spray_phase < 0:
+                raise _Decline(_HEADERS)
             c_src[row] = cell.src
             c_dst[row] = cell.dst
             c_fid[row] = cell.flow_id
@@ -396,16 +493,23 @@ class _VectorRun:
             c_hops[row] = cell.hops
             c_enqat[row] = cell.enqueued_at
 
+        return load
+
+    def _pack_nodes(self) -> int:
+        """Queues and flow cursors of every node; returns the next free
+        slab row (queued cells occupy rows from ``Ln`` on, in node-major,
+        link-minor, FIFO order)."""
+        nid = self.Ln  # cell rows start past the queue sentinels
+        load_cell = self._cell_loader()
+        c_nxt = self.c_nxt
         n = self.n
-        for i, node in enumerate(engine.nodes):
+        for i, node in enumerate(self.engine.nodes):
             for l, queue in enumerate(node.link_queues):
                 items = queue._items
                 self.q_peak[l, i] = queue.peak_occupancy
                 self.q_len[l, i] = len(items)
                 prev_row = l * n + i  # the queue's sentinel
                 for cell in items:
-                    if cell.dummy or cell.spray_phase < 0:
-                        return False
                     load_cell(cell, nid)
                     c_nxt[prev_row] = nid
                     prev_row = nid
@@ -421,7 +525,13 @@ class _VectorRun:
                 self.cur_size[i] = cursor.size_cells
                 self.cur_flow[i] = cursor
                 self.waiting[i].extend(live[1:])
-        # the wire, grouped into per-arrival batches (FIFO order preserved)
+        return nid
+
+    def _pack_wire(self, nid: int) -> int:
+        """The wire, grouped into per-arrival batches (FIFO order
+        preserved), loaded from slab row ``nid`` on; returns the next free
+        row."""
+        load_cell = self._cell_loader()
         arr = None
         senders: List[int] = []
         cells: List[int] = []
@@ -440,11 +550,10 @@ class _VectorRun:
                     esph,
                 ))
 
-        for tx in engine._in_flight:
+        for tx in self.engine._in_flight:
             cell = tx.cell
-            if tx.tokens or tx.ctrl or cell is None or cell.dummy \
-                    or cell.spray_phase < 0:
-                return False
+            if tx.tokens or tx.ctrl or cell is None:
+                raise _Decline(_HEADERS)
             if tx.arrival != arr:
                 flush()
                 arr = tx.arrival
@@ -462,17 +571,7 @@ class _VectorRun:
                 esph = cell.spray_phase
             nid += 1
         flush()
-        # flow completion columns for every active flow
-        flows = engine.flows
-        for fid, flow in flows._active.items():
-            self._ensure_flow(fid)
-            self.f_del[fid] = flow.delivered
-            self.f_size[fid] = flow.size_cells
-        # commit: remaining rows form the freelist; the object wire empties
-        self.free[: self.cap - nid] = np.arange(nid, self.cap, dtype=np.int64)
-        self.free_top = self.cap - nid
-        engine._in_flight.clear()
-        return True
+        return nid
 
     def _materialize_rows(self, rows: List[int]) -> List[Cell]:
         """Cells for slab ``rows``, built from one bulk gather per column.
@@ -542,8 +641,8 @@ class _VectorRun:
             flows_left.extend(self.waiting[i])
             node.local_flows = flows_left
         wire_start = len(all_rows)
-        for _, _, cells, _, _, _ in self.batches:
-            all_rows.extend(cells.tolist())
+        for batch in self.batches:
+            all_rows.extend(batch[2].tolist())
         made = self._materialize_rows(all_rows)
         # second pass: hand each queue its slice of the materialized cells
         pos = 0
@@ -556,16 +655,7 @@ class _VectorRun:
                 # caches, so it is mutated in place, never rebound
                 queue._items[:] = made[pos:pos + cnt]
                 pos += cnt
-        # the wire
-        in_flight = engine._in_flight
-        pos = wire_start
-        for arr, senders, cells, recvs, _, _ in self.batches:
-            for s, r, cell in zip(senders.tolist(), recvs.tolist(),
-                                  made[pos:pos + senders.size]):
-                tx = Transmission(s, r, cell, (), ())
-                tx.arrival = arr
-                in_flight.append(tx)
-            pos += senders.size
+        self._unpack_wire(made[wire_start:])
         # flow delivery counters
         for fid, flow in engine.flows._active.items():
             if fid < self.f_cap:
@@ -588,69 +678,85 @@ class _VectorRun:
         )
         self._resync_rng()
 
+    def _unpack_wire(self, made: List[Cell]) -> None:
+        """Put the leftover batches back on the object wire; ``made`` holds
+        their materialized cells, in batch order."""
+        in_flight = self.engine._in_flight
+        pos = 0
+        for arr, senders, _, recvs, _, _ in self.batches:
+            for s, r, cell in zip(senders.tolist(), recvs.tolist(),
+                                  made[pos:pos + senders.size]):
+                tx = Transmission(s, r, cell, (), ())
+                tx.arrival = arr
+                in_flight.append(tx)
+            pos += senders.size
+
     # ------------------------------------------------------------------ #
     # per-slot sections (the slab's deliver / inject / tx / sample)
 
     def _rx(self, t: int) -> None:
+        batches = self.batches
+        while batches and batches[0][0] <= t:
+            _, _, cells, recvs, emask, esph = batches.popleft()
+            self._arrive(t, cells, recvs, emask, esph)
+
+    def _arrive(self, t: int, cells, recvs, emask, esph) -> None:
+        """One batch of payload cells reaching its receivers: deliver the
+        ones that are home, enqueue the rest toward their next hop."""
         engine = self.engine
         metrics = engine.metrics
         digest = engine.digest
         flows = engine.flows
         events = engine.events
-        batches = self.batches
-        while batches and batches[0][0] <= t:
-            _, _, cells, recvs, emask, esph = batches.popleft()
-            d = self.c_dst[cells]
-            deliver = d == recvs
-            del_ids = deliver.nonzero()[0]
-            cnt = del_ids.size
-            if cnt:
-                dc = cells[del_ids]
-                metrics.cells_delivered += cnt
-                metrics.payload_cells_delivered += cnt
-                metrics._window_delivered += cnt
-                latencies = metrics.cell_latencies
-                room = metrics._cell_latency_cap - len(latencies)
-                if room > 0:
-                    lats = t - self.c_created[dc]
-                    latencies.extend(
-                        lats.tolist() if room >= cnt else lats[:room].tolist()
-                    )
-                self.delivered_vec[recvs[del_ids]] += 1
-                if digest is not None:
-                    fold = digest._fold
-                    for fid, seq, src, dd, hp in zip(
-                        self.c_fid[dc].tolist(), self.c_seq[dc].tolist(),
-                        self.c_src[dc].tolist(), d[del_ids].tolist(),
-                        self.c_hops[dc].tolist(),
-                    ):
-                        fold((_EV_DELIVERY, fid, seq, src, dd, hp, t))
-                fids = self.c_fid[dc]
-                fd = self.f_del[fids] + 1
-                self.f_del[fids] = fd
-                complete = fd >= self.f_size[fids]
-                if np.count_nonzero(complete):
-                    for fid in fids[complete].tolist():
-                        flow = flows._active.get(fid)
-                        if flow is None:
-                            continue
-                        flow.delivered = int(self.f_del[fid])
-                        record = flows.finalize(flow, t)
-                        if events is not None:
-                            events.emit(t, "flow_end", {
-                                "flow": record.flow_id, "src": record.src,
-                                "dst": record.dst,
-                                "cells": record.size_cells,
-                                "fct": record.fct,
-                            })
-                self._free_cells(dc)
-                fwd_ids = (~deliver).nonzero()[0]
-                if fwd_ids.size:
-                    self._forward(cells[fwd_ids], recvs[fwd_ids], t,
-                                  d[fwd_ids], emask[fwd_ids], esph)
-            elif cells.size:
-                self._forward(cells, recvs, t, d, emask, esph)
-            engine._in_flight_payload -= cells.size
+        d = self.c_dst[cells]
+        deliver = d == recvs
+        del_ids = deliver.nonzero()[0]
+        cnt = del_ids.size
+        if cnt:
+            dc = cells[del_ids]
+            metrics.cells_delivered += cnt
+            metrics.payload_cells_delivered += cnt
+            metrics._window_delivered += cnt
+            latencies = metrics.cell_latencies
+            room = metrics._cell_latency_cap - len(latencies)
+            if room > 0:
+                lats = t - self.c_created[dc]
+                latencies.extend(
+                    lats.tolist() if room >= cnt else lats[:room].tolist()
+                )
+            self.delivered_vec[recvs[del_ids]] += 1
+            if digest is not None:
+                # one on_delivery event per cell, folded from one table
+                ev = self._del_events[:cnt]
+                ev[:, 1:6] = self._slab[_DELIVERY_FIELDS, dc].T
+                ev[:, 6] = t
+                digest.fold_events(ev.ravel().tolist(), cnt)
+            fids = self.c_fid[dc]
+            fd = self.f_del[fids] + 1
+            self.f_del[fids] = fd
+            complete = fd >= self.f_size[fids]
+            if np.count_nonzero(complete):
+                for fid in fids[complete].tolist():
+                    flow = flows._active.get(fid)
+                    if flow is None:
+                        continue
+                    flow.delivered = int(self.f_del[fid])
+                    record = flows.finalize(flow, t)
+                    if events is not None:
+                        events.emit(t, "flow_end", {
+                            "flow": record.flow_id, "src": record.src,
+                            "dst": record.dst,
+                            "cells": record.size_cells,
+                            "fct": record.fct,
+                        })
+            self._free_cells(dc)
+            fwd_ids = (~deliver).nonzero()[0]
+            if fwd_ids.size:
+                self._forward(cells[fwd_ids], recvs[fwd_ids], t,
+                              d[fwd_ids], emask[fwd_ids], esph)
+        elif cells.size:
+            self._forward(cells, recvs, t, d, emask, esph)
+        engine._in_flight_payload -= cells.size
 
     def _next_hops(self, fc, rv, dd):
         """Next-hop (phase, offset) per forwarded cell.
@@ -703,12 +809,34 @@ class _VectorRun:
         ks = np.count_nonzero(smask)
         if ks:
             sv = np.empty(fc.size, dtype=np.int64)
-            sv[smask] = self._draw(ks) + 1
+            sv[smask] = self._spray_offsets(smask.nonzero()[0], rv, sph) + 1
             nphase = np.where(smask, sph, nphase)
             off = np.where(smask, sv, offd)
         else:
             off = offd
         return nphase, off
+
+    def _spray_offsets(self, sids, rv, sph) -> np.ndarray:
+        """Spraying choice (round-robin offset minus one) for the cells at
+        batch positions ``sids``, whose receivers are ``rv[sids]`` and whose
+        hinted phase is ``sph`` (one int for the batch, or a per-cell
+        column).  Uniform spraying: one ``randrange(1, r)`` draw each."""
+        return self._draw(sids.size)
+
+    def _shortest_queue(self, sids, rv, sph) -> np.ndarray:
+        """spray-short's :meth:`_spray_offsets`: the shortest queue of the
+        hinted phase at each receiver; ties draw ``randrange(count)`` and
+        take the drawn tie in offset order, exactly as
+        ``Node.enqueue_forward`` does (receivers are distinct within a
+        batch, so no choice sees another's enqueue)."""
+        phase = sph if isinstance(sph, int) else sph[sids]
+        first = phase * (self.rm1 * self.n) + rv[sids]
+        lens = self.qf_len[first + self._phase_stride]  # (r-1, k)
+        ties = lens == lens.min(axis=0)
+        rank = ties.cumsum(axis=0)
+        pick = np.array(self._draw_ties(rank[-1].tolist()), dtype=np.int64)
+        # the pick-th tie sits after exactly the positions ranked <= pick
+        return (rank <= pick).sum(axis=0)
 
     def _forward(self, fc, rv, t, dd, emask, esph) -> None:
         """Enqueue forwarded cells at their receivers.
@@ -734,7 +862,8 @@ class _VectorRun:
                 # draw == randrange(1, r) - 1, which is the in-phase
                 # queue offset the tables encode as (q * n); all sprays
                 # in a batch share the emission slot's spray phase
-                qn[sids] = self._draw(ks) * self.n + esph * self.rm1 * self.n
+                qn[sids] = self._spray_offsets(sids, rv, esph) * self.n \
+                    + esph * self.rm1 * self.n
                 npl[sids] = esph ^ 1
             lin = qn + rv
         else:
@@ -790,6 +919,54 @@ class _VectorRun:
                     "cells": size_cells,
                 })
 
+    def _new_cells(self, e, dst, fid, seq, size, t, esph) -> np.ndarray:
+        """Slab rows for one freshly admitted cell per source in ``e``."""
+        k = e.size
+        rows = self._alloc(k)
+        # field order matches _SLAB_COLS; the constant rows (sprays
+        # remaining, hops, nxt) were written once at construction
+        V = self._ev[:, :k]
+        V[0] = e                    # src
+        V[1] = dst
+        V[2] = fid                  # flow id
+        V[3] = seq
+        V[5] = e                    # prev hop
+        V[6] = t                    # created at
+        V[7] = esph                 # spray phase hint
+        V[8] = size                 # flow size
+        V[10] = t                   # enqueued at
+        self._slab[:, rows] = V
+        return rows
+
+    def _emit(self, e, t, esph) -> np.ndarray:
+        """Admit one cell from the cursor flow of every node in ``e`` and
+        advance the cursors; returns the cells' slab rows."""
+        s = self.cur_sent[e]
+        sz = self.cur_size[e]
+        rows = self._new_cells(
+            e, self.cur_dst[e], self.cur_fid[e], s, sz, t, esph
+        )
+        s += 1
+        self.cur_sent[e] = s
+        self.engine.metrics.cells_injected += e.size
+        done = s >= sz
+        if np.count_nonzero(done):
+            for i in e[done].tolist():
+                flow = self.cur_flow[i]
+                flow.sent = flow.size_cells
+                queue = self.waiting[i]
+                if queue:
+                    nf = queue.popleft()
+                    self.cur_fid[i] = nf.flow_id
+                    self.cur_dst[i] = nf.dst
+                    self.cur_sent[i] = nf.sent
+                    self.cur_size[i] = nf.size_cells
+                    self.cur_flow[i] = nf
+                else:
+                    self.has_flow[i] = False
+                    self.cur_flow[i] = None
+        return rows
+
     def _tx(self, t: int, slot: int, phase: int) -> None:
         engine = self.engine
         link = self.link_table[slot]
@@ -822,43 +999,7 @@ class _VectorRun:
         k = e.size
         esph = (phase + 1) % self.h
         if k:
-            rows = self._alloc(k)
-            # field order matches _SLAB_COLS
-            V = self._ev[:, :k]
-            V[0] = e                    # src
-            V[1] = self.cur_dst[e]      # dst
-            V[2] = self.cur_fid[e]      # flow id
-            s = self.cur_sent[e]
-            V[3] = s                    # seq
-            V[4] = self.hm1             # sprays remaining
-            V[5] = e                    # prev hop
-            V[6] = t                    # created at
-            V[7] = esph                 # spray phase hint
-            sz = self.cur_size[e]
-            V[8] = sz                   # flow size
-            V[9] = 1                    # hops
-            V[10] = t                   # enqueued at
-            V[11] = -1                  # nxt
-            self._slab[:, rows] = V
-            s += 1
-            self.cur_sent[e] = s
-            engine.metrics.cells_injected += k
-            done = s >= sz
-            if np.count_nonzero(done):
-                for i in e[done].tolist():
-                    flow = self.cur_flow[i]
-                    flow.sent = flow.size_cells
-                    queue = self.waiting[i]
-                    if queue:
-                        nf = queue.popleft()
-                        self.cur_fid[i] = nf.flow_id
-                        self.cur_dst[i] = nf.dst
-                        self.cur_sent[i] = nf.sent
-                        self.cur_size[i] = nf.size_cells
-                        self.cur_flow[i] = nf
-                    else:
-                        self.has_flow[i] = False
-                        self.cur_flow[i] = None
+            rows = self._emit(e, t, esph)
         # merge pops and emissions into one sender-ascending batch (a node
         # either pops or emits, never both, so the id sets are disjoint)
         if npop and k:
@@ -890,6 +1031,10 @@ class _VectorRun:
         """Per-node total enqueued cells, summed from the queue lengths."""
         return self.q_len.sum(axis=0)
 
+    def _active_buckets(self) -> int:
+        """Most active hop-by-hop buckets at any node (none without it)."""
+        return 0
+
     def _sample(self, t: int) -> None:
         engine = self.engine
         metrics = engine.metrics
@@ -903,6 +1048,9 @@ class _VectorRun:
         pk = int(self.q_peak.max())
         if pk > metrics.max_pieo_length:
             metrics.max_pieo_length = pk
+        ab = self._active_buckets()
+        if ab > metrics.max_active_buckets:
+            metrics.max_active_buckets = ab
         metrics.end_sample_window()
         if engine.telemetry is not None:
             engine.telemetry.on_window_stats(
@@ -910,7 +1058,7 @@ class _VectorRun:
                 queued=int(total_enq.sum()),
                 max_queue=int(self.q_len.max()),
                 max_buffer=mb,
-                active_buckets=0,
+                active_buckets=ab,
             )
 
     # ------------------------------------------------------------------ #
@@ -960,12 +1108,21 @@ class VectorBackend(EngineBackend):
     against the object backend.
     """
 
-    __slots__ = ("_nbr", "_link_table", "_qt")
+    __slots__ = ("_nbr", "_link_table", "_qt", "_links")
+
+    #: smallest ``n`` at which the token family (spray-short, hop-by-hop,
+    #: hbh+spray) steps on the slab.  The slab's per-slot cost is a fixed number of
+    #: small array operations while the object pipeline's follows the
+    #: active-node count, so below the crossover the slab loses; smaller
+    #: networks run the reference pipeline and say so.  Measured, not
+    #: configurable — the crossover table is in DESIGN.md §11.
+    TOKEN_SLAB_MIN_N = 100
 
     def __init__(self) -> None:
         self._nbr = None
         self._link_table = None
         self._qt = None
+        self._links = None
 
     def _tables(self, engine):
         """Per-slot link indices, the (epoch, n) neighbor table, and (for
@@ -999,15 +1156,63 @@ class VectorBackend(EngineBackend):
             self._nbr = nbr
         return self._nbr, self._link_table, self._qt
 
+    def _link_tables(self, engine):
+        """Who sits at the far end of every link, both ways (hop-by-hop
+        token return runs against the direction cells travel).
+
+        ``(peer, back, pair_key, pair_link)``: ``peer[l, i]`` is node
+        ``i``'s neighbour on link ``l``; ``back[l]`` is the link on which
+        that neighbour reaches ``i`` (None when the schedule's links do not
+        pair up uniformly); ``pair_key`` / ``pair_link`` map a sorted
+        ``node * n + neighbour`` key to the link joining them.
+        """
+        if self._links is None:
+            n = engine.config.n
+            peer = np.array(
+                [node.neighbors_flat for node in engine.nodes],
+                dtype=np.int64,
+            ).T.copy()
+            links = peer.shape[0]
+            ids = np.arange(n, dtype=np.int64)
+            key = (ids * n + peer).reshape(-1)
+            order = key.argsort()
+            pair_key = key[order]
+            pair_link = np.repeat(
+                np.arange(links, dtype=np.int64), n
+            )[order]
+            # the link peer[l, 0] uses to reach node 0, checked for all i
+            back = pair_link[np.minimum(
+                np.searchsorted(pair_key, peer[:, 0] * n), key.size - 1
+            )]
+            if not (peer[back[:, None], peer] == ids).all():
+                back = None
+            self._links = (peer, back, pair_key, pair_link)
+        return self._links
+
+    def _step(self, engine, end: int, drain: bool) -> Optional[str]:
+        """Pack, step and unpack one stretch on the slab; None when it ran,
+        else why the state would not pack (the engine is untouched)."""
+        if engine.config.uses_hop_by_hop:
+            from .token_slab import TokenRun
+
+            links = self._link_tables(engine)
+            if links[1] is None:
+                return "schedule links do not pair up for token return"
+            run = TokenRun(engine, *self._tables(engine), links)
+        else:
+            run = _VectorRun(engine, *self._tables(engine))
+        reason = run.pack()
+        if reason is None:
+            run.advance(end, drain)
+            run.unpack()
+        return reason
+
     def advance(self, engine, end: int, drain: bool) -> None:
         reason = _fast_ineligible_reason(engine)
         if reason is None:
-            run = _VectorRun(engine, *self._tables(engine))
-            if run.pack():
-                run.advance(end, drain)
-                run.unpack()
+            reason = self._step(engine, end, drain)
+            if reason is None:
                 return
-            reason = "queued cells carry non-vectorizable headers"
         # without a failure manager nothing can change eligibility
         # mid-segment, and with one the segment is ineligible throughout,
         # so finishing on the reference loop is both correct and stable

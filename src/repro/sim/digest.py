@@ -82,6 +82,20 @@ class DeterminismDigest:
             acc.append(token.kind)
         self._fold(acc)
 
+    def fold_events(self, fields, count: int) -> None:
+        """Fold ``count`` events whose fields are concatenated in ``fields``.
+
+        The batch form of the hooks above, for a backend that holds a
+        slot's events as one table (a flattened ``ndarray.tolist()``, each
+        event's fields in its hook's order, tag first) instead of calling
+        once per event.
+        """
+        v = self.value
+        for x in fields:
+            v = ((v ^ x) * _PRIME) & _MASK
+        self.value = v
+        self.events += count
+
     # ------------------------------------------------------------------ #
 
     def hexdigest(self) -> str:

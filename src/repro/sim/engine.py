@@ -21,6 +21,7 @@ and the failure manager hooks (Section 3.4).
 
 from __future__ import annotations
 
+import logging
 import random
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
@@ -47,6 +48,10 @@ ScheduledFlow = Tuple[int, int, int, int, int]
 #: instrumentation without any plumbing; the list is empty (one truthiness
 #: check per construction) outside a capture context.
 _construction_hooks: List[Callable[["Engine"], None]] = []
+
+_backend_log = logging.getLogger("repro.backend")
+#: (requested backend, reason) pairs already logged by this process
+_fallbacks_logged: Set[Tuple[str, str]] = set()
 
 
 def _advance_faults(engine: "Engine", t: int) -> None:
@@ -161,12 +166,13 @@ class Engine:
         #: calls, so observers and manual step() always work
         self.backend = make_backend(config.backend)
         #: the pipeline that actually ran: starts as the configured backend
-        #: name and is downgraded (sticky, with a one-line stderr notice) by
-        #: note_backend_effective() when an accelerated backend falls back
-        #: to the reference pipeline — so manifests record the truth instead
-        #: of a silent de-acceleration
+        #: name and is downgraded (sticky) by note_backend_effective() when
+        #: an accelerated backend falls back to the reference pipeline — so
+        #: manifests record the truth instead of a silent de-acceleration
         self.backend_effective: str = self.backend.backend_name
-        self._fallback_noted = False
+        #: why the backend fell back ("" while it has not): the feature or
+        #: state that forced the reference pipeline, first occurrence
+        self.backend_reason: str = ""
         if _construction_hooks:
             for hook in _construction_hooks:
                 hook(self)
@@ -175,23 +181,24 @@ class Engine:
         """Record that the slot loop ran as ``name`` (e.g. ``"object"``).
 
         Called by accelerated backends when they fall back to the reference
-        pipeline.  Emits a single stderr notice per engine so a silently
-        de-accelerated run is visible, and records the effective name for
-        the run manifest.  Downgrades are sticky: once any segment of a run
-        fell back, the manifest says so even if later segments re-engage.
+        pipeline.  Records the effective name and the reason for the run
+        manifest and ``Session.status()``, and logs one WARNING on the
+        ``repro.backend`` logger per (requested backend, reason) per
+        process — a sweep of a thousand small cells says it once.
+        Downgrades are sticky: once any segment of a run fell back, the
+        manifest says so even if later segments re-engage.
         """
-        if name == self.backend.backend_name:
+        requested = self.backend.backend_name
+        if name == requested:
             return
         self.backend_effective = name
-        if not self._fallback_noted:
-            self._fallback_noted = True
-            import sys
-
-            why = f" ({reason})" if reason else ""
-            print(
-                f"[repro] backend {self.backend.backend_name!r} fell back "
-                f"to {name!r} pipeline{why}",
-                file=sys.stderr,
+        if not self.backend_reason:
+            self.backend_reason = reason
+        if (requested, reason) not in _fallbacks_logged:
+            _fallbacks_logged.add((requested, reason))
+            _backend_log.warning(
+                "backend %r fell back to %r pipeline%s",
+                requested, name, f" ({reason})" if reason else "",
             )
 
     def enable_profiler(self):

@@ -26,6 +26,7 @@ from repro.obs.serialize import canonical_json
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim import engine as engine_mod
 from repro.sim.backends import set_default_shards
+from repro.sim.backends.vector import VectorBackend
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.parallel import sweep
@@ -274,7 +275,11 @@ class TestProfiler:
     @pytest.mark.parametrize("backend", ["object", "vector", "shard"])
     def test_profiled_run_matches_unprofiled(self, backend, cc, drain,
                                              checkpoints, tmp_path,
-                                             two_shards):
+                                             two_shards, monkeypatch):
+        # n=16 sits below the token family's size floor; lift it so the
+        # matrix profiles the token slab, not a silent reference fallback
+        monkeypatch.setattr(VectorBackend, "TOKEN_SLAB_MIN_N", 0)
+
         def run(observed):
             # flows outlast the run so the drain has work; the warm-up
             # boundary falls mid-run so the measurement crossing is covered
@@ -299,6 +304,11 @@ class TestProfiler:
         assert report["steps"] == profiled.t
         assert tuple(report["sections"]) == SECTIONS
         assert report["sections"]["tx"]["seconds"] > 0
+        assert profiled.backend_effective == backend
+        if backend == "vector":
+            # the slab books its own sections: token credit under deliver,
+            # token drain and dummy transmissions under tx
+            assert report["sections"]["deliver"]["seconds"] > 0
         if checkpoints:
             writer = profiled._checkpointer
             assert (writer.written, writer.last_t) == SNAPSHOT_SLOTS[cc, drain]
@@ -334,6 +344,19 @@ class TestManifest:
         assert run["n"] == 16 and run["seed"] == 4 and run["slots"] == 300
         assert run["telemetry"] is True
         assert run["config"]["congestion_control"] == "hop-by-hop"
+
+    def test_fallback_reason_sits_beside_the_effective_backend(self):
+        engine = make_engine(duration=100, cc="isd", backend="vector")
+        engine.run(engine.config.duration)
+        run = run_manifest(engine)["run"]
+        assert run["backend"] == "vector"
+        assert run["backend_effective"] == "object"
+        assert run["backend_reason"] == "congestion_control='isd'"
+        accelerated = make_engine(duration=100, cc="none", backend="vector")
+        accelerated.run(accelerated.config.duration)
+        run = run_manifest(accelerated)["run"]
+        assert run["backend_effective"] == "vector"
+        assert run["backend_reason"] == ""
 
     def test_runtime_part_carries_machine_facts(self):
         engine = make_engine(duration=200)

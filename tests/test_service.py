@@ -212,6 +212,16 @@ class TestSessionApi:
         assert status["load_factor"] == 1.0
         assert status["telemetry_rows"] == len(session.recorder)
         assert not status["closed"]
+        assert status["backend"] == cfg.backend
+        assert status["backend_reason"] == ""
+
+    def test_status_says_why_the_backend_fell_back(self):
+        cfg = _cfg("isd", backend="vector")
+        session = open_session(cfg)
+        session.advance(50)
+        status = session.status()
+        assert status["backend"] == "object"
+        assert status["backend_reason"] == "congestion_control='isd'"
 
 
 class TestSessionDurability:

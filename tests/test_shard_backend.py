@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.sim.backends import default_shards, set_default_shards
 from repro.sim.backends.shard import ShardBackend, shard_ranges
+from repro.sim.backends.vector import VectorBackend
 from repro.sim.cellcache import CellCache
 from repro.sim.checkpoint import (
     CheckpointError,
@@ -110,6 +111,26 @@ class TestGoldenEquivalence:
         assert isinstance(engine.backend, ShardBackend)
         assert engine.backend.dispatches > 0
         assert engine.backend_effective == "shard"
+
+    def test_token_family_runs_the_in_process_slab(self, shards,
+                                                   monkeypatch):
+        # shard workers carry no token columns: above the size floor
+        # hbh+spray steps on the parent's own slab — still accelerated, so
+        # not a reference fallback — and never scatters
+        monkeypatch.setattr(VectorBackend, "TOKEN_SLAB_MIN_N", 0)
+        shards(4)
+        engine = _build("shard", 64, 2, "hbh+spray", 3)
+        digest = engine.enable_digest()
+        engine.run()
+        assert engine.backend_effective == "shard"
+        assert engine.backend_reason == ""
+        assert engine.backend.dispatches == 0
+        reference = _build("object", 64, 2, "hbh+spray", 3)
+        ref_digest = reference.enable_digest()
+        reference.run()
+        assert digest.hexdigest() == ref_digest.hexdigest()
+        assert digest.events == ref_digest.events
+        assert engine.metrics.state_dict() == reference.metrics.state_dict()
 
     def test_reference_fallback_is_recorded(self, shards):
         shards(4)
