@@ -16,6 +16,13 @@ Intentional exceptions — hot-path aliasing that trades encapsulation for
 measured speed — are enumerated in :data:`ALLOWLIST` with the reason they
 exist.  Adding an entry is an API-review decision, not a convenience.
 
+Two more findings keep deleted code deleted:
+
+* a private function or method that nothing under ``src/repro`` refers to
+  (as a name, an attribute or an import) — private means no outside
+  caller may exist, so an unreferenced one is dead;
+* an :data:`ALLOWLIST` entry no scanned access uses any more.
+
 Run from the repo root (CI does)::
 
     python scripts/check_private_access.py          # exit 1 on violations
@@ -36,7 +43,6 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 ALLOWLIST: Dict[Tuple[str, str], str] = {
     # Node caches direct references to its ledger's dicts: the hot-path
     # token check is a dict lookup instead of a method call (PR 2).
-    ("repro/sim/node.py", "_spent"): "hot-path ledger dict alias",
     ("repro/sim/node.py", "_is_first"): "hot-path ledger dict alias",
     ("repro/sim/node.py", "_refcount"): "hot-path tracker dict alias",
     # The telemetry recorder reuses the metrics module's growable int
@@ -69,9 +75,16 @@ class Violation(NamedTuple):
     detail: str
 
 
-def _top_package(path: pathlib.Path) -> str:
+class Report(NamedTuple):
+    violations: List[Violation]  #: cross-package private accesses
+    allowed: List[Tuple[Violation, str]]  #: ... excused by the allowlist
+    dead: List[Tuple[str, int, str]]  #: (file, line, unreferenced private def)
+    stale: List[Tuple[str, str]]  #: allowlist keys nothing uses
+
+
+def _top_package(path: pathlib.Path, root: pathlib.Path) -> str:
     """repro/sim/engine.py -> 'sim'; repro/api.py -> 'repro'."""
-    rel = path.relative_to(SRC_ROOT)
+    rel = path.relative_to(root)
     return rel.parts[0] if len(rel.parts) > 1 else "repro"
 
 
@@ -115,11 +128,33 @@ def _collect_definitions(tree: ast.AST) -> Set[str]:
     return defined
 
 
-def _scan_file(path: pathlib.Path, tree: ast.AST, own: Set[str],
+def _private_functions(tree: ast.AST) -> List[Tuple[int, str]]:
+    """(line, name) of every private function or method a module defines."""
+    return [
+        (node.lineno, node.name) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _is_private(node.name)
+    ]
+
+
+def _referenced_names(tree: ast.AST) -> Set[str]:
+    """Every identifier a module mentions as a Name, Attribute or import."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.add(alias.name.rpartition(".")[2])
+    return names
+
+
+def _scan_file(rel: str, package: str, tree: ast.AST, own: Set[str],
                foreign: Dict[str, Set[str]]) -> List[Violation]:
-    """Flag cross-package private attribute access and imports."""
-    rel = str(path.relative_to(SRC_ROOT.parent))
-    package = _top_package(path)
+    """Flag cross-package private attribute access and imports in the
+    module ``rel`` (path relative to ``src/``) of top-level ``package``."""
     out: List[Violation] = []
 
     for node in ast.walk(tree):
@@ -158,38 +193,63 @@ def _scan_file(path: pathlib.Path, tree: ast.AST, own: Set[str],
     return out
 
 
+def check(root: pathlib.Path = SRC_ROOT,
+          allowlist: Dict[Tuple[str, str], str] = ALLOWLIST) -> Report:
+    """Run every check over the package tree rooted at ``root``."""
+    modules: List[Tuple[str, str, ast.AST]] = []  # (rel path, package, tree)
+    per_package: Dict[str, Set[str]] = {}
+    referenced: Set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        package = _top_package(path, root)
+        modules.append((str(path.relative_to(root.parent)), package, tree))
+        per_package.setdefault(package, set()).update(
+            _collect_definitions(tree))
+        referenced |= _referenced_names(tree)
+
+    report = Report([], [], [], [])
+    used: Set[Tuple[str, str]] = set()
+    for rel, package, tree in modules:
+        for v in _scan_file(rel, package, tree, per_package[package],
+                            per_package):
+            reason = allowlist.get((v.file, v.name))
+            if reason is None:
+                report.violations.append(v)
+            else:
+                used.add((v.file, v.name))
+                report.allowed.append((v, reason))
+        report.dead.extend(
+            (rel, line, name)
+            for line, name in _private_functions(tree)
+            if name not in referenced
+        )
+    report.stale.extend(sorted(set(allowlist) - used))
+    return report
+
+
 def main(argv: List[str]) -> int:
     verbose = "-v" in argv
-    files = sorted(SRC_ROOT.rglob("*.py"))
-    trees = {}
-    per_package: Dict[str, Set[str]] = {}
-    for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        trees[path] = tree
-        per_package.setdefault(_top_package(path), set()).update(
-            _collect_definitions(tree))
-
-    violations: List[Violation] = []
-    allowed: List[Tuple[Violation, str]] = []
-    for path in files:
-        own = per_package[_top_package(path)]
-        for v in _scan_file(path, trees[path], own, per_package):
-            reason = ALLOWLIST.get((v.file.replace("repro/", "repro/", 1),
-                                    v.name))
-            if reason is None:
-                violations.append(v)
-            else:
-                allowed.append((v, reason))
-
-    if verbose and allowed:
-        print(f"{len(allowed)} allowlisted private accesses:")
-        for v, reason in allowed:
+    report = check()
+    if verbose and report.allowed:
+        print(f"{len(report.allowed)} allowlisted private accesses:")
+        for v, reason in report.allowed:
             print(f"  {v.file}:{v.line}  {v.name}  ({reason})")
-    if violations:
-        print(f"{len(violations)} cross-package private accesses "
+    if report.violations:
+        print(f"{len(report.violations)} cross-package private accesses "
               f"(add a public accessor, or allowlist with a reason):")
-        for v in violations:
+        for v in report.violations:
             print(f"  {v.file}:{v.line}  {v.kind} {v.name}  ({v.detail})")
+    if report.dead:
+        print(f"{len(report.dead)} private functions nothing under "
+              f"src/repro refers to (delete them):")
+        for file, line, name in report.dead:
+            print(f"  {file}:{line}  {name}")
+    if report.stale:
+        print(f"{len(report.stale)} ALLOWLIST entries no access uses "
+              f"(remove them):")
+        for file, name in report.stale:
+            print(f"  {file}  {name}")
+    if report.violations or report.dead or report.stale:
         return 1
     if verbose:
         print("boundary check clean")

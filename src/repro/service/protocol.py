@@ -43,6 +43,7 @@ import json
 from typing import Any, Dict, Optional
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
     "VERBS",
     "ServiceError",
@@ -54,6 +55,11 @@ __all__ = [
 
 #: bumped on incompatible wire changes; carried in the server's ready line
 PROTOCOL_VERSION = 1
+
+#: longest request line the server reads (asyncio's stream default, named):
+#: a longer one is answered with an error and the connection is closed,
+#: because the stream position is then mid-line.  Split big ``submit``s.
+MAX_LINE_BYTES = 64 * 1024
 
 VERBS = (
     "ping",

@@ -43,6 +43,7 @@ from ..workloads.streaming import (
     diurnal_curve,
 )
 from .protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ServiceError,
     decode_message,
@@ -108,7 +109,8 @@ class ServiceServer:
         """Bind the listening socket (does not start driving)."""
         self._finished = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection, self.host, self._requested_port,
+            limit=MAX_LINE_BYTES,
         )
 
     async def run(self, ready=None) -> None:
@@ -196,7 +198,16 @@ class ServiceServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # line longer than the limit: the reader may be left
+                    # mid-line, so answer and hang up
+                    writer.write(encode_message(error_response(
+                        None, f"line exceeds {MAX_LINE_BYTES} bytes"
+                    )))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:

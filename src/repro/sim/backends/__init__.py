@@ -5,10 +5,10 @@ queues, flows, the wire — while a backend owns the *slot loop* that advances
 it, through the one :meth:`EngineBackend.advance` entry point.  Three
 backends ship:
 
-* ``"object"`` — the reference backend: the per-node object pipelines
-  (``Node.transmit`` / ``Node.receive`` and their inlined common cases)
-  exactly as they always ran.  Every mechanism, failure scenario and
-  observer is supported; this is the default.
+* ``"object"`` — the reference backend: the one per-node object pipeline
+  (``Node.transmit`` / ``Node.receive``), driven over the active set.
+  Every mechanism, failure scenario and observer is supported; this is
+  the default.
 * ``"vector"`` — a vectorized slot stepper that keeps per-node queue heads,
   cell headers and flow cursors in flat numpy int64 columns and advances
   every node per timeslot with array operations (see

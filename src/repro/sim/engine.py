@@ -98,11 +98,12 @@ class Engine:
         #: node ids that may need to transmit (superset invariant: a node
         #: outside this set is failed, or idle with no failed neighbours and
         #: no owed probe replies).  Nodes add themselves on every idle->busy
-        #: transition (``Node.wake``); ``_run_tx`` removes nodes it finds
-        #: skippable.  Built before the nodes so ``wake`` works during setup.
+        #: transition (``Node.wake``); ``object_backend.run_tx`` retires the
+        #: nodes it finds skippable.  Built before the nodes so ``wake``
+        #: works during setup.
         self._active_ids: Set[int] = set(range(config.n))
-        #: debug/reference switch: scan every node per slot instead of the
-        #: active set (must be event-identical; see tests/test_properties.py)
+        #: reference switch for the active set: scan every node per slot
+        #: instead (must be event-identical; see tests/test_properties.py)
         self.force_full_scan = False
         #: recycled Transmission shells — a transmission dies as soon as its
         #: receiver processes it, so the wire re-uses the objects instead of
@@ -382,12 +383,6 @@ class Engine:
         """
         self._resume = None
         self._loops_entered = 0
-
-    def _apply_checkpoint(self, checkpoint) -> None:
-        """Overwrite this engine's state with ``checkpoint`` (same config)."""
-        from .checkpoint import apply_checkpoint
-
-        apply_checkpoint(self, checkpoint)
 
     def step(self) -> None:
         """Advance the simulation by one timeslot."""

@@ -179,7 +179,6 @@ class Node:
         "_simple_pick",
         "_metrics",
         "_tx_pool",
-        "_inline_tx",
         "_link_items",
         "_routing",
         "_default_routing",
@@ -203,9 +202,9 @@ class Node:
         #: the engine's routing strategy (admission-shape decisions)
         self._routing = engine.routing
         #: True under reference VLB routing: admission sprays are always
-        #: ``h - 1``, which the fused TX paths hard-code.  Any other strategy
-        #: routes through the reference picker/emitter, which consult
-        #: ``_routing.admission_sprays`` per cell.
+        #: ``h - 1``, which transmit()'s fused flow pick hard-codes.  Any
+        #: other strategy routes through the general picker/emitter, which
+        #: consult ``_routing.admission_sprays`` per cell.
         self._default_routing = config.routing == "vlb"
 
         # neighbors[p][k-1] = phase-p neighbour at round-robin offset k
@@ -278,17 +277,6 @@ class Node:
             self.ledger = None
             self.bucket_tracker = None
         self._cache_hbh_state()
-        #: True when the engine may run its inlined copy of the common-case
-        #: TX pipeline for this node (see object_backend.run_tx): unconditional
-        #: flow admission, fifo bare-cell queues, and — under hop-by-hop —
-        #: the uniform budget-1 ledger.  Every other configuration (and any
-        #: node with failure state) goes through the reference transmit().
-        self._inline_tx = (
-            self._simple_pick
-            and not self._is_priority
-            and self._default_routing
-            and (not self.uses_hbh or (self._budget1 and not self._fifo_hbh))
-        )
         self.local_flows: List[Flow] = []
         self.rtx_queue: Deque[Tuple[int, int, int]] = deque()  # (flow_id, dst, seq)
         self.ctrl_out: List[Deque[ControlMessage]] = [deque() for _ in range(links)]
@@ -387,10 +375,14 @@ class Node:
         messages for the current neighbour (a real network would send an
         empty dummy cell; the simulator elides it).
 
-        This is the simulator's hottest function; the cell selection and the
-        token/bucket bookkeeping of ``_select_forwarded_cell`` /
-        ``_finish_forward`` are inlined here (those methods remain the
-        readable reference implementation and must stay equivalent).
+        This is the object pipeline's only TX routine (``run_tx`` calls it
+        for every active node) and its hottest function.  The PIEO scan fuses
+        the eligibility test with the next-hop charge — the hit's check just
+        proved the credit exists — and the token-upstream / bucket-release
+        step works on the ledger's and tracker's dicts directly, so a
+        forwarded cell costs one pass over the queue and no method calls.
+        (:meth:`_finish_forward` is that step through the ledger/tracker
+        methods; the FIFO ablation, which never scans, uses it as is.)
         """
         link = phase * self._rm1 + offset - 1
         neighbor = self.neighbors_flat[link]
@@ -587,32 +579,6 @@ class Node:
         cell = Cell.make_dummy(self.node_id, neighbor)
         return Transmission(self.node_id, neighbor, cell, tuple(tokens), ctrl)
 
-    def _select_forwarded_cell(self, link: int, neighbor: int) -> Optional[Cell]:
-        """Dequeue the first eligible forwarded cell for this link, if any."""
-        queue = self.link_queues[link]
-        if not queue:
-            return None
-        if self.uses_hbh and not self.config.use_fifo_for_hbh:
-            cell = queue.extract_first_eligible(
-                lambda c: self._hbh_eligible(c, neighbor)
-            )
-            if cell is None:
-                return None
-        elif self.uses_hbh:
-            # FIFO ablation: only the head may be sent; if it lacks credit the
-            # whole queue head-of-line blocks (paper Section 3.3.2, change 2).
-            head = queue.peek_head()
-            if head is None or not self._hbh_eligible(head, neighbor):
-                return None
-            cell = queue.extract_head()
-        else:
-            cell = queue.extract_head()
-            if cell is None:
-                return None
-        self.total_enqueued -= 1
-        self._finish_forward(cell, neighbor)
-        return cell
-
     def _hbh_eligible(self, cell: Cell, neighbor: int) -> bool:
         """Hop-by-hop eligibility: final hops are free, others need credit."""
         if neighbor == cell.dst:
@@ -796,17 +762,6 @@ class Node:
         queue.append(token)
         self.pending_tokens += 1
         self._active.add(self.node_id)
-
-    def _pop_tokens(self, neighbor: int) -> Tuple[Token, ...]:
-        queue = self.token_return.get(neighbor)
-        if not queue:
-            return ()
-        limit = self.config.tokens_per_header
-        out = []
-        while queue and len(out) < limit:
-            out.append(queue.popleft())
-        self.pending_tokens -= len(out)
-        return tuple(out)
 
     def _pop_ctrl(self, link: int) -> Tuple[ControlMessage, ...]:
         queue = self.ctrl_out[link]

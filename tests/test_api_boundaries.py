@@ -12,6 +12,7 @@ Two guards in one file:
 """
 
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import subprocess
@@ -22,13 +23,63 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+CHECKER = REPO_ROOT / "scripts" / "check_private_access.py"
+
+
 def test_no_cross_package_private_access():
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" /
-                             "check_private_access.py")],
-        capture_output=True, text=True,
+        [sys.executable, str(CHECKER)], capture_output=True, text=True,
     )
     assert proc.returncode == 0, f"boundary lint failed:\n{proc.stdout}"
+
+
+def _check_fixture(tmp_path, files, allowlist):
+    """Run the checker over a throwaway ``repro`` tree of ``files``."""
+    spec = importlib.util.spec_from_file_location("check_private", CHECKER)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    root = tmp_path / "repro"
+    for rel, source in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return checker.check(root, allowlist)
+
+
+def test_lint_flags_unreferenced_private_functions(tmp_path):
+    report = _check_fixture(tmp_path, {
+        "alpha/one.py": (
+            "def _used():\n    pass\n\n"
+            "def _dead():\n    pass\n\n"
+            "class Thing:\n"
+            "    def _called(self):\n        pass\n"
+            "    def _orphan(self):\n        pass\n"
+            "    def __repr__(self):\n        return ''\n"
+        ),
+        "alpha/two.py": (
+            "from .one import Thing, _used\n\n"
+            "def public():\n    return Thing()._called()\n"
+        ),
+    }, allowlist={})
+    assert report.dead == [("repro/alpha/one.py", 4, "_dead"),
+                           ("repro/alpha/one.py", 10, "_orphan")]
+    assert not report.violations and not report.stale
+
+
+def test_lint_flags_unused_allowlist_entries(tmp_path):
+    report = _check_fixture(tmp_path, {
+        "alpha/one.py": (
+            "class Thing:\n"
+            "    def __init__(self):\n        self._secret = 1\n"
+        ),
+        "beta/two.py": "def peek(thing):\n    return thing._secret\n",
+    }, allowlist={
+        ("repro/beta/two.py", "_secret"): "fixture: excused access",
+        ("repro/beta/two.py", "_gone"): "fixture: the access was deleted",
+    })
+    assert report.stale == [("repro/beta/two.py", "_gone")]
+    assert [v.name for v, _ in report.allowed] == ["_secret"]
+    assert not report.violations and not report.dead
 
 
 EXPECTED_ALL = {

@@ -270,8 +270,10 @@ class TestRecoveryActiveSetEquivalence:
     """Regression: a node revived via ``Node.reset_for_recovery`` while
     outside ``Engine._active_ids`` must rejoin the active set before its
     next pending work (resumed local flows, probe replies, rtx queue) —
-    otherwise the inlined active-set TX path silently skips it until an
-    unrelated arrival, diverging from the reference full scan."""
+    otherwise ``run_tx``, which visits only the active set, silently skips
+    it until an unrelated arrival, diverging from the full scan (the
+    reference for the active set: same ``Node.transmit``, every node
+    visited)."""
 
     def _run(self, full_scan):
         manager = FailureManager(events=[

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.cell import Cell
 from repro.core.header import TOKEN_REGULAR, Token
+from repro.failures import FailureManager
+from repro.sim.backends.object_backend import deliver_arrivals
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.node import ControlMessage, Transmission
@@ -208,6 +210,83 @@ class TestTxPath:
         tx = node.transmit(0, phase, offset + 1)
         assert tx.cell is cell
         assert tx.receiver == dst
+
+
+    def test_budget1_scan_skips_blocked_head(self):
+        """Budget-1 PIEO scan: a head without next-hop credit is passed
+        over, the first eligible cell behind it leaves, and the scan itself
+        records that cell's charge."""
+        engine = make_engine(cc="hop-by-hop")
+        cs = engine.coords
+        node = engine.nodes[cs.node_id((0, 0))]
+        blocked = fresh_cell(engine, 1, cs.node_id((1, 1)), sprays=0)
+        behind = fresh_cell(engine, 1, cs.node_id((1, 2)), sprays=0)
+        for cell in (blocked, behind):
+            node.enqueue_forward(cell, t=0, arrival_phase=1)
+        (link,) = [i for i, q in enumerate(node.link_queues) if len(q)]
+        phase, offset = divmod(link, cs.r - 1)
+        neighbor = node.neighbors_flat[link]
+        assert neighbor not in (blocked.dst, behind.dst)
+        node.ledger.charge(neighbor, (blocked.dst, 0))
+        tx = node.transmit(1, phase, offset + 1)
+        assert tx.cell is behind
+        assert not node.ledger.can_send(neighbor, (behind.dst, 0))
+        assert list(node.link_queues[link]) == [blocked]
+        assert node.total_enqueued == 1
+        # and the bucket it left is reported upstream
+        assert [tok.bucket() for tok in node.token_return[1]] \
+            == [(behind.dst, 0)]
+
+    def test_token_backlog_within_limit_leaves_in_one_header(self):
+        engine = make_engine(cc="hop-by-hop", tokens_per_header=3)
+        node = engine.nodes[0]
+        neighbor, other = node.neighbors[0][0], node.neighbors[0][1]
+        for i in range(3):
+            node._queue_token(neighbor, Token(i + 1, 0, TOKEN_REGULAR))
+        for i in range(2):
+            node._queue_token(other, Token(i + 7, 0, TOKEN_REGULAR))
+        tx = node.transmit(0, 0, 1)
+        assert tx.cell.dummy
+        assert [tok.dest for tok in tx.tokens] == [1, 2, 3]
+        assert not node.token_return[neighbor]
+        # the other neighbour's tokens wait for their own slot
+        assert [tok.dest for tok in node.token_return[other]] == [7, 8]
+        assert node.pending_tokens == 2
+
+    def test_pooled_shell_is_fully_rewritten(self):
+        engine = make_engine()
+        node = engine.nodes[0]
+        node.add_flow(engine.flows.new_flow(0, 9, size_cells=3, arrival=0))
+        stale = Transmission(
+            7, 8, Cell.make_dummy(7, 8),
+            tokens=(Token(5, 0, TOKEN_REGULAR),),
+            ctrl=(ControlMessage("pull", 1, 7, 8),),
+        )
+        engine._tx_pool.append(stale)
+        tx = node.transmit(0, 0, 1)
+        assert tx is stale and not engine._tx_pool
+        assert (tx.sender, tx.receiver) == (0, node.neighbors[0][0])
+        assert not tx.cell.dummy and tx.cell.dst == 9
+        assert tx.tokens == () and tx.ctrl == ()
+
+
+class TestWire:
+    def test_shells_recycled_with_failure_manager(self):
+        """One delivery tail: shells return to the pool whether or not a
+        failure manager filters the wire; a transmission the wire drops
+        does not."""
+        engine = Engine(
+            SimConfig(n=16, h=2, duration=1000, propagation_delay=2),
+            failure_manager=FailureManager(failed_nodes=[5]),
+        )
+        delivered = Transmission(1, 0, Cell.make_dummy(1, 0))
+        dropped = Transmission(1, 5, Cell.make_dummy(1, 5))
+        for tx in (delivered, dropped):
+            tx.arrival = 0
+            engine._in_flight.append(tx)
+        deliver_arrivals(engine, 0, 0)
+        assert not engine._in_flight
+        assert engine._tx_pool == [delivered]
 
 
 class TestControlMessages:

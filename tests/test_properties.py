@@ -15,6 +15,7 @@ from repro.core.header import (
 )
 from repro.core.routing import Router
 from repro.core.schedule import Schedule
+from repro.sim.config import SimConfig
 from repro.sim.pieo import PieoQueue
 from repro.workloads.distributions import (
     HeavyTailedDistribution,
@@ -221,24 +222,28 @@ class TestWorkloadProperties:
 
 
 class TestEngineFastPathEquivalence:
-    """The active-set TX fast path must be invisible in simulated behaviour.
+    """The active set must be invisible in simulated behaviour.
 
-    ``object_backend.run_tx`` normally visits only the nodes in the active
-    set and runs an inlined copy of the common-case TX pipeline; with
-    ``force_full_scan`` it scans every node each slot through the reference
-    ``Node.transmit``.  The two paths must produce identical delivery events
-    and identical event digests for every mechanism and seed.
+    ``object_backend.run_tx`` visits only the nodes in the active set and
+    retires the ones it finds failed or idle; with ``force_full_scan`` it
+    visits every node each slot and never touches the set.  Both call the
+    same ``Node.transmit``, so the only thing under test is the set: every
+    path that gives an idle node work must wake it — enqueue and new flows
+    (all mechanisms), queued tokens (hop-by-hop family), ``pending_ctrl``
+    and ``rtx_queue`` (``rd`` / ``ndp``), ranked queues (``priority``) and
+    the RX-side shortest-queue pick (``spray-short``).  The two scans must
+    produce identical delivery events and identical event digests for every
+    mechanism and seed.
     """
 
     @settings(deadline=None, max_examples=10)
     @given(
         st.sampled_from([16, 64]),
         st.sampled_from([1, 2]),
-        st.sampled_from(["none", "hop-by-hop", "hbh+spray", "isd"]),
+        st.sampled_from(SimConfig.VALID_CC),
         st.integers(min_value=0, max_value=2**16),
     )
     def test_active_set_matches_full_scan(self, n, h, cc, seed):
-        from repro.sim.config import SimConfig
         from repro.sim.engine import Engine
         from repro.workloads.generators import permutation_workload
 

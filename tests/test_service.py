@@ -35,7 +35,11 @@ from repro.service import (
     SyncServiceClient,
     wait_for_ready,
 )
-from repro.service.protocol import decode_message, encode_message
+from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    decode_message,
+    encode_message,
+)
 from repro.sim.checkpoint import (
     discard_checkpoint,
     load_any_checkpoint_or_none,
@@ -393,11 +397,12 @@ class TestControlPlane:
     left behind; driven with asyncio.run — no pytest-asyncio needed)."""
 
     def _serve(self, coro_fn, *, source_load=0.2, checkpoint=None,
-               max_slots=None):
+               max_slots=None, digest=False):
         async def scenario():
             cfg = _cfg()
             source = OpenLoopSource(cfg, load=source_load)
             session = open_session(cfg, source=source, telemetry=True,
+                                   digest=digest,
                                    checkpoint=checkpoint,
                                    checkpoint_every=500)
             server = ServiceServer(session, quantum=100,
@@ -495,6 +500,45 @@ class TestControlPlane:
             return True
 
         assert self._serve(scenario)
+
+    def test_oversized_line_gets_an_error_reply(self):
+        """A request line past MAX_LINE_BYTES — here a 4000-flow submit —
+        is answered with an error naming the limit and that connection is
+        closed; other connections and the simulation never notice."""
+        flows = [[1_000_000 + i, i % 16, (i + 1) % 16, 100 + i, 24_400 + i]
+                 for i in range(4000)]
+        line = encode_message({"id": 1, "op": "submit", "flows": flows})
+        assert len(line) > MAX_LINE_BYTES
+
+        async def undisturbed(server, client):
+            await server._finished.wait()
+            return server.result.digest
+
+        async def oversized(server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(line)
+            reply = decode_message(
+                await asyncio.wait_for(reader.readline(), timeout=20))
+            assert reply == {
+                "id": None, "ok": False,
+                "error": f"line exceeds {MAX_LINE_BYTES} bytes",
+            }
+            try:  # hung up (a reset if part of the line was still unread)
+                tail = await asyncio.wait_for(reader.read(), timeout=20)
+            except ConnectionError:
+                tail = b""
+            assert tail == b""
+            writer.close()
+            async with ServiceClient("127.0.0.1", server.port) as second:
+                assert (await second.ping())["ok"]
+            await server._finished.wait()
+            return server.result.digest
+
+        expected = self._serve(undisturbed, max_slots=1_500, digest=True)
+        assert expected is not None
+        assert self._serve(oversized, max_slots=1_500, digest=True) \
+            == expected
 
     def test_max_slots_auto_drains(self):
         async def scenario(server, client):
