@@ -39,14 +39,7 @@ class ResourceObservation:
 
 def observe_resources(engine: Engine) -> ResourceObservation:
     """Extract peak hardware-relevant occupancies from a finished run."""
-    max_active = 0
-    max_pieo = 0
-    max_buffer = 0
-    for node in engine.nodes:
-        if node.bucket_tracker is not None:
-            max_active = max(max_active, node.bucket_tracker.peak)
-        max_pieo = max(max_pieo, node.max_pieo_occupancy())
-        max_buffer = max(max_buffer, node.buffer_occupancy())
+    max_active, max_pieo, max_buffer = engine.peak_occupancies()
     # metrics track sampled maxima too; take the larger of the two views
     max_active = max(max_active, engine.metrics.max_active_buckets)
     max_pieo = max(max_pieo, engine.metrics.max_pieo_length)

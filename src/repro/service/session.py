@@ -350,6 +350,7 @@ class Session:
             "congestion_control": self.config.congestion_control,
             "backend": engine.backend_effective,
             "backend_reason": engine.backend_reason,
+            "model_syncs": engine.model_syncs,
             "active_flows": engine.flows.active_count,
             "completed_flows": len(engine.flows.completed),
             "cells_delivered": metrics.payload_cells_delivered,

@@ -54,10 +54,14 @@ __all__ = [
 class EngineBackend:
     """Contract for engine slot-loop backends.
 
-    A backend advances ``engine`` through timeslots.  It must leave the
-    engine's object model authoritative whenever it returns: checkpoints,
-    observers and manual :meth:`~repro.sim.engine.Engine.step` calls may
-    read or mutate any engine state between backend calls.
+    A backend advances ``engine`` through timeslots.  Whenever it returns,
+    every engine-level attribute (clock, RNG, flow table, metrics) must be
+    current, and the nodes and the wire must be either authoritative or
+    one read away — held by a packed run handed to
+    :meth:`~repro.sim.engine.Engine._park`, which the first read of the
+    object model unpacks: checkpoints, observers and manual
+    :meth:`~repro.sim.engine.Engine.step` calls may read or mutate any
+    engine state between backend calls.
 
     One backend instance is built per engine
     (:meth:`~repro.sim.engine.Engine.__init__`) and may cache per-engine

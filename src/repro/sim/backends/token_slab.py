@@ -271,8 +271,7 @@ class TokenRun(_VectorRun):
                 in_flight.append(tx)
             pos += m
 
-    def unpack(self) -> None:
-        super().unpack()
+    def _unpack_tokens(self) -> None:
         engine = self.engine
         nodes = engine.nodes
         n, h, nh = self.n, self.h, self.nh
@@ -357,6 +356,9 @@ class TokenRun(_VectorRun):
 
     def _active_buckets(self) -> int:
         return int(self.tr_active.max())
+
+    def _peak_buckets(self) -> int:
+        return int(self.tr_peak.max())
 
     # ------------------------------------------------------------------ #
     # token-return rings

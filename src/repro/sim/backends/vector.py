@@ -23,9 +23,15 @@ accelerates, including RNG consumption: spraying draws are CPython's
 mirroring the engine's Mersenne Twister into ``numpy.random.MT19937``
 (word-for-word the same generator), bulk-generating raw 32-bit words, and
 applying the same top-``bits`` / reject-``>= r-1`` rule — the k-th accepted
-word *is* the k-th draw.  On unpack the engine's ``random.Random`` is
-resynchronised by replaying exactly the consumed word count from the packed
-state, so object-mode code continues the identical stream.
+word *is* the k-th draw.  After every ``advance`` the engine's
+``random.Random`` is resynchronised by replaying exactly the words consumed
+since the previous sync, so object-mode code continues the identical stream.
+
+The packed run *is* the engine's state between ``advance`` calls: each call
+ends with a sync of everything that is not a node or a transmission and
+parks the run on the engine (:meth:`Engine._park`), the next call continues
+on the same columns, and the object model is built — by the run's
+``unpack()`` — only when something reads ``engine.nodes`` or the wire.
 
 Shortest-queue spraying (``spray-short``) is a different spraying choice on
 the same columns; the hop-by-hop token protocol adds its own
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +79,10 @@ _DELIVERY_FIELDS = np.array(
 #: what ``pack()`` reports when a queued or in-flight cell carries state
 #: the column layout has no field for
 _HEADERS = "queued cells carry non-vectorizable headers"
+
+#: most raw words one ``random_raw`` call of the RNG replay generates: the
+#: replay's memory is this block (8 bytes a word), whatever the run drew
+_REPLAY_BLOCK = 1 << 16
 
 
 class _Decline(Exception):
@@ -116,7 +126,9 @@ def _fast_ineligible_reason(engine):
     floor = VectorBackend.TOKEN_SLAB_MIN_N
     if cc != "none" and cfg.n < floor:
         return f"n={cfg.n} below the token-slab size floor ({floor})"
-    for node in engine.nodes:
+    # only built nodes can carry state: an engine that has not left the
+    # slab (or not run at all) has nothing to scan
+    for node in engine._built_nodes or ():
         if (
             node.failed
             or node.failed_neighbors
@@ -169,12 +181,98 @@ def build_hop_tables(n: int, h: int, r: int):
     return qsel, nsel
 
 
+class _SlabTables:
+    """The slab's read-only lookup tables for one ``(schedule, n, h)``.
+
+    Derived from the coordinate system by array arithmetic, exactly as
+    ``CoordinateSystem.neighbor_table`` derives each node's — no node need
+    exist.  :meth:`shared` keeps the most recent size's instance
+    process-wide: a sweep steps one size at a time, and the h=2 hop tables
+    alone are ``32 * n**2`` bytes (54 MB at n=1296).
+
+    Attributes:
+        peer: ``(L, n)``; ``peer[l, i]`` is node ``i``'s neighbour on link
+            ``l = phase * (r - 1) + offset - 1``.
+        link_table: the link every node transmits on, per slot of the epoch.
+        nbr: ``(epoch, n)``; ``nbr[s] == peer[link_table[s]]``.
+        qt: :func:`build_hop_tables`' result.
+    """
+
+    __slots__ = ("peer", "link_table", "nbr", "qt", "_links")
+
+    #: ``((schedule name, n, h), tables)`` of the latest size stepped
+    _latest: Tuple[Optional[tuple], Optional["_SlabTables"]] = (None, None)
+
+    def __init__(self, schedule, coords) -> None:
+        n, h, r = coords.n, coords.h, coords.r
+        ids = np.arange(n, dtype=np.int64)
+        offsets = np.arange(1, r, dtype=np.int64)[:, None]
+        blocks = []
+        for p in range(h):
+            weight = r ** (h - 1 - p)
+            digit = (ids // weight) % r
+            blocks.append(ids + ((digit + offsets) % r - digit) * weight)
+        self.peer = np.concatenate(blocks)
+        self.link_table = [
+            phase * (r - 1) + offset - 1
+            for phase, offset in zip(schedule.phase_table,
+                                     schedule.offset_table)
+        ]
+        self.nbr = self.peer[self.link_table]
+        self.qt = build_hop_tables(n, h, r)
+        self._links = None
+
+    @classmethod
+    def shared(cls, engine) -> "_SlabTables":
+        """The tables for ``engine``'s schedule and size, built at most
+        once while that size stays the latest."""
+        cfg = engine.config
+        key = (cfg.schedule, cfg.n, cfg.h)
+        latest, tables = cls._latest
+        if latest != key:
+            tables = cls(engine.schedule, engine.coords)
+            cls._latest = (key, tables)
+        return tables
+
+    @property
+    def links(self):
+        """Who sits at the far end of every link, both ways (hop-by-hop
+        token return runs against the direction cells travel).
+
+        ``(peer, back, pair_key, pair_link)``: ``back[l]`` is the link on
+        which the neighbour on link ``l`` reaches back (None when the
+        schedule's links do not pair up uniformly); ``pair_key`` /
+        ``pair_link`` map a sorted ``node * n + neighbour`` key to the
+        link joining them.
+        """
+        if self._links is None:
+            peer = self.peer
+            links, n = peer.shape
+            ids = np.arange(n, dtype=np.int64)
+            key = (ids * n + peer).reshape(-1)
+            order = key.argsort()
+            pair_key = key[order]
+            pair_link = np.repeat(
+                np.arange(links, dtype=np.int64), n
+            )[order]
+            # the link peer[l, 0] uses to reach node 0, checked for all i
+            back = pair_link[np.minimum(
+                np.searchsorted(pair_key, peer[:, 0] * n), key.size - 1
+            )]
+            if not (peer[back[:, None], peer] == ids).all():
+                back = None
+            self._links = (peer, back, pair_key, pair_link)
+        return self._links
+
+
 class _VectorRun:
     """One packed stretch of vector stepping over a single engine.
 
-    Built by :meth:`VectorBackend._pack`, advanced by :meth:`advance`,
-    written back by :meth:`unpack`.  The object model is stale while a run
-    is packed and authoritative again after ``unpack``.
+    Built and packed by :meth:`VectorBackend._step`, advanced by
+    :meth:`advance` — any number of times: between calls the run is the
+    engine's state, :meth:`sync` having written back everything that is
+    not a node or a transmission — and turned back into objects by
+    :meth:`unpack`, once, when something reads the object model.
     """
 
     def __init__(self, engine, nbr, link_table, qt):
@@ -244,7 +342,7 @@ class _VectorRun:
         self.f_del = np.zeros(self.f_cap, dtype=np.int64)
         self.f_size = np.zeros(self.f_cap, dtype=np.int64)
         # per-destination delivery deltas, folded into the metrics dict at
-        # unpack (the dict itself is too slow to touch per slot)
+        # sync (the dict itself is too slow to touch per slot)
         self.delivered_vec = np.zeros(self.n, dtype=np.int64)
         # the wire: (arrival, senders, slab rows, receivers) per send slot
         self.batches: deque = deque()
@@ -261,22 +359,18 @@ class _VectorRun:
         # seq, src, dst, hops, t]
         self._del_events = np.empty((self.n, 7), dtype=np.int64)
         self._del_events[:, 0] = _EV_DELIVERY
-        # RNG mirror state (filled by pack).  One run draws through exactly
-        # one of two cursors over the mirrored word stream: uniform
+        # RNG mirror state (filled by _mirror_rng).  One run draws through
+        # exactly one of two cursors over the mirrored word stream: uniform
         # spraying pre-filters bulk words at a fixed bit width (_draw);
         # shortest-queue tie-breaks replay ``randrange(count)`` word by
         # word, because the width is ``count.bit_length()`` per draw
-        # (_draw_ties).  Both leave ``words_consumed`` at the absolute
-        # number of 32-bit words the object pipeline would have drawn.
+        # (_draw_ties).  Both leave ``words_consumed`` at the number of
+        # 32-bit words the object pipeline would have drawn since
+        # ``rng_prestate``, which every sync moves up to the engine's RNG.
         self.rng_prestate = None
+        self.rng_synced = None      # engine.rng.getstate() at rng_prestate
         self.bg = None
-        self.acc_vals = np.empty(0, dtype=np.int64)
-        self.acc_end = np.empty(0, dtype=np.int64)
-        self.acc_pos = 0
-        self.raw: List[int] = []
-        self.raw_pos = 0
-        self.words_generated = 0
-        self.words_consumed = 0
+        self._reset_draws()
         if cfg.uses_spray_short:
             self._spray_offsets = self._shortest_queue
             # flat q_len strides of one phase's r-1 queues, as a column
@@ -345,6 +439,16 @@ class _VectorRun:
     # ------------------------------------------------------------------ #
     # RNG mirror
 
+    def _reset_draws(self) -> None:
+        """Empty both draw cursors: nothing generated, nothing consumed."""
+        self.acc_vals = np.empty(0, dtype=np.int64)
+        self.acc_end = np.empty(0, dtype=np.int64)
+        self.acc_pos = 0
+        self.raw: List[int] = []
+        self.raw_pos = 0
+        self.words_generated = 0
+        self.words_consumed = 0
+
     def _mirror_rng(self) -> None:
         state = self.engine.rng.getstate()
         if state[0] != 3:
@@ -359,8 +463,10 @@ class _VectorRun:
                 "pos": int(key[-1]),
             },
         }
+        self.rng_synced = state
         self.bg = np.random.MT19937()
         self.bg.state = self.rng_prestate
+        self._reset_draws()
 
     def _refill(self, k: int) -> None:
         m = max(8192, 4 * k)
@@ -418,35 +524,53 @@ class _VectorRun:
         self.words_consumed = self.words_generated + pos
         return out
 
-    def _resync_rng(self) -> None:
-        """Advance the engine's Random past the words the stepper consumed."""
-        if not self.words_consumed:
+    def _sync_rng(self) -> None:
+        """Advance the engine's Random past the words the stepper consumed
+        and re-base the mirror there: a sync replays only the words drawn
+        since the previous one, a block at a time."""
+        consumed = self.words_consumed
+        if not consumed:
             return
         bg = np.random.MT19937()
         bg.state = self.rng_prestate
-        bg.random_raw(self.words_consumed)
-        s = bg.state["state"]
-        self.engine.rng.setstate(
-            (3, tuple(int(x) for x in s["key"]) + (int(s["pos"]),), None)
+        for start in range(0, consumed, _REPLAY_BLOCK):
+            bg.random_raw(min(_REPLAY_BLOCK, consumed - start))
+        self.rng_prestate = bg.state
+        state = self.rng_prestate["state"]
+        self.rng_synced = (
+            3, tuple(state["key"].tolist()) + (int(state["pos"]),), None
         )
+        self.engine.rng.setstate(self.rng_synced)
+        # both cursors count words from rng_prestate
+        self.acc_vals = self.acc_vals[self.acc_pos:]
+        self.acc_end = self.acc_end[self.acc_pos:] - consumed
+        self.acc_pos = 0
+        self.words_generated -= consumed
+        self.words_consumed = 0
 
     # ------------------------------------------------------------------ #
-    # pack / unpack
+    # pack / resume / sync / unpack
 
     def pack(self) -> Optional[str]:
         """Read the object model into columns; None on success, else the
-        reason the state cannot be packed.
+        reason the state cannot be packed.  An engine whose object model
+        was never built has nothing to read: its columns start empty.
 
         Purely read-only until the final commit (clearing the object wire),
         so a mid-scan disqualification leaves the engine untouched.
         """
         engine = self.engine
+        built = engine._built_nodes is not None
         try:
             self._mirror_rng()
-            count = sum(node.total_enqueued for node in engine.nodes)
-            count += len(engine._in_flight)
-            self._init_slab(count)
-            nid = self._pack_wire(self._pack_nodes())
+            if built:
+                count = sum(node.total_enqueued for node in engine.nodes)
+                count += len(engine._in_flight)
+                self._init_slab(count)
+                nid = self._pack_wire(self._pack_nodes())
+            else:
+                self._init_slab(0)
+                nid = self.Ln
         except _Decline as declined:
             return str(declined)
         # flow completion columns for every active flow
@@ -457,8 +581,48 @@ class _VectorRun:
         # commit: remaining rows form the freelist; the object wire empties
         self.free[: self.cap - nid] = np.arange(nid, self.cap, dtype=np.int64)
         self.free_top = self.cap - nid
-        engine._in_flight.clear()
+        if built:
+            engine._in_flight.clear()
         return None
+
+    def resume(self, engine) -> Optional[str]:
+        """Ready a run parked on ``engine`` for another ``advance``; None,
+        or the reason it cannot continue.  Everything else the stepper
+        uses of the engine it reads afresh each call, so only an
+        ``engine.rng`` that moved since the last sync needs work: a new
+        mirror."""
+        self.engine = engine
+        if engine.rng.getstate() != self.rng_synced:
+            try:
+                self._mirror_rng()
+            except _Decline as declined:
+                return str(declined)
+        return None
+
+    def sync(self) -> None:
+        """Write back everything that is not a node or a transmission, so
+        every engine-level attribute reads as after an object run: flow
+        cursors and delivery counts, per-destination deliveries, the RNG
+        (``engine.t``, the counters and the flow table are kept current
+        by the slot loop itself).  Incremental: a second sync is free."""
+        engine = self.engine
+        sent = self.cur_sent.tolist()
+        for i in self.has_flow.nonzero()[0].tolist():
+            self.cur_flow[i].sent = sent[i]
+        for fid, flow in engine.flows._active.items():
+            if fid < self.f_cap:
+                flow.delivered = int(self.f_del[fid])
+        per_node = engine.metrics.delivered_per_node
+        fresh = self.delivered_vec.nonzero()[0]
+        for i, v in zip(fresh.tolist(), self.delivered_vec[fresh].tolist()):
+            per_node[i] = per_node.get(i, 0) + v
+        self.delivered_vec[fresh] = 0
+        self._sync_rng()
+
+    def peak_occupancies(self) -> Tuple[int, int, int]:
+        """:meth:`Engine.peak_occupancies`, from the columns."""
+        return (self._peak_buckets(), int(self.q_peak.max()),
+                int(self._node_occupancy().max()))
 
     def _cell_loader(self):
         """``load(cell, row)``: one payload cell into a slab row.
@@ -611,7 +775,9 @@ class _VectorRun:
         return out
 
     def unpack(self) -> None:
-        """Write the columns back; the object model becomes authoritative."""
+        """Write the columns back into the object model (which this builds,
+        if need be, by reading it); the run is spent afterwards."""
+        self.sync()
         engine = self.engine
         # first pass: walk every linked list with plain python ints,
         # collecting all live rows (queues first, then the wire) so the
@@ -635,9 +801,7 @@ class _VectorRun:
                 queue.peak_occupancy = prow[l]
             flows_left = []
             if self.has_flow[i]:
-                cursor = self.cur_flow[i]
-                cursor.sent = int(self.cur_sent[i])
-                flows_left.append(cursor)
+                flows_left.append(self.cur_flow[i])
             flows_left.extend(self.waiting[i])
             node.local_flows = flows_left
         wire_start = len(all_rows)
@@ -656,15 +820,6 @@ class _VectorRun:
                 queue._items[:] = made[pos:pos + cnt]
                 pos += cnt
         self._unpack_wire(made[wire_start:])
-        # flow delivery counters
-        for fid, flow in engine.flows._active.items():
-            if fid < self.f_cap:
-                flow.delivered = int(self.f_del[fid])
-        # per-destination delivery counts
-        per_node = engine.metrics.delivered_per_node
-        for i, v in enumerate(self.delivered_vec.tolist()):
-            if v:
-                per_node[i] = per_node.get(i, 0) + v
         # per-node occupancy totals, derived from the queue lengths
         total_enq = self._node_occupancy()
         for i, v in enumerate(total_enq.tolist()):
@@ -676,7 +831,10 @@ class _VectorRun:
         engine._active_ids.update(
             np.flatnonzero((total_enq > 0) | self.has_flow).tolist()
         )
-        self._resync_rng()
+        self._unpack_tokens()
+
+    def _unpack_tokens(self) -> None:
+        """The hop-by-hop state of every node (none without it)."""
 
     def _unpack_wire(self, made: List[Cell]) -> None:
         """Put the leftover batches back on the object wire; ``made`` holds
@@ -1035,6 +1193,10 @@ class _VectorRun:
         """Most active hop-by-hop buckets at any node (none without it)."""
         return 0
 
+    def _peak_buckets(self) -> int:
+        """The high-water mark of :meth:`_active_buckets` at any node."""
+        return 0
+
     def _sample(self, t: int) -> None:
         engine = self.engine
         metrics = engine.metrics
@@ -1125,86 +1287,53 @@ class VectorBackend(EngineBackend):
         self._links = None
 
     def _tables(self, engine):
-        """Per-slot link indices, the (epoch, n) neighbor table, and (for
-        h=2) the flat next-hop table.
+        """``(nbr, link_table, qt)`` of :class:`_SlabTables`: the
+        ``(epoch, n)`` neighbour table, the per-slot link indices and (for
+        h=2) the flat next-hop tables.
 
-        Built once per backend (the engine's schedule and coordinate
-        system are immutable).  The neighbor table comes from the nodes'
-        own tables, so any registered schedule strategy works unchanged.
-        The next-hop table, indexed ``phase * n**2 + receiver * n + dst``,
-        holds ``link_index * n`` for the direct hop out of ``receiver``
-        toward ``dst`` at ``phase`` — or -1 when that digit already
-        matches — turning the per-cell digit scan into one gather per
-        candidate phase.
+        Looked up once per backend — that is, per engine — in the
+        process-wide memo, which builds them once per ``(schedule, n, h)``.
+        The neighbour table follows the coordinate system the nodes' own
+        tables come from, and the slot order is the schedule's, so any
+        registered schedule strategy works unchanged.
         """
         if self._nbr is None:
-            schedule = engine.schedule
-            r = engine.coords.r
-            rm1 = r - 1
-            link_table = [
-                schedule.phase_table[s] * rm1 + schedule.offset_table[s] - 1
-                for s in range(schedule.epoch_length)
-            ]
-            n = engine.config.n
-            h = engine.config.h
-            nbr = np.empty((schedule.epoch_length, n), dtype=np.int64)
-            for s in range(schedule.epoch_length):
-                link = link_table[s]
-                nbr[s] = [node.neighbors_flat[link] for node in engine.nodes]
-            self._qt = build_hop_tables(n, h, r)
-            self._link_table = link_table
-            self._nbr = nbr
+            tables = _SlabTables.shared(engine)
+            self._nbr = tables.nbr
+            self._link_table = tables.link_table
+            self._qt = tables.qt
         return self._nbr, self._link_table, self._qt
 
     def _link_tables(self, engine):
-        """Who sits at the far end of every link, both ways (hop-by-hop
-        token return runs against the direction cells travel).
-
-        ``(peer, back, pair_key, pair_link)``: ``peer[l, i]`` is node
-        ``i``'s neighbour on link ``l``; ``back[l]`` is the link on which
-        that neighbour reaches ``i`` (None when the schedule's links do not
-        pair up uniformly); ``pair_key`` / ``pair_link`` map a sorted
-        ``node * n + neighbour`` key to the link joining them.
-        """
+        """:attr:`_SlabTables.links`, looked up once per backend like
+        :meth:`_tables`."""
         if self._links is None:
-            n = engine.config.n
-            peer = np.array(
-                [node.neighbors_flat for node in engine.nodes],
-                dtype=np.int64,
-            ).T.copy()
-            links = peer.shape[0]
-            ids = np.arange(n, dtype=np.int64)
-            key = (ids * n + peer).reshape(-1)
-            order = key.argsort()
-            pair_key = key[order]
-            pair_link = np.repeat(
-                np.arange(links, dtype=np.int64), n
-            )[order]
-            # the link peer[l, 0] uses to reach node 0, checked for all i
-            back = pair_link[np.minimum(
-                np.searchsorted(pair_key, peer[:, 0] * n), key.size - 1
-            )]
-            if not (peer[back[:, None], peer] == ids).all():
-                back = None
-            self._links = (peer, back, pair_key, pair_link)
+            self._links = _SlabTables.shared(engine).links
         return self._links
 
     def _step(self, engine, end: int, drain: bool) -> Optional[str]:
-        """Pack, step and unpack one stretch on the slab; None when it ran,
-        else why the state would not pack (the engine is untouched)."""
-        if engine.config.uses_hop_by_hop:
-            from .token_slab import TokenRun
-
-            links = self._link_tables(engine)
-            if links[1] is None:
-                return "schedule links do not pair up for token return"
-            run = TokenRun(engine, *self._tables(engine), links)
+        """Step one stretch on the slab — on the run parked on the engine,
+        or on a freshly packed one — then sync and park it; None when it
+        ran, else why the state would not pack or the parked run cannot
+        continue (the engine is untouched)."""
+        run = engine._parked
+        if run is not None:
+            reason = run.resume(engine)
         else:
-            run = _VectorRun(engine, *self._tables(engine))
-        reason = run.pack()
+            if engine.config.uses_hop_by_hop:
+                from .token_slab import TokenRun
+
+                links = self._link_tables(engine)
+                if links[1] is None:
+                    return "schedule links do not pair up for token return"
+                run = TokenRun(engine, *self._tables(engine), links)
+            else:
+                run = _VectorRun(engine, *self._tables(engine))
+            reason = run.pack()
         if reason is None:
             run.advance(end, drain)
-            run.unpack()
+            run.sync()
+            engine._park(run)
         return reason
 
     def advance(self, engine, end: int, drain: bool) -> None:
@@ -1216,5 +1345,6 @@ class VectorBackend(EngineBackend):
         # without a failure manager nothing can change eligibility
         # mid-segment, and with one the segment is ineligible throughout,
         # so finishing on the reference loop is both correct and stable
+        # (its first read of the object model unpacks a parked run)
         engine.note_backend_effective("object", reason)
         advance_reference(engine, end, drain)

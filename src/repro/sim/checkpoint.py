@@ -197,6 +197,9 @@ def snapshot_engine(engine, loop: Optional[Tuple[int, int]] = None) -> Checkpoin
     telemetry = engine.telemetry
     if telemetry is not None and not hasattr(telemetry, "state_dict"):
         telemetry = None  # a recorder we don't know how to capture
+    # a snapshot is the object model's encoding: this read unpacks a run
+    # parked on the engine before anything below looks at node-level state
+    nodes = engine.nodes
     state = {
         "t": engine.t,
         "loop": loop,
@@ -210,7 +213,7 @@ def snapshot_engine(engine, loop: Optional[Tuple[int, int]] = None) -> Checkpoin
         "force_full_scan": engine.force_full_scan,
         "flows": engine.flows.state_dict(),
         "metrics": engine.metrics.state_dict(),
-        "nodes": [node.state_dict() for node in engine.nodes],
+        "nodes": [node.state_dict() for node in nodes],
         "digest": (None if engine.digest is None
                    else engine.digest.state_dict()),
         "monitor": (None if engine.monitor is None
@@ -250,6 +253,9 @@ def apply_checkpoint(engine, checkpoint: Checkpoint) -> None:
     from .node import Transmission
 
     state = checkpoint.state
+    # a run parked on the engine holds state this is about to overwrite:
+    # drop it rather than unpack it
+    engine._parked = None
     engine.rng.setstate(state["rng"])
     engine._pending_flows.clear()
     engine._pending_flows.extend(tuple(i) for i in state["pending_flows"])

@@ -54,6 +54,29 @@ _backend_log = logging.getLogger("repro.backend")
 _fallbacks_logged: Set[Tuple[str, str]] = set()
 
 
+class _OnFirstRead:
+    """A root of the object model: ``Engine.nodes`` or ``Engine._in_flight``.
+
+    A non-data descriptor, so the instance attribute shadows it: it runs
+    only while the instance has no such attribute — before anything has
+    read the object model, or while a backend's packed run is the engine's
+    state (:meth:`Engine._park`) — and builds the model on that read.  Once
+    the attributes exist the object pipeline reads them like any other.
+    (``__getattr__`` on the class would do the same job, but takes every
+    attribute load of every engine off CPython's specialised path; see
+    DESIGN.md §11.)
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, engine, owner=None):
+        if engine is None:
+            return self
+        engine._materialize(self.name)
+        return vars(engine)[self.name]
+
+
 def _advance_faults(engine: "Engine", t: int) -> None:
     engine.failure_manager.advance(engine, t)
 
@@ -73,6 +96,12 @@ class Engine:
             with ``on_token`` and ``apply`` hooks; see
             :mod:`repro.failures.manager`).
     """
+
+    #: the nodes and the wire of in-flight transmissions.  Neither exists
+    #: until something reads it: a run that stays on a backend's slab
+    #: never builds the ``n * h * (r - 1)`` queues of the object model
+    nodes: List[Node] = _OnFirstRead()
+    _in_flight: Deque[Transmission] = _OnFirstRead()
 
     def __init__(
         self,
@@ -110,13 +139,20 @@ class Engine:
         #: allocating ~one per node per slot (identity is never observed).
         #: Built before the nodes, which cache a reference.
         self._tx_pool: List[Transmission] = []
-        self.nodes: List[Node] = [Node(i, self) for i in range(config.n)]
+        #: the backend's packed run while it, not the object model, holds
+        #: the nodes' and the wire's state (see :meth:`_park`)
+        self._parked = None
+        #: the node objects of a parked run's stale object model, kept for
+        #: its ``unpack()`` to write into
+        self._shelved_nodes: Optional[List[Node]] = None
+        #: times the object model was materialised — built empty, or
+        #: unpacked from a parked run; 0 for a run that never left the slab
+        self.model_syncs = 0
         self.t = 0
         # hot-path caches for step()
         self._epoch_length = self.schedule.epoch_length
         self._phase_table = self.schedule.phase_table
         self._offset_table = self.schedule.offset_table
-        self._in_flight: Deque[Transmission] = deque()
         #: payload (non-dummy) cells currently on the wire — part of the
         #: cell-conservation invariant and the quiescence condition
         self._in_flight_payload = 0
@@ -163,8 +199,9 @@ class Engine:
         #: monitor/recorder/event log to be attached and absorb it
         self._pending_restore: Optional[Dict[str, object]] = None
         #: the slot-loop backend (see repro.sim.backends): owns the slot
-        #: loop; the object model stays authoritative between backend
-        #: calls, so observers and manual step() always work
+        #: loop.  Between its calls every engine-level attribute is
+        #: current and the object model is one read away, so observers
+        #: and manual step() always work
         self.backend = make_backend(config.backend)
         #: the pipeline that actually ran: starts as the configured backend
         #: name and is downgraded (sticky) by note_backend_effective() when
@@ -201,6 +238,70 @@ class Engine:
                 "backend %r fell back to %r pipeline%s",
                 requested, name, f" ({reason})" if reason else "",
             )
+
+    # ------------------------------------------------------------------ #
+    # the object model, on demand (see _OnFirstRead)
+
+    @property
+    def _built_nodes(self) -> Optional[List[Node]]:
+        """The node list if the object model exists right now, else None
+        (never materialises)."""
+        return vars(self).get("nodes")
+
+    def _materialize(self, forced_by: str) -> None:
+        """Bring the object model into existence: the nodes and the wire,
+        empty for an engine that has not run and filled by ``unpack()``
+        when a backend's run is parked — which drops the run, so the
+        object model is authoritative from here on."""
+        run, self._parked = self._parked, None
+        nodes, self._shelved_nodes = self._shelved_nodes, None
+        if nodes is None:
+            nodes = [Node(i, self) for i in range(self.config.n)]
+        self.nodes = nodes
+        self._in_flight = deque()
+        if not self.model_syncs:
+            _backend_log.debug(
+                "object model of %r materialised by a read of %r",
+                self, forced_by,
+            )
+        self.model_syncs += 1
+        if run is not None:
+            run.engine = self
+            run.unpack()
+
+    def _park(self, run) -> None:
+        """Make a backend's packed ``run`` the engine's state.
+
+        The run has synced everything that is not a node or a transmission
+        (clock, flows, metrics, RNG), so every engine-level attribute reads
+        as after an object run.  The object model, stale since the run was
+        packed, leaves the instance: the next read of ``nodes`` or
+        ``_in_flight`` unpacks the run (:meth:`_materialize`), and a
+        backend that finds the run here first continues on its columns.
+        A parked run holds no reference back, so dropping an engine that
+        never built its nodes frees the slab at once instead of leaving it
+        to the cycle collector.
+        """
+        self._parked = run
+        run.engine = None
+        if self._built_nodes is not None:
+            self._shelved_nodes = self.nodes
+            del self.nodes, self._in_flight
+
+    def peak_occupancies(self) -> Tuple[int, int, int]:
+        """``(active buckets, PIEO occupancy, buffered cells)``: the
+        high-water marks of any node's bucket tracker and of any send
+        queue, and the most cells buffered at any node now — read from a
+        parked run's columns without materialising the object model."""
+        if self._parked is not None:
+            return self._parked.peak_occupancies()
+        buckets = pieo = buffered = 0
+        for node in self._built_nodes or ():
+            if node.bucket_tracker is not None:
+                buckets = max(buckets, node.bucket_tracker.peak)
+            pieo = max(pieo, node.max_pieo_occupancy())
+            buffered = max(buffered, node.buffer_occupancy())
+        return buckets, pieo, buffered
 
     def enable_profiler(self):
         """Attach (and return) a step profiler; see repro.obs.profiler.
@@ -499,7 +600,10 @@ class Engine:
 
     def throughput(self) -> float:
         """Mean delivered payload per node per slot so far (line-rate frac)."""
-        alive = sum(1 for n in self.nodes if not n.failed)
+        # no node can have failed while the object model does not exist
+        nodes = self._built_nodes
+        alive = self.config.n if nodes is None \
+            else sum(1 for n in nodes if not n.failed)
         return self.metrics.mean_throughput_cells_per_slot(max(1, self.t), alive)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -9,15 +9,20 @@ can never silently mix backends.
 """
 
 import contextlib
+import gc
 import logging
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import open_session, simulate
+from repro.core.strategies import schedule_names
 from repro.failures.manager import FailureEvent, FailureManager
 from repro.sim import engine as engine_mod
+from repro.sim import node as node_mod
 from repro.sim.backends import (
     EngineBackend,
     backend_class,
@@ -26,6 +31,7 @@ from repro.sim.backends import (
     make_backend,
     set_default_backend,
 )
+from repro.sim.backends import vector as vector_mod
 from repro.sim.backends.token_slab import TokenRun
 from repro.sim.backends.vector import VectorBackend
 from repro.sim.checkpoint import (
@@ -463,6 +469,347 @@ class TestCheckpointBackendValidation:
         reference = self._snapshot_engine("object", "hbh+spray")
         reference.run(400 - reference.t)
         assert _trace(restored) == _trace(reference)
+
+
+def _engine_level(engine):
+    """:func:`_trace` without the object model: what every ``advance``
+    must leave equal to the object run's, and reading it builds nothing."""
+    return {
+        "digest": None if engine.digest is None else engine.digest.hexdigest(),
+        "events": None if engine.digest is None else engine.digest.events,
+        "t": engine.t,
+        "rng": engine.rng.getstate(),
+        "metrics": engine.metrics.state_dict(),
+        "flows": engine.flows.state_dict(),
+        "in_flight_payload": engine._in_flight_payload,
+        "pending_work": engine.has_pending_work,
+    }
+
+
+def _staggered_flows(cfg, seed, waves=5, gap=97):
+    """Permutation waves ``gap`` slots apart, sorted by arrival."""
+    flows = []
+    for wave in range(waves):
+        wave_cfg = SimConfig(n=cfg.n, h=cfg.h, seed=seed + wave)
+        flows.extend((wave * gap, src, dst, cells, size) for _, src, dst,
+                     cells, size in permutation_workload(wave_cfg, 60))
+    return flows
+
+
+@pytest.fixture
+def nodes_built(monkeypatch):
+    """The ids of every ``Node`` constructed while the test runs."""
+    built = []
+    construct = node_mod.Node.__init__
+
+    def counting(node, node_id, engine):
+        built.append(node_id)
+        construct(node, node_id, engine)
+
+    monkeypatch.setattr(node_mod.Node, "__init__", counting)
+    return built
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """One entry per ``pack()`` of any slab run while the test runs."""
+    calls = []
+    pack = vector_mod._VectorRun.pack
+    monkeypatch.setattr(
+        vector_mod._VectorRun, "pack",
+        lambda run: (calls.append(type(run).__name__), pack(run))[1],
+    )
+    return calls
+
+
+class TestResidentSlab:
+    """The packed run is the engine's state between ``advance`` calls and
+    the object model exists only once something reads it — invisible
+    except in cost: every engine-level attribute equals the object run's
+    after every advance, and so do the nodes and the wire once read."""
+
+    @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
+    def test_simulate_never_builds_the_object_model(self, cc, no_floor,
+                                                    nodes_built):
+        reference, _ = _run("object", 64, 2, cc, 11)
+        del nodes_built[:]
+        cfg = _build("vector", 64, 2, cc, 11).config
+        result = simulate(cfg, permutation_workload(cfg, 25), digest=True)
+        engine = result.engine
+        engine.run_until_quiescent(max_extra=20_000)
+        assert engine.backend_effective == "vector"
+        assert engine.model_syncs == 0 and not nodes_built
+        level = _engine_level(engine)
+        assert all(level[key] == reference[key]
+                   for key in level.keys() & reference.keys())
+        # the first read builds it, once, equal to the object run's
+        assert _trace(engine) == reference
+        assert engine.model_syncs == 1
+        assert sorted(nodes_built) == list(range(64))
+        assert _trace(engine) == reference and engine.model_syncs == 1
+
+    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
+    @pytest.mark.parametrize("stride", [1, 7, 256])
+    def test_slicing_is_invisible(self, cc, stride, no_floor, packs,
+                                  nodes_built):
+        """One ``run(T)`` against slices of ``stride`` slots with the
+        flows of each slice scheduled just before it (what a live session
+        does): same engine-level state after the last slice, one pack."""
+        horizon = 600
+        cfg = _build("object", 64, 2, cc, 5).config
+        flows = _staggered_flows(cfg, 5)
+        whole = Engine(cfg, workload=flows)
+        whole.enable_digest()
+        whole.run(horizon)
+        del packs[:], nodes_built[:]
+        sliced = Engine(_build("vector", 64, 2, cc, 5).config)
+        sliced.enable_digest()
+        cursor = 0
+        while sliced.t < horizon:
+            target = min(horizon, sliced.t + stride)
+            upto = cursor
+            while upto < len(flows) and flows[upto][0] < target:
+                upto += 1
+            sliced.schedule_flows(flows[cursor:upto])
+            cursor = upto
+            sliced.run(target - sliced.t)
+        assert _engine_level(sliced) == _engine_level(whole)
+        assert len(packs) == 1 and not nodes_built
+        assert sliced.model_syncs == 0
+        assert sliced.backend_effective == "vector"
+        assert _trace(sliced) == _trace(whole)
+
+    def _twins(self, cc, seed=8):
+        # flows long enough to be mid-send at every cut of these tests
+        engines = [_build(backend, 64, 2, cc, seed, duration=500,
+                          size_cells=200)
+                   for backend in ("object", "vector")]
+        for engine in engines:
+            engine.enable_digest()
+            engine.run(120)
+        return engines
+
+    @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
+    def test_manual_step_materialises_once(self, cc, no_floor):
+        reference, engine = self._twins(cc)
+        # mid-run maxima come off the parked columns, nothing is built
+        peaks = engine.peak_occupancies()
+        assert peaks == reference.peak_occupancies() and all(peaks[1:])
+        assert bool(peaks[0]) == (cc == "hbh+spray")
+        assert engine.model_syncs == 0
+        for twin in (reference, engine):
+            for _ in range(5):
+                twin.step()
+        assert engine.model_syncs == 1
+        assert _trace(engine) == _trace(reference)
+        for twin in (reference, engine):
+            twin.run(100)       # packs again, from the object model
+            twin.run(100)
+        assert engine.model_syncs == 1
+        assert _engine_level(engine) == _engine_level(reference)
+        assert _trace(engine) == _trace(reference)
+        assert engine.backend_effective == "vector"
+
+    @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
+    def test_snapshot_materialises_once_and_restores(self, cc, no_floor):
+        reference, engine = self._twins(cc)
+        checkpoint = engine.snapshot()
+        assert engine.model_syncs == 1
+        restored = restore_engine(checkpoint)
+        # restoring onto a parked run drops it instead of unpacking it
+        parked = _build("vector", 64, 2, cc, 8, duration=500,
+                        size_cells=200)
+        parked.run(40)
+        assert parked._parked is not None and parked.model_syncs == 0
+        apply_checkpoint(parked, checkpoint)
+        assert parked._parked is None and parked.model_syncs == 1
+        for twin in (reference, engine, restored, parked):
+            twin.run(380)
+        assert engine.model_syncs == 1
+        for twin in (engine, restored, parked):
+            assert twin.backend_effective == "vector"
+            assert _trace(twin) == _trace(reference)
+
+    @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
+    def test_monitor_attached_mid_run_materialises_once(self, cc, no_floor):
+        reference, engine = self._twins(cc)
+        monitors = [RunMonitor(strict=True).attach(twin)
+                    for twin in (reference, engine)]
+        assert engine.model_syncs == 0      # attaching reads no node
+        for twin in (reference, engine):
+            twin.run(200)
+            twin.run(180)
+        assert engine.model_syncs == 1
+        assert engine.backend_reason == "monitor attached"
+        assert monitors[0].checks == monitors[1].checks > 0
+        assert _trace(engine) == _trace(reference)
+
+    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
+    def test_engine_level_changes_between_slices_do_not_materialise(
+            self, cc, no_floor, packs, nodes_built):
+        """A digest or profiler enabled between slices is picked up by the
+        next one, and an engine RNG somebody else drew from is mirrored
+        again — all on the parked run."""
+        engines = [_build(backend, 64, 2, cc, 8, duration=500,
+                          size_cells=200)
+                   for backend in ("object", "vector")]
+        del packs[:], nodes_built[:]
+        for engine in engines:
+            engine.run(90)
+            engine.enable_digest()
+            engine.run(90)
+            engine.rng.random()
+            engine.run(90)
+            profiler = engine.enable_profiler()
+            engine.run(90)
+            assert profiler.steps == 90
+        reference, engine = engines
+        assert _engine_level(engine) == _engine_level(reference)
+        assert engine.model_syncs == 0 and len(packs) == 1
+        assert nodes_built == list(range(64))   # the object twin's
+        assert _trace(engine) == _trace(reference)
+
+    def test_an_rng_the_slab_cannot_mirror_hands_back(self, no_floor):
+        reference, engine = self._twins("none")
+        for twin in (reference, engine):
+            twin.rng.gauss(0.0, 1.0)    # leaves a cached second variate
+            twin.run(100)
+        assert engine.model_syncs == 1
+        assert engine.backend_reason == "RNG holds a cached gauss() value"
+        assert _trace(engine) == _trace(reference)
+
+    def test_status_is_engine_level(self, nodes_built):
+        cfg = _build("vector", 64, 2, "none", 3).config
+        session = open_session(cfg, permutation_workload(cfg, 25),
+                               digest=True, telemetry=True)
+        session.advance(100)
+        status = session.status()
+        session.advance(100)
+        assert status["model_syncs"] == session.status()["model_syncs"] == 0
+        assert status["backend"] == "vector" and not nodes_built
+        assert session.engine.throughput() > 0 and not nodes_built
+        session.engine.step()
+        assert session.status()["model_syncs"] == 1
+
+    def test_a_dropped_engine_frees_its_slab_at_once(self):
+        """A parked run holds no reference back to its engine: no cycle
+        keeps the slab of a finished run alive until the collector runs
+        (a sweep would otherwise carry several engines' columns)."""
+        engine = _build("vector", 64, 2, "none", 3)
+        engine.run(50)
+        engine.run(50)
+        run = weakref.ref(engine._parked)
+        gc.disable()
+        try:
+            del engine
+            assert run() is None
+        finally:
+            gc.enable()
+
+    def test_first_materialisation_is_logged_with_its_cause(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.backend"):
+            read = _build("vector", 16, 2, "none", 1)
+            read.run(20)
+            read.nodes
+            read.run(20)
+            read.nodes                  # a second sync is not news
+            stepped = _build("object", 16, 2, "none", 1)
+            stepped.step()
+        assert (read.model_syncs, stepped.model_syncs) == (2, 1)
+        causes = [record.getMessage().rsplit(" ", 1)[1]
+                  for record in caplog.records
+                  if record.name == "repro.backend"]
+        assert causes == ["'nodes'", "'_in_flight'"]
+
+    @pytest.mark.parametrize("cc", ["none", "spray-short"])
+    def test_rng_replay_is_rebased_and_blocked(self, cc, no_floor,
+                                               monkeypatch):
+        """Both draw cursors (uniform spraying, tie-breaks) survive being
+        synced every 1, 7 and 256 slots, and a replay cut into blocks: the
+        engine RNG ends where the object run's does, and a sync replays
+        the words drawn since the previous one, not the run's history."""
+        replayed = []
+        sync_rng = vector_mod._VectorRun._sync_rng
+        monkeypatch.setattr(
+            vector_mod._VectorRun, "_sync_rng",
+            lambda run: (replayed.append(run.words_consumed),
+                         sync_rng(run))[1],
+        )
+
+        def build(backend):
+            return _build(backend, 64, 2, cc, 21, duration=520,
+                          size_cells=150)
+
+        reference = build("object")
+        reference.run()
+        expected = reference.rng.getstate()
+        totals = []
+        for stride in (1, 7, 256):
+            del replayed[:]
+            engine = build("vector")
+            while engine.t < 520:
+                engine.run(min(stride, 520 - engine.t))
+            assert engine.rng.getstate() == expected, stride
+            assert engine.model_syncs == 0
+            totals.append(sum(replayed))
+        del replayed[:]
+        monkeypatch.setattr(vector_mod, "_REPLAY_BLOCK", 1_000)
+        engine = build("vector")
+        engine.run()
+        assert engine.rng.getstate() == expected
+        (words,) = replayed
+        assert words > 2_000 and words % 1_000  # blocks and a remainder
+        assert totals == [words] * 3
+
+
+class TestSlabTables:
+    """The slab's lookup tables come from the coordinate system and are
+    built once per ``(schedule, n, h)``."""
+
+    @pytest.mark.parametrize("schedule", schedule_names())
+    @pytest.mark.parametrize("n,h", [(16, 1), (16, 2), (27, 3), (64, 2)])
+    def test_tables_match_the_nodes_own(self, schedule, n, h):
+        try:
+            cfg = SimConfig(n=n, h=h, schedule=schedule, backend="vector")
+        except ValueError:
+            pytest.skip(f"{schedule} cannot build n={n}, h={h}")
+        engine = Engine(cfg)
+        tables = vector_mod._SlabTables(engine.schedule, engine.coords)
+        # the loop the arithmetic replaced, kept here as the reference
+        flat = [node.neighbors_flat for node in engine.nodes]
+        assert tables.peer.T.tolist() == [list(row) for row in flat]
+        assert tables.nbr.tolist() == [
+            [row[link] for row in flat] for link in tables.link_table
+        ]
+        assert tables.link_table == [
+            engine.nodes[0].link_index(phase, offset)
+            for phase, offset in zip(engine.schedule.phase_table,
+                                     engine.schedule.offset_table)
+        ]
+        peer, back, pair_key, pair_link = tables.links
+        if back is not None:
+            for link, reverse in enumerate(back.tolist()):
+                assert all(flat[nb][reverse] == i
+                           for i, nb in enumerate(peer[link].tolist()))
+
+    def test_built_once_per_size(self, monkeypatch):
+        built = []
+        init = vector_mod._SlabTables.__init__
+        monkeypatch.setattr(
+            vector_mod._SlabTables, "__init__",
+            lambda tables, schedule, coords: (
+                built.append((coords.n, coords.h)),
+                init(tables, schedule, coords))[1],
+        )
+        monkeypatch.setattr(vector_mod._SlabTables, "_latest", (None, None))
+        with slab_floor(0):
+            for cc in ("none", "hbh+spray", "none"):
+                _build("vector", 64, 2, cc, 1).run(30)
+            assert built == [(64, 2)]
+            _build("vector", 16, 2, "none", 1).run(30)
+            _build("vector", 64, 2, "none", 1).run(30)
+        # one entry: the latest size only
+        assert built == [(64, 2), (16, 2), (64, 2)]
 
 
 class TestGoldenTracesOnVectorBackend:

@@ -184,3 +184,39 @@ class TestResources:
         engine.run()
         obs = observe_resources(engine)
         assert obs.max_active_buckets == 0  # no bucket tracking without HBH
+
+    def test_fig13_cell_reads_the_slab_not_the_object_model(self,
+                                                            monkeypatch):
+        """A Fig. 13 cell stepped on the vector slab reports the object
+        run's observation from the parked run's columns: the end-of-cell
+        resource query builds no node."""
+        from repro.experiments import fig13_scalability as fig13
+        from repro.sim.backends import set_default_backend
+
+        seen = {}
+
+        def observing(engine):
+            observation = observe_resources(engine)
+            seen[engine.config.backend] = (engine, observation)
+            return observation
+
+        monkeypatch.setattr(fig13, "observe_resources", observing)
+        rows = {}
+        for backend in ("object", "vector"):
+            previous = set_default_backend(backend)
+            try:
+                rows[backend] = fig13.run(
+                    sizes={2: (144,)}, duration=400, workers=1).rows
+            finally:
+                set_default_backend(previous)
+        engine, observation = seen["vector"]
+        assert engine.backend_effective == "vector"
+        assert engine.model_syncs == 0
+        assert observation == seen["object"][1]
+        assert rows["vector"] == rows["object"]
+        # the exact tracker peaks, not just the sampled maxima
+        assert observation.max_active_buckets \
+            >= engine.metrics.max_active_buckets > 0
+        assert observation.max_pieo_length > 0
+        assert engine.peak_occupancies() \
+            == seen["object"][0].peak_occupancies()

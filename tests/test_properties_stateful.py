@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -18,6 +19,8 @@ from repro.core.interleave import (
 )
 from repro.core.schedule import Schedule
 from repro.failures import FaultInjector
+from repro.sim.backends.vector import VectorBackend
+from repro.sim.checkpoint import restore_engine
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.monitor import RunMonitor
@@ -105,6 +108,134 @@ class ReorderBufferMachine(RuleBasedStateMachine):
 
 
 TestReorderBufferModel = ReorderBufferMachine.TestCase
+
+
+class ResidentSlabMachine(RuleBasedStateMachine):
+    """A vector-backend engine against an object-backend twin under any
+    interleaving of advances, submissions and the things that read or
+    re-wire an engine between them.  After every rule the engine-level
+    state is equal; the vector engine's object model is built only when a
+    rule needs it, which ``model_syncs`` must count exactly; and at the
+    end the nodes and the wire are equal too."""
+
+    def __init__(self):
+        super().__init__()
+        # the measured size floor would keep these small networks off the
+        # slab; the machine runs with it lifted, as tests/test_backends does
+        self.floor = VectorBackend.TOKEN_SLAB_MIN_N
+        VectorBackend.TOKEN_SLAB_MIN_N = 0
+
+    def teardown(self):
+        VectorBackend.TOKEN_SLAB_MIN_N = self.floor
+        assert [node.state_dict() for node in self.slab.nodes] \
+            == [node.state_dict() for node in self.reference.nodes]
+        assert [tx.state() for tx in self.slab._in_flight] \
+            == [tx.state() for tx in self.reference._in_flight]
+
+    @initialize(cc=st.sampled_from(["none", "spray-short", "hbh+spray"]),
+                seed=st.integers(0, 2**16))
+    def build(self, cc, seed):
+        self.reference, self.slab = (
+            Engine(SimConfig(n=16, h=2, seed=seed, propagation_delay=3,
+                             congestion_control=cc, backend=backend))
+            for backend in ("object", "vector")
+        )
+        self.seed = seed
+        self.monitored = False
+        #: what the slab engine must report: whether a run is parked on
+        #: it, and how often its object model has been built
+        self.parked = False
+        self.syncs = 0
+
+    def both(self, act):
+        return act(self.reference), act(self.slab)
+
+    def model_read(self):
+        """Something read the slab engine's nodes or wire: that builds
+        them unless they exist (built before, and no run parked since)."""
+        if self.parked or not self.syncs:
+            self.parked = False
+            self.syncs += 1
+
+    @rule(slots=st.sampled_from([1, 2, 7, 40]))
+    def advance(self, slots):
+        self.both(lambda engine: engine.run(slots))
+        if self.monitored:
+            self.model_read()       # the reference pipeline took over
+        else:
+            self.parked = True
+
+    @rule(size=st.integers(1, 30))
+    def submit(self, size):
+        self.seed += 1
+        cfg = SimConfig(n=16, h=2, seed=self.seed)
+        flows = [(self.slab.t, *flow[1:])
+                 for flow in permutation_workload(cfg, size)]
+        self.both(lambda engine: engine.schedule_flows(flows))
+
+    @rule()
+    def manual_step(self):
+        self.both(lambda engine: engine.step())
+        self.model_read()
+
+    @rule()
+    def snapshot_and_restore(self):
+        checkpoints = self.both(lambda engine: engine.snapshot())
+        self.model_read()
+        assert self.slab.model_syncs == self.syncs
+        self.reference, self.slab = map(restore_engine, checkpoints)
+        if self.monitored:
+            self.both(lambda engine: RunMonitor(strict=True).attach(engine))
+        self.syncs = 1              # a restored engine starts from nodes
+
+    @precondition(lambda self: not self.monitored)
+    @rule()
+    def attach_monitor(self):
+        self.both(lambda engine: RunMonitor(strict=True).attach(engine))
+        self.monitored = True
+
+    @rule()
+    def enable_digest(self):
+        self.both(lambda engine: engine.enable_digest())
+
+    @rule()
+    def enable_profiler(self):
+        self.both(lambda engine: engine.enable_profiler())
+
+    @rule()
+    def somebody_draws_from_the_rng(self):
+        drawn = self.both(lambda engine: engine.rng.random())
+        assert drawn[0] == drawn[1]
+
+    @rule()
+    def engine_level_queries(self):
+        peaks = self.both(lambda engine: engine.peak_occupancies())
+        speeds = self.both(lambda engine: engine.throughput())
+        assert peaks[0] == peaks[1] and speeds[0] == speeds[1]
+
+    @invariant()
+    def engine_level_state_is_equal(self):
+        reference, slab = self.reference, self.slab
+        assert slab.t == reference.t
+        assert slab.rng.getstate() == reference.rng.getstate()
+        assert slab.metrics.state_dict() == reference.metrics.state_dict()
+        assert slab.flows.state_dict() == reference.flows.state_dict()
+        assert slab.has_pending_work == reference.has_pending_work
+        assert (slab.digest is None) == (reference.digest is None)
+        if slab.digest is not None:
+            assert slab.digest.hexdigest() == reference.digest.hexdigest()
+
+    @invariant()
+    def the_model_is_built_only_when_read(self):
+        assert self.slab.model_syncs == self.syncs
+        assert (self.slab._parked is not None) == self.parked
+
+
+ResidentSlabMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=14, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestResidentSlabModel = ResidentSlabMachine.TestCase
 
 
 class TestInterleaveProperties:

@@ -226,6 +226,8 @@ class TestSessionApi:
         status = session.status()
         assert status["backend"] == "object"
         assert status["backend_reason"] == "congestion_control='isd'"
+        # ... and that its first slot had to build the object model
+        assert status["model_syncs"] == 1
 
 
 class TestSessionDurability:
