@@ -40,7 +40,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
 from .service.session import Session, _wire_observers
-from .sim.checkpoint import discard_checkpoint, load_any_checkpoint_or_none, restore_engine
+from .sim.checkpoint import (
+    load_checkpoint_or_none,
+    remove_checkpoint,
+    restore_engine,
+)
 from .sim.config import SimConfig
 from .sim.engine import Engine, ScheduledFlow
 from .sim.flows import FlowTable
@@ -90,7 +94,6 @@ def open_session(
     failures=None,
     checkpoint=None,
     checkpoint_every: Optional[int] = None,
-    checkpoint_parts: Optional[int] = None,
 ) -> Session:
     """Open a live :class:`~repro.service.session.Session`.
 
@@ -108,12 +111,9 @@ def open_session(
         telemetry / monitor / digest / events: observer wiring, identical
             to :func:`simulate`.
         failures: a :class:`~repro.failures.FailureManager` to apply.
-        checkpoint: durability file path — resume from it when it exists
-            (whole file or composed per-shard parts), snapshot into it
-            while running, removed on ``finish()``.
+        checkpoint: durability file path — resume from it when it exists,
+            snapshot into it while running, removed on ``finish()``.
         checkpoint_every: snapshot interval in timeslots (default 100000).
-        checkpoint_parts: persist snapshots as this many per-shard split
-            files instead of one whole file.
 
     Returns:
         An open :class:`~repro.service.session.Session`.
@@ -129,7 +129,6 @@ def open_session(
         failures=failures,
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,
-        checkpoint_parts=checkpoint_parts,
     )
 
 
@@ -167,9 +166,8 @@ def simulate(
         failures: a :class:`~repro.failures.FailureManager` to
             apply (ignored when resuming — the restored state carries it).
         checkpoint: a file path enabling checkpoint/resume: resume from it
-            when it exists (a whole snapshot, or per-shard split parts
-            composed back together), periodically snapshot into it while
-            running, remove it — parts included — on clean completion.
+            when it exists, periodically snapshot into it while running,
+            remove it on clean completion.
         checkpoint_every: snapshot interval in timeslots (default 100000;
             only meaningful with ``checkpoint``).
 
@@ -180,12 +178,11 @@ def simulate(
     resumed_from = None
     engine = None
     if checkpoint is not None:
-        saved = load_any_checkpoint_or_none(checkpoint)
+        saved = load_checkpoint_or_none(checkpoint)
         if saved is not None:
             if saved.config != config:
-                # a stale file from another experiment: start over (and
-                # drop any per-shard parts riding beside it)
-                discard_checkpoint(checkpoint)
+                # a stale file from another experiment: start over
+                remove_checkpoint(checkpoint)
             else:
                 engine = restore_engine(saved)
                 resumed_from = engine.t
@@ -205,7 +202,7 @@ def simulate(
         engine.run_until_quiescent()
 
     if checkpoint is not None:
-        discard_checkpoint(checkpoint)
+        remove_checkpoint(checkpoint)
     return RunResult(
         config=config,
         metrics=engine.metrics,

@@ -191,13 +191,8 @@ class ActiveBucketTracker:
         self._refcount.update(dict(state["refcount"]))
         self.peak = state["peak"]
 
-    @property
-    def active(self) -> int:
-        """Number of currently active buckets."""
-        return len(self._refcount)
-
     def __len__(self) -> int:
-        """Number of currently active buckets (same as :attr:`active`)."""
+        """Number of currently active buckets."""
         return len(self._refcount)
 
     def active_buckets(self) -> Iterable[BucketId]:

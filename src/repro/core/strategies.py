@@ -30,15 +30,18 @@ checked only at runtime depth.
 
 Registration is population-on-import: the built-in strategies live in
 :mod:`repro.core.schedule` and :mod:`repro.core.routing`, which register
-themselves when imported.  Registry lookups call :func:`_ensure_builtins`
-first, so consumers (e.g. :class:`~repro.sim.config.SimConfig` validation)
-never observe a half-populated registry.
+themselves when imported.  Each :class:`~repro.core.registry.Registry`
+imports its built-ins before it lists names or gives up on a lookup, so
+consumers (e.g. :class:`~repro.sim.config.SimConfig` validation) never
+observe a half-populated registry.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
+
+from .registry import Registry
 
 __all__ = [
     "ScheduleStrategy",
@@ -159,8 +162,8 @@ class RoutingStrategy:
 # --------------------------------------------------------------------- #
 # registries
 
-_SCHEDULES: Dict[str, Type[ScheduleStrategy]] = {}
-_ROUTINGS: Dict[str, Callable[..., RoutingStrategy]] = {}
+_SCHEDULES = Registry("schedule strategy", builtins=("repro.core.schedule",))
+_ROUTINGS = Registry("routing strategy", builtins=("repro.core.routing",))
 
 #: process-wide memo of shared immutable schedule instances, keyed by
 #: (strategy name, n, h); the generalization of the old ``Schedule.shared``
@@ -169,29 +172,9 @@ _ROUTINGS: Dict[str, Callable[..., RoutingStrategy]] = {}
 _shared_schedules: Dict[Tuple[str, int, int], ScheduleStrategy] = {}
 
 
-def _ensure_builtins() -> None:
-    """Import the modules that register the built-in strategies.
-
-    Deferred (rather than imported at module top) to keep this module
-    import-cycle-free: ``schedule.py`` / ``routing.py`` import the
-    decorators from here.
-    """
-    if "ebs" not in _SCHEDULES or "vlb" not in _ROUTINGS:
-        from . import routing, schedule  # noqa: F401  (import = register)
-
-
 def register_schedule(name: str):
     """Class decorator registering a :class:`ScheduleStrategy` under ``name``."""
-
-    def decorator(cls: Type[ScheduleStrategy]) -> Type[ScheduleStrategy]:
-        existing = _SCHEDULES.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"schedule strategy {name!r} already registered")
-        cls.strategy_name = name
-        _SCHEDULES[name] = cls
-        return cls
-
-    return decorator
+    return _SCHEDULES.registering(name, "strategy_name")
 
 
 def register_routing(name: str):
@@ -200,52 +183,27 @@ def register_routing(name: str):
     The class is constructed as ``cls(schedule, rng=rng)`` by
     :func:`make_router`.
     """
-
-    def decorator(cls):
-        existing = _ROUTINGS.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"routing strategy {name!r} already registered")
-        cls.strategy_name = name
-        _ROUTINGS[name] = cls
-        return cls
-
-    return decorator
+    return _ROUTINGS.registering(name, "strategy_name")
 
 
 def schedule_names() -> List[str]:
     """Sorted names of every registered schedule strategy."""
-    _ensure_builtins()
-    return sorted(_SCHEDULES)
+    return _SCHEDULES.names()
 
 
 def routing_names() -> List[str]:
     """Sorted names of every registered routing strategy."""
-    _ensure_builtins()
-    return sorted(_ROUTINGS)
+    return _ROUTINGS.names()
 
 
 def schedule_class(name: str) -> Type[ScheduleStrategy]:
     """The registered schedule strategy class for ``name``."""
-    _ensure_builtins()
-    try:
-        return _SCHEDULES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown schedule strategy {name!r}; "
-            f"registered: {sorted(_SCHEDULES)}"
-        ) from None
+    return _SCHEDULES[name]
 
 
 def routing_class(name: str):
     """The registered routing strategy class for ``name``."""
-    _ensure_builtins()
-    try:
-        return _ROUTINGS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown routing strategy {name!r}; "
-            f"registered: {sorted(_ROUTINGS)}"
-        ) from None
+    return _ROUTINGS[name]
 
 
 def make_schedule(name: str, n: int, h: int) -> ScheduleStrategy:

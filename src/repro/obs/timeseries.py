@@ -8,9 +8,10 @@ instantaneous populations into int64 columns (the same growable numpy
 buffers the metrics collector uses), giving throughput-over-time, queue
 growth and token traffic without re-instrumenting by hand.
 
-The recorder is a pure observer and is cheap: one counter snapshot plus one
-walk over the nodes per sample window (every ``metrics_sample_interval``
-slots), all through public accessors.
+The recorder is a pure observer and is cheap: one counter snapshot per
+sample window (every ``metrics_sample_interval`` slots); the node
+populations arrive with the call, from the walk the metrics sample already
+made.
 """
 
 from __future__ import annotations
@@ -101,41 +102,7 @@ class TimeSeriesRecorder:
             getattr(metrics, attr) for _, attr in self._DELTA_SOURCES
         )
 
-    def on_window(self, engine, t: int) -> None:
-        """Close one window: record deltas and instantaneous populations.
-
-        Called by the engine right after the metrics sampling step, so the
-        instantaneous readings land at exactly the sampling instants.
-        """
-        queued = 0
-        max_queue = 0
-        max_buffer = 0
-        active_buckets = 0
-        for node in engine.nodes:
-            if node.failed:
-                continue
-            occupancy = node.total_enqueued
-            queued += occupancy
-            if occupancy > max_buffer:
-                max_buffer = occupancy
-            for queue in node.link_queues:
-                length = len(queue)
-                if length > max_queue:
-                    max_queue = length
-            tracker = node.bucket_tracker
-            if tracker is not None:
-                active = len(tracker)
-                if active > active_buckets:
-                    active_buckets = active
-        self.on_window_stats(
-            engine, t,
-            queued=queued,
-            max_queue=max_queue,
-            max_buffer=max_buffer,
-            active_buckets=active_buckets,
-        )
-
-    def on_window_stats(
+    def on_window(
         self,
         engine,
         t: int,
@@ -145,13 +112,12 @@ class TimeSeriesRecorder:
         max_buffer: int,
         active_buckets: int,
     ) -> None:
-        """Close one window with the node populations supplied by the caller.
+        """Close one window: record deltas and instantaneous populations.
 
-        The vectorized backend already holds the queue populations in
-        columns, so it computes them with array ops and hands them over
-        instead of paying :meth:`on_window`'s per-node walk; everything
-        else (counter deltas, wire and flow populations) is read from the
-        engine identically in both entry points.
+        Called by ``Engine._close_window`` right after the metrics sample,
+        with the node populations every pipeline derives from the same two
+        sample arrays; the counter deltas and the wire and flow
+        populations are read from the engine here.
         """
         metrics = engine.metrics
         cols = self._cols

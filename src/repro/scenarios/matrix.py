@@ -87,20 +87,13 @@ def run_matrix(
     """Run the full scenario grid; return scored cells in grid order.
 
     The grid iterates patterns (outer), workloads, mechanisms (inner).
-    Unknown names fail fast, before any worker is spawned.
+    Unknown names fail fast — the registry lookups below raise — before
+    any worker is spawned.
     """
     for pattern in patterns:
-        if pattern not in FAILURE_PATTERNS:
-            raise KeyError(
-                f"unknown failure pattern {pattern!r}; "
-                f"known: {sorted(FAILURE_PATTERNS)}"
-            )
+        FAILURE_PATTERNS[pattern]
     for workload in workloads:
-        if workload not in WORKLOAD_SHAPES:
-            raise KeyError(
-                f"unknown workload shape {workload!r}; "
-                f"known: {sorted(WORKLOAD_SHAPES)}"
-            )
+        WORKLOAD_SHAPES[workload]
     from ..sim.parallel import sweep
 
     grid = [

@@ -6,16 +6,18 @@ the matrix driver only has to cross names.  Knobs scale with ``n`` and
 ``duration`` so the same pattern names work for smoke grids (n=16, a few
 thousand slots) and larger sweeps.
 
-The registries are plain ordered dicts; downstream code (notebooks, future
-experiments) can add shapes with :func:`register_failure_pattern` /
-:func:`register_workload_shape` without touching the drivers.
+The registries are :class:`~repro.core.registry.Registry` mappings;
+downstream code (notebooks, future experiments) can add shapes with
+:func:`register_failure_pattern` / :func:`register_workload_shape` without
+touching the drivers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
+from ..core.registry import Registry
 from ..failures.correlated import CorrelatedFaultInjector
 from ..failures.injector import FaultInjector
 from ..failures.manager import FailureManager
@@ -56,28 +58,26 @@ class WorkloadShape:
     build: Callable[[SimConfig, int], List[ScheduledFlow]]
 
 
-FAILURE_PATTERNS: Dict[str, FailurePattern] = {}
-WORKLOAD_SHAPES: Dict[str, WorkloadShape] = {}
+FAILURE_PATTERNS = Registry("failure pattern")
+WORKLOAD_SHAPES = Registry("workload shape")
 
 
 def register_failure_pattern(name: str, description: str,
                              build: Callable[[SimConfig],
                                              Optional[FailureManager]]
                              ) -> FailurePattern:
-    """Add (or replace) a named failure pattern in the registry."""
-    pattern = FailurePattern(name, description, build)
-    FAILURE_PATTERNS[name] = pattern
-    return pattern
+    """Add a named failure pattern to the registry."""
+    return FAILURE_PATTERNS.register(
+        name, FailurePattern(name, description, build))
 
 
 def register_workload_shape(name: str, description: str,
                             build: Callable[[SimConfig, int],
                                             List[ScheduledFlow]]
                             ) -> WorkloadShape:
-    """Add (or replace) a named workload shape in the registry."""
-    shape = WorkloadShape(name, description, build)
-    WORKLOAD_SHAPES[name] = shape
-    return shape
+    """Add a named workload shape to the registry."""
+    return WORKLOAD_SHAPES.register(
+        name, WorkloadShape(name, description, build))
 
 
 # ---------------------------------------------------------------------- #

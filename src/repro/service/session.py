@@ -33,10 +33,9 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..sim.checkpoint import (
-    discard_checkpoint,
-    load_any_checkpoint_or_none,
+    load_checkpoint_or_none,
+    remove_checkpoint,
     save_checkpoint,
-    save_split_checkpoint,
 )
 from ..sim.config import SimConfig
 from ..sim.engine import Engine, ScheduledFlow
@@ -99,7 +98,7 @@ class Session:
 
     Build one through :func:`repro.api.open_session`; the constructor
     mirrors ``simulate``'s keywords exactly (one shared wiring path) plus
-    the session-specific ``source`` and ``checkpoint_parts``.
+    the session-specific ``source``.
 
     Args:
         config: the run's :class:`~repro.sim.config.SimConfig`.
@@ -114,14 +113,9 @@ class Session:
         failures: a :class:`~repro.failures.FailureManager` to apply
             (ignored when resuming — the restored state carries it).
         checkpoint: file path enabling durability: resume from it when it
-            exists (whole file or composed per-shard parts), periodically
-            snapshot into it between advances, remove it (and any parts)
-            on :meth:`finish`.
+            exists, periodically snapshot into it between advances, remove
+            it on :meth:`finish`.
         checkpoint_every: snapshot interval in timeslots (default 100000).
-        checkpoint_parts: write snapshots as this many per-shard split
-            files instead of one whole file (sharded deployments persist
-            slices independently; see
-            :func:`~repro.sim.checkpoint.save_split_checkpoint`).
     """
 
     def __init__(
@@ -137,7 +131,6 @@ class Session:
         failures=None,
         checkpoint=None,
         checkpoint_every: Optional[int] = None,
-        checkpoint_parts: Optional[int] = None,
     ):
         if source is not None and source.config.n != config.n:
             raise ValueError(
@@ -152,13 +145,12 @@ class Session:
             raise ValueError(
                 f"checkpoint interval must be >= 1, got {checkpoint_every}"
             )
-        self.checkpoint_parts = checkpoint_parts
         self.resumed_from: Optional[int] = None
         self.closed = False
 
         engine = None
         if checkpoint is not None:
-            saved = load_any_checkpoint_or_none(checkpoint)
+            saved = load_checkpoint_or_none(checkpoint)
             if saved is not None:
                 if saved.config != config:
                     raise ValueError(
@@ -295,8 +287,7 @@ class Session:
 
         The snapshot carries the engine state plus the workload source's
         generator state, so a resumed session continues the exact arrival
-        stream.  With ``checkpoint_parts`` the snapshot is persisted as
-        per-shard split files instead of one whole file.
+        stream.
         """
         self._check_open()
         path = path if path is not None else self.checkpoint_path
@@ -307,10 +298,7 @@ class Session:
             "source": (None if self.source is None
                        else self.source.state_dict()),
         }
-        if self.checkpoint_parts:
-            save_split_checkpoint(snapshot, path, self.checkpoint_parts)
-        else:
-            save_checkpoint(snapshot, path)
+        save_checkpoint(snapshot, path)
         self._next_checkpoint_t = self.engine.t + self.checkpoint_every
         return path
 
@@ -372,8 +360,8 @@ class Session:
 
         With ``drain`` the engine keeps stepping past the last advance
         until every admitted flow completes (the batch path's ``drain=``).
-        The checkpoint file and any per-shard parts are removed — the run
-        completed, so the resume point must not outlive it.
+        The checkpoint file is removed — the run completed, so the resume
+        point must not outlive it.
         """
         self._check_open()
         from ..api import RunResult
@@ -381,7 +369,7 @@ class Session:
         if drain:
             self.engine.run_until_quiescent(max_extra)
         if self.checkpoint_path is not None:
-            discard_checkpoint(self.checkpoint_path)
+            remove_checkpoint(self.checkpoint_path)
         self.closed = True
         engine = self.engine
         return RunResult(

@@ -12,14 +12,10 @@ from .checkpoint import (
     CheckpointPolicy,
     CheckpointWriter,
     default_policy,
-    discard_checkpoint,
-    load_any_checkpoint_or_none,
     load_checkpoint,
     load_checkpoint_or_none,
     save_checkpoint,
-    save_split_checkpoint,
     set_default_policy,
-    shard_part_paths,
 )
 from .config import PAPER_TIMING, SimConfig, TimingModel
 from .engine import Engine, ScheduledFlow
@@ -46,14 +42,10 @@ __all__ = [
     "default_backend",
     "set_default_backend",
     "default_policy",
-    "discard_checkpoint",
-    "load_any_checkpoint_or_none",
     "load_checkpoint",
     "load_checkpoint_or_none",
     "save_checkpoint",
-    "save_split_checkpoint",
     "set_default_policy",
-    "shard_part_paths",
     "RunMonitor",
     "Flow",
     "FlowRecord",

@@ -36,7 +36,9 @@ cached or resumed results can never silently mix backends.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import List, Type
+
+from ...core.registry import Registry
 
 __all__ = [
     "EngineBackend",
@@ -88,7 +90,11 @@ class EngineBackend:
 
 
 #: name -> backend class
-_REGISTRY: Dict[str, Type[EngineBackend]] = {}
+_REGISTRY = Registry("engine backend", builtins=(
+    "repro.sim.backends.object_backend",
+    "repro.sim.backends.vector",
+    "repro.sim.backends.shard",
+))
 
 #: the process-wide default backend name, used by configs that do not name
 #: one explicitly (installed by the runner's ``--backend``)
@@ -97,29 +103,12 @@ _default_name = "object"
 
 def register_backend(name: str):
     """Class decorator registering an :class:`EngineBackend` under ``name``."""
-
-    def decorate(cls: Type[EngineBackend]) -> Type[EngineBackend]:
-        cls.backend_name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in backends so the registry is fully populated."""
-    if "object" not in _REGISTRY:
-        from . import object_backend  # noqa: F401 - registers "object"
-    if "vector" not in _REGISTRY:
-        from . import vector  # noqa: F401 - registers "vector"
-    if "shard" not in _REGISTRY:
-        from . import shard  # noqa: F401 - registers "shard"
+    return _REGISTRY.registering(name, "backend_name")
 
 
 def backend_names() -> List[str]:
     """Sorted names of every registered backend."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def backend_class(name: str) -> Type[EngineBackend]:
@@ -128,16 +117,7 @@ def backend_class(name: str) -> Type[EngineBackend]:
     The empty string resolves to the ambient default, mirroring how an
     unset :attr:`SimConfig.backend` resolves at construction time.
     """
-    _ensure_builtins()
-    if not name:
-        name = _default_name
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine backend {name!r}; "
-            f"registered: {sorted(_REGISTRY)}"
-        ) from None
+    return _REGISTRY[name or _default_name]
 
 
 def make_backend(name: str) -> EngineBackend:

@@ -551,7 +551,6 @@ class _WorkerRun(_VectorRun):
     def _sample2(self, t: int) -> None:
         lo, hi = self.lo, self.hi
         q = self.q_len[:, lo:hi]
-        total_enq = q.sum(axis=0)
         qt = q.T
         self.windows.append({
             "t": t,
@@ -560,11 +559,8 @@ class _WorkerRun(_VectorRun):
             "icum": self.m_inj,
             "scum": self.m_sent,
             "net": self.m_sent - self.m_arr,
-            "queued": int(total_enq.sum()),
-            "mq": int(q.max()) if q.size else 0,
-            "mb": int(total_enq.max()) if total_enq.size else 0,
             "pk": int(self.q_peak[:, lo:hi].max()) if q.size else 0,
-            "buf": total_enq,
+            "buf": q.sum(axis=0),
             "qnz": qt[qt > 0],
         })
         self.m_windel = 0
@@ -1092,9 +1088,7 @@ class ShardBackend(EngineBackend):
     def _apply(self, engine, results, ranges, init, rngpay, t0, drain):
         metrics = engine.metrics
         flows = engine.flows
-        events = engine.events
         digest = engine.digest
-        telemetry = engine.telemetry
         K = len(ranges)
         t_star = results[0]["t_star"]
         words = results[0]["words"]
@@ -1154,6 +1148,18 @@ class ShardBackend(EngineBackend):
             | {i[0] for i in injections}
             | {t for t in win_ts if t < t_star}
         )
+        def set_counters(parts):
+            """The absolute counters as of the workers' ``parts`` (one
+            window row, or the final report, per shard)."""
+            delivered = sum(p["dcum"] for p in parts)
+            metrics.cells_delivered = init["delivered"] + delivered
+            metrics.payload_cells_delivered = init["pdelivered"] + delivered
+            metrics.cells_injected = init["injected"] + sum(
+                p["icum"] for p in parts)
+            metrics.cells_sent = init["sent"] + sum(p["scum"] for p in parts)
+            engine._in_flight_payload = init["ifp"] + sum(
+                p["net"] for p in parts)
+
         ci = ii = 0
         dropped_win = sum(
             row["win"]
@@ -1168,84 +1174,37 @@ class ShardBackend(EngineBackend):
                 if flow is None:
                     continue
                 flow.delivered = flow.size_cells
-                record = flows.finalize(flow, t)
-                if events is not None:
-                    events.emit(t, "flow_end", {
-                        "flow": record.flow_id, "src": record.src,
-                        "dst": record.dst, "cells": record.size_cells,
-                        "fct": record.fct,
-                    })
+                engine._finish_flow(flow, t)
             while ii < len(injections) and injections[ii][0] == t:
                 _, arrival, src, dst, size_cells, size_bytes = \
                     injections[ii]
                 ii += 1
-                flow = flows.new_flow(
-                    src, dst, size_cells, arrival, size_bytes=size_bytes
+                engine._start_flow(
+                    t, arrival, src, dst, size_cells, size_bytes
                 )
-                if events is not None:
-                    events.emit(t, "flow_start", {
-                        "flow": flow.flow_id, "src": src, "dst": dst,
-                        "cells": size_cells,
-                    })
             rows = win_rows.get(t)
             if rows is None or t >= t_star:
                 continue
             if any(r is None for r in rows):
                 raise AssertionError("shard sample windows diverged")
-            metrics.cells_delivered = init["delivered"] + sum(
-                r["dcum"] for r in rows
-            )
-            metrics.payload_cells_delivered = init["pdelivered"] + sum(
-                r["dcum"] for r in rows
-            )
-            metrics.cells_injected = init["injected"] + sum(
-                r["icum"] for r in rows
-            )
-            metrics.cells_sent = init["sent"] + sum(
-                r["scum"] for r in rows
-            )
-            engine._in_flight_payload = init["ifp"] + sum(
-                r["net"] for r in rows
-            )
-            for r in rows:
-                metrics._buffer_samples.extend(r["buf"])
-            mb = max(r["mb"] for r in rows)
-            if mb > metrics.max_buffer_occupancy:
-                metrics.max_buffer_occupancy = mb
-            for r in rows:
-                metrics._queue_samples.extend(r["qnz"])
-            pk = max(r["pk"] for r in rows)
-            if pk > metrics.max_pieo_length:
-                metrics.max_pieo_length = pk
+            set_counters(rows)
             metrics._window_delivered += sum(r["win"] for r in rows)
-            metrics.end_sample_window()
-            if telemetry is not None:
-                telemetry.on_window_stats(
-                    engine, t,
-                    queued=sum(r["queued"] for r in rows),
-                    max_queue=max(r["mq"] for r in rows),
-                    max_buffer=mb,
-                    active_buckets=0,
-                )
+            # shards own ascending node ranges, so joining their rows in
+            # shard order restores node-id order
+            engine._close_window(
+                t,
+                np.concatenate([r["buf"] for r in rows]),
+                np.concatenate([r["qnz"] for r in rows]),
+                pieo_peak=max(r["pk"] for r in rows),
+                active_buckets=0,  # workers step cc=none only: no buckets
+            )
         # final counters and maxima.  The buffer/PIEO maxima come only
         # from the replayed (valid) windows above — worker-side cumulative
         # peaks may include overrun slots past the quiescent stop —
         # while max_queue_length is enqueue-driven and overrun slots
         # provably enqueue nothing, so the worker cums are exact.
         finals = [r["final"] for r in results]
-        metrics.cells_delivered = init["delivered"] + sum(
-            f["dcum"] for f in finals
-        )
-        metrics.payload_cells_delivered = init["pdelivered"] + sum(
-            f["dcum"] for f in finals
-        )
-        metrics.cells_injected = init["injected"] + sum(
-            f["icum"] for f in finals
-        )
-        metrics.cells_sent = init["sent"] + sum(f["scum"] for f in finals)
-        engine._in_flight_payload = init["ifp"] + sum(
-            f["net"] for f in finals
-        )
+        set_counters(finals)
         maxq = max(init["maxq"], max(f["maxq"] for f in finals))
         if maxq > metrics.max_queue_length:
             metrics.max_queue_length = maxq

@@ -865,7 +865,6 @@ class _VectorRun:
         metrics = engine.metrics
         digest = engine.digest
         flows = engine.flows
-        events = engine.events
         d = self.c_dst[cells]
         deliver = d == recvs
         del_ids = deliver.nonzero()[0]
@@ -899,14 +898,7 @@ class _VectorRun:
                     if flow is None:
                         continue
                     flow.delivered = int(self.f_del[fid])
-                    record = flows.finalize(flow, t)
-                    if events is not None:
-                        events.emit(t, "flow_end", {
-                            "flow": record.flow_id, "src": record.src,
-                            "dst": record.dst,
-                            "cells": record.size_cells,
-                            "fct": record.fct,
-                        })
+                    engine._finish_flow(flow, t)
             self._free_cells(dc)
             fwd_ids = (~deliver).nonzero()[0]
             if fwd_ids.size:
@@ -1051,12 +1043,10 @@ class _VectorRun:
     def _inject(self, t: int) -> None:
         engine = self.engine
         pending = engine._pending_flows
-        flows = engine.flows
-        events = engine.events
         while pending and pending[0][0] <= t:
             arrival, src, dst, size_cells, size_bytes = pending.popleft()
-            flow = flows.new_flow(
-                src, dst, size_cells, arrival, size_bytes=size_bytes
+            flow = engine._start_flow(
+                t, arrival, src, dst, size_cells, size_bytes
             )
             fid = flow.flow_id
             self._ensure_flow(fid)
@@ -1071,11 +1061,6 @@ class _VectorRun:
                 self.cur_sent[src] = 0
                 self.cur_size[src] = size_cells
                 self.cur_flow[src] = flow
-            if events is not None:
-                events.emit(t, "flow_start", {
-                    "flow": fid, "src": src, "dst": dst,
-                    "cells": size_cells,
-                })
 
     def _new_cells(self, e, dst, fid, seq, size, t, esph) -> np.ndarray:
         """Slab rows for one freshly admitted cell per source in ``e``."""
@@ -1198,30 +1183,11 @@ class _VectorRun:
         return 0
 
     def _sample(self, t: int) -> None:
-        engine = self.engine
-        metrics = engine.metrics
-        total_enq = self._node_occupancy()
-        metrics._buffer_samples.extend(total_enq)
-        mb = int(total_enq.max()) if self.n else 0
-        if mb > metrics.max_buffer_occupancy:
-            metrics.max_buffer_occupancy = mb
         qt = self.q_len.T  # (n, L): node-major, link order within a node
-        metrics._queue_samples.extend(qt[qt > 0])
-        pk = int(self.q_peak.max())
-        if pk > metrics.max_pieo_length:
-            metrics.max_pieo_length = pk
-        ab = self._active_buckets()
-        if ab > metrics.max_active_buckets:
-            metrics.max_active_buckets = ab
-        metrics.end_sample_window()
-        if engine.telemetry is not None:
-            engine.telemetry.on_window_stats(
-                engine, t,
-                queued=int(total_enq.sum()),
-                max_queue=int(self.q_len.max()),
-                max_buffer=mb,
-                active_buckets=ab,
-            )
+        self.engine._close_window(
+            t, self._node_occupancy(), qt[qt > 0],
+            int(self.q_peak.max()), self._active_buckets(),
+        )
 
     # ------------------------------------------------------------------ #
     # the slot loop

@@ -54,19 +54,14 @@ __all__ = [
     "CheckpointWriter",
     "CellScope",
     "apply_checkpoint",
-    "compose_checkpoint",
     "default_policy",
-    "discard_checkpoint",
-    "load_any_checkpoint_or_none",
     "load_checkpoint",
     "load_checkpoint_or_none",
+    "remove_checkpoint",
     "restore_engine",
     "save_checkpoint",
-    "save_split_checkpoint",
     "set_default_policy",
-    "shard_part_paths",
     "snapshot_engine",
-    "split_checkpoint",
 ]
 
 #: bump on any change to the payload layout; old files self-heal as misses
@@ -131,10 +126,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             fh.write(footer)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        remove_checkpoint(tmp)
         raise
 
 
@@ -169,17 +161,21 @@ def load_checkpoint_or_none(path) -> Optional[Checkpoint]:
     A bad file (truncated write from a crash, stale version, random bytes)
     is removed so the next save starts clean.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return None
     try:
         return load_checkpoint(path)
     except CheckpointError:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        remove_checkpoint(path)
         return None
+
+
+def remove_checkpoint(path) -> None:
+    """Best-effort removal of a checkpoint file: the run it belonged to
+    completed, or the file is unusable.  A file that is already gone, or
+    cannot be removed, is left alone — the next save replaces it."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------- #
@@ -310,195 +306,6 @@ def apply_checkpoint(engine, checkpoint: Checkpoint) -> None:
     engine._loops_entered = 0
     engine._resume = (None if state["loop"] is None
                       else tuple(state["loop"]))
-
-
-def split_checkpoint(checkpoint: Checkpoint, count: int) -> List[Checkpoint]:
-    """Split one snapshot into ``count`` per-shard parts.
-
-    Node state is partitioned along the same phase-group boundaries the
-    ``"shard"`` backend uses (:func:`repro.sim.backends.shard.shard_ranges`),
-    so each part holds exactly the nodes one shard worker owns; part 0
-    additionally carries the run-global remainder (RNG, flow table, metrics,
-    wire, observers).  Parts are ordinary :class:`Checkpoint` objects —
-    :func:`save_checkpoint` / :func:`load_checkpoint` work on each — and
-    :func:`compose_checkpoint` reassembles the original snapshot bit-exactly,
-    so a sharded run can persist each shard's slice independently and still
-    resume as one run.
-    """
-    if checkpoint.version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {checkpoint.version} != {CHECKPOINT_VERSION}"
-        )
-    from .backends.shard import shard_ranges
-
-    config = checkpoint.config
-    r = round(config.n ** (1.0 / config.h))
-    ranges = shard_ranges(config.n, r, int(count))
-    state = checkpoint.state
-    nodes = state["nodes"]
-    if len(nodes) != config.n:
-        raise CheckpointError(
-            f"snapshot holds {len(nodes)} node states for n={config.n}"
-        )
-    rest = {key: value for key, value in state.items() if key != "nodes"}
-    parts: List[Checkpoint] = []
-    for k, (lo, hi) in enumerate(ranges):
-        part_state: Dict[str, object] = {
-            "t": state["t"],
-            "shard": (k, len(ranges), lo, hi),
-            "nodes": nodes[lo:hi],
-        }
-        if k == 0:
-            part_state["rest"] = rest
-        parts.append(Checkpoint(CHECKPOINT_VERSION, config, part_state))
-    return parts
-
-
-def compose_checkpoint(parts: List[Checkpoint]) -> Checkpoint:
-    """Reassemble :func:`split_checkpoint` parts into one snapshot.
-
-    Validates that the parts share a version, config and timeslot, that
-    their node ranges tile ``[0, n)`` exactly, and that the run-global
-    remainder is present; any gap, overlap or mixture raises
-    :class:`CheckpointError` rather than composing a corrupt resume point.
-    """
-    if not parts:
-        raise CheckpointError("no checkpoint shards to compose")
-    ordered = sorted(parts, key=lambda p: p.state["shard"][2])
-    config = ordered[0].config
-    t = ordered[0].state["t"]
-    total = ordered[0].state["shard"][1]
-    if len(ordered) != total:
-        raise CheckpointError(
-            f"have {len(ordered)} checkpoint shards of {total}"
-        )
-    rest: Optional[Dict[str, object]] = None
-    nodes: List[object] = []
-    cursor = 0
-    for part in ordered:
-        if part.version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint shard version {part.version} != "
-                f"{CHECKPOINT_VERSION}"
-            )
-        if part.config != config or part.state["t"] != t:
-            raise CheckpointError(
-                "checkpoint shards come from different runs"
-            )
-        _, k_total, lo, hi = part.state["shard"]
-        if (k_total != total or lo != cursor
-                or len(part.state["nodes"]) != hi - lo):
-            raise CheckpointError(
-                "checkpoint shards do not tile the node space"
-            )
-        nodes.extend(part.state["nodes"])
-        cursor = hi
-        if "rest" in part.state:
-            rest = part.state["rest"]
-    if cursor != config.n or rest is None:
-        raise CheckpointError(
-            "checkpoint shards are incomplete (missing nodes or the "
-            "run-global remainder)"
-        )
-    state = dict(rest)
-    state["nodes"] = nodes
-    return Checkpoint(CHECKPOINT_VERSION, config, state)
-
-
-def shard_part_paths(path, count: Optional[int] = None) -> List[pathlib.Path]:
-    """Per-shard split-file names for checkpoint ``path``.
-
-    Part ``k`` of a split snapshot lives at ``<path>.partK`` by convention
-    (one file per shard worker slice).  With ``count`` the expected names
-    are returned; without it, the parts that actually exist on disk are
-    globbed and returned in part order.
-    """
-    path = pathlib.Path(path)
-    if count is not None:
-        return [path.with_name(f"{path.name}.part{k}")
-                for k in range(int(count))]
-    found = []
-    for candidate in path.parent.glob(f"{path.name}.part*"):
-        suffix = candidate.name[len(path.name) + len(".part"):]
-        if suffix.isdigit():
-            found.append((int(suffix), candidate))
-    return [p for _, p in sorted(found)]
-
-
-def save_split_checkpoint(checkpoint: Checkpoint, path, count: int) -> List[pathlib.Path]:
-    """Persist ``checkpoint`` as ``count`` per-shard parts next to ``path``.
-
-    Splits along :func:`split_checkpoint`'s shard boundaries and writes
-    each part atomically to its :func:`shard_part_paths` name.  Stale parts
-    from an earlier split with a *larger* shard count are removed, so the
-    on-disk part set always composes to exactly this snapshot.
-    """
-    parts = split_checkpoint(checkpoint, count)
-    paths = shard_part_paths(path, len(parts))
-    for part, part_path in zip(parts, paths):
-        save_checkpoint(part, part_path)
-    for stale in shard_part_paths(path)[len(parts):]:
-        try:
-            stale.unlink()
-        except OSError:
-            pass
-    return paths
-
-
-def load_any_checkpoint_or_none(path) -> Optional[Checkpoint]:
-    """Self-healing load of a whole snapshot *or* its split parts.
-
-    The single file at ``path`` wins when it is present and valid;
-    otherwise the per-shard parts (``<path>.partK``) are loaded and
-    composed.  Anything wrong — a corrupt file, a missing part, parts from
-    different runs — means ``None``, with the unusable files removed so
-    the next save starts clean (same contract as
-    :func:`load_checkpoint_or_none`).
-    """
-    whole = load_checkpoint_or_none(path)
-    if whole is not None:
-        return whole
-    part_paths = shard_part_paths(path)
-    if not part_paths:
-        return None
-    parts = []
-    for part_path in part_paths:
-        part = load_checkpoint_or_none(part_path)
-        if part is None or "shard" not in part.state:
-            parts = None
-            break
-        parts.append(part)
-    if parts is not None:
-        try:
-            return compose_checkpoint(parts)
-        except CheckpointError:
-            pass
-    for part_path in part_paths:
-        try:
-            part_path.unlink()
-        except OSError:
-            pass
-    return None
-
-
-def discard_checkpoint(path) -> None:
-    """Remove a checkpoint *and* any per-shard split parts beside it.
-
-    The clean-completion path must use this rather than unlinking ``path``
-    alone: a sharded run persists per-shard part files, and composing them
-    on resume leaves the parts behind — a later run with the same path
-    would otherwise resurrect the stale parts as a resume point.
-    """
-    path = pathlib.Path(path)
-    try:
-        path.unlink()
-    except OSError:
-        pass
-    for part_path in shard_part_paths(path):
-        try:
-            part_path.unlink()
-        except OSError:
-            pass
 
 
 def restore_engine(checkpoint: Checkpoint):
@@ -645,10 +452,7 @@ class CellScope:
             except CheckpointError:
                 # e.g. the cell's engine was built with other parameters
                 # than the snapshot's; start this engine from slot 0
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                remove_checkpoint(path)
             else:
                 self.resumed.append((self.ordinal - 1, engine.t))
         engine.enable_checkpoints(path, self.policy.every)
@@ -661,7 +465,4 @@ class CellScope:
     def discard(self) -> None:
         """Remove this cell's checkpoint files (cell completed cleanly)."""
         for path in self.paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            remove_checkpoint(path)

@@ -89,8 +89,6 @@ class SimConfig:
         isd_rate_factor: the ISD receiver-bandwidth parameter ``R``
             expressed as a multiple of the throughput guarantee ``1/(2h)``
             (paper uses 1.25).
-        drain_after: extra timeslots after the last flow arrival during
-            which no new flows start but the network keeps draining.
         warmup: timeslots excluded from measurement at the start of a run.
         use_fifo_for_hbh: ablation switch — run hop-by-hop with plain FIFO
             queues instead of PIEO (head-of-line blocking study).
@@ -123,7 +121,6 @@ class SimConfig:
     pull_batch: int = 20
     initial_window: int = 40
     isd_rate_factor: float = 1.25
-    drain_after: int = 0
     warmup: int = 0
     use_fifo_for_hbh: bool = False
     metrics_sample_interval: int = 50
@@ -176,7 +173,3 @@ class SimConfig:
     def uses_hop_by_hop(self) -> bool:
         """Whether the token protocol is active."""
         return self.congestion_control in ("hop-by-hop", "hbh+spray")
-
-    def line_rate_cells_per_slot(self) -> float:
-        """Each node sends exactly one cell per timeslot."""
-        return 1.0

@@ -32,7 +32,7 @@ from .backends import make_backend
 from .backends import object_backend as _object_backend
 from .config import SimConfig
 from .digest import DeterminismDigest
-from .flows import Flow, FlowTable
+from .flows import Flow, FlowRecord, FlowTable
 from .metrics import MetricsCollector
 from .node import Node, Transmission
 
@@ -346,21 +346,62 @@ class Engine:
 
     def _inject_flows(self, t: int) -> None:
         pending = self._pending_flows
-        events = self.events
         while pending and pending[0][0] <= t:
             arrival, src, dst, size_cells, size_bytes = pending.popleft()
             node = self.nodes[src]
             if node.failed or self.nodes[dst].failed:
                 continue
-            flow = self.flows.new_flow(
-                src, dst, size_cells, arrival, size_bytes=size_bytes
+            node.add_flow(
+                self._start_flow(t, arrival, src, dst, size_cells, size_bytes)
             )
-            node.add_flow(flow)
-            if events is not None:
-                events.emit(t, "flow_start", {
-                    "flow": flow.flow_id, "src": src, "dst": dst,
-                    "cells": size_cells,
-                })
+
+    # ------------------------------------------------------------------ #
+    # engine-level effects: what a flow starting, a flow finishing and a
+    # sample window closing mean, written once.  A pipeline (the object
+    # model, the slab, the shard parent) only works out *what happened*
+    # and calls these; the event schema and the sampling policy live here
+    # and in :mod:`repro.sim.metrics`
+
+    def _start_flow(self, t: int, arrival: int, src: int, dst: int,
+                    size_cells: int, size_bytes: int) -> Flow:
+        """A flow enters the network at slot ``t``."""
+        flow = self.flows.new_flow(
+            src, dst, size_cells, arrival, size_bytes=size_bytes
+        )
+        if self.events is not None:
+            self.events.emit(t, "flow_start", {
+                "flow": flow.flow_id, "src": src, "dst": dst,
+                "cells": size_cells,
+            })
+        return flow
+
+    def _finish_flow(self, flow: Flow, t: int) -> FlowRecord:
+        """The last cell of ``flow`` was delivered at slot ``t``."""
+        record = self.flows.finalize(flow, t)
+        if self.events is not None:
+            self.events.emit(t, "flow_end", {
+                "flow": record.flow_id, "src": record.src,
+                "dst": record.dst, "cells": record.size_cells,
+                "fct": record.fct,
+            })
+        return record
+
+    def _close_window(self, t: int, buffers, queue_lengths,
+                      pieo_peak: int, active_buckets: int) -> None:
+        """The sample window ending at slot ``t`` closes: one metrics
+        sample (:meth:`MetricsCollector.close_window` documents the four
+        inputs), then the one telemetry row."""
+        queued, max_queue, max_buffer = self.metrics.close_window(
+            buffers, queue_lengths, pieo_peak, active_buckets
+        )
+        if self.telemetry is not None:
+            self.telemetry.on_window(
+                self, t,
+                queued=queued,
+                max_queue=max_queue,
+                max_buffer=max_buffer,
+                active_buckets=active_buckets,
+            )
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -547,10 +588,31 @@ class Engine:
             sender.ledger.credit(tx.receiver, (cell.dst, cell.sprays_remaining))
 
     def _sample_metrics(self) -> None:
-        """Close one sample window: metrics sampling, then telemetry."""
-        self.metrics.sample_engine_nodes(self.nodes)
-        if self.telemetry is not None:
-            self.telemetry.on_window(self, self.t)
+        """What the object model holds at a sampling instant: one walk
+        over the live nodes in id order, through the public surface of
+        their queues and bucket trackers (``len()`` / ``peak_occupancy``)."""
+        buffers: List[int] = []
+        queue_lengths: List[int] = []
+        pieo_peak = 0
+        active_buckets = 0
+        for node in self.nodes:
+            if node.failed:
+                continue
+            buffers.append(node.total_enqueued)
+            for queue in node.link_queues:
+                length = len(queue)
+                if length:
+                    queue_lengths.append(length)
+                if queue.peak_occupancy > pieo_peak:
+                    pieo_peak = queue.peak_occupancy
+            tracker = node.bucket_tracker
+            if tracker is not None:
+                active = len(tracker)
+                if active > active_buckets:
+                    active_buckets = active
+        self._close_window(
+            self.t, buffers, queue_lengths, pieo_peak, active_buckets
+        )
 
     #: the slot body's section callables, in
     #: :data:`repro.obs.profiler.SECTIONS` order, each taking the engine

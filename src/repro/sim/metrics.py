@@ -13,7 +13,7 @@ Collects everything the paper's evaluation reports:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +46,9 @@ class _IntBuffer:
     def extend(self, values: np.ndarray) -> None:
         """Append a whole int64 array of samples at once.
 
-        The bulk twin of :meth:`append` for vectorized callers (see
-        :mod:`repro.sim.backends.vector`): one copy per batch instead of
-        one Python call per sample.
+        The bulk twin of :meth:`append`, for a whole window's samples
+        (:meth:`MetricsCollector.close_window`): one copy per batch
+        instead of one Python call per sample.
         """
         count = len(values)
         if count == 0:
@@ -174,11 +174,6 @@ class MetricsCollector:
         self.cells_dropped += count
         self.wire_losses += count
 
-    def on_cell_sent(self, dummy: bool) -> None:
-        self.cells_sent += 1
-        if dummy:
-            self.dummy_cells_sent += 1
-
     def on_cell_delivered(self, dst: int, latency: int) -> None:
         self.cells_delivered += 1
         self.payload_cells_delivered += 1
@@ -186,10 +181,6 @@ class MetricsCollector:
         self.delivered_per_node[dst] = self.delivered_per_node.get(dst, 0) + 1
         if len(self.cell_latencies) < self._cell_latency_cap:
             self.cell_latencies.append(latency)
-
-    def on_queue_length(self, length: int) -> None:
-        if length > self.max_queue_length:
-            self.max_queue_length = length
 
     def on_drop(self, count: int = 1) -> None:
         self.cells_dropped += count
@@ -200,15 +191,8 @@ class MetricsCollector:
     def on_retransmission(self) -> None:
         self.retransmissions += 1
 
-    def on_token_sent(self, count: int = 1) -> None:
-        self.tokens_sent += count
-
     # ------------------------------------------------------------------ #
     # periodic sampling
-
-    def should_sample(self, t: int) -> bool:
-        """Whether timeslot ``t`` is a sampling instant (post warm-up)."""
-        return t >= self.warmup and t % self.sample_interval == 0
 
     def begin_measurement(self) -> None:
         """Enter the measured interval (called once, at the end of warm-up).
@@ -231,68 +215,41 @@ class MetricsCollector:
         """Per-queue length samples (non-empty queues only), as int64."""
         return self._queue_samples.view()
 
-    def sample_node(
+    def close_window(
         self,
-        buffer_occupancy: int,
-        queue_lengths: Optional[Sequence[int]] = None,
-        active_buckets: int = 0,
-        pieo_length: int = 0,
-    ) -> None:
-        """Record one node's state at a sampling instant."""
-        self._buffer_samples.append(buffer_occupancy)
-        if buffer_occupancy > self.max_buffer_occupancy:
-            self.max_buffer_occupancy = buffer_occupancy
-        if queue_lengths:
-            for length in queue_lengths:
-                self._queue_samples.append(length)
+        buffers: Sequence[int],
+        queue_lengths: Sequence[int],
+        pieo_peak: int,
+        active_buckets: int,
+    ) -> Tuple[int, int, int]:
+        """Close one sample window; the only writer of the sample buffers.
+
+        Every pipeline hands over what it found at the sampling instant:
+        ``buffers`` holds each live node's total occupancy (node-id order),
+        ``queue_lengths`` the length of every non-empty link queue
+        (node-major, link-minor), ``pieo_peak`` the highest occupancy any
+        send queue has reached and ``active_buckets`` the most active
+        buckets at any node now.  Both arrays are sampled, the maxima are
+        raised and the throughput window is closed.  Returns the window's
+        instantaneous populations ``(queued, max_queue, max_buffer)`` for
+        the telemetry row, so they come from the same two arrays.
+        """
+        buffers = np.asarray(buffers, dtype=np.int64)
+        queue_lengths = np.asarray(queue_lengths, dtype=np.int64)
+        self._buffer_samples.extend(buffers)
+        self._queue_samples.extend(queue_lengths)
+        max_buffer = int(buffers.max()) if buffers.size else 0
+        max_queue = int(queue_lengths.max()) if queue_lengths.size else 0
+        if max_buffer > self.max_buffer_occupancy:
+            self.max_buffer_occupancy = max_buffer
+        if max_queue > self.max_queue_length:
+            self.max_queue_length = max_queue
+        if pieo_peak > self.max_pieo_length:
+            self.max_pieo_length = pieo_peak
         if active_buckets > self.max_active_buckets:
             self.max_active_buckets = active_buckets
-        if pieo_length > self.max_pieo_length:
-            self.max_pieo_length = pieo_length
-
-    def sample_engine_nodes(self, nodes) -> None:
-        """Sample every live node and close the throughput window.
-
-        The bulk equivalent of calling :meth:`sample_node` per node followed
-        by :meth:`end_sample_window`, without building per-node length lists:
-        the engine's sampling step is allocation-free apart from buffer
-        growth.
-
-        Queues and bucket trackers are read through their public surface
-        (``len()`` / ``peak_occupancy``) only: this method once reached into
-        ``PieoQueue._items`` and ``ActiveBucketTracker._refcount`` and broke
-        silently when the queue representation changed.
-        """
-        buf = self._buffer_samples
-        qbuf = self._queue_samples
-        max_buf = self.max_buffer_occupancy
-        max_ab = self.max_active_buckets
-        max_pieo = self.max_pieo_length
-        for node in nodes:
-            if node.failed:
-                continue
-            occ = node.total_enqueued
-            buf.append(occ)
-            if occ > max_buf:
-                max_buf = occ
-            peak = 0
-            for queue in node.link_queues:
-                length = len(queue)
-                if length:
-                    qbuf.append(length)
-                if queue.peak_occupancy > peak:
-                    peak = queue.peak_occupancy
-            if peak > max_pieo:
-                max_pieo = peak
-            tracker = node.bucket_tracker
-            if tracker is not None:
-                active = len(tracker)
-                if active > max_ab:
-                    max_ab = active
-        self.max_buffer_occupancy = max_buf
-        self.max_active_buckets = max_ab
-        self.max_pieo_length = max_pieo
         self.end_sample_window()
+        return int(buffers.sum()), max_queue, max_buffer
 
     def end_sample_window(self) -> None:
         """Close a throughput accounting window."""
@@ -309,10 +266,6 @@ class MetricsCollector:
     def queue_length_percentile(self, q: float = 99.0) -> float:
         """Tail per-queue length across (queue, sample) pairs."""
         return percentile(self.queue_samples, q)
-
-    def cell_latency_percentile(self, q: float = 99.9) -> float:
-        """Tail single-cell latency in timeslots."""
-        return percentile(self.cell_latencies, q)
 
     def mean_throughput_cells_per_slot(self, duration: int, n: int) -> float:
         """Average delivered payload cells per node per timeslot.

@@ -329,10 +329,6 @@ class Node:
         """Flat index of the link used in ``phase`` at round-robin ``offset``."""
         return phase * (self.r - 1) + (offset - 1)
 
-    def queue_length(self, phase: int, offset: int) -> int:
-        """Current occupancy of one send queue."""
-        return len(self.link_queues[self.link_index(phase, offset)])
-
     @property
     def idle(self) -> bool:
         """Fast check: nothing to transmit this slot under any policy."""
@@ -861,19 +857,12 @@ class Node:
         if engine.delivery_hook is not None:
             engine.delivery_hook(cell, t)
         # record_delivery inlined: count the cell, finalise only on the last
-        flows = engine.flows
-        flow = flows._active.get(cell.flow_id)
+        flow = engine.flows._active.get(cell.flow_id)
         record = None
         if flow is not None:
             flow.delivered += 1
             if flow.delivered >= flow.size_cells:
-                record = flows.finalize(flow, t)
-                if engine.events is not None:
-                    engine.events.emit(t, "flow_end", {
-                        "flow": record.flow_id, "src": record.src,
-                        "dst": record.dst, "cells": record.size_cells,
-                        "fct": record.fct,
-                    })
+                record = engine._finish_flow(flow, t)
         if self.is_rd_family and record is None:
             # flow still running: maybe request more cells from the sender
             count = self._recv_counts.get(cell.flow_id, 0) + 1
@@ -1370,7 +1359,3 @@ class Node:
     def max_pieo_occupancy(self) -> int:
         """Largest peak occupancy among this node's PIEO queues."""
         return max((q.peak_occupancy for q in self.link_queues), default=0)
-
-    def active_bucket_count(self) -> int:
-        """Currently active buckets (0 when hop-by-hop is off)."""
-        return self.bucket_tracker.active if self.bucket_tracker else 0

@@ -11,6 +11,7 @@ Two guards in one file:
   deliberately (adding is also deliberate — the snapshot is exact).
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -82,6 +83,31 @@ def test_lint_flags_unused_allowlist_entries(tmp_path):
     assert not report.violations and not report.dead
 
 
+def test_engine_effects_have_one_writer():
+    """A flow starting, a flow finishing and a sample window closing are
+    written once, under every pipeline: only ``Engine`` emits the flow
+    events and only ``MetricsCollector`` touches the sample buffers — a
+    pipeline that grows its own copy again fails here."""
+    src = REPO_ROOT / "src" / "repro"
+    emits, samplers = [], set()
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "emit"):
+                emits += [
+                    (arg.value, rel) for arg in node.args
+                    if isinstance(arg, ast.Constant)
+                    and arg.value in ("flow_start", "flow_end")
+                ]
+            elif (isinstance(node, ast.Attribute)
+                    and node.attr in ("_buffer_samples", "_queue_samples")):
+                samplers.add(rel)
+    assert sorted(emits) == [("flow_end", "sim/engine.py"),
+                             ("flow_start", "sim/engine.py")]
+    assert samplers == {"sim/metrics.py"}
+
+
 EXPECTED_ALL = {
     "repro": [
         "Cell", "CoordinateSystem", "Engine", "RunResult", "Session",
@@ -101,10 +127,8 @@ EXPECTED_ALL = {
         "CheckpointWriter", "ConservationError", "ControlMessage", "Engine",
         "EngineBackend", "backend_names", "default_backend",
         "set_default_backend",
-        "default_policy", "discard_checkpoint",
-        "load_any_checkpoint_or_none", "load_checkpoint",
-        "load_checkpoint_or_none", "save_checkpoint",
-        "save_split_checkpoint", "set_default_policy", "shard_part_paths",
+        "default_policy", "load_checkpoint",
+        "load_checkpoint_or_none", "save_checkpoint", "set_default_policy",
         "RunMonitor", "Flow",
         "FlowRecord", "FlowTable", "MetricsCollector",
         "MultiClassSimulation", "Node", "PAPER_TIMING", "PieoQueue",

@@ -85,16 +85,16 @@ class TestActiveBucketTracker:
     def test_acquire_release(self):
         tracker = ActiveBucketTracker()
         tracker.acquire((1, 0))
-        assert tracker.active == 1
+        assert len(tracker) == 1
         tracker.release((1, 0))
-        assert tracker.active == 0
+        assert len(tracker) == 0
 
     def test_refcounting(self):
         tracker = ActiveBucketTracker()
         tracker.acquire((1, 0))
         tracker.acquire((1, 0))
         tracker.release((1, 0))
-        assert tracker.active == 1  # still one reference
+        assert len(tracker) == 1  # still one reference
 
     def test_peak_tracks_high_water_mark(self):
         tracker = ActiveBucketTracker()
@@ -104,12 +104,12 @@ class TestActiveBucketTracker:
             tracker.release((i, 0))
         tracker.acquire((9, 0))
         assert tracker.peak == 5
-        assert tracker.active == 1
+        assert len(tracker) == 1
 
     def test_release_unknown_is_noop(self):
         tracker = ActiveBucketTracker()
         tracker.release((42, 1))
-        assert tracker.active == 0
+        assert len(tracker) == 0
 
     def test_active_buckets_iteration(self):
         tracker = ActiveBucketTracker()

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.obs.timeseries import TimeSeriesRecorder
+from repro.sim.config import SimConfig
+from repro.sim.engine import Engine
 from repro.sim.flows import Flow, FlowRecord, FlowTable
 from repro.sim.metrics import MetricsCollector, percentile
 
@@ -118,52 +121,75 @@ class TestPercentile:
 class TestMetricsCollector:
     def test_counters(self):
         m = MetricsCollector(n=4)
-        m.on_cell_sent(dummy=False)
-        m.on_cell_sent(dummy=True)
         m.on_cell_delivered(0, latency=12)
         m.on_drop()
         m.on_trim()
         m.on_retransmission()
-        m.on_token_sent(2)
-        assert m.cells_sent == 2
-        assert m.dummy_cells_sent == 1
         assert m.cells_delivered == 1
         assert m.cells_dropped == 1
         assert m.cells_trimmed == 1
         assert m.retransmissions == 1
-        assert m.tokens_sent == 2
 
     def test_queue_max_tracking(self):
         m = MetricsCollector(n=4)
-        m.on_queue_length(3)
-        m.on_queue_length(7)
-        m.on_queue_length(2)
+        for lengths in ([3], [7, 1], [2]):
+            m.close_window([sum(lengths)], lengths, 0, 0)
         assert m.max_queue_length == 7
 
     def test_sampling_interval_and_warmup(self):
-        m = MetricsCollector(n=4, sample_interval=10, warmup=20)
-        assert not m.should_sample(0)
-        assert not m.should_sample(10)
-        assert m.should_sample(20)
-        assert not m.should_sample(25)
-        assert m.should_sample(30)
+        """The sampling policy lives in the engine's slot body: a window
+        closes on every ``sample_interval``-th slot once warm-up is over."""
+        engine = Engine(SimConfig(
+            n=16, h=2, duration=36, congestion_control="none",
+            metrics_sample_interval=10, warmup=20,
+        ))
+        recorder = TimeSeriesRecorder().attach(engine)
+        engine.run()
+        assert recorder.column("t").tolist() == [20, 30]
+        assert engine.metrics.throughput_series == [0, 0]
+        assert len(engine.metrics.buffer_samples) == 2 * 16
 
-    def test_node_samples_feed_percentiles(self):
+    @pytest.mark.parametrize("windows, populations, buffer_p50, state", [
+        pytest.param(  # one node sampled per window feeds the percentiles
+            # ('lower' interpolation returns an observed sample, 2, not
+            # the linear midpoint 2.5)
+            [([occ], [occ], 0, 0) for occ in (1, 2, 3, 100)],
+            (100, 100, 100), 2.0,
+            dict(buffer_samples=[1, 2, 3, 100],
+                 queue_samples=[1, 2, 3, 100],
+                 max_buffer_occupancy=100, max_queue_length=100),
+            id="node-samples"),
+        pytest.param(  # the resource maxima only ever rise
+            [([0], [], 9, 5), ([0], [], 2, 3)],
+            (0, 0, 0), 0.0,
+            dict(buffer_samples=[0, 0], queue_samples=[],
+                 max_pieo_length=9, max_active_buckets=5),
+            id="resource-peaks"),
+        pytest.param(  # what the engine's walk hands over for three nodes
+            # (7 cells in queues of 4 and 0 | failed | 2 in one queue):
+            # the failed node and the empty queue are not sampled
+            [([7, 2], [4, 2], 9, 3)],
+            (9, 4, 7), 2.0,
+            dict(buffer_samples=[7, 2], queue_samples=[4, 2],
+                 max_buffer_occupancy=7, max_queue_length=4,
+                 max_pieo_length=9, max_active_buckets=3),
+            id="node-walk"),
+    ])
+    def test_close_window(self, windows, populations, buffer_p50, state):
+        """Same maxima, same sample order, window closed — whichever
+        pipeline computed the four inputs.  ``populations`` is what the
+        last window returns for the telemetry row."""
         m = MetricsCollector(n=4)
-        for occ in (1, 2, 3, 100):
-            m.sample_node(occ, [occ])
-        assert m.max_buffer_occupancy == 100
-        # 'lower' interpolation returns an observed sample (2), not the
-        # linear midpoint 2.5
-        assert m.buffer_occupancy_percentile(50) == pytest.approx(2.0)
-        assert m.queue_length_percentile(99) <= 100
-
-    def test_resource_peaks(self):
-        m = MetricsCollector(n=4)
-        m.sample_node(0, [], active_buckets=5, pieo_length=9)
-        m.sample_node(0, [], active_buckets=3, pieo_length=2)
-        assert m.max_active_buckets == 5
-        assert m.max_pieo_length == 9
+        for window in windows:
+            returned = m.close_window(*window)
+        assert returned == populations
+        assert m.buffer_occupancy_percentile(50) == buffer_p50
+        assert m.queue_length_percentile(99) <= m.max_queue_length
+        assert m.throughput_series == [0] * len(windows)
+        for name, value in state.items():
+            got = getattr(m, name)
+            assert (got.tolist() if hasattr(got, "tolist") else got) \
+                == value, name
 
     def test_throughput_accounting(self):
         m = MetricsCollector(n=2)
@@ -174,9 +200,8 @@ class TestMetricsCollector:
 
     def test_goodput_fraction(self):
         m = MetricsCollector(n=2)
-        for _ in range(4):
-            m.on_cell_sent(dummy=False)
-        m.on_cell_sent(dummy=True)
+        m.cells_sent = 5
+        m.dummy_cells_sent = 1
         m.on_cell_delivered(0, 1)
         assert m.goodput_fraction() == pytest.approx(0.25)
 
@@ -194,45 +219,3 @@ class TestMetricsCollector:
         m.on_cell_delivered(0, 1)
         m.end_sample_window()
         assert m.throughput_series == [1, 2]
-
-    def test_sample_engine_nodes_uses_public_surface_only(self):
-        """Regression: bulk sampling reached into ``PieoQueue._items`` and
-        ``ActiveBucketTracker._refcount``; it must work against any object
-        exposing the public protocol (``len()`` + ``peak_occupancy``)."""
-
-        class StubQueue:
-            def __init__(self, length, peak):
-                self._length = length
-                self.peak_occupancy = peak
-
-            def __len__(self):
-                return self._length
-
-        class StubTracker:
-            def __init__(self, active):
-                self._active = active
-
-            def __len__(self):
-                return self._active
-
-        class StubNode:
-            def __init__(self, failed, occ, queues, tracker):
-                self.failed = failed
-                self.total_enqueued = occ
-                self.link_queues = queues
-                self.bucket_tracker = tracker
-
-        nodes = [
-            StubNode(False, 7, [StubQueue(4, 9), StubQueue(0, 2)],
-                     StubTracker(3)),
-            StubNode(True, 99, [StubQueue(50, 50)], StubTracker(50)),
-            StubNode(False, 2, [StubQueue(2, 2)], None),
-        ]
-        m = MetricsCollector(n=3)
-        m.sample_engine_nodes(nodes)
-        assert m.buffer_samples.tolist() == [7, 2]  # failed node skipped
-        assert m.queue_samples.tolist() == [4, 2]   # empty queue skipped
-        assert m.max_buffer_occupancy == 7
-        assert m.max_pieo_length == 9
-        assert m.max_active_buckets == 3
-        assert m.throughput_series == [0]           # window closed

@@ -8,6 +8,7 @@ telemetry never perturbs simulated behavior lives in
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.sim.backends import set_default_shards
 from repro.sim.backends.vector import VectorBackend
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
+from repro.sim.node import Node
 from repro.sim.parallel import sweep
 from repro.workloads.generators import permutation_workload
 
@@ -98,6 +100,55 @@ class TestTimeSeries:
         recorder = TimeSeriesRecorder().attach(engine)
         engine.run(engine.config.duration)
         assert sum(recorder.column("tokens")) > 0
+
+    def test_window_close_walks_the_object_model_once(self):
+        """With telemetry attached, the metrics sample and the telemetry
+        row come from one walk: every live node's occupancy and every one
+        of its queues' lengths is read once per closed window, and a
+        failed node is in neither the samples nor the row."""
+        engine = make_engine(duration=100, cc="hbh+spray", size_cells=40)
+        recorder = TimeSeriesRecorder().attach(engine)
+        engine.run(engine.config.duration)
+        failed = engine.nodes[5]
+        failed.failed = True
+        assert failed.total_enqueued, "the failed node must hold cells"
+        alive = [node for node in engine.nodes if not node.failed]
+        reads = Counter()
+
+        class CountedNode(Node):
+            __slots__ = ()
+
+            @property
+            def total_enqueued(self):
+                reads[self] += 1
+                return Node.total_enqueued.__get__(self)
+
+        class CountedQueue(type(failed.link_queues[0])):
+            __slots__ = ()
+
+            def __len__(self):
+                reads[id(self)] += 1
+                return super().__len__()
+
+        for node in engine.nodes:
+            node.__class__ = CountedNode
+            for queue in node.link_queues:
+                queue.__class__ = CountedQueue
+        samples = len(engine.metrics.buffer_samples)
+        engine._sample_metrics()
+
+        for node in engine.nodes:
+            expected = 0 if node.failed else 1
+            assert reads[node] == expected
+            assert {reads[id(q)] for q in node.link_queues} == {expected}
+        occupancies = [Node.total_enqueued.__get__(node) for node in alive]
+        assert engine.metrics.buffer_samples[samples:].tolist() == occupancies
+        row = {name: int(col[-1]) for name, col in recorder.series().items()}
+        assert row["queued"] == sum(occupancies)
+        assert row["max_buffer"] == max(occupancies)
+        assert row["max_queue"] == max(
+            list.__len__(q._items) for node in alive for q in node.link_queues
+        )
 
 
 class TestWarmupBoundary:
@@ -280,12 +331,18 @@ class TestProfiler:
         # matrix profiles the token slab, not a silent reference fallback
         monkeypatch.setattr(VectorBackend, "TOKEN_SLAB_MIN_N", 0)
 
-        def run(observed):
+        def run(observed, backend=backend):
             # flows outlast the run so the drain has work; the warm-up
             # boundary falls mid-run so the measurement crossing is covered
             engine = make_engine(duration=300, seed=9, cc=cc, warmup=100,
                                  size_cells=120, backend=backend)
             engine.enable_digest()
+            # every run records its windows and its flow events, so the
+            # matrix also pins what the three pipelines hand the engine's
+            # effect layer (flow start / finish, window close)
+            rings[engine] = RingSink()
+            EventLog([rings[engine]]).attach(engine)
+            TimeSeriesRecorder().attach(engine)
             if observed:
                 engine.enable_profiler()
                 if checkpoints:
@@ -295,8 +352,18 @@ class TestProfiler:
                 engine.run_until_quiescent()
             return engine
 
+        def recorded(engine):
+            return {
+                "telemetry": engine.telemetry.to_dict(),
+                "events": rings[engine].records,
+                "metrics": engine.metrics.state_dict(),
+            }
+
+        rings = {}
         plain = run(observed=False)
         profiled = run(observed=True)
+        reference = run(observed=False, backend="object")
+        assert recorded(profiled) == recorded(plain) == recorded(reference)
         assert profiled.digest.hexdigest() == plain.digest.hexdigest()
         assert profiled.t == plain.t
         assert (plain.t > 300) == drain

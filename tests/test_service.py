@@ -40,12 +40,6 @@ from repro.service.protocol import (
     decode_message,
     encode_message,
 )
-from repro.sim.checkpoint import (
-    discard_checkpoint,
-    load_any_checkpoint_or_none,
-    save_checkpoint,
-    shard_part_paths,
-)
 from repro.workloads import (
     OpenLoopSource,
     diurnal_curve,
@@ -289,97 +283,10 @@ class TestSessionDurability:
         with pytest.raises(ValueError, match="different configuration"):
             open_session(_cfg(cc="isd"), checkpoint=str(path))
 
-    def test_split_checkpoint_roundtrip(self, tmp_path):
-        """checkpoint_parts persists per-shard files; resume composes."""
-        cfg = _cfg()
-        path = tmp_path / "split.ckpt"
-        session = open_session(cfg, source=OpenLoopSource(cfg, load=0.2),
-                               digest=True, checkpoint=str(path),
-                               checkpoint_parts=4)
-        session.advance(600)
-        session.checkpoint_now()
-        parts = shard_part_paths(str(path), 4)
-        assert all(os.path.exists(p) for p in parts)
-        assert not path.exists()  # split mode writes parts only
-
-        resumed = open_session(cfg, source=OpenLoopSource(cfg, load=0.2),
-                               digest=True, checkpoint=str(path),
-                               checkpoint_parts=4)
-        assert resumed.resumed_from == 600
-        resumed.advance(100)
-        result = resumed.finish()
-        assert result.digest is not None
-        assert not any(os.path.exists(p) for p in parts)  # cleaned up
-
     def test_checkpoint_now_requires_path(self):
         session = open_session(_cfg())
         with pytest.raises(RuntimeError, match="no checkpoint path"):
             session.checkpoint_now()
-
-
-class TestSimulateSplitCleanup:
-    """Regression: simulate() must remove stale per-shard split files."""
-
-    def test_clean_completion_removes_stale_parts(self, tmp_path):
-        cfg = _cfg(duration=200)
-        path = tmp_path / "sim.ckpt"
-        # a previous sharded run left split parts behind
-        session = open_session(cfg, checkpoint=str(path),
-                               checkpoint_parts=3)
-        session.advance(100)
-        session.checkpoint_now()
-        parts = shard_part_paths(str(path), 3)
-        assert all(os.path.exists(p) for p in parts)
-
-        result = simulate(cfg, checkpoint=str(path))
-        assert result.resumed_from == 100  # composed the parts
-        assert not path.exists()
-        assert not any(os.path.exists(p) for p in parts)
-
-    def test_stale_config_discards_parts_too(self, tmp_path):
-        path = tmp_path / "sim.ckpt"
-        session = open_session(_cfg(), checkpoint=str(path),
-                               checkpoint_parts=2)
-        session.advance(100)
-        session.checkpoint_now()
-        parts = shard_part_paths(str(path), 2)
-
-        other = _cfg(cc="isd", duration=150)
-        result = simulate(other, checkpoint=str(path))
-        assert result.resumed_from is None  # config mismatch -> fresh run
-        assert not any(os.path.exists(p) for p in parts)
-
-    def test_corrupt_part_falls_back_to_fresh(self, tmp_path):
-        path = tmp_path / "sim.ckpt"
-        for part in shard_part_paths(str(path), 2):
-            with open(part, "wb") as fh:
-                fh.write(b"junk")
-        assert load_any_checkpoint_or_none(str(path)) is None
-        assert not any(os.path.exists(p)
-                       for p in shard_part_paths(str(path), 2))
-
-    def test_discard_checkpoint_removes_parts(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        session = open_session(_cfg(), checkpoint=str(path),
-                               checkpoint_parts=2)
-        session.advance(50)
-        session.checkpoint_now()
-        discard_checkpoint(str(path))
-        assert not any(os.path.exists(p)
-                       for p in shard_part_paths(str(path), 2))
-
-    def test_whole_file_wins_over_parts(self, tmp_path):
-        cfg = _cfg()
-        path = tmp_path / "w.ckpt"
-        session = open_session(cfg, checkpoint=str(path))
-        session.advance(300)
-        snapshot = session.engine.snapshot()
-        save_checkpoint(snapshot, str(path))
-        # stale junk parts beside the good whole file must not matter
-        with open(str(path) + ".part0", "wb") as fh:
-            fh.write(b"junk")
-        loaded = load_any_checkpoint_or_none(str(path))
-        assert loaded is not None and loaded.t == 300
 
 
 class TestProtocol:

@@ -22,13 +22,10 @@ from repro.sim.backends.shard import ShardBackend, shard_ranges
 from repro.sim.backends.vector import VectorBackend
 from repro.sim.cellcache import CellCache
 from repro.sim.checkpoint import (
-    CheckpointError,
-    compose_checkpoint,
     load_checkpoint,
     save_checkpoint,
     restore_engine,
     snapshot_engine,
-    split_checkpoint,
 )
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
@@ -185,62 +182,35 @@ class TestCacheKeys:
 
 
 class TestShardedCheckpoints:
-    def _snapshot_parts(self, tmp_path, count=3):
+    def test_kill_one_shard_resume_bit_exact(self, shards, tmp_path):
+        """Kill a shard worker mid-run; resume from the snapshot.
+
+        The resumed run must replay to the exact trace of an uninterrupted
+        one — the respawned worker pool, the checkpoint and the mailbox
+        protocol all have to agree for this to hold.
+        """
+        shards(3)
+        baseline = _trace("shard", 64, 2, "none", 11)
+
+        # interrupted run: snapshot at slot 150, then one shard worker
+        # dies (SIGKILL, as a crashed shard would)
         engine = _build("shard", 64, 2, "none", 11)
         engine.enable_digest()
         engine.run(150)
         # mark the snapshot as taken inside run loop 0 ending at slot 300
         # (what the periodic CheckpointWriter records), so the resumed
         # engine's run() stops where the uninterrupted one would
-        checkpoint = snapshot_engine(engine, loop=(0, 300))
-        paths = []
-        for k, part in enumerate(split_checkpoint(checkpoint, count)):
-            path = tmp_path / f"shard-{k}.ckpt"
-            save_checkpoint(part, path)
-            paths.append(path)
-        return engine, checkpoint, paths
-
-    def test_split_compose_roundtrip(self, shards, tmp_path):
-        shards(4)
-        _, checkpoint, paths = self._snapshot_parts(tmp_path)
-        composed = compose_checkpoint(
-            [load_checkpoint(path) for path in paths]
-        )
-        assert composed.config == checkpoint.config
-        assert composed.state == checkpoint.state
-
-    def test_compose_rejects_missing_shard(self, shards, tmp_path):
-        shards(4)
-        _, _, paths = self._snapshot_parts(tmp_path)
-        parts = [load_checkpoint(path) for path in paths[:-1]]
-        with pytest.raises(CheckpointError):
-            compose_checkpoint(parts)
-
-    def test_kill_one_shard_resume_bit_exact(self, shards, tmp_path):
-        """Kill a shard worker mid-run; resume from composed snapshots.
-
-        The resumed run must replay to the exact trace of an uninterrupted
-        one — the respawned worker pool, the composed checkpoint and the
-        mailbox protocol all have to agree for this to hold.
-        """
-        shards(3)
-        baseline = _trace("shard", 64, 2, "none", 11)
-
-        # interrupted run: snapshot at slot 150, split per shard, then one
-        # shard worker dies (SIGKILL, as a crashed shard would)
-        _, _, paths = self._snapshot_parts(tmp_path)
+        path = tmp_path / "shard.ckpt"
+        save_checkpoint(snapshot_engine(engine, loop=(0, 300)), path)
         from repro.sim.backends.shard import _shard_worker_main
 
         pool = get_shard_pool(3, _shard_worker_main)
         os.kill(pool.procs[1].pid, signal.SIGKILL)
         pool.procs[1].join(timeout=10.0)
 
-        # resume: compose the per-shard snapshots into one checkpoint and
-        # drive the rebuilt engine to completion on the shard backend
-        composed = compose_checkpoint(
-            [load_checkpoint(path) for path in paths]
-        )
-        engine = restore_engine(composed)
+        # resume: drive the rebuilt engine to completion on the shard
+        # backend
+        engine = restore_engine(load_checkpoint(path))
         engine.run()
         engine.run_until_quiescent(max_extra=20_000)
         resumed = {
