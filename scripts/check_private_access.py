@@ -16,12 +16,15 @@ Intentional exceptions — hot-path aliasing that trades encapsulation for
 measured speed — are enumerated in :data:`ALLOWLIST` with the reason they
 exist.  Adding an entry is an API-review decision, not a convenience.
 
-Two more findings keep deleted code deleted:
+Three more findings keep deleted code deleted:
 
 * a private function or method that nothing under ``src/repro`` refers to
   (as a name, an attribute or an import) — private means no outside
   caller may exist, so an unreferenced one is dead;
-* an :data:`ALLOWLIST` entry no scanned access uses any more.
+* an :data:`ALLOWLIST` entry no scanned access uses any more;
+* a slab stepper naming the object model's private layout
+  (:data:`OBJECT_LAYOUT`): the steppers and the objects exchange plain data
+  only, same package or not.
 
 Run from the repo root (CI does)::
 
@@ -65,6 +68,23 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     ("repro/failures/manager.py", "_queue_token"):
         "failure protocol enqueues invalidation tokens",
 }
+
+
+#: Private attributes of ``Node``, ``PieoQueue``, ``TokenLedger`` and
+#: ``ActiveBucketTracker`` that the slab steppers used to read and refill in
+#: place.  The steppers now pack from, and export, the checkpoint's
+#: plain-data encoding (DESIGN.md §11), so on anything but ``self`` these
+#: names mean an object walker is growing back.
+OBJECT_LAYOUT = frozenset({
+    "_items", "_spent_map", "_refcount_map", "_is_first_map",
+    "_token_cache", "_spent", "_refcount",
+})
+
+#: the files (relative to src/) held to :data:`OBJECT_LAYOUT`
+SLAB_STEPPERS = frozenset({
+    "repro/sim/backends/vector.py",
+    "repro/sim/backends/token_slab.py",
+})
 
 
 class Violation(NamedTuple):
@@ -162,6 +182,11 @@ def _scan_file(rel: str, package: str, tree: ast.AST, own: Set[str],
             receiver = node.value
             if isinstance(receiver, ast.Name) and receiver.id in (
                     "self", "cls"):
+                continue
+            if rel in SLAB_STEPPERS and node.attr in OBJECT_LAYOUT:
+                out.append(Violation(rel, node.lineno, node.attr,
+                                     "attribute",
+                                     "object-model layout in a slab stepper"))
                 continue
             if node.attr in own:
                 continue  # the package owns (also) this name

@@ -684,9 +684,7 @@ class FailureManager:
             engine.tracer.on_reroute(cell)
         if cell.dst == bad_target:
             # its final hop is dead: drop (end-to-end recovery's job)
-            engine.metrics.on_drop()
-            if engine.digest is not None:
-                engine.digest.on_drop(cell, t)
+            engine.drop_cell(cell, t)
             return
         if cell.sprays_remaining == 0:
             # direct semi-path via the failure: restart spraying

@@ -60,8 +60,9 @@ class EngineBackend:
     every engine-level attribute (clock, RNG, flow table, metrics) must be
     current, and the nodes and the wire must be either authoritative or
     one read away — held by a packed run handed to
-    :meth:`~repro.sim.engine.Engine._park`, which the first read of the
-    object model unpacks: checkpoints, observers and manual
+    :meth:`~repro.sim.engine.Engine._park`, whose ``export_model()`` a
+    snapshot takes as it is and the first read of the object model loads:
+    checkpoints, observers and manual
     :meth:`~repro.sim.engine.Engine.step` calls may read or mutate any
     engine state between backend calls.
 

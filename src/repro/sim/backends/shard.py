@@ -65,6 +65,7 @@ from . import EngineBackend, default_shards, register_backend
 from .object_backend import advance as advance_reference
 from .vector import (
     _EV_DELIVERY,
+    _SlabTables,
     _VectorRun,
     _fast_ineligible_reason,
     VectorBackend,
@@ -177,9 +178,10 @@ class _WorkerRun(_VectorRun):
             ),
             metrics=_Proxy(max_queue_length=0),
         )
-        _VectorRun.__init__(
-            self, engine, tables["nbr"], tables["link_table"], tables["qt"]
-        )
+        _VectorRun.__init__(self, engine, _Proxy(
+            nbr=tables["nbr"], link_table=tables["link_table"],
+            qt=tables["qt"],
+        ))
         self.k = idx
         self.K = count
         self.mail = mail_queues
@@ -903,7 +905,7 @@ class ShardBackend(EngineBackend):
             )
 
     def _tables_payload(self, engine) -> dict:
-        nbr, link_table, _ = self._inner._tables(engine)
+        tables = _SlabTables.shared(engine)
         cfg = engine.config
         schedule = engine.schedule
         return {
@@ -913,8 +915,8 @@ class ShardBackend(EngineBackend):
             "delay": cfg.propagation_delay,
             "epoch": schedule.epoch_length,
             "phase_table": list(schedule.phase_table),
-            "link_table": list(link_table),
-            "nbr": nbr,
+            "link_table": list(tables.link_table),
+            "nbr": tables.nbr,
         }
 
     # -------------------------------------------------------------- #

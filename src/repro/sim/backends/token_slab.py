@@ -28,14 +28,11 @@ See DESIGN.md §11 for the column layout and the within-slot event order.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List
 
 import numpy as np
 
-from ...core.cell import Cell
-from ...core.header import TOKEN_REGULAR, Token
-from ..node import Transmission
+from ...core.header import TOKEN_REGULAR
 from .vector import _HEADERS, _Decline, _VectorRun
 
 __all__ = ["TokenRun"]
@@ -47,17 +44,14 @@ _LEDGER_END = np.iinfo(np.int64).max
 
 
 class TokenRun(_VectorRun):
-    """One packed stretch of hop-by-hop stepping (see the module docstring).
-
-    ``links`` is :meth:`VectorBackend._link_tables`' result.
-    """
+    """One packed stretch of hop-by-hop stepping (see the module docstring)."""
 
     #: initial token-ring capacity (a power of two; rings double when full)
     RING_SLOTS = 4
 
-    def __init__(self, engine, nbr, link_table, qt, links):
-        super().__init__(engine, nbr, link_table, qt)
-        self.peer, back, self.pair_key, self.pair_link = links
+    def __init__(self, engine, tables):
+        super().__init__(engine, tables)
+        self.peer, back, self.pair_key, self.pair_link = tables.links
         self.back = back.tolist()
         n, h, L = self.n, self.h, self.L
         self.nh = n * h
@@ -73,8 +67,8 @@ class TokenRun(_VectorRun):
         self.tq_cap = self.RING_SLOTS
         self.tq = np.zeros((self.Ln, self.tq_cap), dtype=np.int64)
         # heads run free (positions are read modulo the capacity), so
-        # ``head + len`` counts the tokens a ring has ever held: the object
-        # model keeps a (possibly empty) deque for every ring that held one
+        # ``head + len`` counts the tokens a ring has ever held: a node's
+        # state lists a (possibly empty) ring for every one that held one
         self.tq_head = np.zeros(self.Ln, dtype=np.int64)
         self.tq_len = np.zeros(self.Ln, dtype=np.int64)
         # the link on which the batch being received reaches its senders
@@ -107,7 +101,7 @@ class TokenRun(_VectorRun):
         self.c_back[: old.size] = old
 
     # ------------------------------------------------------------------ #
-    # pack / unpack
+    # pack / export
 
     def _link_between(self, nodes, neighbors) -> np.ndarray:
         """The link on which each of ``nodes`` reaches its ``neighbors``."""
@@ -119,44 +113,27 @@ class TokenRun(_VectorRun):
             raise _Decline(_HEADERS)
         return self.pair_link[pos]
 
-    def _pack_nodes(self) -> int:
-        nid = super()._pack_nodes()
+    def _pack_nodes(self, node_states) -> int:
+        nid = super()._pack_nodes(node_states)
+        if not node_states:
+            return nid
         n, h, nh = self.n, self.h, self.nh
+        ids = np.arange(n, dtype=np.int64)
         # queued cells sit in rows [Ln, nid) in node-major walk order
-        holders = np.repeat(
-            np.arange(n, dtype=np.int64), self.q_len.sum(axis=0)
-        )
+        holders = np.repeat(ids, self.q_len.sum(axis=0))
         self.c_back[self.Ln:nid] = self._link_between(
             holders, self.c_prev[self.Ln:nid]
         )
-        ids = np.arange(n, dtype=np.int64)
-        spent: List[tuple] = []     # (neighbour, dst, sprays) ledger keys
-        spent_at: List[int] = []    # how many of them each node holds
-        refs: List[tuple] = []      # (dst, sprays) active buckets
-        counts: List[int] = []      # their reference counts
-        refs_at: List[int] = []
-        rings: List[tuple] = []     # (node, neighbour, codes), non-empty
-        for i, node in enumerate(self.engine.nodes):
-            # the nodes' own hot-path aliases of the ledger/tracker dicts
-            if node._is_first_map:
-                raise _Decline("ledger carries first-hop markings")
-            spent.extend(node._spent_map)
-            spent_at.append(len(node._spent_map))
-            refcount = node._refcount_map
-            refs.extend(refcount)
-            counts.extend(refcount.values())
-            refs_at.append(len(refcount))
-            for nb, tokens in node.token_return.items():
-                if not tokens:
-                    continue  # its (empty) deque stays as it is
-                if any(token.kind != TOKEN_REGULAR for token in tokens):
-                    raise _Decline(_HEADERS)
-                rings.append(
-                    (i, nb, [tok.dest * h + tok.sprays for tok in tokens])
-                )
+        ledgers = [state["ledger"] for state in node_states]
+        if any(ledger["is_first"] for ledger in ledgers):
+            raise _Decline("ledger carries first-hop markings")
+        # (neighbour, dst, sprays) keys; with T = T_F = 1 every recorded
+        # pair holds exactly one charge
+        spent = [key for ledger in ledgers for key, _ in ledger["spent"]]
         if spent:
-            # with T = T_F = 1 every recorded pair holds exactly one charge
-            holder = np.repeat(ids, spent_at)
+            holder = np.repeat(
+                ids, [len(ledger["spent"]) for ledger in ledgers]
+            )
             nb, dst, sprays = np.array(spent, dtype=np.int64).T
             link = self._link_between(holder, nb)
             key = (holder * n + dst) * h + sprays
@@ -164,124 +141,76 @@ class TokenRun(_VectorRun):
                 self.ledger[l] = np.sort(
                     np.append(key[link == l], _LEDGER_END)
                 )
+        trackers = [state["tracker"] for state in node_states]
+        refs = [ref for tracker in trackers for ref in tracker["refcount"]]
+        self.tr_active[:] = [len(tracker["refcount"]) for tracker in trackers]
+        self.tr_peak[:] = [tracker["peak"] for tracker in trackers]
         if refs:
-            dst, sprays = np.array(refs, dtype=np.int64).T
-            self.tr_ref[np.repeat(ids, refs_at) * nh + dst * h + sprays] = \
-                counts
-        self.tr_active[:] = refs_at
-        self.tr_peak[:] = [
-            node.bucket_tracker.peak for node in self.engine.nodes
-        ]
+            dst, sprays = np.array(
+                [bucket for bucket, _ in refs], dtype=np.int64
+            ).T
+            self.tr_ref[np.repeat(ids, self.tr_active) * nh + dst * h
+                        + sprays] = [count for _, count in refs]
+        rings = [(i, nb, tokens) for i, state in enumerate(node_states)
+                 for nb, tokens in state["token_return"]]
         if rings:
-            link = self._link_between(
-                [ring[0] for ring in rings], [ring[1] for ring in rings]
-            )
-            while self.tq_cap < max(len(ring[2]) for ring in rings):
+            holder, nb, held = zip(*rings)
+            while self.tq_cap < max(map(len, held)):
                 self._grow_rings()
-            for (i, _, codes), l in zip(rings, link.tolist()):
-                q = l * n + i
-                self.tq_len[q] = len(codes)
-                self.tq[q, : len(codes)] = codes
+            q = self._link_between(holder, nb) * n + holder
+            # a listed ring has held a token, even one that is empty now:
+            # a head of one capacity says so and still reads as position 0
+            self.tq_head[q] = self.tq_cap
+            self.tq_len[q] = list(map(len, held))
+            for ring, tokens in zip(q.tolist(), held):
+                self.tq[ring, :len(tokens)] = self._token_codes(tokens)
         return nid
 
-    def _pack_wire(self, nid: int) -> int:
-        h, tph = self.h, self.tph
-        load_cell = self._cell_loader()
-        batch: Dict[str, list] = {}
-        arr = None
+    def _wire_batch(self, arrival, senders, rows, recvs, fresh, esph, headers):
+        # one TX slot, one link: every receiver hears its sender on the
+        # same return link
+        back = self._link_between(recvs, senders)
+        if (back != back[0]).any():
+            raise _Decline(_HEADERS)
+        tokens = None
+        if any(headers) or (rows < 0).any():
+            tokens = np.full((self.tph, senders.size), -1, dtype=np.int64)
+            for col, header in enumerate(headers):
+                if len(header) > self.tph:
+                    raise _Decline(_HEADERS)
+                tokens[:len(header), col] = self._token_codes(header)
+        return (arrival, senders, rows, recvs, fresh, esph, tokens,
+                int(back[0]))
 
-        def flush():
-            if not batch:
-                return
-            senders = np.array(batch["senders"], dtype=np.int64)
-            recvs = np.array(batch["recvs"], dtype=np.int64)
-            # one TX slot, one link: every receiver hears its sender on
-            # the same return link
-            back = self._link_between(recvs, senders)
-            if (back != back[0]).any():
-                raise _Decline(_HEADERS)
-            tokens = None
-            if any(batch["tokens"]) or -1 in batch["cells"]:
-                tokens = np.full((tph, senders.size), -1, dtype=np.int64)
-                for col, codes in enumerate(batch["tokens"]):
-                    tokens[: len(codes), col] = codes
-            self.batches.append((
-                arr, senders, np.array(batch["cells"], dtype=np.int64),
-                recvs, np.array(batch["fresh"], dtype=bool), batch["esph"],
-                tokens, int(back[0]),
-            ))
+    def _token_codes(self, tokens) -> list:
+        """The ``dst * h + sprays`` code of each ``Token.state()`` in
+        ``tokens``, all regular (the only kind a ring or a header holds
+        on the slab) ..."""
+        if any(kind != TOKEN_REGULAR for _, _, kind in tokens):
+            raise _Decline(_HEADERS)
+        return [dest * self.h + sprays for dest, sprays, _ in tokens]
 
-        for tx in self.engine._in_flight:
-            cell = tx.cell
-            if tx.ctrl or cell is None or len(tx.tokens) > tph or any(
-                token.kind != TOKEN_REGULAR for token in tx.tokens
-            ):
-                raise _Decline(_HEADERS)
-            if tx.arrival != arr:
-                flush()
-                arr = tx.arrival
-                batch = {"senders": [], "cells": [], "recvs": [],
-                         "fresh": [], "tokens": [], "esph": 0}
-            batch["senders"].append(tx.sender)
-            batch["recvs"].append(tx.receiver)
-            batch["tokens"].append(
-                [tok.dest * h + tok.sprays for tok in tx.tokens]
-            )
-            if cell.dummy:
-                batch["cells"].append(-1)
-                batch["fresh"].append(False)
-                continue
-            load_cell(cell, nid)
-            batch["cells"].append(nid)
-            spraying = cell.sprays_remaining > 0
-            batch["fresh"].append(spraying)
-            if spraying:
-                batch["esph"] = cell.spray_phase
-            nid += 1
-        flush()
-        return nid
+    def _token_states(self, codes) -> list:
+        """... and back: the ``Token.state()`` each of ``codes`` names."""
+        return [(*divmod(code, self.h), TOKEN_REGULAR) for code in codes]
 
-    def _token(self, node, code: int) -> Token:
-        """The regular token ``code`` names, interned per node as the
-        object pipeline interns them."""
-        bucket = divmod(code, self.h)
-        tok = node._token_cache.get(bucket)
-        if tok is None:
-            tok = node._token_cache[bucket] = Token(*bucket)
-        return tok
+    def _header_states(self, batch):
+        tokens = batch[6]
+        if tokens is None:
+            return super()._header_states(batch)
+        return [
+            tuple(self._token_states(code for code in header if code >= 0))
+            for header in tokens.T.tolist()
+        ]
 
-    def _unpack_wire(self, made: List[Cell]) -> None:
-        nodes = self.engine.nodes
-        in_flight = self.engine._in_flight
-        pos = 0
-        for arr, senders, cells, recvs, _, _, tokens, _ in self.batches:
-            m = senders.size
-            codes = [()] * m if tokens is None else tokens.T.tolist()
-            for s, r, row, cell, header in zip(
-                senders.tolist(), recvs.tolist(), cells.tolist(),
-                made[pos:pos + m], codes,
-            ):
-                if row < 0:
-                    cell = Cell.make_dummy(s, r)
-                tx = Transmission(s, r, cell, tuple(
-                    self._token(nodes[s], code)
-                    for code in header if code >= 0
-                ), ())
-                tx.arrival = arr
-                in_flight.append(tx)
-            pos += m
-
-    def _unpack_tokens(self) -> None:
-        engine = self.engine
-        nodes = engine.nodes
+    def export_model(self):
+        node_states, wire_states, active = super().export_model()
         n, h, nh = self.n, self.h, self.nh
-        # the ledger and tracker dicts, through the nodes' hot-path
-        # aliases of them — refilled in place, never rebound
-        spent_maps = [node._spent_map for node in nodes]
-        ref_maps = [node._refcount_map for node in nodes]
-        for spent, refcount in zip(spent_maps, ref_maps):
-            spent.clear()
-            refcount.clear()
+        # per node: ledger charges, active buckets, token rings (each
+        # sorted by key below, as state_dict() sorts them)
+        spent: List[list] = [[] for _ in range(n)]
+        refs: List[list] = [[] for _ in range(n)]
+        rings: List[list] = [[] for _ in range(n)]
         key = np.concatenate([column[:-1] for column in self.ledger])
         link = np.repeat(
             np.arange(self.L), [column.size - 1 for column in self.ledger]
@@ -291,7 +220,7 @@ class TokenRun(_VectorRun):
         for i, pair in zip(holder.tolist(), zip(
             self.peer[link, holder].tolist(), dst.tolist(), sprays.tolist()
         )):
-            spent_maps[i][pair] = 1
+            spent[i].append((pair, 1))
         live = self.tr_ref.nonzero()[0]
         holder, code = np.divmod(live, nh)
         dst, sprays = np.divmod(code, h)
@@ -299,9 +228,7 @@ class TokenRun(_VectorRun):
             holder.tolist(), zip(dst.tolist(), sprays.tolist()),
             self.tr_ref[live].tolist(),
         ):
-            ref_maps[i][bucket] = count
-        for node, peak in zip(nodes, self.tr_peak.tolist()):
-            node.bucket_tracker.peak = peak
+            refs[i].append((bucket, count))
         used = (self.tq_head + self.tq_len).nonzero()[0]
         held = (self.tq_head[used, None] + np.arange(self.tq_cap)) \
             & (self.tq_cap - 1)
@@ -310,17 +237,19 @@ class TokenRun(_VectorRun):
             self.tq[used[:, None], held].tolist(),
             self.peer.reshape(-1)[used].tolist(),
         ):
-            node = nodes[q % n]
-            ring = node.token_return.get(nb)
-            if ring is None:
-                ring = node.token_return[nb] = deque()
-            ring.clear()
-            ring.extend(self._token(node, code) for code in codes[:length])
-        pending = self.tq_len.reshape(self.L, n).sum(axis=0)
-        for node, owed in zip(nodes, pending.tolist()):
-            node.pending_tokens = owed
+            rings[q % n].append((nb, self._token_states(codes[:length])))
+        owed = self.tq_len.reshape(self.L, n).sum(axis=0)
+        for state, ring, ledger, buckets, peak, tokens in zip(
+            node_states, rings, spent, refs, self.tr_peak.tolist(),
+            owed.tolist(),
+        ):
+            state["token_return"] = sorted(ring)
+            state["ledger"] = {"spent": sorted(ledger), "is_first": []}
+            state["tracker"] = {"refcount": buckets, "peak": peak}
+            state["pending_tokens"] = tokens
         # a node owing tokens has work even with empty queues
-        engine._active_ids.update(pending.nonzero()[0].tolist())
+        active = sorted(set(active).union(owed.nonzero()[0].tolist()))
+        return node_states, wire_states, active
 
     # ------------------------------------------------------------------ #
     # ledger columns

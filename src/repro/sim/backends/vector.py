@@ -30,8 +30,11 @@ since the previous sync, so object-mode code continues the identical stream.
 The packed run *is* the engine's state between ``advance`` calls: each call
 ends with a sync of everything that is not a node or a transmission and
 parks the run on the engine (:meth:`Engine._park`), the next call continues
-on the same columns, and the object model is built — by the run's
-``unpack()`` — only when something reads ``engine.nodes`` or the wire.
+on the same columns, and the object model is built only when something
+reads ``engine.nodes`` or the wire.  Columns and objects never meet: the
+run packs from, and exports, the checkpoint's plain-data encoding
+(:data:`repro.sim.engine.PlainModel`), which ``Engine._materialize`` alone
+turns into objects.
 
 Shortest-queue spraying (``spray-short``) is a different spraying choice on
 the same columns; the hop-by-hop token protocol adds its own
@@ -49,12 +52,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import compress, repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ...core.cell import Cell
-from ..node import Transmission
 from . import EngineBackend, register_backend
 from .object_backend import advance as advance_reference
 
@@ -66,6 +69,11 @@ _SLAB_COLS = (
     "c_src", "c_dst", "c_fid", "c_seq", "c_sprays", "c_prev",
     "c_created", "c_sphase", "c_fsize", "c_hops", "c_enqat", "c_nxt",
 )
+
+#: where ``Cell.state()`` carries ``dummy`` — the one field the slab has no
+#: column for; it sits just before ``hops`` — and the spray-phase hint
+_STATE_DUMMY = _SLAB_COLS.index("c_hops")
+_STATE_SPHASE = _SLAB_COLS.index("c_sphase")
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
 #: slab columns of a delivery event's fields, in on_delivery order
@@ -126,20 +134,14 @@ def _fast_ineligible_reason(engine):
     floor = VectorBackend.TOKEN_SLAB_MIN_N
     if cc != "none" and cfg.n < floor:
         return f"n={cfg.n} below the token-slab size floor ({floor})"
-    # only built nodes can carry state: an engine that has not left the
-    # slab (or not run at all) has nothing to scan
-    for node in engine._built_nodes or ():
-        if (
-            node.failed
-            or node.failed_neighbors
-            or node.known_failed
-            or node.link_invalid
-            or node._force_dummy
-            or (node.pending_tokens and not hbh)
-            or node.pending_ctrl
-            or node.rtx_queue
-        ):
-            return f"node {node.node_id} carries non-vectorizable state"
+    # state no column holds; an engine that has not left the slab (or not
+    # run at all) has no node to carry any
+    for i, (owed, *uncolumned) in enumerate(engine._node_fields(
+        "pending_tokens", "failed", "failed_neighbors", "known_failed",
+        "link_invalid", "force_dummy", "pending_ctrl", "rtx_queue",
+    )):
+        if any(uncolumned) or (owed and not hbh):
+            return f"node {i} carries non-vectorizable state"
     return None
 
 
@@ -271,11 +273,12 @@ class _VectorRun:
     Built and packed by :meth:`VectorBackend._step`, advanced by
     :meth:`advance` — any number of times: between calls the run is the
     engine's state, :meth:`sync` having written back everything that is
-    not a node or a transmission — and turned back into objects by
-    :meth:`unpack`, once, when something reads the object model.
+    not a node or a transmission — and read back as plain data by
+    :meth:`export_model` when a snapshot or the object model needs it.
+    ``tables`` is the :class:`_SlabTables` of the engine's size.
     """
 
-    def __init__(self, engine, nbr, link_table, qt):
+    def __init__(self, engine, tables):
         self.engine = engine
         cfg = engine.config
         coords = engine.coords
@@ -286,10 +289,10 @@ class _VectorRun:
         self.rm1 = self.r - 1
         self.L = self.h * self.rm1
         self.delay = cfg.propagation_delay
-        self.nbr = nbr
-        self.link_table = link_table
-        # h=2 next-hop table (see VectorBackend._tables); None for other h
-        self.qsel, self.nsel = qt if qt is not None else (None, None)
+        self.nbr = tables.nbr
+        self.link_table = tables.link_table
+        # h=2 next-hop tables (build_hop_tables); None for other h
+        self.qsel, self.nsel = tables.qt or (None, None)
         self.nn = self.n * self.n
         schedule = engine.schedule
         self.epoch = schedule.epoch_length
@@ -328,7 +331,7 @@ class _VectorRun:
         self.qf_len = self.q_len.reshape(-1)
         self.qf_peak = self.q_peak.reshape(-1)
         # per-node occupancy totals are derived from q_len on demand (at
-        # sample windows and unpack), not maintained per slot
+        # sample windows and export), not maintained per slot
         # flow cursor columns + waiting lists
         self.has_flow = np.zeros(self.n, dtype=bool)
         self.cur_fid = np.zeros(self.n, dtype=np.int64)
@@ -549,47 +552,38 @@ class _VectorRun:
         self.words_consumed = 0
 
     # ------------------------------------------------------------------ #
-    # pack / resume / sync / unpack
+    # pack / resume / sync / export
 
-    def pack(self) -> Optional[str]:
-        """Read the object model into columns; None on success, else the
-        reason the state cannot be packed.  An engine whose object model
-        was never built has nothing to read: its columns start empty.
-
-        Purely read-only until the final commit (clearing the object wire),
-        so a mid-scan disqualification leaves the engine untouched.
-        """
-        engine = self.engine
-        built = engine._built_nodes is not None
+    def pack(self, model) -> Optional[str]:
+        """Turn ``model`` (:data:`~repro.sim.engine.PlainModel`; None for an
+        engine that never ran, whose columns start empty) into columns;
+        None on success, else the reason the state cannot be packed.  The
+        model is only read, so a decline leaves the engine untouched."""
+        node_states, wire_states, _ = model or ((), (), ())
         try:
-            self._mirror_rng()
-            if built:
-                count = sum(node.total_enqueued for node in engine.nodes)
-                count += len(engine._in_flight)
-                self._init_slab(count)
-                nid = self._pack_wire(self._pack_nodes())
-            else:
-                self._init_slab(0)
-                nid = self.Ln
+            self._init_slab(
+                sum(state["total_enqueued"] for state in node_states)
+                + len(wire_states)
+            )
+            nid = self._pack_wire(wire_states, self._pack_nodes(node_states))
         except _Decline as declined:
             return str(declined)
         # flow completion columns for every active flow
-        for fid, flow in engine.flows._active.items():
+        for fid, flow in self.engine.flows._active.items():
             self._ensure_flow(fid)
             self.f_del[fid] = flow.delivered
             self.f_size[fid] = flow.size_cells
-        # commit: remaining rows form the freelist; the object wire empties
+        # the remaining rows form the freelist
         self.free[: self.cap - nid] = np.arange(nid, self.cap, dtype=np.int64)
         self.free_top = self.cap - nid
-        if built:
-            engine._in_flight.clear()
         return None
 
     def resume(self, engine) -> Optional[str]:
-        """Ready a run parked on ``engine`` for another ``advance``; None,
-        or the reason it cannot continue.  Everything else the stepper
-        uses of the engine it reads afresh each call, so only an
-        ``engine.rng`` that moved since the last sync needs work: a new
+        """Ready the run for an ``advance`` on ``engine`` — a new run
+        before it packs, a parked one before it continues; None, or the
+        reason it cannot step.  Everything else the stepper uses of the
+        engine it reads afresh each call, so only an ``engine.rng`` that
+        moved since the last sync (or was never mirrored) needs work: a new
         mirror."""
         self.engine = engine
         if engine.rng.getstate() != self.rng_synced:
@@ -624,62 +618,50 @@ class _VectorRun:
         return (self._peak_buckets(), int(self.q_peak.max()),
                 int(self._node_occupancy().max()))
 
-    def _cell_loader(self):
-        """``load(cell, row)``: one payload cell into a slab row.
+    def _load_cells(self, cells, nid: int) -> int:
+        """``Cell.state()`` tuples — ``_SLAB_COLS`` order, around ``dummy``
+        — into slab rows ``nid`` on, in one array conversion; returns the
+        next free row."""
+        if not cells:
+            return nid
+        block = np.array(cells, dtype=np.int64).T
+        if block[_STATE_DUMMY].any() or (block[_STATE_SPHASE] < 0).any():
+            raise _Decline(_HEADERS)
+        end = nid + block.shape[1]
+        self._slab[:_STATE_DUMMY, nid:end] = block[:_STATE_DUMMY]
+        self._slab[_STATE_DUMMY:-1, nid:end] = block[_STATE_DUMMY + 1:]
+        return end
 
-        Runs once per queued and in-flight cell of every pack, so the
-        column views are bound as closure locals.
-        """
-        c_src = self.c_src
-        c_dst = self.c_dst
-        c_fid = self.c_fid
-        c_seq = self.c_seq
-        c_sprays = self.c_sprays
-        c_prev = self.c_prev
-        c_created = self.c_created
-        c_sphase = self.c_sphase
-        c_fsize = self.c_fsize
-        c_hops = self.c_hops
-        c_enqat = self.c_enqat
-
-        def load(cell, row):
-            if cell.dummy or cell.spray_phase < 0:
-                raise _Decline(_HEADERS)
-            c_src[row] = cell.src
-            c_dst[row] = cell.dst
-            c_fid[row] = cell.flow_id
-            c_seq[row] = cell.seq
-            c_sprays[row] = cell.sprays_remaining
-            c_prev[row] = cell.prev_hop
-            c_created[row] = cell.created_at
-            c_sphase[row] = cell.spray_phase
-            c_fsize[row] = cell.flow_size
-            c_hops[row] = cell.hops
-            c_enqat[row] = cell.enqueued_at
-
-        return load
-
-    def _pack_nodes(self) -> int:
+    def _pack_nodes(self, node_states) -> int:
         """Queues and flow cursors of every node; returns the next free
         slab row (queued cells occupy rows from ``Ln`` on, in node-major,
         link-minor, FIFO order)."""
-        nid = self.Ln  # cell rows start past the queue sentinels
-        load_cell = self._cell_loader()
-        c_nxt = self.c_nxt
-        n = self.n
-        for i, node in enumerate(self.engine.nodes):
-            for l, queue in enumerate(node.link_queues):
-                items = queue._items
-                self.q_peak[l, i] = queue.peak_occupancy
-                self.q_len[l, i] = len(items)
-                prev_row = l * n + i  # the queue's sentinel
-                for cell in items:
-                    load_cell(cell, nid)
-                    c_nxt[prev_row] = nid
-                    prev_row = nid
-                    nid += 1
-                self.q_tail[l, i] = prev_row
-            live = [f for f in node.local_flows if f.sent < f.size_cells]
+        first = self.Ln  # cell rows start past the queue sentinels
+        if not node_states:
+            return first
+        queues = [queue for state in node_states for queue in state["queues"]]
+        nid = self._load_cells(
+            [cell for queue in queues for cell in queue["items"]], first
+        )
+        # per queue, in that order: its sentinel (``link * n + node``, the
+        # flat queue index) and the end of its run of rows
+        sentinel = np.add.outer(
+            np.arange(self.n), np.arange(self.L) * self.n
+        ).reshape(-1)
+        lens = np.array([len(queue["items"]) for queue in queues])
+        ends = first + lens.cumsum()
+        self.qf_len[sentinel] = lens
+        self.qf_peak[sentinel] = [queue["peak"] for queue in queues]
+        # thread every run into its list: sentinel -> rows in order -> -1
+        self.c_nxt[first:nid] = np.arange(first + 1, nid + 1)
+        held = lens.nonzero()[0]
+        self.c_nxt[ends[held] - 1] = -1
+        self.c_nxt[sentinel[held]] = ends[held] - lens[held]
+        self.qf_tail[sentinel[held]] = ends[held] - 1
+        lookup = self.engine.flows.get
+        for i, state in enumerate(node_states):
+            live = [flow for flow in map(lookup, state["local_flows"])
+                    if flow is not None and flow.sent < flow.size_cells]
             if live:
                 cursor = live[0]
                 self.has_flow[i] = True
@@ -691,163 +673,113 @@ class _VectorRun:
                 self.waiting[i].extend(live[1:])
         return nid
 
-    def _pack_wire(self, nid: int) -> int:
-        """The wire, grouped into per-arrival batches (FIFO order
-        preserved), loaded from slab row ``nid`` on; returns the next free
-        row."""
-        load_cell = self._cell_loader()
-        arr = None
-        senders: List[int] = []
-        cells: List[int] = []
-        recvs: List[int] = []
-        emask: List[bool] = []
-        esph = 0
-
-        def flush():
-            if senders:
-                self.batches.append((
-                    arr,
-                    np.array(senders, dtype=np.int64),
-                    np.array(cells, dtype=np.int64),
-                    np.array(recvs, dtype=np.int64),
-                    np.array(emask, dtype=bool),
-                    esph,
-                ))
-
-        for tx in self.engine._in_flight:
-            cell = tx.cell
-            if tx.tokens or tx.ctrl or cell is None:
-                raise _Decline(_HEADERS)
-            if tx.arrival != arr:
-                flush()
-                arr = tx.arrival
-                senders, cells, recvs, emask = [], [], [], []
-                esph = 0
-            load_cell(cell, nid)
-            senders.append(tx.sender)
-            cells.append(nid)
-            recvs.append(tx.receiver)
-            spraying = cell.sprays_remaining > 0
-            emask.append(spraying)
-            if spraying:
-                # all spraying cells in one batch left the same TX slot,
-                # so they share one spray phase
-                esph = cell.spray_phase
-            nid += 1
-        flush()
+    def _pack_wire(self, wire_states, nid: int) -> int:
+        """The wire, cut into per-arrival batches (FIFO order preserved),
+        its payload cells loaded from slab row ``nid`` on; returns the
+        next free row."""
+        if not wire_states:
+            return nid
+        senders, recvs, cells, headers, ctrl, arrivals = zip(*wire_states)
+        if any(ctrl) or None in cells:
+            raise _Decline(_HEADERS)
+        senders = np.array(senders, dtype=np.int64)
+        recvs = np.array(recvs, dtype=np.int64)
+        # a token-only dummy is a wire row with no slab row (-1)
+        payload = np.array([not cell[_STATE_DUMMY] for cell in cells])
+        rows = np.where(payload, nid + payload.cumsum() - 1, -1)
+        nid = self._load_cells(list(compress(cells, payload)), nid)
+        fresh = payload & (self.c_sprays[rows] > 0)
+        cuts = [0, *(np.flatnonzero(np.diff(arrivals)) + 1).tolist(),
+                len(cells)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            # the spraying cells of one batch left the same TX slot, so
+            # they share one spray phase
+            spraying = rows[lo:hi][fresh[lo:hi]]
+            esph = int(self.c_sphase[spraying[-1]]) if spraying.size else 0
+            self.batches.append(self._wire_batch(
+                arrivals[lo], senders[lo:hi], rows[lo:hi], recvs[lo:hi],
+                fresh[lo:hi], esph, headers[lo:hi],
+            ))
         return nid
 
-    def _materialize_rows(self, rows: List[int]) -> List[Cell]:
-        """Cells for slab ``rows``, built from one bulk gather per column.
+    def _wire_batch(self, arrival, senders, rows, recvs, fresh, esph, headers):
+        """One arrival slot of a packed wire as a batch tuple of this
+        stepper (the shape ``_tx`` appends); ``headers`` holds each
+        transmission's token states."""
+        if any(headers) or (rows < 0).any():
+            raise _Decline(_HEADERS)
+        return arrival, senders, rows, recvs, fresh, esph
 
-        One fancy gather + ``tolist`` per column replaces per-cell numpy
-        scalar reads; the remaining per-cell cost is twelve attribute
-        stores.
-        """
-        if not rows:
-            return []
-        ra = np.array(rows, dtype=np.int64)
-        out: List[Cell] = []
-        append = out.append
-        new = Cell.__new__
-        for src, dst, fid, seq, spr, prv, cre, sph, fsz, hp, enq in zip(
-            self.c_src[ra].tolist(), self.c_dst[ra].tolist(),
-            self.c_fid[ra].tolist(), self.c_seq[ra].tolist(),
-            self.c_sprays[ra].tolist(), self.c_prev[ra].tolist(),
-            self.c_created[ra].tolist(), self.c_sphase[ra].tolist(),
-            self.c_fsize[ra].tolist(), self.c_hops[ra].tolist(),
-            self.c_enqat[ra].tolist(),
-        ):
-            cell = new(Cell)
-            cell.src = src
-            cell.dst = dst
-            cell.flow_id = fid
-            cell.seq = seq
-            cell.sprays_remaining = spr
-            cell.prev_hop = prv
-            cell.created_at = cre
-            cell.spray_phase = sph
-            cell.flow_size = fsz
-            cell.dummy = False
-            cell.hops = hp
-            cell.enqueued_at = enq
-            append(cell)
-        return out
-
-    def unpack(self) -> None:
-        """Write the columns back into the object model (which this builds,
-        if need be, by reading it); the run is spent afterwards."""
-        self.sync()
-        engine = self.engine
-        # first pass: walk every linked list with plain python ints,
-        # collecting all live rows (queues first, then the wire) so the
-        # cells can be materialized in one columnar sweep
+    def export_model(self):
+        """The nodes, the wire and the active set of a synced run as
+        :data:`~repro.sim.engine.PlainModel` — what an object run holds at
+        this slot, with ``active_ids`` exactly the nodes with work (a legal
+        instance of the engine's superset invariant: nothing else can owe
+        work in a slab-eligible state).  Reads the columns only: no object
+        is touched and the run goes on as it is."""
+        # every live row: the queues node-major, link-minor, in FIFO order
+        # (walked with plain ints), then the wire's payload cells
         nxt = self.c_nxt.tolist()
-        heads = self.heads2d.T.tolist()
-        peaks = self.q_peak.T.tolist()
-        all_rows: List[int] = []
-        append = all_rows.append
-        qmarks: List[int] = []
-        for i, node in enumerate(engine.nodes):
-            hrow = heads[i]
-            prow = peaks[i]
-            for l, queue in enumerate(node.link_queues):
-                row = hrow[l]
-                start = len(all_rows)
+        rows: List[int] = []
+        append = rows.append
+        for heads in self.heads2d.T.tolist():
+            for row in heads:
                 while row >= 0:
                     append(row)
                     row = nxt[row]
-                qmarks.append(len(all_rows) - start)
-                queue.peak_occupancy = prow[l]
-            flows_left = []
-            if self.has_flow[i]:
-                flows_left.append(self.cur_flow[i])
-            flows_left.extend(self.waiting[i])
-            node.local_flows = flows_left
-        wire_start = len(all_rows)
         for batch in self.batches:
-            all_rows.extend(batch[2].tolist())
-        made = self._materialize_rows(all_rows)
-        # second pass: hand each queue its slice of the materialized cells
+            rows.extend(batch[2][batch[2] >= 0].tolist())
+        # their Cell.state() tuples from one gather: the slab's columns are
+        # in that order, around ``dummy``
+        fields = self._slab[:-1, rows].tolist()
+        fields.insert(_STATE_DUMMY, repeat(False))
+        cells = list(zip(*fields))
+        occupancy = self._node_occupancy()
+        node_states = []
         pos = 0
-        mark = 0
-        for node in engine.nodes:
-            for queue in node.link_queues:
-                cnt = qmarks[mark]
-                mark += 1
-                # the per-link list object is aliased by the node's TX
-                # caches, so it is mutated in place, never rebound
-                queue._items[:] = made[pos:pos + cnt]
-                pos += cnt
-        self._unpack_wire(made[wire_start:])
-        # per-node occupancy totals, derived from the queue lengths
-        total_enq = self._node_occupancy()
-        for i, v in enumerate(total_enq.tolist()):
-            engine.nodes[i].total_enqueued = v
-        # the active set: exactly the nodes with pending work (a legal
-        # instance of the engine's superset invariant — nothing else can
-        # owe work in a vector-eligible state)
-        engine._active_ids.clear()
-        engine._active_ids.update(
-            np.flatnonzero((total_enq > 0) | self.has_flow).tolist()
-        )
-        self._unpack_tokens()
+        for lens, peaks, total, has_flow, fid, waiting in zip(
+            self.q_len.T.tolist(), self.q_peak.T.tolist(),
+            occupancy.tolist(), self.has_flow.tolist(),
+            self.cur_fid.tolist(), self.waiting,
+        ):
+            queues = []
+            for length, peak in zip(lens, peaks):
+                queues.append({"items": cells[pos:pos + length], "seq": 0,
+                               "peak": peak})
+                pos += length
+            flows = [flow.flow_id for flow in waiting]
+            node_states.append({
+                "queues": queues,
+                # the hop-by-hop entries are TokenRun's to fill
+                "token_return": [], "ledger": None, "tracker": None,
+                "local_flows": [fid] + flows if has_flow else flows,
+                "rtx_queue": [], "ctrl_out": [[] for _ in queues],
+                "total_enqueued": total, "pending_tokens": 0,
+                "pending_ctrl": 0, "failed": False, "failed_neighbors": [],
+                "known_failed": [], "link_invalid": [], "fail_cause": [],
+                "force_dummy": [], "recv_counts": [],
+            })
+        wire_states = []
+        for batch in self.batches:
+            arrival, senders, batch_rows, recvs = batch[:4]
+            for sender, recv, row, header in zip(
+                senders.tolist(), recvs.tolist(), batch_rows.tolist(),
+                self._header_states(batch),
+            ):
+                if row < 0:
+                    cell = Cell.make_dummy(sender, recv).state()
+                else:
+                    cell = cells[pos]
+                    pos += 1
+                wire_states.append((sender, recv, cell, header, (), arrival))
+        active = np.flatnonzero((occupancy > 0) | self.has_flow)
+        return node_states, wire_states, active.tolist()
 
-    def _unpack_tokens(self) -> None:
-        """The hop-by-hop state of every node (none without it)."""
-
-    def _unpack_wire(self, made: List[Cell]) -> None:
-        """Put the leftover batches back on the object wire; ``made`` holds
-        their materialized cells, in batch order."""
-        in_flight = self.engine._in_flight
-        pos = 0
-        for arr, senders, _, recvs, _, _ in self.batches:
-            for s, r, cell in zip(senders.tolist(), recvs.tolist(),
-                                  made[pos:pos + senders.size]):
-                tx = Transmission(s, r, cell, (), ())
-                tx.arrival = arr
-                in_flight.append(tx)
-            pos += senders.size
+    def _header_states(self, batch):
+        """Per transmission of a wire ``batch``, its tokens'
+        ``Token.state()`` tuples (no header carries any without
+        hop-by-hop)."""
+        return repeat(())
 
     # ------------------------------------------------------------------ #
     # per-slot sections (the slab's deliver / inject / tx / sample)
@@ -1236,7 +1168,7 @@ class VectorBackend(EngineBackend):
     against the object backend.
     """
 
-    __slots__ = ("_nbr", "_link_table", "_qt", "_links")
+    __slots__ = ()
 
     #: smallest ``n`` at which the token family (spray-short, hop-by-hop,
     #: hbh+spray) steps on the slab.  The slab's per-slot cost is a fixed number of
@@ -1246,56 +1178,27 @@ class VectorBackend(EngineBackend):
     #: configurable — the crossover table is in DESIGN.md §11.
     TOKEN_SLAB_MIN_N = 100
 
-    def __init__(self) -> None:
-        self._nbr = None
-        self._link_table = None
-        self._qt = None
-        self._links = None
-
-    def _tables(self, engine):
-        """``(nbr, link_table, qt)`` of :class:`_SlabTables`: the
-        ``(epoch, n)`` neighbour table, the per-slot link indices and (for
-        h=2) the flat next-hop tables.
-
-        Looked up once per backend — that is, per engine — in the
-        process-wide memo, which builds them once per ``(schedule, n, h)``.
-        The neighbour table follows the coordinate system the nodes' own
-        tables come from, and the slot order is the schedule's, so any
-        registered schedule strategy works unchanged.
-        """
-        if self._nbr is None:
-            tables = _SlabTables.shared(engine)
-            self._nbr = tables.nbr
-            self._link_table = tables.link_table
-            self._qt = tables.qt
-        return self._nbr, self._link_table, self._qt
-
-    def _link_tables(self, engine):
-        """:attr:`_SlabTables.links`, looked up once per backend like
-        :meth:`_tables`."""
-        if self._links is None:
-            self._links = _SlabTables.shared(engine).links
-        return self._links
-
     def _step(self, engine, end: int, drain: bool) -> Optional[str]:
         """Step one stretch on the slab — on the run parked on the engine,
-        or on a freshly packed one — then sync and park it; None when it
-        ran, else why the state would not pack or the parked run cannot
-        continue (the engine is untouched)."""
-        run = engine._parked
-        if run is not None:
-            reason = run.resume(engine)
-        else:
+        or on one freshly packed from its plain model — then sync and park
+        it; None when it ran, else why the state would not pack or the
+        parked run cannot continue (the engine is untouched)."""
+        run = parked = engine._parked
+        if run is None:
+            tables = _SlabTables.shared(engine)
             if engine.config.uses_hop_by_hop:
                 from .token_slab import TokenRun
 
-                links = self._link_tables(engine)
-                if links[1] is None:
+                if tables.links[1] is None:
                     return "schedule links do not pair up for token return"
-                run = TokenRun(engine, *self._tables(engine), links)
+                run = TokenRun(engine, tables)
             else:
-                run = _VectorRun(engine, *self._tables(engine))
-            reason = run.pack()
+                run = _VectorRun(engine, tables)
+        # the RNG mirror first: it is the cheap decline, and the plain
+        # model of built objects is a full encode
+        reason = run.resume(engine)
+        if reason is None and parked is None:
+            reason = run.pack(engine._plain_model())
         if reason is None:
             run.advance(end, drain)
             run.sync()
@@ -1311,6 +1214,6 @@ class VectorBackend(EngineBackend):
         # without a failure manager nothing can change eligibility
         # mid-segment, and with one the segment is ineligible throughout,
         # so finishing on the reference loop is both correct and stable
-        # (its first read of the object model unpacks a parked run)
+        # (its first read of the object model loads a parked run's export)
         engine.note_backend_effective("object", reason)
         advance_reference(engine, end, drain)

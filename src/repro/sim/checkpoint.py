@@ -193,23 +193,28 @@ def snapshot_engine(engine, loop: Optional[Tuple[int, int]] = None) -> Checkpoin
     telemetry = engine.telemetry
     if telemetry is not None and not hasattr(telemetry, "state_dict"):
         telemetry = None  # a recorder we don't know how to capture
-    # a snapshot is the object model's encoding: this read unpacks a run
-    # parked on the engine before anything below looks at node-level state
-    nodes = engine.nodes
+    # the nodes and the wire, in whichever representation holds them: a
+    # run parked on a backend's slab exports its columns and stays parked
+    model = engine._plain_model()
+    if model is None:
+        # a never-run engine's encoding is that of its freshly built nodes
+        engine._materialize("snapshot")
+        model = engine._plain_model()
+    nodes, in_flight, active_ids = model
     state = {
         "t": engine.t,
         "loop": loop,
         "rng": engine.rng.getstate(),
         "pending_flows": [tuple(item) for item in engine._pending_flows],
-        "in_flight": [tx.state() for tx in engine._in_flight],
+        "in_flight": in_flight,
         "in_flight_payload": engine._in_flight_payload,
         "failed_links": sorted(engine.failed_links),
-        "active_ids": sorted(engine._active_ids),
+        "active_ids": active_ids,
         "isd_last": sorted(engine._isd_last.items()),
         "force_full_scan": engine.force_full_scan,
         "flows": engine.flows.state_dict(),
         "metrics": engine.metrics.state_dict(),
-        "nodes": [node.state_dict() for node in nodes],
+        "nodes": nodes,
         "digest": (None if engine.digest is None
                    else engine.digest.state_dict()),
         "monitor": (None if engine.monitor is None
@@ -228,9 +233,11 @@ def apply_checkpoint(engine, checkpoint: Checkpoint) -> None:
     """Overwrite ``engine``'s state with ``checkpoint``.
 
     The engine must have been built from the same :class:`SimConfig`.
-    Containers aliased by the hot path (queue backing lists, ledger dicts,
-    the metrics collector, the active-id set) are mutated in place so every
-    cached reference inside the engine and its nodes stays valid.
+    The payload's nodes, wire and active set become the engine's pending
+    model (:meth:`Engine._adopt_model`) — no node is built or filled here;
+    a backend packs them as they are, or the first read of the object
+    model loads them.  Engine-level containers the hot path aliases (the
+    metrics collector, the flow table) are mutated in place.
 
     Observer state (monitor/telemetry/events) restores directly onto
     already-attached observers; otherwise it is parked on
@@ -246,27 +253,17 @@ def apply_checkpoint(engine, checkpoint: Checkpoint) -> None:
             "checkpoint was taken under a different configuration"
         )
     from ..failures.manager import FailureManager
-    from .node import Transmission
 
     state = checkpoint.state
-    # a run parked on the engine holds state this is about to overwrite:
-    # drop it rather than unpack it
-    engine._parked = None
+    engine._adopt_model(
+        (state["nodes"], state["in_flight"], state["active_ids"])
+    )
     engine.rng.setstate(state["rng"])
     engine._pending_flows.clear()
     engine._pending_flows.extend(tuple(i) for i in state["pending_flows"])
     engine.flows.load_state(state["flows"])
-    flow_lookup = engine.flows.get
-    for node, node_state in zip(engine.nodes, state["nodes"]):
-        node.load_state(node_state, flow_lookup)
-    engine._active_ids.clear()
-    engine._active_ids.update(state["active_ids"])
     engine.failed_links.clear()
     engine.failed_links.update(tuple(link) for link in state["failed_links"])
-    engine._in_flight.clear()
-    engine._in_flight.extend(
-        Transmission.from_state(s) for s in state["in_flight"]
-    )
     engine._in_flight_payload = state["in_flight_payload"]
     engine._isd_last.clear()
     engine._isd_last.update(dict(state["isd_last"]))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import random
 from collections import deque
+from operator import attrgetter, itemgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.header import Token
@@ -41,6 +42,15 @@ __all__ = ["Engine", "ScheduledFlow"]
 #: A flow injection request: (arrival timeslot, src, dst, size in cells,
 #: size in bytes).
 ScheduledFlow = Tuple[int, int, int, int, int]
+
+#: The nodes, the wire and the active set as plain data, in the encoding a
+#: checkpoint stores them in: one ``Node.state_dict()`` dict per node, one
+#: ``Transmission.state()`` tuple per wire entry, the sorted active node ids.
+#: The only interface between the object model and a backend's packed run.
+PlainModel = Tuple[List[dict], List[tuple], List[int]]
+
+#: ``Node.state_dict()`` fields whose attribute is spelled differently
+_NODE_ATTRS = {"force_dummy": "_force_dummy"}
 
 #: Observers called with each freshly constructed Engine.  The telemetry
 #: capture context (:class:`repro.obs.capture.TelemetryCapture`) registers
@@ -142,11 +152,15 @@ class Engine:
         #: the backend's packed run while it, not the object model, holds
         #: the nodes' and the wire's state (see :meth:`_park`)
         self._parked = None
-        #: the node objects of a parked run's stale object model, kept for
-        #: its ``unpack()`` to write into
+        #: the nodes' and the wire's state as plain data no object has been
+        #: filled from yet (see :meth:`_adopt_model`, :meth:`_plain_model`)
+        self._pending_model: Optional[PlainModel] = None
+        #: the stale node objects of a parked run or a pending model, kept
+        #: for :meth:`_materialize` to load into
         self._shelved_nodes: Optional[List[Node]] = None
-        #: times the object model was materialised — built empty, or
-        #: unpacked from a parked run; 0 for a run that never left the slab
+        #: times the object model was materialised — built empty, or loaded
+        #: from a parked run or a pending model; 0 for a run that never
+        #: left the slab
         self.model_syncs = 0
         self.t = 0
         # hot-path caches for step()
@@ -249,11 +263,16 @@ class Engine:
         return vars(self).get("nodes")
 
     def _materialize(self, forced_by: str) -> None:
-        """Bring the object model into existence: the nodes and the wire,
-        empty for an engine that has not run and filled by ``unpack()``
-        when a backend's run is parked — which drops the run, so the
-        object model is authoritative from here on."""
+        """Bring the object model into existence: build (or un-shelve) the
+        nodes and an empty wire, then load the plain model that is waiting
+        — a parked run's export (the run is dropped) or a restored
+        checkpoint's pending one; none for an engine that has not run.
+        The one place plain data becomes objects, which are authoritative
+        from here on."""
         run, self._parked = self._parked, None
+        model, self._pending_model = self._pending_model, None
+        if run is not None:
+            model = run.export_model()
         nodes, self._shelved_nodes = self._shelved_nodes, None
         if nodes is None:
             nodes = [Node(i, self) for i in range(self.config.n)]
@@ -265,37 +284,95 @@ class Engine:
                 self, forced_by,
             )
         self.model_syncs += 1
-        if run is not None:
-            run.engine = self
-            run.unpack()
+        if model is not None:
+            node_states, wire_states, active_ids = model
+            flow_lookup = self.flows.get
+            for node, state in zip(nodes, node_states):
+                node.load_state(state, flow_lookup)
+            self._in_flight.extend(map(Transmission.from_state, wire_states))
+            # the nodes alias the set: refilled in place
+            self._active_ids.clear()
+            self._active_ids.update(active_ids)
+
+    def _plain_model(self) -> Optional[PlainModel]:
+        """The :data:`PlainModel` of whichever representation holds the
+        state: a parked run exports its columns (and stays parked), a
+        pending model is returned as it is, built objects encode
+        themselves.  None for an engine that has not run and had nothing
+        restored.  Builds no node."""
+        if self._parked is not None:
+            return self._parked.export_model()
+        nodes = self._built_nodes
+        if nodes is None:
+            return self._pending_model
+        return (
+            [node.state_dict() for node in nodes],
+            [tx.state() for tx in self._in_flight],
+            sorted(self._active_ids),
+        )
+
+    def _adopt_model(self, model: PlainModel) -> None:
+        """Make plain data (a checkpoint's payload) the engine's nodes and
+        wire: a parked run is dropped, built nodes are shelved, and nothing
+        is loaded until a backend packs ``model`` or something reads the
+        objects."""
+        self._parked = None
+        self._pending_model = model
+        self._shelve_objects()
 
     def _park(self, run) -> None:
         """Make a backend's packed ``run`` the engine's state.
 
         The run has synced everything that is not a node or a transmission
         (clock, flows, metrics, RNG), so every engine-level attribute reads
-        as after an object run.  The object model, stale since the run was
-        packed, leaves the instance: the next read of ``nodes`` or
-        ``_in_flight`` unpacks the run (:meth:`_materialize`), and a
-        backend that finds the run here first continues on its columns.
-        A parked run holds no reference back, so dropping an engine that
-        never built its nodes frees the slab at once instead of leaving it
-        to the cycle collector.
+        as after an object run.  Whatever the run was packed from — a
+        pending model, or objects, stale since then — is let go: the next
+        read of ``nodes`` or ``_in_flight`` loads the run's export
+        (:meth:`_materialize`), and a backend that finds the run here first
+        continues on its columns.  A parked run holds no reference back, so
+        dropping an engine that never built its nodes frees the slab at
+        once instead of leaving it to the cycle collector.
         """
         self._parked = run
         run.engine = None
+        self._pending_model = None
+        self._shelve_objects()
+
+    def _shelve_objects(self) -> None:
+        """Take a stale object model off the instance (so no read can see
+        it), keeping the node objects for the next :meth:`_materialize`."""
         if self._built_nodes is not None:
             self._shelved_nodes = self.nodes
             del self.nodes, self._in_flight
+
+    def _node_fields(self, *fields: str):
+        """Per node, in id order, the named ``Node.state_dict()`` fields
+        (one value, or a tuple of several) — off a pending model's dicts
+        or, field by field, off built nodes, whose queues are never encoded
+        for this.  Empty for a parked run or an engine that has not run:
+        neither holds anything the slab has no column for."""
+        if self._pending_model is not None:
+            return map(itemgetter(*fields), self._pending_model[0])
+        attrs = [_NODE_ATTRS.get(field, field) for field in fields]
+        return map(attrgetter(*attrs), self._built_nodes or ())
 
     def peak_occupancies(self) -> Tuple[int, int, int]:
         """``(active buckets, PIEO occupancy, buffered cells)``: the
         high-water marks of any node's bucket tracker and of any send
         queue, and the most cells buffered at any node now — read from a
-        parked run's columns without materialising the object model."""
+        parked run's columns or a pending model's plain data without
+        materialising the object model."""
         if self._parked is not None:
             return self._parked.peak_occupancies()
         buckets = pieo = buffered = 0
+        if self._pending_model is not None:
+            for state in self._pending_model[0]:
+                if state["tracker"] is not None:
+                    buckets = max(buckets, state["tracker"]["peak"])
+                pieo = max(
+                    [pieo] + [queue["peak"] for queue in state["queues"]]
+                )
+                buffered = max(buffered, state["total_enqueued"])
         for node in self._built_nodes or ():
             if node.bucket_tracker is not None:
                 buckets = max(buckets, node.bucket_tracker.peak)
@@ -356,11 +433,11 @@ class Engine:
             )
 
     # ------------------------------------------------------------------ #
-    # engine-level effects: what a flow starting, a flow finishing and a
-    # sample window closing mean, written once.  A pipeline (the object
-    # model, the slab, the shard parent) only works out *what happened*
-    # and calls these; the event schema and the sampling policy live here
-    # and in :mod:`repro.sim.metrics`
+    # engine-level effects: what a flow starting, a flow finishing, a cell
+    # dropped in a node and a sample window closing mean, written once.  A
+    # pipeline (the object model, the slab, the shard parent) only works
+    # out *what happened* and calls these; the event schema and the
+    # sampling policy live here and in :mod:`repro.sim.metrics`
 
     def _start_flow(self, t: int, arrival: int, src: int, dst: int,
                     size_cells: int, size_bytes: int) -> Flow:
@@ -385,6 +462,12 @@ class Engine:
                 "fct": record.fct,
             })
         return record
+
+    def drop_cell(self, cell, t: int) -> None:
+        """A payload cell is dropped inside a node at slot ``t``."""
+        self.metrics.on_drop()
+        if self.digest is not None:
+            self.digest.on_drop(cell, t)
 
     def _close_window(self, t: int, buffers, queue_lengths,
                       pieo_peak: int, active_buckets: int) -> None:
@@ -662,10 +745,7 @@ class Engine:
 
     def throughput(self) -> float:
         """Mean delivered payload per node per slot so far (line-rate frac)."""
-        # no node can have failed while the object model does not exist
-        nodes = self._built_nodes
-        alive = self.config.n if nodes is None \
-            else sum(1 for n in nodes if not n.failed)
+        alive = self.config.n - sum(self._node_fields("failed"))
         return self.metrics.mean_throughput_cells_per_slot(max(1, self.t), alive)
 
     def __repr__(self) -> str:  # pragma: no cover

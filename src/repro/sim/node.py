@@ -242,9 +242,9 @@ class Node:
         #: objects and never mutated, so hops can share one instance
         self._token_cache: Dict[Tuple[int, int], Token] = {}
         links = self.h * (self.r - 1)
-        cap = config.ndp_queue_limit if self.is_ndp else None
         # only priority ranking ever pushes a non-zero rank; every other
-        # mode gets the cheaper bare-cell fifo representation
+        # mode gets the cheaper bare-cell fifo representation.  The queues
+        # are uncapped: NDP enforces its limit by trimming at enqueue
         self.link_queues: List[PieoQueue] = [
             PieoQueue(fifo=not self._is_priority) for _ in range(links)
         ]
@@ -263,9 +263,6 @@ class Node:
         self._link_items: Tuple[list, ...] = tuple(
             q._items for q in self.link_queues
         )
-        # NDP's cap is enforced by trimming at enqueue, not by push overflow,
-        # so the queues themselves stay uncapped.
-        del cap
         self.token_return: Dict[int, Deque[Token]] = {}
         if self.uses_hbh:
             self.ledger = TokenLedger(
@@ -929,10 +926,7 @@ class Node:
                 offset = self._choose_spray_offset(cell, next_phase)
                 if offset is None:
                     self.release_upstream(cell)
-                    engine = self.engine
-                    engine.metrics.on_drop()
-                    if engine.digest is not None:
-                        engine.digest.on_drop(cell, t)
+                    self.engine.drop_cell(cell, t)
                     return
         elif not self.failed_neighbors and not self.known_failed \
                 and not self.link_invalid:
@@ -1108,9 +1102,7 @@ class Node:
         if self.engine.tracer is not None:
             self.engine.tracer.on_reroute(cell)
         if failed_target == cell.dst:
-            self.engine.metrics.on_drop()
-            if self.engine.digest is not None:
-                self.engine.digest.on_drop(cell, self.engine.t)
+            self.engine.drop_cell(cell, self.engine.t)
             return None
         # Reset to the first spraying hop: the cell will take h spray hops
         # from here (its bucket index at this node becomes h transiently).
@@ -1118,9 +1110,7 @@ class Node:
         next_phase = (phase + 1) % self.h if self.h > 1 else phase
         offset = self._choose_spray_offset(cell, next_phase)
         if offset is None:
-            self.engine.metrics.on_drop()
-            if self.engine.digest is not None:
-                self.engine.digest.on_drop(cell, self.engine.t)
+            self.engine.drop_cell(cell, self.engine.t)
             return None
         return next_phase, offset
 
@@ -1210,18 +1200,11 @@ class Node:
         detected the crash).  Locally originated flows keep their source
         data — the host still has it — and simply resume sending.
         """
-        metrics = self.engine.metrics
-        digest = self.engine.digest
-        dropped = 0
+        drop = self.engine.drop_cell
         for queue in self.link_queues:
-            stale = queue.remove_if(lambda c: True)
-            dropped += len(stale)
-            for cell in stale:
+            for cell in queue.remove_if(lambda c: True):
                 cell.prev_hop = -1
-                if digest is not None:
-                    digest.on_drop(cell, t)
-        if dropped:
-            metrics.on_drop(dropped)
+                drop(cell, t)
         self.total_enqueued = 0
         self.token_return.clear()
         self.pending_tokens = 0

@@ -83,28 +83,59 @@ def test_lint_flags_unused_allowlist_entries(tmp_path):
     assert not report.violations and not report.dead
 
 
+def test_lint_keeps_the_slab_steppers_off_the_object_layout(tmp_path):
+    """The steppers exchange plain data with the object model; naming a
+    node's, queue's or ledger's private layout from them — same package,
+    so the cross-package rule would not see it — is a violation."""
+    walker = (
+        "class Run:\n"
+        "    def __init__(self):\n        self._items = []\n"
+        "    def pack(self, node):\n"
+        "        return node._spent_map, self._items\n"
+    )
+    report = _check_fixture(tmp_path, {
+        "sim/node.py": (
+            "class Node:\n"
+            "    def __init__(self):\n        self._spent_map = {}\n"
+        ),
+        "sim/backends/token_slab.py": walker,
+        "sim/backends/object_backend.py": walker,
+    }, allowlist={})
+    assert [(v.file, v.line, v.name) for v in report.violations] == [
+        ("repro/sim/backends/token_slab.py", 5, "_spent_map"),
+    ]
+
+
 def test_engine_effects_have_one_writer():
-    """A flow starting, a flow finishing and a sample window closing are
-    written once, under every pipeline: only ``Engine`` emits the flow
-    events and only ``MetricsCollector`` touches the sample buffers — a
-    pipeline that grows its own copy again fails here."""
+    """A flow starting, a flow finishing, a cell dropped in a node and a
+    sample window closing are written once, under every pipeline: only
+    ``Engine`` emits the flow events and folds the drop into the digest,
+    and only ``MetricsCollector`` touches the sample buffers — a pipeline
+    that grows its own copy again fails here."""
     src = REPO_ROOT / "src" / "repro"
-    emits, samplers = [], set()
+    emits, droppers, samplers = [], set(), set()
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call)
-                    and getattr(node.func, "attr", None) == "emit"):
+            called = getattr(getattr(node, "func", None), "attr", None)
+            if isinstance(node, ast.Call) and called == "emit":
                 emits += [
                     (arg.value, rel) for arg in node.args
                     if isinstance(arg, ast.Constant)
                     and arg.value in ("flow_start", "flow_end")
                 ]
+            elif isinstance(node, ast.Call) and called == "on_drop":
+                # ``engine.digest.on_drop(...)`` or a local ``digest``
+                receiver = node.func.value
+                if "digest" in (getattr(receiver, "attr", None),
+                                getattr(receiver, "id", None)):
+                    droppers.add(rel)
             elif (isinstance(node, ast.Attribute)
                     and node.attr in ("_buffer_samples", "_queue_samples")):
                 samplers.add(rel)
     assert sorted(emits) == [("flow_end", "sim/engine.py"),
                              ("flow_start", "sim/engine.py")]
+    assert droppers == {"sim/engine.py"}
     assert samplers == {"sim/metrics.py"}
 
 

@@ -11,6 +11,7 @@ can never silently mix backends.
 import contextlib
 import gc
 import logging
+import pickle
 import random
 import weakref
 
@@ -45,6 +46,8 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.monitor import RunMonitor
 from repro.workloads.generators import permutation_workload
+
+from .equivalence import run_state as _trace
 
 pytestmark = pytest.mark.backends
 
@@ -96,26 +99,6 @@ def _build(backend, n, h, cc, seed, fail=False, size_cells=25, duration=300,
         failure_manager=manager,
     )
     return engine
-
-
-def _trace(engine):
-    """Everything two equivalent runs must agree on, node state included.
-
-    Tokens may still be in flight at quiescence, so token conservation is
-    checked as equality of the whole unpacked state (queues, ledger,
-    tracker with its peak, token-return queues, ``pending_tokens``, the
-    wire) with the object run's — not as "nothing outstanding".
-    """
-    return {
-        "digest": engine.digest.hexdigest(),
-        "events": engine.digest.events,
-        "t": engine.t,
-        "rng": engine.rng.getstate(),
-        "metrics": engine.metrics.state_dict(),
-        "flows": engine.flows.state_dict(),
-        "nodes": [node.state_dict() for node in engine.nodes],
-        "wire": [tx.state() for tx in engine._in_flight],
-    }
 
 
 def _run(backend, n, h, cc, seed, fail=False, **config):
@@ -199,12 +182,12 @@ class TestBitExactEquivalence:
     def test_fast_path_really_engages(self, cc, no_floor):
         """Guard against the property passing only because the vector
         backend silently fell back everywhere: on a slab mechanism the
-        vector stepper must actually take its column path (it builds its
-        per-engine tables on first use), and still match bit-exactly."""
+        vector stepper must actually take its column path (its packed run
+        is parked on the engine afterwards), and still match bit-exactly."""
         engine = _build("vector", 64, 2, cc, 9)
         digest = engine.enable_digest()
         engine.run()
-        assert engine.backend._nbr is not None, (
+        assert engine._parked is not None, (
             "vector fast path never engaged on a vector-eligible config"
         )
         assert engine.backend_effective == "vector"
@@ -316,16 +299,11 @@ class TestHandOff:
             engine = Engine(cfg, workload=permutation_workload(cfg, 40))
             engine.enable_digest()
             engines[backend] = engine
-        engines["object"].run()
-        engine = engines["vector"]
-        backend = engine.backend
-        run = TokenRun(engine, *backend._tables(engine),
-                       backend._link_tables(engine))
-        assert run.pack() is None
-        run.advance(slots, drain=False)
+            engine.run()
+        run = engine._parked
+        assert type(run) is TokenRun
         outstanding = sum(column.size - 1 for column in run.ledger)
         ledger_bytes = sum(column.nbytes for column in run.ledger)
-        run.unpack()
         assert outstanding > 1000
         assert outstanding == sum(
             node.ledger.outstanding() for node in engine.nodes
@@ -471,21 +449,6 @@ class TestCheckpointBackendValidation:
         assert _trace(restored) == _trace(reference)
 
 
-def _engine_level(engine):
-    """:func:`_trace` without the object model: what every ``advance``
-    must leave equal to the object run's, and reading it builds nothing."""
-    return {
-        "digest": None if engine.digest is None else engine.digest.hexdigest(),
-        "events": None if engine.digest is None else engine.digest.events,
-        "t": engine.t,
-        "rng": engine.rng.getstate(),
-        "metrics": engine.metrics.state_dict(),
-        "flows": engine.flows.state_dict(),
-        "in_flight_payload": engine._in_flight_payload,
-        "pending_work": engine.has_pending_work,
-    }
-
-
 def _staggered_flows(cfg, seed, waves=5, gap=97):
     """Permutation waves ``gap`` slots apart, sorted by arrival."""
     flows = []
@@ -517,7 +480,8 @@ def packs(monkeypatch):
     pack = vector_mod._VectorRun.pack
     monkeypatch.setattr(
         vector_mod._VectorRun, "pack",
-        lambda run: (calls.append(type(run).__name__), pack(run))[1],
+        lambda run, model: (calls.append(type(run).__name__),
+                            pack(run, model))[1],
     )
     return calls
 
@@ -525,8 +489,9 @@ def packs(monkeypatch):
 class TestResidentSlab:
     """The packed run is the engine's state between ``advance`` calls and
     the object model exists only once something reads it — invisible
-    except in cost: every engine-level attribute equals the object run's
-    after every advance, and so do the nodes and the wire once read."""
+    except in cost: after every advance a snapshot (taken from the columns,
+    nothing built) equals the object run's, and so do the nodes and the
+    wire once read."""
 
     @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
     def test_simulate_never_builds_the_object_model(self, cc, no_floor,
@@ -538,12 +503,10 @@ class TestResidentSlab:
         engine = result.engine
         engine.run_until_quiescent(max_extra=20_000)
         assert engine.backend_effective == "vector"
-        assert engine.model_syncs == 0 and not nodes_built
-        level = _engine_level(engine)
-        assert all(level[key] == reference[key]
-                   for key in level.keys() & reference.keys())
-        # the first read builds it, once, equal to the object run's
         assert _trace(engine) == reference
+        assert engine.model_syncs == 0 and not nodes_built
+        # the first read builds it, once, equal to the object run's
+        engine.nodes
         assert engine.model_syncs == 1
         assert sorted(nodes_built) == list(range(64))
         assert _trace(engine) == reference and engine.model_syncs == 1
@@ -573,17 +536,18 @@ class TestResidentSlab:
             sliced.schedule_flows(flows[cursor:upto])
             cursor = upto
             sliced.run(target - sliced.t)
-        assert _engine_level(sliced) == _engine_level(whole)
+        assert _trace(sliced) == _trace(whole)
         assert len(packs) == 1 and not nodes_built
         assert sliced.model_syncs == 0
         assert sliced.backend_effective == "vector"
+        sliced.nodes
         assert _trace(sliced) == _trace(whole)
 
-    def _twins(self, cc, seed=8):
+    def _twins(self, cc, seed=8, backends=("object", "vector")):
         # flows long enough to be mid-send at every cut of these tests
         engines = [_build(backend, 64, 2, cc, seed, duration=500,
                           size_cells=200)
-                   for backend in ("object", "vector")]
+                   for backend in backends]
         for engine in engines:
             engine.enable_digest()
             engine.run(120)
@@ -605,30 +569,91 @@ class TestResidentSlab:
         for twin in (reference, engine):
             twin.run(100)       # packs again, from the object model
             twin.run(100)
-        assert engine.model_syncs == 1
-        assert _engine_level(engine) == _engine_level(reference)
         assert _trace(engine) == _trace(reference)
+        assert engine.model_syncs == 1
         assert engine.backend_effective == "vector"
 
-    @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
-    def test_snapshot_materialises_once_and_restores(self, cc, no_floor):
+    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
+    def test_snapshot_is_read_off_the_columns(self, cc, no_floor,
+                                              nodes_built):
+        reference, engine, twin = self._twins(
+            cc, backends=("object", "vector", "vector"))
+        del nodes_built[:]
+        state = engine.snapshot().state
+        assert not nodes_built
+        assert engine._parked is not None and engine.model_syncs == 0
+        # mid-run: cells queued and in flight — and, under hop-by-hop,
+        # spent credit and tokens on their way back
+        assert state["in_flight"]
+        assert any(node["total_enqueued"] for node in state["nodes"])
+        if cc == "hbh+spray":
+            assert any(node["ledger"]["spent"] for node in state["nodes"])
+            assert any(node["pending_tokens"] for node in state["nodes"])
+            assert any(tokens for _, _, _, tokens, _, _ in state["in_flight"])
+        # plain data through and through: no numpy scalar rides along
+        assert b"numpy" not in pickle.dumps(state)
+        # the same state, every key, as a snapshot of the loaded objects
+        twin.nodes
+        assert twin.model_syncs == 1 and twin._parked is None
+        assert twin.snapshot().state == state
+        # ... and as the object run's, where the active set may hold idle
+        # nodes the reference loop has not retired yet
+        expected = reference.snapshot().state
+        assert set(state.pop("active_ids")) <= set(expected.pop("active_ids"))
+        assert state == expected
+
+    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
+    def test_restore_continues_on_the_slab(self, cc, no_floor, nodes_built,
+                                           packs):
+        """Was ``test_snapshot_materialises_once_and_restores``: neither a
+        snapshot nor a restore builds a node any more."""
         reference, engine = self._twins(cc)
         checkpoint = engine.snapshot()
-        assert engine.model_syncs == 1
-        restored = restore_engine(checkpoint)
-        # restoring onto a parked run drops it instead of unpacking it
+        # restoring onto a parked run drops the run
         parked = _build("vector", 64, 2, cc, 8, duration=500,
                         size_cells=200)
         parked.run(40)
-        assert parked._parked is not None and parked.model_syncs == 0
+        assert parked._parked is not None
+        del nodes_built[:], packs[:]
+        restored = restore_engine(checkpoint)
         apply_checkpoint(parked, checkpoint)
-        assert parked._parked is None and parked.model_syncs == 1
+        assert parked._parked is None
+        for twin in (restored, parked):
+            # engine-level reads answer from the pending plain model
+            assert twin.peak_occupancies() == reference.peak_occupancies()
+            assert twin.throughput() == reference.throughput()
+            assert _trace(twin) == _trace(reference)
         for twin in (reference, engine, restored, parked):
             twin.run(380)
-        assert engine.model_syncs == 1
+        assert not nodes_built and len(packs) == 2
         for twin in (engine, restored, parked):
             assert twin.backend_effective == "vector"
+            assert twin.backend_reason == "" and twin.model_syncs == 0
             assert _trace(twin) == _trace(reference)
+        # the first read loads the nodes, equal to the object run's
+        restored.nodes
+        assert restored.model_syncs == 1
+        assert _trace(restored) == _trace(reference)
+
+    def test_a_restored_failed_node_is_seen_without_building_it(
+            self, no_floor, nodes_built):
+        reference, engine = self._twins("none")
+        for twin in (reference, engine):
+            twin.nodes[3].failed = True
+        del nodes_built[:]
+        restored = restore_engine(engine.snapshot())
+        alive = restored.metrics.mean_throughput_cells_per_slot(
+            restored.t, 63)
+        assert restored.throughput() == reference.throughput() == alive
+        assert not nodes_built
+        for twin in (reference, engine, restored):
+            twin.run(50)
+        # declined by the same scan, over plain fields, with the reason
+        # the built objects give
+        assert restored.backend_reason == engine.backend_reason \
+            == "node 3 carries non-vectorizable state"
+        assert restored.backend_effective == "object"
+        assert _trace(restored) == _trace(engine) == _trace(reference)
 
     @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
     def test_monitor_attached_mid_run_materialises_once(self, cc, no_floor):
@@ -664,10 +689,9 @@ class TestResidentSlab:
             engine.run(90)
             assert profiler.steps == 90
         reference, engine = engines
-        assert _engine_level(engine) == _engine_level(reference)
+        assert _trace(engine) == _trace(reference)
         assert engine.model_syncs == 0 and len(packs) == 1
         assert nodes_built == list(range(64))   # the object twin's
-        assert _trace(engine) == _trace(reference)
 
     def test_an_rng_the_slab_cannot_mirror_hands_back(self, no_floor):
         reference, engine = self._twins("none")

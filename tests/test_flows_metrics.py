@@ -1,12 +1,15 @@
 """Unit tests for flow tables, flow records and metrics collection."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.flows import Flow, FlowRecord, FlowTable
-from repro.sim.metrics import MetricsCollector, percentile
+from repro.sim.metrics import _PERCENTILE_LOWER, MetricsCollector, percentile
 
 
 class TestFlow:
@@ -116,6 +119,25 @@ class TestPercentile:
         values = [3, 1, 41, 59, 26, 5]
         for q in (0, 10, 25, 50, 75, 90, 99, 100):
             assert percentile(values, q) in values
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-2**53, 2**53)),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+        ),
+        st.floats(0, 100),
+        st.booleans(),
+    )
+    def test_own_dtype_gives_the_float64_copys_value(self, values, q,
+                                                     as_array):
+        """The input used to be copied to float64 first; 'lower' picks an
+        element, so its value is the same in the input's own dtype — for
+        sequences and for the collector's int64 sample buffers alike."""
+        expected = float(np.percentile(
+            np.asarray(values, dtype=np.float64), q, **_PERCENTILE_LOWER
+        )) if values else 0.0
+        data = np.array(values) if as_array else values
+        assert percentile(data, q) == expected
 
 
 class TestMetricsCollector:

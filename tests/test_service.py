@@ -265,6 +265,45 @@ class TestSessionDurability:
             ref_result.telemetry.series()["t"].tolist()
         assert not path.exists()  # finish() removed the resume point
 
+    def test_a_slab_session_is_durable_without_an_object_model(self, tmp_path):
+        """n=144 is above the token family's size floor, so the session
+        steps on the vector slab: ``checkpoint_now()`` reads the snapshot
+        off the columns, the killed-and-restarted session packs the
+        payload as it is, and neither ever builds a node."""
+        cfg = _cfg(n=144, backend="vector", duration=1_000)
+
+        def session(**durability):
+            return open_session(
+                cfg, source=OpenLoopSource(cfg, load=0.3), digest=True,
+                telemetry=True, **durability)
+
+        reference = session()
+        while reference.t < 1_000:
+            reference.advance(125)
+        ref_result = reference.finish(drain=True)
+
+        path = tmp_path / "slab.ckpt"
+        first = session(checkpoint=str(path))
+        first.advance(125)
+        first.advance(125)
+        first.checkpoint_now()
+        assert first.status()["backend"] == "vector"
+        assert first.status()["model_syncs"] == 0
+        del first  # simulate the crash: no finish(), no cleanup
+
+        resumed = session(checkpoint=str(path))
+        assert resumed.resumed_from == resumed.t == 250
+        while resumed.t < 1_000:
+            resumed.advance(125)
+        result = resumed.finish(drain=True)
+        status = resumed.status()
+        assert status["backend"] == "vector"
+        assert status["backend_reason"] == "" and status["model_syncs"] == 0
+        assert result.digest == ref_result.digest
+        assert result.summary == ref_result.summary
+        assert result.telemetry.series()["t"].tolist() == \
+            ref_result.telemetry.series()["t"].tolist()
+
     def test_resume_without_source_refused(self, tmp_path):
         cfg = _cfg()
         path = tmp_path / "s.ckpt"

@@ -32,6 +32,8 @@ from repro.sim.engine import Engine
 from repro.sim.parallel import get_shard_pool, shutdown_shard_pools
 from repro.workloads.generators import permutation_workload
 
+from .equivalence import run_state
+
 pytestmark = [pytest.mark.backends, pytest.mark.shard]
 
 MECHANISMS = ("none", "hop-by-hop", "hbh+spray", "isd")
@@ -58,17 +60,10 @@ def _build(backend, n, h, cc, seed, size_cells=25, duration=300):
 
 def _trace(backend, n, h, cc, seed=7):
     engine = _build(backend, n, h, cc, seed)
-    digest = engine.enable_digest()
+    engine.enable_digest()
     engine.run()
     engine.run_until_quiescent(max_extra=20_000)
-    return {
-        "digest": digest.hexdigest(),
-        "events": digest.events,
-        "t": engine.t,
-        "rng": engine.rng.getstate(),
-        "metrics": engine.metrics.state_dict(),
-        "flows": engine.flows.state_dict(),
-    }
+    return run_state(engine)
 
 
 #: vector-backend golden traces, computed once per (n, h, cc)
@@ -213,15 +208,7 @@ class TestShardedCheckpoints:
         engine = restore_engine(load_checkpoint(path))
         engine.run()
         engine.run_until_quiescent(max_extra=20_000)
-        resumed = {
-            "digest": engine.digest.hexdigest(),
-            "events": engine.digest.events,
-            "t": engine.t,
-            "rng": engine.rng.getstate(),
-            "metrics": engine.metrics.state_dict(),
-            "flows": engine.flows.state_dict(),
-        }
-        assert resumed == baseline
+        assert run_state(engine) == baseline
 
 
 def teardown_module(module):
