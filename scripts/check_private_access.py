@@ -48,10 +48,9 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     # token check is a dict lookup instead of a method call (PR 2).
     ("repro/sim/node.py", "_is_first"): "hot-path ledger dict alias",
     ("repro/sim/node.py", "_refcount"): "hot-path tracker dict alias",
-    # The telemetry recorder reuses the metrics module's growable int
-    # buffer and samples the engine's in-flight payload counter directly
-    # every window; a public accessor would be pure overhead.
-    ("repro/obs/timeseries.py", "_IntBuffer"): "shared growable buffer",
+    # The telemetry recorder samples the engine's in-flight payload
+    # counter directly every window; a public accessor would be pure
+    # overhead.
     ("repro/obs/timeseries.py", "_in_flight_payload"):
         "sampled engine counter",
     ("repro/obs/timeseries.py", "_pending_restore"):

@@ -15,6 +15,9 @@ Procedure:
 2. drive it: ``submit`` a flow, ``adjust-load``, subscribe to the pushed
    telemetry stream, and poll ``telemetry-rows`` (the composition path);
 3. once past a few checkpoint intervals, SIGKILL the server (no cleanup);
+   the surviving snapshot is loaded and sized section by section — its
+   ``metrics`` must be smaller than its ``nodes``: a snapshot is the
+   network's state, not the run's history;
 4. restart with identical arguments — it must resume from the snapshot;
 5. assert: resumed slot > 0, the restored rows re-cover the pre-crash
    rows bit-exactly up to the snapshot, and the composed ``t`` sequence
@@ -28,6 +31,7 @@ Exit 0 only if every step holds.
 import json
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
@@ -38,6 +42,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service import SyncServiceClient, wait_for_ready  # noqa: E402
+from repro.sim.checkpoint import load_checkpoint  # noqa: E402
 
 SAMPLE_INTERVAL = 50
 SERVE_ARGS = [
@@ -114,6 +119,20 @@ def main() -> int:
     proc.wait(timeout=30)
     client.close()
     check(os.path.exists(checkpoint), "durability checkpoint survived")
+    snapshot = load_checkpoint(checkpoint)
+    sizes = {
+        name: len(pickle.dumps(section, pickle.HIGHEST_PROTOCOL))
+        for name, section in snapshot.state.items()
+    }
+    print(f"  snapshot at t={snapshot.t}: "
+          f"{os.path.getsize(checkpoint)} bytes on disk; pickled sections:")
+    for name, size in sorted(sizes.items(), key=lambda kv: -kv[1]):
+        print(f"    {name:<16} {size:>8}")
+    # what still grows in ``metrics`` is ``throughput_series``, two bytes
+    # per window: it would take ~3x this smoke's horizon to reach ``nodes``
+    check(sizes["metrics"] < sizes["nodes"],
+          f"metrics ({sizes['metrics']} B) is smaller than the nodes "
+          f"({sizes['nodes']} B) it describes")
 
     print("== restart from the checkpoint ==")
     proc2, ready2 = _start(checkpoint)

@@ -58,16 +58,12 @@ class SweepTelemetry:
 class TelemetryCapture:
     """Collects telemetry from every engine built while active.
 
-    Args:
-        series: attach a :class:`TimeSeriesRecorder` to each new engine
-            (skipped when the engine already has one).
-        events: attach an in-memory event ring to each new engine (added as
-            an extra sink when the engine already has an event log).
+    Each new engine gets a :class:`TimeSeriesRecorder` (unless it already
+    has one) and an in-memory event ring (added as an extra sink when the
+    engine already has an event log).
     """
 
-    def __init__(self, series: bool = True, events: bool = True):
-        self.series = series
-        self.events = events
+    def __init__(self) -> None:
         # (engine, recorder, ring, wall-clock at registration)
         self._live: List[Tuple[object, object, object, float]] = []
         self._foreign: List[SweepTelemetry] = []
@@ -97,15 +93,13 @@ class TelemetryCapture:
 
     def _on_engine(self, engine) -> None:
         recorder = engine.telemetry
-        if recorder is None and self.series:
+        if recorder is None:
             recorder = TimeSeriesRecorder().attach(engine)
-        ring = None
-        if self.events:
-            ring = RingSink()
-            if engine.events is None:
-                EventLog([ring]).attach(engine)
-            else:
-                engine.events.add_sink(ring)
+        ring = RingSink()
+        if engine.events is None:
+            EventLog([ring]).attach(engine)
+        else:
+            engine.events.add_sink(ring)
         self._live.append((engine, recorder, ring, time.perf_counter()))
 
     def merge(self, item: SweepTelemetry) -> None:
@@ -146,9 +140,8 @@ class TelemetryCapture:
                 "index": i,
                 "manifest": manifest["run"],
                 "summary": engine.metrics.summary(),
+                "series": recorder.to_dict(),
             }
-            if recorder is not None:
-                run["series"] = recorder.to_dict()
             runtime_entry: Dict[str, object] = {
                 "index": i, "runtime": manifest["runtime"]}
             if engine.monitor is not None:
@@ -162,14 +155,13 @@ class TelemetryCapture:
                 engine.monitor.emit_report_event()
             runs.append(run)
             runtimes.append(runtime_entry)
-            if ring is not None:
-                for record in ring.records:
-                    events.append({
-                        "run": i,
-                        "t": record["t"],
-                        "kind": record["kind"],
-                        "payload": record["payload"],
-                    })
+            for record in ring.records:
+                events.append({
+                    "run": i,
+                    "t": record["t"],
+                    "kind": record["kind"],
+                    "payload": record["payload"],
+                })
         return runs, runtimes, events
 
     def collect_bundle(self):

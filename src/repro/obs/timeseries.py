@@ -1,12 +1,12 @@
 """Per-sample-window time series of one engine's run.
 
-The metrics collector keeps *cumulative* counters and two flat sample
-buffers; the figures in the paper (Figs. 8, 10-12, 15) are all
+The metrics collector keeps *cumulative* counters and two count-by-value
+sample tallies; the figures in the paper (Figs. 8, 10-12, 15) are all
 *time-resolved*.  :class:`TimeSeriesRecorder` bridges the gap: at every
 sample window close it records the window's counter deltas and the
-instantaneous populations into int64 columns (the same growable numpy
-buffers the metrics collector uses), giving throughput-over-time, queue
-growth and token traffic without re-instrumenting by hand.
+instantaneous populations into growable int64 columns, giving
+throughput-over-time, queue growth and token traffic without
+re-instrumenting by hand.
 
 The recorder is a pure observer and is cheap: one counter snapshot per
 sample window (every ``metrics_sample_interval`` slots); the node
@@ -20,9 +20,53 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..sim.metrics import _IntBuffer
-
 __all__ = ["TimeSeriesRecorder"]
+
+
+class _IntBuffer:
+    """A growable int64 column backed by one numpy array.
+
+    The window close appends scalars; the reporting path reads the
+    filled prefix as a zero-copy view.  Doubling growth keeps appends
+    amortised O(1) without per-sample list/object allocation.
+    """
+
+    __slots__ = ("_data", "_size")
+
+    def __init__(self, capacity: int = 1024):
+        self._data = np.empty(capacity, dtype=np.int64)
+        self._size = 0
+
+    def append(self, value: int) -> None:
+        data = self._data
+        size = self._size
+        if size == data.shape[0]:
+            data = np.resize(data, size * 2)
+            self._data = data
+        data[size] = value
+        self._size = size + 1
+
+    def view(self) -> np.ndarray:
+        """The filled prefix (zero-copy; invalidated by the next growth)."""
+        return self._data[: self._size]
+
+    def __len__(self) -> int:
+        return self._size
+
+    def state(self) -> list:
+        """The filled prefix as a plain list (checkpoint encoding)."""
+        return self._data[: self._size].tolist()
+
+    def load(self, values: list) -> None:
+        """Replace the buffer contents with ``values``.
+
+        Capacity is at least the default so a restored empty buffer can
+        still grow by doubling (``np.resize(data, 0 * 2)`` would wedge it).
+        """
+        size = len(values)
+        self._data = np.empty(max(1024, size), dtype=np.int64)
+        self._data[:size] = values
+        self._size = size
 
 
 class TimeSeriesRecorder:

@@ -74,6 +74,10 @@ from .vector import (
 
 __all__ = ["ShardBackend", "shard_ranges"]
 
+#: what a worker records per delivered cell when a digest is attached:
+#: slot and sender (the merge order) plus the delivery event's fields
+_REC_FIELDS = ("t", "s", "fid", "seq", "src", "dst", "hops")
+
 
 def shard_ranges(n: int, r: int, count: int):
     """``count`` contiguous ``[lo, hi)`` node ranges covering ``0..n``.
@@ -197,7 +201,6 @@ class _WorkerRun(_VectorRun):
         self.drain = task["drain"]
         self.warmup = task["warmup"]
         self.interval = task["interval"]
-        self.lat_room = task["lat_room"]
         self.want_digest = task["digest"]
         self._empty = np.empty(0, dtype=np.int64)
         # segment counters (cumulative over this segment)
@@ -206,12 +209,10 @@ class _WorkerRun(_VectorRun):
         self.m_sent = 0     # cells sent by local nodes
         self.m_arr = 0      # arrived cells processed (wire departures)
         self.m_windel = 0   # deliveries since the last sample window
-        # replay records
+        # per-delivery replay records (filled only for a digest)
         self.rec: Dict[str, List[np.ndarray]] = {
-            name: [] for name in
-            ("t", "s", "lat", "fid", "seq", "src", "dst", "hops")
+            name: [] for name in _REC_FIELDS
         }
-        self.rec_n = 0
         self.comps: List[tuple] = []     # (t, sender, flow id)
         self.windows: List[dict] = []
         # arrival buffers: slot -> (senders, slab rows, recvs, esph) and
@@ -386,21 +387,15 @@ class _WorkerRun(_VectorRun):
             dc = cells[del_ids]
             self.m_del += cnt
             self.m_windel += cnt
-            take = cnt if self.want_digest else min(
-                cnt, self.lat_room - self.rec_n
-            )
-            if take > 0:
+            if self.want_digest:
                 rec = self.rec
-                rec["t"].append(np.full(take, t, dtype=np.int64))
-                rec["s"].append(senders[del_ids[:take]])
-                rec["lat"].append(t - self.c_created[dc[:take]])
-                if self.want_digest:
-                    rec["fid"].append(self.c_fid[dc])
-                    rec["seq"].append(self.c_seq[dc])
-                    rec["src"].append(self.c_src[dc])
-                    rec["dst"].append(d[del_ids])
-                    rec["hops"].append(self.c_hops[dc])
-                self.rec_n += take
+                rec["t"].append(np.full(cnt, t, dtype=np.int64))
+                rec["s"].append(senders[del_ids])
+                rec["fid"].append(self.c_fid[dc])
+                rec["seq"].append(self.c_seq[dc])
+                rec["src"].append(self.c_src[dc])
+                rec["dst"].append(d[del_ids])
+                rec["hops"].append(self.c_hops[dc])
             self.delivered_vec[recvs[del_ids]] += 1
             fids = self.c_fid[dc]
             self._ensure_flow(int(fids.max()))
@@ -1049,9 +1044,6 @@ class ShardBackend(EngineBackend):
         for fid, flow in flows._active.items():
             if flow.delivered:
                 fdel[shard_of_l[flow.dst]].append((fid, flow.delivered))
-        lat_room = max(
-            0, metrics._cell_latency_cap - len(metrics.cell_latencies)
-        )
         tables_key = (
             getattr(cfg, "schedule", ""), n, cfg.h, engine.coords.r,
             cfg.propagation_delay,
@@ -1062,7 +1054,6 @@ class ShardBackend(EngineBackend):
                 "t0": t0, "t1": end, "drain": drain,
                 "warmup": metrics.warmup,
                 "interval": metrics.sample_interval,
-                "lat_room": lat_room,
                 "digest": engine.digest is not None,
                 "ranges": ranges,
                 "rng": rngpay,
@@ -1102,31 +1093,18 @@ class ShardBackend(EngineBackend):
         # delivery records, merged back into global batch order: within
         # a slot batches are ascending-sender, so (t, sender) sorts the
         # per-worker record streams into the single-process fold order
-        rec_t = np.concatenate([r["rec"]["t"] for r in results])
-        rec_s = np.concatenate([r["rec"]["s"] for r in results])
-        rec_lat = np.concatenate([r["rec"]["lat"] for r in results])
-        order = np.lexsort((rec_s, rec_t))
-        if digest is not None and order.size:
+        if digest is not None:
+            rec = {
+                name: np.concatenate([r["rec"][name] for r in results])
+                for name in _REC_FIELDS
+            }
+            order = np.lexsort((rec["s"], rec["t"]))
             fold = digest._fold
-            cols = [
-                np.concatenate([r["rec"][name] for r in results])[order]
-                for name in ("fid", "seq", "src", "dst", "hops")
-            ]
-            for fid, seq, src, dst, hops, t in zip(
-                cols[0].tolist(), cols[1].tolist(), cols[2].tolist(),
-                cols[3].tolist(), cols[4].tolist(),
-                rec_t[order].tolist(),
-            ):
+            for fid, seq, src, dst, hops, t in zip(*(
+                rec[name][order].tolist()
+                for name in ("fid", "seq", "src", "dst", "hops", "t")
+            )):
                 fold((_EV_DELIVERY, fid, seq, src, dst, hops, t))
-        latencies = metrics.cell_latencies
-        cap = metrics._cell_latency_cap
-        room = cap - len(latencies)
-        if room > 0 and order.size:
-            lats = rec_lat[order]
-            latencies.extend(
-                lats.tolist() if room >= lats.size
-                else lats[:room].tolist()
-            )
         # flow completions (ascending (t, sender) restores the in-batch
         # finalize order), injections and sample windows replay in one
         # time-ordered sweep with the single-process within-slot order:

@@ -806,13 +806,6 @@ class _VectorRun:
             metrics.cells_delivered += cnt
             metrics.payload_cells_delivered += cnt
             metrics._window_delivered += cnt
-            latencies = metrics.cell_latencies
-            room = metrics._cell_latency_cap - len(latencies)
-            if room > 0:
-                lats = t - self.c_created[dc]
-                latencies.extend(
-                    lats.tolist() if room >= cnt else lats[:room].tolist()
-                )
             self.delivered_vec[recvs[del_ids]] += 1
             if digest is not None:
                 # one on_delivery event per cell, folded from one table

@@ -39,6 +39,7 @@ transparently resume from an existing snapshot after a crash.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import pathlib
 import pickle
@@ -65,7 +66,11 @@ __all__ = [
 ]
 
 #: bump on any change to the payload layout; old files self-heal as misses
-CHECKPOINT_VERSION = 1
+#: (2: metrics sample tallies instead of raw samples, no per-cell latency
+#: list, no ``schedule_class`` in a flow's state)
+CHECKPOINT_VERSION = 2
+
+_log = logging.getLogger("repro.checkpoint")
 
 _MAGIC = b"SHALECKPT\n"
 _SHA256_BYTES = 32
@@ -159,12 +164,15 @@ def load_checkpoint_or_none(path) -> Optional[Checkpoint]:
     """Self-healing load: anything wrong means ``None``, never an exception.
 
     A bad file (truncated write from a crash, stale version, random bytes)
-    is removed so the next save starts clean.
+    is removed, with one WARNING saying why, so the next save starts clean;
+    a file that is simply not there is no news.
     """
     try:
         return load_checkpoint(path)
-    except CheckpointError:
-        remove_checkpoint(path)
+    except CheckpointError as exc:
+        if os.path.exists(path):
+            _log.warning("discarding unusable checkpoint %s: %s", path, exc)
+            remove_checkpoint(path)
         return None
 
 

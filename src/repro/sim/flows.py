@@ -25,7 +25,6 @@ class Flow:
         arrival: timeslot at which the flow arrived at the sender.
         sent: cells admitted to the network so far.
         delivered: cells received by the destination so far.
-        schedule_class: sub-schedule index for interleaved runs.
     """
 
     __slots__ = (
@@ -38,7 +37,6 @@ class Flow:
         "sent",
         "delivered",
         "completed_at",
-        "schedule_class",
         "credit",
     )
 
@@ -50,7 +48,6 @@ class Flow:
         size_cells: int,
         arrival: int,
         size_bytes: Optional[int] = None,
-        schedule_class: int = 0,
     ):
         if size_cells < 1:
             raise ValueError("flow must contain at least one cell")
@@ -65,22 +62,12 @@ class Flow:
         self.sent = 0
         self.delivered = 0
         self.completed_at: Optional[int] = None
-        self.schedule_class = schedule_class
         #: transport-level send credit (used by RD/NDP/ISD policies)
         self.credit = 0.0
 
     @property
-    def remaining(self) -> int:
-        """Cells not yet admitted to the network."""
-        return self.size_cells - self.sent
-
-    @property
     def done_sending(self) -> bool:
         return self.sent >= self.size_cells
-
-    @property
-    def complete(self) -> bool:
-        return self.delivered >= self.size_cells
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -93,7 +80,7 @@ class Flow:
         return (
             self.flow_id, self.src, self.dst, self.size_cells,
             self.size_bytes, self.arrival, self.sent, self.delivered,
-            self.completed_at, self.schedule_class, self.credit,
+            self.completed_at, self.credit,
         )
 
     @classmethod
@@ -101,7 +88,7 @@ class Flow:
         flow = cls.__new__(cls)
         (flow.flow_id, flow.src, flow.dst, flow.size_cells,
          flow.size_bytes, flow.arrival, flow.sent, flow.delivered,
-         flow.completed_at, flow.schedule_class, flow.credit) = state
+         flow.completed_at, flow.credit) = state
         return flow
 
 
@@ -170,12 +157,10 @@ class FlowTable:
         size_cells: int,
         arrival: int,
         size_bytes: Optional[int] = None,
-        schedule_class: int = 0,
     ) -> Flow:
         """Create, register and return a new flow."""
         flow = Flow(
-            self._next_id, src, dst, size_cells, arrival,
-            size_bytes=size_bytes, schedule_class=schedule_class,
+            self._next_id, src, dst, size_cells, arrival, size_bytes
         )
         self._next_id += 1
         self._active[flow.flow_id] = flow
@@ -185,19 +170,6 @@ class FlowTable:
     def get(self, flow_id: int) -> Optional[Flow]:
         """Look up an active flow (None once completed)."""
         return self._active.get(flow_id)
-
-    def record_delivery(self, flow_id: int, t: int) -> Optional[FlowRecord]:
-        """Count one delivered cell; finalise the flow if that was the last.
-
-        Returns the completion record when the flow finishes, else None.
-        """
-        flow = self._active.get(flow_id)
-        if flow is None:
-            return None
-        flow.delivered += 1
-        if flow.complete:
-            return self.finalize(flow, t)
-        return None
 
     def finalize(self, flow: Flow, t: int) -> FlowRecord:
         """Complete ``flow`` at time ``t`` and return its record.

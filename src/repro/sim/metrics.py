@@ -20,74 +20,6 @@ import numpy as np
 __all__ = ["MetricsCollector", "percentile"]
 
 
-class _IntBuffer:
-    """A growable int64 sample buffer backed by one numpy array.
-
-    The hot sampling path appends scalars; the reporting path reads the
-    filled prefix as a zero-copy view.  Doubling growth keeps appends
-    amortised O(1) without per-sample list/object allocation.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, capacity: int = 1024):
-        self._data = np.empty(capacity, dtype=np.int64)
-        self._size = 0
-
-    def append(self, value: int) -> None:
-        data = self._data
-        size = self._size
-        if size == data.shape[0]:
-            data = np.resize(data, size * 2)
-            self._data = data
-        data[size] = value
-        self._size = size + 1
-
-    def extend(self, values: np.ndarray) -> None:
-        """Append a whole int64 array of samples at once.
-
-        The bulk twin of :meth:`append`, for a whole window's samples
-        (:meth:`MetricsCollector.close_window`): one copy per batch
-        instead of one Python call per sample.
-        """
-        count = len(values)
-        if count == 0:
-            return
-        data = self._data
-        size = self._size
-        need = size + count
-        if need > data.shape[0]:
-            capacity = data.shape[0]
-            while capacity < need:
-                capacity *= 2
-            data = np.resize(data, capacity)
-            self._data = data
-        data[size:need] = values
-        self._size = need
-
-    def view(self) -> np.ndarray:
-        """The filled prefix (zero-copy; invalidated by the next growth)."""
-        return self._data[: self._size]
-
-    def __len__(self) -> int:
-        return self._size
-
-    def state(self) -> list:
-        """The filled prefix as a plain list (checkpoint encoding)."""
-        return self._data[: self._size].tolist()
-
-    def load(self, values: list) -> None:
-        """Replace the buffer contents with ``values``.
-
-        Capacity is at least the default so a restored empty buffer can
-        still grow by doubling (``np.resize(data, 0 * 2)`` would wedge it).
-        """
-        size = len(values)
-        self._data = np.empty(max(1024, size), dtype=np.int64)
-        self._data[:size] = values
-        self._size = size
-
-
 # numpy renamed ``interpolation=`` to ``method=`` in 1.22; resolve the
 # keyword once at import so the hot reporting path doesn't re-probe
 try:
@@ -103,19 +35,42 @@ def percentile(values: Sequence[float], q: float) -> float:
     Uses the 'lower' interpolation so tail percentiles never exceed the
     maximum observed value, matching how tail statistics are usually
     reported for queue lengths.  'lower' returns an element of the input,
-    so an ndarray goes through in its own dtype: no float64 copy of a
-    multi-million-sample int64 buffer.
+    so an ndarray goes through in its own dtype.
     """
     if len(values) == 0:
         return 0.0
     return float(np.percentile(np.asarray(values), q, **_PERCENTILE_LOWER))
 
 
-class MetricsCollector:
-    """Accumulates run statistics with bounded memory.
+def _tally(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``counts`` (``counts[v]`` = samples equal to ``v``) with ``values``
+    added; as long as the largest sample seen, never longer."""
+    total = np.bincount(values, minlength=counts.size)
+    total[:counts.size] += counts
+    return total
 
-    Queue length *samples* are collected at a fixed timeslot interval; the
-    maxima are tracked exactly (updated on every enqueue).
+
+def _count_percentile(counts: np.ndarray, q: float) -> float:
+    """:func:`percentile` of the samples tallied in ``counts``.
+
+    'lower' returns the sorted samples' element at numpy's own index,
+    ``floor((n - 1) * q / 100)`` in that evaluation order, and the element
+    at sorted position ``i`` is the first value whose cumulative count
+    exceeds ``i`` — so the tally answers exactly what the raw samples would.
+    """
+    upto = np.cumsum(counts)  # upto[v] = samples <= v
+    if upto.size == 0:
+        return 0.0
+    index = int((int(upto[-1]) - 1) * (q / 100))
+    return float(np.searchsorted(upto, index, side="right"))
+
+
+class MetricsCollector:
+    """Accumulates run statistics in memory the size of the network.
+
+    Queue lengths and buffer occupancies are *sampled* at a fixed timeslot
+    interval and kept as count-by-value tallies (the percentiles need no
+    more); the maxima are tracked exactly (updated on every enqueue).
     """
 
     def __init__(self, n: int, sample_interval: int = 50, warmup: int = 0):
@@ -134,18 +89,15 @@ class MetricsCollector:
         self.retransmissions = 0
         self.tokens_sent = 0
         self.control_messages = 0
-        # per-node buffer occupancy samples (all queues at the node summed)
-        self._buffer_samples = _IntBuffer()
-        # per-queue length samples
-        self._queue_samples = _IntBuffer()
+        # per-node buffer occupancy samples (all queues at the node
+        # summed) and per-queue length samples, tallied by value
+        self._buffer_counts = np.zeros(0, dtype=np.int64)
+        self._queue_counts = np.zeros(0, dtype=np.int64)
         # exact maxima
         self.max_queue_length = 0
         self.max_buffer_occupancy = 0
         self.max_active_buckets = 0
         self.max_pieo_length = 0
-        # cell latency histogram support
-        self.cell_latencies: List[int] = []
-        self._cell_latency_cap = 2_000_000
         # throughput time series: delivered payload cells per sample window
         self.throughput_series: List[int] = []
         self._window_delivered = 0
@@ -172,13 +124,11 @@ class MetricsCollector:
         self.cells_dropped += count
         self.wire_losses += count
 
-    def on_cell_delivered(self, dst: int, latency: int) -> None:
+    def on_cell_delivered(self, dst: int) -> None:
         self.cells_delivered += 1
         self.payload_cells_delivered += 1
         self._window_delivered += 1
         self.delivered_per_node[dst] = self.delivered_per_node.get(dst, 0) + 1
-        if len(self.cell_latencies) < self._cell_latency_cap:
-            self.cell_latencies.append(latency)
 
     def on_drop(self, count: int = 1) -> None:
         self.cells_dropped += count
@@ -204,14 +154,15 @@ class MetricsCollector:
         self._window_delivered = 0
 
     @property
-    def buffer_samples(self) -> np.ndarray:
-        """Per-node total-buffer occupancy samples, as an int64 array."""
-        return self._buffer_samples.view()
+    def buffer_counts(self) -> np.ndarray:
+        """``[v]`` = per-node total-buffer occupancy samples equal to ``v``."""
+        return self._buffer_counts
 
     @property
-    def queue_samples(self) -> np.ndarray:
-        """Per-queue length samples (non-empty queues only), as int64."""
-        return self._queue_samples.view()
+    def queue_counts(self) -> np.ndarray:
+        """``[v]`` = per-queue length samples (non-empty queues only)
+        equal to ``v``."""
+        return self._queue_counts
 
     def close_window(
         self,
@@ -220,7 +171,7 @@ class MetricsCollector:
         pieo_peak: int,
         active_buckets: int,
     ) -> Tuple[int, int, int]:
-        """Close one sample window; the only writer of the sample buffers.
+        """Close one sample window; the only writer of the sample tallies.
 
         Every pipeline hands over what it found at the sampling instant:
         ``buffers`` holds each live node's total occupancy (node-id order),
@@ -234,8 +185,8 @@ class MetricsCollector:
         """
         buffers = np.asarray(buffers, dtype=np.int64)
         queue_lengths = np.asarray(queue_lengths, dtype=np.int64)
-        self._buffer_samples.extend(buffers)
-        self._queue_samples.extend(queue_lengths)
+        self._buffer_counts = _tally(self._buffer_counts, buffers)
+        self._queue_counts = _tally(self._queue_counts, queue_lengths)
         max_buffer = int(buffers.max()) if buffers.size else 0
         max_queue = int(queue_lengths.max()) if queue_lengths.size else 0
         if max_buffer > self.max_buffer_occupancy:
@@ -259,11 +210,11 @@ class MetricsCollector:
 
     def buffer_occupancy_percentile(self, q: float = 99.99) -> float:
         """Tail total-buffer occupancy across (node, sample) pairs."""
-        return percentile(self.buffer_samples, q)
+        return _count_percentile(self._buffer_counts, q)
 
     def queue_length_percentile(self, q: float = 99.0) -> float:
         """Tail per-queue length across (queue, sample) pairs."""
-        return percentile(self.queue_samples, q)
+        return _count_percentile(self._queue_counts, q)
 
     def mean_throughput_cells_per_slot(self, duration: int, n: int) -> float:
         """Average delivered payload cells per node per timeslot.
@@ -274,13 +225,6 @@ class MetricsCollector:
         if duration <= 0 or n <= 0:
             return 0.0
         return self.payload_cells_delivered / (duration * n)
-
-    def goodput_fraction(self) -> float:
-        """Delivered payload cells / total (non-dummy) cells sent."""
-        real = self.cells_sent - self.dummy_cells_sent
-        if real <= 0:
-            return 0.0
-        return self.payload_cells_delivered / real
 
     #: counters and maxima captured verbatim by checkpoints
     _SCALAR_FIELDS = (
@@ -296,9 +240,8 @@ class MetricsCollector:
         return {
             "scalars": {name: getattr(self, name)
                         for name in self._SCALAR_FIELDS},
-            "buffer_samples": self._buffer_samples.state(),
-            "queue_samples": self._queue_samples.state(),
-            "cell_latencies": list(self.cell_latencies),
+            "buffer_counts": self._buffer_counts.tolist(),
+            "queue_counts": self._queue_counts.tolist(),
             "throughput_series": list(self.throughput_series),
             "window_delivered": self._window_delivered,
             "measuring": self._measuring,
@@ -313,9 +256,8 @@ class MetricsCollector:
         """
         for name, value in state["scalars"].items():
             setattr(self, name, value)
-        self._buffer_samples.load(state["buffer_samples"])
-        self._queue_samples.load(state["queue_samples"])
-        self.cell_latencies[:] = state["cell_latencies"]
+        self._buffer_counts = np.array(state["buffer_counts"], dtype=np.int64)
+        self._queue_counts = np.array(state["queue_counts"], dtype=np.int64)
         self.throughput_series[:] = state["throughput_series"]
         self._window_delivered = state["window_delivered"]
         self._measuring = state["measuring"]

@@ -167,7 +167,6 @@ class Node:
         "_randrange",
         "_getrandbits",
         "_spray_bits",
-        "_phase_queues",
         "_phase_items",
         "_token_cache",
         "_spent_map",
@@ -248,20 +247,17 @@ class Node:
         self.link_queues: List[PieoQueue] = [
             PieoQueue(fifo=not self._is_priority) for _ in range(links)
         ]
-        #: link_queues grouped by phase (the spray scan iterates one phase)
-        self._phase_queues: Tuple[List[PieoQueue], ...] = tuple(
-            self.link_queues[p * self._rm1:(p + 1) * self._rm1]
-            for p in range(self.h)
-        )
-        #: the queues' backing lists, same grouping — their identity is
-        #: stable (PieoQueue never reassigns ``_items``), so ``map(len, …)``
-        #: over one phase reads every queue length without Python frames
-        self._phase_items: Tuple[List[list], ...] = tuple(
-            [q._items for q in group] for group in self._phase_queues
-        )
-        #: the same backing lists, flat by link index (the TX hot path)
+        #: the queues' backing lists, flat by link index (the TX hot path)
+        #: — their identity is stable (PieoQueue never reassigns ``_items``)
         self._link_items: Tuple[list, ...] = tuple(
             q._items for q in self.link_queues
+        )
+        #: the same lists grouped by phase (the spray scan iterates one
+        #: phase): ``map(len, …)`` over one group reads every queue length
+        #: without Python frames
+        self._phase_items: Tuple[List[list], ...] = tuple(
+            list(self._link_items[p * self._rm1:(p + 1) * self._rm1])
+            for p in range(self.h)
         )
         self.token_return: Dict[int, Deque[Token]] = {}
         if self.uses_hbh:
@@ -844,16 +840,13 @@ class Node:
         per_node = metrics.delivered_per_node
         nid = self.node_id
         per_node[nid] = per_node.get(nid, 0) + 1
-        latencies = metrics.cell_latencies
-        if len(latencies) < metrics._cell_latency_cap:
-            latencies.append(t - cell.created_at)
         if engine.digest is not None:
             engine.digest.on_delivery(cell, t)
         if engine.tracer is not None:
             engine.tracer.on_deliver(cell, t)
         if engine.delivery_hook is not None:
             engine.delivery_hook(cell, t)
-        # record_delivery inlined: count the cell, finalise only on the last
+        # count the cell on its flow, finalise only on the last
         flow = engine.flows._active.get(cell.flow_id)
         record = None
         if flow is not None:

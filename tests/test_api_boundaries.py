@@ -110,7 +110,7 @@ def test_engine_effects_have_one_writer():
     """A flow starting, a flow finishing, a cell dropped in a node and a
     sample window closing are written once, under every pipeline: only
     ``Engine`` emits the flow events and folds the drop into the digest,
-    and only ``MetricsCollector`` touches the sample buffers — a pipeline
+    and only ``MetricsCollector`` touches the sample tallies — a pipeline
     that grows its own copy again fails here."""
     src = REPO_ROOT / "src" / "repro"
     emits, droppers, samplers = [], set(), set()
@@ -131,7 +131,7 @@ def test_engine_effects_have_one_writer():
                                 getattr(receiver, "id", None)):
                     droppers.add(rel)
             elif (isinstance(node, ast.Attribute)
-                    and node.attr in ("_buffer_samples", "_queue_samples")):
+                    and node.attr in ("_buffer_counts", "_queue_counts")):
                 samplers.add(rel)
     assert sorted(emits) == [("flow_end", "sim/engine.py"),
                              ("flow_start", "sim/engine.py")]

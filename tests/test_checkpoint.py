@@ -9,12 +9,15 @@ corrupt, truncated or foreign-versioned checkpoint is treated as absent
 """
 
 import json
+import logging
 import pathlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import open_session
 from repro.failures.manager import FailureEvent, FailureManager
 from repro.obs.events import EventLog, RingSink
 from repro.obs.timeseries import TimeSeriesRecorder
@@ -32,6 +35,7 @@ from repro.sim.checkpoint import (
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.workloads.generators import permutation_workload
+from repro.workloads.streaming import OpenLoopSource
 
 from .test_golden_traces import MECHANISMS, SCENARIOS, run_scenario
 
@@ -198,8 +202,9 @@ class TestFileFormat:
         with pytest.raises(CheckpointError, match="integrity"):
             load_checkpoint(path)
 
-    def test_missing_file_is_none(self, tmp_path):
+    def test_missing_file_is_none(self, tmp_path, caplog):
         assert load_checkpoint_or_none(tmp_path / "absent.ckpt") is None
+        assert caplog.records == []  # nothing was discarded: no notice
 
     def test_config_mismatch_rejected(self, tmp_path):
         _, path = self._snapshot(tmp_path)
@@ -222,6 +227,62 @@ class TestFileFormat:
         # a file written by a future format version reads as "no checkpoint"
         assert load_checkpoint_or_none(path) is None
         assert not path.exists()
+
+    def test_previous_version_is_discarded_with_one_warning(self, tmp_path,
+                                                            caplog):
+        """There is one load path: a version-1 file (raw sample lists, the
+        per-cell latency list) is not read, it is refused by number — and
+        the self-healing load says so once before it removes the file, so
+        a restarted service does not silently begin at slot 0."""
+        engine, path = self._snapshot(tmp_path)
+        chk = engine.snapshot()
+        chk.version = 1
+        save_checkpoint(chk, path)
+        with pytest.raises(CheckpointError, match=r"version.*: 1 \(want 2\)"):
+            load_checkpoint(path)
+        assert path.exists() and caplog.records == []
+        with caplog.at_level(logging.WARNING, logger="repro.checkpoint"):
+            assert load_checkpoint_or_none(path) is None
+        assert not path.exists()
+        (record,) = caplog.records
+        assert record.name == "repro.checkpoint"
+        assert record.levelno == logging.WARNING
+        assert str(path) in record.getMessage()
+        assert "1 (want 2)" in record.getMessage()
+
+
+class TestSnapshotIsTheSizeOfTheNetwork:
+    def test_metrics_state_stops_growing_with_the_clock(self):
+        """A long run's collector state is counts, not history: between
+        t = 5 000 and t = 20 000 of a live hbh+spray session the pickled
+        ``metrics`` section grows by its ``throughput_series`` entry (one
+        int per window, read by the figures) and some counter digits —
+        no raw sample, no per-cell list.  The key set is the format."""
+        cfg = SimConfig(n=16, h=2, seed=1, congestion_control="hbh+spray",
+                        metrics_sample_interval=50)
+        session = open_session(
+            cfg, source=OpenLoopSource(cfg, load=0.25), telemetry=True)
+
+        def sizes(horizon):
+            session.advance_to(horizon)
+            metrics = session.engine.snapshot().state["metrics"]
+            return tuple(
+                len(pickle.dumps(part, pickle.HIGHEST_PROTOCOL))
+                for part in (metrics, metrics["throughput_series"]))
+
+        early, early_series = sizes(5_000)
+        late, late_series = sizes(20_000)
+        assert late - early <= late_series - early_series + 256
+        metrics = session.engine.metrics
+        state = metrics.state_dict()
+        assert set(state) == {
+            "scalars", "buffer_counts", "queue_counts", "throughput_series",
+            "window_delivered", "measuring", "delivered_per_node",
+        }
+        # canonical: dense, trimmed to the largest value ever sampled
+        assert state["buffer_counts"][-1] > 0
+        assert len(state["queue_counts"]) == metrics.queue_counts.size \
+            <= metrics.max_queue_length + 1
 
 
 class TestCellScope:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.obs.timeseries import TimeSeriesRecorder
@@ -15,13 +15,21 @@ from repro.sim.metrics import _PERCENTILE_LOWER, MetricsCollector, percentile
 class TestFlow:
     def test_lifecycle_flags(self):
         flow = Flow(0, src=1, dst=2, size_cells=3, arrival=10)
-        assert flow.remaining == 3
         assert not flow.done_sending
         flow.sent = 3
         assert flow.done_sending
-        assert not flow.complete
-        flow.delivered = 3
-        assert flow.complete
+
+    def test_state_is_what_a_pipeline_reads(self):
+        """No field nothing reads: the slots are pinned, and the
+        checkpoint tuple (format version 2) carries ten of them."""
+        assert Flow.__slots__ == (
+            "flow_id", "src", "dst", "size_cells", "size_bytes", "arrival",
+            "sent", "delivered", "completed_at", "credit",
+        )
+        flow = Flow(7, src=1, dst=2, size_cells=3, arrival=10)
+        state = flow.state()
+        assert len(state) == 10
+        assert Flow.from_state(state).state() == state
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,17 +83,14 @@ class TestFlowTable:
     def test_delivery_and_completion(self):
         table = FlowTable()
         flow = table.new_flow(0, 1, 2, arrival=5)
-        assert table.record_delivery(flow.flow_id, 10) is None
-        record = table.record_delivery(flow.flow_id, 12)
-        assert record is not None
+        # the pipelines count deliveries on the flow themselves and call
+        # finalize on the completing cell only
+        flow.delivered = 2
+        record = table.finalize(flow, 12)
         assert record.fct == 7
         assert table.get(flow.flow_id) is None
         assert table.flows_to(1) == 0
         assert table.completed == [record]
-
-    def test_delivery_to_unknown_flow_is_noop(self):
-        table = FlowTable()
-        assert table.record_delivery(99, 1) is None
 
     def test_active_iteration(self):
         table = FlowTable()
@@ -132,7 +137,7 @@ class TestPercentile:
                                                      as_array):
         """The input used to be copied to float64 first; 'lower' picks an
         element, so its value is the same in the input's own dtype — for
-        sequences and for the collector's int64 sample buffers alike."""
+        sequences and for int64 arrays alike."""
         expected = float(np.percentile(
             np.asarray(values, dtype=np.float64), q, **_PERCENTILE_LOWER
         )) if values else 0.0
@@ -143,7 +148,7 @@ class TestPercentile:
 class TestMetricsCollector:
     def test_counters(self):
         m = MetricsCollector(n=4)
-        m.on_cell_delivered(0, latency=12)
+        m.on_cell_delivered(0)
         m.on_drop()
         m.on_trim()
         m.on_retransmission()
@@ -169,7 +174,7 @@ class TestMetricsCollector:
         engine.run()
         assert recorder.column("t").tolist() == [20, 30]
         assert engine.metrics.throughput_series == [0, 0]
-        assert len(engine.metrics.buffer_samples) == 2 * 16
+        assert engine.metrics.buffer_counts.sum() == 2 * 16
 
     @pytest.mark.parametrize("windows, populations, buffer_p50, state", [
         pytest.param(  # one node sampled per window feeds the percentiles
@@ -177,14 +182,14 @@ class TestMetricsCollector:
             # the linear midpoint 2.5)
             [([occ], [occ], 0, 0) for occ in (1, 2, 3, 100)],
             (100, 100, 100), 2.0,
-            dict(buffer_samples=[1, 2, 3, 100],
-                 queue_samples=[1, 2, 3, 100],
+            dict(buffer_counts=[0, 1, 1, 1] + [0] * 96 + [1],
+                 queue_counts=[0, 1, 1, 1] + [0] * 96 + [1],
                  max_buffer_occupancy=100, max_queue_length=100),
             id="node-samples"),
         pytest.param(  # the resource maxima only ever rise
             [([0], [], 9, 5), ([0], [], 2, 3)],
             (0, 0, 0), 0.0,
-            dict(buffer_samples=[0, 0], queue_samples=[],
+            dict(buffer_counts=[2], queue_counts=[],
                  max_pieo_length=9, max_active_buckets=5),
             id="resource-peaks"),
         pytest.param(  # what the engine's walk hands over for three nodes
@@ -192,15 +197,17 @@ class TestMetricsCollector:
             # the failed node and the empty queue are not sampled
             [([7, 2], [4, 2], 9, 3)],
             (9, 4, 7), 2.0,
-            dict(buffer_samples=[7, 2], queue_samples=[4, 2],
+            dict(buffer_counts=[0, 0, 1, 0, 0, 0, 0, 1],
+                 queue_counts=[0, 0, 1, 0, 1],
                  max_buffer_occupancy=7, max_queue_length=4,
                  max_pieo_length=9, max_active_buckets=3),
             id="node-walk"),
     ])
     def test_close_window(self, windows, populations, buffer_p50, state):
-        """Same maxima, same sample order, window closed — whichever
-        pipeline computed the four inputs.  ``populations`` is what the
-        last window returns for the telemetry row."""
+        """Same maxima, same sample tallies (``counts[v]`` samples equal
+        to ``v``, no longer than the largest one), window closed —
+        whichever pipeline computed the four inputs.  ``populations`` is
+        what the last window returns for the telemetry row."""
         m = MetricsCollector(n=4)
         for window in windows:
             returned = m.close_window(*window)
@@ -216,16 +223,9 @@ class TestMetricsCollector:
     def test_throughput_accounting(self):
         m = MetricsCollector(n=2)
         for _ in range(10):
-            m.on_cell_delivered(1, latency=1)
+            m.on_cell_delivered(1)
         assert m.mean_throughput_cells_per_slot(duration=5, n=2) == 1.0
         assert m.mean_throughput_cells_per_slot(duration=0, n=2) == 0.0
-
-    def test_goodput_fraction(self):
-        m = MetricsCollector(n=2)
-        m.cells_sent = 5
-        m.dummy_cells_sent = 1
-        m.on_cell_delivered(0, 1)
-        assert m.goodput_fraction() == pytest.approx(0.25)
 
     def test_summary_keys(self):
         m = MetricsCollector(n=2)
@@ -235,9 +235,41 @@ class TestMetricsCollector:
 
     def test_throughput_series_windows(self):
         m = MetricsCollector(n=2)
-        m.on_cell_delivered(0, 1)
+        m.on_cell_delivered(0)
         m.end_sample_window()
-        m.on_cell_delivered(0, 1)
-        m.on_cell_delivered(0, 1)
+        m.on_cell_delivered(0)
+        m.on_cell_delivered(0)
         m.end_sample_window()
         assert m.throughput_series == [1, 2]
+
+    @given(
+        st.lists(st.tuples(
+            st.lists(st.integers(0, 5000), max_size=40),
+            st.lists(st.integers(1, 5000), max_size=40),
+        ), max_size=12),
+        st.floats(0, 100),
+    )
+    # sample counts where ``floor((n - 1) * q)``, numpy's index, and the
+    # textbook ``floor(n*q + (1 - q) - 1)`` round apart
+    @example([(list(range(24601)), list(range(1, 20002)))], 99.0)
+    @example([(list(range(2001)), []), ([], list(range(1, 80002)))], 33.3)
+    def test_percentiles_are_numpys_over_the_raw_samples(self, windows, q):
+        """The collector keeps counts, the test keeps the raw samples:
+        after every window both percentile methods answer what
+        ``np.percentile(samples, q, method="lower")`` does over everything
+        sampled so far, and 0.0 while that is nothing."""
+        m = MetricsCollector(n=4)
+        buffers, queues = [], []
+        for window in [([], [])] + windows:
+            m.close_window(*window, 0, 0)
+            buffers += window[0]
+            queues += window[1]
+            for pct in (0, 50, 99, 99.9, 99.99, 100, q):
+                assert m.buffer_occupancy_percentile(pct) == (
+                    float(np.percentile(buffers, pct, **_PERCENTILE_LOWER))
+                    if buffers else 0.0)
+                assert m.queue_length_percentile(pct) == (
+                    float(np.percentile(queues, pct, **_PERCENTILE_LOWER))
+                    if queues else 0.0)
+            assert m.buffer_counts.sum() == len(buffers)
+            assert m.queue_counts.sum() == len(queues)

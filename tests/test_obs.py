@@ -10,6 +10,7 @@ telemetry never perturbs simulated behavior lives in
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.obs.capture import SweepTelemetry, TelemetryCapture, current_capture
@@ -134,7 +135,7 @@ class TestTimeSeries:
             node.__class__ = CountedNode
             for queue in node.link_queues:
                 queue.__class__ = CountedQueue
-        samples = len(engine.metrics.buffer_samples)
+        before = engine.metrics.buffer_counts.copy()
         engine._sample_metrics()
 
         for node in engine.nodes:
@@ -142,7 +143,10 @@ class TestTimeSeries:
             assert reads[node] == expected
             assert {reads[id(q)] for q in node.link_queues} == {expected}
         occupancies = [Node.total_enqueued.__get__(node) for node in alive]
-        assert engine.metrics.buffer_samples[samples:].tolist() == occupancies
+        delta = engine.metrics.buffer_counts.copy()
+        delta[:before.size] -= before
+        assert delta.tolist() == np.bincount(
+            occupancies, minlength=delta.size).tolist()
         row = {name: int(col[-1]) for name, col in recorder.series().items()}
         assert row["queued"] == sum(occupancies)
         assert row["max_buffer"] == max(occupancies)
@@ -182,10 +186,10 @@ class TestWarmupBoundary:
 
         m = MetricsCollector(n=4, warmup=100)
         assert not m._measuring
-        m.on_cell_delivered(0, 5)
-        m.on_cell_delivered(1, 5)
+        m.on_cell_delivered(0)
+        m.on_cell_delivered(1)
         m.begin_measurement()
-        m.on_cell_delivered(2, 5)
+        m.on_cell_delivered(2)
         m.end_sample_window()
         assert m.throughput_series == [1]
         assert m.payload_cells_delivered == 3
