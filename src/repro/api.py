@@ -178,14 +178,12 @@ def simulate(
     resumed_from = None
     engine = None
     if checkpoint is not None:
-        saved = load_checkpoint_or_none(checkpoint)
+        # a stale file from another experiment is discarded like any
+        # other unusable one, with the loader's WARNING: start over
+        saved = load_checkpoint_or_none(checkpoint, config)
         if saved is not None:
-            if saved.config != config:
-                # a stale file from another experiment: start over
-                remove_checkpoint(checkpoint)
-            else:
-                engine = restore_engine(saved)
-                resumed_from = engine.t
+            engine = restore_engine(saved)
+            resumed_from = engine.t
     if engine is None:
         engine = Engine(config, workload=None if workload is None
                         else list(workload),

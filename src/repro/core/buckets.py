@@ -121,23 +121,26 @@ class TokenLedger:
             del self._spent[key]
             self._is_first.pop(key, None)
 
-    def state_dict(self) -> Dict[str, object]:
-        """Outstanding charges as plain data (checkpoint encoding)."""
-        return {
-            "spent": sorted(self._spent.items()),
-            "is_first": sorted(self._is_first.items()),
-        }
+    def state(self) -> list:
+        """Every recorded pair as a ``(neighbour, dest, sprays, spent,
+        first-hop marking)`` row, sorted: the ledger's rows of the plain
+        model (:mod:`repro.sim.tables`)."""
+        return [(*key, self._spent.get(key, 0), key in self._is_first)
+                for key in sorted(self._spent.keys() | self._is_first.keys())]
 
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict` output *in place*.
+    def load_state(self, rows) -> None:
+        """Restore :meth:`state` rows *in place*.
 
         The dicts are mutated rather than replaced because the simulator's
         hot path caches direct references to them.
         """
         self._spent.clear()
-        self._spent.update(dict(state["spent"]))
         self._is_first.clear()
-        self._is_first.update(dict(state["is_first"]))
+        for neighbor, dest, sprays, spent, first_hop in rows:
+            if spent:
+                self._spent[neighbor, dest, sprays] = spent
+            if first_hop:
+                self._is_first[neighbor, dest, sprays] = True
 
     def outstanding(self) -> int:
         """Total tokens currently spent and awaiting return (diagnostic)."""
@@ -178,18 +181,18 @@ class ActiveBucketTracker:
         else:
             self._refcount[bucket] = count - 1
 
-    def state_dict(self) -> Dict[str, object]:
-        """Reference counts plus high-water mark (checkpoint encoding)."""
-        return {
-            "refcount": sorted(self._refcount.items()),
-            "peak": self.peak,
-        }
+    def state(self) -> list:
+        """``(dest, sprays, count)`` rows, sorted (the tracker's rows of the
+        plain model; :attr:`peak` rides in the per-node table)."""
+        return [(*bucket, count)
+                for bucket, count in sorted(self._refcount.items())]
 
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict` output in place (dict is aliased)."""
+    def load_state(self, rows, peak: int) -> None:
+        """Restore :meth:`state` rows in place (the dict is aliased)."""
         self._refcount.clear()
-        self._refcount.update(dict(state["refcount"]))
-        self.peak = state["peak"]
+        self._refcount.update(
+            ((dest, sprays), count) for dest, sprays, count in rows)
+        self.peak = peak
 
     def __len__(self) -> int:
         """Number of currently active buckets."""

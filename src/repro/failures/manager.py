@@ -105,6 +105,13 @@ def _encode_event(event) -> tuple:
     return ("node", event.t, event.node, event.failed)
 
 
+def _rng_state(state) -> tuple:
+    """``random.Random.getstate()`` as ``setstate`` wants it (a checkpoint
+    file holds its tuples as JSON lists)."""
+    version, key, gauss = state
+    return version, tuple(key), gauss
+
+
 def _decode_event(state) -> object:
     kind = state[0]
     if kind == "link":
@@ -317,13 +324,13 @@ class FailureManager:
         if state["loss_rng"] is not None:
             if self._loss_rng is None:
                 self._loss_rng = random.Random()
-            self._loss_rng.setstate(state["loss_rng"])
+            self._loss_rng.setstate(_rng_state(state["loss_rng"]))
         for key, rng_state in state.get("gray_rng", []):
             key = tuple(key)
             rng = self._gray_rng.get(key)
             if rng is None:
                 rng = self._gray_rng.setdefault(key, random.Random())
-            rng.setstate(rng_state)
+            rng.setstate(_rng_state(rng_state))
 
     def advance(self, engine, t: int) -> None:
         """Apply timed events and fire due missed-cell detections."""

@@ -53,11 +53,7 @@ class _IntBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def state(self) -> list:
-        """The filled prefix as a plain list (checkpoint encoding)."""
-        return self._data[: self._size].tolist()
-
-    def load(self, values: list) -> None:
+    def load(self, values: np.ndarray) -> None:
         """Replace the buffer contents with ``values``.
 
         Capacity is at least the default so a restored empty buffer can
@@ -129,16 +125,18 @@ class TimeSeriesRecorder:
         return self
 
     def state_dict(self) -> dict:
-        """Every column plus the delta baseline (checkpoint encoding)."""
+        """Every column, as an array of its own (a checkpoint file narrows
+        each to the integers it holds), plus the delta baseline."""
         return {
-            "cols": {name: buf.state() for name, buf in self._cols.items()},
-            "prev": list(self._prev),
+            "cols": {name: buf.view().copy()
+                     for name, buf in self._cols.items()},
+            "prev": np.array(self._prev, dtype=np.int64),
         }
 
     def load_state(self, state: dict) -> None:
         for name, buf in self._cols.items():
             buf.load(state["cols"][name])
-        self._prev = tuple(state["prev"])
+        self._prev = tuple(state["prev"].tolist())
 
     def resnapshot(self, metrics) -> None:
         """Re-baseline the delta counters (e.g. at the end of warm-up)."""

@@ -33,6 +33,7 @@ from typing import Dict, List
 import numpy as np
 
 from ...core.header import TOKEN_REGULAR
+from .. import tables
 from .vector import _HEADERS, _Decline, _VectorRun
 
 __all__ = ["TokenRun"]
@@ -41,6 +42,14 @@ _EV_TOKENS = 4  # DeterminismDigest token tag (see repro.sim.digest)
 
 #: closes every ledger column, so a lookup never indexes past the end
 _LEDGER_END = np.iinfo(np.int64).max
+
+
+def _positions(keys: np.ndarray):
+    """For ``keys`` whose equal values are adjacent: each entry's position
+    within its run, and every run's length."""
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])[: keys.size]
+    held = np.diff(np.r_[first, keys.size])
+    return np.arange(keys.size) - np.repeat(first, held), held
 
 
 class TokenRun(_VectorRun):
@@ -66,9 +75,7 @@ class TokenRun(_VectorRun):
         # token-return rings, one per queue index ``link * n + node``
         self.tq_cap = self.RING_SLOTS
         self.tq = np.zeros((self.Ln, self.tq_cap), dtype=np.int64)
-        # heads run free (positions are read modulo the capacity), so
-        # ``head + len`` counts the tokens a ring has ever held: a node's
-        # state lists a (possibly empty) ring for every one that held one
+        # heads run free: positions are read modulo the capacity
         self.tq_head = np.zeros(self.Ln, dtype=np.int64)
         self.tq_len = np.zeros(self.Ln, dtype=np.int64)
         # the link on which the batch being received reaches its senders
@@ -113,143 +120,123 @@ class TokenRun(_VectorRun):
             raise _Decline(_HEADERS)
         return self.pair_link[pos]
 
-    def _pack_nodes(self, node_states) -> int:
-        nid = super()._pack_nodes(node_states)
-        if not node_states:
-            return nid
+    def _pack_nodes(self, model) -> int:
+        nid = super()._pack_nodes(model)
         n, h, nh = self.n, self.h, self.nh
-        ids = np.arange(n, dtype=np.int64)
         # queued cells sit in rows [Ln, nid) in node-major walk order
-        holders = np.repeat(ids, self.q_len.sum(axis=0))
+        holders = np.repeat(np.arange(n), self.q_len.sum(axis=0))
         self.c_back[self.Ln:nid] = self._link_between(
             holders, self.c_prev[self.Ln:nid]
         )
-        ledgers = [state["ledger"] for state in node_states]
-        if any(ledger["is_first"] for ledger in ledgers):
+        holder, nb, dst, sprays, _, first_hop = model["ledger"].T
+        if first_hop.any():
             raise _Decline("ledger carries first-hop markings")
-        # (neighbour, dst, sprays) keys; with T = T_F = 1 every recorded
-        # pair holds exactly one charge
-        spent = [key for ledger in ledgers for key, _ in ledger["spent"]]
-        if spent:
-            holder = np.repeat(
-                ids, [len(ledger["spent"]) for ledger in ledgers]
-            )
-            nb, dst, sprays = np.array(spent, dtype=np.int64).T
-            link = self._link_between(holder, nb)
-            key = (holder * n + dst) * h + sprays
-            for l in np.unique(link).tolist():
-                self.ledger[l] = np.sort(
-                    np.append(key[link == l], _LEDGER_END)
-                )
-        trackers = [state["tracker"] for state in node_states]
-        refs = [ref for tracker in trackers for ref in tracker["refcount"]]
-        self.tr_active[:] = [len(tracker["refcount"]) for tracker in trackers]
-        self.tr_peak[:] = [tracker["peak"] for tracker in trackers]
-        if refs:
-            dst, sprays = np.array(
-                [bucket for bucket, _ in refs], dtype=np.int64
-            ).T
-            self.tr_ref[np.repeat(ids, self.tr_active) * nh + dst * h
-                        + sprays] = [count for _, count in refs]
-        rings = [(i, nb, tokens) for i, state in enumerate(node_states)
-                 for nb, tokens in state["token_return"]]
-        if rings:
-            holder, nb, held = zip(*rings)
-            while self.tq_cap < max(map(len, held)):
-                self._grow_rings()
+        # with T = T_F = 1 every recorded pair holds exactly one charge
+        link = self._link_between(holder, nb)
+        key = (holder * n + dst) * h + sprays
+        order = np.lexsort((key, link))
+        key = key[order]
+        cuts = link[order].searchsorted(np.arange(self.L + 1)).tolist()
+        self.ledger = [np.append(key[lo:hi], _LEDGER_END)
+                       for lo, hi in zip(cuts, cuts[1:])]
+        holder, dst, sprays, count = model["tracker"].T
+        self.tr_ref[holder * nh + dst * h + sprays] = count
+        self.tr_active[:] = np.bincount(holder, minlength=n)
+        self.tr_peak[:] = model["scalars"][:, tables.col("scalars", "tracker_peak")]
+        holder, nb, *token = model["tokens"].T
+        if holder.size:
             q = self._link_between(holder, nb) * n + holder
-            # a listed ring has held a token, even one that is empty now:
-            # a head of one capacity says so and still reads as position 0
-            self.tq_head[q] = self.tq_cap
-            self.tq_len[q] = list(map(len, held))
-            for ring, tokens in zip(q.tolist(), held):
-                self.tq[ring, :len(tokens)] = self._token_codes(tokens)
+            slot, held = _positions(q)
+            while self.tq_cap < held.max():
+                self._grow_rings()
+            self.tq[q, slot] = self._token_codes(*token)
+            self.tq_len[q[slot == 0]] = held
         return nid
 
-    def _wire_batch(self, arrival, senders, rows, recvs, fresh, esph, headers):
+    def _header_codes(self, model):
+        wire, *token = model["wire_tokens"].T
+        slot, held = _positions(wire)
+        if held.size and held.max() > self.tph:
+            raise _Decline(_HEADERS)
+        codes = np.full((self.tph, len(model["wire"])), -1, dtype=np.int64)
+        codes[slot, wire] = self._token_codes(*token)
+        return codes
+
+    def _wire_batch(self, arrival, senders, rows, recvs, fresh, esph, tokens):
         # one TX slot, one link: every receiver hears its sender on the
         # same return link
         back = self._link_between(recvs, senders)
         if (back != back[0]).any():
             raise _Decline(_HEADERS)
-        tokens = None
-        if any(headers) or (rows < 0).any():
-            tokens = np.full((self.tph, senders.size), -1, dtype=np.int64)
-            for col, header in enumerate(headers):
-                if len(header) > self.tph:
-                    raise _Decline(_HEADERS)
-                tokens[:len(header), col] = self._token_codes(header)
+        if not ((tokens >= 0).any() or (rows < 0).any()):
+            tokens = None
         return (arrival, senders, rows, recvs, fresh, esph, tokens,
                 int(back[0]))
 
-    def _token_codes(self, tokens) -> list:
-        """The ``dst * h + sprays`` code of each ``Token.state()`` in
-        ``tokens``, all regular (the only kind a ring or a header holds
-        on the slab) ..."""
-        if any(kind != TOKEN_REGULAR for _, _, kind in tokens):
+    def _token_codes(self, dest, sprays, kind) -> np.ndarray:
+        """The ``dest * h + sprays`` code of each token, all regular (the
+        only kind a ring or a header holds on the slab)."""
+        if (kind != TOKEN_REGULAR).any():
             raise _Decline(_HEADERS)
-        return [dest * self.h + sprays for dest, sprays, _ in tokens]
+        return dest * self.h + sprays
 
-    def _token_states(self, codes) -> list:
-        """... and back: the ``Token.state()`` each of ``codes`` names."""
-        return [(*divmod(code, self.h), TOKEN_REGULAR) for code in codes]
+    def _export_headers(self, model, batch, lo: int) -> None:
+        if batch[6] is not None:
+            # by transmission, then header position
+            tokens = batch[6].T
+            held = tokens >= 0
+            model["wire_tokens"] = np.concatenate((
+                model["wire_tokens"],
+                self._token_rows(tokens[held], lo + held.nonzero()[0]),
+            ))
 
-    def _header_states(self, batch):
-        tokens = batch[6]
-        if tokens is None:
-            return super()._header_states(batch)
-        return [
-            tuple(self._token_states(code for code in header if code >= 0))
-            for header in tokens.T.tolist()
-        ]
+    def _token_rows(self, codes, *keys) -> np.ndarray:
+        """``(*keys, dest, sprays, kind)`` rows for the tokens ``codes``."""
+        return np.stack((
+            *keys, *np.divmod(codes, self.h),
+            np.full(codes.size, TOKEN_REGULAR),
+        )).T
 
     def export_model(self):
-        node_states, wire_states, active = super().export_model()
+        model = super().export_model()
         n, h, nh = self.n, self.h, self.nh
-        # per node: ledger charges, active buckets, token rings (each
-        # sorted by key below, as state_dict() sorts them)
-        spent: List[list] = [[] for _ in range(n)]
-        refs: List[list] = [[] for _ in range(n)]
-        rings: List[list] = [[] for _ in range(n)]
+        # ledger charges, every link's column, in (holder, neighbour,
+        # dest, sprays) order
         key = np.concatenate([column[:-1] for column in self.ledger])
         link = np.repeat(
             np.arange(self.L), [column.size - 1 for column in self.ledger]
         )
         holder, code = np.divmod(key, nh)
-        dst, sprays = np.divmod(code, h)
-        for i, pair in zip(holder.tolist(), zip(
-            self.peer[link, holder].tolist(), dst.tolist(), sprays.tolist()
-        )):
-            spent[i].append((pair, 1))
+        ledger = np.stack((
+            holder, self.peer[link, holder], *np.divmod(code, h),
+            np.ones_like(key), np.zeros_like(key),
+        ))
+        model["ledger"] = ledger[:, np.lexsort(ledger[3::-1])].T
         live = self.tr_ref.nonzero()[0]
         holder, code = np.divmod(live, nh)
-        dst, sprays = np.divmod(code, h)
-        for i, bucket, count in zip(
-            holder.tolist(), zip(dst.tolist(), sprays.tolist()),
-            self.tr_ref[live].tolist(),
-        ):
-            refs[i].append((bucket, count))
-        used = (self.tq_head + self.tq_len).nonzero()[0]
-        held = (self.tq_head[used, None] + np.arange(self.tq_cap)) \
+        model["tracker"] = np.stack(
+            (holder, *np.divmod(code, h), self.tr_ref[live])).T
+        # token rings in (holder, neighbour) order, each in FIFO order
+        used = self.tq_len.nonzero()[0]
+        nb = self.peer.reshape(-1)[used]
+        order = np.lexsort((nb, used % n))
+        used, nb = used[order], nb[order]
+        held = self.tq_len[used]
+        order = (self.tq_head[used, None] + np.arange(self.tq_cap)) \
             & (self.tq_cap - 1)
-        for q, length, codes, nb in zip(
-            used.tolist(), self.tq_len[used].tolist(),
-            self.tq[used[:, None], held].tolist(),
-            self.peer.reshape(-1)[used].tolist(),
-        ):
-            rings[q % n].append((nb, self._token_states(codes[:length])))
+        codes = self.tq[used[:, None], order]
+        model["tokens"] = self._token_rows(
+            codes[np.arange(self.tq_cap) < held[:, None]],
+            np.repeat(used % n, held), np.repeat(nb, held),
+        )
         owed = self.tq_len.reshape(self.L, n).sum(axis=0)
-        for state, ring, ledger, buckets, peak, tokens in zip(
-            node_states, rings, spent, refs, self.tr_peak.tolist(),
-            owed.tolist(),
-        ):
-            state["token_return"] = sorted(ring)
-            state["ledger"] = {"spent": sorted(ledger), "is_first": []}
-            state["tracker"] = {"refcount": buckets, "peak": peak}
-            state["pending_tokens"] = tokens
+        scalars = model["scalars"]
+        scalars[:, tables.col("scalars", "pending_tokens")] = owed
+        scalars[:, tables.col("scalars", "tracker_peak")] = self.tr_peak
         # a node owing tokens has work even with empty queues
-        active = sorted(set(active).union(owed.nonzero()[0].tolist()))
-        return node_states, wire_states, active
+        model["active_ids"] = np.union1d(
+            model["active_ids"][:, 0], owed.nonzero()[0])[:, None]
+        return model
 
     # ------------------------------------------------------------------ #
     # ledger columns
@@ -298,9 +285,8 @@ class TokenRun(_VectorRun):
         grown = np.zeros((self.Ln, 2 * cap), dtype=np.int64)
         grown[:, :cap] = np.take_along_axis(self.tq, order, axis=1)
         self.tq = grown
-        # contents now start at position 0; a used ring keeps a non-zero
-        # head that still reads as position 0
-        self.tq_head = np.where(self.tq_head + self.tq_len > 0, 2 * cap, 0)
+        # contents now start at position 0
+        self.tq_head = np.zeros(self.Ln, dtype=np.int64)
         self.tq_cap = 2 * cap
 
     def _queue_tokens(self, q, code) -> None:

@@ -32,9 +32,9 @@ ends with a sync of everything that is not a node or a transmission and
 parks the run on the engine (:meth:`Engine._park`), the next call continues
 on the same columns, and the object model is built only when something
 reads ``engine.nodes`` or the wire.  Columns and objects never meet: the
-run packs from, and exports, the checkpoint's plain-data encoding
-(:data:`repro.sim.engine.PlainModel`), which ``Engine._materialize`` alone
-turns into objects.
+run packs from, and exports, the plain model's integer tables
+(:mod:`repro.sim.tables`) — slices in, gathers out, no per-cell object —
+which ``Engine._materialize`` alone turns into objects.
 
 Shortest-queue spraying (``spray-short``) is a different spraying choice on
 the same columns; the hop-by-hop token protocol adds its own
@@ -52,12 +52,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import compress, repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ...core.cell import Cell
+from .. import tables
 from . import EngineBackend, register_backend
 from .object_backend import advance as advance_reference
 
@@ -70,10 +70,13 @@ _SLAB_COLS = (
     "c_created", "c_sphase", "c_fsize", "c_hops", "c_enqat", "c_nxt",
 )
 
-#: where ``Cell.state()`` carries ``dummy`` — the one field the slab has no
+#: where a ``cells`` row carries ``dummy`` — the one field the slab has no
 #: column for; it sits just before ``hops`` — and the spray-phase hint
-_STATE_DUMMY = _SLAB_COLS.index("c_hops")
-_STATE_SPHASE = _SLAB_COLS.index("c_sphase")
+_STATE_DUMMY = tables.col("cells", "dummy")
+_STATE_SPHASE = tables.col("cells", "spray_phase")
+#: a token-only dummy's ``cells`` row (a wire row with no slab row)
+_DUMMY_CELL = np.array(Cell.make_dummy(0, 0).state(), dtype=np.int64)
+_LEN, _PEAK = tables.col("queues", "len"), tables.col("queues", "peak")
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
 #: slab columns of a delivery event's fields, in on_delivery order
@@ -136,12 +139,9 @@ def _fast_ineligible_reason(engine):
         return f"n={cfg.n} below the token-slab size floor ({floor})"
     # state no column holds; an engine that has not left the slab (or not
     # run at all) has no node to carry any
-    for i, (owed, *uncolumned) in enumerate(engine._node_fields(
-        "pending_tokens", "failed", "failed_neighbors", "known_failed",
-        "link_invalid", "force_dummy", "pending_ctrl", "rtx_queue",
-    )):
-        if any(uncolumned) or (owed and not hbh):
-            return f"node {i} carries non-vectorizable state"
+    node = engine._reference_only_node()
+    if node is not None:
+        return f"node {node} carries non-vectorizable state"
     return None
 
 
@@ -555,17 +555,15 @@ class _VectorRun:
     # pack / resume / sync / export
 
     def pack(self, model) -> Optional[str]:
-        """Turn ``model`` (:data:`~repro.sim.engine.PlainModel`; None for an
-        engine that never ran, whose columns start empty) into columns;
-        None on success, else the reason the state cannot be packed.  The
-        model is only read, so a decline leaves the engine untouched."""
-        node_states, wire_states, _ = model or ((), (), ())
+        """Slice ``model`` (the plain model's tables; None for an engine
+        that never ran, whose columns start empty) into columns; None on
+        success, else the reason the state cannot be packed.  The model is
+        only read, so a decline leaves the engine untouched."""
+        if model is None:
+            model = tables.idle(self.n, self.L)
         try:
-            self._init_slab(
-                sum(state["total_enqueued"] for state in node_states)
-                + len(wire_states)
-            )
-            nid = self._pack_wire(wire_states, self._pack_nodes(node_states))
+            self._init_slab(len(model["cells"]))
+            nid = self._pack_wire(model, self._pack_nodes(model))
         except _Decline as declined:
             return str(declined)
         # flow completion columns for every active flow
@@ -618,168 +616,174 @@ class _VectorRun:
         return (self._peak_buckets(), int(self.q_peak.max()),
                 int(self._node_occupancy().max()))
 
-    def _load_cells(self, cells, nid: int) -> int:
-        """``Cell.state()`` tuples — ``_SLAB_COLS`` order, around ``dummy``
-        — into slab rows ``nid`` on, in one array conversion; returns the
-        next free row."""
-        if not cells:
-            return nid
-        block = np.array(cells, dtype=np.int64).T
+    def _load_cells(self, cells: np.ndarray, nid: int) -> int:
+        """Rows of the ``cells`` table — ``_SLAB_COLS`` order, around
+        ``dummy`` — into slab rows ``nid`` on; returns the next free row."""
+        block = cells.T
         if block[_STATE_DUMMY].any() or (block[_STATE_SPHASE] < 0).any():
             raise _Decline(_HEADERS)
-        end = nid + block.shape[1]
+        end = nid + len(cells)
         self._slab[:_STATE_DUMMY, nid:end] = block[:_STATE_DUMMY]
         self._slab[_STATE_DUMMY:-1, nid:end] = block[_STATE_DUMMY + 1:]
         return end
 
-    def _pack_nodes(self, node_states) -> int:
+    def _pack_nodes(self, model) -> int:
         """Queues and flow cursors of every node; returns the next free
-        slab row (queued cells occupy rows from ``Ln`` on, in node-major,
-        link-minor, FIFO order)."""
+        slab row (queued cells occupy rows from ``Ln`` on, in the tables'
+        node-major, link-minor, FIFO order)."""
         first = self.Ln  # cell rows start past the queue sentinels
-        if not node_states:
-            return first
-        queues = [queue for state in node_states for queue in state["queues"]]
-        nid = self._load_cells(
-            [cell for queue in queues for cell in queue["items"]], first
-        )
-        # per queue, in that order: its sentinel (``link * n + node``, the
+        lens = model["queues"][:, _LEN]
+        nid = self._load_cells(model["cells"][:lens.sum()], first)
+        # per queue, in table order: its sentinel (``link * n + node``, the
         # flat queue index) and the end of its run of rows
         sentinel = np.add.outer(
             np.arange(self.n), np.arange(self.L) * self.n
         ).reshape(-1)
-        lens = np.array([len(queue["items"]) for queue in queues])
         ends = first + lens.cumsum()
         self.qf_len[sentinel] = lens
-        self.qf_peak[sentinel] = [queue["peak"] for queue in queues]
+        self.qf_peak[sentinel] = model["queues"][:, _PEAK]
         # thread every run into its list: sentinel -> rows in order -> -1
         self.c_nxt[first:nid] = np.arange(first + 1, nid + 1)
         held = lens.nonzero()[0]
         self.c_nxt[ends[held] - 1] = -1
         self.c_nxt[sentinel[held]] = ends[held] - lens[held]
         self.qf_tail[sentinel[held]] = ends[held] - 1
+        # the cursors hold Flow objects: a node's first unfinished flow is
+        # its cursor, the rest wait in list order
         lookup = self.engine.flows.get
-        for i, state in enumerate(node_states):
-            live = [flow for flow in map(lookup, state["local_flows"])
-                    if flow is not None and flow.sent < flow.size_cells]
-            if live:
-                cursor = live[0]
+        for i, fid in model["local_flows"].tolist():
+            flow = lookup(fid)
+            if flow is None or flow.sent >= flow.size_cells:
+                continue
+            if self.has_flow[i]:
+                self.waiting[i].append(flow)
+            else:
                 self.has_flow[i] = True
-                self.cur_fid[i] = cursor.flow_id
-                self.cur_dst[i] = cursor.dst
-                self.cur_sent[i] = cursor.sent
-                self.cur_size[i] = cursor.size_cells
-                self.cur_flow[i] = cursor
-                self.waiting[i].extend(live[1:])
+                self.cur_fid[i] = fid
+                self.cur_dst[i] = flow.dst
+                self.cur_sent[i] = flow.sent
+                self.cur_size[i] = flow.size_cells
+                self.cur_flow[i] = flow
         return nid
 
-    def _pack_wire(self, wire_states, nid: int) -> int:
+    def _pack_wire(self, model, nid: int) -> int:
         """The wire, cut into per-arrival batches (FIFO order preserved),
         its payload cells loaded from slab row ``nid`` on; returns the
         next free row."""
-        if not wire_states:
+        wire = model["wire"]
+        if not len(wire):
             return nid
-        senders, recvs, cells, headers, ctrl, arrivals = zip(*wire_states)
-        if any(ctrl) or None in cells:
+        if len(model["wire_ctrl"]):
             raise _Decline(_HEADERS)
-        senders = np.array(senders, dtype=np.int64)
-        recvs = np.array(recvs, dtype=np.int64)
+        senders, recvs, arrivals = wire.T
+        cells = model["cells"][-len(wire):]
         # a token-only dummy is a wire row with no slab row (-1)
-        payload = np.array([not cell[_STATE_DUMMY] for cell in cells])
+        payload = cells[:, _STATE_DUMMY] == 0
         rows = np.where(payload, nid + payload.cumsum() - 1, -1)
-        nid = self._load_cells(list(compress(cells, payload)), nid)
+        nid = self._load_cells(cells[payload], nid)
         fresh = payload & (self.c_sprays[rows] > 0)
+        tokens = self._header_codes(model)
         cuts = [0, *(np.flatnonzero(np.diff(arrivals)) + 1).tolist(),
-                len(cells)]
+                len(wire)]
         for lo, hi in zip(cuts, cuts[1:]):
             # the spraying cells of one batch left the same TX slot, so
             # they share one spray phase
             spraying = rows[lo:hi][fresh[lo:hi]]
             esph = int(self.c_sphase[spraying[-1]]) if spraying.size else 0
             self.batches.append(self._wire_batch(
-                arrivals[lo], senders[lo:hi], rows[lo:hi], recvs[lo:hi],
-                fresh[lo:hi], esph, headers[lo:hi],
+                int(arrivals[lo]), senders[lo:hi], rows[lo:hi],
+                recvs[lo:hi], fresh[lo:hi], esph,
+                None if tokens is None else tokens[:, lo:hi],
             ))
         return nid
 
-    def _wire_batch(self, arrival, senders, rows, recvs, fresh, esph, headers):
+    def _header_codes(self, model) -> Optional[np.ndarray]:
+        """The ``wire_tokens`` table as a ``(tokens_per_header, wire
+        rows)`` block of this stepper's token codes, -1 where a header
+        holds none — or None, as here, where no header may hold any."""
+        if len(model["wire_tokens"]):
+            raise _Decline(_HEADERS)
+        return None
+
+    def _wire_batch(self, arrival, senders, rows, recvs, fresh, esph, tokens):
         """One arrival slot of a packed wire as a batch tuple of this
-        stepper (the shape ``_tx`` appends); ``headers`` holds each
-        transmission's token states."""
-        if any(headers) or (rows < 0).any():
+        stepper (the shape ``_tx`` appends); ``tokens`` is the batch's
+        columns of :meth:`_header_codes`."""
+        if (rows < 0).any():
             raise _Decline(_HEADERS)
         return arrival, senders, rows, recvs, fresh, esph
 
-    def export_model(self):
-        """The nodes, the wire and the active set of a synced run as
-        :data:`~repro.sim.engine.PlainModel` — what an object run holds at
-        this slot, with ``active_ids`` exactly the nodes with work (a legal
-        instance of the engine's superset invariant: nothing else can owe
-        work in a slab-eligible state).  Reads the columns only: no object
-        is touched and the run goes on as it is."""
-        # every live row: the queues node-major, link-minor, in FIFO order
-        # (walked with plain ints), then the wire's payload cells
-        nxt = self.c_nxt.tolist()
-        rows: List[int] = []
-        append = rows.append
-        for heads in self.heads2d.T.tolist():
-            for row in heads:
-                while row >= 0:
-                    append(row)
-                    row = nxt[row]
-        for batch in self.batches:
-            rows.extend(batch[2][batch[2] >= 0].tolist())
-        # their Cell.state() tuples from one gather: the slab's columns are
-        # in that order, around ``dummy``
-        fields = self._slab[:-1, rows].tolist()
-        fields.insert(_STATE_DUMMY, repeat(False))
-        cells = list(zip(*fields))
-        occupancy = self._node_occupancy()
-        node_states = []
-        pos = 0
-        for lens, peaks, total, has_flow, fid, waiting in zip(
-            self.q_len.T.tolist(), self.q_peak.T.tolist(),
-            occupancy.tolist(), self.has_flow.tolist(),
-            self.cur_fid.tolist(), self.waiting,
-        ):
-            queues = []
-            for length, peak in zip(lens, peaks):
-                queues.append({"items": cells[pos:pos + length], "seq": 0,
-                               "peak": peak})
-                pos += length
-            flows = [flow.flow_id for flow in waiting]
-            node_states.append({
-                "queues": queues,
-                # the hop-by-hop entries are TokenRun's to fill
-                "token_return": [], "ledger": None, "tracker": None,
-                "local_flows": [fid] + flows if has_flow else flows,
-                "rtx_queue": [], "ctrl_out": [[] for _ in queues],
-                "total_enqueued": total, "pending_tokens": 0,
-                "pending_ctrl": 0, "failed": False, "failed_neighbors": [],
-                "known_failed": [], "link_invalid": [], "fail_cause": [],
-                "force_dummy": [], "recv_counts": [],
-            })
-        wire_states = []
-        for batch in self.batches:
-            arrival, senders, batch_rows, recvs = batch[:4]
-            for sender, recv, row, header in zip(
-                senders.tolist(), recvs.tolist(), batch_rows.tolist(),
-                self._header_states(batch),
-            ):
-                if row < 0:
-                    cell = Cell.make_dummy(sender, recv).state()
-                else:
-                    cell = cells[pos]
-                    pos += 1
-                wire_states.append((sender, recv, cell, header, (), arrival))
-        active = np.flatnonzero((occupancy > 0) | self.has_flow)
-        return node_states, wire_states, active.tolist()
+    def _queued_rows(self) -> np.ndarray:
+        """The slab row of every queued cell, node-major, link-minor, FIFO:
+        all the linked lists walked at once, one position per round."""
+        nxt = self.c_nxt
+        queue = np.arange(self.Ln)
+        row = self.heads2d.T.reshape(-1)
+        rows, queues = [], []
+        while True:
+            held = row >= 0
+            row, queue = row[held], queue[held]
+            if not row.size:
+                break
+            rows.append(row)
+            queues.append(queue)
+            row = nxt[row]
+        if not rows:
+            return row
+        # rounds are list positions, so a stable sort by queue is FIFO
+        return np.concatenate(rows)[
+            np.concatenate(queues).argsort(kind="stable")]
 
-    def _header_states(self, batch):
-        """Per transmission of a wire ``batch``, its tokens'
-        ``Token.state()`` tuples (no header carries any without
-        hop-by-hop)."""
-        return repeat(())
+    def export_model(self):
+        """The nodes, the wire and the active set of a synced run as the
+        plain model's tables (:mod:`repro.sim.tables`) — what an object run
+        holds at this slot, with ``active_ids`` exactly the nodes with work
+        (a legal instance of the engine's superset invariant: nothing else
+        can owe work in a slab-eligible state).  Gathers columns only: no
+        object is touched and the run goes on as it is."""
+        model = tables.idle(self.n, self.L)
+        wire = np.zeros((sum(batch[1].size for batch in self.batches), 3),
+                        dtype=np.int64)
+        sent = np.zeros(len(wire), dtype=np.int64)
+        lo = 0
+        for batch in self.batches:
+            hi = lo + batch[1].size
+            wire[lo:hi] = np.stack(
+                (batch[1], batch[3], np.full(hi - lo, batch[0]))).T
+            sent[lo:hi] = batch[2]
+            self._export_headers(model, batch, lo)
+            lo = hi
+        rows = np.concatenate((self._queued_rows(), sent))
+        cells = np.zeros((rows.size, len(_DUMMY_CELL)), dtype=np.int64)
+        cells[:, :_STATE_DUMMY] = self._slab[:_STATE_DUMMY, rows].T
+        cells[:, _STATE_DUMMY + 1:] = self._slab[_STATE_DUMMY:-1, rows].T
+        dummy = (sent < 0).nonzero()[0]
+        if dummy.size:
+            at = rows.size - sent.size + dummy
+            cells[at] = _DUMMY_CELL
+            cells[at, :2] = wire[dummy, :2]
+        occupancy = self._node_occupancy()
+        model["cells"], model["wire"] = cells, wire
+        model["queues"][:, _LEN] = self.q_len.T.reshape(-1)
+        model["queues"][:, _PEAK] = self.q_peak.T.reshape(-1)
+        model["scalars"][:, tables.col("scalars", "total_enqueued")] = occupancy
+        # a node's flows: its cursor, then the ones waiting behind it
+        # (Flow objects, so that part is a walk — over flows, not nodes)
+        cursor = self.has_flow.nonzero()[0]
+        flows = np.concatenate((
+            np.stack((cursor, self.cur_fid[cursor])).T,
+            tables.table([(i, flow.flow_id) for i in cursor.tolist()
+                          for flow in self.waiting[i]], 2),
+        ))
+        model["local_flows"] = flows[flows[:, 0].argsort(kind="stable")]
+        model["active_ids"] = np.flatnonzero(
+            (occupancy > 0) | self.has_flow)[:, None]
+        return model
+
+    def _export_headers(self, model, batch, lo: int) -> None:
+        """Add the tokens in the headers of wire ``batch``, whose first
+        transmission is wire row ``lo``, to ``model`` (no header carries
+        any without hop-by-hop)."""
 
     # ------------------------------------------------------------------ #
     # per-slot sections (the slab's deliver / inject / tx / sample)

@@ -25,6 +25,14 @@ Correctness properties:
   (or concurrent runner invocations sharing a cache directory) never
   observe a torn entry.
 
+**Entries stay pickles** (checkpoints are not, see
+:mod:`repro.sim.checkpoint`).  An entry holds whatever the worker returned
+— experiment dataclasses, telemetry bundles — not a fixed set of tables, and
+only this module writes the files it reads: the source fingerprint in the
+key means a file is never looked up by code other than the code that wrote
+it.  A table format would buy neither safety nor speed here, so the
+decision is to keep pickle and to say what a discarded entry was.
+
 Cell kwargs must be plain data (they already have to be picklable to cross
 process boundaries); unknown objects fall back to ``repr`` in the key,
 which is deterministic for value-like objects only.
@@ -40,6 +48,7 @@ test across shard counts.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import pathlib
 import pickle
@@ -57,6 +66,8 @@ __all__ = [
 
 #: cache entry format version; bump when the on-disk layout changes meaning
 SCHEMA = 1
+
+_log = logging.getLogger("repro.cache")
 
 
 class _Miss:
@@ -185,8 +196,9 @@ class CellCache:
         except FileNotFoundError:
             self.misses += 1
             return MISS
-        except Exception:
-            pass
+        except Exception as exc:
+            _log.warning("discarding unreadable cache entry %s: %s: %s",
+                         path, type(exc).__name__, exc)
         # present but corrupt or mismatched: recover by dropping the entry
         try:
             path.unlink()

@@ -10,9 +10,18 @@ resumed to produce exactly the cells, drops, tokens and artifacts of the
 uninterrupted run (pinned by :class:`~repro.sim.digest.DeterminismDigest`
 and the golden-trace suite).
 
-File format (same integrity idiom as :mod:`repro.sim.cellcache`)::
+File format (nothing in it is executed on load)::
 
-    MAGIC (10 bytes) | pickled payload | sha256(payload) (32 bytes)
+    MAGIC (10 bytes) | payload | sha256(payload) (32 bytes)
+    payload = version "\n" | one JSON document "\n" | array sections
+
+A snapshot's state is a tree of dicts whose leaves are either arrays — the
+plain model's integer tables (:mod:`repro.sim.tables`) and everything else
+that is a column: flow records, the recorder's series, the sample tallies,
+the RNG key — or small plain values.  The arrays are the sections: raw
+little-endian bytes, back to back, each narrowed to the smallest integer
+type that holds it (read back as int64); the JSON document holds the rest,
+the run's ``SimConfig`` and the section table (dotted path, dtype, shape).
 
 Writes are atomic (``tempfile.mkstemp`` + ``os.replace``), so the file on
 disk is always a complete snapshot.  Loads are *self-healing* through
@@ -38,14 +47,21 @@ transparently resume from an existing snapshot after a crash.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import logging
+import math
 import os
 import pathlib
-import pickle
 import tempfile
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from . import tables
+from .config import SimConfig, TimingModel
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -66,9 +82,8 @@ __all__ = [
 ]
 
 #: bump on any change to the payload layout; old files self-heal as misses
-#: (2: metrics sample tallies instead of raw samples, no per-cell latency
-#: list, no ``schedule_class`` in a flow's state)
-CHECKPOINT_VERSION = 2
+#: (3: integer tables and a JSON document instead of serialised objects)
+CHECKPOINT_VERSION = 3
 
 _log = logging.getLogger("repro.checkpoint")
 
@@ -83,9 +98,10 @@ class CheckpointError(RuntimeError):
 class Checkpoint:
     """One snapshot: format version, the run's ``SimConfig``, state payload.
 
-    The state payload is a plain-data dict (ints, strings, tuples, lists)
-    produced by :func:`snapshot_engine`; the config rides along so restore
-    can verify the snapshot belongs to the engine it is applied to.
+    The state payload is a tree of dicts produced by
+    :func:`snapshot_engine`, its leaves numpy arrays or JSON-serialisable
+    values; the config rides along so restore can verify the snapshot
+    belongs to the engine it is applied to.
     """
 
     __slots__ = ("version", "config", "state")
@@ -110,16 +126,58 @@ class Checkpoint:
 # ---------------------------------------------------------------------- #
 # file I/O
 
+#: what :func:`snapshot_engine` writes and :func:`apply_checkpoint` reads
+_STATE_KEYS = frozenset({
+    "t", "loop", "rng", "rng_gauss", "pending_flows", "in_flight_payload",
+    "failed_links", "isd_last", "force_full_scan", "flows", "metrics",
+    "nodes", "digest", "monitor", "telemetry", "events", "failure_manager",
+})
+
+
+def _narrowed(array: np.ndarray) -> np.ndarray:
+    """``array`` in the smallest signed integer type that holds it (floats
+    as they are): int64 tables of small numbers, a quarter the bytes."""
+    if array.dtype.kind == "f":
+        return array
+    if array.dtype.kind not in "iub":
+        raise TypeError(f"cannot store a {array.dtype} array")
+    low, high = (array.min(), array.max()) if array.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+            return array.astype(dtype)
+    return array
+
+
+def _split(tree: dict, prefix: str, arrays: Dict[str, np.ndarray]) -> dict:
+    """``tree`` without its array leaves, which go to ``arrays`` under
+    their dotted path."""
+    rest = {}
+    for key, value in tree.items():
+        if isinstance(value, np.ndarray):
+            arrays[prefix + key] = _narrowed(value)
+        elif isinstance(value, dict):
+            rest[key] = _split(value, f"{prefix}{key}.", arrays)
+        else:
+            rest[key] = value
+    return rest
+
+
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Write ``checkpoint`` to ``path`` atomically (tmp file + rename)."""
-    payload = pickle.dumps(
-        {
-            "version": checkpoint.version,
-            "config": checkpoint.config,
-            "state": checkpoint.state,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    arrays: Dict[str, np.ndarray] = {}
+    # the plain model's empty tables are left out: their shape is the
+    # schema's (``tables.model`` puts them back)
+    model = {name: held for name, held in checkpoint.state["nodes"].items()
+             if len(held)}
+    document = json.dumps({
+        "config": dataclasses.asdict(checkpoint.config),
+        "state": _split({**checkpoint.state, "nodes": model}, "", arrays),
+        "sections": [(name, held.dtype.str, held.shape)
+                     for name, held in arrays.items()],
+    })
+    payload = b"%d\n%s\n%s" % (
+        checkpoint.version, document.encode(),
+        b"".join(held.tobytes() for held in arrays.values()))
     footer = hashlib.sha256(payload).digest()
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -135,8 +193,39 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         raise
 
 
+def _decode(document: bytes, sections: bytes) -> Tuple[SimConfig, dict]:
+    """The config and the state tree a v3 payload holds; raises whatever
+    the json reader, a missing key or a section that is not what the
+    document says raises."""
+    document = json.loads(document)
+    config = dict(document["config"])
+    config["timing"] = TimingModel(**config["timing"])
+    state = document["state"]
+    offset = 0
+    for name, dtype, shape in document["sections"]:
+        dtype = np.dtype(dtype)
+        if (dtype.kind != "i" and dtype != np.float64) or min(shape) < 0:
+            raise TypeError(f"section {name!r} is a {dtype}{shape} array")
+        # frombuffer refuses a count the remaining bytes do not hold
+        array = np.frombuffer(
+            sections, dtype, math.prod(shape), offset).reshape(shape)
+        offset += array.nbytes
+        *parents, leaf = name.split(".")
+        branch = state
+        for key in parents:
+            branch = branch.setdefault(key, {})
+        # a copy either way: no array keeps the file's bytes alive
+        branch[leaf] = array.astype(np.int64 if dtype.kind == "i" else dtype)
+    missing = _STATE_KEYS - state.keys()
+    if missing:
+        raise KeyError(f"state lacks {sorted(missing)}")
+    state["nodes"] = tables.model(state["nodes"])
+    return SimConfig(**config), state
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read and verify a checkpoint; raises :class:`CheckpointError`."""
+    """Read and verify a checkpoint; every way the file can be wrong is a
+    :class:`CheckpointError` naming the reason."""
     try:
         data = pathlib.Path(path).read_bytes()
     except OSError as exc:
@@ -147,28 +236,38 @@ def load_checkpoint(path) -> Checkpoint:
     footer = data[-_SHA256_BYTES:]
     if hashlib.sha256(payload).digest() != footer:
         raise CheckpointError(f"checkpoint integrity check failed: {path}")
-    try:
-        entry = pickle.loads(payload)
-    except Exception as exc:
-        raise CheckpointError(f"undecodable checkpoint {path}: {exc}") from exc
-    if not isinstance(entry, dict) or entry.get("version") != CHECKPOINT_VERSION:
+    version, _, rest = payload.partition(b"\n")
+    # every format before 3 put serialised objects where the version line is
+    version = int(version) if version.isdigit() else "2 or earlier"
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version in {path}: "
-            f"{entry.get('version') if isinstance(entry, dict) else '?'} "
-            f"(want {CHECKPOINT_VERSION})"
+            f"{version} (want {CHECKPOINT_VERSION})"
         )
-    return Checkpoint(entry["version"], entry["config"], entry["state"])
+    try:
+        config, state = _decode(*rest.partition(b"\n")[::2])
+    except Exception as exc:
+        raise CheckpointError(
+            f"undecodable checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    return Checkpoint(version, config, state)
 
 
-def load_checkpoint_or_none(path) -> Optional[Checkpoint]:
+def load_checkpoint_or_none(path, config=None) -> Optional[Checkpoint]:
     """Self-healing load: anything wrong means ``None``, never an exception.
 
-    A bad file (truncated write from a crash, stale version, random bytes)
-    is removed, with one WARNING saying why, so the next save starts clean;
-    a file that is simply not there is no news.
+    A bad file (truncated write from a crash, stale version, random bytes,
+    or — when the caller says which ``config`` it is about to run — a
+    snapshot of another configuration) is removed, with one WARNING saying
+    why, so the next save starts clean; a file that is simply not there is
+    no news.
     """
     try:
-        return load_checkpoint(path)
+        checkpoint = load_checkpoint(path)
+        if config is not None and checkpoint.config != config:
+            raise CheckpointError(
+                "checkpoint was taken under a different configuration")
+        return checkpoint
     except CheckpointError as exc:
         if os.path.exists(path):
             _log.warning("discarding unusable checkpoint %s: %s", path, exc)
@@ -208,21 +307,20 @@ def snapshot_engine(engine, loop: Optional[Tuple[int, int]] = None) -> Checkpoin
         # a never-run engine's encoding is that of its freshly built nodes
         engine._materialize("snapshot")
         model = engine._plain_model()
-    nodes, in_flight, active_ids = model
+    _, rng_key, rng_gauss = engine.rng.getstate()
     state = {
         "t": engine.t,
         "loop": loop,
-        "rng": engine.rng.getstate(),
-        "pending_flows": [tuple(item) for item in engine._pending_flows],
-        "in_flight": in_flight,
+        "rng": np.array(rng_key, dtype=np.int64),
+        "rng_gauss": rng_gauss,
+        "pending_flows": tables.table(list(engine._pending_flows), 5),
         "in_flight_payload": engine._in_flight_payload,
-        "failed_links": sorted(engine.failed_links),
-        "active_ids": active_ids,
-        "isd_last": sorted(engine._isd_last.items()),
+        "failed_links": tables.table(sorted(engine.failed_links), 2),
+        "isd_last": tables.table(sorted(engine._isd_last.items()), 2),
         "force_full_scan": engine.force_full_scan,
         "flows": engine.flows.state_dict(),
         "metrics": engine.metrics.state_dict(),
-        "nodes": nodes,
+        "nodes": model,
         "digest": (None if engine.digest is None
                    else engine.digest.state_dict()),
         "monitor": (None if engine.monitor is None
@@ -241,7 +339,7 @@ def apply_checkpoint(engine, checkpoint: Checkpoint) -> None:
     """Overwrite ``engine``'s state with ``checkpoint``.
 
     The engine must have been built from the same :class:`SimConfig`.
-    The payload's nodes, wire and active set become the engine's pending
+    The payload's plain model becomes the engine's pending
     model (:meth:`Engine._adopt_model`) — no node is built or filled here;
     a backend packs them as they are, or the first read of the object
     model loads them.  Engine-level containers the hot path aliases (the
@@ -263,18 +361,17 @@ def apply_checkpoint(engine, checkpoint: Checkpoint) -> None:
     from ..failures.manager import FailureManager
 
     state = checkpoint.state
-    engine._adopt_model(
-        (state["nodes"], state["in_flight"], state["active_ids"])
-    )
-    engine.rng.setstate(state["rng"])
+    engine._adopt_model(state["nodes"])
+    engine.rng.setstate(
+        (3, tuple(state["rng"].tolist()), state["rng_gauss"]))
     engine._pending_flows.clear()
-    engine._pending_flows.extend(tuple(i) for i in state["pending_flows"])
+    engine._pending_flows.extend(map(tuple, state["pending_flows"].tolist()))
     engine.flows.load_state(state["flows"])
     engine.failed_links.clear()
-    engine.failed_links.update(tuple(link) for link in state["failed_links"])
+    engine.failed_links.update(map(tuple, state["failed_links"].tolist()))
     engine._in_flight_payload = state["in_flight_payload"]
     engine._isd_last.clear()
-    engine._isd_last.update(dict(state["isd_last"]))
+    engine._isd_last.update(state["isd_last"].tolist())
     engine.force_full_scan = state["force_full_scan"]
     engine.metrics.load_state(state["metrics"])
 
@@ -450,16 +547,12 @@ class CellScope:
         path = self.policy.directory / f"{self.key}-{self.ordinal:02d}.ckpt"
         self.ordinal += 1
         self.paths.append(path)
-        checkpoint = load_checkpoint_or_none(path)
+        # a snapshot of an engine built with other parameters is unusable
+        # like any other: this engine starts from slot 0
+        checkpoint = load_checkpoint_or_none(path, engine.config)
         if checkpoint is not None:
-            try:
-                apply_checkpoint(engine, checkpoint)
-            except CheckpointError:
-                # e.g. the cell's engine was built with other parameters
-                # than the snapshot's; start this engine from slot 0
-                remove_checkpoint(path)
-            else:
-                self.resumed.append((self.ordinal - 1, engine.t))
+            apply_checkpoint(engine, checkpoint)
+            self.resumed.append((self.ordinal - 1, engine.t))
         engine.enable_checkpoints(path, self.policy.every)
 
     @property

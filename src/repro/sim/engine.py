@@ -24,11 +24,11 @@ from __future__ import annotations
 import logging
 import random
 from collections import deque
-from operator import attrgetter, itemgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.header import Token
 from ..core.strategies import make_router, shared_schedule
+from . import tables
 from .backends import make_backend
 from .backends import object_backend as _object_backend
 from .config import SimConfig
@@ -42,15 +42,6 @@ __all__ = ["Engine", "ScheduledFlow"]
 #: A flow injection request: (arrival timeslot, src, dst, size in cells,
 #: size in bytes).
 ScheduledFlow = Tuple[int, int, int, int, int]
-
-#: The nodes, the wire and the active set as plain data, in the encoding a
-#: checkpoint stores them in: one ``Node.state_dict()`` dict per node, one
-#: ``Transmission.state()`` tuple per wire entry, the sorted active node ids.
-#: The only interface between the object model and a backend's packed run.
-PlainModel = Tuple[List[dict], List[tuple], List[int]]
-
-#: ``Node.state_dict()`` fields whose attribute is spelled differently
-_NODE_ATTRS = {"force_dummy": "_force_dummy"}
 
 #: Observers called with each freshly constructed Engine.  The telemetry
 #: capture context (:class:`repro.obs.capture.TelemetryCapture`) registers
@@ -154,7 +145,7 @@ class Engine:
         self._parked = None
         #: the nodes' and the wire's state as plain data no object has been
         #: filled from yet (see :meth:`_adopt_model`, :meth:`_plain_model`)
-        self._pending_model: Optional[PlainModel] = None
+        self._pending_model: Optional[tables.PlainModel] = None
         #: the stale node objects of a parked run or a pending model, kept
         #: for :meth:`_materialize` to load into
         self._shelved_nodes: Optional[List[Node]] = None
@@ -285,33 +276,35 @@ class Engine:
             )
         self.model_syncs += 1
         if model is not None:
-            node_states, wire_states, active_ids = model
             flow_lookup = self.flows.get
-            for node, state in zip(nodes, node_states):
+            for node, state in zip(nodes, tables.node_states(model)):
                 node.load_state(state, flow_lookup)
-            self._in_flight.extend(map(Transmission.from_state, wire_states))
+            self._in_flight.extend(
+                map(Transmission.from_state, tables.wire_states(model)))
             # the nodes alias the set: refilled in place
             self._active_ids.clear()
-            self._active_ids.update(active_ids)
+            self._active_ids.update(model["active_ids"][:, 0].tolist())
 
-    def _plain_model(self) -> Optional[PlainModel]:
-        """The :data:`PlainModel` of whichever representation holds the
-        state: a parked run exports its columns (and stays parked), a
-        pending model is returned as it is, built objects encode
-        themselves.  None for an engine that has not run and had nothing
-        restored.  Builds no node."""
+    def _plain_model(self) -> Optional[tables.PlainModel]:
+        """The plain model (:mod:`repro.sim.tables`) of whichever
+        representation holds the state: a parked run exports its columns
+        (and stays parked), a pending model is returned as it is, built
+        objects encode themselves.  None for an engine that has not run
+        and had nothing restored.  Builds no node."""
         if self._parked is not None:
             return self._parked.export_model()
         nodes = self._built_nodes
         if nodes is None:
             return self._pending_model
-        return (
-            [node.state_dict() for node in nodes],
-            [tx.state() for tx in self._in_flight],
-            sorted(self._active_ids),
-        )
+        rows = {name: [] for name in tables.TABLES}
+        for node in nodes:
+            node.state_rows(rows)
+        for tx in self._in_flight:
+            tx.state_rows(rows)
+        rows["active_ids"] = [(i,) for i in sorted(self._active_ids)]
+        return tables.model(rows)
 
-    def _adopt_model(self, model: PlainModel) -> None:
+    def _adopt_model(self, model: tables.PlainModel) -> None:
         """Make plain data (a checkpoint's payload) the engine's nodes and
         wire: a parked run is dropped, built nodes are shelved, and nothing
         is loaded until a backend packs ``model`` or something reads the
@@ -345,34 +338,37 @@ class Engine:
             self._shelved_nodes = self.nodes
             del self.nodes, self._in_flight
 
-    def _node_fields(self, *fields: str):
-        """Per node, in id order, the named ``Node.state_dict()`` fields
-        (one value, or a tuple of several) — off a pending model's dicts
-        or, field by field, off built nodes, whose queues are never encoded
-        for this.  Empty for a parked run or an engine that has not run:
-        neither holds anything the slab has no column for."""
+    def _reference_only_node(self) -> Optional[int]:
+        """The first node holding state the slab has no column for, or
+        None — one reduction over a pending model's tables, one walk over
+        built nodes.  Always None for a parked run or an engine that has
+        not run: neither holds anything but columns."""
+        hbh = self.config.uses_hop_by_hop
         if self._pending_model is not None:
-            return map(itemgetter(*fields), self._pending_model[0])
-        attrs = [_NODE_ATTRS.get(field, field) for field in fields]
-        return map(attrgetter(*attrs), self._built_nodes or ())
+            return tables.reference_only_node(self._pending_model, hbh)
+        for node in self._built_nodes or ():
+            if (node.failed or node.pending_ctrl or node.rtx_queue
+                    or node.failed_neighbors or node.known_failed
+                    or node.link_invalid or node._force_dummy
+                    or (node.pending_tokens and not hbh)):
+                return node.node_id
+        return None
 
     def peak_occupancies(self) -> Tuple[int, int, int]:
         """``(active buckets, PIEO occupancy, buffered cells)``: the
         high-water marks of any node's bucket tracker and of any send
-        queue, and the most cells buffered at any node now — read from a
-        parked run's columns or a pending model's plain data without
-        materialising the object model."""
+        queue, and the most cells buffered at any node now — column maxima
+        of a parked run or a pending model, never materialising the object
+        model."""
         if self._parked is not None:
             return self._parked.peak_occupancies()
+        model = self._pending_model
+        if model is not None:
+            scalars, col = model["scalars"], tables.col
+            return (int(scalars[:, col("scalars", "tracker_peak")].max()),
+                    int(model["queues"][:, col("queues", "peak")].max()),
+                    int(scalars[:, col("scalars", "total_enqueued")].max()))
         buckets = pieo = buffered = 0
-        if self._pending_model is not None:
-            for state in self._pending_model[0]:
-                if state["tracker"] is not None:
-                    buckets = max(buckets, state["tracker"]["peak"])
-                pieo = max(
-                    [pieo] + [queue["peak"] for queue in state["queues"]]
-                )
-                buffered = max(buffered, state["total_enqueued"])
         for node in self._built_nodes or ():
             if node.bucket_tracker is not None:
                 buckets = max(buckets, node.bucket_tracker.peak)
@@ -745,7 +741,12 @@ class Engine:
 
     def throughput(self) -> float:
         """Mean delivered payload per node per slot so far (line-rate frac)."""
-        alive = self.config.n - sum(self._node_fields("failed"))
+        if self._pending_model is not None:
+            failed = self._pending_model["scalars"][
+                :, tables.col("scalars", "failed")].sum()
+        else:
+            failed = sum(node.failed for node in self._built_nodes or ())
+        alive = self.config.n - int(failed)
         return self.metrics.mean_throughput_cells_per_slot(max(1, self.t), alive)
 
     def __repr__(self) -> str:  # pragma: no cover

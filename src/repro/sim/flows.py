@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+import numpy as np
+
+from .tables import table
+
 __all__ = ["Flow", "FlowRecord", "FlowTable"]
 
 
@@ -202,12 +206,19 @@ class FlowTable:
         return self.incast_degree.get(dst, 0)
 
     def state_dict(self) -> dict:
-        """The whole registry as plain data (checkpoint encoding)."""
+        """The whole registry as tables (checkpoint encoding): ``active``
+        holds ``Flow.state()`` up to ``delivered`` (an active flow has no
+        completion time) with the one float field beside it in ``credit``,
+        ``completed`` is ``(records, FlowRecord.state() fields)``."""
+        active = list(self._active.values())
         return {
-            "active": [flow.state() for flow in self._active.values()],
-            "completed": [record.state() for record in self.completed],
+            "active": table([flow.state()[:8] for flow in active], 8),
+            "credit": np.array([flow.credit for flow in active],
+                               dtype=np.float64),
+            "completed": table(
+                [record.state() for record in self.completed], 7),
             "next_id": self._next_id,
-            "incast": sorted(self.incast_degree.items()),
+            "incast": table(sorted(self.incast_degree.items()), 2),
         }
 
     def load_state(self, state: dict) -> None:
@@ -218,12 +229,12 @@ class FlowTable:
         ``local_flows`` lists) must re-resolve them through :meth:`get`.
         """
         self._active.clear()
-        for flow_state in state["active"]:
-            flow = Flow.from_state(tuple(flow_state))
+        for row, credit in zip(state["active"].tolist(),
+                               state["credit"].tolist()):
+            flow = Flow.from_state((*row, None, credit))
             self._active[flow.flow_id] = flow
-        self.completed[:] = [
-            FlowRecord.from_state(tuple(s)) for s in state["completed"]
-        ]
+        self.completed[:] = map(
+            FlowRecord.from_state, state["completed"].tolist())
         self._next_id = state["next_id"]
         self.incast_degree.clear()
-        self.incast_degree.update(dict(state["incast"]))
+        self.incast_degree.update(state["incast"].tolist())

@@ -17,6 +17,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .tables import table
+
 __all__ = ["MetricsCollector", "percentile"]
 
 
@@ -236,16 +238,20 @@ class MetricsCollector:
     )
 
     def state_dict(self) -> dict:
-        """Every mutable statistic as plain data (checkpoint encoding)."""
+        """Every mutable statistic (checkpoint encoding): the counters as
+        plain ints, what is a column as an int64 array."""
         return {
-            "scalars": {name: getattr(self, name)
+            "scalars": {name: int(getattr(self, name))
                         for name in self._SCALAR_FIELDS},
-            "buffer_counts": self._buffer_counts.tolist(),
-            "queue_counts": self._queue_counts.tolist(),
-            "throughput_series": list(self.throughput_series),
-            "window_delivered": self._window_delivered,
+            # never written in place: close_window rebinds both tallies
+            "buffer_counts": self._buffer_counts,
+            "queue_counts": self._queue_counts,
+            "throughput_series": np.array(self.throughput_series,
+                                          dtype=np.int64),
+            "window_delivered": int(self._window_delivered),
             "measuring": self._measuring,
-            "delivered_per_node": sorted(self.delivered_per_node.items()),
+            "delivered_per_node": table(
+                sorted(self.delivered_per_node.items()), 2),
         }
 
     def load_state(self, state: dict) -> None:
@@ -256,13 +262,13 @@ class MetricsCollector:
         """
         for name, value in state["scalars"].items():
             setattr(self, name, value)
-        self._buffer_counts = np.array(state["buffer_counts"], dtype=np.int64)
-        self._queue_counts = np.array(state["queue_counts"], dtype=np.int64)
-        self.throughput_series[:] = state["throughput_series"]
+        self._buffer_counts = state["buffer_counts"]
+        self._queue_counts = state["queue_counts"]
+        self.throughput_series[:] = state["throughput_series"].tolist()
         self._window_delivered = state["window_delivered"]
         self._measuring = state["measuring"]
         self.delivered_per_node.clear()
-        self.delivered_per_node.update(dict(state["delivered_per_node"]))
+        self.delivered_per_node.update(state["delivered_per_node"].tolist())
 
     def summary(self) -> Dict[str, float]:
         """A flat dictionary of headline statistics."""

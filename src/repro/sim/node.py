@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.buckets import ActiveBucketTracker, TokenLedger
@@ -25,15 +26,13 @@ from ..core.header import TOKEN_INVALIDATE, TOKEN_REGULAR, Token
 from .config import SimConfig
 from .flows import Flow
 from .pieo import PieoQueue
+from .tables import CTRL_KINDS
 
 __all__ = ["Node", "Transmission", "ControlMessage",
            "LINK_SILENT", "LINK_DEAF"]
 
 # control message kinds (receiver-driven protocols)
-CTRL_PULL = "pull"
-CTRL_TRIM = "trim"
-CTRL_RTX = "rtx"
-CTRL_PROBE = "probe"
+CTRL_PULL, CTRL_TRIM, CTRL_RTX, CTRL_PROBE = CTRL_KINDS
 
 # why a neighbour is marked down in ``Node._fail_cause`` (a bitmask — both
 # causes can hold at once; the link re-validates only when both clear)
@@ -63,13 +62,14 @@ class ControlMessage:
         return f"Ctrl({self.kind}, flow={self.flow_id}, {self.src}->{self.dst})"
 
     def state(self) -> tuple:
-        """All fields as a flat tuple (checkpoint encoding)."""
-        return (self.kind, self.flow_id, self.src, self.dst, self.seq,
-                self.sprays_remaining)
+        """All fields as a flat int tuple, the kind as its ``CTRL_KINDS``
+        index (the plain model's control columns)."""
+        return (CTRL_KINDS.index(self.kind), self.flow_id, self.src,
+                self.dst, self.seq, self.sprays_remaining)
 
     @classmethod
-    def from_state(cls, state: tuple) -> "ControlMessage":
-        msg = cls(state[0], state[1], state[2], state[3], state[4])
+    def from_state(cls, state) -> "ControlMessage":
+        msg = cls(CTRL_KINDS[state[0]], *state[1:5])
         msg.sprays_remaining = state[5]
         return msg
 
@@ -97,22 +97,22 @@ class Transmission:
         #: enters the in-flight queue (so the wire needs no wrapper tuples)
         self.arrival = -1
 
-    def state(self) -> tuple:
-        """All fields as plain data (checkpoint encoding)."""
-        return (
-            self.sender, self.receiver,
-            None if self.cell is None else self.cell.state(),
-            tuple(token.state() for token in self.tokens),
-            tuple(msg.state() for msg in self.ctrl),
-            self.arrival,
-        )
+    def state_rows(self, rows: Dict[str, list]) -> None:
+        """Append this transmission (it is on the wire, so it carries a
+        cell) to the plain model's row lists (:mod:`repro.sim.tables`)."""
+        wire = len(rows["wire"])
+        rows["wire"].append((self.sender, self.receiver, self.arrival))
+        rows["cells"].append(self.cell.state())
+        rows["wire_tokens"].extend(
+            (wire, *token.state()) for token in self.tokens)
+        rows["wire_ctrl"].extend((wire, *msg.state()) for msg in self.ctrl)
 
     @classmethod
     def from_state(cls, state: tuple) -> "Transmission":
-        sender, receiver, cell, tokens, ctrl, arrival = state
+        """One of :func:`repro.sim.tables.wire_states`' tuples, as built."""
+        sender, receiver, arrival, cell, tokens, ctrl = state
         tx = cls(
-            sender, receiver,
-            None if cell is None else Cell.from_state(cell),
+            sender, receiver, Cell.from_state(cell),
             tuple(Token.from_state(t) for t in tokens),
             tuple(ControlMessage.from_state(m) for m in ctrl),
         )
@@ -1245,85 +1245,112 @@ class Node:
     # ------------------------------------------------------------------ #
     # checkpoint support
 
-    def state_dict(self) -> dict:
-        """This node's authoritative state as plain data.
+    def state_rows(self, rows: Dict[str, list]) -> None:
+        """Append this node's authoritative state to the plain model's row
+        lists, a tuple per row in :data:`repro.sim.tables.TABLES` column
+        order (nodes are encoded in id order, so the rows arrive in the
+        schema's).
 
         Hot-path caches (the slots below the marker in ``__slots__``) are
-        derived and rebuilt by construction; only the authoritative state
-        is captured.  ``local_flows`` stores flow ids — the Flow objects
-        belong to the engine's :class:`~repro.sim.flows.FlowTable` and are
-        re-resolved on restore so aliasing is preserved.
+        derived and rebuilt by construction.  ``local_flows`` stores flow
+        ids — the Flow objects belong to the engine's
+        :class:`~repro.sim.flows.FlowTable` and are re-resolved on load so
+        aliasing is preserved.  A token ring, like a ledger pair, is its
+        contents: an empty deque encodes as no rows.
         """
-        return {
-            "queues": [q.state_dict(encode=Cell.state)
-                       for q in self.link_queues],
-            "token_return": sorted(
-                (nb, [token.state() for token in dq])
-                for nb, dq in self.token_return.items()
-            ),
-            "ledger": (None if self.ledger is None
-                       else self.ledger.state_dict()),
-            "tracker": (None if self.bucket_tracker is None
-                        else self.bucket_tracker.state_dict()),
-            "local_flows": [flow.flow_id for flow in self.local_flows],
-            "rtx_queue": list(self.rtx_queue),
-            "ctrl_out": [[msg.state() for msg in dq] for dq in self.ctrl_out],
-            "total_enqueued": self.total_enqueued,
-            "pending_tokens": self.pending_tokens,
-            "pending_ctrl": self.pending_ctrl,
-            "failed": self.failed,
-            "failed_neighbors": sorted(self.failed_neighbors),
-            "known_failed": sorted(self.known_failed),
-            "link_invalid": sorted(self.link_invalid),
-            "fail_cause": sorted(self._fail_cause.items()),
-            "force_dummy": sorted(self._force_dummy),
-            "recv_counts": sorted(self._recv_counts.items()),
-        }
+        i = self.node_id
+        cells, queues = rows["cells"], rows["queues"]
+        for queue in self.link_queues:
+            elements, ranks, seq, peak = queue.state()
+            queues.append((len(elements), peak, seq))
+            if elements:
+                cells.extend(map(Cell.state, elements))
+                rows["ranks"].extend(ranks)
+        tracker = self.bucket_tracker
+        rows["scalars"].append((
+            self.total_enqueued, self.pending_tokens, self.pending_ctrl,
+            self.failed, 0 if tracker is None else tracker.peak,
+        ))
+        rows["local_flows"].extend(
+            (i, flow.flow_id) for flow in self.local_flows)
+        if self.pending_tokens:
+            rows["tokens"].extend(
+                (i, nb, *token.state())
+                for nb, held in sorted(self.token_return.items())
+                for token in held)
+        if tracker is not None:
+            rows["ledger"].extend((i, *row) for row in self.ledger.state())
+            rows["tracker"].extend((i, *row) for row in tracker.state())
+        if self.pending_ctrl:
+            rows["ctrl_out"].extend(
+                (i, link, *msg.state())
+                for link, held in enumerate(self.ctrl_out) for msg in held)
+        for name, held in (
+            ("failed_neighbors", self.failed_neighbors),
+            ("known_failed", self.known_failed),
+            ("force_dummy", self._force_dummy),
+        ):
+            if held:
+                rows[name].extend((i, x) for x in sorted(held))
+        for name, held in (
+            ("rtx_queue", self.rtx_queue),
+            ("link_invalid", sorted(self.link_invalid)),
+            ("fail_cause", sorted(self._fail_cause.items())),
+            ("recv_counts", sorted(self._recv_counts.items())),
+        ):
+            if held:
+                rows[name].extend((i, *x) for x in held)
 
-    def load_state(self, state: dict, flow_lookup) -> None:
-        """Restore :meth:`state_dict` output onto a freshly built node.
+    def load_state(self, state: Dict[str, list], flow_lookup) -> None:
+        """Fill this node from its rows of the plain model
+        (:func:`repro.sim.tables.node_states`; every ``(node, ...)`` row
+        still leads with the node id).
 
         Containers are refilled in place wherever the hot path aliases them
         (queue backing lists, ledger/tracker dicts); ``flow_lookup`` maps a
         flow id back to the engine's live Flow object.
         """
-        for queue, queue_state in zip(self.link_queues, state["queues"]):
-            queue.load_state(queue_state, decode=Cell.from_state)
+        (self.total_enqueued, self.pending_tokens, self.pending_ctrl,
+         failed, peak), = state["scalars"]
+        self.failed = bool(failed)
+        cells = map(Cell.from_state, state["cells"])
+        ranks = iter(state["ranks"])
+        for queue, (length, top, seq) in zip(self.link_queues,
+                                             state["queues"]):
+            queue.load_state(list(islice(cells, length)), ranks, seq, top)
         self.token_return.clear()
-        for nb, tokens in state["token_return"]:
-            self.token_return[nb] = deque(
-                Token.from_state(t) for t in tokens
-            )
-        if self.ledger is not None and state["ledger"] is not None:
-            self.ledger.load_state(state["ledger"])
-        if self.bucket_tracker is not None and state["tracker"] is not None:
-            self.bucket_tracker.load_state(state["tracker"])
+        for _, nb, *token in state["tokens"]:
+            self.token_return.setdefault(nb, deque()).append(
+                Token.from_state(token))
+        if self.bucket_tracker is not None:
+            self.ledger.load_state(row[1:] for row in state["ledger"])
+            self.bucket_tracker.load_state(
+                (row[1:] for row in state["tracker"]), peak)
         self._cache_hbh_state()
         self.local_flows[:] = [
-            flow for flow in (flow_lookup(fid) for fid in state["local_flows"])
+            flow for flow in (flow_lookup(fid)
+                              for _, fid in state["local_flows"])
             if flow is not None
         ]
         self.rtx_queue.clear()
-        self.rtx_queue.extend(tuple(item) for item in state["rtx_queue"])
-        for dq, messages in zip(self.ctrl_out, state["ctrl_out"]):
-            dq.clear()
-            dq.extend(ControlMessage.from_state(m) for m in messages)
-        self.total_enqueued = state["total_enqueued"]
-        self.pending_tokens = state["pending_tokens"]
-        self.pending_ctrl = state["pending_ctrl"]
-        self.failed = state["failed"]
-        self.failed_neighbors.clear()
-        self.failed_neighbors.update(state["failed_neighbors"])
-        self.known_failed.clear()
-        self.known_failed.update(state["known_failed"])
+        self.rtx_queue.extend(tuple(item[1:]) for item in state["rtx_queue"])
+        for held in self.ctrl_out:
+            held.clear()
+        for _, link, *msg in state["ctrl_out"]:
+            self.ctrl_out[link].append(ControlMessage.from_state(msg))
+        for held, name in (
+            (self.failed_neighbors, "failed_neighbors"),
+            (self.known_failed, "known_failed"),
+            (self._force_dummy, "force_dummy"),
+        ):
+            held.clear()
+            held.update(x for _, x in state[name])
         self.link_invalid.clear()
-        self.link_invalid.update(tuple(k) for k in state["link_invalid"])
-        self._fail_cause.clear()
-        self._fail_cause.update(dict(state["fail_cause"]))
-        self._force_dummy.clear()
-        self._force_dummy.update(state["force_dummy"])
-        self._recv_counts.clear()
-        self._recv_counts.update(dict(state["recv_counts"]))
+        self.link_invalid.update(tuple(row[1:]) for row in state["link_invalid"])
+        for held, name in ((self._fail_cause, "fail_cause"),
+                           (self._recv_counts, "recv_counts")):
+            held.clear()
+            held.update((key, value) for _, key, value in state[name])
 
     # ------------------------------------------------------------------ #
     # metrics

@@ -186,40 +186,27 @@ class PieoQueue(Generic[T]):
         """Drop every element."""
         self._items.clear()
 
-    def state_dict(
-        self, encode: Optional[Callable[[T], object]] = None
-    ) -> dict:
-        """Queue contents as plain data (checkpoint encoding).
-
-        ``encode`` converts each stored element; identity when omitted.
-        """
+    def state(self) -> tuple:
+        """``(elements in queue order, their (rank, seq) pairs — none for a
+        fifo queue —, the next arrival seq, the peak occupancy)``: the
+        queue's part of the plain model (:mod:`repro.sim.tables`)."""
         if self.fifo:
-            items = ([encode(e) for e in self._items] if encode
-                     else list(self._items))
-        else:
-            items = ([(rank, seq, encode(e)) for rank, seq, e in self._items]
-                     if encode else list(self._items))
-        return {
-            "items": items,
-            "seq": self._seq,
-            "peak": self.peak_occupancy,
-        }
+            return self._items, (), self._seq, self.peak_occupancy
+        return ([entry[2] for entry in self._items],
+                [entry[:2] for entry in self._items],
+                self._seq, self.peak_occupancy)
 
-    def load_state(
-        self, state: dict, decode: Optional[Callable[[object], T]] = None
-    ) -> None:
-        """Restore :meth:`state_dict` output.
+    def load_state(self, elements: List[T], ranks, seq: int,
+                   peak: int) -> None:
+        """Restore :meth:`state`; ``ranks`` is an iterator this queue takes
+        its ``(rank, seq)`` pairs from (a fifo queue takes none).
 
         The element list is refilled in place — its identity is part of the
         queue's contract (hot paths hold direct references to it).
         """
         if self.fifo:
-            entries = ([decode(e) for e in state["items"]] if decode
-                       else list(state["items"]))
+            self._items[:] = elements
         else:
-            entries = ([(rank, seq, decode(e))
-                        for rank, seq, e in state["items"]]
-                       if decode else [tuple(e) for e in state["items"]])
-        self._items[:] = entries
-        self._seq = state["seq"]
-        self.peak_occupancy = state["peak"]
+            self._items[:] = [(*next(ranks), e) for e in elements]
+        self._seq = seq
+        self.peak_occupancy = peak

@@ -1,0 +1,174 @@
+"""The plain model: a network's nodes, wire and active set as integer tables.
+
+A Shale node's whole state is a few small integer tables (paper §4, Fig 7),
+and the ``r**h`` coordinates make every piece of it index-addressable.  The
+plain model says so: one dict of named 2-D int64 arrays, in one canonical
+row order, so that equal networks give byte-equal tables whichever form —
+built objects, a restored checkpoint's pending model, a run parked on the
+slab — produced them.  The schema is written here once and read by its four
+users: the slab's ``pack`` slices the tables into columns and its
+``export_model`` concatenates columns back (:mod:`repro.sim.backends`),
+``Node.state_rows`` / ``Node.load_state`` encode and fill objects
+(:mod:`repro.sim.node`), and the checkpoint file stores the tables as they
+are (:mod:`repro.sim.checkpoint`).
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
+
+__all__ = [
+    "CTRL_KINDS", "PlainModel", "TABLES", "col", "idle", "model",
+    "node_states", "reference_only_node", "table", "wire_states",
+]
+
+PlainModel = Dict[str, np.ndarray]
+
+#: control-message kinds; a table holds a kind as its index here
+CTRL_KINDS = ("pull", "trim", "rtx", "probe")
+
+#: ``Cell.state()``'s fields, in its order
+_CELL = ("src", "dst", "flow_id", "seq", "sprays_remaining", "prev_hop",
+         "created_at", "spray_phase", "flow_size", "dummy", "hops",
+         "enqueued_at")
+_CTRL = ("kind", "flow_id", "src", "dst", "seq", "sprays_remaining")
+
+#: table -> columns.  A node has ``L = h * (r - 1)`` links; queue ``q`` is
+#: link ``q % L`` of node ``q // L``.  Row order is part of the schema.
+TABLES: Dict[str, Sequence[str]] = {
+    # one row per node / per queue, in id order
+    "scalars": ("total_enqueued", "pending_tokens", "pending_ctrl",
+                "failed", "tracker_peak"),
+    "queues": ("len", "peak", "seq"),
+    # the queued cells — node-major, link-minor, FIFO — then one cell per
+    # row of ``wire``, in wire order; ``ranks`` has a row per queued cell
+    # under priority ranking and none otherwise
+    "cells": _CELL,
+    "ranks": ("rank", "seq"),
+    # transmissions in flight, FIFO, and their header sidecars in header
+    # order (``wire`` is the row of the transmission carrying them)
+    "wire": ("sender", "receiver", "arrival"),
+    "wire_tokens": ("wire", "dest", "sprays", "kind"),
+    "wire_ctrl": ("wire",) + _CTRL,
+    "active_ids": ("node",),
+    # (node, ...) rows, node-major; within a node in the order noted
+    "local_flows": ("node", "flow_id"),                        # list order
+    "tokens": ("node", "neighbor", "dest", "sprays", "kind"),  # neighbor, FIFO
+    "ledger": ("node", "neighbor", "dest", "sprays", "spent", "first_hop"),
+    "tracker": ("node", "dest", "sprays", "count"),            # sorted
+    # ... and the state only the reference pipeline carries
+    "rtx_queue": ("node", "flow_id", "dst", "seq"),            # FIFO
+    "ctrl_out": ("node", "link") + _CTRL,                      # link, FIFO
+    "failed_neighbors": ("node", "neighbor"),                  # sorted
+    "known_failed": ("node", "dest"),
+    "link_invalid": ("node", "via", "dest"),
+    "fail_cause": ("node", "neighbor", "cause"),
+    "force_dummy": ("node", "neighbor"),
+    "recv_counts": ("node", "flow_id", "count"),
+}
+
+#: the ``(node, ...)`` tables
+_NODE_ROWS = tuple(TABLES)[tuple(TABLES).index("local_flows"):]
+
+
+def col(name: str, column: str) -> int:
+    """Index of ``column`` in table ``name``."""
+    return TABLES[name].index(column)
+
+
+def table(rows, width: int) -> np.ndarray:
+    """``rows`` — a list of ``width``-long int tuples, or an array of that
+    shape — as a ``(k, width)`` int64 table.  Anything but integers, or
+    another width, is refused, not truncated or reshaped."""
+    out = np.asarray(rows)
+    if not out.size:
+        return np.zeros((0, width), dtype=np.int64)
+    if out.dtype.kind not in "iub" or out.shape[1:] != (width,):
+        raise TypeError(f"want an integer (k, {width}) table, "
+                        f"got {out.dtype}{out.shape}")
+    return out.astype(np.int64, copy=False)
+
+
+def model(parts: Dict[str, object]) -> PlainModel:
+    """The model holding ``parts`` — per table, rows or a ready array as
+    :func:`table` takes them; the tables ``parts`` lacks are empty."""
+    return {name: table(parts.get(name, ()), len(columns))
+            for name, columns in TABLES.items()}
+
+
+def idle(n: int, links: int) -> PlainModel:
+    """The model of ``n`` idle nodes of ``links`` links each."""
+    return model({
+        "scalars": np.zeros((n, len(TABLES["scalars"])), dtype=np.int64),
+        "queues": np.zeros((n * links, len(TABLES["queues"])),
+                           dtype=np.int64),
+    })
+
+
+def reference_only_node(model: PlainModel, hbh: bool) -> Optional[int]:
+    """The first node holding state no slab column holds (None if none):
+    a failure marking, control traffic, or a token owed without
+    hop-by-hop (``ctrl_out`` rows come with ``pending_ctrl``,
+    ``fail_cause`` rows with ``failed_neighbors``, ``recv_counts`` only
+    under rd / ndp)."""
+    scalars = model["scalars"]
+    marked = scalars[:, col("scalars", "failed")] \
+        | scalars[:, col("scalars", "pending_ctrl")]
+    if not hbh:
+        marked = marked | scalars[:, col("scalars", "pending_tokens")]
+    found = np.concatenate([marked.nonzero()[0][:1]] + [
+        model[name][:1, 0]
+        for name in ("rtx_queue", "failed_neighbors", "known_failed",
+                     "link_invalid", "force_dummy")])
+    return int(found.min()) if found.size else None
+
+
+# ---------------------------------------------------------------------- #
+# tables -> plain lists, for the one loader that fills objects
+# (``Engine._materialize``)
+
+def _groups(keys: np.ndarray, count: int) -> List[int]:
+    """``count + 1`` bounds cutting sorted ``keys`` into runs 0, 1, ..."""
+    return keys.searchsorted(np.arange(count + 1)).tolist()
+
+
+def node_states(model: PlainModel) -> Iterator[Dict[str, list]]:
+    """Per node, in id order, its rows of every node-keyed table as plain
+    lists (what ``Node.load_state`` reads): ``scalars`` one row, ``queues``
+    one per link, ``cells`` / ``ranks`` its queued cells, the ``(node,
+    ...)`` tables its rows with the node column still on."""
+    n = len(model["scalars"])
+    ids = np.arange(n + 1)
+    links = len(model["queues"]) // max(1, n)
+    queued = np.concatenate(
+        ([0], model["queues"][:, col("queues", "len")].cumsum())
+    )[ids * links]
+    bounds = {
+        "scalars": ids, "queues": ids * links, "cells": queued,
+        "ranks": queued if len(model["ranks"]) else ids * 0,
+    }
+    bounds = {name: cut.tolist() for name, cut in bounds.items()}
+    for name in _NODE_ROWS:
+        bounds[name] = _groups(model[name][:, 0], n)
+    rows = {name: model[name].tolist() for name in bounds}
+    for i in range(n):
+        yield {name: rows[name][cut[i]:cut[i + 1]]
+               for name, cut in bounds.items()}
+
+
+def wire_states(model: PlainModel) -> Iterator[tuple]:
+    """Per transmission in flight, FIFO: ``(sender, receiver, arrival,
+    cell, token rows, control rows)`` as plain lists, the sidecar rows
+    without their ``wire`` column (what ``Transmission.from_state``
+    reads)."""
+    wire = model["wire"].tolist()
+    cells = model["cells"][len(model["cells"]) - len(wire):].tolist()
+    sidecars = []
+    for name in ("wire_tokens", "wire_ctrl"):
+        cut = _groups(model[name][:, 0], len(wire))
+        rows = model[name][:, 1:].tolist()
+        sidecars.append([rows[lo:hi] for lo, hi in zip(cut, cut[1:])])
+    for row, cell, tokens, ctrl in zip(wire, cells, *sidecars):
+        yield (*row, cell, tokens, ctrl)

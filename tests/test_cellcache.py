@@ -7,6 +7,7 @@ cached sweep must be byte-identical between the cold (computed) and warm
 (restored) pass — proving the cache is a pure observer.
 """
 
+import logging
 import os
 import pickle
 
@@ -108,12 +109,18 @@ class TestHitMiss:
         assert cache.get(key) is MISS
         assert not cache._path(key).exists()
 
-    def test_corrupt_entry_recovers(self, tmp_path):
+    def test_corrupt_entry_recovers(self, tmp_path, caplog):
         cache = CellCache(tmp_path)
         key = cache.key_for(plain_cell, {"x": 1})
         cache._path(key).write_bytes(b"this is not a pickle")
-        assert cache.get(key) is MISS
+        with caplog.at_level(logging.WARNING, logger="repro.cache"):
+            assert cache.get(key) is MISS
         assert not cache._path(key).exists()
+        # the self-heal says what it swallowed, once
+        (record,) = caplog.records
+        assert record.name == "repro.cache"
+        assert str(cache._path(key)) in record.getMessage()
+        assert "UnpicklingError" in record.getMessage()
         # and the slot is immediately writable again
         cache.put(key, {"answer": 42})
         assert cache.get(key) == {"answer": 42}

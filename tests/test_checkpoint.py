@@ -8,11 +8,13 @@ corrupt, truncated or foreign-versioned checkpoint is treated as absent
 (start from slot 0), never a crash.
 """
 
+import hashlib
 import json
 import logging
 import pathlib
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,7 @@ from repro.sim.engine import Engine
 from repro.workloads.generators import permutation_workload
 from repro.workloads.streaming import OpenLoopSource
 
+from .equivalence import equal
 from .test_golden_traces import MECHANISMS, SCENARIOS, run_scenario
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_traces.json"
@@ -151,7 +154,7 @@ class TestObserversAcrossRestore:
         log3 = EventLog().add_sink(RingSink()).attach(restored)
         restored.run(params["duration"] - 220)
 
-        assert rec3.state_dict() == rec1.state_dict()
+        assert equal(rec3.state_dict(), rec1.state_dict())
         assert log3.state_dict() == log1.state_dict()
         assert restored.digest.value == straight.digest.value
 
@@ -162,6 +165,95 @@ class TestObserversAcrossRestore:
         k = (params["fail_at"] + params["recover_at"]) // 2
         resumed = _run_through_checkpoint("hbh+spray", params, k, tmp_path)
         assert resumed == straight
+
+
+_MAGIC = b"SHALECKPT\n"
+
+
+def _sections(path):
+    """A checkpoint file's sections: magic, version line, JSON document
+    line, array sections, footer."""
+    data = path.read_bytes()
+    version, _, rest = data[len(_MAGIC):-32].partition(b"\n")
+    document, _, sections = rest.partition(b"\n")
+    return [_MAGIC, version + b"\n", document + b"\n", sections, data[-32:]]
+
+
+def _sealed(*payload):
+    """The file holding ``payload`` under a good magic and footer."""
+    payload = b"".join(payload)
+    return _MAGIC + payload + hashlib.sha256(payload).digest()
+
+
+def _document(document, edit):
+    tree = json.loads(document)
+    edit(tree)
+    return json.dumps(tree).encode() + b"\n"
+
+
+class _Planted:
+    """Unpickling one of these would create the sentinel file."""
+
+    def __init__(self, sentinel):
+        self.sentinel = sentinel
+
+    def __reduce__(self):
+        return (pathlib.Path.touch, (self.sentinel,))
+
+
+def _section(field, value):
+    """A good file whose document says of the ``nodes.cells`` section that
+    its ``field`` (1: dtype, 2: shape) is ``value``; the bytes stay."""
+    def damage(parts, _):
+        def change(tree):
+            entry, = (e for e in tree["sections"] if e[0] == "nodes.cells")
+            entry[field] = value
+        return _sealed(parts[1], _document(parts[2], change), parts[3])
+    return damage
+
+
+def _flipped(parts, sentinel):
+    data = bytearray(b"".join(parts))
+    data[len(data) // 2] ^= 0xFF
+    return bytes(data)
+
+
+#: case -> (what it does to a good file's sections, the reason it reads)
+HOSTILE = {
+    **{f"truncated-after-{name}": (
+        lambda parts, _, keep=keep: b"".join(parts[:keep]),
+        "not a checkpoint|integrity")
+       for keep, name in enumerate(
+           ("magic", "version", "document", "sections"), start=1)},
+    "foreign-magic": (
+        lambda parts, _: b"SOMETHING\n" + b"".join(parts[1:]),
+        "not a checkpoint file"),
+    "version-2-pickle-era": (
+        lambda parts, sentinel: _sealed(pickle.dumps(
+            {"version": 2, "config": _Planted(sentinel), "state": {}})),
+        r"unsupported checkpoint version.*: 2 or earlier \(want 3\)"),
+    "version-99": (
+        lambda parts, _: _sealed(b"99\n", *parts[2:4]),
+        r"unsupported checkpoint version.*: 99 \(want 3\)"),
+    "flipped-byte": (_flipped, "integrity"),
+    "section-overruns-file": (
+        _section(2, [10**6, 12]),
+        "undecodable.*buffer is smaller"),
+    "object-dtype-section": (
+        _section(1, "|O"),
+        r"undecodable.*'nodes.cells' is a object"),
+    "document-not-json": (
+        lambda parts, _: _sealed(parts[1], b"{not json\n", parts[3]),
+        "undecodable.*JSONDecodeError"),
+    "document-lacks-config": (
+        lambda parts, _: _sealed(parts[1], _document(
+            parts[2], lambda tree: tree.pop("config")), parts[3]),
+        "undecodable.*KeyError.*config"),
+    "state-lacks-key": (
+        lambda parts, _: _sealed(parts[1], _document(
+            parts[2], lambda tree: tree["state"].pop("t")), parts[3]),
+        r"undecodable.*state lacks \['t'\]"),
+}
 
 
 class TestFileFormat:
@@ -178,29 +270,6 @@ class TestFileFormat:
         assert chk.t == 100
         assert chk.config == engine.config
         assert chk.version == CHECKPOINT_VERSION
-
-    def test_garbage_file_raises_and_self_heals(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-        assert load_checkpoint_or_none(path) is None
-        assert not path.exists()  # bad file removed
-
-    def test_truncated_file_self_heals(self, tmp_path):
-        _, path = self._snapshot(tmp_path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        assert load_checkpoint_or_none(path) is None
-        assert not path.exists()
-
-    def test_flipped_byte_fails_integrity(self, tmp_path):
-        _, path = self._snapshot(tmp_path)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="integrity"):
-            load_checkpoint(path)
 
     def test_missing_file_is_none(self, tmp_path, caplog):
         assert load_checkpoint_or_none(tmp_path / "absent.ckpt") is None
@@ -228,35 +297,59 @@ class TestFileFormat:
         assert load_checkpoint_or_none(path) is None
         assert not path.exists()
 
-    def test_previous_version_is_discarded_with_one_warning(self, tmp_path,
-                                                            caplog):
-        """There is one load path: a version-1 file (raw sample lists, the
-        per-cell latency list) is not read, it is refused by number — and
-        the self-healing load says so once before it removes the file, so
-        a restarted service does not silently begin at slot 0."""
-        engine, path = self._snapshot(tmp_path)
-        chk = engine.snapshot()
-        chk.version = 1
-        save_checkpoint(chk, path)
-        with pytest.raises(CheckpointError, match=r"version.*: 1 \(want 2\)"):
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_file(self, case, tmp_path, caplog):
+        """Whatever is wrong with a file, ``load_checkpoint`` says so as a
+        ``CheckpointError`` naming the reason — never a numpy / json /
+        zipfile / Key error, and nothing in the file is ever executed — and
+        the self-healing load discards it with exactly one WARNING."""
+        _, path = self._snapshot(tmp_path)
+        sentinel = tmp_path / "sentinel"
+        damage, reason = HOSTILE[case]
+        path.write_bytes(damage(_sections(path), sentinel))
+        with pytest.raises(CheckpointError, match=reason):
             load_checkpoint(path)
         assert path.exists() and caplog.records == []
         with caplog.at_level(logging.WARNING, logger="repro.checkpoint"):
             assert load_checkpoint_or_none(path) is None
-        assert not path.exists()
+        assert not path.exists() and not sentinel.exists()
         (record,) = caplog.records
         assert record.name == "repro.checkpoint"
         assert record.levelno == logging.WARNING
         assert str(path) in record.getMessage()
-        assert "1 (want 2)" in record.getMessage()
+
+    def test_config_mismatch_is_an_unusable_checkpoint(self, tmp_path,
+                                                       caplog):
+        """``simulate()`` and a sweep cell's scope used to unlink a
+        checkpoint of another configuration without a word: it is unusable
+        like any other, and the one loader says so."""
+        from repro.api import simulate
+
+        _, path = self._snapshot(tmp_path)
+        other = SimConfig(n=16, h=2, seed=2, duration=200,
+                          propagation_delay=4, congestion_control="none")
+        with caplog.at_level(logging.WARNING, logger="repro.checkpoint"):
+            result = simulate(other, checkpoint=path)
+        assert result.resumed_from is None and not path.exists()
+        policy = CheckpointPolicy(tmp_path, every=100)
+        _, theirs = self._snapshot(tmp_path)
+        theirs.rename(tmp_path / "feedface-00.ckpt")
+        with caplog.at_level(logging.WARNING, logger="repro.checkpoint"):
+            with policy.cell_scope("feedface") as scope:
+                engine = Engine(other)
+        assert scope.resumed == [] and engine.t == 0
+        assert not (tmp_path / "feedface-00.ckpt").exists()
+        first, second = (record.getMessage() for record in caplog.records)
+        assert str(path) in first and "feedface-00.ckpt" in second
+        assert all("different configuration" in m for m in (first, second))
 
 
 class TestSnapshotIsTheSizeOfTheNetwork:
     def test_metrics_state_stops_growing_with_the_clock(self):
         """A long run's collector state is counts, not history: between
-        t = 5 000 and t = 20 000 of a live hbh+spray session the pickled
-        ``metrics`` section grows by its ``throughput_series`` entry (one
-        int per window, read by the figures) and some counter digits —
+        t = 5 000 and t = 20 000 of a live hbh+spray session the arrays of
+        the ``metrics`` section grow by its ``throughput_series`` entry
+        (one int per window, read by the figures) and a few tally slots —
         no raw sample, no per-cell list.  The key set is the format."""
         cfg = SimConfig(n=16, h=2, seed=1, congestion_control="hbh+spray",
                         metrics_sample_interval=50)
@@ -266,9 +359,9 @@ class TestSnapshotIsTheSizeOfTheNetwork:
         def sizes(horizon):
             session.advance_to(horizon)
             metrics = session.engine.snapshot().state["metrics"]
-            return tuple(
-                len(pickle.dumps(part, pickle.HIGHEST_PROTOCOL))
-                for part in (metrics, metrics["throughput_series"]))
+            arrays = {name: held.nbytes for name, held in metrics.items()
+                      if isinstance(held, np.ndarray)}
+            return sum(arrays.values()), arrays["throughput_series"]
 
         early, early_series = sizes(5_000)
         late, late_series = sizes(20_000)

@@ -35,6 +35,8 @@ from repro.sim.node import Node
 from repro.sim.parallel import sweep
 from repro.workloads.generators import permutation_workload
 
+from .equivalence import RunState
+
 pytestmark = pytest.mark.telemetry
 
 
@@ -357,11 +359,11 @@ class TestProfiler:
             return engine
 
         def recorded(engine):
-            return {
+            return RunState({
                 "telemetry": engine.telemetry.to_dict(),
                 "events": rings[engine].records,
                 "metrics": engine.metrics.state_dict(),
-            }
+            })
 
         rings = {}
         plain = run(observed=False)

@@ -1,6 +1,8 @@
 """Model-based and additional property tests (hypothesis)."""
 
+import os
 import random
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,11 @@ from repro.core.interleave import (
 from repro.core.schedule import Schedule
 from repro.failures import FaultInjector
 from repro.sim.backends.vector import VectorBackend
-from repro.sim.checkpoint import restore_engine
+from repro.sim.checkpoint import (
+    load_checkpoint,
+    restore_engine,
+    save_checkpoint,
+)
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.monitor import RunMonitor
@@ -196,9 +202,22 @@ class ResidentSlabMachine(RuleBasedStateMachine):
     def snapshot(self):
         self.snapshots()
 
+    def through_a_file(self, checkpoint):
+        """``checkpoint`` as a resumed process would meet it: written,
+        read back, restored — so object-built, slab-exported and
+        file-loaded tables all answer to the same equality."""
+        fd, path = tempfile.mkstemp(suffix=".ckpt")
+        os.close(fd)
+        try:
+            save_checkpoint(checkpoint, path)
+            return restore_engine(load_checkpoint(path))
+        finally:
+            os.unlink(path)
+
     @rule()
     def restore_and_swap(self):
-        self.reference, self.slab = map(restore_engine, self.snapshots())
+        self.reference, self.slab = map(self.through_a_file,
+                                        self.snapshots())
         if self.monitored:
             self.both(lambda engine: RunMonitor(strict=True).attach(engine))
         self.model = "pending"      # a restored engine builds no node

@@ -32,7 +32,7 @@ from repro.sim.engine import Engine
 from repro.sim.parallel import get_shard_pool, shutdown_shard_pools
 from repro.workloads.generators import permutation_workload
 
-from .equivalence import run_state
+from .equivalence import equal, run_state
 
 pytestmark = [pytest.mark.backends, pytest.mark.shard]
 
@@ -122,7 +122,8 @@ class TestGoldenEquivalence:
         reference.run()
         assert digest.hexdigest() == ref_digest.hexdigest()
         assert digest.events == ref_digest.events
-        assert engine.metrics.state_dict() == reference.metrics.state_dict()
+        assert equal(engine.metrics.state_dict(),
+                     reference.metrics.state_dict())
 
     def test_reference_fallback_is_recorded(self, shards):
         shards(4)
