@@ -1099,12 +1099,11 @@ class ShardBackend(EngineBackend):
                 for name in _REC_FIELDS
             }
             order = np.lexsort((rec["s"], rec["t"]))
-            fold = digest._fold
-            for fid, seq, src, dst, hops, t in zip(*(
-                rec[name][order].tolist()
-                for name in ("fid", "seq", "src", "dst", "hops", "t")
-            )):
-                fold((_EV_DELIVERY, fid, seq, src, dst, hops, t))
+            digest.fold_table(np.column_stack(
+                [np.full(order.size, _EV_DELIVERY, dtype=np.int64)]
+                + [rec[name][order]
+                   for name in ("fid", "seq", "src", "dst", "hops", "t")]
+            ))
         # flow completions (ascending (t, sender) restores the in-batch
         # finalize order), injections and sample windows replay in one
         # time-ordered sweep with the single-process within-slot order:

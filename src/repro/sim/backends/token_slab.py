@@ -88,7 +88,6 @@ class TokenRun(_VectorRun):
         # sprays, kind) per token]
         self._tok_events = np.empty((n, 4 + 3 * self.tph), dtype=np.int64)
         self._tok_events[:, 0] = _EV_TOKENS
-        self._tok_events[:, 6::3] = TOKEN_REGULAR
         self._tok_field = np.arange(4 + 3 * self.tph)
         self._header_slot = np.arange(self.tph)
 
@@ -541,15 +540,16 @@ class TokenRun(_VectorRun):
             if engine.digest is not None:
                 # one on_tokens event per token-bearing header, in sender
                 # order (``owing`` is ascending), folded from one table
+                # whose rows are zero past their header's tokens
                 ev = self._tok_events[:owing.size]
                 ev[:, 1] = owing
                 ev[:, 2] = nb[owing]
                 ev[:, 3] = t
                 ev[:, 4::3], ev[:, 5::3] = np.divmod(codes, self.h)
-                engine.digest.fold_events(
-                    ev[self._tok_field < 4 + 3 * taken[:, None]].tolist(),
-                    owing.size,
-                )
+                ev[:, 6::3] = TOKEN_REGULAR
+                width = 4 + 3 * taken
+                ev[self._tok_field >= width[:, None]] = 0
+                engine.digest.fold_table(ev, width)
         self.batches.append((
             t + self.delay, senders, cell_of[senders], nb[senders],
             self._fresh[senders], esph, tokens, self.back[link],

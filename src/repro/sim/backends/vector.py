@@ -816,7 +816,7 @@ class _VectorRun:
                 ev = self._del_events[:cnt]
                 ev[:, 1:6] = self._slab[_DELIVERY_FIELDS, dc].T
                 ev[:, 6] = t
-                digest.fold_events(ev.ravel().tolist(), cnt)
+                digest.fold_table(ev)
             fids = self.c_fid[dc]
             fd = self.f_del[fids] + 1
             self.f_del[fids] = fd

@@ -82,8 +82,9 @@ __all__ = [
 ]
 
 #: bump on any change to the payload layout; old files self-heal as misses
-#: (3: integer tables and a JSON document instead of serialised objects)
-CHECKPOINT_VERSION = 3
+#: (3: integer tables and a JSON document instead of serialised objects;
+#: 4: the digest's running value is the two-level hash's, not FNV-1a's)
+CHECKPOINT_VERSION = 4
 
 _log = logging.getLogger("repro.checkpoint")
 
@@ -194,7 +195,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def _decode(document: bytes, sections: bytes) -> Tuple[SimConfig, dict]:
-    """The config and the state tree a v3 payload holds; raises whatever
+    """The config and the state tree a payload holds; raises whatever
     the json reader, a missing key or a section that is not what the
     document says raises."""
     document = json.loads(document)

@@ -231,10 +231,15 @@ HOSTILE = {
     "version-2-pickle-era": (
         lambda parts, sentinel: _sealed(pickle.dumps(
             {"version": 2, "config": _Planted(sentinel), "state": {}})),
-        r"unsupported checkpoint version.*: 2 or earlier \(want 3\)"),
+        r"unsupported checkpoint version.*: 2 or earlier \(want 4\)"),
+    # a v3 file's digest value is FNV-1a state: continuing it with the
+    # two-level hash would give a digest that matches nothing
+    "version-3-fnv-digest": (
+        lambda parts, _: _sealed(b"3\n", *parts[2:4]),
+        r"unsupported checkpoint version.*: 3 \(want 4\)"),
     "version-99": (
         lambda parts, _: _sealed(b"99\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 99 \(want 3\)"),
+        r"unsupported checkpoint version.*: 99 \(want 4\)"),
     "flipped-byte": (_flipped, "integrity"),
     "section-overruns-file": (
         _section(2, [10**6, 12]),

@@ -15,9 +15,13 @@ passing run also proves telemetry is a *pure observer*: attaching it leaves
 the event stream bit-exact.
 
 Regenerating the goldens (only legitimate when simulated *behavior* is
-intentionally changed, never for a pure optimization)::
+intentionally changed, or the digest's definition is, never for a pure
+optimization)::
 
     PYTHONPATH=src python tests/test_golden_traces.py --record
+
+prints an old -> new digest table and flags, loudly, every field other than
+the digest that moved — after a new digest definition there must be none.
 
 Strategy scenarios (``schedule=`` / ``routing=`` keys) pin non-default
 connection-schedule and routing strategies bit-exactly the same way.  When
@@ -29,6 +33,7 @@ default strategies).
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -137,20 +142,34 @@ def test_digest_sensitive_to_events():
 
 
 def _record() -> None:
+    """Re-run every scenario, write the goldens, print an old -> new digest
+    table and flag every other field that moved."""
+    old = _load_goldens() if GOLDEN_PATH.exists() else {}
     goldens = {}
+    moved = []
+    print("| scenario | cc | old digest | new digest |\n|---|---|---|---|")
     for scenario, params in SCENARIOS.items():
         goldens[scenario] = {}
         for cc in MECHANISMS:
-            goldens[scenario][cc] = run_scenario(cc, params)
-            print(f"{scenario:14s} {cc:10s} {goldens[scenario][cc]['digest']}")
+            new = goldens[scenario][cc] = run_scenario(cc, params)
+            before = old.get(scenario, {}).get(cc, {})
+            print(f"| {scenario} | {cc} | {before.get('digest', '(none)')} "
+                  f"| {new['digest']} |")
+            moved += [(scenario, cc, key, before[key], value)
+                      for key, value in new.items()
+                      if key != "digest" and before.get(key, value) != value]
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+    if moved:
+        print("\n!!! SIMULATED BEHAVIOUR CHANGED: fields other than the digest "
+              "moved !!!", file=sys.stderr)
+        for scenario, cc, key, was, now in moved:
+            print(f"!!!   {scenario}/{cc}: {key} {was} -> {now}",
+                  file=sys.stderr)
 
 
 if __name__ == "__main__":
-    import sys
-
     if "--record" in sys.argv:
         _record()
     else:
