@@ -69,7 +69,6 @@ from .vector import (
     _VectorRun,
     _fast_ineligible_reason,
     VectorBackend,
-    build_hop_tables,
 )
 
 __all__ = ["ShardBackend", "shard_ranges"]
@@ -184,7 +183,6 @@ class _WorkerRun(_VectorRun):
         )
         _VectorRun.__init__(self, engine, _Proxy(
             nbr=tables["nbr"], link_table=tables["link_table"],
-            qt=tables["qt"],
         ))
         self.k = idx
         self.K = count
@@ -763,11 +761,7 @@ def _shard_worker_main(idx, count, task_queue, result_queue, mail_queues):
             key = task["tables_key"]
             shipped = task.get("tables")
             if shipped is not None:
-                tables = dict(shipped)
-                tables["qt"] = build_hop_tables(
-                    tables["n"], tables["h"], tables["r"]
-                )
-                tables_cache[key] = tables
+                tables_cache[key] = shipped
             task["seg"] = segment
             run = _WorkerRun(
                 idx, count, tables_cache[key], task, mail_queues
@@ -900,7 +894,7 @@ class ShardBackend(EngineBackend):
             )
 
     def _tables_payload(self, engine) -> dict:
-        tables = _SlabTables.shared(engine)
+        tables = _SlabTables(engine.schedule, engine.coords)
         cfg = engine.config
         schedule = engine.schedule
         return {

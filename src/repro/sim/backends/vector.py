@@ -16,6 +16,9 @@ every node in a timeslot with a handful of array operations:
 * **wire** — in-flight transmissions as per-arrival-slot batches of
   (senders, slab rows, receivers) arrays; the send order within a batch is
   node-id order, exactly the FIFO order the object wire produces.
+* **next hop** — arithmetic on node ids, which are EBS's mixed-radix
+  coordinates: the same rule at every ``n``, and no lookup table larger
+  than ``O(L * n)``.
 
 The backend is *bit-exact* with the object pipeline for the states it
 accelerates, including RNG consumption: spraying draws are CPython's
@@ -145,65 +148,22 @@ def _fast_ineligible_reason(engine):
     return None
 
 
-def build_hop_tables(n: int, h: int, r: int):
-    """The h=2 flat next-hop tables ``(qsel, nsel)``, or None.
-
-    Indexed ``phase * n**2 + receiver * n + dst``: ``qsel`` holds
-    ``link_index * n`` for the direct hop out of ``receiver`` toward
-    ``dst`` at ``phase`` (or the other phase's when that digit already
-    matches) and ``nsel`` the spray-phase hint for the next hop.  None for
-    other ``h`` and for sizes where the 2*n**2 tables stop paying for
-    themselves.  Shared by the vector backend and the shard workers (each
-    worker rebuilds them locally instead of shipping 2*n**2 entries).
-    """
-    if h != 2 or 2 * n * n > 8_000_000:
-        return None
-    rm1 = r - 1
-    ids = np.arange(n, dtype=np.int64)
-    qbase = []
-    match = []
-    for p in (0, 1):
-        digit = (ids // r ** (h - 1 - p)) % r
-        off = (digit[None, :] - digit[:, None]) % r
-        qbase.append(((p * rm1 + off - 1) * n).reshape(-1))
-        match.append((off == 0).reshape(-1))
-    nn = n * n
-    qsel = np.empty(2 * nn, dtype=np.int64)
-    nsel = np.empty(2 * nn, dtype=np.int64)
-    for p in (0, 1):
-        # a cell hinted at phase p takes phase p when that digit
-        # mismatches, else the other phase (it cannot be home:
-        # matched-everywhere cells get delivered, not forwarded); the
-        # stored hint for the NEXT hop is the phase it did not take
-        take_other = match[p]
-        qsel[p * nn:(p + 1) * nn] = np.where(
-            take_other, qbase[p ^ 1], qbase[p]
-        )
-        nsel[p * nn:(p + 1) * nn] = np.where(take_other, p, p ^ 1)
-    return qsel, nsel
-
-
 class _SlabTables:
     """The slab's read-only lookup tables for one ``(schedule, n, h)``.
 
     Derived from the coordinate system by array arithmetic, exactly as
     ``CoordinateSystem.neighbor_table`` derives each node's — no node need
-    exist.  :meth:`shared` keeps the most recent size's instance
-    process-wide: a sweep steps one size at a time, and the h=2 hop tables
-    alone are ``32 * n**2`` bytes (54 MB at n=1296).
+    exist.  Every table is ``O(L * n)`` (≈ 1 ms and 1.5 MB at n=1296, plus
+    ≈ 3 ms and 1.5 MB for :attr:`links`), so each run builds its own and
+    they go with it; the next hop is none of them
+    (:meth:`_VectorRun._next_hops` computes it from node ids).
 
     Attributes:
         peer: ``(L, n)``; ``peer[l, i]`` is node ``i``'s neighbour on link
             ``l = phase * (r - 1) + offset - 1``.
         link_table: the link every node transmits on, per slot of the epoch.
         nbr: ``(epoch, n)``; ``nbr[s] == peer[link_table[s]]``.
-        qt: :func:`build_hop_tables`' result.
     """
-
-    __slots__ = ("peer", "link_table", "nbr", "qt", "_links")
-
-    #: ``((schedule name, n, h), tables)`` of the latest size stepped
-    _latest: Tuple[Optional[tuple], Optional["_SlabTables"]] = (None, None)
 
     def __init__(self, schedule, coords) -> None:
         n, h, r = coords.n, coords.h, coords.r
@@ -221,20 +181,7 @@ class _SlabTables:
                                      schedule.offset_table)
         ]
         self.nbr = self.peer[self.link_table]
-        self.qt = build_hop_tables(n, h, r)
         self._links = None
-
-    @classmethod
-    def shared(cls, engine) -> "_SlabTables":
-        """The tables for ``engine``'s schedule and size, built at most
-        once while that size stays the latest."""
-        cfg = engine.config
-        key = (cfg.schedule, cfg.n, cfg.h)
-        latest, tables = cls._latest
-        if latest != key:
-            tables = cls(engine.schedule, engine.coords)
-            cls._latest = (key, tables)
-        return tables
 
     @property
     def links(self):
@@ -291,28 +238,27 @@ class _VectorRun:
         self.delay = cfg.propagation_delay
         self.nbr = tables.nbr
         self.link_table = tables.link_table
-        # h=2 next-hop tables (build_hop_tables); None for other h
-        self.qsel, self.nsel = tables.qt or (None, None)
-        self.nn = self.n * self.n
         schedule = engine.schedule
         self.epoch = schedule.epoch_length
         self.phase_table = schedule.phase_table
-        # digit weights of the coordinate system: weights[p] = r**(h-1-p)
-        self.weights = np.array(
-            [self.r ** (self.h - 1 - p) for p in range(self.h)],
-            dtype=np.int64,
-        )
         # spraying draw constants: randrange(1, r) = 1 + rejection-sampled
         # getrandbits((r-1).bit_length()) accepted below r-1
         self.spray_bits = self.rm1.bit_length()
         self.spray_shift = 32 - self.spray_bits
-        # flat digit table, indexed ``p * n + x``: digit ``p`` of node
-        # coordinate ``x`` (one cheap gather instead of a floordiv + mod
-        # per cell in the next-hop scan)
+        # flat digit table, indexed ``p * n + x``: digit ``p`` (weight
+        # ``r**(h-1-p)``) of node coordinate ``x`` (one cheap gather
+        # instead of a floordiv + mod per cell in the h >= 3 next-hop scan)
         ids = np.arange(self.n, dtype=np.int64)
         self.digits = np.concatenate(
-            [(ids // self.weights[p]) % self.r for p in range(self.h)]
+            [(ids // self.r ** (self.h - 1 - p)) % self.r
+             for p in range(self.h)]
         )
+        # the h=2 next hop's ``p * (r-1) + diff % r - 1`` as one gather:
+        # the link for a digit difference ``diff`` in (-r, r) on phase
+        # ``p`` sits at ``(2p + 1) * r + diff``
+        diff = np.arange(-self.r, self.r)
+        self._link2 = np.concatenate(
+            [p * self.rm1 + diff % self.r - 1 for p in (0, 1)])
         # queue columns, one row per link index (plus flat aliases for the
         # RX scatter, which addresses queues as ``link * n + node``).
         # Queues are sentinel-headed linked lists: slab rows [0, L*n) are
@@ -837,53 +783,66 @@ class _VectorRun:
             self._forward(cells, recvs, t, d, emask, esph)
         engine._in_flight_payload -= cells.size
 
-    def _next_hops(self, fc, rv, dd):
-        """Next-hop (phase, offset) per forwarded cell.
+    def _next_hops(self, fc, rv, dd, emask, esph):
+        """Next-hop link index and spray-phase hint per forwarded cell
+        (the arguments are :meth:`_forward`'s).
 
         Spraying cells take one ``randrange(1, r)`` draw each, in batch
-        (= node-id) order; direct cells run the first-mismatched-digit scan
-        from the carried phase hint.
+        (= node-id) order, on their hinted phase; direct cells take the
+        first phase, from the hint on, whose digit differs between
+        receiver and destination (``Node._choose_direct_hop``).  The next
+        hint is the phase after the one taken.
         """
         n = self.n
         h = self.h
-        digits = self.digits
-        sph = self.c_sphase[fc]
+        r = self.r
         if h == 1:
             # single digit (coordinate == node id), no spraying: the
             # offset is the coordinate distance to the destination
-            off = dd - rv
-            np.add(off, self.r, out=off, where=off < 0)
-            return sph, off
+            link = dd - rv
+            np.add(link, r, out=link, where=link < 0)
+            link -= 1
+            return link, 0
         if h == 2:
-            # two rounds unrolled branch-free: if the hinted digit already
-            # matches, the other one must differ (the cell isn't home yet)
-            pn = sph * n
-            mine0 = digits[pn + rv]
-            want0 = digits[pn + dd]
-            m0 = mine0 != want0
-            p1 = sph ^ 1
-            p1n = p1 * n
-            mine1 = digits[p1n + rv]
-            want1 = digits[p1n + dd]
-            nphase = np.where(m0, sph, p1)
-            offd = np.where(m0, want0 - mine0, want1 - mine1)
-            np.add(offd, self.r, out=offd, where=offd < 0)
-        else:
-            p = self.c_sphase[fc].copy()
-            nphase = np.full(fc.size, -1, dtype=np.int64)
-            offd = np.empty(fc.size, dtype=np.int64)
-            for _ in range(h):
-                pn = p * n
-                mine = digits[pn + rv]
-                want = digits[pn + dd]
-                mm = (nphase < 0) & (mine != want)
-                if mm.any():
-                    nphase[mm] = p[mm]
-                    offd[mm] = (want[mm] - mine[mm]) % self.r
-                p += 1
-                p[p >= h] = 0
-            if (nphase < 0).any():
-                raise AssertionError("direct-hop cell already at destination")
+            # node x has digits (x // r, x % r): the digit differences
+            # toward the destination, each in (-r, r)
+            d0 = dd // r
+            d0 -= rv // r
+            d1 = dd - rv
+            d1 -= d0 * r
+            # the hinted phase unless its digit already matches (the other
+            # then cannot: the cell is not home).  ``take0`` — phase 0
+            # taken — is also the next hint
+            take0 = d1 == 0
+            take0 |= (self.c_sphase[fc] == 0) & (d0 != 0)
+            d0 += r  # each phase's offset into _link2
+            d1 += 3 * r
+            link = self._link2[np.where(take0, d0, d1)]
+            # the batch's emissions are its spraying cells, all on the
+            # emission slot's spray phase
+            sids = emask.nonzero()[0]
+            if sids.size:
+                link[sids] = self._spray_offsets(sids, rv, esph) \
+                    + esph * self.rm1
+                take0[sids] = esph == 0
+            return link, take0
+        digits = self.digits
+        sph = self.c_sphase[fc]
+        p = sph.copy()
+        nphase = np.full(fc.size, -1, dtype=np.int64)
+        offd = np.empty(fc.size, dtype=np.int64)
+        for _ in range(h):
+            pn = p * n
+            mine = digits[pn + rv]
+            want = digits[pn + dd]
+            mm = (nphase < 0) & (mine != want)
+            if mm.any():
+                nphase[mm] = p[mm]
+                offd[mm] = (want[mm] - mine[mm]) % r
+            p += 1
+            p[p >= h] = 0
+        if (nphase < 0).any():
+            raise AssertionError("direct-hop cell already at destination")
         smask = self.c_sprays[fc] > 0
         ks = np.count_nonzero(smask)
         if ks:
@@ -893,7 +852,9 @@ class _VectorRun:
             off = np.where(smask, sv, offd)
         else:
             off = offd
-        return nphase, off
+        hint = nphase + 1
+        hint[hint == h] = 0
+        return nphase * self.rm1 + off - 1, hint
 
     def _spray_offsets(self, sids, rv, sph) -> np.ndarray:
         """Spraying choice (round-robin offset minus one) for the cells at
@@ -926,31 +887,10 @@ class _VectorRun:
         phase.  Receivers within a batch are distinct (the slot schedule
         is a permutation), so the scatter is conflict free.
         """
-        if self.qsel is not None:
-            # h=2 fast path: the precomputed tables resolve phase choice,
-            # queue index and next-hop hint in two gathers, with spraying
-            # draws overriding per spray cell in batch order
-            idx = self.c_sphase[fc] * self.nn
-            idx += rv * self.n
-            idx += dd
-            qn = self.qsel[idx]
-            npl = self.nsel[idx]
-            ks = np.count_nonzero(emask)
-            if ks:
-                sids = emask.nonzero()[0]
-                # draw == randrange(1, r) - 1, which is the in-phase
-                # queue offset the tables encode as (q * n); all sprays
-                # in a batch share the emission slot's spray phase
-                qn[sids] = self._spray_offsets(sids, rv, esph) * self.n \
-                    + esph * self.rm1 * self.n
-                npl[sids] = esph ^ 1
-            lin = qn + rv
-        else:
-            nphase, off = self._next_hops(fc, rv, dd)
-            lin = (nphase * self.rm1 + off - 1) * self.n + rv
-            npl = nphase + 1
-            npl[npl == self.h] = 0
-        self.c_sphase[fc] = npl
+        lin, hint = self._next_hops(fc, rv, dd, emask, esph)
+        lin *= self.n
+        lin += rv
+        self.c_sphase[fc] = hint
         self.c_enqat[fc] = t
         tail = self.qf_tail
         qlen = self.qf_len
@@ -1182,7 +1122,7 @@ class VectorBackend(EngineBackend):
         parked run cannot continue (the engine is untouched)."""
         run = parked = engine._parked
         if run is None:
-            tables = _SlabTables.shared(engine)
+            tables = _SlabTables(engine.schedule, engine.coords)
             if engine.config.uses_hop_by_hop:
                 from .token_slab import TokenRun
 

@@ -278,8 +278,9 @@ class OpenLoopSource:
         under the old rate); every later gap uses the new rate.  The
         adjustment history is recorded for run manifests and checkpoints.
         """
-        if factor <= 0.0:
-            raise ValueError(f"load factor must be > 0, got {factor}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(
+                f"load factor must be finite and > 0, got {factor}")
         self.factor = float(factor)
         self.adjustments.append((int(self._clock), self.factor))
         return self.factor

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import open_session, simulate
+from repro.core.cell import Cell
 from repro.core.strategies import schedule_names
 from repro.failures.manager import FailureEvent, FailureManager
 from repro.sim import engine as engine_mod
@@ -790,8 +791,8 @@ class TestResidentSlab:
 
 
 class TestSlabTables:
-    """The slab's lookup tables come from the coordinate system and are
-    built once per ``(schedule, n, h)``."""
+    """The slab's lookup tables and next hop come from the coordinate
+    system, and nothing about them grows with n**2."""
 
     @pytest.mark.parametrize("schedule", schedule_names())
     @pytest.mark.parametrize("n,h", [(16, 1), (16, 2), (27, 3), (64, 2)])
@@ -819,24 +820,66 @@ class TestSlabTables:
                 assert all(flat[nb][reverse] == i
                            for i, nb in enumerate(peer[link].tolist()))
 
-    def test_built_once_per_size(self, monkeypatch):
+    @pytest.mark.parametrize("n,h", [(16, 1), (16, 2), (27, 3), (64, 2),
+                                     (81, 4)])
+    def test_next_hop_is_the_nodes_own(self, n, h):
+        """Every (hint, receiver, dst) the slab can route — one direct
+        cell each — takes ``Node._choose_direct_hop``'s hop."""
+        engine = Engine(SimConfig(n=n, h=h, backend="vector"))
+        run = vector_mod._VectorRun(
+            engine, vector_mod._SlabTables(engine.schedule, engine.coords))
+        hint, rv, dd = (a.ravel() for a in np.meshgrid(
+            np.arange(h), np.arange(n), np.arange(n), indexing="ij"))
+        away = rv != dd
+        hint, rv, dd = hint[away], rv[away], dd[away]
+        run._init_slab(rv.size)
+        fc = np.arange(run.Ln, run.Ln + rv.size)
+        run.c_sphase[fc] = hint
+        link, next_hint = run._next_hops(
+            fc, rv, dd, np.zeros(rv.size, dtype=bool), 0)
+        next_hint = np.broadcast_to(next_hint, rv.shape)
+        nodes = engine.nodes
+        expected = []
+        for p, i, d in zip(hint.tolist(), rv.tolist(), dd.tolist()):
+            phase, offset = nodes[i]._choose_direct_hop(Cell(i, d), p)
+            expected.append(
+                (nodes[i].link_index(phase, offset), (phase + 1) % h))
+        assert list(zip(link.tolist(), next_hint.tolist())) == expected
+
+    def test_tables_are_linear_in_n(self):
+        """No table grows with n**2: at n=1296, h=2 every array the slab
+        tables hold — ``links`` built too — is at most 4 * L * n int64s."""
+        engine = Engine(SimConfig(n=1296, h=2, backend="vector"))
+        tables = vector_mod._SlabTables(engine.schedule, engine.coords)
+        assert tables.links[1] is not None
+        held = []
+        for value in vars(tables).values():
+            held += value if isinstance(value, tuple) else [value]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 5  # peer, nbr, back, pair_key, pair_link
+        bound = 4 * (2 * (engine.coords.r - 1)) * 1296 * 8
+        assert max(a.nbytes for a in arrays) <= bound
+
+    def test_tables_die_with_their_run(self, monkeypatch):
+        """Nothing outlives a run: its tables go with it, and the arrays
+        it stepped with go with its engine."""
         built = []
         init = vector_mod._SlabTables.__init__
-        monkeypatch.setattr(
-            vector_mod._SlabTables, "__init__",
-            lambda tables, schedule, coords: (
-                built.append((coords.n, coords.h)),
-                init(tables, schedule, coords))[1],
-        )
-        monkeypatch.setattr(vector_mod._SlabTables, "_latest", (None, None))
-        with slab_floor(0):
-            for cc in ("none", "hbh+spray", "none"):
-                _build("vector", 64, 2, cc, 1).run(30)
-            assert built == [(64, 2)]
-            _build("vector", 16, 2, "none", 1).run(30)
-            _build("vector", 64, 2, "none", 1).run(30)
-        # one entry: the latest size only
-        assert built == [(64, 2), (16, 2), (64, 2)]
+
+        def record(tables, schedule, coords):
+            init(tables, schedule, coords)
+            built.append((weakref.ref(tables), weakref.ref(tables.nbr)))
+
+        monkeypatch.setattr(vector_mod._SlabTables, "__init__", record)
+        cfg = SimConfig(n=64, h=2, duration=60, congestion_control="none",
+                        backend="vector")
+        result = simulate(cfg, permutation_workload(cfg, 10))
+        assert result.engine.model_syncs == 0
+        ((tables, nbr),) = built
+        assert nbr() is not None  # the parked run still steps with it
+        del result
+        gc.collect()
+        assert tables() is None and nbr() is None
 
 
 class TestGoldenTracesOnVectorBackend:

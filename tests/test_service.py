@@ -449,6 +449,28 @@ class TestControlPlane:
 
         assert self._serve(scenario)
 
+    def test_non_finite_load_factor_is_refused(self):
+        """JSON's ``Infinity`` parses to a float; adopted, it would make
+        the source's next ``take`` loop forever inside the drive loop."""
+        async def scenario(server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(b'{"id":1,"op":"adjust-load","factor":Infinity}\n'
+                         b'{"id":2,"op":"status"}\n')
+            replies = []
+            for _ in range(2):
+                line = await asyncio.wait_for(reader.readline(), timeout=20)
+                replies.append(decode_message(line))
+            writer.close()
+            refused, status = replies
+            assert refused["id"] == 1 and not refused["ok"]
+            assert "finite" in refused["error"]
+            assert status["id"] == 2 and status["ok"]
+            assert status["load_factor"] == 1.0
+            return True
+
+        assert self._serve(scenario)
+
     def test_oversized_line_gets_an_error_reply(self):
         """A request line past MAX_LINE_BYTES — here a 4000-flow submit —
         is answered with an error naming the limit and that connection is

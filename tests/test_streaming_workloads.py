@@ -156,6 +156,17 @@ class TestOpenLoopSource:
         with pytest.raises(ValueError):
             source.set_load_factor(0.0)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_adjust_load_rejects_non_finite(self, factor):
+        """inf would make every later gap 0 (``take`` never returns), nan
+        would fail inside ``take``: both are refused up front."""
+        source = OpenLoopSource(_cfg(), load=0.2)
+        source.set_load_factor(2.0)
+        with pytest.raises(ValueError, match="finite"):
+            source.set_load_factor(factor)
+        assert source.factor == 2.0
+        assert [f for _, f in source.adjustments] == [2.0]
+
     def test_load_validation(self):
         with pytest.raises(ValueError):
             OpenLoopSource(_cfg(), load=0.0)
