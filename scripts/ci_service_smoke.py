@@ -16,8 +16,9 @@ Procedure:
    telemetry stream, and poll ``telemetry-rows`` (the composition path);
 3. once past a few checkpoint intervals, SIGKILL the server (no cleanup);
    the surviving snapshot is loaded and sized section by section — its
-   ``metrics`` must be smaller than its ``nodes``: a snapshot is the
-   network's state, not the run's history;
+   ``metrics`` must be exactly the scalars, the two sample tallies and
+   the ``measuring`` flag: a snapshot is the network's state, not the
+   run's history;
 4. restart with identical arguments — it must resume from the snapshot;
 5. assert: resumed slot > 0, the restored rows re-cover the pre-crash
    rows bit-exactly up to the snapshot, and the composed ``t`` sequence
@@ -128,11 +129,16 @@ def main() -> int:
           f"{os.path.getsize(checkpoint)} bytes on disk; pickled sections:")
     for name, size in sorted(sizes.items(), key=lambda kv: -kv[1]):
         print(f"    {name:<16} {size:>8}")
-    # what still grows in ``metrics`` is ``throughput_series``, two bytes
-    # per window: it would take ~3x this smoke's horizon to reach ``nodes``
-    check(sizes["metrics"] < sizes["nodes"],
-          f"metrics ({sizes['metrics']} B) is smaller than the nodes "
-          f"({sizes['nodes']} B) it describes")
+    # ``metrics`` is counts, not history: four entries, and its only
+    # arrays are the two sample tallies
+    metrics = snapshot.state["metrics"]
+    arrays = sorted(name for name, held in metrics.items()
+                    if hasattr(held, "nbytes"))
+    check(sorted(metrics) == ["buffer_counts", "measuring", "queue_counts",
+                              "scalars"],
+          f"metrics holds {sorted(metrics)}")
+    check(arrays == ["buffer_counts", "queue_counts"],
+          f"metrics arrays are the two tallies ({arrays})")
 
     print("== restart from the checkpoint ==")
     proc2, ready2 = _start(checkpoint)

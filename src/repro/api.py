@@ -193,7 +193,9 @@ def simulate(
         digest=digest, events=events,
     )
     if checkpoint is not None:
-        engine.enable_checkpoints(checkpoint, checkpoint_every or 100_000)
+        engine.enable_checkpoints(
+            checkpoint,
+            100_000 if checkpoint_every is None else checkpoint_every)
 
     engine.run(duration)
     if drain:

@@ -61,7 +61,6 @@ class Cell:
         "flow_size",
         "dummy",
         "hops",
-        "enqueued_at",
     )
 
     def __init__(
@@ -86,8 +85,6 @@ class Cell:
         self.dummy = False
         #: number of hops actually taken so far (simulator statistic)
         self.hops = 0
-        #: timeslot at which the cell entered its current queue
-        self.enqueued_at = created_at
 
     @classmethod
     def make_dummy(cls, src: int, dst: int) -> "Cell":
@@ -97,12 +94,11 @@ class Cell:
         return cell
 
     def state(self) -> Tuple:
-        """All twelve fields as a flat tuple (checkpoint encoding)."""
+        """All eleven fields as a flat tuple (checkpoint encoding)."""
         return (
             self.src, self.dst, self.flow_id, self.seq,
             self.sprays_remaining, self.prev_hop, self.created_at,
             self.spray_phase, self.flow_size, self.dummy, self.hops,
-            self.enqueued_at,
         )
 
     @classmethod
@@ -111,8 +107,7 @@ class Cell:
         cell = cls.__new__(cls)
         (cell.src, cell.dst, cell.flow_id, cell.seq,
          cell.sprays_remaining, cell.prev_hop, cell.created_at,
-         cell.spray_phase, cell.flow_size, cell.dummy, cell.hops,
-         cell.enqueued_at) = state
+         cell.spray_phase, cell.flow_size, cell.dummy, cell.hops) = state
         return cell
 
     def bucket(self) -> Tuple[int, int]:
@@ -125,8 +120,3 @@ class Cell:
             f"Cell({self.src}->{self.dst} {kind} "
             f"sprays={self.sprays_remaining} hops={self.hops})"
         )
-
-
-def header_overhead_fraction() -> float:
-    """Fraction of each cell consumed by the header (throughput tax)."""
-    return HEADER_SIZE_BYTES / CELL_SIZE_BYTES

@@ -142,7 +142,8 @@ def experiment_entrypoint(fn):
                     if isinstance(checkpoint_dir, _checkpoint.CheckpointPolicy)
                     else _checkpoint.CheckpointPolicy(
                         checkpoint_dir,
-                        every=checkpoint_every or 100_000)
+                        every=(100_000 if checkpoint_every is None
+                               else checkpoint_every))
                 )
                 stack.callback(_checkpoint.set_default_policy,
                                _checkpoint.set_default_policy(policy))

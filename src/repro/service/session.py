@@ -140,7 +140,8 @@ class Session:
         self.config = config
         self.source = source
         self.checkpoint_path = checkpoint
-        self.checkpoint_every = checkpoint_every or 100_000
+        self.checkpoint_every = (100_000 if checkpoint_every is None
+                                 else checkpoint_every)
         if self.checkpoint_every <= 0:
             raise ValueError(
                 f"checkpoint interval must be >= 1, got {checkpoint_every}"

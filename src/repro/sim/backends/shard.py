@@ -65,6 +65,7 @@ from . import EngineBackend, default_shards, register_backend
 from .object_backend import advance as advance_reference
 from .vector import (
     _EV_DELIVERY,
+    _SLAB_COLS,
     _SlabTables,
     _VectorRun,
     _fast_ineligible_reason,
@@ -72,6 +73,9 @@ from .vector import (
 )
 
 __all__ = ["ShardBackend", "shard_ranges"]
+
+#: a cell's slab columns: all but the trailing ``nxt`` pointer
+_CELL_COLS = len(_SLAB_COLS) - 1
 
 #: what a worker records per delivered cell when a digest is attached:
 #: slot and sender (the merge order) plus the delivery event's fields
@@ -98,14 +102,15 @@ def shard_ranges(n: int, r: int, count: int):
 
 
 def _cells_from_cols(cols: np.ndarray) -> List[Cell]:
-    """Materialize :class:`Cell` objects from an (11, m) column block."""
+    """Materialize :class:`Cell` objects from a ``(_CELL_COLS, m)``
+    column block."""
     out: List[Cell] = []
     if cols.shape[1] == 0:
         return out
     append = out.append
     new = Cell.__new__
-    for src, dst, fid, seq, spr, prv, cre, sph, fsz, hp, enq in zip(
-        *(cols[i].tolist() for i in range(11))
+    for src, dst, fid, seq, spr, prv, cre, sph, fsz, hp in zip(
+        *cols.tolist()
     ):
         cell = new(Cell)
         cell.src = src
@@ -119,7 +124,6 @@ def _cells_from_cols(cols: np.ndarray) -> List[Cell]:
         cell.flow_size = fsz
         cell.dummy = False
         cell.hops = hp
-        cell.enqueued_at = enq
         append(cell)
     return out
 
@@ -206,7 +210,6 @@ class _WorkerRun(_VectorRun):
         self.m_inj = 0      # cells injected by local flows
         self.m_sent = 0     # cells sent by local nodes
         self.m_arr = 0      # arrived cells processed (wire departures)
-        self.m_windel = 0   # deliveries since the last sample window
         # per-delivery replay records (filled only for a digest)
         self.rec: Dict[str, List[np.ndarray]] = {
             name: [] for name in _REC_FIELDS
@@ -240,13 +243,13 @@ class _WorkerRun(_VectorRun):
         lo, hi = self.lo, self.hi
         queues = task["queues"]
         counts = queues["counts"]      # (local_n, L)
-        qcols = queues["cols"]         # (11, total) in walk order
+        qcols = queues["cols"]         # (_CELL_COLS, total), walk order
         wire_total = sum(e[1].size for e in task["wire"])
         m = qcols.shape[1]
         self._init_slab(m + wire_total)
         nid = self.Ln
         if m:
-            self._slab[:11, nid:nid + m] = qcols
+            self._slab[:-1, nid:nid + m] = qcols
         # rebuild the per-queue linked lists over the consecutive rows
         nxt = self.c_nxt
         q_len = self.q_len
@@ -281,7 +284,7 @@ class _WorkerRun(_VectorRun):
             w = senders.size
             rows = np.arange(nid, nid + w, dtype=np.int64)
             if w:
-                self._slab[:11, rows] = cols
+                self._slab[:-1, rows] = cols
                 nxt[rows] = -1
                 self.rxbuf[arr] = (senders, rows, recvs, esph)
                 self.init_arrs.append(arr)
@@ -384,7 +387,6 @@ class _WorkerRun(_VectorRun):
         if cnt:
             dc = cells[del_ids]
             self.m_del += cnt
-            self.m_windel += cnt
             if self.want_digest:
                 rec = self.rec
                 rec["t"].append(np.full(cnt, t, dtype=np.int64))
@@ -394,7 +396,6 @@ class _WorkerRun(_VectorRun):
                 rec["src"].append(self.c_src[dc])
                 rec["dst"].append(d[del_ids])
                 rec["hops"].append(self.c_hops[dc])
-            self.delivered_vec[recvs[del_ids]] += 1
             fids = self.c_fid[dc]
             self._ensure_flow(int(fids.max()))
             fd = self.f_del[fids] + 1
@@ -411,11 +412,11 @@ class _WorkerRun(_VectorRun):
             fwd_ids = (~deliver).nonzero()[0]
             if fwd_ids.size:
                 self.q_cells += fwd_ids.size
-                self._forward(cells[fwd_ids], recvs[fwd_ids], t,
+                self._forward(cells[fwd_ids], recvs[fwd_ids],
                               d[fwd_ids], emask[fwd_ids], esph)
         elif m:
             self.q_cells += m
-            self._forward(cells, recvs, t, d, emask, esph)
+            self._forward(cells, recvs, d, emask, esph)
 
     def _inject2(self, t: int) -> None:
         pend = self.pending
@@ -468,23 +469,11 @@ class _WorkerRun(_VectorRun):
         esph = (phase + 1) % self.h
         if k:
             ge = e + lo
-            rows = self._alloc(k)
-            V = self._ev[:, :k]
-            V[0] = ge
-            V[1] = self.cur_dst[ge]
-            V[2] = self.cur_fid[ge]
             s = self.cur_sent[ge]
-            V[3] = s
-            V[4] = self.hm1
-            V[5] = ge
-            V[6] = t
-            V[7] = esph
             sz = self.cur_size[ge]
-            V[8] = sz
-            V[9] = 1
-            V[10] = t
-            V[11] = -1
-            self._slab[:, rows] = V
+            rows = self._new_cells(
+                ge, self.cur_dst[ge], self.cur_fid[ge], s, sz, t, esph
+            )
             s += 1
             self.cur_sent[ge] = s
             self.m_inj += k
@@ -535,7 +524,7 @@ class _WorkerRun(_VectorRun):
                     entry["own"] = (senders[mask], cells[mask])
                 else:
                     entry["ents"][j] = (
-                        senders[mask], self._slab[:11, cells[mask]]
+                        senders[mask], self._slab[:-1, cells[mask]]
                     )
             self._free_cells(cells[~own_mask])
         self.m_sent += m
@@ -549,7 +538,6 @@ class _WorkerRun(_VectorRun):
         qt = q.T
         self.windows.append({
             "t": t,
-            "win": self.m_windel,
             "dcum": self.m_del,
             "icum": self.m_inj,
             "scum": self.m_sent,
@@ -558,7 +546,6 @@ class _WorkerRun(_VectorRun):
             "buf": q.sum(axis=0),
             "qnz": qt[qt > 0],
         })
-        self.m_windel = 0
 
     # ------------------------------------------------------------------ #
     # the round loop and the mailbox exchange
@@ -644,7 +631,7 @@ class _WorkerRun(_VectorRun):
                     if ent is not None:
                         senders, cols = ent
                         rows = self._alloc(senders.size)
-                        self._slab[:11, rows] = cols
+                        self._slab[:-1, rows] = cols
                         self.c_nxt[rows] = -1
                         ent = (senders, rows)
                 if lv:
@@ -707,15 +694,15 @@ class _WorkerRun(_VectorRun):
         wire = []
         for arr in sorted(self.rxbuf):
             senders, rows, recvs, _ = self.rxbuf[arr]
-            wire.append((arr, senders, self._slab[:11, rows], recvs))
+            wire.append((arr, senders, self._slab[:-1, rows], recvs))
         fid_nz = np.flatnonzero(self.f_del[: self.f_cap])
         return {
             "queues": {
                 "counts": counts,
                 "peaks": self.q_peak[:, lo:hi].T.copy(),
                 "cols": (
-                    self._slab[:11, ra] if ra.size
-                    else np.empty((11, 0), dtype=np.int64)
+                    self._slab[:-1, ra] if ra.size
+                    else np.empty((_CELL_COLS, 0), dtype=np.int64)
                 ),
             },
             "cursor": {
@@ -731,7 +718,6 @@ class _WorkerRun(_VectorRun):
             "fdel": [
                 (int(f), int(self.f_del[f])) for f in fid_nz.tolist()
             ],
-            "dvec": self.delivered_vec[lo:hi].copy(),
             "rec": rec,
             "comps": self.comps,
             "windows": self.windows,
@@ -741,7 +727,6 @@ class _WorkerRun(_VectorRun):
                 "scum": self.m_sent,
                 "net": self.m_sent - self.m_arr,
                 "maxq": self.engine.metrics.max_queue_length,
-                "windel": self.m_windel,
             },
             "wire": wire,
             "words": self.words_consumed,
@@ -931,7 +916,6 @@ class ShardBackend(EngineBackend):
                 cell.src, cell.dst, cell.flow_id, cell.seq,
                 cell.sprays_remaining, cell.prev_hop, cell.created_at,
                 cell.spray_phase, cell.flow_size, cell.hops,
-                cell.enqueued_at,
             )
 
         queues = []
@@ -977,7 +961,7 @@ class ShardBackend(EngineBackend):
                 "peaks": peaks,
                 "cols": (
                     np.array(rows, dtype=np.int64).T if rows
-                    else np.empty((11, 0), dtype=np.int64)
+                    else np.empty((_CELL_COLS, 0), dtype=np.int64)
                 ),
             })
             cursors.append({
@@ -1060,8 +1044,7 @@ class ShardBackend(EngineBackend):
                 "fdel": fdel[k],
             })
         init = {
-            "delivered": metrics.cells_delivered,
-            "pdelivered": metrics.payload_cells_delivered,
+            "delivered": metrics.payload_cells_delivered,
             "injected": metrics.cells_injected,
             "sent": metrics.cells_sent,
             "ifp": engine._in_flight_payload,
@@ -1124,9 +1107,8 @@ class ShardBackend(EngineBackend):
         def set_counters(parts):
             """The absolute counters as of the workers' ``parts`` (one
             window row, or the final report, per shard)."""
-            delivered = sum(p["dcum"] for p in parts)
-            metrics.cells_delivered = init["delivered"] + delivered
-            metrics.payload_cells_delivered = init["pdelivered"] + delivered
+            metrics.payload_cells_delivered = init["delivered"] + sum(
+                p["dcum"] for p in parts)
             metrics.cells_injected = init["injected"] + sum(
                 p["icum"] for p in parts)
             metrics.cells_sent = init["sent"] + sum(p["scum"] for p in parts)
@@ -1134,11 +1116,6 @@ class ShardBackend(EngineBackend):
                 p["net"] for p in parts)
 
         ci = ii = 0
-        dropped_win = sum(
-            row["win"]
-            for t in win_ts if t >= t_star
-            for row in win_rows[t]
-        )
         for t in sweep_ts:
             while ci < len(comps) and comps[ci][0] == t:
                 _, _, fid = comps[ci]
@@ -1161,7 +1138,6 @@ class ShardBackend(EngineBackend):
             if any(r is None for r in rows):
                 raise AssertionError("shard sample windows diverged")
             set_counters(rows)
-            metrics._window_delivered += sum(r["win"] for r in rows)
             # shards own ascending node ranges, so joining their rows in
             # shard order restores node-id order
             engine._close_window(
@@ -1181,15 +1157,6 @@ class ShardBackend(EngineBackend):
         maxq = max(init["maxq"], max(f["maxq"] for f in finals))
         if maxq > metrics.max_queue_length:
             metrics.max_queue_length = maxq
-        metrics._window_delivered += dropped_win + sum(
-            f["windel"] for f in finals
-        )
-        per_node = metrics.delivered_per_node
-        for k, res in enumerate(results):
-            lo = ranges[k][0]
-            for i, v in enumerate(res["dvec"].tolist()):
-                if v:
-                    per_node[lo + i] = per_node.get(lo + i, 0) + v
         for res in results:
             for fid, delivered in res["fdel"]:
                 flow = flows._active.get(fid)

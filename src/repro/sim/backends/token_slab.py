@@ -331,8 +331,8 @@ class TokenRun(_VectorRun):
             self._credit(back, keys[0] if len(keys) == 1
                          else np.concatenate(keys))
 
-    def _forward(self, fc, rv, t, dd, emask, esph) -> None:
-        super()._forward(fc, rv, t, dd, emask, esph)
+    def _forward(self, fc, rv, dd, emask, esph) -> None:
+        super()._forward(fc, rv, dd, emask, esph)
         self.c_back[fc] = self._rx_back
         # the cell now occupies bucket (dst, sprays) at its receiver
         idx = rv * self.nh + dd * self.h + self.c_sprays[fc]

@@ -4,7 +4,7 @@ Instead of one Python object pipeline per node per slot, this backend keeps
 the whole network's mutable hot state in flat int64 columns and advances
 every node in a timeslot with a handful of array operations:
 
-* **cell slab** — one row per live cell, holding the eleven integer fields
+* **cell slab** — one row per live cell, holding the ten integer fields
   of :class:`~repro.core.cell.Cell` plus a ``nxt`` pointer that threads
   cells into per-(node, link) FIFO linked lists (the queue ``head`` /
   ``tail`` / ``qlen`` / ``peak`` columns are ``(L, n)`` arrays, one row per
@@ -70,7 +70,7 @@ __all__ = ["VectorBackend"]
 #: on the fast path) plus the queue linked-list pointer
 _SLAB_COLS = (
     "c_src", "c_dst", "c_fid", "c_seq", "c_sprays", "c_prev",
-    "c_created", "c_sphase", "c_fsize", "c_hops", "c_enqat", "c_nxt",
+    "c_created", "c_sphase", "c_fsize", "c_hops", "c_nxt",
 )
 
 #: where a ``cells`` row carries ``dummy`` — the one field the slab has no
@@ -290,20 +290,17 @@ class _VectorRun:
         self.f_cap = 64
         self.f_del = np.zeros(self.f_cap, dtype=np.int64)
         self.f_size = np.zeros(self.f_cap, dtype=np.int64)
-        # per-destination delivery deltas, folded into the metrics dict at
-        # sync (the dict itself is too slow to touch per slot)
-        self.delivered_vec = np.zeros(self.n, dtype=np.int64)
         # the wire: (arrival, senders, slab rows, receivers) per send slot
         self.batches: deque = deque()
         # constant emission-mask views for single-kind wire batches
         self._em_false = np.zeros(self.n, dtype=bool)
         self._em_true = np.ones(self.n, dtype=bool)
         # scratch: one column block per emission slot, scattered into the
-        # slab in a single 2-D write
+        # slab in a single 2-D write; its constant rows are written here
         self._ev = np.empty((len(_SLAB_COLS), self.n), dtype=np.int64)
-        self._ev[4] = self.hm1      # sprays remaining
-        self._ev[9] = 1             # hops
-        self._ev[11] = -1           # nxt
+        for name, value in (("c_sprays", self.hm1), ("c_hops", 1),
+                            ("c_nxt", -1)):
+            self._ev[_SLAB_COLS.index(name)] = value
         # scratch: one digest row per delivery of a batch, [tag, flow id,
         # seq, src, dst, hops, t]
         self._del_events = np.empty((self.n, 7), dtype=np.int64)
@@ -334,7 +331,7 @@ class _VectorRun:
         cap = self.Ln + max(1024, 2 * (count + self.n))
         self.cap = cap
         # one (column, row) block; the per-column attributes are row views
-        # into it, so emissions can write all twelve fields of a cell with
+        # into it, so emissions can write every field of a cell with
         # a single 2-D scatter.  Rows [0, Ln) are the queue sentinels.
         self._slab = np.zeros((len(_SLAB_COLS), cap), dtype=np.int64)
         for i, name in enumerate(_SLAB_COLS):
@@ -540,9 +537,9 @@ class _VectorRun:
     def sync(self) -> None:
         """Write back everything that is not a node or a transmission, so
         every engine-level attribute reads as after an object run: flow
-        cursors and delivery counts, per-destination deliveries, the RNG
-        (``engine.t``, the counters and the flow table are kept current
-        by the slot loop itself).  Incremental: a second sync is free."""
+        cursors and delivery counts, and the RNG (``engine.t``, the counters
+        and the flow table are kept current by the slot loop itself).
+        Incremental: a second sync is free."""
         engine = self.engine
         sent = self.cur_sent.tolist()
         for i in self.has_flow.nonzero()[0].tolist():
@@ -550,11 +547,6 @@ class _VectorRun:
         for fid, flow in engine.flows._active.items():
             if fid < self.f_cap:
                 flow.delivered = int(self.f_del[fid])
-        per_node = engine.metrics.delivered_per_node
-        fresh = self.delivered_vec.nonzero()[0]
-        for i, v in zip(fresh.tolist(), self.delivered_vec[fresh].tolist()):
-            per_node[i] = per_node.get(i, 0) + v
-        self.delivered_vec[fresh] = 0
         self._sync_rng()
 
     def peak_occupancies(self) -> Tuple[int, int, int]:
@@ -744,7 +736,6 @@ class _VectorRun:
         """One batch of payload cells reaching its receivers: deliver the
         ones that are home, enqueue the rest toward their next hop."""
         engine = self.engine
-        metrics = engine.metrics
         digest = engine.digest
         flows = engine.flows
         d = self.c_dst[cells]
@@ -753,10 +744,7 @@ class _VectorRun:
         cnt = del_ids.size
         if cnt:
             dc = cells[del_ids]
-            metrics.cells_delivered += cnt
-            metrics.payload_cells_delivered += cnt
-            metrics._window_delivered += cnt
-            self.delivered_vec[recvs[del_ids]] += 1
+            engine.metrics.payload_cells_delivered += cnt
             if digest is not None:
                 # one on_delivery event per cell, folded from one table
                 ev = self._del_events[:cnt]
@@ -777,10 +765,10 @@ class _VectorRun:
             self._free_cells(dc)
             fwd_ids = (~deliver).nonzero()[0]
             if fwd_ids.size:
-                self._forward(cells[fwd_ids], recvs[fwd_ids], t,
+                self._forward(cells[fwd_ids], recvs[fwd_ids],
                               d[fwd_ids], emask[fwd_ids], esph)
         elif cells.size:
-            self._forward(cells, recvs, t, d, emask, esph)
+            self._forward(cells, recvs, d, emask, esph)
         engine._in_flight_payload -= cells.size
 
     def _next_hops(self, fc, rv, dd, emask, esph):
@@ -878,7 +866,7 @@ class _VectorRun:
         # the pick-th tie sits after exactly the positions ranked <= pick
         return (rank <= pick).sum(axis=0)
 
-    def _forward(self, fc, rv, t, dd, emask, esph) -> None:
+    def _forward(self, fc, rv, dd, emask, esph) -> None:
         """Enqueue forwarded cells at their receivers.
 
         ``dd`` is the cells' destination column (already gathered by the
@@ -891,7 +879,6 @@ class _VectorRun:
         lin *= self.n
         lin += rv
         self.c_sphase[fc] = hint
-        self.c_enqat[fc] = t
         tail = self.qf_tail
         qlen = self.qf_len
         peak = self.qf_peak
@@ -946,7 +933,6 @@ class _VectorRun:
         V[6] = t                    # created at
         V[7] = esph                 # spray phase hint
         V[8] = size                 # flow size
-        V[10] = t                   # enqueued at
         self._slab[:, rows] = V
         return rows
 

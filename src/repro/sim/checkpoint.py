@@ -83,8 +83,10 @@ __all__ = [
 
 #: bump on any change to the payload layout; old files self-heal as misses
 #: (3: integer tables and a JSON document instead of serialised objects;
-#: 4: the digest's running value is the two-level hash's, not FNV-1a's)
-CHECKPOINT_VERSION = 4
+#: 4: the digest's running value is the two-level hash's, not FNV-1a's;
+#: 5: a ``cells`` row has no enqueue slot, and ``metrics`` is the four
+#: entries a run reads — scalars, the two sample tallies, ``measuring``)
+CHECKPOINT_VERSION = 5
 
 _log = logging.getLogger("repro.checkpoint")
 

@@ -163,6 +163,12 @@ class SimConfig:
             raise ValueError("token budget must be >= 1")
         if self.tokens_per_header < 1:
             raise ValueError("need at least one token slot per header")
+        if self.metrics_sample_interval < 1:
+            raise ValueError(
+                f"metrics_sample_interval must be >= 1, "
+                f"got {self.metrics_sample_interval}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
     @property
     def uses_spray_short(self) -> bool:

@@ -121,7 +121,6 @@ class Engine:
         self.routing = make_router(config.routing, self.schedule, self.rng)
         self.flows = FlowTable()
         self.metrics = MetricsCollector(
-            config.n,
             sample_interval=config.metrics_sample_interval,
             warmup=config.warmup,
         )
@@ -637,8 +636,8 @@ class Engine:
         self.t = t + 1
 
     def _enter_measurement(self) -> None:
-        """Cross the end of warm-up: drop warm-up window state so the first
-        post-warmup throughput and telemetry windows start clean."""
+        """Cross the end of warm-up: start sampling, and re-baseline the
+        telemetry deltas so the first post-warmup window starts clean."""
         self.metrics.begin_measurement()
         if self.telemetry is not None:
             self.telemetry.resnapshot(self.metrics)

@@ -6,18 +6,17 @@ Collects everything the paper's evaluation reports:
 * per-node total buffer occupancy samples (Fig. 10/11 top rows report the
   99.99th percentile),
 * per-queue length high-water marks and samples (Figs. 15/16),
-* delivered-cell throughput over time (Figs. 8/12),
+* delivered payload cells (their time series is the telemetry
+  recorder's, :mod:`repro.obs.timeseries`; Figs. 8/12),
 * hardware resource proxies: maximum active buckets and PIEO occupancy
   (Figs. 7/13).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
-
-from .tables import table
 
 __all__ = ["MetricsCollector", "percentile"]
 
@@ -75,13 +74,11 @@ class MetricsCollector:
     more); the maxima are tracked exactly (updated on every enqueue).
     """
 
-    def __init__(self, n: int, sample_interval: int = 50, warmup: int = 0):
-        self.n = n
-        self.sample_interval = max(1, sample_interval)
+    def __init__(self, sample_interval: int = 50, warmup: int = 0):
+        self.sample_interval = sample_interval
         self.warmup = warmup
         # exact counters
         self.cells_injected = 0
-        self.cells_delivered = 0
         self.payload_cells_delivered = 0
         self.cells_sent = 0
         self.dummy_cells_sent = 0
@@ -100,14 +97,9 @@ class MetricsCollector:
         self.max_buffer_occupancy = 0
         self.max_active_buckets = 0
         self.max_pieo_length = 0
-        # throughput time series: delivered payload cells per sample window
-        self.throughput_series: List[int] = []
-        self._window_delivered = 0
         #: whether the measured interval has begun (False only while a
         #: non-zero warm-up is still running; see :meth:`begin_measurement`)
         self._measuring = warmup <= 0
-        # per-destination delivered counts (failure experiment)
-        self.delivered_per_node: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # event hooks (hot path — keep them light)
@@ -126,11 +118,8 @@ class MetricsCollector:
         self.cells_dropped += count
         self.wire_losses += count
 
-    def on_cell_delivered(self, dst: int) -> None:
-        self.cells_delivered += 1
-        self.payload_cells_delivered += 1
-        self._window_delivered += 1
-        self.delivered_per_node[dst] = self.delivered_per_node.get(dst, 0) + 1
+    def on_cell_delivered(self, count: int = 1) -> None:
+        self.payload_cells_delivered += count
 
     def on_drop(self, count: int = 1) -> None:
         self.cells_dropped += count
@@ -145,15 +134,13 @@ class MetricsCollector:
     # periodic sampling
 
     def begin_measurement(self) -> None:
-        """Enter the measured interval (called once, at the end of warm-up).
+        """Enter the measured interval (called once, at the end of warm-up,
+        the slot the first window closes).
 
-        Deliveries during warm-up still increment the cumulative counters,
-        but must not contaminate the first post-warmup throughput window —
-        without this reset, ``throughput_series[0]`` silently included
-        every cell delivered since t=0.
+        The cumulative counters run on; the telemetry recorder re-baselines
+        its window deltas at the same slot (``Engine._enter_measurement``).
         """
         self._measuring = True
-        self._window_delivered = 0
 
     @property
     def buffer_counts(self) -> np.ndarray:
@@ -180,10 +167,10 @@ class MetricsCollector:
         ``queue_lengths`` the length of every non-empty link queue
         (node-major, link-minor), ``pieo_peak`` the highest occupancy any
         send queue has reached and ``active_buckets`` the most active
-        buckets at any node now.  Both arrays are sampled, the maxima are
-        raised and the throughput window is closed.  Returns the window's
-        instantaneous populations ``(queued, max_queue, max_buffer)`` for
-        the telemetry row, so they come from the same two arrays.
+        buckets at any node now.  Both arrays are sampled and the maxima
+        are raised.  Returns the window's instantaneous populations
+        ``(queued, max_queue, max_buffer)`` for the telemetry row, so they
+        come from the same two arrays.
         """
         buffers = np.asarray(buffers, dtype=np.int64)
         queue_lengths = np.asarray(queue_lengths, dtype=np.int64)
@@ -199,13 +186,7 @@ class MetricsCollector:
             self.max_pieo_length = pieo_peak
         if active_buckets > self.max_active_buckets:
             self.max_active_buckets = active_buckets
-        self.end_sample_window()
         return int(buffers.sum()), max_queue, max_buffer
-
-    def end_sample_window(self) -> None:
-        """Close a throughput accounting window."""
-        self.throughput_series.append(self._window_delivered)
-        self._window_delivered = 0
 
     # ------------------------------------------------------------------ #
     # summary statistics
@@ -230,7 +211,7 @@ class MetricsCollector:
 
     #: counters and maxima captured verbatim by checkpoints
     _SCALAR_FIELDS = (
-        "cells_injected", "cells_delivered", "payload_cells_delivered",
+        "cells_injected", "payload_cells_delivered",
         "cells_sent", "dummy_cells_sent", "cells_dropped", "wire_losses",
         "cells_trimmed", "retransmissions", "tokens_sent",
         "control_messages", "max_queue_length", "max_buffer_occupancy",
@@ -246,36 +227,24 @@ class MetricsCollector:
             # never written in place: close_window rebinds both tallies
             "buffer_counts": self._buffer_counts,
             "queue_counts": self._queue_counts,
-            "throughput_series": np.array(self.throughput_series,
-                                          dtype=np.int64),
-            "window_delivered": int(self._window_delivered),
             "measuring": self._measuring,
-            "delivered_per_node": table(
-                sorted(self.delivered_per_node.items()), 2),
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output *in place*.
-
-        The collector object is aliased by the engine and every node, so
-        its containers are mutated rather than replaced.
-        """
+        """Restore :meth:`state_dict` output *in place*: the collector
+        object is aliased by the engine and every node."""
         for name, value in state["scalars"].items():
             setattr(self, name, value)
         self._buffer_counts = state["buffer_counts"]
         self._queue_counts = state["queue_counts"]
-        self.throughput_series[:] = state["throughput_series"].tolist()
-        self._window_delivered = state["window_delivered"]
         self._measuring = state["measuring"]
-        self.delivered_per_node.clear()
-        self.delivered_per_node.update(state["delivered_per_node"].tolist())
 
     def summary(self) -> Dict[str, float]:
         """A flat dictionary of headline statistics."""
         return {
             "cells_injected": float(self.cells_injected),
             "cells_sent": float(self.cells_sent),
-            "cells_delivered": float(self.cells_delivered),
+            "cells_delivered": float(self.payload_cells_delivered),
             "dummy_cells": float(self.dummy_cells_sent),
             "drops": float(self.cells_dropped),
             "wire_losses": float(self.wire_losses),

@@ -18,7 +18,7 @@ attribution — that is byte-identical across runs with the same seed.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["RunMonitor", "ConservationError"]
 
@@ -30,9 +30,10 @@ class ConservationError(RuntimeError):
 class RunMonitor:
     """Watchdog attached to an :class:`~repro.sim.engine.Engine`.
 
+    Conservation is checked every ``metrics_sample_interval`` slots of
+    the engine's config.
+
     Args:
-        check_interval: slots between conservation checks (default: the
-            engine's ``metrics_sample_interval``).
         stall_window_epochs: epochs without any progress (while payload
             backlog exists) before a stall is recorded.
         strict: raise :class:`ConservationError` on the first violation
@@ -45,11 +46,9 @@ class RunMonitor:
         print(monitor.format_report())
     """
 
-    def __init__(self, check_interval: Optional[int] = None,
-                 stall_window_epochs: int = 50, strict: bool = False):
+    def __init__(self, stall_window_epochs: int = 50, strict: bool = False):
         if stall_window_epochs < 1:
             raise ValueError("stall window must be at least one epoch")
-        self.check_interval = check_interval
         self.stall_window_epochs = stall_window_epochs
         self.strict = strict
         self._engine = None
@@ -68,8 +67,7 @@ class RunMonitor:
         """Hook this monitor into ``engine`` and return it."""
         self._engine = engine
         engine.monitor = self
-        self._interval = self.check_interval \
-            or engine.config.metrics_sample_interval
+        self._interval = engine.config.metrics_sample_interval
         self._stall_slots = self.stall_window_epochs * engine.schedule.epoch_length
         self._last_progress_t = engine.t
         # a restored engine may carry monitor state from its checkpoint,

@@ -833,13 +833,7 @@ class Node:
         """Final-hop delivery: reorder queue + flow accounting + pulls."""
         engine = self.engine
         # on_cell_delivered, inlined (this runs once per delivered cell)
-        metrics = self._metrics
-        metrics.cells_delivered += 1
-        metrics.payload_cells_delivered += 1
-        metrics._window_delivered += 1
-        per_node = metrics.delivered_per_node
-        nid = self.node_id
-        per_node[nid] = per_node.get(nid, 0) + 1
+        self._metrics.payload_cells_delivered += 1
         if engine.digest is not None:
             engine.digest.on_delivery(cell, t)
         if engine.tracer is not None:
@@ -959,7 +953,6 @@ class Node:
         if self.is_ndp and len(items) >= self.config.ndp_queue_limit:
             self._trim(cell, t)
             return
-        cell.enqueued_at = t
         if self._is_priority:
             # ranked push (the only mode with non-zero ranks)
             queue.push(

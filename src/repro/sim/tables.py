@@ -31,8 +31,7 @@ CTRL_KINDS = ("pull", "trim", "rtx", "probe")
 
 #: ``Cell.state()``'s fields, in its order
 _CELL = ("src", "dst", "flow_id", "seq", "sprays_remaining", "prev_hop",
-         "created_at", "spray_phase", "flow_size", "dummy", "hops",
-         "enqueued_at")
+         "created_at", "spray_phase", "flow_size", "dummy", "hops")
 _CTRL = ("kind", "flow_id", "src", "dst", "seq", "sprays_remaining")
 
 #: table -> columns.  A node has ``L = h * (r - 1)`` links; queue ``q`` is

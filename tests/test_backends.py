@@ -45,6 +45,7 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.config import SimConfig
+from repro.sim.digest import DeterminismDigest
 from repro.sim.engine import Engine
 from repro.sim.monitor import RunMonitor
 from repro.workloads.generators import permutation_workload
@@ -880,6 +881,64 @@ class TestSlabTables:
         del result
         gc.collect()
         assert tables() is None and nbr() is None
+
+
+class TestCellLayout:
+    """One cell layout, written three times: ``Cell.state()``, the plain
+    model's ``cells`` table and the slab's columns (the table's order
+    without ``dummy``, which the slab never holds, plus ``nxt``)."""
+
+    #: slab column -> the ``Cell`` field it holds
+    SLAB_FIELD = {
+        "c_src": "src", "c_dst": "dst", "c_fid": "flow_id", "c_seq": "seq",
+        "c_sprays": "sprays_remaining", "c_prev": "prev_hop",
+        "c_created": "created_at", "c_sphase": "spray_phase",
+        "c_fsize": "flow_size", "c_hops": "hops",
+    }
+
+    def test_every_field_lands_where_its_name_says(self):
+        names = tuple(tables.TABLES["cells"])
+        # a cell holding a value of its own in every field
+        values = {name: 100 + i for i, name in enumerate(names)}
+        values["dummy"] = False
+        cell = Cell(0, 0)
+        for name, value in values.items():
+            setattr(cell, name, value)
+        state = cell.state()
+        assert state == tuple(values[name] for name in names)
+        restored = Cell.from_state(state)
+        assert {name: getattr(restored, name) for name in names} == values
+
+        assert vector_mod._SLAB_COLS == tuple(self.SLAB_FIELD) + ("c_nxt",)
+        assert [self.SLAB_FIELD[column]
+                for column in vector_mod._SLAB_COLS[:-1]] == [
+            name for name in names if name != "dummy"]
+        # a queued ``cells`` row packs into the columns its names say and
+        # exports back as it was
+        engine = Engine(SimConfig(n=16, h=2, congestion_control="none",
+                                  backend="vector"))
+        run = vector_mod._VectorRun(
+            engine, vector_mod._SlabTables(engine.schedule, engine.coords))
+        model = tables.idle(16, run.L)
+        model["queues"][0, tables.col("queues", "len")] = 1
+        model["cells"] = np.array([state], dtype=np.int64)
+        assert run.pack(model) is None
+        row = run.Ln  # the first row past the queue sentinels
+        for column, field in self.SLAB_FIELD.items():
+            assert getattr(run, column)[row] == values[field], column
+        assert run.export_model()["cells"].tolist() == [list(state)]
+
+        # the delivery gather is the digest's delivery event, field by field
+        class Recording(DeterminismDigest):
+            __slots__ = ("event",)
+
+            def _fold(self, ints):
+                self.event = tuple(ints)
+
+        digest = Recording()
+        digest.on_delivery(cell, 7)
+        gathered = run._slab[vector_mod._DELIVERY_FIELDS, [row]][:, 0]
+        assert gathered.tolist() == list(digest.event[1:6])
 
 
 class TestGoldenTracesOnVectorBackend:

@@ -231,15 +231,20 @@ HOSTILE = {
     "version-2-pickle-era": (
         lambda parts, sentinel: _sealed(pickle.dumps(
             {"version": 2, "config": _Planted(sentinel), "state": {}})),
-        r"unsupported checkpoint version.*: 2 or earlier \(want 4\)"),
+        r"unsupported checkpoint version.*: 2 or earlier \(want 5\)"),
     # a v3 file's digest value is FNV-1a state: continuing it with the
     # two-level hash would give a digest that matches nothing
     "version-3-fnv-digest": (
         lambda parts, _: _sealed(b"3\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 3 \(want 4\)"),
+        r"unsupported checkpoint version.*: 3 \(want 5\)"),
+    # a v4 file's cells carry a twelfth column and its metrics two records
+    # no v5 reader has a place for
+    "version-4-unread-records": (
+        lambda parts, _: _sealed(b"4\n", *parts[2:4]),
+        r"unsupported checkpoint version.*: 4 \(want 5\)"),
     "version-99": (
         lambda parts, _: _sealed(b"99\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 99 \(want 4\)"),
+        r"unsupported checkpoint version.*: 99 \(want 5\)"),
     "flipped-byte": (_flipped, "integrity"),
     "section-overruns-file": (
         _section(2, [10**6, 12]),
@@ -353,9 +358,9 @@ class TestSnapshotIsTheSizeOfTheNetwork:
     def test_metrics_state_stops_growing_with_the_clock(self):
         """A long run's collector state is counts, not history: between
         t = 5 000 and t = 20 000 of a live hbh+spray session the arrays of
-        the ``metrics`` section grow by its ``throughput_series`` entry
-        (one int per window, read by the figures) and a few tally slots —
-        no raw sample, no per-cell list.  The key set is the format."""
+        the ``metrics`` section grow by a few tally slots at most — no raw
+        sample, no per-window or per-destination list.  The key set is the
+        format."""
         cfg = SimConfig(n=16, h=2, seed=1, congestion_control="hbh+spray",
                         metrics_sample_interval=50)
         session = open_session(
@@ -364,23 +369,55 @@ class TestSnapshotIsTheSizeOfTheNetwork:
         def sizes(horizon):
             session.advance_to(horizon)
             metrics = session.engine.snapshot().state["metrics"]
-            arrays = {name: held.nbytes for name, held in metrics.items()
-                      if isinstance(held, np.ndarray)}
-            return sum(arrays.values()), arrays["throughput_series"]
+            return sum(held.nbytes for held in metrics.values()
+                       if isinstance(held, np.ndarray))
 
-        early, early_series = sizes(5_000)
-        late, late_series = sizes(20_000)
-        assert late - early <= late_series - early_series + 256
+        early = sizes(5_000)
+        assert sizes(20_000) - early <= 256
         metrics = session.engine.metrics
         state = metrics.state_dict()
         assert set(state) == {
-            "scalars", "buffer_counts", "queue_counts", "throughput_series",
-            "window_delivered", "measuring", "delivered_per_node",
+            "scalars", "buffer_counts", "queue_counts", "measuring",
         }
         # canonical: dense, trimmed to the largest value ever sampled
         assert state["buffer_counts"][-1] > 0
         assert len(state["queue_counts"]) == metrics.queue_counts.size \
             <= metrics.max_queue_length + 1
+
+
+def _simulate_every(tmp_path, every):
+    from repro.api import simulate
+
+    simulate(SimConfig(n=16, h=2, duration=10), checkpoint=tmp_path / "s.ckpt",
+             checkpoint_every=every)
+
+
+def _session_every(tmp_path, every):
+    open_session(SimConfig(n=16, h=2), checkpoint=tmp_path / "s.ckpt",
+                 checkpoint_every=every)
+
+
+def _experiment_every(tmp_path, every):
+    from repro.experiments.common import experiment_entrypoint
+
+    @experiment_entrypoint
+    def run():
+        return {}
+
+    run(checkpoint_dir=tmp_path, checkpoint_every=every)
+
+
+class TestCheckpointInterval:
+    @pytest.mark.parametrize("every", [0, -1])
+    @pytest.mark.parametrize("entry", [
+        _simulate_every, _session_every, _experiment_every,
+    ], ids=["simulate", "open_session", "experiment_entrypoint"])
+    def test_interval_below_one_is_refused(self, tmp_path, entry, every):
+        """Regression: ``checkpoint_every=0`` used to read as "unset" and
+        become the 100 000-slot default at all three entry points; only
+        None means the default."""
+        with pytest.raises(ValueError, match="checkpoint interval"):
+            entry(tmp_path, every)
 
 
 class TestCellScope:

@@ -52,6 +52,18 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(tokens_per_header=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("metrics_sample_interval", 0),
+        ("metrics_sample_interval", -3),
+        ("warmup", -5),
+    ])
+    def test_sampling_fields_rejected(self, field, value):
+        """Regression: a zero sample interval was accepted, clamped to 1 by
+        the metrics collector and then crashed a monitored run at slot 0
+        (``t % 0`` in the monitor's check)."""
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
     @pytest.mark.parametrize(
         "cc,spray,hbh",
         [

@@ -147,8 +147,8 @@ class TestIsd:
         senders = list(range(1, 13))
         engine = Engine(cfg, workload=incast_workload(cfg, 0, senders, 500))
         engine.run()
-        delivered = engine.metrics.delivered_per_node.get(0, 0)
-        rate = delivered / cfg.duration
+        # an incast: every delivered cell is the receiver's
+        rate = engine.metrics.payload_cells_delivered / cfg.duration
         cap = cfg.isd_rate_factor / (2 * cfg.h)
         assert rate <= cap * 1.15  # small slack for startup burstiness
 

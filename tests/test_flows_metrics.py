@@ -147,18 +147,18 @@ class TestPercentile:
 
 class TestMetricsCollector:
     def test_counters(self):
-        m = MetricsCollector(n=4)
-        m.on_cell_delivered(0)
+        m = MetricsCollector()
+        m.on_cell_delivered()
         m.on_drop()
         m.on_trim()
         m.on_retransmission()
-        assert m.cells_delivered == 1
+        assert m.payload_cells_delivered == 1
         assert m.cells_dropped == 1
         assert m.cells_trimmed == 1
         assert m.retransmissions == 1
 
     def test_queue_max_tracking(self):
-        m = MetricsCollector(n=4)
+        m = MetricsCollector()
         for lengths in ([3], [7, 1], [2]):
             m.close_window([sum(lengths)], lengths, 0, 0)
         assert m.max_queue_length == 7
@@ -173,7 +173,7 @@ class TestMetricsCollector:
         recorder = TimeSeriesRecorder().attach(engine)
         engine.run()
         assert recorder.column("t").tolist() == [20, 30]
-        assert engine.metrics.throughput_series == [0, 0]
+        assert recorder.column("delivered").tolist() == [0, 0]
         assert engine.metrics.buffer_counts.sum() == 2 * 16
 
     @pytest.mark.parametrize("windows, populations, buffer_p50, state", [
@@ -205,42 +205,32 @@ class TestMetricsCollector:
     ])
     def test_close_window(self, windows, populations, buffer_p50, state):
         """Same maxima, same sample tallies (``counts[v]`` samples equal
-        to ``v``, no longer than the largest one), window closed —
-        whichever pipeline computed the four inputs.  ``populations`` is
-        what the last window returns for the telemetry row."""
-        m = MetricsCollector(n=4)
+        to ``v``, no longer than the largest one) — whichever pipeline
+        computed the four inputs.  ``populations`` is what the last window
+        returns for the telemetry row."""
+        m = MetricsCollector()
         for window in windows:
             returned = m.close_window(*window)
         assert returned == populations
         assert m.buffer_occupancy_percentile(50) == buffer_p50
         assert m.queue_length_percentile(99) <= m.max_queue_length
-        assert m.throughput_series == [0] * len(windows)
         for name, value in state.items():
             got = getattr(m, name)
             assert (got.tolist() if hasattr(got, "tolist") else got) \
                 == value, name
 
     def test_throughput_accounting(self):
-        m = MetricsCollector(n=2)
+        m = MetricsCollector()
         for _ in range(10):
-            m.on_cell_delivered(1)
+            m.on_cell_delivered()
         assert m.mean_throughput_cells_per_slot(duration=5, n=2) == 1.0
         assert m.mean_throughput_cells_per_slot(duration=0, n=2) == 0.0
 
     def test_summary_keys(self):
-        m = MetricsCollector(n=2)
+        m = MetricsCollector()
         summary = m.summary()
         for key in ("cells_sent", "max_queue_length", "buffer_p9999"):
             assert key in summary
-
-    def test_throughput_series_windows(self):
-        m = MetricsCollector(n=2)
-        m.on_cell_delivered(0)
-        m.end_sample_window()
-        m.on_cell_delivered(0)
-        m.on_cell_delivered(0)
-        m.end_sample_window()
-        assert m.throughput_series == [1, 2]
 
     @given(
         st.lists(st.tuples(
@@ -258,7 +248,7 @@ class TestMetricsCollector:
         after every window both percentile methods answer what
         ``np.percentile(samples, q, method="lower")`` does over everything
         sampled so far, and 0.0 while that is nothing."""
-        m = MetricsCollector(n=4)
+        m = MetricsCollector()
         buffers, queues = [], []
         for window in [([], [])] + windows:
             m.close_window(*window, 0, 0)

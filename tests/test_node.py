@@ -61,7 +61,7 @@ class TestRxPath:
         cell.flow_id = flow.flow_id
         node.receive(Transmission(1, 0, cell), t=5, phase=0)
         assert len(engine.flows.completed) == 1
-        assert engine.metrics.cells_delivered == 1
+        assert engine.metrics.payload_cells_delivered == 1
 
     def test_dummy_cells_not_forwarded(self):
         engine = make_engine()

@@ -81,8 +81,6 @@ class TestTimeSeries:
         # every window delta is non-negative (counters are monotonic)
         for name in ("delivered", "injected", "sent", "dummies", "tokens"):
             assert min(recorder.column(name), default=0) >= 0
-        # the recorder mirrors the metrics collector's own window series
-        assert recorder.column("delivered").tolist() == m.throughput_series
 
     def test_to_dict_is_json_serialisable(self):
         engine = make_engine(duration=300)
@@ -159,18 +157,18 @@ class TestTimeSeries:
 
 class TestWarmupBoundary:
     def test_first_window_excludes_warmup_deliveries(self):
-        """Regression: ``throughput_series[0]`` once absorbed every cell
-        delivered since t=0 when ``warmup > 0``."""
+        """Regression: the first window's ``delivered`` once absorbed every
+        cell delivered since t=0 when ``warmup > 0``."""
         warmup = 200
         engine = make_engine(duration=601, warmup=warmup, sample_interval=50)
+        recorder = TimeSeriesRecorder().attach(engine)
         engine.run(warmup)  # slots 0..199: warm-up only
         delivered_before = engine.metrics.payload_cells_delivered
         assert delivered_before > 0, "warm-up must deliver something"
-        assert engine.metrics.throughput_series == []
+        assert len(recorder) == 0
         engine.run(601 - warmup)  # slots 200..600; windows close at 200..600
-        m = engine.metrics
-        assert sum(m.throughput_series) == (
-            m.payload_cells_delivered - delivered_before
+        assert sum(recorder.column("delivered")) == (
+            engine.metrics.payload_cells_delivered - delivered_before
         )
 
     def test_telemetry_rebaselined_at_warmup(self):
@@ -178,23 +176,7 @@ class TestWarmupBoundary:
         engine = make_engine(duration=601, warmup=warmup, sample_interval=50)
         recorder = TimeSeriesRecorder().attach(engine)
         engine.run(engine.config.duration)
-        m = engine.metrics
-        # recorder windows must agree with the (fixed) metrics windows
-        assert recorder.column("delivered").tolist() == m.throughput_series
         assert recorder.column("t").tolist() == list(range(200, 601, 50))
-
-    def test_begin_measurement_resets_window(self):
-        from repro.sim.metrics import MetricsCollector
-
-        m = MetricsCollector(n=4, warmup=100)
-        assert not m._measuring
-        m.on_cell_delivered(0)
-        m.on_cell_delivered(1)
-        m.begin_measurement()
-        m.on_cell_delivered(2)
-        m.end_sample_window()
-        assert m.throughput_series == [1]
-        assert m.payload_cells_delivered == 3
 
 
 # --------------------------------------------------------------------- #

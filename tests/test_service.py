@@ -520,6 +520,28 @@ class TestControlPlane:
         assert result.summary["cells_delivered"] > 0
 
 
+class TestServeArguments:
+    @pytest.mark.parametrize("flag, field", [
+        ("--sample-interval", "metrics_sample_interval"),
+        ("--checkpoint-every", "checkpoint interval"),
+    ])
+    def test_bad_interval_fails_before_binding(self, flag, field,
+                                               monkeypatch, tmp_path):
+        """``serve --sample-interval 0`` used to start a service whose
+        first monitored slot divided by zero, and ``--checkpoint-every 0``
+        one that snapshotted every 100 000 slots; both are refused while
+        the arguments are read, before any port is bound."""
+        from repro.service import server as server_mod
+
+        def bind(*args, **kwargs):
+            raise AssertionError("a port was bound")
+
+        monkeypatch.setattr(server_mod, "ServiceServer", bind)
+        with pytest.raises(ValueError, match=field):
+            server_mod.main([flag, "0",
+                             "--checkpoint", str(tmp_path / "s.ckpt")])
+
+
 @pytest.mark.slow
 class TestServeSubprocess:
     """The full CLI: spawn, drive, kill -9, resume from the checkpoint."""
