@@ -59,13 +59,13 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ...core.cell import Cell
+from .. import tables
 from ..node import Transmission
 from ..parallel import ShardCrash, ShardWorkerError, get_shard_pool
 from . import EngineBackend, default_shards, register_backend
 from .object_backend import advance as advance_reference
 from .vector import (
     _EV_DELIVERY,
-    _SLAB_COLS,
     _SlabTables,
     _VectorRun,
     _fast_ineligible_reason,
@@ -74,8 +74,11 @@ from .vector import (
 
 __all__ = ["ShardBackend", "shard_ranges"]
 
-#: a cell's slab columns: all but the trailing ``nxt`` pointer
-_CELL_COLS = len(_SLAB_COLS) - 1
+#: the fields of a slab record a message carries, as a ``(fields, cells)``
+#: column block: all but ``dummy``, which is 0 on the slab
+_MSG_FIELDS = np.array([i for i, name in enumerate(tables.TABLES["cells"])
+                        if name != "dummy"])
+_CELL_COLS = _MSG_FIELDS.size
 
 #: what a worker records per delivered cell when a digest is attached:
 #: slot and sender (the merge order) plus the delivery event's fields
@@ -249,7 +252,7 @@ class _WorkerRun(_VectorRun):
         self._init_slab(m + wire_total)
         nid = self.Ln
         if m:
-            self._slab[:-1, nid:nid + m] = qcols
+            self._put_cols(np.arange(nid, nid + m), qcols)
         # rebuild the per-queue linked lists over the consecutive rows
         nxt = self.c_nxt
         q_len = self.q_len
@@ -284,7 +287,7 @@ class _WorkerRun(_VectorRun):
             w = senders.size
             rows = np.arange(nid, nid + w, dtype=np.int64)
             if w:
-                self._slab[:-1, rows] = cols
+                self._put_cols(rows, cols)
                 nxt[rows] = -1
                 self.rxbuf[arr] = (senders, rows, recvs, esph)
                 self.init_arrs.append(arr)
@@ -324,6 +327,17 @@ class _WorkerRun(_VectorRun):
         }
         self.bg = np.random.MT19937()
         self.bg.state = self.rng_prestate
+
+    # ------------------------------------------------------------------ #
+    # message blocks <-> slab records
+
+    def _cols(self, rows: np.ndarray) -> np.ndarray:
+        """The ``(_CELL_COLS, k)`` message block of slab rows ``rows``."""
+        return self._slab[rows][:, _MSG_FIELDS].T
+
+    def _put_cols(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Write the message block ``cols`` into slab rows ``rows``."""
+        self._slab[rows[:, None], _MSG_FIELDS] = cols.T
 
     # ------------------------------------------------------------------ #
     # the draw stash: _forward/_next_hops call _draw for spraying cells;
@@ -524,7 +538,7 @@ class _WorkerRun(_VectorRun):
                     entry["own"] = (senders[mask], cells[mask])
                 else:
                     entry["ents"][j] = (
-                        senders[mask], self._slab[:-1, cells[mask]]
+                        senders[mask], self._cols(cells[mask])
                     )
             self._free_cells(cells[~own_mask])
         self.m_sent += m
@@ -631,7 +645,7 @@ class _WorkerRun(_VectorRun):
                     if ent is not None:
                         senders, cols = ent
                         rows = self._alloc(senders.size)
-                        self._slab[:-1, rows] = cols
+                        self._put_cols(rows, cols)
                         self.c_nxt[rows] = -1
                         ent = (senders, rows)
                 if lv:
@@ -694,16 +708,13 @@ class _WorkerRun(_VectorRun):
         wire = []
         for arr in sorted(self.rxbuf):
             senders, rows, recvs, _ = self.rxbuf[arr]
-            wire.append((arr, senders, self._slab[:-1, rows], recvs))
+            wire.append((arr, senders, self._cols(rows), recvs))
         fid_nz = np.flatnonzero(self.f_del[: self.f_cap])
         return {
             "queues": {
                 "counts": counts,
                 "peaks": self.q_peak[:, lo:hi].T.copy(),
-                "cols": (
-                    self._slab[:-1, ra] if ra.size
-                    else np.empty((_CELL_COLS, 0), dtype=np.int64)
-                ),
+                "cols": self._cols(ra),
             },
             "cursor": {
                 "has": self.has_flow[lo:hi].copy(),

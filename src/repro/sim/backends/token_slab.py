@@ -80,20 +80,21 @@ class TokenRun(_VectorRun):
         self.tq_len = np.zeros(self.Ln, dtype=np.int64)
         # the link on which the batch being received reaches its senders
         self._rx_back = 0
-        # per-slot TX scratch: the cell each node sends (-1: none) and
-        # whether it is a fresh emission
-        self._cell_of = np.empty(n, dtype=np.int64)
+        # per-slot TX scratch: whether the cell a node sends (``_cell_of``,
+        # -1: none) is a fresh emission
         self._fresh = np.zeros(n, dtype=bool)
-        # digest rows for on_tokens: [tag, sender, receiver, t, (dest,
-        # sprays, kind) per token]
-        self._tok_events = np.empty((n, 4 + 3 * self.tph), dtype=np.int64)
-        self._tok_events[:, 0] = _EV_TOKENS
         self._tok_field = np.arange(4 + 3 * self.tph)
         self._header_slot = np.arange(self.tph)
 
+    def _event_width(self) -> int:
+        # on_tokens rows: [tag, sender, receiver, t, (dest, sprays, kind)
+        # per token], never narrower than a delivery's
+        return max(super()._event_width(),
+                   4 + 3 * self.engine.config.tokens_per_header)
+
     # ------------------------------------------------------------------ #
-    # slab management: one more per-cell column, outside the 2-D block so
-    # the cc="none" emission scatter keeps its shape
+    # slab management: one more per-cell column, beside the record block,
+    # whose rows stay exactly the ``cells`` table's
 
     def _init_slab(self, count: int) -> None:
         super()._init_slab(count)
@@ -539,17 +540,17 @@ class TokenRun(_VectorRun):
             metrics.tokens_sent += int(taken.sum())
             if engine.digest is not None:
                 # one on_tokens event per token-bearing header, in sender
-                # order (``owing`` is ascending), folded from one table
-                # whose rows are zero past their header's tokens
-                ev = self._tok_events[:owing.size]
+                # order (``owing`` is ascending), each row zero past its
+                # header's tokens
+                width = 4 + 3 * taken
+                ev = self._events(owing.size, width)
+                ev[:, 0] = _EV_TOKENS
                 ev[:, 1] = owing
                 ev[:, 2] = nb[owing]
                 ev[:, 3] = t
                 ev[:, 4::3], ev[:, 5::3] = np.divmod(codes, self.h)
                 ev[:, 6::3] = TOKEN_REGULAR
-                width = 4 + 3 * taken
                 ev[self._tok_field >= width[:, None]] = 0
-                engine.digest.fold_table(ev, width)
         self.batches.append((
             t + self.delay, senders, cell_of[senders], nb[senders],
             self._fresh[senders], esph, tokens, self.back[link],

@@ -4,11 +4,13 @@ Instead of one Python object pipeline per node per slot, this backend keeps
 the whole network's mutable hot state in flat int64 columns and advances
 every node in a timeslot with a handful of array operations:
 
-* **cell slab** — one row per live cell, holding the ten integer fields
-  of :class:`~repro.core.cell.Cell` plus a ``nxt`` pointer that threads
-  cells into per-(node, link) FIFO linked lists (the queue ``head`` /
-  ``tail`` / ``qlen`` / ``peak`` columns are ``(L, n)`` arrays, one row per
-  link index).  A freelist recycles slab rows as cells are delivered.
+* **cell slab** — one record per live cell: a row of the plain model's
+  ``cells`` table, i.e. :meth:`~repro.core.cell.Cell.state` (``dummy`` is
+  always 0 here), so a hop reads and writes one record, not one entry in
+  each of eleven columns.  A separate ``nxt`` column threads cells into
+  per-(node, link) FIFO linked lists (the queue ``head`` / ``tail`` /
+  ``qlen`` / ``peak`` columns are ``(L, n)`` arrays, one row per link
+  index).  A freelist recycles slab rows as cells are delivered.
 * **flow cursors** — per-node columns for the currently emitting flow
   (id, dst, sent, size) with the waiting flows in per-node Python lists;
   per-flow ``delivered`` / ``size`` columns detect completions by array
@@ -66,28 +68,31 @@ from .object_backend import advance as advance_reference
 
 __all__ = ["VectorBackend"]
 
-#: slab column names, in Cell.state() order (minus ``dummy``, always False
-#: on the fast path) plus the queue linked-list pointer
-_SLAB_COLS = (
-    "c_src", "c_dst", "c_fid", "c_seq", "c_sprays", "c_prev",
-    "c_created", "c_sphase", "c_fsize", "c_hops", "c_nxt",
-)
-
-#: where a ``cells`` row carries ``dummy`` — the one field the slab has no
-#: column for; it sits just before ``hops`` — and the spray-phase hint
-_STATE_DUMMY = tables.col("cells", "dummy")
-_STATE_SPHASE = tables.col("cells", "spray_phase")
+#: a slab record is one ``cells`` table row; its fields are read through
+#: these column views (``dummy``, always 0 on the slab, has none)
+_FIELDS = {
+    "c_src": "src", "c_dst": "dst", "c_fid": "flow_id", "c_seq": "seq",
+    "c_sprays": "sprays_remaining", "c_prev": "prev_hop",
+    "c_created": "created_at", "c_sphase": "spray_phase",
+    "c_fsize": "flow_size", "c_hops": "hops",
+}
+_WIDTH = len(tables.TABLES["cells"])
+_SRC, _DST, _FID, _SEQ, _SPRAYS, _PREV, _CREATED, _SPHASE, _FSIZE, _HOPS = (
+    tables.col("cells", field) for field in _FIELDS.values())
+_DUMMY = tables.col("cells", "dummy")
 #: a token-only dummy's ``cells`` row (a wire row with no slab row)
 _DUMMY_CELL = np.array(Cell.make_dummy(0, 0).state(), dtype=np.int64)
 _LEN, _PEAK = tables.col("queues", "len"), tables.col("queues", "peak")
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
-#: slab columns of a delivery event's fields, in on_delivery order
-#: (flow id, seq, src, dst, hops), shaped to gather a (5, k) block
-_DELIVERY_FIELDS = np.array(
-    [_SLAB_COLS.index(name)
-     for name in ("c_fid", "c_seq", "c_src", "c_dst", "c_hops")]
-)[:, None]
+#: record fields of a delivery event, in on_delivery order (flow id, seq,
+#: src, dst, hops); the event is [tag, *fields, t]
+_DELIVERY_FIELDS = np.array([_FID, _SEQ, _SRC, _DST, _HOPS])
+_DELIVERY_WIDTH = 2 + _DELIVERY_FIELDS.size
+
+#: digest rows a run collects before folding them in one ``fold_table``
+#: call (the rest fold at every sync)
+_DIGEST_BLOCK = 4096
 
 
 #: what ``pack()`` reports when a queued or in-flight cell carries state
@@ -292,19 +297,21 @@ class _VectorRun:
         self.f_size = np.zeros(self.f_cap, dtype=np.int64)
         # the wire: (arrival, senders, slab rows, receivers) per send slot
         self.batches: deque = deque()
-        # constant emission-mask views for single-kind wire batches
-        self._em_false = np.zeros(self.n, dtype=bool)
-        self._em_true = np.ones(self.n, dtype=bool)
-        # scratch: one column block per emission slot, scattered into the
-        # slab in a single 2-D write; its constant rows are written here
-        self._ev = np.empty((len(_SLAB_COLS), self.n), dtype=np.int64)
-        for name, value in (("c_sprays", self.hm1), ("c_hops", 1),
-                            ("c_nxt", -1)):
-            self._ev[_SLAB_COLS.index(name)] = value
-        # scratch: one digest row per delivery of a batch, [tag, flow id,
-        # seq, src, dst, hops, t]
-        self._del_events = np.empty((self.n, 7), dtype=np.int64)
-        self._del_events[:, 0] = _EV_DELIVERY
+        # scratch: the cell each node sends this slot, by node id
+        self._cell_of = np.empty(self.n, dtype=np.int64)
+        # scratch: one record per emission of a slot, scattered into the
+        # slab as whole rows; its constant fields are written here
+        self._new_rec = np.zeros((self.n, _WIDTH), dtype=np.int64)
+        self._new_rec[:, _SPRAYS] = self.hm1
+        self._new_rec[:, _HOPS] = 1
+        # digest rows waiting to be folded, in event order, each zero
+        # past its width: a delivery's [tag, flow id, seq, src, dst,
+        # hops, t], or a subclass's wider events
+        self._events_buf = np.zeros(
+            (_DIGEST_BLOCK + self.n, self._event_width()), dtype=np.int64)
+        self._events_widths = np.empty(len(self._events_buf),
+                                       dtype=np.int64)
+        self._events_held = 0
         # RNG mirror state (filled by _mirror_rng).  One run draws through
         # exactly one of two cursors over the mirrored word stream: uniform
         # spraying pre-filters bulk words at a fixed bit width (_draw);
@@ -330,28 +337,32 @@ class _VectorRun:
     def _init_slab(self, count: int) -> None:
         cap = self.Ln + max(1024, 2 * (count + self.n))
         self.cap = cap
-        # one (column, row) block; the per-column attributes are row views
-        # into it, so emissions can write every field of a cell with
-        # a single 2-D scatter.  Rows [0, Ln) are the queue sentinels.
-        self._slab = np.zeros((len(_SLAB_COLS), cap), dtype=np.int64)
-        for i, name in enumerate(_SLAB_COLS):
-            setattr(self, name, self._slab[i])
-        self.c_nxt.fill(-1)
-        self.heads2d = self.c_nxt[: self.Ln].reshape(self.L, self.n)
+        # one (row, field) block of records plus the list pointers; rows
+        # [0, Ln) are the queue sentinels, which use only ``c_nxt``
+        self._slab = np.zeros((cap, _WIDTH), dtype=np.int64)
+        self.c_nxt = np.full(cap, -1, dtype=np.int64)
+        self._bind_columns()
         self.free = np.empty(cap, dtype=np.int64)
         self.free_top = 0
+
+    def _bind_columns(self) -> None:
+        """Point the ``c_*`` column views and ``heads2d`` at the slab."""
+        for name, field in _FIELDS.items():
+            setattr(self, name, self._slab[:, tables.col("cells", field)])
+        self.heads2d = self.c_nxt[: self.Ln].reshape(self.L, self.n)
 
     def _grow_slab(self, need: int) -> None:
         old = self.cap
         cap = old * 2
         while cap - old < need:
             cap *= 2
-        slab = np.zeros((len(_SLAB_COLS), cap), dtype=np.int64)
-        slab[:, :old] = self._slab
+        slab = np.zeros((cap, _WIDTH), dtype=np.int64)
+        slab[:old] = self._slab
         self._slab = slab
-        for i, name in enumerate(_SLAB_COLS):
-            setattr(self, name, slab[i])
-        self.heads2d = self.c_nxt[: self.Ln].reshape(self.L, self.n)
+        nxt = np.full(cap, -1, dtype=np.int64)
+        nxt[:old] = self.c_nxt
+        self.c_nxt = nxt
+        self._bind_columns()
         self.free = np.concatenate(
             [self.free[: self.free_top], np.arange(old, cap, dtype=np.int64),
              np.zeros(old - self.free_top, dtype=np.int64)]
@@ -381,6 +392,34 @@ class _VectorRun:
             self.f_del = np.concatenate([self.f_del, pad])
             self.f_size = np.concatenate([self.f_size, pad])
             self.f_cap = cap
+
+    # ------------------------------------------------------------------ #
+    # digest rows: every event of a run goes into one buffer, in the order
+    # the object pipeline folds them, and is folded a block at a time
+
+    def _event_width(self) -> int:
+        """Fields of this stepper's widest digest event."""
+        return _DELIVERY_WIDTH
+
+    def _events(self, k: int, width) -> np.ndarray:
+        """The next ``k`` digest rows, ``width`` fields each (one int, or
+        one per row), for the caller to fill — with zeros past each row's
+        width.  Folds the held rows first once they make a block."""
+        held = self._events_held
+        if held >= _DIGEST_BLOCK:
+            self._fold_events()
+            held = 0
+        self._events_held = held + k
+        self._events_widths[held:held + k] = width
+        return self._events_buf[held:held + k]
+
+    def _fold_events(self) -> None:
+        """Fold the held digest rows, in order, into the engine's digest."""
+        held = self._events_held
+        if held:
+            self.engine.digest.fold_table(self._events_buf[:held],
+                                          self._events_widths[:held])
+            self._events_held = 0
 
     # ------------------------------------------------------------------ #
     # RNG mirror
@@ -536,10 +575,11 @@ class _VectorRun:
 
     def sync(self) -> None:
         """Write back everything that is not a node or a transmission, so
-        every engine-level attribute reads as after an object run: flow
-        cursors and delivery counts, and the RNG (``engine.t``, the counters
-        and the flow table are kept current by the slot loop itself).
-        Incremental: a second sync is free."""
+        every engine-level attribute reads as after an object run: the
+        digest rows still held, flow cursors and delivery counts, and the
+        RNG (``engine.t``, the counters and the flow table are kept current
+        by the slot loop itself).  Incremental: a second sync is free."""
+        self._fold_events()
         engine = self.engine
         sent = self.cur_sent.tolist()
         for i in self.has_flow.nonzero()[0].tolist():
@@ -555,14 +595,12 @@ class _VectorRun:
                 int(self._node_occupancy().max()))
 
     def _load_cells(self, cells: np.ndarray, nid: int) -> int:
-        """Rows of the ``cells`` table — ``_SLAB_COLS`` order, around
-        ``dummy`` — into slab rows ``nid`` on; returns the next free row."""
-        block = cells.T
-        if block[_STATE_DUMMY].any() or (block[_STATE_SPHASE] < 0).any():
+        """Rows of the ``cells`` table into slab records ``nid`` on, as
+        they are; returns the next free row."""
+        if cells[:, _DUMMY].any() or (cells[:, _SPHASE] < 0).any():
             raise _Decline(_HEADERS)
         end = nid + len(cells)
-        self._slab[:_STATE_DUMMY, nid:end] = block[:_STATE_DUMMY]
-        self._slab[_STATE_DUMMY:-1, nid:end] = block[_STATE_DUMMY + 1:]
+        self._slab[nid:end] = cells
         return end
 
     def _pack_nodes(self, model) -> int:
@@ -616,7 +654,7 @@ class _VectorRun:
         senders, recvs, arrivals = wire.T
         cells = model["cells"][-len(wire):]
         # a token-only dummy is a wire row with no slab row (-1)
-        payload = cells[:, _STATE_DUMMY] == 0
+        payload = cells[:, _DUMMY] == 0
         rows = np.where(payload, nid + payload.cumsum() - 1, -1)
         nid = self._load_cells(cells[payload], nid)
         fresh = payload & (self.c_sprays[rows] > 0)
@@ -692,9 +730,7 @@ class _VectorRun:
             self._export_headers(model, batch, lo)
             lo = hi
         rows = np.concatenate((self._queued_rows(), sent))
-        cells = np.zeros((rows.size, len(_DUMMY_CELL)), dtype=np.int64)
-        cells[:, :_STATE_DUMMY] = self._slab[:_STATE_DUMMY, rows].T
-        cells[:, _STATE_DUMMY + 1:] = self._slab[_STATE_DUMMY:-1, rows].T
+        cells = self._slab[rows]
         dummy = (sent < 0).nonzero()[0]
         if dummy.size:
             at = rows.size - sent.size + dummy
@@ -745,13 +781,17 @@ class _VectorRun:
         if cnt:
             dc = cells[del_ids]
             engine.metrics.payload_cells_delivered += cnt
+            # the delivered cells' records, which the destination test
+            # just read
+            rec = self._slab.take(dc, axis=0)
             if digest is not None:
-                # one on_delivery event per cell, folded from one table
-                ev = self._del_events[:cnt]
-                ev[:, 1:6] = self._slab[_DELIVERY_FIELDS, dc].T
+                # one on_delivery event per cell
+                ev = self._events(cnt, _DELIVERY_WIDTH)
+                ev[:, 0] = _EV_DELIVERY
+                ev[:, 1:6] = rec[:, _DELIVERY_FIELDS]
                 ev[:, 6] = t
-                digest.fold_table(ev)
-            fids = self.c_fid[dc]
+                ev[:, _DELIVERY_WIDTH:] = 0
+            fids = rec[:, _FID]
             fd = self.f_del[fids] + 1
             self.f_del[fids] = fd
             complete = fd >= self.f_size[fids]
@@ -922,18 +962,18 @@ class _VectorRun:
         """Slab rows for one freshly admitted cell per source in ``e``."""
         k = e.size
         rows = self._alloc(k)
-        # field order matches _SLAB_COLS; the constant rows (sprays
-        # remaining, hops, nxt) were written once at construction
-        V = self._ev[:, :k]
-        V[0] = e                    # src
-        V[1] = dst
-        V[2] = fid                  # flow id
-        V[3] = seq
-        V[5] = e                    # prev hop
-        V[6] = t                    # created at
-        V[7] = esph                 # spray phase hint
-        V[8] = size                 # flow size
-        self._slab[:, rows] = V
+        # the constant fields (sprays remaining, dummy, hops) were written
+        # once at construction
+        V = self._new_rec[:k]
+        V[:, _SRC] = e
+        V[:, _DST] = dst
+        V[:, _FID] = fid
+        V[:, _SEQ] = seq
+        V[:, _PREV] = e
+        V[:, _CREATED] = t
+        V[:, _SPHASE] = esph
+        V[:, _FSIZE] = size
+        self._slab[rows] = V
         return rows
 
     def _emit(self, e, t, esph) -> np.ndarray:
@@ -992,34 +1032,21 @@ class _VectorRun:
                 self.c_sprays[c] = sp - (sp > 0)
             self.c_prev[c] = pop_ids
             self.c_hops[c] += 1
+            self._cell_of[pop_ids] = c
         emit = self.has_flow & ~pop
         e = emit.nonzero()[0]
-        k = e.size
         esph = (phase + 1) % self.h
-        if k:
-            rows = self._emit(e, t, esph)
-        # merge pops and emissions into one sender-ascending batch (a node
-        # either pops or emits, never both, so the id sets are disjoint)
-        if npop and k:
-            cat = np.concatenate((pop_ids, e))
-            perm = cat.argsort(kind="stable")
-            senders = cat[perm]
-            cells = np.concatenate((c, rows))[perm]
-            em = perm >= npop
-        elif npop:
-            senders = pop_ids
-            cells = c
-            em = self._em_false[:npop]
-        elif k:
-            senders = e
-            cells = rows
-            em = self._em_true[:k]
-        else:
-            return
+        if e.size:
+            self._cell_of[e] = self._emit(e, t, esph)
+        # pops and emissions as one sender-ascending batch (a node either
+        # pops or emits, never both)
+        senders = (pop | emit).nonzero()[0]
         m = senders.size
+        if not m:
+            return
         self.batches.append((
-            t + self.delay, senders, cells, self.nbr[slot][senders],
-            em, esph,
+            t + self.delay, senders, self._cell_of[senders],
+            self.nbr[slot][senders], emit[senders], esph,
         ))
         metrics = engine.metrics
         metrics.cells_sent += m
@@ -1038,9 +1065,10 @@ class _VectorRun:
         return 0
 
     def _sample(self, t: int) -> None:
-        qt = self.q_len.T  # (n, L): node-major, link order within a node
+        # every queue in memory order, empty ones too: the tally is by
+        # value and skips zeros
         self.engine._close_window(
-            t, self._node_occupancy(), qt[qt > 0],
+            t, self._node_occupancy(), self.qf_len,
             int(self.q_peak.max()), self._active_buckets(),
         )
 

@@ -164,20 +164,24 @@ class MetricsCollector:
 
         Every pipeline hands over what it found at the sampling instant:
         ``buffers`` holds each live node's total occupancy (node-id order),
-        ``queue_lengths`` the length of every non-empty link queue
-        (node-major, link-minor), ``pieo_peak`` the highest occupancy any
-        send queue has reached and ``active_buckets`` the most active
-        buckets at any node now.  Both arrays are sampled and the maxima
-        are raised.  Returns the window's instantaneous populations
-        ``(queued, max_queue, max_buffer)`` for the telemetry row, so they
-        come from the same two arrays.
+        ``queue_lengths`` the length of link queues in any order — the
+        empty ones are not samples and are ignored, so a pipeline may pass
+        all of them — ``pieo_peak`` the highest occupancy any send queue
+        has reached and ``active_buckets`` the most active buckets at any
+        node now.  Both arrays are sampled and the maxima are raised.
+        Returns the window's instantaneous populations ``(queued,
+        max_queue, max_buffer)`` for the telemetry row, so they come from
+        the same two arrays.
         """
         buffers = np.asarray(buffers, dtype=np.int64)
         queue_lengths = np.asarray(queue_lengths, dtype=np.int64)
         self._buffer_counts = _tally(self._buffer_counts, buffers)
-        self._queue_counts = _tally(self._queue_counts, queue_lengths)
         max_buffer = int(buffers.max()) if buffers.size else 0
         max_queue = int(queue_lengths.max()) if queue_lengths.size else 0
+        if max_queue:
+            # the zeros land in [0], which counts no sample
+            self._queue_counts = _tally(self._queue_counts, queue_lengths)
+            self._queue_counts[0] = 0
         if max_buffer > self.max_buffer_occupancy:
             self.max_buffer_occupancy = max_buffer
         if max_queue > self.max_queue_length:

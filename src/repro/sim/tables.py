@@ -6,11 +6,12 @@ plain model says so: one dict of named 2-D int64 arrays, in one canonical
 row order, so that equal networks give byte-equal tables whichever form —
 built objects, a restored checkpoint's pending model, a run parked on the
 slab — produced them.  The schema is written here once and read by its four
-users: the slab's ``pack`` slices the tables into columns and its
-``export_model`` concatenates columns back (:mod:`repro.sim.backends`),
-``Node.state_rows`` / ``Node.load_state`` encode and fill objects
-(:mod:`repro.sim.node`), and the checkpoint file stores the tables as they
-are (:mod:`repro.sim.checkpoint`).
+users: the slab's ``pack`` slices the tables into its cell records (each
+a ``cells`` row as it is) and columns and its ``export_model`` gathers
+them back (:mod:`repro.sim.backends`), ``Node.state_rows`` /
+``Node.load_state`` encode and fill objects (:mod:`repro.sim.node`), and
+the checkpoint file stores the tables as they are
+(:mod:`repro.sim.checkpoint`).
 """
 
 from __future__ import annotations

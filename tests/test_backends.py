@@ -885,8 +885,9 @@ class TestSlabTables:
 
 class TestCellLayout:
     """One cell layout, written three times: ``Cell.state()``, the plain
-    model's ``cells`` table and the slab's columns (the table's order
-    without ``dummy``, which the slab never holds, plus ``nxt``)."""
+    model's ``cells`` table and the slab's records — rows of that table,
+    read through one column view per field (``dummy``, always 0 on the
+    slab, has none; the list pointer ``nxt`` is a column of its own)."""
 
     #: slab column -> the ``Cell`` field it holds
     SLAB_FIELD = {
@@ -909,12 +910,9 @@ class TestCellLayout:
         restored = Cell.from_state(state)
         assert {name: getattr(restored, name) for name in names} == values
 
-        assert vector_mod._SLAB_COLS == tuple(self.SLAB_FIELD) + ("c_nxt",)
-        assert [self.SLAB_FIELD[column]
-                for column in vector_mod._SLAB_COLS[:-1]] == [
-            name for name in names if name != "dummy"]
-        # a queued ``cells`` row packs into the columns its names say and
-        # exports back as it was
+        # a queued ``cells`` row packs into a slab record that *is* the
+        # row, every column view reads its own field of it, and the
+        # export gives the row back unchanged
         engine = Engine(SimConfig(n=16, h=2, congestion_control="none",
                                   backend="vector"))
         run = vector_mod._VectorRun(
@@ -924,21 +922,83 @@ class TestCellLayout:
         model["cells"] = np.array([state], dtype=np.int64)
         assert run.pack(model) is None
         row = run.Ln  # the first row past the queue sentinels
+        assert run._slab[row].tolist() == list(state)
         for column, field in self.SLAB_FIELD.items():
             assert getattr(run, column)[row] == values[field], column
         assert run.export_model()["cells"].tolist() == [list(state)]
 
-        # the delivery gather is the digest's delivery event, field by field
+        # delivering the record folds the object hook's event, field by
+        # field
         class Recording(DeterminismDigest):
-            __slots__ = ("event",)
+            __slots__ = ("seen",)
+
+            def __init__(self):
+                super().__init__()
+                self.seen = []
 
             def _fold(self, ints):
-                self.event = tuple(ints)
+                self.seen.append(list(ints))
 
-        digest = Recording()
-        digest.on_delivery(cell, 7)
-        gathered = run._slab[vector_mod._DELIVERY_FIELDS, [row]][:, 0]
-        assert gathered.tolist() == list(digest.event[1:6])
+            def fold_table(self, ev, widths=None):
+                self.seen += [fields[:width] for fields, width
+                              in zip(ev.tolist(), widths.tolist())]
+
+        expected = Recording()
+        expected.on_delivery(cell, 7)
+        engine.digest = Recording()
+        run._ensure_flow(values["flow_id"])
+        run._arrive(7, np.array([row]), np.array([values["dst"]]),
+                    np.zeros(1, dtype=bool), 0)
+        run.sync()
+        assert engine.digest.seen == expected.seen
+
+
+class TestDigestBuffer:
+    """Deliveries and token headers share one buffer of digest rows, in
+    the order the object pipeline folds them, folded a block at a time and
+    at every sync — so where a block ends is invisible."""
+
+    def test_blocks_fold_in_event_order(self, monkeypatch):
+        # above the size floor, and two token slots per header so delivery
+        # and token rows have different widths
+        config = dict(n=144, h=2, seed=4, propagation_delay=4,
+                      congestion_control="hbh+spray", tokens_per_header=2)
+        assert config["n"] >= VectorBackend.TOKEN_SLAB_MIN_N
+        flows = permutation_workload(SimConfig(**config), 40)
+        slices = (1, 37, 50, 2, 150)
+        folds = []
+        fold_table = DeterminismDigest.fold_table
+        monkeypatch.setattr(
+            DeterminismDigest, "fold_table",
+            lambda digest, ev, widths=None: (
+                folds.append(widths if widths is None else widths.copy()),
+                fold_table(digest, ev, widths))[1])
+
+        def digests(backend, block=None):
+            if block is not None:
+                monkeypatch.setattr(vector_mod, "_DIGEST_BLOCK", block)
+            engine = Engine(SimConfig(**config, backend=backend),
+                            workload=flows)
+            engine.enable_digest()
+            seen = []
+            for k in slices:
+                engine.run(k)
+                seen.append((engine.digest.value, engine.digest.events))
+            if backend == "vector":
+                assert engine.backend_effective == "vector"
+                assert engine.model_syncs == 0
+            return seen
+
+        reference = digests("object")
+        default = digests("vector")
+        del folds[:]
+        tiny = digests("vector", block=3)
+        assert tiny == default == reference
+        # blocks of three rows cut the run into far more folds than there
+        # are slices, and some fold both kinds of row at once
+        assert len(folds) > 10 * len(slices)
+        assert any((widths == 7).any() and (widths > 7).any()
+                   for widths in folds)
 
 
 class TestGoldenTracesOnVectorBackend:

@@ -202,6 +202,20 @@ class TestMetricsCollector:
                  max_buffer_occupancy=7, max_queue_length=4,
                  max_pieo_length=9, max_active_buckets=3),
             id="node-walk"),
+        pytest.param(  # the slab hands over every queue, empty ones too,
+            # in its own order: the empty ones are no samples
+            [([0], [0, 0, 0], 0, 0), ([7, 2], [0, 2, 0, 0, 4, 0], 9, 3)],
+            (9, 4, 7), 2.0,
+            dict(buffer_counts=[1, 0, 1, 0, 0, 0, 0, 1],
+                 queue_counts=[0, 0, 1, 0, 1],
+                 max_buffer_occupancy=7, max_queue_length=4,
+                 max_pieo_length=9, max_active_buckets=3),
+            id="all-queues"),
+        pytest.param(  # nothing queued anywhere: no sample at all
+            [([0, 0], [0, 0, 0, 0], 0, 0)],
+            (0, 0, 0), 0.0,
+            dict(buffer_counts=[2], queue_counts=[], max_queue_length=0),
+            id="all-queues-empty"),
     ])
     def test_close_window(self, windows, populations, buffer_p50, state):
         """Same maxima, same sample tallies (``counts[v]`` samples equal
