@@ -33,52 +33,56 @@ checkpoint (serve one over TCP with ``python -m repro serve``); drop down
 to :class:`~repro.sim.engine.Engine` for full control.
 """
 
-from .core import (
-    Cell,
-    CoordinateSystem,
-    HeaderCodec,
-    InterleavedSchedule,
-    Router,
-    Schedule,
-    Token,
-    TokenLedger,
-    srrd_schedule,
-    two_class_interleave,
-)
-from .sim import (
-    Engine,
-    FlowRecord,
-    MetricsCollector,
-    MultiClassSimulation,
-    PieoQueue,
-    SimConfig,
-    TimingModel,
-)
-from .api import RunResult, Session, open_session, simulate
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cell",
-    "CoordinateSystem",
-    "Engine",
-    "RunResult",
-    "Session",
-    "open_session",
-    "simulate",
-    "FlowRecord",
-    "HeaderCodec",
-    "InterleavedSchedule",
-    "MetricsCollector",
-    "MultiClassSimulation",
-    "PieoQueue",
-    "Router",
-    "Schedule",
-    "SimConfig",
-    "TimingModel",
-    "Token",
-    "TokenLedger",
-    "srrd_schedule",
-    "two_class_interleave",
-    "__version__",
-]
+
+def _lazy_exports(package, exports):
+    """The PEP 562 ``__getattr__`` / ``__dir__`` pair and the ``__all__``
+    of a package re-exporting ``exports``: submodule -> the names it
+    defines.
+
+    A package ``__init__`` names what it exports and imports nothing: the
+    first access of a name imports the one submodule defining it and binds
+    the value on the package, so the hook runs once per name.  A fresh
+    process then compiles only the modules it uses (DESIGN.md §6).
+    """
+    import sys
+
+    where = {name: package + module for module, names in exports.items()
+             for name in names}
+
+    def __getattr__(name):
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        # __import__, not importlib.import_module: -X importtime lists only
+        # the modules the former loads
+        __import__(module)
+        value = getattr(sys.modules[module], name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(where))
+
+    return __getattr__, __dir__, list(where)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".core.buckets": ("TokenLedger",),
+    ".core.cell": ("Cell",),
+    ".core.coordinates": ("CoordinateSystem",),
+    ".core.header": ("HeaderCodec", "Token"),
+    ".core.interleave": ("InterleavedSchedule", "two_class_interleave"),
+    ".core.routing": ("Router",),
+    ".core.schedule": ("Schedule", "srrd_schedule"),
+    ".sim.config": ("SimConfig", "TimingModel"),
+    ".sim.engine": ("Engine",),
+    ".sim.flows": ("FlowRecord",),
+    ".sim.metrics": ("MetricsCollector",),
+    ".sim.multiclass": ("MultiClassSimulation",),
+    ".sim.pieo": ("PieoQueue",),
+    ".api": ("RunResult", "Session", "open_session", "simulate"),
+})
+__all__ += ["__version__"]

@@ -1,36 +1,12 @@
 """Analysis utilities: FCT normalisation, percentiles, theory formulas."""
 
-from .fct import FctTable, bucketed_fcts, fct_table, normalized_fcts
-from .latency import (
-    LatencyBreakdown,
-    RunLatencyStats,
-    decompose_run,
-    decompose_trace,
-)
-from .theory import (
-    TradeoffPoint,
-    effective_radix,
-    feasible_h_values,
-    intrinsic_latency_slots,
-    srrd_latency_slots,
-    throughput_guarantee,
-    tradeoff_curve,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "FctTable",
-    "LatencyBreakdown",
-    "RunLatencyStats",
-    "decompose_run",
-    "decompose_trace",
-    "TradeoffPoint",
-    "bucketed_fcts",
-    "effective_radix",
-    "fct_table",
-    "feasible_h_values",
-    "intrinsic_latency_slots",
-    "normalized_fcts",
-    "srrd_latency_slots",
-    "throughput_guarantee",
-    "tradeoff_curve",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".fct": ("FctTable", "bucketed_fcts", "fct_table", "normalized_fcts"),
+    ".latency": ("LatencyBreakdown", "RunLatencyStats", "decompose_run",
+                 "decompose_trace"),
+    ".theory": ("TradeoffPoint", "effective_radix", "feasible_h_values",
+                "intrinsic_latency_slots", "srrd_latency_slots",
+                "throughput_guarantee", "tradeoff_curve"),
+})

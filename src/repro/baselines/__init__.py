@@ -1,5 +1,8 @@
 """Baseline systems the paper compares against."""
 
-from .opera import OperaConfig, OperaSimulator, RotorTopology
+from .. import _lazy_exports
 
-__all__ = ["OperaConfig", "OperaSimulator", "RotorTopology"]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".opera.sim": ("OperaConfig", "OperaSimulator"),
+    ".opera.topology": ("RotorTopology",),
+})

@@ -1,6 +1,8 @@
 """Simplified Opera baseline (Mellette et al., NSDI 2020) for Fig. 4."""
 
-from .sim import OperaConfig, OperaFlowRecord, OperaSimulator
-from .topology import RotorTopology
+from ... import _lazy_exports
 
-__all__ = ["OperaConfig", "OperaFlowRecord", "OperaSimulator", "RotorTopology"]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".sim": ("OperaConfig", "OperaFlowRecord", "OperaSimulator"),
+    ".topology": ("RotorTopology",),
+})

@@ -5,36 +5,13 @@ holds their metadata (:mod:`~repro.congestion.mechanisms`) and the Appendix D
 token-budget mathematics (:mod:`~repro.congestion.token_budget`).
 """
 
-from .mechanisms import (
-    EVALUATION_ORDER,
-    MECHANISMS,
-    MechanismInfo,
-    baseline_mechanisms,
-    config_for,
-    shale_mechanisms,
-)
-from .token_budget import (
-    TokenBudgetPlan,
-    bucket_rate_ceiling,
-    max_propagation_delay_first_hop,
-    max_propagation_delay_interior,
-    plan_budgets,
-    required_first_hop_budget,
-    required_interior_budget,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "EVALUATION_ORDER",
-    "MECHANISMS",
-    "MechanismInfo",
-    "TokenBudgetPlan",
-    "baseline_mechanisms",
-    "bucket_rate_ceiling",
-    "config_for",
-    "max_propagation_delay_first_hop",
-    "max_propagation_delay_interior",
-    "plan_budgets",
-    "required_first_hop_budget",
-    "required_interior_budget",
-    "shale_mechanisms",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".mechanisms": ("EVALUATION_ORDER", "MECHANISMS", "MechanismInfo",
+                    "baseline_mechanisms", "config_for", "shale_mechanisms"),
+    ".token_budget": ("TokenBudgetPlan", "bucket_rate_ceiling",
+                      "max_propagation_delay_first_hop",
+                      "max_propagation_delay_interior", "plan_budgets",
+                      "required_first_hop_budget", "required_interior_budget"),
+})

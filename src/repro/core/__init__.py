@@ -5,105 +5,27 @@ everything a simulator, a hardware model or an analysis script needs to
 reason about a Shale network, with no simulation machinery attached.
 """
 
-from .buckets import ActiveBucketTracker, BucketId, TokenLedger
-from .cell import (
-    CELL_SIZE_BYTES,
-    HEADER_SIZE_BYTES,
-    PAYLOAD_SIZE_BYTES,
-    Cell,
-)
-from .coordinates import CoordinateSystem, integer_root, is_perfect_power
-from .header import (
-    TOKEN_INVALIDATE,
-    TOKEN_REGULAR,
-    TOKEN_REVALIDATE,
-    HeaderCodec,
-    Token,
-)
-from .demand_aware import (
-    DemandAwareSchedule,
-    bvn_decomposition,
-    optimal_latency_share,
-    service_fraction,
-)
-from .lanes import LaneSchedule
-from .interleave import (
-    InterleavedSchedule,
-    SubScheduleSpec,
-    two_class_interleave,
-)
-from .routing import (
-    Router,
-    SemiObliviousRouter,
-    direct_semi_path,
-    spray_semi_path_lengths,
-)
-from .strategies import (
-    RoutingStrategy,
-    ScheduleStrategy,
-    make_router,
-    make_schedule,
-    register_routing,
-    register_schedule,
-    routing_names,
-    schedule_names,
-    shared_schedule,
-    validate_design,
-)
-from .validation import (
-    ValidationError,
-    audit,
-    validate_bucket_order,
-    validate_routing_reachability,
-    validate_schedule,
-)
-from .schedule import Schedule, SlotInfo, SrrdSchedule, srrd_schedule
+from .. import _lazy_exports
 
-__all__ = [
-    "ActiveBucketTracker",
-    "BucketId",
-    "CELL_SIZE_BYTES",
-    "Cell",
-    "CoordinateSystem",
-    "DemandAwareSchedule",
-    "HEADER_SIZE_BYTES",
-    "HeaderCodec",
-    "InterleavedSchedule",
-    "LaneSchedule",
-    "PAYLOAD_SIZE_BYTES",
-    "Router",
-    "RoutingStrategy",
-    "Schedule",
-    "ScheduleStrategy",
-    "SemiObliviousRouter",
-    "SlotInfo",
-    "SrrdSchedule",
-    "SubScheduleSpec",
-    "TOKEN_INVALIDATE",
-    "TOKEN_REGULAR",
-    "TOKEN_REVALIDATE",
-    "Token",
-    "TokenLedger",
-    "ValidationError",
-    "audit",
-    "bvn_decomposition",
-    "direct_semi_path",
-    "integer_root",
-    "is_perfect_power",
-    "make_router",
-    "make_schedule",
-    "optimal_latency_share",
-    "register_routing",
-    "register_schedule",
-    "routing_names",
-    "schedule_names",
-    "service_fraction",
-    "shared_schedule",
-    "spray_semi_path_lengths",
-    "srrd_schedule",
-    "validate_bucket_order",
-    "validate_design",
-    "validate_routing_reachability",
-    "validate_schedule",
-    "two_class_interleave",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".buckets": ("ActiveBucketTracker", "BucketId", "TokenLedger"),
+    ".cell": ("CELL_SIZE_BYTES", "HEADER_SIZE_BYTES", "PAYLOAD_SIZE_BYTES",
+              "Cell"),
+    ".coordinates": ("CoordinateSystem", "integer_root", "is_perfect_power"),
+    ".header": ("TOKEN_INVALIDATE", "TOKEN_REGULAR", "TOKEN_REVALIDATE",
+                "HeaderCodec", "Token"),
+    ".demand_aware": ("DemandAwareSchedule", "bvn_decomposition",
+                      "optimal_latency_share", "service_fraction"),
+    ".lanes": ("LaneSchedule",),
+    ".interleave": ("InterleavedSchedule", "SubScheduleSpec",
+                    "two_class_interleave"),
+    ".routing": ("Router", "SemiObliviousRouter", "direct_semi_path",
+                 "spray_semi_path_lengths"),
+    ".strategies": ("RoutingStrategy", "ScheduleStrategy", "make_router",
+                    "make_schedule", "register_routing", "register_schedule",
+                    "routing_names", "schedule_names", "shared_schedule",
+                    "validate_design"),
+    ".validation": ("ValidationError", "audit", "validate_bucket_order",
+                    "validate_routing_reachability", "validate_schedule"),
+    ".schedule": ("Schedule", "SlotInfo", "SrrdSchedule", "srrd_schedule"),
+})

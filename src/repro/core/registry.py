@@ -8,8 +8,7 @@ selected by name; each family is one :class:`Registry`.
 
 from __future__ import annotations
 
-from importlib import import_module
-from typing import List, Sequence
+from typing import List, Mapping
 
 __all__ = ["Registry", "UnknownNameError"]
 
@@ -30,21 +29,23 @@ class Registry(dict):
 
     Read it like any dict; looking up a missing name raises
     :class:`UnknownNameError` naming the kind and what is registered.
-    ``builtins`` names the modules whose import registers the built-in
-    entries.  They are imported on the first :meth:`names` call or missed
-    lookup rather than up front, because they import their registry's
-    module for the registering decorator.
+    ``builtins`` maps each built-in name to the module whose import
+    registers it.  A lookup imports only the module of the name it asks
+    for, and :meth:`names` imports them all — never up front, because they
+    import their registry's module for the registering decorator.
     """
 
-    def __init__(self, kind: str, builtins: Sequence[str] = ()):
+    def __init__(self, kind: str, builtins: Mapping[str, str] = {}):
         super().__init__()
         self.kind = kind
-        self._builtins = builtins
+        #: built-in name -> module not yet imported that registers it
+        self._builtins = dict(builtins)
 
-    def _load_builtins(self) -> None:
-        modules, self._builtins = self._builtins, ()
-        for module in modules:
-            import_module(module)
+    def _load_builtins(self, names) -> None:
+        for name in list(names):
+            __import__(self._builtins[name])  # seen by -X importtime
+            # only once it imported: a failed import raises again next time
+            del self._builtins[name]
 
     def register(self, name: str, obj):
         """Add ``obj`` under ``name`` and return it.  Registering the same
@@ -66,11 +67,12 @@ class Registry(dict):
 
     def names(self) -> List[str]:
         """Sorted registered names."""
-        self._load_builtins()
+        self._load_builtins(self._builtins)
         return sorted(self)
 
     def __missing__(self, name):
-        self._load_builtins()
+        if name in self._builtins:
+            self._load_builtins([name])
         if name in self:
             return self[name]
         raise UnknownNameError(

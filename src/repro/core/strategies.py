@@ -162,8 +162,14 @@ class RoutingStrategy:
 # --------------------------------------------------------------------- #
 # registries
 
-_SCHEDULES = Registry("schedule strategy", builtins=("repro.core.schedule",))
-_ROUTINGS = Registry("routing strategy", builtins=("repro.core.routing",))
+_SCHEDULES = Registry("schedule strategy", builtins={
+    "ebs": "repro.core.schedule",
+    "srrd": "repro.core.schedule",
+})
+_ROUTINGS = Registry("routing strategy", builtins={
+    "vlb": "repro.core.routing",
+    "semi_oblivious": "repro.core.routing",
+})
 
 #: process-wide memo of shared immutable schedule instances, keyed by
 #: (strategy name, n, h); the generalization of the old ``Schedule.shared``

@@ -1,22 +1,11 @@
 """Failure detection, invalidation tokens and rerouting (Section 3.4)."""
 
-from .direct_tree import (
-    DirectPathTree,
-    direct_next_hop,
-    invalidated_destinations,
-)
-from .correlated import CorrelatedFaultInjector, rack_outage_events
-from .injector import FaultInjector
-from .manager import FailureEvent, FailureManager, LinkFailureEvent
+from .. import _lazy_exports
 
-__all__ = [
-    "CorrelatedFaultInjector",
-    "DirectPathTree",
-    "FailureEvent",
-    "FailureManager",
-    "FaultInjector",
-    "LinkFailureEvent",
-    "direct_next_hop",
-    "invalidated_destinations",
-    "rack_outage_events",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".direct_tree": ("DirectPathTree", "direct_next_hop",
+                     "invalidated_destinations"),
+    ".correlated": ("CorrelatedFaultInjector", "rack_outage_events"),
+    ".injector": ("FaultInjector",),
+    ".manager": ("FailureEvent", "FailureManager", "LinkFailureEvent"),
+})

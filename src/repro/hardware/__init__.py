@@ -1,29 +1,13 @@
 """Hardware models: FPGA end-host prototype and memory scaling."""
 
-from .memory_model import (
-    BUCKET_ID_BYTES,
-    COUNTER_BYTES,
-    SHOAL_PAIR_STATE_BYTES,
-    TOKEN_BYTES,
-    ShaleMemoryModel,
-    shoal_on_chip_bytes,
-)
-from .pieo_hw import PieoHardwareModel
-from .prototype import HardwareNetwork, HardwareNode, HardwareTimings
-from .resources import ResourceObservation, observe_resources, provision_memory
+from .. import _lazy_exports
 
-__all__ = [
-    "BUCKET_ID_BYTES",
-    "COUNTER_BYTES",
-    "HardwareNetwork",
-    "HardwareNode",
-    "HardwareTimings",
-    "PieoHardwareModel",
-    "ResourceObservation",
-    "SHOAL_PAIR_STATE_BYTES",
-    "ShaleMemoryModel",
-    "TOKEN_BYTES",
-    "observe_resources",
-    "provision_memory",
-    "shoal_on_chip_bytes",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".memory_model": ("BUCKET_ID_BYTES", "COUNTER_BYTES",
+                      "SHOAL_PAIR_STATE_BYTES", "TOKEN_BYTES",
+                      "ShaleMemoryModel", "shoal_on_chip_bytes"),
+    ".pieo_hw": ("PieoHardwareModel",),
+    ".prototype": ("HardwareNetwork", "HardwareNode", "HardwareTimings"),
+    ".resources": ("ResourceObservation", "observe_resources",
+                   "provision_memory"),
+})

@@ -29,24 +29,14 @@ instrumented automatically and its series/summary/manifest are collected
 into the runner's ``--telemetry`` artifacts.
 """
 
-from .capture import TelemetryCapture, current_capture
-from .events import CallbackSink, EventLog, FileSink, RingSink, encode_event
-from .manifest import run_manifest
-from .profiler import StepProfiler
-from .serialize import canonical_json, to_jsonable
-from .timeseries import TimeSeriesRecorder
+from .. import _lazy_exports
 
-__all__ = [
-    "CallbackSink",
-    "EventLog",
-    "FileSink",
-    "RingSink",
-    "StepProfiler",
-    "TelemetryCapture",
-    "TimeSeriesRecorder",
-    "canonical_json",
-    "current_capture",
-    "encode_event",
-    "run_manifest",
-    "to_jsonable",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".capture": ("TelemetryCapture", "current_capture"),
+    ".events": ("CallbackSink", "EventLog", "FileSink", "RingSink",
+                "encode_event"),
+    ".manifest": ("run_manifest",),
+    ".profiler": ("StepProfiler",),
+    ".serialize": ("canonical_json", "to_jsonable"),
+    ".timeseries": ("TimeSeriesRecorder",),
+})

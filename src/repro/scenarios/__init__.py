@@ -16,33 +16,13 @@ coordinates (:func:`scenario_cell_seed`), so the whole scorecard is
 byte-identical across reruns and across worker counts.
 """
 
-from .registry import (
-    FAILURE_PATTERNS,
-    WORKLOAD_SHAPES,
-    FailurePattern,
-    WorkloadShape,
-    register_failure_pattern,
-    register_workload_shape,
-)
-from .matrix import run_matrix, scenario_cell_seed
-from .scorecard import (
-    SCORE_WEIGHTS,
-    build_scorecard,
-    format_scorecard,
-    score_cell,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "FAILURE_PATTERNS",
-    "FailurePattern",
-    "SCORE_WEIGHTS",
-    "WORKLOAD_SHAPES",
-    "WorkloadShape",
-    "build_scorecard",
-    "format_scorecard",
-    "register_failure_pattern",
-    "register_workload_shape",
-    "run_matrix",
-    "scenario_cell_seed",
-    "score_cell",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".registry": ("FAILURE_PATTERNS", "WORKLOAD_SHAPES", "FailurePattern",
+                  "WorkloadShape", "register_failure_pattern",
+                  "register_workload_shape"),
+    ".matrix": ("run_matrix", "scenario_cell_seed"),
+    ".scorecard": ("SCORE_WEIGHTS", "build_scorecard", "format_scorecard",
+                   "score_cell"),
+})

@@ -15,18 +15,11 @@ See DESIGN.md §13 for the architecture and the incremental-stepping
 invariants the layer is built on.
 """
 
-from .client import ServiceClient, SyncServiceClient, wait_for_ready
-from .protocol import PROTOCOL_VERSION, VERBS, ServiceError
-from .server import ServiceServer
-from .session import Session
+from .. import _lazy_exports
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "Session",
-    "SyncServiceClient",
-    "VERBS",
-    "wait_for_ready",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".client": ("ServiceClient", "SyncServiceClient", "wait_for_ready"),
+    ".protocol": ("PROTOCOL_VERSION", "VERBS", "ServiceError"),
+    ".server": ("ServiceServer",),
+    ".session": ("Session",),
+})

@@ -91,11 +91,11 @@ class EngineBackend:
 
 
 #: name -> backend class
-_REGISTRY = Registry("engine backend", builtins=(
-    "repro.sim.backends.object_backend",
-    "repro.sim.backends.vector",
-    "repro.sim.backends.shard",
-))
+_REGISTRY = Registry("engine backend", builtins={
+    "object": "repro.sim.backends.object_backend",
+    "vector": "repro.sim.backends.vector",
+    "shard": "repro.sim.backends.shard",
+})
 
 #: the process-wide default backend name, used by configs that do not name
 #: one explicitly (installed by the runner's ``--backend``)

@@ -236,19 +236,31 @@ def _invoke_payload(payload):
         return index, _CellFailure(traceback.format_exc())
 
 
-def _warm_shared_tables(cells: Sequence[Dict[str, Any]]) -> None:
-    """Pre-build the (strategy, n, h) schedule memo before forking.
+def _warm_before_fork(cells: Sequence[Dict[str, Any]]) -> None:
+    """Load in the parent what every forked worker would load again.
 
-    Workers inherit the parent's pages copy-on-write, so warming the
-    immutable tables once here means no worker rebuilds them.  Cells name
-    their size/tuning with the conventional ``n`` / ``h`` (or
-    ``h_bulk``/``h_latency``) kwargs and their connection schedule with the
-    ``schedule`` kwarg (default EBS); anything else simply stays cold.
+    Workers inherit the parent's modules and pages copy-on-write, so a
+    module imported or a table built once here costs no worker anything,
+    while one a cell reaches lazily is compiled anew in every worker of
+    every sweep.  Warmed: the modules every cell's :func:`_invoke` reads,
+    each cell's routing strategy and its (strategy, n, h) schedule memo.
+    Cells name their size/tuning with the conventional ``n`` / ``h`` (or
+    ``h_bulk``/``h_latency``) kwargs, their connection schedule with the
+    ``schedule`` kwarg (default EBS) and their routing with ``routing``
+    (default VLB); anything else simply stays cold.
     """
-    from ..core.strategies import shared_schedule
+    from . import checkpoint  # the policy every cell's _invoke reads
+    from ..core.strategies import routing_class, shared_schedule
 
     warmed = set()
     for cell in cells:
+        routing = cell.get("routing", "vlb")
+        if isinstance(routing, str) and routing not in warmed:
+            warmed.add(routing)
+            try:
+                routing_class(routing)
+            except ValueError:
+                pass  # unknown: the cell itself reports it
         n = cell.get("n")
         if not isinstance(n, int) or n > 65536:
             continue
@@ -340,7 +352,7 @@ def sweep_cells(
     if workers <= 1 or len(pending) <= 1:
         run_sequential(pending)
     else:
-        _warm_shared_tables([cells[i] for i in pending])
+        _warm_before_fork([cells[i] for i in pending])
         payloads = [(i, fn, cells[i], want_digest) for i in pending]
         failed: List[Tuple[int, str]] = []
         try:

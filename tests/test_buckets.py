@@ -116,3 +116,29 @@ class TestActiveBucketTracker:
         tracker.acquire((1, 0))
         tracker.acquire((2, 1))
         assert set(tracker.active_buckets()) == {(1, 0), (2, 1)}
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the tracker releases a bucket when the node forwards a cell AND "
+        "when the downstream token returns, so a token can retire a bucket "
+        "that still holds queued cells (ROADMAP correctness item); fixing "
+        "it moves the fig07 and fig13 numbers"))
+    def test_a_bucket_with_queued_cells_is_active(self):
+        """The class docstring's rule on a real run: every bucket holding an
+        enqueued cell counts as active."""
+        from repro import Engine, SimConfig
+        from repro.workloads import ShortFlowDistribution, poisson_workload
+
+        config = SimConfig(n=16, h=2, duration=3000,
+                           congestion_control="hop-by-hop", seed=3)
+        engine = Engine(config, workload=poisson_workload(
+            config, ShortFlowDistribution(), load=0.2))
+        uncounted = []
+        for _ in range(config.duration // 50):
+            engine.run(50)
+            for node in engine.nodes:
+                queued = {(cell.dst, cell.sprays_remaining)
+                          for queue in node.link_queues for cell in queue}
+                active = set(node.bucket_tracker.active_buckets())
+                uncounted += [(engine.t, node.node_id, bucket)
+                              for bucket in sorted(queued - active)]
+        assert uncounted == []
