@@ -92,7 +92,9 @@ def decode_message(line: bytes) -> Dict[str, Any]:
     """Parse one wire line; raises :class:`ServiceError` on junk."""
     try:
         message = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack, which
+        # fits well inside MAX_LINE_BYTES
         raise ServiceError(f"undecodable message: {exc}") from exc
     if not isinstance(message, dict):
         raise ServiceError(

@@ -236,7 +236,7 @@ class ServiceServer:
         try:
             message = json.loads(line.decode())
             return message.get("id") if isinstance(message, dict) else None
-        except Exception:
+        except (ValueError, RecursionError):
             return None
 
     async def _dispatch(self, message: Dict[str, Any],

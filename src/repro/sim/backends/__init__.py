@@ -6,7 +6,7 @@ it, through the one :meth:`EngineBackend.advance` entry point.  Three
 backends ship:
 
 * ``"object"`` — the reference backend: the one per-node object pipeline
-  (``Node.transmit`` / ``Node.receive``), driven over the active set.
+  (``Node.transmit`` / ``Node.receive``), driven over per-link visit sets.
   Every mechanism, failure scenario and observer is supported; this is
   the default.
 * ``"vector"`` — a vectorized slot stepper that keeps per-node queue heads,

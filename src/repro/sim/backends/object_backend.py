@@ -6,9 +6,10 @@ The object pipeline has exactly one TX routine and one RX routine:
 what sits between the nodes — two of the six sections of the engine's slot
 body (:meth:`~repro.sim.engine.Engine.step`):
 
-* :func:`run_tx` visits the active set in node-id order, retires failed
-  and idle nodes from it, calls ``node.transmit`` and puts the result on
-  the wire (tracer, digest, arrival stamp, counters);
+* :func:`run_tx` visits this slot's link's visit set in node-id order,
+  calls ``node.transmit``, retires the nodes that are failed or owe the
+  link nothing, and puts the result on the wire (tracer, digest, arrival
+  stamp, counters);
 * :func:`deliver_arrivals` takes due transmissions off the wire, applies
   the wire model (failed receivers, failed links, noise), calls
   ``receiver.receive`` and recycles the transmission shell;
@@ -63,45 +64,47 @@ def deliver_arrivals(engine, t: int, rx_phase: int) -> None:
 
 
 def run_tx(engine, t: int, phase: int, offset: int) -> None:
-    """Run every non-idle node's TX path and put the result on the wire."""
+    """Run the TX path of every node that may send on this slot's link
+    and put the result on the wire."""
     arrival = t + engine.config.propagation_delay
     enqueue_tx = engine._in_flight.append
     metrics = engine.metrics
     tracer = engine.tracer
     digest = engine.digest
     nodes = engine.nodes
+    link = phase * (engine.coords.r - 1) + offset - 1
     sent = dummies = payload = tokens_sent = 0
     if engine.force_full_scan:
-        # reference for the active set: scan every node and leave the
-        # set untouched
+        # reference for the visit sets: offer every node the slot and
+        # leave the sets untouched
         candidates = nodes
-        active = None
+        visit = None
     else:
-        # nodes outside the active set are guaranteed skippable (failed,
-        # or idle with no failed neighbours / owed probe replies), so
-        # only the active ones are visited — in node-id order, which the
-        # shared RNG stream requires.  When everything is active (the
+        # a node outside the link's visit set would transmit nothing, so
+        # only the listed ones are visited — in node-id order, which the
+        # shared RNG stream requires.  When every node is listed (the
         # loaded steady state) the node list is already that order.
-        active = engine._active_ids
-        if len(active) == len(nodes):
+        visit = engine._visit[link]
+        if len(visit) == len(nodes):
             candidates = nodes
         else:
-            candidates = [nodes[i] for i in sorted(active)]
+            candidates = [nodes[i] for i in sorted(visit)]
     for node in candidates:
-        if node.failed or (
-            node.total_enqueued == 0
-            and not node.local_flows
-            and node.pending_tokens == 0
-            and node.pending_ctrl == 0
-            and not node.rtx_queue
-            and not node.failed_neighbors
-            and not node._force_dummy
-        ):
-            if active is not None:
-                active.discard(node.node_id)
+        if node.failed:
+            if visit is not None:
+                visit.discard(node.node_id)
             continue
         tx = node.transmit(t, phase, offset)
         if tx is None:
+            # the node owes this link's peer nothing (a token, a control
+            # message, a probe or a probe reply would each have made a
+            # transmission), so it leaves the link's set unless cells
+            # blocked on credit, a local flow or an rtx request may still
+            # send here once credit returns — which wakes no one
+            if visit is not None and not (
+                node._link_items[link] or node.local_flows or node.rtx_queue
+            ):
+                visit.discard(node.node_id)
             continue
         cell = tx.cell
         sent += 1

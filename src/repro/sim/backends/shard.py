@@ -1173,8 +1173,8 @@ class ShardBackend(EngineBackend):
                 flow = flows._active.get(fid)
                 if flow is not None:
                     flow.delivered = delivered
-        # queues, cursors and the active set
-        engine._active_ids.clear()
+        # queues, cursors and the nodes with work
+        busy = []
         placed = set()
         for k, res in enumerate(results):
             lo, hi = ranges[k]
@@ -1207,7 +1207,8 @@ class ShardBackend(EngineBackend):
                     placed.add(wfid)
                 node.local_flows = local
                 if local or node.total_enqueued:
-                    engine._active_ids.add(lo + li)
+                    busy.append(lo + li)
+        engine._set_active(busy)
         # every other active flow has finished sending (it is held by no
         # cursor or waiting list), so its cursor position is its size
         for fid, flow in flows._active.items():

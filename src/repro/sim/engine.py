@@ -6,7 +6,8 @@ The engine advances a synchronous timeslot clock.  Per slot
 1. advances the failure manager, if one is attached,
 2. delivers transmissions whose propagation deadline has passed (RX paths),
 3. injects flows whose arrival time has come,
-4. runs every non-idle node's TX path and puts the result on the wire,
+4. runs the TX path of every node with work on this slot's link and puts
+   the result on the wire,
 5. samples metrics at the configured interval,
 6. lets the run monitor, if one is attached, check the slot.
 
@@ -124,15 +125,18 @@ class Engine:
             sample_interval=config.metrics_sample_interval,
             warmup=config.warmup,
         )
-        #: node ids that may need to transmit (superset invariant: a node
-        #: outside this set is failed, or idle with no failed neighbours and
-        #: no owed probe replies).  Nodes add themselves on every idle->busy
-        #: transition (``Node.wake``); ``object_backend.run_tx`` retires the
-        #: nodes it finds skippable.  Built before the nodes so ``wake``
-        #: works during setup.
-        self._active_ids: Set[int] = set(range(config.n))
-        #: reference switch for the active set: scan every node per slot
-        #: instead (must be event-identical; see tests/test_properties.py)
+        #: one visit set per link index: the ids of the nodes that may send
+        #: on that link (invariant: a node outside ``_visit[l]`` is failed,
+        #: or its ``transmit`` on ``l`` returns None and changes nothing).
+        #: A node enters a set when it gets work on that link, or all of
+        #: them for work not tied to one link (``Node.wake``);
+        #: ``object_backend.run_tx`` retires it from a set when it owes that
+        #: link nothing.  Their union is the model's ``active_ids``.  Built
+        #: before the nodes, which alias them
+        self._visit: Tuple[Set[int], ...] = tuple(
+            set() for _ in range(self.coords.h * (self.coords.r - 1)))
+        #: reference switch for the visit sets: offer every live node every
+        #: slot instead (must be event-identical; see tests/test_properties.py)
         self.force_full_scan = False
         #: recycled Transmission shells — a transmission dies as soon as its
         #: receiver processes it, so the wire re-uses the objects instead of
@@ -280,9 +284,7 @@ class Engine:
                 node.load_state(state, flow_lookup)
             self._in_flight.extend(
                 map(Transmission.from_state, tables.wire_states(model)))
-            # the nodes alias the set: refilled in place
-            self._active_ids.clear()
-            self._active_ids.update(model["active_ids"][:, 0].tolist())
+            self._set_active(model["active_ids"][:, 0].tolist())
 
     def _plain_model(self) -> Optional[tables.PlainModel]:
         """The plain model (:mod:`repro.sim.tables`) of whichever
@@ -300,8 +302,16 @@ class Engine:
             node.state_rows(rows)
         for tx in self._in_flight:
             tx.state_rows(rows)
-        rows["active_ids"] = [(i,) for i in sorted(self._active_ids)]
+        rows["active_ids"] = [(i,) for i in sorted(set().union(*self._visit))]
         return tables.model(rows)
+
+    def _set_active(self, ids: List[int]) -> None:
+        """Make ``ids`` the nodes with work: each is put on every link's
+        visit set, and no other node on any — the entry point for
+        imported state (the nodes alias the sets: refilled in place)."""
+        for visit in self._visit:
+            visit.clear()
+            visit.update(ids)
 
     def _adopt_model(self, model: tables.PlainModel) -> None:
         """Make plain data (a checkpoint's payload) the engine's nodes and

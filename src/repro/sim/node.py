@@ -163,7 +163,8 @@ class Node:
         "_tokens_per_header",
         "_my_digits",
         "_weights",
-        "_active",
+        "_visit",
+        "_link_of",
         "_randrange",
         "_getrandbits",
         "_spray_bits",
@@ -213,6 +214,9 @@ class Node:
         ]
         #: same table flattened so neighbors_flat[link_index] is the peer
         self.neighbors_flat = self.coords.neighbor_table(node_id)
+        #: the inverse: a neighbour's link index
+        self._link_of: Dict[int, int] = {
+            peer: link for link, peer in enumerate(self.neighbors_flat)}
         self._rm1 = self.r - 1
         self._hm1 = self.h - 1
         self._is_priority = self.mode == "priority"
@@ -225,7 +229,8 @@ class Node:
         self._tokens_per_header = config.tokens_per_header
         self._my_digits = self.coords.coords(node_id)
         self._weights = self.coords._weights
-        self._active = engine._active_ids
+        #: the engine's visit set per link index (``Engine._visit``)
+        self._visit = engine._visit
         #: the engine's collector and transmission freelist (both live for
         #: the whole run), cached to skip an attribute chain per hot call
         self._metrics = engine.metrics
@@ -322,25 +327,28 @@ class Node:
         """Flat index of the link used in ``phase`` at round-robin ``offset``."""
         return phase * (self.r - 1) + (offset - 1)
 
-    @property
-    def idle(self) -> bool:
-        """Fast check: nothing to transmit this slot under any policy."""
-        return (
-            self.total_enqueued == 0
-            and not self.local_flows
-            and self.pending_tokens == 0
-            and self.pending_ctrl == 0
-            and not self.rtx_queue
-        )
-
     def wake(self) -> None:
-        """Put this node back on the engine's active-node schedule.
+        """Put this node on every link's visit set.
 
-        Must be called on every transition that can give an idle node work
-        (enqueue, new flow, queued token/control, failed-neighbour marking,
-        owed probe reply, recovery) — the engine only visits active nodes.
+        For work that is not tied to one link (a new flow, an rtx request,
+        failed-neighbour marking, recovery): the engine visits a node on
+        link ``l`` only while it is in ``l``'s set, so every transition
+        that can give a node work must wake it — here, or on the one link
+        the work waits for (:meth:`_wake_peer`, the enqueue sites).
         """
-        self._active.add(self.node_id)
+        node_id = self.node_id
+        for visit in self._visit:
+            visit.add(node_id)
+
+    def _wake_peer(self, peer: int) -> None:
+        """Put this node on the visit set of the link to ``peer``, which
+        something (a token, a probe reply) is now owed to; everywhere if
+        ``peer`` is no neighbour."""
+        link = self._link_of.get(peer)
+        if link is None:
+            self.wake()
+        else:
+            self._visit[link].add(self.node_id)
 
     # ------------------------------------------------------------------ #
     # flow management
@@ -348,7 +356,7 @@ class Node:
     def add_flow(self, flow: Flow) -> None:
         """Register a locally originated flow."""
         self.local_flows.append(flow)
-        self._active.add(self.node_id)
+        self.wake()
 
     def _prune_local_flows(self) -> None:
         if any(f.done_sending for f in self.local_flows):
@@ -362,10 +370,13 @@ class Node:
 
         Returns ``None`` when the node has neither data, tokens nor control
         messages for the current neighbour (a real network would send an
-        empty dummy cell; the simulator elides it).
+        empty dummy cell; the simulator elides it) — so it then owes that
+        neighbour nothing, which is what lets ``run_tx`` retire it from the
+        link's visit set.
 
         This is the object pipeline's only TX routine (``run_tx`` calls it
-        for every active node) and its hottest function.  The PIEO scan fuses
+        for every node on the slot's link's visit set) and its hottest
+        function.  The PIEO scan fuses
         the eligibility test with the next-hop charge — the hit's check just
         proved the credit exists — and the token-upstream / bucket-release
         step works on the ledger's and tracker's dicts directly, so a
@@ -467,6 +478,7 @@ class Node:
                             tcache[bucket] = tok
                         queue.append(tok)
                         self.pending_tokens += 1
+                        self._wake_peer(prev)
                     refcount = self._refcount_map
                     count = refcount.get(bucket, 0)
                     if count > 1:
@@ -750,7 +762,7 @@ class Node:
             self.token_return[neighbor] = queue
         queue.append(token)
         self.pending_tokens += 1
-        self._active.add(self.node_id)
+        self._wake_peer(neighbor)
 
     def _pop_ctrl(self, link: int) -> Tuple[ControlMessage, ...]:
         queue = self.ctrl_out[link]
@@ -948,7 +960,8 @@ class Node:
             next_phase, offset = hop
             n = cell.sprays_remaining  # may have been reset by a reroute
         cell.spray_phase = (next_phase + 1) % self.h
-        queue = self.link_queues[next_phase * self._rm1 + offset - 1]
+        link = next_phase * self._rm1 + offset - 1
+        queue = self.link_queues[link]
         items = queue._items
         if self.is_ndp and len(items) >= self.config.ndp_queue_limit:
             self._trim(cell, t)
@@ -967,7 +980,7 @@ class Node:
             if length > queue.peak_occupancy:
                 queue.peak_occupancy = length
         self.total_enqueued += 1
-        self._active.add(self.node_id)
+        self._visit[link].add(self.node_id)
         if self.uses_hbh:
             tracker = self.bucket_tracker
             refcount = self._refcount_map
@@ -1111,7 +1124,7 @@ class Node:
         link = self.link_index(phase, offset)
         self.ctrl_out[link].append(msg)
         self.pending_ctrl += 1
-        self._active.add(self.node_id)
+        self._visit[link].add(self.node_id)
         self.engine.metrics.control_messages += 1
 
     def _handle_ctrl(self, msg: ControlMessage, t: int, arrival_phase: int) -> None:
@@ -1141,7 +1154,7 @@ class Node:
         link = self.link_index(phase, offset)
         self.ctrl_out[link].append(msg)
         self.pending_ctrl += 1
-        self._active.add(self.node_id)
+        self._visit[link].add(self.node_id)
 
     def _consume_ctrl(self, msg: ControlMessage, t: int) -> None:
         if msg.kind == CTRL_PROBE:
@@ -1150,7 +1163,7 @@ class Node:
             # carry no probe marker, which is what stops two healthy idle
             # nodes from ping-ponging dummies forever.
             self._force_dummy.add(msg.src)
-            self._active.add(self.node_id)
+            self._wake_peer(msg.src)
             return
         if msg.kind == CTRL_PULL:
             flow = self.engine.flows.get(msg.flow_id)
@@ -1164,7 +1177,7 @@ class Node:
             )
         elif msg.kind == CTRL_RTX:
             self.rtx_queue.append((msg.flow_id, msg.src, msg.seq))
-            self._active.add(self.node_id)
+            self.wake()
 
     def _trim(self, cell: Cell, t: int) -> None:
         """NDP trimming: drop the payload, forward the header as control."""
@@ -1212,7 +1225,7 @@ class Node:
             self.bucket_tracker = ActiveBucketTracker()
             self._cache_hbh_state()
         # the node may resume sending its surviving local flows immediately
-        self._active.add(self.node_id)
+        self.wake()
 
     # ------------------------------------------------------------------ #
     # shard-backend receive hook

@@ -268,12 +268,12 @@ class TestRecoveryEdgeWindow:
 
 class TestRecoveryActiveSetEquivalence:
     """Regression: a node revived via ``Node.reset_for_recovery`` while
-    outside ``Engine._active_ids`` must rejoin the active set before its
-    next pending work (resumed local flows, probe replies, rtx queue) —
-    otherwise ``run_tx``, which visits only the active set, silently skips
-    it until an unrelated arrival, diverging from the full scan (the
-    reference for the active set: same ``Node.transmit``, every node
-    visited)."""
+    outside the engine's per-link visit sets (``Engine._visit``) must
+    rejoin every link's set before its next pending work (resumed local
+    flows, probe replies, rtx queue) — otherwise ``run_tx``, which visits
+    only the slot's link's set, silently skips it until an unrelated
+    arrival, diverging from the full scan (the reference for the visit
+    sets: same ``Node.transmit``, every live node offered every slot)."""
 
     def _run(self, full_scan):
         manager = FailureManager(events=[

@@ -43,13 +43,15 @@ class TestLinkIndexing:
                 assert node.neighbors[p][k - 1] == \
                     engine.coords.neighbor_at_offset(5, p, k)
 
-    def test_idle_flag(self):
+    def test_enqueue_wakes_only_its_link(self):
         engine = make_engine()
         node = engine.nodes[0]
-        assert node.idle
+        assert not any(engine._visit)
         cell = fresh_cell(engine, 1, 9)
         node.enqueue_forward(cell, t=0, arrival_phase=0)
-        assert not node.idle
+        link, = (i for i, items in enumerate(node._link_items) if items)
+        assert [0 in visit for visit in engine._visit] \
+            == [i == link for i in range(len(engine._visit))]
 
 
 class TestRxPath:

@@ -222,13 +222,14 @@ class TestWorkloadProperties:
 
 
 class TestEngineFastPathEquivalence:
-    """The active set must be invisible in simulated behaviour.
+    """The per-link visit sets must be invisible in simulated behaviour.
 
-    ``object_backend.run_tx`` visits only the nodes in the active set and
-    retires the ones it finds failed or idle; with ``force_full_scan`` it
-    visits every node each slot and never touches the set.  Both call the
-    same ``Node.transmit``, so the only thing under test is the set: every
-    path that gives an idle node work must wake it — enqueue and new flows
+    ``object_backend.run_tx`` visits only the nodes on the slot's link's
+    visit set and retires the ones that are failed or owe the link
+    nothing; with ``force_full_scan`` it offers every live node the slot
+    and never touches the sets.  Both call the same ``Node.transmit``, so
+    the only thing under test is the sets: every path that gives a node
+    work must wake it on that work's link — enqueue and new flows
     (all mechanisms), queued tokens (hop-by-hop family), ``pending_ctrl``
     and ``rtx_queue`` (``rd`` / ``ndp``), ranked queues (``priority``) and
     the RX-side shortest-queue pick (``spray-short``).  The two scans must

@@ -471,6 +471,29 @@ class TestControlPlane:
 
         assert self._serve(scenario)
 
+    def test_deeply_nested_line_gets_an_error_reply(self):
+        """A line under MAX_LINE_BYTES nested deeper than the JSON parser's
+        stack is answered like any other junk, and the connection lives."""
+        line = b"[" * 30_000 + b"]" * 30_000 + b"\n"
+        assert len(line) < MAX_LINE_BYTES
+
+        async def scenario(server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(line + b'{"id":2,"op":"ping"}\n')
+            replies = []
+            for _ in range(2):
+                reply = await asyncio.wait_for(reader.readline(), timeout=20)
+                replies.append(decode_message(reply))
+            writer.close()
+            refused, pong = replies
+            assert refused["id"] is None and not refused["ok"]
+            assert "undecodable" in refused["error"]
+            assert pong["id"] == 2 and pong["ok"]
+            return True
+
+        assert self._serve(scenario)
+
     def test_oversized_line_gets_an_error_reply(self):
         """A request line past MAX_LINE_BYTES — here a 4000-flow submit —
         is answered with an error naming the limit and that connection is
