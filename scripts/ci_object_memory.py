@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""CI record: what the object model holds at n=1296, per container family.
+
+Builds the object model of an n=1296, h=2 hbh+spray engine (Poisson short
+flows at ``load_for(2)``), runs 300 slots, and prints the MB each family
+of per-node containers holds, then the process's RSS growth and peak.
+The families are the send queues (the ``PieoQueue`` wrappers, their
+backing lists and the per-node views of them), the control queues, the
+token-return queues, the engine's token intern table, the per-node
+neighbour-to-link index (``_link_of``), and the cells queued or on the
+wire.  A family's figure is the bytes of the objects only it holds
+(``sys.getsizeof`` over its containers and their members), so it is
+exact and repeats run to run; tracemalloc is not used, because its own
+traces would swell the RSS reading next to it.
+
+Run from the repo root::
+
+    python scripts/ci_object_memory.py
+"""
+
+import pathlib
+import random
+import resource
+import sys
+import time
+from sys import getsizeof
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.experiments.common import load_for  # noqa: E402
+from repro.sim.config import SimConfig  # noqa: E402
+from repro.sim.engine import Engine  # noqa: E402
+from repro.workloads.distributions import ShortFlowDistribution  # noqa: E402
+from repro.workloads.generators import poisson_workload  # noqa: E402
+
+N, H, SLOTS = 1296, 2, 300
+MB = 2 ** 20
+
+
+def rss_mb() -> float:
+    """Current resident set size (Linux ``/proc``)."""
+    with open("/proc/self/statm") as statm:
+        pages = int(statm.read().split()[1])
+    return pages * resource.getpagesize() / MB
+
+
+def families(engine) -> dict:
+    """Bytes held per container family."""
+    nodes = engine.nodes
+    interned = engine._token_cache
+    shared = {id(token) for token in interned.values()}
+    send = control = tokens = index = cells = 0
+    for node in nodes:
+        send += getsizeof(node.link_queues) + getsizeof(node._link_items) \
+            + getsizeof(node._phase_items) \
+            + sum(map(getsizeof, node._phase_items))
+        for queue in node.link_queues:
+            send += getsizeof(queue) + getsizeof(queue._items)
+            cells += sum(map(getsizeof, queue._items))
+        control += getsizeof(node.ctrl_out) + sum(
+            getsizeof(held) + sum(map(getsizeof, held))
+            for held in node.ctrl_out.values())
+        tokens += getsizeof(node.token_return) + sum(
+            getsizeof(held) + sum(getsizeof(token) for token in held
+                                  if id(token) not in shared)
+            for held in node.token_return.values())
+        index += getsizeof(node._link_of)
+    cells += sum(getsizeof(tx.cell) for tx in engine._in_flight)
+    table = getsizeof(interned) + sum(
+        getsizeof(key) + getsizeof(token) for key, token in interned.items())
+    return {
+        "send queues": send,
+        "control queues": control,
+        "token-return queues": tokens,
+        "token intern table": table,
+        "link index (_link_of)": index,
+        "cells": cells,
+    }
+
+
+def main() -> int:
+    config = SimConfig(n=N, h=H, seed=1, duration=SLOTS,
+                       congestion_control="hbh+spray", backend="object")
+    flows = poisson_workload(config, ShortFlowDistribution(),
+                             load=load_for(H), rng=random.Random(1))
+    engine = Engine(config, flows)
+    base = rss_mb()
+    started = time.perf_counter()
+    engine.nodes  # build the object model
+    built = rss_mb()
+    engine.run(SLOTS)
+    wall = time.perf_counter() - started
+    assert engine.backend_effective == "object"
+    after = rss_mb()
+    held = families(engine)
+    print(f"n={N} h={H} hbh+spray object model, {SLOTS} slots "
+          f"({wall:.2f} s), {engine.metrics.payload_cells_delivered} "
+          f"cells delivered, {engine.metrics.control_messages} control "
+          f"messages")
+    for name, size in held.items():
+        print(f"  {name:<24} {size / MB:8.2f} MB")
+    print(f"  {'total':<24} {sum(held.values()) / MB:8.2f} MB")
+    print(f"RSS growth: build {built - base:+.1f} MB, "
+          f"build + {SLOTS} slots {after - base:+.1f} MB")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS: {peak:.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

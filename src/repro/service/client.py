@@ -23,7 +23,12 @@ import json
 import socket
 from typing import Any, Dict, List, Optional, Sequence
 
-from .protocol import ServiceError, decode_message, encode_message
+from .protocol import (
+    MAX_LINE_BYTES,
+    ServiceError,
+    decode_message,
+    encode_message,
+)
 
 __all__ = ["ServiceClient", "SyncServiceClient", "wait_for_ready"]
 
@@ -50,7 +55,7 @@ class ServiceClient:
 
     async def connect(self) -> "ServiceClient":
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=MAX_LINE_BYTES,
         )
         self._reader_task = asyncio.ensure_future(self._read_loop())
         return self
@@ -143,8 +148,14 @@ class ServiceClient:
         return response["factor"]
 
     async def telemetry_rows(self, since: int = 0) -> List[Dict[str, int]]:
-        response = await self.request("telemetry-rows", since=since)
-        return response["rows"]
+        """Every closed row from ``since`` on, fetched a reply at a time."""
+        rows: List[Dict[str, int]] = []
+        while True:
+            response = await self.request("telemetry-rows", since=since)
+            rows += response["rows"]
+            if not response.get("more"):
+                return rows
+            since = response["next"]
 
     async def stream_telemetry(self) -> int:
         """Subscribe this connection; rows land on :attr:`telemetry`."""
@@ -277,7 +288,14 @@ class SyncServiceClient:
         return self.request("adjust-load", factor=factor)["factor"]
 
     def telemetry_rows(self, since: int = 0) -> List[Dict[str, int]]:
-        return self.request("telemetry-rows", since=since)["rows"]
+        """Every closed row from ``since`` on, fetched a reply at a time."""
+        rows: List[Dict[str, int]] = []
+        while True:
+            response = self.request("telemetry-rows", since=since)
+            rows += response["rows"]
+            if not response.get("more"):
+                return rows
+            since = response["next"]
 
     def stream_telemetry(self) -> int:
         return self.request("stream-telemetry")["from_row"]

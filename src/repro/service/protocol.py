@@ -27,7 +27,9 @@ Verbs:
 ``telemetry``       latest telemetry row + row count (one-shot).
 ``telemetry-rows``  rows from an index: ``{"since": 42}`` — the polling
                     twin of the stream, used to compose gap-free series
-                    across a server restart.
+                    across a server restart.  A reply holds the rows that
+                    fit one line; ``"more": true`` says the rest start at
+                    its ``next`` index (the clients follow it).
 ``stream-telemetry``  subscribe this connection to pushed rows.
 ``stop-stream``     unsubscribe.
 ``checkpoint-now``  write a durability snapshot immediately.
@@ -56,9 +58,10 @@ __all__ = [
 #: bumped on incompatible wire changes; carried in the server's ready line
 PROTOCOL_VERSION = 1
 
-#: longest request line the server reads (asyncio's stream default, named):
-#: a longer one is answered with an error and the connection is closed,
-#: because the stream position is then mid-line.  Split big ``submit``s.
+#: longest line either side reads (asyncio's stream default, named): a
+#: longer request is answered with an error and the connection is closed,
+#: because the stream position is then mid-line.  Split big ``submit``s;
+#: the server pages ``telemetry-rows`` replies to fit.
 MAX_LINE_BYTES = 64 * 1024
 
 VERBS = (

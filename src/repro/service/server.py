@@ -287,11 +287,8 @@ class ServiceServer:
             since = message.get("since", 0)
             if not isinstance(since, int) or since < 0:
                 raise ServiceError("'since' must be a non-negative integer")
-            rows = session.telemetry_rows(since=since)
-            return ok_response(
-                request_id, since=since, rows=rows,
-                next=since + len(rows),
-            )
+            return self._rows_page(
+                request_id, since, session.telemetry_rows(since=since))
 
         if op == "stream-telemetry":
             if writer not in self._subscribers:
@@ -328,6 +325,30 @@ class ServiceServer:
             return ok_response(request_id, t=session.t, stopped=True)
 
         raise ServiceError(f"unknown op {op!r}")
+
+    @staticmethod
+    def _rows_page(request_id: Optional[Any], since: int,
+                   rows: List[Dict[str, int]]) -> Dict[str, Any]:
+        """The ``telemetry-rows`` reply: the first of ``rows`` that fit one
+        :data:`MAX_LINE_BYTES` line (at least one, so a reader paging on
+        ``next`` always advances); ``more`` says rows remain from ``next``.
+        """
+        room = MAX_LINE_BYTES - len(encode_message(ok_response(
+            request_id, since=since, rows=[], next=since + len(rows),
+            more=False,
+        )))
+        count = 0
+        for row in rows:
+            # a row's line is its JSON and a newline: one byte more than
+            # the comma that separates it from the next row in the list
+            room -= len(encode_message(row))
+            if room < 0 and count:
+                break
+            count += 1
+        return ok_response(
+            request_id, since=since, rows=rows[:count],
+            next=since + count, more=count < len(rows),
+        )
 
 
 # ---------------------------------------------------------------------- #

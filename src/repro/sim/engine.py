@@ -143,6 +143,9 @@ class Engine:
         #: allocating ~one per node per slot (identity is never observed).
         #: Built before the nodes, which cache a reference.
         self._tx_pool: List[Transmission] = []
+        #: interned regular tokens by (dest, sprays), shared by every node
+        #: (``Node._token_cache``); built before the nodes, which alias it
+        self._token_cache: Dict[Tuple[int, int], Token] = {}
         #: the backend's packed run while it, not the object model, holds
         #: the nodes' and the wire's state (see :meth:`_park`)
         self._parked = None
@@ -668,11 +671,12 @@ class Engine:
         if sender.uses_hbh and tx.receiver != cell.dst:
             # sprays_remaining was already decremented at transmit time, so
             # it names exactly the bucket that was charged.  The heal also
-            # applies to a sender that failed after transmitting: the credit
-            # lives in the ledger state that reset_for_recovery preserves,
-            # so skipping it would leak the charged bucket permanently
-            # (crediting an uncharged pair is a tolerated no-op, which makes
-            # the unconditional heal safe in every interleaving).
+            # applies to a sender that failed after transmitting: a failed
+            # node keeps its ledger until it recovers, so skipping the heal
+            # would leak the charged bucket permanently.  Once it recovered,
+            # reset_for_recovery has built a fresh ledger with no charge to
+            # heal, and crediting an uncharged pair is a tolerated no-op —
+            # which makes the unconditional heal safe in every interleaving.
             sender.ledger.credit(tx.receiver, (cell.dst, cell.sprays_remaining))
 
     def _sample_metrics(self) -> None:

@@ -242,9 +242,10 @@ class Node:
         # the draw sequence (and thus behaviour) is bit-identical
         self._getrandbits = engine.rng.getrandbits
         self._spray_bits = (self.r - 1).bit_length()
-        #: interned regular tokens by (dest, sprays) — tokens are value
-        #: objects and never mutated, so hops can share one instance
-        self._token_cache: Dict[Tuple[int, int], Token] = {}
+        #: the engine's interned regular tokens by (dest, sprays) — tokens
+        #: are value objects and never mutated, so every hop of every node
+        #: shares one instance per bucket
+        self._token_cache: Dict[Tuple[int, int], Token] = engine._token_cache
         links = self.h * (self.r - 1)
         # only priority ranking ever pushes a non-zero rank; every other
         # mode gets the cheaper bare-cell fifo representation.  The queues
@@ -264,7 +265,11 @@ class Node:
             list(self._link_items[p * self._rm1:(p + 1) * self._rm1])
             for p in range(self.h)
         )
-        self.token_return: Dict[int, Deque[Token]] = {}
+        #: tokens owed to each neighbour, oldest first; a peer gets a list
+        #: the first time it is owed one (a plain list: an empty deque
+        #: costs ~760 B with its block, and every drain allocated a fresh
+        #: block)
+        self.token_return: Dict[int, List[Token]] = {}
         if self.uses_hbh:
             self.ledger = TokenLedger(
                 budget=config.token_budget,
@@ -277,7 +282,10 @@ class Node:
         self._cache_hbh_state()
         self.local_flows: List[Flow] = []
         self.rtx_queue: Deque[Tuple[int, int, int]] = deque()  # (flow_id, dst, seq)
-        self.ctrl_out: List[Deque[ControlMessage]] = [deque() for _ in range(links)]
+        #: control messages waiting per link index; a link gets a queue
+        #: only once it carried one (ndp/rd pulls and failure probes), so
+        #: modes without control traffic hold none
+        self.ctrl_out: Dict[int, Deque[ControlMessage]] = {}
         self.total_enqueued = 0
         self.pending_tokens = 0
         self.pending_ctrl = 0
@@ -467,16 +475,16 @@ class Node:
                     prev = cell.prev_hop
                     bucket = (dst, n)
                     if prev >= 0:
-                        queue = self.token_return.get(prev)
-                        if queue is None:
-                            queue = deque()
-                            self.token_return[prev] = queue
                         tcache = self._token_cache
                         tok = tcache.get(bucket)
                         if tok is None:
                             tok = Token(dst, n, TOKEN_REGULAR)
                             tcache[bucket] = tok
-                        queue.append(tok)
+                        queue = self.token_return.get(prev)
+                        if queue is None:
+                            self.token_return[prev] = [tok]
+                        else:
+                            queue.append(tok)
                         self.pending_tokens += 1
                         self._wake_peer(prev)
                     refcount = self._refcount_map
@@ -524,20 +532,12 @@ class Node:
                     queue.clear()
                     self.pending_tokens -= len(tokens)
                 else:
-                    out = []
-                    while len(out) < limit:
-                        out.append(queue.popleft())
+                    tokens = tuple(queue[:limit])
+                    del queue[:limit]
                     self.pending_tokens -= limit
-                    tokens = tuple(out)
         ctrl: Tuple[ControlMessage, ...] = ()
         if self.pending_ctrl:
-            queue = self.ctrl_out[link]
-            if queue:
-                out = []
-                while queue and len(out) < 2:
-                    out.append(queue.popleft())
-                self.pending_ctrl -= len(out)
-                ctrl = tuple(out)
+            ctrl = self._pop_ctrl(link)
         if cell is None and not tokens and not ctrl and not force:
             return None
         if cell is None:
@@ -571,10 +571,10 @@ class Node:
             tokens.append(Token(self.node_id, 1, TOKEN_INVALIDATE))
         queue = self.token_return.get(neighbor)
         if queue:
-            limit = self.config.tokens_per_header
-            while queue and len(tokens) < limit:
-                tokens.append(queue.popleft())
-                self.pending_tokens -= 1
+            taken = queue[:self._tokens_per_header - len(tokens)]
+            del queue[:len(taken)]
+            self.pending_tokens -= len(taken)
+            tokens += taken
         ctrl = (ControlMessage(CTRL_PROBE, -1, self.node_id, neighbor),)
         ctrl += self._pop_ctrl(self.link_index(phase, offset))
         cell = Cell.make_dummy(self.node_id, neighbor)
@@ -758,14 +758,23 @@ class Node:
     def _queue_token(self, neighbor: int, token: Token) -> None:
         queue = self.token_return.get(neighbor)
         if queue is None:
-            queue = deque()
-            self.token_return[neighbor] = queue
-        queue.append(token)
+            self.token_return[neighbor] = [token]
+        else:
+            queue.append(token)
         self.pending_tokens += 1
         self._wake_peer(neighbor)
 
+    def _queue_ctrl(self, link: int, msg: ControlMessage) -> None:
+        queue = self.ctrl_out.get(link)
+        if queue is None:
+            self.ctrl_out[link] = deque((msg,))
+        else:
+            queue.append(msg)
+        self.pending_ctrl += 1
+        self._visit[link].add(self.node_id)
+
     def _pop_ctrl(self, link: int) -> Tuple[ControlMessage, ...]:
-        queue = self.ctrl_out[link]
+        queue = self.ctrl_out.get(link)
         if not queue:
             return ()
         out = []
@@ -1121,10 +1130,7 @@ class Node:
         msg.sprays_remaining = self.h - 1
         phase = self.rng.randrange(self.h)
         offset = self.rng.randrange(1, self.r)
-        link = self.link_index(phase, offset)
-        self.ctrl_out[link].append(msg)
-        self.pending_ctrl += 1
-        self._visit[link].add(self.node_id)
+        self._queue_ctrl(self.link_index(phase, offset), msg)
         self.engine.metrics.control_messages += 1
 
     def _handle_ctrl(self, msg: ControlMessage, t: int, arrival_phase: int) -> None:
@@ -1151,10 +1157,7 @@ class Node:
                 # already at destination coordinates — consume defensively
                 self._consume_ctrl(msg, t)
                 return
-        link = self.link_index(phase, offset)
-        self.ctrl_out[link].append(msg)
-        self.pending_ctrl += 1
-        self._visit[link].add(self.node_id)
+        self._queue_ctrl(self.link_index(phase, offset), msg)
 
     def _consume_ctrl(self, msg: ControlMessage, t: int) -> None:
         if msg.kind == CTRL_PROBE:
@@ -1207,8 +1210,7 @@ class Node:
         self.total_enqueued = 0
         self.token_return.clear()
         self.pending_tokens = 0
-        for queue in self.ctrl_out:
-            queue.clear()
+        self.ctrl_out.clear()
         self.pending_ctrl = 0
         self.rtx_queue.clear()
         self._recv_counts.clear()
@@ -1261,8 +1263,9 @@ class Node:
         derived and rebuilt by construction.  ``local_flows`` stores flow
         ids — the Flow objects belong to the engine's
         :class:`~repro.sim.flows.FlowTable` and are re-resolved on load so
-        aliasing is preserved.  A token ring, like a ledger pair, is its
-        contents: an empty deque encodes as no rows.
+        aliasing is preserved.  A token or control queue, like a ledger
+        pair, is its contents: an empty one encodes as no rows, and control
+        rows come in link order whichever link's queue was made first.
         """
         i = self.node_id
         cells, queues = rows["cells"], rows["queues"]
@@ -1290,7 +1293,8 @@ class Node:
         if self.pending_ctrl:
             rows["ctrl_out"].extend(
                 (i, link, *msg.state())
-                for link, held in enumerate(self.ctrl_out) for msg in held)
+                for link, held in sorted(self.ctrl_out.items())
+                for msg in held)
         for name, held in (
             ("failed_neighbors", self.failed_neighbors),
             ("known_failed", self.known_failed),
@@ -1326,7 +1330,7 @@ class Node:
             queue.load_state(list(islice(cells, length)), ranks, seq, top)
         self.token_return.clear()
         for _, nb, *token in state["tokens"]:
-            self.token_return.setdefault(nb, deque()).append(
+            self.token_return.setdefault(nb, []).append(
                 Token.from_state(token))
         if self.bucket_tracker is not None:
             self.ledger.load_state(row[1:] for row in state["ledger"])
@@ -1340,10 +1344,10 @@ class Node:
         ]
         self.rtx_queue.clear()
         self.rtx_queue.extend(tuple(item[1:]) for item in state["rtx_queue"])
-        for held in self.ctrl_out:
-            held.clear()
+        self.ctrl_out.clear()
         for _, link, *msg in state["ctrl_out"]:
-            self.ctrl_out[link].append(ControlMessage.from_state(msg))
+            self.ctrl_out.setdefault(link, deque()).append(
+                ControlMessage.from_state(msg))
         for held, name in (
             (self.failed_neighbors, "failed_neighbors"),
             (self.known_failed, "known_failed"),

@@ -20,9 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import open_session
-from repro.failures.manager import FailureEvent, FailureManager
+from repro.failures.manager import (
+    FailureEvent,
+    FailureManager,
+    LinkFailureEvent,
+)
 from repro.obs.events import EventLog, RingSink
 from repro.obs.timeseries import TimeSeriesRecorder
+from repro.sim import tables
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -165,6 +170,71 @@ class TestObserversAcrossRestore:
         k = (params["fail_at"] + params["recover_at"]) // 2
         resumed = _run_through_checkpoint("hbh+spray", params, k, tmp_path)
         assert resumed == straight
+
+
+class TestQueuedControlAndTokens:
+    """A snapshot taken while control messages and tokens wait in their
+    queues.  Nodes make those queues on first use, so a node's control
+    queues exist in the order its links first carried a message; the
+    rows must still come out in link order, or a round trip (which
+    refills them in row order) would change what the node encodes."""
+
+    DURATION = 600
+
+    def _engine(self):
+        cfg = SimConfig(n=16, h=2, seed=2, duration=self.DURATION,
+                        propagation_delay=4, congestion_control="ndp")
+        manager = FailureManager(events=[
+            FailureEvent(100, 5), LinkFailureEvent(120, 0, 1),
+            FailureEvent(300, 5, failed=False),
+            LinkFailureEvent(320, 0, 1, failed=False),
+        ])
+        engine = Engine(cfg, workload=permutation_workload(cfg, 40),
+                        failure_manager=manager)
+        engine.enable_digest()
+        return engine
+
+    @staticmethod
+    def _rows(node):
+        rows = {name: [] for name in tables.TABLES}
+        node.state_rows(rows)
+        return rows
+
+    @staticmethod
+    def _queued_out_of_link_order(nodes):
+        """Control and tokens are queued, and some node made its queued
+        control links in an order other than link order."""
+        def shuffled(node):
+            links = [link for link, held in node.ctrl_out.items() if held]
+            return links != sorted(links)
+
+        return (any(node.pending_ctrl for node in nodes)
+                and any(node.pending_tokens for node in nodes)
+                and any(map(shuffled, nodes)))
+
+    def test_round_trip_with_queued_control_and_tokens(self, tmp_path):
+        straight = self._engine()
+        straight.run()
+
+        engine = self._engine()
+        while not self._queued_out_of_link_order(engine.nodes):
+            assert engine.t < self.DURATION, "no slot queues both"
+            engine.step()
+        k = engine.t
+        snapshot = engine.snapshot()
+        model = snapshot.state["nodes"]
+        assert len(model["ctrl_out"]) and len(model["tokens"])
+        # node-major, then link order, as tables.TABLES has it
+        keys = model["ctrl_out"][:, :2].tolist()
+        assert keys == sorted(keys)
+        before = [self._rows(node) for node in engine.nodes]
+
+        path = tmp_path / "queued.ckpt"
+        save_checkpoint(snapshot, path)
+        restored = restore_engine(load_checkpoint(path))
+        assert [self._rows(node) for node in restored.nodes] == before
+        restored.run(self.DURATION - k)
+        assert restored.digest.value == straight.digest.value
 
 
 _MAGIC = b"SHALECKPT\n"

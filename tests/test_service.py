@@ -345,14 +345,18 @@ class TestControlPlane:
     left behind; driven with asyncio.run — no pytest-asyncio needed)."""
 
     def _serve(self, coro_fn, *, source_load=0.2, checkpoint=None,
-               max_slots=None, digest=False):
+               max_slots=None, digest=False, sample_interval=50, prime=0):
+        """Serve a fresh session (advanced ``prime`` slots first) to
+        ``coro_fn(server, client)``."""
         async def scenario():
-            cfg = _cfg()
+            cfg = _cfg(metrics_sample_interval=sample_interval)
             source = OpenLoopSource(cfg, load=source_load)
             session = open_session(cfg, source=source, telemetry=True,
                                    digest=digest,
                                    checkpoint=checkpoint,
                                    checkpoint_every=500)
+            if prime:
+                session.advance(prime)
             server = ServiceServer(session, quantum=100,
                                    max_slots=max_slots)
             await server.start()
@@ -392,6 +396,32 @@ class TestControlPlane:
             return True
 
         assert self._serve(scenario)
+
+    def test_telemetry_rows_page_past_the_line_limit(self):
+        """More rows than one line holds: each reply fits the limit the
+        client reads with, both clients follow ``next`` to the end, and
+        the connection stays usable."""
+        async def scenario(server, client):
+            page = await client.request("telemetry-rows", since=0)
+            assert page["more"] and page["next"] == len(page["rows"])
+            assert len(encode_message(page)) <= MAX_LINE_BYTES
+            rows = await client.telemetry_rows(since=0)
+            assert len(encode_message({"rows": rows})) > 2 * MAX_LINE_BYTES
+            assert rows == server.session.telemetry_rows(0)[:len(rows)]
+            assert [row["t"] for row in rows] == \
+                list(range(0, 2 * len(rows), 2))
+            assert (await client.ping())["protocol"] == PROTOCOL_VERSION
+
+            def sync_rows():
+                with SyncServiceClient("127.0.0.1", server.port) as sync:
+                    return sync.telemetry_rows(since=5)
+
+            loop = asyncio.get_event_loop()
+            more = await loop.run_in_executor(None, sync_rows)
+            assert more[:len(rows) - 5] == rows[5:]
+            return True
+
+        assert self._serve(scenario, sample_interval=2, prime=2_000)
 
     def test_stream_telemetry_push(self):
         async def scenario(server, client):
