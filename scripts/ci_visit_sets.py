@@ -8,7 +8,11 @@ visit set.  This script runs that session shape in process twice — n=64,
 hbh+spray, a diurnal ``OpenLoopSource`` with the benchmark's two tenants,
 telemetry on, 40 quanta of 256 slots — once on the visit sets and once
 with ``force_full_scan`` (every live node offered every slot), asserts the
-digests and the telemetry rows are identical, and prints both wall times.
+digests, the telemetry rows and ``metrics.summary()`` (which carries
+``max_pieo_length``, no telemetry column does) are identical, and prints
+both wall times.  A second, untimed pass of each counts ``Node.transmit``
+calls and the ``None`` they return, printed per slot so the visit count
+is on record per commit.
 
 Run from the repo root::
 
@@ -24,6 +28,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import open_session  # noqa: E402
 from repro.sim.config import SimConfig  # noqa: E402
+from repro.sim.node import Node  # noqa: E402
 from repro.workloads.distributions import (  # noqa: E402
     HeavyTailedDistribution,
     ShortFlowDistribution,
@@ -39,7 +44,8 @@ QUANTUM = 256
 
 
 def session_run(full_scan: bool):
-    """Digest, telemetry rows and wall seconds of one session."""
+    """Digest, telemetry rows, metrics summary and wall seconds of one
+    session."""
     config = SimConfig(n=64, h=2, seed=1, congestion_control="hbh+spray",
                        metrics_sample_interval=50, backend="object")
     tenants = [
@@ -59,16 +65,41 @@ def session_run(full_scan: bool):
     assert session.engine.backend_effective == "object"
     rows = session.telemetry_rows()
     digest = session.engine.digest.hexdigest()
+    summary = session.engine.metrics.summary()
     session.finish()
-    return digest, rows, wall
+    return digest, rows, summary, wall
+
+
+def counted_run(full_scan: bool):
+    """``(transmit calls, None returns)`` of one session."""
+    transmit = Node.transmit
+    counts = [0, 0]
+
+    def counted(node, t, phase, offset):
+        tx = transmit(node, t, phase, offset)
+        counts[0] += 1
+        counts[1] += tx is None
+        return tx
+
+    Node.transmit = counted
+    try:
+        session_run(full_scan)
+    finally:
+        Node.transmit = transmit
+    return counts
 
 
 def main() -> int:
-    fast_digest, fast_rows, fast_wall = session_run(full_scan=False)
-    ref_digest, ref_rows, ref_wall = session_run(full_scan=True)
+    fast_digest, fast_rows, fast_summary, fast_wall = session_run(False)
+    ref_digest, ref_rows, ref_summary, ref_wall = session_run(True)
     slots = QUANTA * QUANTUM
-    print(f"visit sets: {fast_wall:.3f} s ({fast_wall / slots * 1e6:.1f} us/slot)")
-    print(f"full scan:  {ref_wall:.3f} s ({ref_wall / slots * 1e6:.1f} us/slot)")
+    for name, wall, full_scan in (("visit sets", fast_wall, False),
+                                  ("full scan", ref_wall, True)):
+        calls, empty = counted_run(full_scan)
+        print(f"{name + ':':<11} {wall:.3f} s "
+              f"({wall / slots * 1e6:.1f} us/slot), "
+              f"{calls / slots:.2f} transmit calls/slot, "
+              f"{empty / slots:.2f} None/slot")
     print(f"digest {fast_digest}, {len(fast_rows)} telemetry rows")
     ok = True
     if fast_digest != ref_digest:
@@ -76,6 +107,9 @@ def main() -> int:
         ok = False
     if fast_rows != ref_rows:
         print("FAIL: telemetry rows differ from the full scan's")
+        ok = False
+    if fast_summary != ref_summary:
+        print("FAIL: metrics.summary() differs from the full scan's")
         ok = False
     if not fast_rows:
         print("FAIL: no telemetry row was recorded")

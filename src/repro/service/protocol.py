@@ -22,7 +22,9 @@ Verbs:
 ``ping``            liveness check; echoes the server slot.
 ``status``          the session's :meth:`~repro.service.session.Session.status`.
 ``submit``          schedule flows: ``{"flows": [[t, src, dst, cells,
-                    bytes], ...], "late": "clamp"|"raise"}``.
+                    bytes], ...], "late": "clamp"|"raise"}``; integer
+                    fields, distinct node ids, ``cells >= 1``.  A batch
+                    with one malformed flow is refused whole.
 ``adjust-load``     scale the open-loop source: ``{"factor": 1.5}``.
 ``telemetry``       latest telemetry row + row count (one-shot).
 ``telemetry-rows``  rows from an index: ``{"since": 42}`` — the polling

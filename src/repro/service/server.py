@@ -55,6 +55,10 @@ from .session import Session
 
 __all__ = ["ServiceServer", "main"]
 
+#: telemetry rows a ``telemetry-rows`` page builds at a time, until the
+#: line is full
+_ROWS_CHUNK = 64
+
 
 class ServiceServer:
     """Serves one live session over JSON-lines TCP.
@@ -258,16 +262,15 @@ class ServiceServer:
                 raise ServiceError("submit needs a 'flows' list")
             late = message.get("late", "clamp")
             try:
-                accepted = session.submit(
-                    [tuple(flow) for flow in flows], late=late
-                )
+                accepted = session.submit(flows, late=late)
             except (ValueError, TypeError) as exc:
                 raise ServiceError(f"rejected submission: {exc}") from exc
             return ok_response(request_id, accepted=accepted, t=session.t)
 
         if op == "adjust-load":
             factor = message.get("factor")
-            if not isinstance(factor, (int, float)):
+            if isinstance(factor, bool) \
+                    or not isinstance(factor, (int, float)):
                 raise ServiceError("adjust-load needs a numeric 'factor'")
             try:
                 new_factor = session.adjust_load(float(factor))
@@ -285,10 +288,10 @@ class ServiceServer:
 
         if op == "telemetry-rows":
             since = message.get("since", 0)
-            if not isinstance(since, int) or since < 0:
+            if isinstance(since, bool) or not isinstance(since, int) \
+                    or since < 0:
                 raise ServiceError("'since' must be a non-negative integer")
-            return self._rows_page(
-                request_id, since, session.telemetry_rows(since=since))
+            return self._rows_page(request_id, since, session)
 
         if op == "stream-telemetry":
             if writer not in self._subscribers:
@@ -328,26 +331,33 @@ class ServiceServer:
 
     @staticmethod
     def _rows_page(request_id: Optional[Any], since: int,
-                   rows: List[Dict[str, int]]) -> Dict[str, Any]:
-        """The ``telemetry-rows`` reply: the first of ``rows`` that fit one
-        :data:`MAX_LINE_BYTES` line (at least one, so a reader paging on
-        ``next`` always advances); ``more`` says rows remain from ``next``.
+                   session: Session) -> Dict[str, Any]:
+        """The ``telemetry-rows`` reply: the rows from ``since`` on that
+        fit one :data:`MAX_LINE_BYTES` line (at least one, so a reader
+        paging on ``next`` always advances); ``more`` says rows remain
+        from ``next``.  Rows are built a chunk at a time, so a page costs
+        what it returns (plus at most one chunk), not every row to the
+        end.
         """
+        end = max(since, session.telemetry_row_count())
         room = MAX_LINE_BYTES - len(encode_message(ok_response(
-            request_id, since=since, rows=[], next=since + len(rows),
-            more=False,
+            request_id, since=since, rows=[], next=end, more=False,
         )))
-        count = 0
-        for row in rows:
-            # a row's line is its JSON and a newline: one byte more than
-            # the comma that separates it from the next row in the list
-            room -= len(encode_message(row))
-            if room < 0 and count:
-                break
-            count += 1
+        rows: List[Dict[str, int]] = []
+        full = False
+        while not full and since + len(rows) < end:
+            for row in session.telemetry_rows(since + len(rows),
+                                              _ROWS_CHUNK):
+                # a row's line is its JSON and a newline: one byte more
+                # than the comma that separates it from the next row
+                room -= len(encode_message(row))
+                if room < 0 and rows:
+                    full = True
+                    break
+                rows.append(row)
         return ok_response(
-            request_id, since=since, rows=rows[:count],
-            next=since + count, more=count < len(rows),
+            request_id, since=since, rows=rows,
+            next=since + len(rows), more=since + len(rows) < end,
         )
 
 

@@ -39,6 +39,7 @@ from ..sim.checkpoint import (
 )
 from ..sim.config import SimConfig
 from ..sim.engine import Engine, ScheduledFlow
+from ..sim.flows import is_integer_field
 
 __all__ = ["Session"]
 
@@ -213,7 +214,9 @@ class Session:
         slot cannot be injected in the past; ``late="raise"`` (the
         default, for deterministic replays) rejects them, ``late="clamp"``
         moves them to the current slot (what a live control plane wants —
-        a flow submitted "now" starts now).
+        a flow submitted "now" starts now).  A malformed flow rejects the
+        whole batch and queues none of it
+        (:meth:`~repro.sim.engine.Engine.schedule_flows`).
         """
         self._check_open()
         if late not in ("raise", "clamp"):
@@ -227,6 +230,8 @@ class Session:
                     f"flow tuple must have 5 fields "
                     f"(arrival, src, dst, cells, bytes), got {item!r}"
                 )
+            if not is_integer_field(item[0]):
+                raise TypeError(f"flow arrival must be an integer: {item!r}")
             if item[0] < now:
                 if late == "raise":
                     raise ValueError(
@@ -306,8 +311,10 @@ class Session:
     # ------------------------------------------------------------------ #
     # telemetry over the wire
 
-    def telemetry_rows(self, since: int = 0) -> List[Dict[str, int]]:
-        """Closed sample windows from row index ``since`` on, as dicts.
+    def telemetry_rows(self, since: int = 0,
+                       limit: Optional[int] = None) -> List[Dict[str, int]]:
+        """Closed sample windows from row index ``since`` on, as dicts —
+        at most ``limit`` of them; only the rows returned are built.
 
         Row indices are stable across checkpoint/restart (the recorder's
         columns are part of the snapshot), which is what lets a client
@@ -318,11 +325,12 @@ class Session:
             return []
         series = self.recorder.series()
         columns = self.recorder.COLUMNS
-        length = len(self.recorder)
-        return [
-            {name: int(series[name][i]) for name in columns}
-            for i in range(max(0, since), length)
-        ]
+        start = max(0, since)
+        stop = len(self.recorder)
+        if limit is not None:
+            stop = min(stop, start + max(0, limit))
+        values = [series[name][start:stop].tolist() for name in columns]
+        return [dict(zip(columns, row)) for row in zip(*values)]
 
     def telemetry_row_count(self) -> int:
         """Closed sample windows recorded so far (0 without telemetry)."""

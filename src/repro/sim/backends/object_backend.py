@@ -7,9 +7,9 @@ what sits between the nodes — two of the six sections of the engine's slot
 body (:meth:`~repro.sim.engine.Engine.step`):
 
 * :func:`run_tx` visits this slot's link's visit set in node-id order,
-  calls ``node.transmit``, retires the nodes that are failed or owe the
-  link nothing, and puts the result on the wire (tracer, digest, arrival
-  stamp, counters);
+  calls ``node.transmit``, retires the nodes that are failed or, after
+  the visit, owe the link nothing, and puts the result on the wire
+  (tracer, digest, arrival stamp, counters);
 * :func:`deliver_arrivals` takes due transmissions off the wire, applies
   the wire model (failed receivers, failed links, noise), calls
   ``receiver.receive`` and recycles the transmission shell;
@@ -95,16 +95,24 @@ def run_tx(engine, t: int, phase: int, offset: int) -> None:
                 visit.discard(node.node_id)
             continue
         tx = node.transmit(t, phase, offset)
-        if tx is None:
-            # the node owes this link's peer nothing (a token, a control
-            # message, a probe or a probe reply would each have made a
-            # transmission), so it leaves the link's set unless cells
-            # blocked on credit, a local flow or an rtx request may still
-            # send here once credit returns — which wakes no one
-            if visit is not None and not (
-                node._link_items[link] or node.local_flows or node.rtx_queue
+        # the one retire rule, after every visit: the node stays listed
+        # only while it still owes this link's peer something — cells
+        # queued here (maybe blocked on credit, whose return wakes no
+        # one), a local flow or rtx request, a probe of a suspect peer,
+        # tokens or control messages a full header left behind.  After a
+        # None the last three are false by construction; after a send the
+        # node leaves on the visit that emptied the link
+        if visit is not None and not (
+            node._link_items[link] or node.local_flows or node.rtx_queue
+        ):
+            peer = node.neighbors_flat[link]
+            if not (
+                (node.failed_neighbors and peer in node.failed_neighbors)
+                or (node.pending_tokens and node.token_return.get(peer))
+                or (node.pending_ctrl and node.ctrl_out.get(link))
             ):
                 visit.discard(node.node_id)
+        if tx is None:
             continue
         cell = tx.cell
         sent += 1

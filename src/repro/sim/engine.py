@@ -34,7 +34,7 @@ from .backends import make_backend
 from .backends import object_backend as _object_backend
 from .config import SimConfig
 from .digest import DeterminismDigest
-from .flows import Flow, FlowRecord, FlowTable
+from .flows import Flow, FlowRecord, FlowTable, is_integer_field
 from .metrics import MetricsCollector
 from .node import Node, Transmission
 
@@ -130,9 +130,9 @@ class Engine:
         #: or its ``transmit`` on ``l`` returns None and changes nothing).
         #: A node enters a set when it gets work on that link, or all of
         #: them for work not tied to one link (``Node.wake``);
-        #: ``object_backend.run_tx`` retires it from a set when it owes that
-        #: link nothing.  Their union is the model's ``active_ids``.  Built
-        #: before the nodes, which alias them
+        #: ``object_backend.run_tx`` retires it from a set on the visit
+        #: after which it owes that link nothing.  Their union is the
+        #: model's ``active_ids``.  Built before the nodes, which alias them
         self._visit: Tuple[Set[int], ...] = tuple(
             set() for _ in range(self.coords.h * (self.coords.r - 1)))
         #: reference switch for the visit sets: offer every live node every
@@ -421,13 +421,31 @@ class Engine:
     # workload plumbing
 
     def schedule_flows(self, workload: Iterable[ScheduledFlow]) -> None:
-        """Queue flow arrivals; they must be sorted by arrival timeslot."""
+        """Queue flow arrivals; they must be sorted by arrival timeslot.
+
+        The whole batch is checked before any of it is queued, so a
+        rejected batch (``TypeError`` / ``ValueError``) leaves nothing
+        behind: every field an int (a ``bool`` is not one), ``src`` and
+        ``dst`` distinct node ids, at least one cell, no negative bytes,
+        arrivals sorted after those already queued.
+        """
+        batch = list(workload)
+        n = self.config.n
         last = self._pending_flows[-1][0] if self._pending_flows else -1
-        for item in workload:
-            if item[0] < last:
+        for item in batch:
+            arrival, src, dst, size_cells, size_bytes = item
+            if not all(map(is_integer_field, item)):
+                raise TypeError(f"flow fields must be integers, got {item!r}")
+            if not (0 <= src < n and 0 <= dst < n) or src == dst:
+                raise ValueError(
+                    f"flow {item!r} needs distinct src and dst in [0, {n})")
+            if size_cells < 1 or size_bytes < 0:
+                raise ValueError(
+                    f"flow {item!r} needs cells >= 1 and bytes >= 0")
+            if arrival < last:
                 raise ValueError("workload must be sorted by arrival time")
-            last = item[0]
-            self._pending_flows.append(item)
+            last = arrival
+        self._pending_flows.extend(batch)
 
     def _inject_flows(self, t: int) -> None:
         pending = self._pending_flows
@@ -681,8 +699,10 @@ class Engine:
 
     def _sample_metrics(self) -> None:
         """What the object model holds at a sampling instant: one walk
-        over the live nodes in id order, through the public surface of
-        their queues and bucket trackers (``len()`` / ``peak_occupancy``)."""
+        over the live nodes in id order.  Each node's occupancy is read;
+        its queues' lengths only when it holds cells (an empty node's are
+        all zero), and its PIEO high-water mark from the node's running
+        maximum (``Node.max_pieo_occupancy``), never from the queues."""
         buffers: List[int] = []
         queue_lengths: List[int] = []
         pieo_peak = 0
@@ -690,13 +710,14 @@ class Engine:
         for node in self.nodes:
             if node.failed:
                 continue
-            buffers.append(node.total_enqueued)
-            for queue in node.link_queues:
-                length = len(queue)
-                if length:
-                    queue_lengths.append(length)
-                if queue.peak_occupancy > pieo_peak:
-                    pieo_peak = queue.peak_occupancy
+            enqueued = node.total_enqueued
+            buffers.append(enqueued)
+            if enqueued:
+                for items in node._link_items:
+                    if items:
+                        queue_lengths.append(len(items))
+            if node._pieo_peak > pieo_peak:
+                pieo_peak = node._pieo_peak
             tracker = node.bucket_tracker
             if tracker is not None:
                 active = len(tracker)

@@ -9,13 +9,21 @@ produces the per-flow records the FCT analysis consumes.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from .tables import table
 
-__all__ = ["Flow", "FlowRecord", "FlowTable"]
+__all__ = ["Flow", "FlowRecord", "FlowTable", "is_integer_field"]
+
+
+def is_integer_field(value) -> bool:
+    """Whether ``value`` may be a field of a scheduled flow: any integral
+    type but ``bool`` (a JSON ``true`` is no node id or cell count)."""
+    return type(value) is int or (
+        isinstance(value, Integral) and not isinstance(value, bool))
 
 
 class Flow:

@@ -180,6 +180,7 @@ class Node:
         "_metrics",
         "_tx_pool",
         "_link_items",
+        "_pieo_peak",
         "_routing",
         "_default_routing",
     )
@@ -265,6 +266,10 @@ class Node:
             list(self._link_items[p * self._rm1:(p + 1) * self._rm1])
             for p in range(self.h)
         )
+        #: the largest ``peak_occupancy`` of any of this node's queues,
+        #: raised where a queue's peak rises (``enqueue_forward``) and
+        #: rebuilt wherever the queues are refilled
+        self._pieo_peak = 0
         #: tokens owed to each neighbour, oldest first; a peer gets a list
         #: the first time it is owed one (a plain list: an empty deque
         #: costs ~760 B with its block, and every drain allocated a fresh
@@ -378,9 +383,9 @@ class Node:
 
         Returns ``None`` when the node has neither data, tokens nor control
         messages for the current neighbour (a real network would send an
-        empty dummy cell; the simulator elides it) — so it then owes that
-        neighbour nothing, which is what lets ``run_tx`` retire it from the
-        link's visit set.
+        empty dummy cell; the simulator elides it).  Either way ``run_tx``
+        then retires the node from the link's visit set if it owes the
+        neighbour nothing more.
 
         This is the object pipeline's only TX routine (``run_tx`` calls it
         for every node on the slot's link's visit set) and its hottest
@@ -981,6 +986,8 @@ class Node:
                 cell, cell.created_at + cell.flow_size * self.epoch_length
             )
             length = len(items)
+            if length > self._pieo_peak:
+                self._pieo_peak = length
         else:
             # PieoQueue.push inlined for the bare-cell fifo representation
             # (node send queues are uncapped): a plain append
@@ -988,6 +995,8 @@ class Node:
             length = len(items)
             if length > queue.peak_occupancy:
                 queue.peak_occupancy = length
+                if length > self._pieo_peak:
+                    self._pieo_peak = length
         self.total_enqueued += 1
         self._visit[link].add(self.node_id)
         if self.uses_hbh:
@@ -1249,6 +1258,7 @@ class Node:
             queue.peak_occupancy = peak
             total += len(cells)
         self.total_enqueued = total
+        self._pieo_peak = max(per_link_peaks, default=0)
 
     # ------------------------------------------------------------------ #
     # checkpoint support
@@ -1328,6 +1338,8 @@ class Node:
         for queue, (length, top, seq) in zip(self.link_queues,
                                              state["queues"]):
             queue.load_state(list(islice(cells, length)), ranks, seq, top)
+        self._pieo_peak = max(
+            (queue.peak_occupancy for queue in self.link_queues), default=0)
         self.token_return.clear()
         for _, nb, *token in state["tokens"]:
             self.token_return.setdefault(nb, []).append(
@@ -1371,4 +1383,4 @@ class Node:
 
     def max_pieo_occupancy(self) -> int:
         """Largest peak occupancy among this node's PIEO queues."""
-        return max((q.peak_occupancy for q in self.link_queues), default=0)
+        return self._pieo_peak

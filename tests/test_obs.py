@@ -104,9 +104,11 @@ class TestTimeSeries:
 
     def test_window_close_walks_the_object_model_once(self):
         """With telemetry attached, the metrics sample and the telemetry
-        row come from one walk: every live node's occupancy and every one
-        of its queues' lengths is read once per closed window, and a
-        failed node is in neither the samples nor the row."""
+        row come from one walk: every live node's occupancy is read once
+        per closed window, its queues' lengths only when it holds cells
+        (never a ``PieoQueue.__len__``), none at all on an idle engine,
+        and a failed node is in neither the samples nor the row — which
+        equal what a read of every queue of every live node gives."""
         engine = make_engine(duration=100, cc="hbh+spray", size_cells=40)
         recorder = TimeSeriesRecorder().attach(engine)
         engine.run(engine.config.duration)
@@ -114,7 +116,11 @@ class TestTimeSeries:
         failed.failed = True
         assert failed.total_enqueued, "the failed node must hold cells"
         alive = [node for node in engine.nodes if not node.failed]
+        occupancies = [Node.total_enqueued.__get__(node) for node in alive]
+        assert 0 in occupancies, "an empty live node must be walked too"
+        assert any(occupancies), "a live node must hold cells"
         reads = Counter()
+        queue_reads = Counter()
 
         class CountedNode(Node):
             __slots__ = ()
@@ -124,35 +130,67 @@ class TestTimeSeries:
                 reads[self] += 1
                 return Node.total_enqueued.__get__(self)
 
+            @property
+            def _link_items(self):
+                queue_reads[self] += 1
+                return Node._link_items.__get__(self)
+
         class CountedQueue(type(failed.link_queues[0])):
             __slots__ = ()
 
             def __len__(self):
-                reads[id(self)] += 1
+                queue_reads[id(self)] += 1
                 return super().__len__()
 
-        for node in engine.nodes:
-            node.__class__ = CountedNode
-            for queue in node.link_queues:
-                queue.__class__ = CountedQueue
-        before = engine.metrics.buffer_counts.copy()
+        def count_reads(engine):
+            for node in engine.nodes:
+                node.__class__ = CountedNode
+                for queue in node.link_queues:
+                    queue.__class__ = CountedQueue
+
+        count_reads(engine)
+        before_buffers = engine.metrics.buffer_counts.copy()
+        before_queues = engine.metrics.queue_counts.copy()
         engine._sample_metrics()
 
         for node in engine.nodes:
-            expected = 0 if node.failed else 1
-            assert reads[node] == expected
-            assert {reads[id(q)] for q in node.link_queues} == {expected}
-        occupancies = [Node.total_enqueued.__get__(node) for node in alive]
-        delta = engine.metrics.buffer_counts.copy()
-        delta[:before.size] -= before
-        assert delta.tolist() == np.bincount(
-            occupancies, minlength=delta.size).tolist()
+            live = not node.failed
+            assert reads[node] == live
+            holds = live and Node.total_enqueued.__get__(node) > 0
+            assert queue_reads[node] == holds
+            assert not any(queue_reads[id(q)] for q in node.link_queues)
+
+        def delta(after, before):
+            after = after.copy()
+            after[:before.size] -= before
+            return after.tolist()
+
+        lengths = [list.__len__(q._items) for node in alive
+                   for q in node.link_queues if q._items]
+        buffers = delta(engine.metrics.buffer_counts, before_buffers)
+        assert buffers == np.bincount(
+            occupancies, minlength=len(buffers)).tolist()
+        queues = delta(engine.metrics.queue_counts, before_queues)
+        expected = np.bincount(lengths, minlength=len(queues))
+        expected[0] = 0
+        assert queues == expected.tolist()
+        assert engine.metrics.max_pieo_length == max(
+            q.peak_occupancy for node in alive for q in node.link_queues)
         row = {name: int(col[-1]) for name, col in recorder.series().items()}
         assert row["queued"] == sum(occupancies)
         assert row["max_buffer"] == max(occupancies)
-        assert row["max_queue"] == max(
-            list.__len__(q._items) for node in alive for q in node.link_queues
-        )
+        assert row["max_queue"] == max(lengths)
+
+        # an idle engine: every live node is read, no queue is
+        idle = make_engine(duration=100, cc="hbh+spray", size_cells=4)
+        idle.run_until_quiescent()
+        assert not any(node.total_enqueued for node in idle.nodes)
+        reads.clear()
+        queue_reads.clear()
+        count_reads(idle)
+        idle._sample_metrics()
+        assert sorted(reads.values()) == [1] * len(idle.nodes)
+        assert not queue_reads
 
 
 class TestWarmupBoundary:

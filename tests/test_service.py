@@ -61,6 +61,44 @@ def _cfg(cc="hbh+spray", **kw):
     return SimConfig(congestion_control=cc, **kw)
 
 
+#: one flow per way a submission can be malformed at n=16 (every one was
+#: once accepted, then failed or ran as the wrong node inside the drive
+#: loop); cells=4 with 4880 bytes is a pair no source draws
+MALFORMED_FLOWS = [
+    [0, 99, 1, 4, 4880],    # src past n
+    [0, 3, 16, 4, 4880],    # dst past n
+    [0, -1, 2, 4, 4880],    # negative src (would run as node 15)
+    [0, True, 2, 4, 4880],  # JSON true is no node id (would run as 1)
+    [0, 3, 3, 4, 4880],     # src == dst
+    [0, 3, 4, 0, 4880],     # no cells
+    [0, 3, 4, 4, -1],       # negative bytes
+    [0, 1.5, 2, 4, 4880],   # fractional src
+    [0, 3, 4, 4.0, 4880],   # fractional cells
+    [True, 3, 4, 4, 4880],  # boolean arrival
+]
+
+
+def _malformed_batches(now):
+    """Batches that must be refused whole: a good flow (marked by the
+    cells=1 / 9999-byte pair no source draws) ahead of each malformed one,
+    and a batch whose second arrival goes back in time."""
+    good = [now + 100_000, 0, 5, 1, 9999]
+    batches = [[good, bad] for bad in MALFORMED_FLOWS]
+    batches.append([good, [now + 90_000, 1, 6, 1, 9999]])
+    return batches
+
+
+def _queued_sizes(engine):
+    """``(cells, bytes)`` of every flow the engine has queued, started or
+    finished."""
+    flows = list(engine._pending_flows)
+    sizes = {(cells, size) for _, _, _, cells, size in flows}
+    sizes.update((f.size_cells, f.size_bytes)
+                 for f in engine.flows._active.values())
+    sizes.update((r.size_cells, r.size_bytes) for r in engine.flows.completed)
+    return sizes
+
+
 def _drive_in_chunks(session, flows, boundaries, horizon):
     """Advance through ``boundaries``, submitting due flows just in time."""
     cursor = 0
@@ -166,6 +204,22 @@ class TestSessionApi:
         session = open_session(_cfg())
         with pytest.raises(ValueError, match="5 fields"):
             session.submit([(0, 1, 2, 3)])
+
+    def test_submit_refuses_a_malformed_batch_whole(self):
+        """Each malformed batch is refused by ``submit`` itself, none of
+        its flows is queued, and the session keeps advancing."""
+        session = open_session(_cfg())
+        session.advance(10)
+        for batch in _malformed_batches(session.t):
+            with pytest.raises((TypeError, ValueError)):
+                session.submit(batch, late="clamp")
+            assert not session.engine.has_pending_work, batch
+        session.advance(200)
+        assert session.t == 210
+        assert session.engine.metrics.cells_injected == 0
+        assert session.submit([(session.t, 0, 5, 1, 9999)]) == 1
+        session.advance(200)
+        assert session.engine.metrics.cells_injected == 1
 
     def test_advance_validation(self):
         session = open_session(_cfg())
@@ -478,6 +532,75 @@ class TestControlPlane:
             return True
 
         assert self._serve(scenario)
+
+    def test_malformed_submissions_get_errors_and_the_server_runs_on(self):
+        """Every malformed submission is answered with an error instead of
+        killing the drive loop: no flow of a refused batch is queued, the
+        server's clock keeps advancing and a ping answers.  Boolean
+        ``since`` / ``factor`` are refused the same way."""
+        async def scenario(server, client):
+            start = (await client.ping())["t"]
+            for batch in _malformed_batches(start):
+                with pytest.raises(ServiceError, match="rejected"):
+                    await client.request("submit", flows=batch,
+                                         late="clamp")
+            with pytest.raises(ServiceError, match="since"):
+                await client.request("telemetry-rows", since=True)
+            with pytest.raises(ServiceError, match="factor"):
+                await client.request("adjust-load", factor=True)
+            for _ in range(200):
+                pong = await client.ping()
+                if pong["t"] > start + 500:
+                    break
+                await asyncio.sleep(0.01)
+            assert pong["ok"] and pong["t"] > start + 500
+            sizes = _queued_sizes(server.session.engine)
+            assert not {(1, 9999), (4, 4880), (0, 4880), (4, -1)} & sizes
+            assert (await client.status())["load_factor"] == 1.0
+            return True
+
+        assert self._serve(scenario)
+
+    def test_telemetry_pages_build_only_the_rows_they_return(self):
+        """Paging through every row of a primed session builds each row a
+        bounded number of times (a page once built every row to the end:
+        quadratic, and each page blocked the drive loop), and the rows and
+        the ``next`` / ``more`` fields are what one full read gives."""
+        async def scenario(server, client):
+            session = server.session
+            built = []
+            original = session.telemetry_rows
+
+            def counted(since=0, limit=None):
+                rows = original(since, limit)
+                built.append(len(rows))
+                return rows
+
+            # freeze the clock (and so the row count) while paging
+            session.advance = lambda slots, pull=True: session.t
+            await client.ping()
+            session.telemetry_rows = counted
+            total = session.telemetry_row_count()
+            assert total > 4 * len((await client.request(
+                "telemetry-rows", since=0))["rows"])
+            built.clear()
+            since, pages, rows = 0, 0, []
+            while True:
+                page = await client.request("telemetry-rows", since=since)
+                pages += 1
+                assert page["since"] == since
+                assert page["next"] == since + len(page["rows"])
+                assert len(encode_message(page)) <= MAX_LINE_BYTES
+                rows.extend(page["rows"])
+                since = page["next"]
+                if not page["more"]:
+                    break
+            assert since == total and pages > 4
+            assert rows == original(0)
+            assert sum(built) <= 2 * total
+            return True
+
+        assert self._serve(scenario, sample_interval=2, prime=20_000)
 
     def test_non_finite_load_factor_is_refused(self):
         """JSON's ``Infinity`` parses to a float; adopted, it would make
