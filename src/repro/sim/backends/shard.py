@@ -79,6 +79,9 @@ __all__ = ["ShardBackend", "shard_ranges"]
 _MSG_FIELDS = np.array([i for i, name in enumerate(tables.TABLES["cells"])
                         if name != "dummy"])
 _CELL_COLS = _MSG_FIELDS.size
+#: the spray phase's row of a message block: the one field the slab
+#: derives instead of keeping, filled in when cells leave for the parent
+_MSG_SPHASE = _MSG_FIELDS.tolist().index(tables.col("cells", "spray_phase"))
 
 #: what a worker records per delivered cell when a digest is attached:
 #: slot and sender (the merge order) plus the delivery event's fields
@@ -253,42 +256,17 @@ class _WorkerRun(_VectorRun):
         nid = self.Ln
         if m:
             self._put_cols(np.arange(nid, nid + m), qcols)
-        # rebuild the per-queue linked lists over the consecutive rows
-        nxt = self.c_nxt
-        q_len = self.q_len
-        q_tail = self.q_tail
-        q_peak = self.q_peak
-        counts_l = counts.tolist()
-        peaks_l = queues["peaks"].tolist()
-        pos = nid
-        n = self.n
-        for li in range(hi - lo):
-            i = lo + li
-            crow = counts_l[li]
-            prow = peaks_l[li]
-            for l in range(self.L):
-                q_peak[l, i] = prow[l]
-                cnt = crow[l]
-                if not cnt:
-                    continue
-                q_len[l, i] = cnt
-                nxt[l * n + i] = pos
-                if cnt > 1:
-                    nxt[pos:pos + cnt - 1] = np.arange(
-                        pos + 1, pos + cnt, dtype=np.int64
-                    )
-                nxt[pos + cnt - 1] = -1
-                q_tail[l, i] = pos + cnt - 1
-                pos += cnt
-        nid = pos
-        self.q_cells = int(counts.sum())
+        # the per-queue linked lists over the consecutive rows
+        self._thread_queues(nid, counts.reshape(-1), np.arange(lo, hi))
+        self.pieo_peak[lo:hi] = queues["peaks"]
+        nid += m
+        self.q_cells = m
         # the initial wire: one pre-split sub-batch per arrival slot
         for arr, senders, cols, recvs, esph in task["wire"]:
             w = senders.size
             rows = np.arange(nid, nid + w, dtype=np.int64)
             if w:
                 self._put_cols(rows, cols)
-                nxt[rows] = -1
                 self.rxbuf[arr] = (senders, rows, recvs, esph)
                 self.init_arrs.append(arr)
             nid += w
@@ -455,20 +433,21 @@ class _WorkerRun(_VectorRun):
         lo, hi = self.lo, self.hi
         n = self.n
         link = self.link_table[slot]
-        hloc = self.heads2d[link, lo:hi]
-        pop = hloc >= 0
+        lens = self.q_len[link]
+        pop = lens[lo:hi] > 0
         pop_ids = pop.nonzero()[0]
         npop = pop_ids.size
         if npop:
             gids = pop_ids + lo
-            c = hloc[pop_ids]
-            nh = self.c_nxt[c]
-            hloc[pop_ids] = nh
-            emt = (nh < 0).nonzero()[0]
+            head = self.heads2d[link]
+            c = head[gids]
+            head[gids] = self.c_nxt[c]
+            left = lens[gids] - 1
+            lens[gids] = left
+            emt = (left == 0).nonzero()[0]
             if emt.size:
                 g = gids[emt]
                 self.q_tail[link][g] = link * n + g
-            self.q_len[link][gids] -= 1
             self.q_cells -= npop
             if self.hm1 <= 1:
                 self.c_sprays[c] = 0
@@ -480,13 +459,12 @@ class _WorkerRun(_VectorRun):
         emit = self.has_flow[lo:hi] & ~pop
         e = emit.nonzero()[0]
         k = e.size
-        esph = (phase + 1) % self.h
         if k:
             ge = e + lo
             s = self.cur_sent[ge]
             sz = self.cur_size[ge]
             rows = self._new_cells(
-                ge, self.cur_dst[ge], self.cur_fid[ge], s, sz, t, esph
+                ge, self.cur_dst[ge], self.cur_fid[ge], s, sz, t
             )
             s += 1
             self.cur_sent[ge] = s
@@ -556,7 +534,7 @@ class _WorkerRun(_VectorRun):
             "icum": self.m_inj,
             "scum": self.m_sent,
             "net": self.m_sent - self.m_arr,
-            "pk": int(self.q_peak[:, lo:hi].max()) if q.size else 0,
+            "pk": int(self.pieo_peak[lo:hi].max()) if q.size else 0,
             "buf": q.sum(axis=0),
             "qnz": qt[qt > 0],
         })
@@ -646,7 +624,6 @@ class _WorkerRun(_VectorRun):
                         senders, cols = ent
                         rows = self._alloc(senders.size)
                         self._put_cols(rows, cols)
-                        self.c_nxt[rows] = -1
                         ent = (senders, rows)
                 if lv:
                     all_dead[i] = False
@@ -681,23 +658,16 @@ class _WorkerRun(_VectorRun):
     # ------------------------------------------------------------------ #
     # result gather
 
+    def _cols_phased(self, rows: np.ndarray, phase) -> np.ndarray:
+        """:meth:`_cols`, with each cell's spray phase ``phase``."""
+        cols = self._cols(rows)
+        cols[_MSG_SPHASE] = phase
+        return cols
+
     def _result(self, t_star: int, t_end: int) -> dict:
         lo, hi = self.lo, self.hi
-        nxt = self.c_nxt.tolist()
-        heads = self.heads2d
-        counts = np.zeros((hi - lo, self.L), dtype=np.int64)
-        rows_all: List[int] = []
-        append = rows_all.append
-        for li in range(hi - lo):
-            i = lo + li
-            for l in range(self.L):
-                row = int(heads[l, i])
-                c0 = len(rows_all)
-                while row >= 0:
-                    append(row)
-                    row = nxt[row]
-                counts[li, l] = len(rows_all) - c0
-        ra = np.array(rows_all, dtype=np.int64)
+        # only this shard's nodes hold cells
+        queued, phase = self._queued_rows()
         rec = {
             name: (
                 np.concatenate(chunks) if chunks else
@@ -707,14 +677,14 @@ class _WorkerRun(_VectorRun):
         }
         wire = []
         for arr in sorted(self.rxbuf):
-            senders, rows, recvs, _ = self.rxbuf[arr]
-            wire.append((arr, senders, self._cols(rows), recvs))
+            senders, rows, recvs, esph = self.rxbuf[arr]
+            wire.append((arr, senders, self._cols_phased(rows, esph), recvs))
         fid_nz = np.flatnonzero(self.f_del[: self.f_cap])
         return {
             "queues": {
-                "counts": counts,
-                "peaks": self.q_peak[:, lo:hi].T.copy(),
-                "cols": self._cols(ra),
+                "counts": self.q_len[:, lo:hi].T.copy(),
+                "peaks": self.pieo_peak[lo:hi].copy(),
+                "cols": self._cols_phased(queued, phase),
             },
             "cursor": {
                 "has": self.has_flow[lo:hi].copy(),
@@ -916,7 +886,9 @@ class ShardBackend(EngineBackend):
         K = len(ranges)
         metrics = engine.metrics
         flows = engine.flows
-        L = cfg.h * (engine.coords.r - 1)
+        h, rm1 = cfg.h, engine.coords.r - 1
+        L = h * rm1
+        schedule = engine.schedule
         shard_of = np.empty(n, dtype=np.int64)
         for k, (lo, hi) in enumerate(ranges):
             shard_of[lo:hi] = k
@@ -933,7 +905,7 @@ class ShardBackend(EngineBackend):
         cursors = []
         for lo, hi in ranges:
             counts = np.zeros((hi - lo, L), dtype=np.int64)
-            peaks = np.zeros((hi - lo, L), dtype=np.int64)
+            peaks = np.zeros(hi - lo, dtype=np.int64)
             rows: List[tuple] = []
             has = np.zeros(hi - lo, dtype=bool)
             cfid = np.zeros(hi - lo, dtype=np.int64)
@@ -943,12 +915,14 @@ class ShardBackend(EngineBackend):
             waitlists = []
             for li in range(hi - lo):
                 node = engine.nodes[lo + li]
+                peaks[li] = node._pieo_peak
                 for l, queue in enumerate(node.link_queues):
                     items = queue._items
                     counts[li, l] = len(items)
-                    peaks[li, l] = queue.peak_occupancy
+                    # a queued cell's spray phase is its link's phase + 1
+                    hint = (l // rm1 + 1) % h
                     for cell in items:
-                        if cell.dummy or cell.spray_phase < 0:
+                        if cell.dummy or cell.spray_phase != hint:
                             return None
                         rows.append(cell_row(cell))
                 live = [
@@ -986,8 +960,7 @@ class ShardBackend(EngineBackend):
         cur = None
         for tx in engine._in_flight:
             cell = tx.cell
-            if tx.tokens or tx.ctrl or cell is None or cell.dummy \
-                    or cell.spray_phase < 0:
+            if tx.tokens or tx.ctrl or cell is None or cell.dummy:
                 return None
             if cur is None or tx.arrival != cur[0]:
                 cur = (tx.arrival, [], [], [])
@@ -1007,8 +980,11 @@ class ShardBackend(EngineBackend):
             trig = senders[spraying & (recvs != cols[1])]
             if trig.size:
                 wire_trig.append((arr, trig))
-            esph = int(cols[7][spraying.nonzero()[0][0]]) \
-                if spraying.any() else 0
+            # every cell of the batch left on its send slot's phase
+            send = (arr - cfg.propagation_delay) % schedule.epoch_length
+            esph = (schedule.phase_table[send] + 1) % h
+            if (cols[_MSG_SPHASE] != esph).any():
+                return None
             ws = shard_of[recvs]
             for k in range(K):
                 mask = ws == k

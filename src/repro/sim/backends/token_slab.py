@@ -14,8 +14,9 @@ hop-by-hop flow control (Section 3.3.2) at the uniform budget
   Its size is the number of tokens outstanding, not ``n * L * n * h``.
 * **PIEO pick** — "first eligible cell, final hop free" runs as scan
   rounds over the linked-list queues: round one tests every non-empty
-  queue's head, round ``k`` the ``k``-th cell of the queues still blocked.
-  A mid-list pick unlinks through its predecessor, so FIFO order holds.
+  queue's head, round ``k`` the ``k``-th cell of the queues still blocked
+  and at least ``k`` long.  A mid-list pick unlinks through its
+  predecessor, so FIFO order holds.
 * **token return** — per-(node, link) ring buffers of ``dst * h + sprays``
   codes, drained ``tokens_per_header`` at a time into whatever the node
   sends toward that neighbour, or into a token-only dummy transmission
@@ -350,16 +351,18 @@ class TokenRun(_VectorRun):
         """PIEO extraction on every non-empty queue of ``link``: the first
         cell that is on its final hop or whose next-hop bucket has credit.
 
-        Returns ``(nodes, cells, pred, dst, sprays, onward, keys)``: the
-        picked cells with their list predecessors, their headers (``onward``
-        is the sprays left after this hop) and the ledger keys to charge
-        (the picks that were not final hops).
+        Returns ``(nodes, cells, pred, last, dst, sprays, onward, keys)``:
+        the picked cells with their list predecessors and whether each was
+        its queue's last cell, their headers (``onward`` is the sprays left
+        after this hop) and the ledger keys to charge (the picks that were
+        not final hops).
         """
         n, h = self.n, self.h
         nxt = self.c_nxt
         column = self.ledger[link]
         pred = ids + link * n      # round one: the queue sentinels
         cells = nxt[pred]
+        left = self.q_len[link][ids]  # cells from this one to the tail
         found = []
         while True:
             dst = self.c_dst[cells]
@@ -369,27 +372,27 @@ class TokenRun(_VectorRun):
             final = nb[ids] == dst
             ok = final | (column[column.searchsorted(key)] != key)
             if ok.all():
-                found.append(
-                    (ids, cells, pred, dst, sprays, onward, key[~final])
-                )
+                found.append((ids, cells, pred, left == 1, dst, sprays,
+                              onward, key[~final]))
                 break
             hit = ok.nonzero()[0]
-            found.append((ids[hit], cells[hit], pred[hit], dst[hit],
-                          sprays[hit], onward[hit], key[hit][~final[hit]]))
+            found.append((ids[hit], cells[hit], pred[hit], left[hit] == 1,
+                          dst[hit], sprays[hit], onward[hit],
+                          key[hit][~final[hit]]))
             # next round: the following cell of every still-blocked queue
-            pred = cells[~ok]
-            cells = nxt[pred]
-            more = cells >= 0
-            ids = ids[~ok][more]
+            # that has one
+            more = ~ok & (left > 1)
+            ids = ids[more]
             if not ids.size:
                 break
-            pred = pred[more]
-            cells = cells[more]
+            pred = cells[more]
+            cells = nxt[pred]
+            left = left[more] - 1
         if len(found) == 1:
             return found[0]
         return tuple(np.concatenate(part) for part in zip(*found))
 
-    def _admit_blocked(self, link: int, blocked, t: int, esph: int):
+    def _admit_blocked(self, link: int, blocked, t: int):
         """``Node._pick_flow``'s fallback for sources whose cursor flow has
         no first-hop credit: the first waiting flow that has.
 
@@ -416,7 +419,7 @@ class TokenRun(_VectorRun):
             nodes,
             [flow.dst for flow in flows], [flow.flow_id for flow in flows],
             [flow.sent for flow in flows], [flow.size_cells for flow in flows],
-            t, esph,
+            t,
         )
         for i, flow in zip(chosen, flows):
             flow.sent += 1
@@ -431,17 +434,18 @@ class TokenRun(_VectorRun):
         forwarding a cell entails: unlink it, token upstream, bucket
         release, header update.  Returns the number of cells picked."""
         n, h = self.n, self.h
-        queued = (self.heads2d[link] >= 0).nonzero()[0]
+        queued = (self.q_len[link] > 0).nonzero()[0]
         if not queued.size:
             return 0
-        ids, cells, pred, dst, sprays, onward, keys = self._pick(
+        ids, cells, pred, last, dst, sprays, onward, keys = self._pick(
             link, queued, nb
         )
         if not ids.size:
             return 0
-        after = self.c_nxt[cells]
-        self.c_nxt[pred] = after
-        last = (after < 0).nonzero()[0]
+        # a last cell's nxt is past its list's end: its predecessor, the
+        # new tail, takes it unread
+        self.c_nxt[pred] = self.c_nxt[cells]
+        last = last.nonzero()[0]
         if last.size:
             self.q_tail[link][ids[last]] = pred[last]
         self.q_len[link][ids] -= 1
@@ -457,8 +461,7 @@ class TokenRun(_VectorRun):
             charges.append(keys)
         return ids.size
 
-    def _send_admissions(self, link: int, t: int, esph: int,
-                         charges: list) -> int:
+    def _send_admissions(self, link: int, t: int, charges: list) -> int:
         """First-hop admission for every source with nothing to forward,
         against the bucket ``(neighbour, flow.dst, h-1)`` — charged even
         when the neighbour is the destination, as ``_emit_flow_cell``
@@ -471,7 +474,7 @@ class TokenRun(_VectorRun):
         key = (e * self.n + self.cur_dst[e]) * self.h + self.hm1
         spent = self._spent(link, key)
         if spent.any():
-            other = self._admit_blocked(link, e[spent], t, esph)
+            other = self._admit_blocked(link, e[spent], t)
             if other is not None:
                 late, rows, keys = other
                 admitted = late.size
@@ -482,7 +485,7 @@ class TokenRun(_VectorRun):
             key = key[~spent]
         if e.size:
             admitted += e.size
-            cell_of[e] = self._emit(e, t, esph)
+            cell_of[e] = self._emit(e, t)
             fresh[e] = True
             charges.append(key)
         return admitted
@@ -519,7 +522,7 @@ class TokenRun(_VectorRun):
         self._fresh.fill(False)
         charges: List[np.ndarray] = []
         payload = self._send_forwards(link, nb, charges)
-        payload += self._send_admissions(link, t, esph, charges)
+        payload += self._send_admissions(link, t, charges)
         if charges:
             self._charge(link, charges)
         owing, codes, taken = self._drain_tokens(link)

@@ -8,9 +8,13 @@ every node in a timeslot with a handful of array operations:
   ``cells`` table, i.e. :meth:`~repro.core.cell.Cell.state` (``dummy`` is
   always 0 here), so a hop reads and writes one record, not one entry in
   each of eleven columns.  A separate ``nxt`` column threads cells into
-  per-(node, link) FIFO linked lists (the queue ``head`` / ``tail`` /
-  ``qlen`` / ``peak`` columns are ``(L, n)`` arrays, one row per link
-  index).  A freelist recycles slab rows as cells are delivered.
+  per-(node, link) FIFO linked lists, each as long as its length says (the
+  queue ``head`` / ``tail`` / ``qlen`` columns are ``(L, n)`` arrays, one
+  row per link index; the PIEO high-water mark is one per node).  A
+  freelist recycles slab rows as cells are delivered.  A record's
+  ``spray_phase`` is never read or written after packing: a queued cell's
+  is its queue link's phase plus one, an in-flight cell's its send slot's
+  phase plus one, and ``export_model`` writes it from there.
 * **flow cursors** — per-node columns for the currently emitting flow
   (id, dst, sent, size) with the waiting flows in per-node Python lists;
   per-flow ``delivered`` / ``size`` columns detect completions by array
@@ -82,7 +86,8 @@ _SRC, _DST, _FID, _SEQ, _SPRAYS, _PREV, _CREATED, _SPHASE, _FSIZE, _HOPS = (
 _DUMMY = tables.col("cells", "dummy")
 #: a token-only dummy's ``cells`` row (a wire row with no slab row)
 _DUMMY_CELL = np.array(Cell.make_dummy(0, 0).state(), dtype=np.int64)
-_LEN, _PEAK = tables.col("queues", "len"), tables.col("queues", "peak")
+_LEN = tables.col("queues", "len")
+_PIEO_PEAK = tables.col("scalars", "pieo_peak")
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
 #: record fields of a delivery event, in on_delivery order (flow id, seq,
@@ -98,6 +103,9 @@ _DIGEST_BLOCK = 4096
 #: what ``pack()`` reports when a queued or in-flight cell carries state
 #: the column layout has no field for
 _HEADERS = "queued cells carry non-vectorizable headers"
+#: ... and when a cell's spray phase is not the one the slab derives for
+#: it (its queue link's phase + 1, or its send slot's phase + 1)
+_PHASE = "a queued or in-flight cell's spray phase is not its slot's"
 
 #: most raw words one ``random_raw`` call of the RNG replay generates: the
 #: replay's memory is this block (8 bytes a word), whatever the run drew
@@ -111,11 +119,12 @@ class _Decline(Exception):
 def _fast_ineligible_reason(engine):
     """Why the slab cannot run this engine state, or None if it can.
 
-    Per-cell conditions (failure tokens, control sidecars, unset spray
-    hints) are verified during packing; this covers everything visible
-    without walking queues.  The reason string is recorded as
-    ``Engine.backend_reason`` and feeds the de-acceleration notice, so it
-    names the feature that forced the reference pipeline.
+    Per-cell conditions (failure tokens, control sidecars, spray hints
+    unset or off their slot's phase) are verified during packing; this
+    covers everything visible without walking queues.  The reason string
+    is recorded as ``Engine.backend_reason`` and feeds the
+    de-acceleration notice, so it names the feature that forced the
+    reference pipeline.
     """
     cfg = engine.config
     cc = cfg.congestion_control
@@ -138,7 +147,9 @@ def _fast_ineligible_reason(engine):
         return "tracer attached"
     if engine.delivery_hook is not None:
         return "delivery hook attached"
-    if engine.force_full_scan or engine.failed_links:
+    if engine.force_full_scan:
+        return "force_full_scan=True"
+    if engine.failed_links:
         return "failed links present"
     if type(engine.rng) is not random.Random:
         return "non-standard RNG"
@@ -266,21 +277,24 @@ class _VectorRun:
             [p * self.rm1 + diff % self.r - 1 for p in (0, 1)])
         # queue columns, one row per link index (plus flat aliases for the
         # RX scatter, which addresses queues as ``link * n + node``).
-        # Queues are sentinel-headed linked lists: slab rows [0, L*n) are
-        # reserved as one sentinel per queue, whose ``c_nxt`` entry IS the
-        # queue's head pointer, and ``q_tail`` holds the last cell's row or
-        # the queue's own sentinel (== its flat index) when empty — so an
-        # append is an unconditional ``nxt[tail] = cell`` with no
-        # empty/non-empty split
+        # Queues are sentinel-headed, length-delimited linked lists: slab
+        # rows [0, L*n) are reserved as one sentinel per queue, whose
+        # ``c_nxt`` entry IS the queue's head pointer, and ``q_tail`` holds
+        # the last cell's row or the queue's own sentinel (== its flat
+        # index) when empty — so an append is an unconditional ``nxt[tail]
+        # = cell`` with no empty/non-empty split.  ``q_len`` alone says
+        # where a list ends: the last cell's ``nxt`` (and an empty queue's
+        # head) is whatever it was, and nothing reads it
         self.Ln = self.L * self.n
         self.q_tail = np.arange(self.Ln, dtype=np.int64).reshape(
             self.L, self.n
         )
         self.q_len = np.zeros((self.L, self.n), dtype=np.int64)
-        self.q_peak = np.zeros((self.L, self.n), dtype=np.int64)
         self.qf_tail = self.q_tail.reshape(-1)
         self.qf_len = self.q_len.reshape(-1)
-        self.qf_peak = self.q_peak.reshape(-1)
+        # the longest any of a node's queues has been: raised per enqueue
+        # on the receiver, which a batch holds once (``Node._pieo_peak``)
+        self.pieo_peak = np.zeros(self.n, dtype=np.int64)
         # per-node occupancy totals are derived from q_len on demand (at
         # sample windows and export), not maintained per slot
         # flow cursor columns + waiting lists
@@ -340,7 +354,7 @@ class _VectorRun:
         # one (row, field) block of records plus the list pointers; rows
         # [0, Ln) are the queue sentinels, which use only ``c_nxt``
         self._slab = np.zeros((cap, _WIDTH), dtype=np.int64)
-        self.c_nxt = np.full(cap, -1, dtype=np.int64)
+        self.c_nxt = np.zeros(cap, dtype=np.int64)
         self._bind_columns()
         self.free = np.empty(cap, dtype=np.int64)
         self.free_top = 0
@@ -357,9 +371,10 @@ class _VectorRun:
         while cap - old < need:
             cap *= 2
         slab = np.zeros((cap, _WIDTH), dtype=np.int64)
-        slab[:old] = self._slab
+        # the sentinel records are never written, so never made resident
+        slab[self.Ln:old] = self._slab[self.Ln:]
         self._slab = slab
-        nxt = np.full(cap, -1, dtype=np.int64)
+        nxt = np.zeros(cap, dtype=np.int64)
         nxt[:old] = self.c_nxt
         self.c_nxt = nxt
         self._bind_columns()
@@ -591,14 +606,24 @@ class _VectorRun:
 
     def peak_occupancies(self) -> Tuple[int, int, int]:
         """:meth:`Engine.peak_occupancies`, from the columns."""
-        return (self._peak_buckets(), int(self.q_peak.max()),
+        return (self._peak_buckets(), int(self.pieo_peak.max()),
                 int(self._node_occupancy().max()))
 
-    def _load_cells(self, cells: np.ndarray, nid: int) -> int:
+    def _queued_phases(self, lens) -> np.ndarray:
+        """The spray phase of every cell of queues ``lens`` long (node-major,
+        link-minor): its queue link's phase plus one, as the enqueue set
+        it."""
+        hint = (np.arange(self.L) // self.rm1 + 1) % self.h
+        return np.repeat(np.tile(hint, self.n), lens)
+
+    def _load_cells(self, cells: np.ndarray, nid: int, phase) -> int:
         """Rows of the ``cells`` table into slab records ``nid`` on, as
-        they are; returns the next free row."""
+        they are, if each one's spray phase is ``phase`` (per row, or one
+        for all); returns the next free row."""
         if cells[:, _DUMMY].any() or (cells[:, _SPHASE] < 0).any():
             raise _Decline(_HEADERS)
+        if (cells[:, _SPHASE] != phase).any():
+            raise _Decline(_PHASE)
         end = nid + len(cells)
         self._slab[nid:end] = cells
         return end
@@ -609,21 +634,10 @@ class _VectorRun:
         node-major, link-minor, FIFO order)."""
         first = self.Ln  # cell rows start past the queue sentinels
         lens = model["queues"][:, _LEN]
-        nid = self._load_cells(model["cells"][:lens.sum()], first)
-        # per queue, in table order: its sentinel (``link * n + node``, the
-        # flat queue index) and the end of its run of rows
-        sentinel = np.add.outer(
-            np.arange(self.n), np.arange(self.L) * self.n
-        ).reshape(-1)
-        ends = first + lens.cumsum()
-        self.qf_len[sentinel] = lens
-        self.qf_peak[sentinel] = model["queues"][:, _PEAK]
-        # thread every run into its list: sentinel -> rows in order -> -1
-        self.c_nxt[first:nid] = np.arange(first + 1, nid + 1)
-        held = lens.nonzero()[0]
-        self.c_nxt[ends[held] - 1] = -1
-        self.c_nxt[sentinel[held]] = ends[held] - lens[held]
-        self.qf_tail[sentinel[held]] = ends[held] - 1
+        nid = self._load_cells(model["cells"][:lens.sum()], first,
+                               self._queued_phases(lens))
+        self._thread_queues(first, lens, np.arange(self.n))
+        self.pieo_peak[:] = model["scalars"][:, _PIEO_PEAK]
         # the cursors hold Flow objects: a node's first unfinished flow is
         # its cursor, the rest wait in list order
         lookup = self.engine.flows.get
@@ -642,6 +656,21 @@ class _VectorRun:
                 self.cur_flow[i] = flow
         return nid
 
+    def _thread_queues(self, first: int, lens, nodes) -> None:
+        """Thread the cells in slab rows ``first`` on into the queues of
+        ``nodes``, node-major, link-minor, ``lens`` cells each, in row
+        order."""
+        # per queue, in that order: its sentinel (``link * n + node``, the
+        # flat queue index) and the end of its run of rows
+        sentinel = np.add.outer(nodes, np.arange(self.L) * self.n).reshape(-1)
+        ends = first + lens.cumsum()
+        self.qf_len[sentinel] = lens
+        # sentinel -> rows in order, each list as long as its length
+        self.c_nxt[first:ends[-1]] = np.arange(first + 1, ends[-1] + 1)
+        held = lens.nonzero()[0]
+        self.c_nxt[sentinel[held]] = ends[held] - lens[held]
+        self.qf_tail[sentinel[held]] = ends[held] - 1
+
     def _pack_wire(self, model, nid: int) -> int:
         """The wire, cut into per-arrival batches (FIFO order preserved),
         its payload cells loaded from slab row ``nid`` on; returns the
@@ -656,19 +685,19 @@ class _VectorRun:
         # a token-only dummy is a wire row with no slab row (-1)
         payload = cells[:, _DUMMY] == 0
         rows = np.where(payload, nid + payload.cumsum() - 1, -1)
-        nid = self._load_cells(cells[payload], nid)
+        # every cell of one arrival left in the same TX slot, on its
+        # phase: the batch's spray phase is that phase plus one
+        esph = (np.asarray(self.phase_table)[
+            (arrivals - self.delay) % self.epoch] + 1) % self.h
+        nid = self._load_cells(cells[payload], nid, esph[payload])
         fresh = payload & (self.c_sprays[rows] > 0)
         tokens = self._header_codes(model)
         cuts = [0, *(np.flatnonzero(np.diff(arrivals)) + 1).tolist(),
                 len(wire)]
         for lo, hi in zip(cuts, cuts[1:]):
-            # the spraying cells of one batch left the same TX slot, so
-            # they share one spray phase
-            spraying = rows[lo:hi][fresh[lo:hi]]
-            esph = int(self.c_sphase[spraying[-1]]) if spraying.size else 0
             self.batches.append(self._wire_batch(
                 int(arrivals[lo]), senders[lo:hi], rows[lo:hi],
-                recvs[lo:hi], fresh[lo:hi], esph,
+                recvs[lo:hi], fresh[lo:hi], int(esph[lo]),
                 None if tokens is None else tokens[:, lo:hi],
             ))
         return nid
@@ -689,26 +718,24 @@ class _VectorRun:
             raise _Decline(_HEADERS)
         return arrival, senders, rows, recvs, fresh, esph
 
-    def _queued_rows(self) -> np.ndarray:
-        """The slab row of every queued cell, node-major, link-minor, FIFO:
-        all the linked lists walked at once, one position per round."""
+    def _queued_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The slab row of every queued cell, node-major, link-minor, FIFO,
+        and its spray phase: all the linked lists walked at once, one
+        position per round, each as far as its length."""
+        lens = self.q_len.T.reshape(-1)
+        ends = lens.cumsum()
+        out = np.empty(int(ends[-1]), dtype=np.int64)
+        queue = lens.nonzero()[0]
+        # each list's next output position, and where its run ends
+        pos, end = ends[queue] - lens[queue], ends[queue]
+        row = self.heads2d.T.reshape(-1)[queue]
         nxt = self.c_nxt
-        queue = np.arange(self.Ln)
-        row = self.heads2d.T.reshape(-1)
-        rows, queues = [], []
-        while True:
-            held = row >= 0
-            row, queue = row[held], queue[held]
-            if not row.size:
-                break
-            rows.append(row)
-            queues.append(queue)
-            row = nxt[row]
-        if not rows:
-            return row
-        # rounds are list positions, so a stable sort by queue is FIFO
-        return np.concatenate(rows)[
-            np.concatenate(queues).argsort(kind="stable")]
+        while row.size:
+            out[pos] = row
+            pos += 1
+            more = pos < end
+            pos, end, row = pos[more], end[more], nxt[row[more]]
+        return out, self._queued_phases(lens)
 
     def export_model(self):
         """The nodes, the wire and the active set of a synced run as the
@@ -721,16 +748,21 @@ class _VectorRun:
         wire = np.zeros((sum(batch[1].size for batch in self.batches), 3),
                         dtype=np.int64)
         sent = np.zeros(len(wire), dtype=np.int64)
+        sent_phase = np.zeros(len(wire), dtype=np.int64)
         lo = 0
         for batch in self.batches:
             hi = lo + batch[1].size
             wire[lo:hi] = np.stack(
                 (batch[1], batch[3], np.full(hi - lo, batch[0]))).T
             sent[lo:hi] = batch[2]
+            sent_phase[lo:hi] = batch[5]
             self._export_headers(model, batch, lo)
             lo = hi
-        rows = np.concatenate((self._queued_rows(), sent))
+        queued, queued_phase = self._queued_rows()
+        rows = np.concatenate((queued, sent))
         cells = self._slab[rows]
+        # the one field the records do not keep
+        cells[:, _SPHASE] = np.concatenate((queued_phase, sent_phase))
         dummy = (sent < 0).nonzero()[0]
         if dummy.size:
             at = rows.size - sent.size + dummy
@@ -739,8 +771,8 @@ class _VectorRun:
         occupancy = self._node_occupancy()
         model["cells"], model["wire"] = cells, wire
         model["queues"][:, _LEN] = self.q_len.T.reshape(-1)
-        model["queues"][:, _PEAK] = self.q_peak.T.reshape(-1)
         model["scalars"][:, tables.col("scalars", "total_enqueued")] = occupancy
+        model["scalars"][:, _PIEO_PEAK] = self.pieo_peak
         # a node's flows: its cursor, then the ones waiting behind it
         # (Flow objects, so that part is a walk — over flows, not nodes)
         cursor = self.has_flow.nonzero()[0]
@@ -812,14 +844,15 @@ class _VectorRun:
         engine._in_flight_payload -= cells.size
 
     def _next_hops(self, fc, rv, dd, emask, esph):
-        """Next-hop link index and spray-phase hint per forwarded cell
-        (the arguments are :meth:`_forward`'s).
+        """Next-hop link index per forwarded cell (the arguments are
+        :meth:`_forward`'s).
 
-        Spraying cells take one ``randrange(1, r)`` draw each, in batch
-        (= node-id) order, on their hinted phase; direct cells take the
-        first phase, from the hint on, whose digit differs between
-        receiver and destination (``Node._choose_direct_hop``).  The next
-        hint is the phase after the one taken.
+        Every cell of the batch carries the spray-phase hint ``esph`` (its
+        send slot's phase plus one).  Spraying cells take one
+        ``randrange(1, r)`` draw each, in batch (= node-id) order, on that
+        phase; direct cells take the first phase, from the hint on, whose
+        digit differs between receiver and destination
+        (``Node._choose_direct_hop``).
         """
         n = self.n
         h = self.h
@@ -830,7 +863,7 @@ class _VectorRun:
             link = dd - rv
             np.add(link, r, out=link, where=link < 0)
             link -= 1
-            return link, 0
+            return link
         if h == 2:
             # node x has digits (x // r, x % r): the digit differences
             # toward the destination, each in (-r, r)
@@ -839,66 +872,54 @@ class _VectorRun:
             d1 = dd - rv
             d1 -= d0 * r
             # the hinted phase unless its digit already matches (the other
-            # then cannot: the cell is not home).  ``take0`` — phase 0
-            # taken — is also the next hint
+            # then cannot: the cell is not home)
             take0 = d1 == 0
-            take0 |= (self.c_sphase[fc] == 0) & (d0 != 0)
+            if esph == 0:
+                take0 |= d0 != 0
             d0 += r  # each phase's offset into _link2
             d1 += 3 * r
             link = self._link2[np.where(take0, d0, d1)]
             # the batch's emissions are its spraying cells, all on the
-            # emission slot's spray phase
+            # hinted phase
             sids = emask.nonzero()[0]
             if sids.size:
                 link[sids] = self._spray_offsets(sids, rv, esph) \
                     + esph * self.rm1
-                take0[sids] = esph == 0
-            return link, take0
+            return link
         digits = self.digits
-        sph = self.c_sphase[fc]
-        p = sph.copy()
+        p = esph
         nphase = np.full(fc.size, -1, dtype=np.int64)
         offd = np.empty(fc.size, dtype=np.int64)
         for _ in range(h):
-            pn = p * n
-            mine = digits[pn + rv]
-            want = digits[pn + dd]
+            mine = digits[p * n + rv]
+            want = digits[p * n + dd]
             mm = (nphase < 0) & (mine != want)
             if mm.any():
-                nphase[mm] = p[mm]
+                nphase[mm] = p
                 offd[mm] = (want[mm] - mine[mm]) % r
-            p += 1
-            p[p >= h] = 0
+            p = p + 1 if p < h - 1 else 0
         if (nphase < 0).any():
             raise AssertionError("direct-hop cell already at destination")
-        smask = self.c_sprays[fc] > 0
-        ks = np.count_nonzero(smask)
-        if ks:
-            sv = np.empty(fc.size, dtype=np.int64)
-            sv[smask] = self._spray_offsets(smask.nonzero()[0], rv, sph) + 1
-            nphase = np.where(smask, sph, nphase)
-            off = np.where(smask, sv, offd)
-        else:
-            off = offd
-        hint = nphase + 1
-        hint[hint == h] = 0
-        return nphase * self.rm1 + off - 1, hint
+        sids = (self.c_sprays[fc] > 0).nonzero()[0]
+        if sids.size:
+            nphase[sids] = esph
+            offd[sids] = self._spray_offsets(sids, rv, esph) + 1
+        return nphase * self.rm1 + offd - 1
 
-    def _spray_offsets(self, sids, rv, sph) -> np.ndarray:
+    def _spray_offsets(self, sids, rv, sph: int) -> np.ndarray:
         """Spraying choice (round-robin offset minus one) for the cells at
-        batch positions ``sids``, whose receivers are ``rv[sids]`` and whose
-        hinted phase is ``sph`` (one int for the batch, or a per-cell
-        column).  Uniform spraying: one ``randrange(1, r)`` draw each."""
+        batch positions ``sids``, whose receivers are ``rv[sids]``, on
+        spray phase ``sph``.  Uniform spraying: one ``randrange(1, r)``
+        draw each."""
         return self._draw(sids.size)
 
-    def _shortest_queue(self, sids, rv, sph) -> np.ndarray:
+    def _shortest_queue(self, sids, rv, sph: int) -> np.ndarray:
         """spray-short's :meth:`_spray_offsets`: the shortest queue of the
         hinted phase at each receiver; ties draw ``randrange(count)`` and
         take the drawn tie in offset order, exactly as
         ``Node.enqueue_forward`` does (receivers are distinct within a
         batch, so no choice sees another's enqueue)."""
-        phase = sph if isinstance(sph, int) else sph[sids]
-        first = phase * (self.rm1 * self.n) + rv[sids]
+        first = sph * (self.rm1 * self.n) + rv[sids]
         lens = self.qf_len[first + self._phase_stride]  # (r-1, k)
         ties = lens == lens.min(axis=0)
         rank = ties.cumsum(axis=0)
@@ -911,26 +932,23 @@ class _VectorRun:
 
         ``dd`` is the cells' destination column (already gathered by the
         caller), ``emask`` flags same-slot emissions within the batch (the
-        spraying cells at h <= 2) and ``esph`` is their common spray
-        phase.  Receivers within a batch are distinct (the slot schedule
-        is a permutation), so the scatter is conflict free.
+        spraying cells at h <= 2) and ``esph`` is the batch's spray phase.
+        Receivers within a batch are distinct (the slot schedule is a
+        permutation), so every scatter is conflict free.
         """
-        lin, hint = self._next_hops(fc, rv, dd, emask, esph)
+        lin = self._next_hops(fc, rv, dd, emask, esph)
         lin *= self.n
         lin += rv
-        self.c_sphase[fc] = hint
         tail = self.qf_tail
         qlen = self.qf_len
-        peak = self.qf_peak
-        nxt = self.c_nxt
         # sentinel tails make the append unconditional: an empty queue's
         # tail is its own sentinel row, whose nxt entry is the head pointer
-        nxt[tail[lin]] = fc
+        self.c_nxt[tail[lin]] = fc
         tail[lin] = fc
-        nxt[fc] = -1
         newlen = qlen[lin] + 1
         qlen[lin] = newlen
-        peak[lin] = np.maximum(peak[lin], newlen)
+        peak = self.pieo_peak
+        peak[rv] = np.maximum(peak[rv], newlen)
         metrics = self.engine.metrics
         mx = int(newlen.max())
         if mx > metrics.max_queue_length:
@@ -958,12 +976,12 @@ class _VectorRun:
                 self.cur_size[src] = size_cells
                 self.cur_flow[src] = flow
 
-    def _new_cells(self, e, dst, fid, seq, size, t, esph) -> np.ndarray:
+    def _new_cells(self, e, dst, fid, seq, size, t) -> np.ndarray:
         """Slab rows for one freshly admitted cell per source in ``e``."""
         k = e.size
         rows = self._alloc(k)
         # the constant fields (sprays remaining, dummy, hops) were written
-        # once at construction
+        # once at construction, and the spray phase is never read
         V = self._new_rec[:k]
         V[:, _SRC] = e
         V[:, _DST] = dst
@@ -971,19 +989,16 @@ class _VectorRun:
         V[:, _SEQ] = seq
         V[:, _PREV] = e
         V[:, _CREATED] = t
-        V[:, _SPHASE] = esph
         V[:, _FSIZE] = size
         self._slab[rows] = V
         return rows
 
-    def _emit(self, e, t, esph) -> np.ndarray:
+    def _emit(self, e, t) -> np.ndarray:
         """Admit one cell from the cursor flow of every node in ``e`` and
         advance the cursors; returns the cells' slab rows."""
         s = self.cur_sent[e]
         sz = self.cur_size[e]
-        rows = self._new_cells(
-            e, self.cur_dst[e], self.cur_fid[e], s, sz, t, esph
-        )
+        rows = self._new_cells(e, self.cur_dst[e], self.cur_fid[e], s, sz, t)
         s += 1
         self.cur_sent[e] = s
         self.engine.metrics.cells_injected += e.size
@@ -1008,21 +1023,21 @@ class _VectorRun:
     def _tx(self, t: int, slot: int, phase: int) -> None:
         engine = self.engine
         link = self.link_table[slot]
-        head = self.heads2d[link]
-        pop = head >= 0
+        lens = self.q_len[link]
+        pop = lens > 0
         pop_ids = pop.nonzero()[0]
-        npop = pop_ids.size
-        if npop:
+        if pop_ids.size:
+            head = self.heads2d[link]
             c = head[pop_ids]
-            nh = self.c_nxt[c]
-            head[pop_ids] = nh
+            head[pop_ids] = self.c_nxt[c]
+            left = lens[pop_ids] - 1
+            lens[pop_ids] = left
             # a queue emptied by this pop gets its tail re-pointed at its
             # own sentinel, so the next append lands on the head pointer
-            emt = (nh < 0).nonzero()[0]
+            emt = (left == 0).nonzero()[0]
             if emt.size:
                 ids = pop_ids[emt]
                 self.q_tail[link][ids] = link * self.n + ids
-            self.q_len[link][pop_ids] -= 1
             if self.hm1 <= 1:
                 # h <= 2: every queued cell has at most one spray left,
                 # so the saturating decrement always lands on zero
@@ -1035,9 +1050,8 @@ class _VectorRun:
             self._cell_of[pop_ids] = c
         emit = self.has_flow & ~pop
         e = emit.nonzero()[0]
-        esph = (phase + 1) % self.h
         if e.size:
-            self._cell_of[e] = self._emit(e, t, esph)
+            self._cell_of[e] = self._emit(e, t)
         # pops and emissions as one sender-ascending batch (a node either
         # pops or emits, never both)
         senders = (pop | emit).nonzero()[0]
@@ -1046,7 +1060,7 @@ class _VectorRun:
             return
         self.batches.append((
             t + self.delay, senders, self._cell_of[senders],
-            self.nbr[slot][senders], emit[senders], esph,
+            self.nbr[slot][senders], emit[senders], (phase + 1) % self.h,
         ))
         metrics = engine.metrics
         metrics.cells_sent += m
@@ -1069,7 +1083,7 @@ class _VectorRun:
         # value and skips zeros
         self.engine._close_window(
             t, self._node_occupancy(), self.qf_len,
-            int(self.q_peak.max()), self._active_buckets(),
+            int(self.pieo_peak.max()), self._active_buckets(),
         )
 
     # ------------------------------------------------------------------ #

@@ -85,8 +85,10 @@ __all__ = [
 #: (3: integer tables and a JSON document instead of serialised objects;
 #: 4: the digest's running value is the two-level hash's, not FNV-1a's;
 #: 5: a ``cells`` row has no enqueue slot, and ``metrics`` is the four
-#: entries a run reads — scalars, the two sample tallies, ``measuring``)
-CHECKPOINT_VERSION = 5
+#: entries a run reads — scalars, the two sample tallies, ``measuring``;
+#: 6: the PIEO high-water mark is a node's ``scalars`` column, not a
+#: ``queues`` one)
+CHECKPOINT_VERSION = 6
 
 _log = logging.getLogger("repro.checkpoint")
 

@@ -378,7 +378,7 @@ class Engine:
         if model is not None:
             scalars, col = model["scalars"], tables.col
             return (int(scalars[:, col("scalars", "tracker_peak")].max()),
-                    int(model["queues"][:, col("queues", "peak")].max()),
+                    int(scalars[:, col("scalars", "pieo_peak")].max()),
                     int(scalars[:, col("scalars", "total_enqueued")].max()))
         buckets = pieo = buffered = 0
         for node in self._built_nodes or ():

@@ -266,9 +266,9 @@ class Node:
             list(self._link_items[p * self._rm1:(p + 1) * self._rm1])
             for p in range(self.h)
         )
-        #: the largest ``peak_occupancy`` of any of this node's queues,
-        #: raised where a queue's peak rises (``enqueue_forward``) and
-        #: rebuilt wherever the queues are refilled
+        #: the longest any of this node's queues has been (the PIEO depth
+        #: the hardware provisions, paper Fig 13), raised where a queue
+        #: grows (``enqueue_forward``) and carried in the plain model
         self._pieo_peak = 0
         #: tokens owed to each neighbour, oldest first; a peer gets a list
         #: the first time it is owed one (a plain list: an empty deque
@@ -985,18 +985,13 @@ class Node:
             queue.push(
                 cell, cell.created_at + cell.flow_size * self.epoch_length
             )
-            length = len(items)
-            if length > self._pieo_peak:
-                self._pieo_peak = length
         else:
             # PieoQueue.push inlined for the bare-cell fifo representation
             # (node send queues are uncapped): a plain append
             items.append(cell)
-            length = len(items)
-            if length > queue.peak_occupancy:
-                queue.peak_occupancy = length
-                if length > self._pieo_peak:
-                    self._pieo_peak = length
+        length = len(items)
+        if length > self._pieo_peak:
+            self._pieo_peak = length
         self.total_enqueued += 1
         self._visit[link].add(self.node_id)
         if self.uses_hbh:
@@ -1241,24 +1236,21 @@ class Node:
     # ------------------------------------------------------------------ #
     # shard-backend receive hook
 
-    def absorb_shard_state(self, per_link_cells, per_link_peaks) -> None:
+    def absorb_shard_state(self, per_link_cells, pieo_peak: int) -> None:
         """Install gathered queue contents from a shard worker, in place.
 
         ``per_link_cells`` holds one FIFO-ordered cell list per link index
-        and ``per_link_peaks`` the matching peak occupancies.  The queues'
+        and ``pieo_peak`` the node's PIEO high-water mark.  The queues'
         backing lists are aliased by this node's TX caches, so they are
         mutated in place, never rebound — the boundary-crossing receive
         side of the ``"shard"`` backend (see repro.sim.backends.shard).
         """
         total = 0
-        for queue, cells, peak in zip(
-            self.link_queues, per_link_cells, per_link_peaks
-        ):
+        for queue, cells in zip(self.link_queues, per_link_cells):
             queue._items[:] = cells
-            queue.peak_occupancy = peak
             total += len(cells)
         self.total_enqueued = total
-        self._pieo_peak = max(per_link_peaks, default=0)
+        self._pieo_peak = pieo_peak
 
     # ------------------------------------------------------------------ #
     # checkpoint support
@@ -1280,8 +1272,8 @@ class Node:
         i = self.node_id
         cells, queues = rows["cells"], rows["queues"]
         for queue in self.link_queues:
-            elements, ranks, seq, peak = queue.state()
-            queues.append((len(elements), peak, seq))
+            elements, ranks, seq = queue.state()
+            queues.append((len(elements), seq))
             if elements:
                 cells.extend(map(Cell.state, elements))
                 rows["ranks"].extend(ranks)
@@ -1289,6 +1281,7 @@ class Node:
         rows["scalars"].append((
             self.total_enqueued, self.pending_tokens, self.pending_ctrl,
             self.failed, 0 if tracker is None else tracker.peak,
+            self._pieo_peak,
         ))
         rows["local_flows"].extend(
             (i, flow.flow_id) for flow in self.local_flows)
@@ -1331,15 +1324,12 @@ class Node:
         flow id back to the engine's live Flow object.
         """
         (self.total_enqueued, self.pending_tokens, self.pending_ctrl,
-         failed, peak), = state["scalars"]
+         failed, peak, self._pieo_peak), = state["scalars"]
         self.failed = bool(failed)
         cells = map(Cell.from_state, state["cells"])
         ranks = iter(state["ranks"])
-        for queue, (length, top, seq) in zip(self.link_queues,
-                                             state["queues"]):
-            queue.load_state(list(islice(cells, length)), ranks, seq, top)
-        self._pieo_peak = max(
-            (queue.peak_occupancy for queue in self.link_queues), default=0)
+        for queue, (length, seq) in zip(self.link_queues, state["queues"]):
+            queue.load_state(list(islice(cells, length)), ranks, seq)
         self.token_return.clear()
         for _, nb, *token in state["tokens"]:
             self.token_return.setdefault(nb, []).append(
@@ -1382,5 +1372,5 @@ class Node:
         return self.total_enqueued
 
     def max_pieo_occupancy(self) -> int:
-        """Largest peak occupancy among this node's PIEO queues."""
+        """The longest any of this node's PIEO queues has been."""
         return self._pieo_peak

@@ -8,9 +8,10 @@ queues so that a cell whose bucket is awaiting tokens does not head-of-line
 block cells in other buckets (paper Section 3.3.2, second change).
 
 The software implementation here preserves PIEO's semantics — strict
-insertion order among equal-rank elements, first-eligible extraction — and
-additionally tracks its occupancy high-water mark, which the hardware
-resource model consumes (paper Fig. 13 reports max PIEO queue length).
+insertion order among equal-rank elements, first-eligible extraction.  The
+occupancy high-water mark the hardware resource model consumes (paper
+Fig. 13 reports max PIEO queue length) is provisioned per node, not per
+queue, so the node keeps it (``Node.max_pieo_occupancy``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class PieoQueue(Generic[T]):
             a non-zero rank into a fifo queue raises ``ValueError``.
     """
 
-    __slots__ = ("_items", "_seq", "capacity", "fifo", "peak_occupancy")
+    __slots__ = ("_items", "_seq", "capacity", "fifo")
 
     def __init__(self, capacity: Optional[int] = None, fifo: bool = False):
         # fifo: list of elements; ranked: list of (rank, seq, element)
@@ -52,7 +53,6 @@ class PieoQueue(Generic[T]):
         self._seq = 0
         self.capacity = capacity
         self.fifo = fifo
-        self.peak_occupancy = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -76,8 +76,6 @@ class PieoQueue(Generic[T]):
             if rank != 0:
                 raise ValueError("fifo PieoQueue only accepts rank 0")
             items.append(element)
-            if len(items) > self.peak_occupancy:
-                self.peak_occupancy = len(items)
             return
         entry = (rank, self._seq, element)
         self._seq += 1
@@ -101,8 +99,6 @@ class PieoQueue(Generic[T]):
                 else:
                     hi = mid
             items.insert(lo, entry)
-        if len(items) > self.peak_occupancy:
-            self.peak_occupancy = len(items)
 
     def extract_first_eligible(
         self, eligible: Callable[[T], bool]
@@ -188,16 +184,15 @@ class PieoQueue(Generic[T]):
 
     def state(self) -> tuple:
         """``(elements in queue order, their (rank, seq) pairs — none for a
-        fifo queue —, the next arrival seq, the peak occupancy)``: the
-        queue's part of the plain model (:mod:`repro.sim.tables`)."""
+        fifo queue —, the next arrival seq)``: the queue's part of the
+        plain model (:mod:`repro.sim.tables`)."""
         if self.fifo:
-            return self._items, (), self._seq, self.peak_occupancy
+            return self._items, (), self._seq
         return ([entry[2] for entry in self._items],
                 [entry[:2] for entry in self._items],
-                self._seq, self.peak_occupancy)
+                self._seq)
 
-    def load_state(self, elements: List[T], ranks, seq: int,
-                   peak: int) -> None:
+    def load_state(self, elements: List[T], ranks, seq: int) -> None:
         """Restore :meth:`state`; ``ranks`` is an iterator this queue takes
         its ``(rank, seq)`` pairs from (a fifo queue takes none).
 
@@ -209,4 +204,3 @@ class PieoQueue(Generic[T]):
         else:
             self._items[:] = [(*next(ranks), e) for e in elements]
         self._seq = seq
-        self.peak_occupancy = peak

@@ -38,10 +38,11 @@ _CTRL = ("kind", "flow_id", "src", "dst", "seq", "sprays_remaining")
 #: table -> columns.  A node has ``L = h * (r - 1)`` links; queue ``q`` is
 #: link ``q % L`` of node ``q // L``.  Row order is part of the schema.
 TABLES: Dict[str, Sequence[str]] = {
-    # one row per node / per queue, in id order
+    # one row per node / per queue, in id order; ``pieo_peak`` is the
+    # longest any of the node's queues has been (paper Fig 13's PIEO depth)
     "scalars": ("total_enqueued", "pending_tokens", "pending_ctrl",
-                "failed", "tracker_peak"),
-    "queues": ("len", "peak", "seq"),
+                "failed", "tracker_peak", "pieo_peak"),
+    "queues": ("len", "seq"),
     # the queued cells — node-major, link-minor, FIFO — then one cell per
     # row of ``wire``, in wire order; ``ranks`` has a row per queued cell
     # under priority ranking and none otherwise

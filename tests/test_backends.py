@@ -357,6 +357,15 @@ class TestFallbackReasons:
         }
         assert len(set(reasons.values())) == len(reasons)
 
+    def test_full_scan_and_failed_links_are_told_apart(self):
+        scan = _build("vector", 144, 2, "none", 1)
+        scan.force_full_scan = True
+        assert self._reason(scan) == "force_full_scan=True"
+        assert scan.failed_links == set()
+        failed = _build("vector", 144, 2, "none", 1)
+        failed.failed_links.add((0, 1))
+        assert self._reason(failed) == "failed links present"
+
     def test_size_floor_is_the_shipped_default(self):
         # below the measured crossover the object pipeline is the faster
         # one, so small token-family runs stay there and say why; cc=none
@@ -829,23 +838,24 @@ class TestSlabTables:
         engine = Engine(SimConfig(n=n, h=h, backend="vector"))
         run = vector_mod._VectorRun(
             engine, vector_mod._SlabTables(engine.schedule, engine.coords))
-        hint, rv, dd = (a.ravel() for a in np.meshgrid(
-            np.arange(h), np.arange(n), np.arange(n), indexing="ij"))
+        rv, dd = (a.ravel() for a in np.meshgrid(
+            np.arange(n), np.arange(n), indexing="ij"))
         away = rv != dd
-        hint, rv, dd = hint[away], rv[away], dd[away]
+        rv, dd = rv[away], dd[away]
         run._init_slab(rv.size)
         fc = np.arange(run.Ln, run.Ln + rv.size)
-        run.c_sphase[fc] = hint
-        link, next_hint = run._next_hops(
-            fc, rv, dd, np.zeros(rv.size, dtype=bool), 0)
-        next_hint = np.broadcast_to(next_hint, rv.shape)
         nodes = engine.nodes
-        expected = []
-        for p, i, d in zip(hint.tolist(), rv.tolist(), dd.tolist()):
-            phase, offset = nodes[i]._choose_direct_hop(Cell(i, d), p)
-            expected.append(
-                (nodes[i].link_index(phase, offset), (phase + 1) % h))
-        assert list(zip(link.tolist(), next_hint.tolist())) == expected
+        # every cell of a batch carries its send slot's hint; the link
+        # taken fixes the next one (its phase + 1)
+        for hint in range(h):
+            link = run._next_hops(
+                fc, rv, dd, np.zeros(rv.size, dtype=bool), hint)
+            expected = [
+                nodes[i].link_index(*nodes[i]._choose_direct_hop(
+                    Cell(i, d), hint))
+                for i, d in zip(rv.tolist(), dd.tolist())
+            ]
+            assert link.tolist() == expected, hint
 
     def test_tables_are_linear_in_n(self):
         """No table grows with n**2: at n=1296, h=2 every array the slab
@@ -883,6 +893,91 @@ class TestSlabTables:
         assert tables() is None and nbr() is None
 
 
+class TestSprayPhaseFromTheSlot:
+    """The slab keeps no spray phase: in an EBS schedule a cell's is its
+    send slot's phase plus one, so a batch's one value serves every cell
+    in it, and ``pack`` takes no state where that is not so."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(cc=st.sampled_from(SLAB_MECHANISMS), h=st.sampled_from((2, 3)),
+           above_floor=st.booleans(), seed=st.integers(0, 2**16))
+    def test_a_sent_cell_carries_its_send_slots_phase(self, cc, h,
+                                                      above_floor, seed):
+        n = {2: (64, 121), 3: (64, 125)}[h][above_floor]
+        assert (n >= VectorBackend.TOKEN_SLAB_MIN_N) == above_floor
+        cfg = SimConfig(n=n, h=h, duration=10**6, seed=seed,
+                        propagation_delay=3, congestion_control=cc)
+        engine = Engine(cfg, workload=permutation_workload(cfg, 30))
+        phases = engine.schedule.phase_table
+        sent = 0
+        for _ in range(150):
+            t = engine.t
+            engine.step()
+            hint = (phases[t % len(phases)] + 1) % h
+            for tx in engine._in_flight:
+                cell = tx.cell
+                if tx.arrival == t + 3 and cell is not None \
+                        and not cell.dummy:
+                    assert cell.spray_phase == hint, (t, tx.sender)
+                    sent += 1
+        assert sent
+
+    @pytest.mark.parametrize("where", ("queued", "in flight"))
+    def test_pack_declines_a_cell_off_its_slots_phase(self, where):
+        engine = _build("vector", 16, 2, "none", 1)
+        engine.run(30)
+        assert engine.backend_effective == "vector"
+        model = engine._plain_model()
+        wire = len(model["wire"])
+        queued = len(model["cells"]) - wire
+        assert queued and wire
+        row = 0 if where == "queued" else queued
+        sphase = tables.col("cells", "spray_phase")
+        model["cells"][row, sphase] = (model["cells"][row, sphase] + 1) % 2
+        run = vector_mod._VectorRun(
+            engine, vector_mod._SlabTables(engine.schedule, engine.coords))
+        assert run.pack(model) == \
+            "a queued or in-flight cell's spray phase is not its slot's"
+
+
+class TestExportedModels:
+    """A slab run exported mid-run is the object run's plain model at the
+    same slot, table by table — the derived spray phases, the per-node
+    PIEO peaks and, after hop-by-hop's mid-list picks, FIFO order."""
+
+    @pytest.mark.parametrize("cc", SLAB_MECHANISMS)
+    @pytest.mark.parametrize("n,h", ((144, 2), (256, 2), (125, 3), (216, 3)))
+    def test_export_is_the_object_model(self, cc, n, h, monkeypatch):
+        mid_list = []
+        pick = TokenRun._pick
+
+        def recording(run, link, ids, nb):
+            picked = pick(run, link, ids, nb)
+            mid_list.append(bool((picked[2] >= run.Ln).any()))
+            return picked
+
+        monkeypatch.setattr(TokenRun, "_pick", recording)
+        models = {}
+        for backend in ("object", "vector"):
+            engine = _build(backend, n, h, cc, 7, size_cells=60,
+                            duration=10**6)
+            engine.run(150)
+            models[backend] = engine._plain_model()
+        assert engine.backend_effective == "vector", engine.backend_reason
+        assert engine.model_syncs == 0
+        for name in tables.TABLES:
+            if name != "active_ids":
+                assert equal(models["object"][name], models["vector"][name]), \
+                    name
+        cells, wire = models["vector"]["cells"], models["vector"]["wire"]
+        queued = cells[:len(cells) - len(wire)]
+        assert set(queued[:, tables.col("cells", "spray_phase")].tolist()) \
+            == set(range(h))
+        assert models["vector"]["scalars"][
+            :, tables.col("scalars", "pieo_peak")].max() > 1
+        assert any(mid_list) == (cc in ("hop-by-hop", "hbh+spray"))
+
+
 class TestCellLayout:
     """One cell layout, written three times: ``Cell.state()``, the plain
     model's ``cells`` table and the slab's records — rows of that table,
@@ -902,6 +997,9 @@ class TestCellLayout:
         # a cell holding a value of its own in every field
         values = {name: 100 + i for i, name in enumerate(names)}
         values["dummy"] = False
+        # ... but the spray phase: the slab derives it, and packs a queued
+        # cell only if it is its queue link's phase + 1 (link 0: phase 0)
+        values["spray_phase"] = 1
         cell = Cell(0, 0)
         for name, value in values.items():
             setattr(cell, name, value)

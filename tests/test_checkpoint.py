@@ -301,20 +301,25 @@ HOSTILE = {
     "version-2-pickle-era": (
         lambda parts, sentinel: _sealed(pickle.dumps(
             {"version": 2, "config": _Planted(sentinel), "state": {}})),
-        r"unsupported checkpoint version.*: 2 or earlier \(want 5\)"),
+        r"unsupported checkpoint version.*: 2 or earlier \(want 6\)"),
     # a v3 file's digest value is FNV-1a state: continuing it with the
     # two-level hash would give a digest that matches nothing
     "version-3-fnv-digest": (
         lambda parts, _: _sealed(b"3\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 3 \(want 5\)"),
+        r"unsupported checkpoint version.*: 3 \(want 6\)"),
     # a v4 file's cells carry a twelfth column and its metrics two records
-    # no v5 reader has a place for
+    # no v6 reader has a place for
     "version-4-unread-records": (
         lambda parts, _: _sealed(b"4\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 4 \(want 5\)"),
+        r"unsupported checkpoint version.*: 4 \(want 6\)"),
+    # a v5 file keeps the PIEO high-water mark per queue, where a v6
+    # reader finds a queue's seq
+    "version-5-queue-peaks": (
+        lambda parts, _: _sealed(b"5\n", *parts[2:4]),
+        r"unsupported checkpoint version.*: 5 \(want 6\)"),
     "version-99": (
         lambda parts, _: _sealed(b"99\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 99 \(want 5\)"),
+        r"unsupported checkpoint version.*: 99 \(want 6\)"),
     "flipped-byte": (_flipped, "integrity"),
     "section-overruns-file": (
         _section(2, [10**6, 12]),

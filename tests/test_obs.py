@@ -175,7 +175,7 @@ class TestTimeSeries:
         expected[0] = 0
         assert queues == expected.tolist()
         assert engine.metrics.max_pieo_length == max(
-            q.peak_occupancy for node in alive for q in node.link_queues)
+            node.max_pieo_occupancy() for node in alive) >= max(lengths)
         row = {name: int(col[-1]) for name, col in recorder.series().items()}
         assert row["queued"] == sum(occupancies)
         assert row["max_buffer"] == max(occupancies)

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.cell import Cell
+from repro.sim.config import SimConfig
+from repro.sim.engine import Engine
 from repro.sim.pieo import PieoQueue
 
 
@@ -79,13 +82,20 @@ class TestCapacity:
             q.push(3)
 
     def test_peak_occupancy(self):
-        q = PieoQueue()
-        for i in range(5):
-            q.push(i)
+        # the occupancy high-water mark the hardware provisions (paper Fig
+        # 13) is a node's, not a queue's: the longest any of its queues
+        # has been, which emptying the queue does not lower
+        engine = Engine(SimConfig(n=16, h=2, congestion_control="none"))
+        node = engine.nodes[0]
+        dst = engine.coords.node_id((0, 3))  # direct: phase 1, offset 3
+        queue = node.link_queues[node.link_index(1, 3)]
+        for seq in range(5):
+            node.enqueue_forward(Cell(1, dst, seq=seq), t=0, arrival_phase=0)
         for _ in range(5):
-            q.extract_head()
-        q.push(99)
-        assert q.peak_occupancy == 5
+            queue.extract_head()
+        node.enqueue_forward(Cell(1, dst, seq=5), t=0, arrival_phase=0)
+        assert len(queue) == 1
+        assert node.max_pieo_occupancy() == 5
 
 
 class TestRemoval:

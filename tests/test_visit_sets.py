@@ -244,8 +244,8 @@ def _watch_samples(engine):
                                  for node in live]
         assert sorted(filter(None, queue_lengths)) == \
             sorted(filter(None, map(len, queues)))
-        assert pieo_peak == max((q.peak_occupancy for q in queues),
-                                default=0)
+        assert pieo_peak == max((node.max_pieo_occupancy() for node in live),
+                                default=0) >= max(map(len, queues), default=0)
         assert active_buckets == max(map(len, trackers), default=0)
         checked.append((t, len(live), sum(map(bool, buffers)), pieo_peak))
         close(t, buffers, queue_lengths, pieo_peak, active_buckets)
