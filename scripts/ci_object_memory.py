@@ -28,6 +28,7 @@ from sys import getsizeof
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.cell import Cell  # noqa: E402
 from repro.experiments.common import load_for  # noqa: E402
 from repro.sim.config import SimConfig  # noqa: E402
 from repro.sim.engine import Engine  # noqa: E402
@@ -66,7 +67,9 @@ def families(engine) -> dict:
                                   if id(token) not in shared)
             for held in node.token_return.values())
         index += getsizeof(node._link_of)
-    cells += sum(getsizeof(tx.cell) for tx in engine._in_flight)
+    # a bare header carries no cell (``tx.cell is None``): nothing to count
+    cells += sum(getsizeof(tx.cell) for tx in engine._in_flight
+                 if tx.cell is not None)
     table = getsizeof(interned) + sum(
         getsizeof(key) + getsizeof(token) for key, token in interned.items())
     return {
@@ -101,6 +104,9 @@ def main() -> int:
     for name, size in held.items():
         print(f"  {name:<24} {size / MB:8.2f} MB")
     print(f"  {'total':<24} {sum(held.values()) / MB:8.2f} MB")
+    bare = sum(tx.cell is None for tx in engine._in_flight)
+    print(f"wire: {len(engine._in_flight)} transmissions, {bare} of them "
+          f"bare headers (no cell); one Cell is {getsizeof(Cell(0, 0))} B")
     print(f"RSS growth: build {built - base:+.1f} MB, "
           f"build + {SLOTS} slots {after - base:+.1f} MB")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

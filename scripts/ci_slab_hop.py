@@ -4,8 +4,9 @@
 Runs a cc=none permutation (h=2) on the vector slab for 300 slots at
 n=1296 and n=4096 with the step profiler attached, and prints the
 microseconds each profiler section costs per node-slot, plus the process's
-RSS growth over the run — the slab's cost is linear per cell, so these
-figures are what a paper-scale run pays.  At n=1296 it also asserts:
+RSS growth over the run and the bytes one slab cell record takes — the
+slab's cost is linear per cell, so these figures are what a paper-scale
+run pays.  At n=1296 it also asserts:
 
 * the 100-slot prefix digest is the object backend's;
 * a mid-run snapshot, saved to a file in the current checkpoint format,
@@ -74,12 +75,14 @@ def profile(n: int) -> str:
     engine.run(SLOTS)
     wall = time.perf_counter() - started
     on_slab(engine)
+    record = engine._parked._slab[0].nbytes
     node_slots = n * SLOTS
     costs = "  ".join(
         f"{name} {seconds * 1e6 / node_slots:.3f}"
         for name, seconds in profiler.totals.items() if seconds)
     print(f"n={n}: {SLOTS} slots in {wall:.2f} s; us/node-slot: {costs}")
-    print(f"n={n}: RSS growth {rss_mb() - before:+.1f} MB")
+    print(f"n={n}: RSS growth {rss_mb() - before:+.1f} MB; "
+          f"{record} B per slab cell record")
     return engine.digest.hexdigest()
 
 

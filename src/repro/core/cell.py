@@ -6,6 +6,13 @@ bytes of payload).  The simulator works with :class:`Cell` objects that carry
 the routing and congestion-control state the header encodes, plus simulator
 bookkeeping (timestamps) that a real network would not transmit.
 
+A cell is only what a payload-carrying header says.  A transmission with
+no payload — a bare header, carrying tokens, control messages or just
+liveness — has no cell at all: its ``Transmission.cell`` is ``None``.
+Nor does a cell keep the phase of its next spraying hop: under EBS every
+phase-``p`` link changes exactly coordinate ``p``, so the link a cell
+arrives on names it (the send phase plus one).
+
 ``Cell`` deliberately uses ``__slots__`` and plain integer fields: millions of
 cells are alive during a large simulation and per-object overhead dominates
 memory use.
@@ -13,7 +20,7 @@ memory use.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["Cell", "CELL_SIZE_BYTES", "HEADER_SIZE_BYTES", "PAYLOAD_SIZE_BYTES"]
 
@@ -40,13 +47,9 @@ class Cell:
             source, before the first hop).
         created_at: timeslot at which the cell was admitted to the network
             by its source.
-        spray_phase: the phase in which the cell's *next* spraying hop must
-            occur (meaningful only while ``sprays_remaining > 0`` or the cell
-            still awaits its first hop).
         flow_size: total number of cells in the parent flow (used by the
             ``priority`` congestion-control baseline).
-        dummy: True for filler cells generated when a node has nothing to
-            send; dummies still carry tokens in their headers.
+        hops: number of hops actually taken so far (simulator statistic).
     """
 
     __slots__ = (
@@ -57,9 +60,7 @@ class Cell:
         "sprays_remaining",
         "prev_hop",
         "created_at",
-        "spray_phase",
         "flow_size",
-        "dummy",
         "hops",
     )
 
@@ -80,25 +81,15 @@ class Cell:
         self.sprays_remaining = sprays_remaining
         self.prev_hop = -1
         self.created_at = created_at
-        self.spray_phase = -1
         self.flow_size = flow_size
-        self.dummy = False
-        #: number of hops actually taken so far (simulator statistic)
         self.hops = 0
 
-    @classmethod
-    def make_dummy(cls, src: int, dst: int) -> "Cell":
-        """A filler cell carrying only header state (tokens)."""
-        cell = cls(src, dst)
-        cell.dummy = True
-        return cell
-
     def state(self) -> Tuple:
-        """All eleven fields as a flat tuple (checkpoint encoding)."""
+        """All nine fields as a flat tuple (checkpoint encoding)."""
         return (
             self.src, self.dst, self.flow_id, self.seq,
             self.sprays_remaining, self.prev_hop, self.created_at,
-            self.spray_phase, self.flow_size, self.dummy, self.hops,
+            self.flow_size, self.hops,
         )
 
     @classmethod
@@ -107,7 +98,7 @@ class Cell:
         cell = cls.__new__(cls)
         (cell.src, cell.dst, cell.flow_id, cell.seq,
          cell.sprays_remaining, cell.prev_hop, cell.created_at,
-         cell.spray_phase, cell.flow_size, cell.dummy, cell.hops) = state
+         cell.flow_size, cell.hops) = state
         return cell
 
     def bucket(self) -> Tuple[int, int]:
@@ -115,8 +106,7 @@ class Cell:
         return (self.dst, self.sprays_remaining)
 
     def __repr__(self) -> str:  # pragma: no cover
-        kind = "dummy" if self.dummy else f"flow={self.flow_id} seq={self.seq}"
         return (
-            f"Cell({self.src}->{self.dst} {kind} "
+            f"Cell({self.src}->{self.dst} flow={self.flow_id} seq={self.seq} "
             f"sprays={self.sprays_remaining} hops={self.hops})"
         )

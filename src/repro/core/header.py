@@ -5,9 +5,10 @@ The 12-byte (96-bit) header layout valid for up to 32,768 nodes and h <= 4:
     source id          15 bits
     destination id     15 bits
     remaining sprays    2 bits
-    sequence number    22 bits
+    sequence number    18 bits
     token 1            17 bits
     token 2            17 bits
+    token kinds         4 bits  (2 per token)
     CRC checksum        8 bits
 
 Each token field encodes a hop-by-hop token: a destination id (15 bits) plus
@@ -20,7 +21,8 @@ paper's layout and pack ``(destination, sprays)`` for regular tokens where
 N <= 8,192 deployments, falling back to a 2-token-word encoding otherwise.
 For the purposes of this reproduction we implement the straightforward
 variant: 15 bits destination + 2 bits spray index, with the token *kind*
-carried in a per-header 4-bit kind nibble taken from the checksum padding.
+carried in a per-header 4-bit kind nibble taken from the sequence number
+(Fig. 19's 22 bits become 18).
 The wire format is self-consistent (pack -> unpack round-trips) and size
 accurate (96 bits), which is what the throughput accounting depends on.
 """
@@ -170,7 +172,7 @@ class HeaderCodec:
         if not 0 <= sprays < _MAX_SPRAYS:
             raise ValueError(f"sprays {sprays} exceeds 2-bit field (h <= 4)")
         if not 0 <= seq < _MAX_SEQ:
-            raise ValueError(f"seq {seq} exceeds 22-bit field")
+            raise ValueError(f"seq {seq} exceeds {_SEQ_BITS}-bit field")
 
         value = src
         value = (value << _DST_BITS) | dst

@@ -7,7 +7,7 @@ The protocol has three ingredients:
   declares a neighbour down after ``detection_epochs`` consecutive missed
   cells.  Detection is symmetric: once node ``i`` stops hearing from ``j``
   it also stops sending payload to ``j`` and instead *probes* it once per
-  epoch with a dummy cell carrying a deafness complaint, so a one-way link
+  epoch with a bare header carrying a deafness complaint, so a one-way link
   failure shuts the link down on both sides and a recovered link is
   re-validated from real cells, never from oracle knowledge.
 
@@ -24,7 +24,7 @@ The protocol has three ingredients:
   failed or invalidated neighbours; cells whose *final* hop is down are
   dropped (an end-to-end transport above Shale recovers them).
 
-Simulation note (recorded in DESIGN.md): healthy links elide dummy cells,
+Simulation note (recorded in DESIGN.md): healthy links elide bare headers,
 so per-slot silence cannot be observed directly.  Silence toward a healthy
 observer only ever *begins* at a failure event, which lets the manager run
 detection from an agenda: when a node or link fails it computes, for every
@@ -370,8 +370,7 @@ class FailureManager:
         Returns the (possibly payload-stripped) transmission to deliver, or
         ``None`` when nothing arrives at all.
         """
-        cell = tx.cell
-        payload = cell is not None and not cell.dummy
+        payload = tx.cell is not None
         if engine.nodes[tx.receiver].failed:
             if payload:
                 engine.wire_drop(tx)
@@ -696,8 +695,7 @@ class FailureManager:
         if cell.sprays_remaining == 0:
             # direct semi-path via the failure: restart spraying
             cell.sprays_remaining = engine.coords.h
-        cell.spray_phase = phase
-        node.enqueue_forward(cell, t, (phase - 1) % engine.coords.h)
+        node.enqueue_forward(cell, t, phase)
 
     # ------------------------------------------------------------------ #
     # token reception (called from Node.receive via the engine)

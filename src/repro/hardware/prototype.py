@@ -172,8 +172,10 @@ class HardwareNode:
     # ------------------------------------------------------------------ #
     # TX path (Appendix C, left column)
 
-    def tx(self, t: int, phase: int, offset: int) -> Optional[Tuple[int, Cell, List[BucketId]]]:
-        """Run the TX pipeline; returns (receiver, cell, tokens) or None."""
+    def tx(self, t: int, phase: int, offset: int
+           ) -> Optional[Tuple[int, Optional[Cell], List[BucketId]]]:
+        """Run the TX pipeline; returns (receiver, cell, tokens) or None
+        (``cell`` None for a bare header carrying only tokens)."""
         cycles = 1  # get neighbour for the current timeslot
         neighbor = self.coords.neighbor_at_offset(self.node_id, phase, offset)
         link = self._link(phase, offset)
@@ -219,9 +221,7 @@ class HardwareNode:
 
         if cell is None and not tokens:
             return None
-        if cell is None:
-            cell = Cell.make_dummy(self.node_id, neighbor)
-        else:
+        if cell is not None:
             cell.prev_hop = self.node_id
         return neighbor, cell, tokens
 
@@ -254,16 +254,16 @@ class HardwareNode:
             self._alloc_bucket(bucket)
         self.local_queue.popleft()
         cell.sprays_remaining = self.h - 1
-        cell.spray_phase = (phase + 1) % self.h
         return cell
 
     # ------------------------------------------------------------------ #
     # RX path (Appendix C, right column)
 
-    def rx(self, cell: Cell, tokens: List[BucketId], t: int, phase: int) -> None:
-        """Run the RX pipeline for an arriving transmission."""
+    def rx(self, sender: int, cell: Optional[Cell], tokens: List[BucketId],
+           t: int, phase: int) -> None:
+        """Run the RX pipeline for a transmission from ``sender`` that left
+        in a slot of ``phase``."""
         cycles = 1  # receive the loaded cell
-        sender = cell.prev_hop if not cell.dummy else cell.src
         cycles += 1  # convert tokens, classify, compute next hop
         for bucket in tokens:
             key = (sender, bucket)
@@ -274,7 +274,7 @@ class HardwareNode:
                 else:
                     self.token_counts[key] = spent - 1
             self._maybe_free_bucket(bucket)
-        if cell.dummy:
+        if cell is None:
             self.cycles_used_rx = max(self.cycles_used_rx, cycles)
             return
         self.cells_received += 1
@@ -287,12 +287,11 @@ class HardwareNode:
         self._enqueue_forward(cell, phase)
         self.cycles_used_rx = max(self.cycles_used_rx, cycles)
 
-    def _enqueue_forward(self, cell: Cell, arrival_phase: int) -> None:
+    def _enqueue_forward(self, cell: Cell, send_phase: int) -> None:
         bucket = (cell.dst, cell.sprays_remaining)
-        # Next phase follows the previous hop's wire phase (carried on the
-        # cell), so long propagation delays cannot skip a spray coordinate.
-        hint = cell.spray_phase if cell.spray_phase >= 0 \
-            else (arrival_phase + 1) % self.h
+        # Next phase follows the previous hop's wire phase (its send slot's),
+        # so long propagation delays cannot skip a spray coordinate.
+        hint = (send_phase + 1) % self.h
         if cell.sprays_remaining > 0:
             next_phase = hint
             offset = self.rng.randrange(1, self.r)
@@ -307,7 +306,6 @@ class HardwareNode:
                     break
             if next_phase is None:
                 raise AssertionError("cell for self reached _enqueue_forward")
-        cell.spray_phase = (next_phase + 1) % self.h
         self._alloc_bucket(bucket)
         fifo = self.forward_fifos.setdefault((next_phase, bucket), deque())
         fifo.append(cell)
@@ -365,7 +363,9 @@ class HardwareNetwork:
         self.propagation_delay = propagation_delay
         self.t = 0
         self.delivered = 0
-        self._in_flight: Deque[Tuple[int, int, Cell, List[BucketId]]] = deque()
+        #: (arrival, sender, receiver, cell or None, tokens)
+        self._in_flight: Deque[
+            Tuple[int, int, int, Optional[Cell], List[BucketId]]] = deque()
 
     def step(self) -> None:
         """One timeslot of the whole network."""
@@ -373,15 +373,18 @@ class HardwareNetwork:
         phase = self.schedule.phase_of(t)
         offset = self.schedule.offset_of(t)
         while self._in_flight and self._in_flight[0][0] <= t:
-            _, receiver, cell, tokens = self._in_flight.popleft()
-            self.nodes[receiver].rx(cell, tokens, t, self.schedule.phase_of(t))
+            arrival, sender, receiver, cell, tokens = self._in_flight.popleft()
+            self.nodes[receiver].rx(
+                sender, cell, tokens, t,
+                self.schedule.phase_of(arrival - self.propagation_delay))
         arrival = t + self.propagation_delay
         for node in self.nodes:
             out = node.tx(t, phase, offset)
             if out is None:
                 continue
             receiver, cell, tokens = out
-            self._in_flight.append((arrival, receiver, cell, tokens))
+            self._in_flight.append(
+                (arrival, node.node_id, receiver, cell, tokens))
         self.t = t + 1
 
     def run(self, slots: int) -> None:

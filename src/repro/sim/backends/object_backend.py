@@ -40,8 +40,7 @@ def deliver_arrivals(engine, t: int, rx_phase: int) -> None:
     pool = engine._tx_pool
     while in_flight and in_flight[0].arrival <= t:
         tx = popleft()
-        cell = tx.cell
-        payload = cell is not None and not cell.dummy
+        payload = tx.cell is not None
         if payload:
             payload_arrived += 1
         receiver = nodes[tx.receiver]
@@ -116,7 +115,7 @@ def run_tx(engine, t: int, phase: int, offset: int) -> None:
             continue
         cell = tx.cell
         sent += 1
-        if cell.dummy:
+        if cell is None:
             dummies += 1
         else:
             payload += 1

@@ -74,14 +74,9 @@ from .vector import (
 
 __all__ = ["ShardBackend", "shard_ranges"]
 
-#: the fields of a slab record a message carries, as a ``(fields, cells)``
-#: column block: all but ``dummy``, which is 0 on the slab
-_MSG_FIELDS = np.array([i for i, name in enumerate(tables.TABLES["cells"])
-                        if name != "dummy"])
-_CELL_COLS = _MSG_FIELDS.size
-#: the spray phase's row of a message block: the one field the slab
-#: derives instead of keeping, filled in when cells leave for the parent
-_MSG_SPHASE = _MSG_FIELDS.tolist().index(tables.col("cells", "spray_phase"))
+#: a message carries slab records as a ``(fields, cells)`` column block:
+#: one row per ``cells`` table column
+_CELL_COLS = len(tables.TABLES["cells"])
 
 #: what a worker records per delivered cell when a digest is attached:
 #: slot and sender (the merge order) plus the delivery event's fields
@@ -110,28 +105,7 @@ def shard_ranges(n: int, r: int, count: int):
 def _cells_from_cols(cols: np.ndarray) -> List[Cell]:
     """Materialize :class:`Cell` objects from a ``(_CELL_COLS, m)``
     column block."""
-    out: List[Cell] = []
-    if cols.shape[1] == 0:
-        return out
-    append = out.append
-    new = Cell.__new__
-    for src, dst, fid, seq, spr, prv, cre, sph, fsz, hp in zip(
-        *cols.tolist()
-    ):
-        cell = new(Cell)
-        cell.src = src
-        cell.dst = dst
-        cell.flow_id = fid
-        cell.seq = seq
-        cell.sprays_remaining = spr
-        cell.prev_hop = prv
-        cell.created_at = cre
-        cell.spray_phase = sph
-        cell.flow_size = fsz
-        cell.dummy = False
-        cell.hops = hp
-        append(cell)
-    return out
+    return list(map(Cell.from_state, zip(*cols.tolist())))
 
 
 def _rng_state_payload(rng):
@@ -311,11 +285,11 @@ class _WorkerRun(_VectorRun):
 
     def _cols(self, rows: np.ndarray) -> np.ndarray:
         """The ``(_CELL_COLS, k)`` message block of slab rows ``rows``."""
-        return self._slab[rows][:, _MSG_FIELDS].T
+        return self._slab[rows].T
 
     def _put_cols(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Write the message block ``cols`` into slab rows ``rows``."""
-        self._slab[rows[:, None], _MSG_FIELDS] = cols.T
+        self._slab[rows] = cols.T
 
     # ------------------------------------------------------------------ #
     # the draw stash: _forward/_next_hops call _draw for spraying cells;
@@ -658,16 +632,10 @@ class _WorkerRun(_VectorRun):
     # ------------------------------------------------------------------ #
     # result gather
 
-    def _cols_phased(self, rows: np.ndarray, phase) -> np.ndarray:
-        """:meth:`_cols`, with each cell's spray phase ``phase``."""
-        cols = self._cols(rows)
-        cols[_MSG_SPHASE] = phase
-        return cols
-
     def _result(self, t_star: int, t_end: int) -> dict:
         lo, hi = self.lo, self.hi
         # only this shard's nodes hold cells
-        queued, phase = self._queued_rows()
+        queued = self._queued_rows()
         rec = {
             name: (
                 np.concatenate(chunks) if chunks else
@@ -677,14 +645,14 @@ class _WorkerRun(_VectorRun):
         }
         wire = []
         for arr in sorted(self.rxbuf):
-            senders, rows, recvs, esph = self.rxbuf[arr]
-            wire.append((arr, senders, self._cols_phased(rows, esph), recvs))
+            senders, rows, recvs, _ = self.rxbuf[arr]
+            wire.append((arr, senders, self._cols(rows), recvs))
         fid_nz = np.flatnonzero(self.f_del[: self.f_cap])
         return {
             "queues": {
                 "counts": self.q_len[:, lo:hi].T.copy(),
                 "peaks": self.pieo_peak[lo:hi].copy(),
-                "cols": self._cols_phased(queued, phase),
+                "cols": self._cols(queued),
             },
             "cursor": {
                 "has": self.has_flow[lo:hi].copy(),
@@ -894,13 +862,6 @@ class ShardBackend(EngineBackend):
             shard_of[lo:hi] = k
         shard_of_l = shard_of.tolist()
 
-        def cell_row(cell):
-            return (
-                cell.src, cell.dst, cell.flow_id, cell.seq,
-                cell.sprays_remaining, cell.prev_hop, cell.created_at,
-                cell.spray_phase, cell.flow_size, cell.hops,
-            )
-
         queues = []
         cursors = []
         for lo, hi in ranges:
@@ -919,12 +880,7 @@ class ShardBackend(EngineBackend):
                 for l, queue in enumerate(node.link_queues):
                     items = queue._items
                     counts[li, l] = len(items)
-                    # a queued cell's spray phase is its link's phase + 1
-                    hint = (l // rm1 + 1) % h
-                    for cell in items:
-                        if cell.dummy or cell.spray_phase != hint:
-                            return None
-                        rows.append(cell_row(cell))
+                    rows.extend(map(Cell.state, items))
                 live = [
                     f for f in node.local_flows if f.sent < f.size_cells
                 ]
@@ -960,13 +916,13 @@ class ShardBackend(EngineBackend):
         cur = None
         for tx in engine._in_flight:
             cell = tx.cell
-            if tx.tokens or tx.ctrl or cell is None or cell.dummy:
+            if tx.tokens or tx.ctrl or cell is None:
                 return None
             if cur is None or tx.arrival != cur[0]:
                 cur = (tx.arrival, [], [], [])
                 batches.append(cur)
             cur[1].append(tx.sender)
-            cur[2].append(cell_row(cell))
+            cur[2].append(cell.state())
             cur[3].append(tx.receiver)
         wire: List[list] = [[] for _ in range(K)]
         wire_trig: List[tuple] = []
@@ -983,8 +939,6 @@ class ShardBackend(EngineBackend):
             # every cell of the batch left on its send slot's phase
             send = (arr - cfg.propagation_delay) % schedule.epoch_length
             esph = (schedule.phase_table[send] + 1) % h
-            if (cols[_MSG_SPHASE] != esph).any():
-                return None
             ws = shard_of[recvs]
             for k in range(K):
                 mask = ws == k

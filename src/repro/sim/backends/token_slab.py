@@ -19,8 +19,8 @@ hop-by-hop flow control (Section 3.3.2) at the uniform budget
   predecessor, so FIFO order holds.
 * **token return** — per-(node, link) ring buffers of ``dst * h + sprays``
   codes, drained ``tokens_per_header`` at a time into whatever the node
-  sends toward that neighbour, or into a token-only dummy transmission
-  (a wire row whose cell is ``-1``) when it sends nothing else.
+  sends toward that neighbour, or into a bare header (a wire row whose
+  cell is ``-1``) when it sends nothing else.
 * **active buckets** — dense per-(node, bucket) reference counts with the
   per-node active count and its high-water mark.
 
@@ -528,7 +528,7 @@ class TokenRun(_VectorRun):
         owing, codes, taken = self._drain_tokens(link)
         send = cell_of >= 0
         if owing.size:
-            send[owing] = True  # token-only dummies where no cell goes
+            send[owing] = True  # bare headers where no cell goes
         senders = send.nonzero()[0]
         m = senders.size
         if not m:

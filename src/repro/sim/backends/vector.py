@@ -5,16 +5,15 @@ the whole network's mutable hot state in flat int64 columns and advances
 every node in a timeslot with a handful of array operations:
 
 * **cell slab** — one record per live cell: a row of the plain model's
-  ``cells`` table, i.e. :meth:`~repro.core.cell.Cell.state` (``dummy`` is
-  always 0 here), so a hop reads and writes one record, not one entry in
-  each of eleven columns.  A separate ``nxt`` column threads cells into
+  ``cells`` table, i.e. :meth:`~repro.core.cell.Cell.state`, so a hop
+  reads and writes one record (nine int64 fields, 72 B), not one entry in
+  each of nine columns.  A separate ``nxt`` column threads cells into
   per-(node, link) FIFO linked lists, each as long as its length says (the
   queue ``head`` / ``tail`` / ``qlen`` columns are ``(L, n)`` arrays, one
   row per link index; the PIEO high-water mark is one per node).  A
-  freelist recycles slab rows as cells are delivered.  A record's
-  ``spray_phase`` is never read or written after packing: a queued cell's
-  is its queue link's phase plus one, an in-flight cell's its send slot's
-  phase plus one, and ``export_model`` writes it from there.
+  freelist recycles slab rows as cells are delivered.  No record holds a
+  cell's next spray phase: every cell of a wire batch left in the same
+  slot, so the batch carries it once (the send slot's phase plus one).
 * **flow cursors** — per-node columns for the currently emitting flow
   (id, dst, sent, size) with the waiting flows in per-node Python lists;
   per-flow ``delivered`` / ``size`` columns detect completions by array
@@ -65,7 +64,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ...core.cell import Cell
 from .. import tables
 from . import EngineBackend, register_backend
 from .object_backend import advance as advance_reference
@@ -73,20 +71,17 @@ from .object_backend import advance as advance_reference
 __all__ = ["VectorBackend"]
 
 #: a slab record is one ``cells`` table row; its fields are read through
-#: these column views (``dummy``, always 0 on the slab, has none)
+#: these column views
 _FIELDS = {
     "c_src": "src", "c_dst": "dst", "c_fid": "flow_id", "c_seq": "seq",
     "c_sprays": "sprays_remaining", "c_prev": "prev_hop",
-    "c_created": "created_at", "c_sphase": "spray_phase",
-    "c_fsize": "flow_size", "c_hops": "hops",
+    "c_created": "created_at", "c_fsize": "flow_size", "c_hops": "hops",
 }
 _WIDTH = len(tables.TABLES["cells"])
-_SRC, _DST, _FID, _SEQ, _SPRAYS, _PREV, _CREATED, _SPHASE, _FSIZE, _HOPS = (
+_SRC, _DST, _FID, _SEQ, _SPRAYS, _PREV, _CREATED, _FSIZE, _HOPS = (
     tables.col("cells", field) for field in _FIELDS.values())
-_DUMMY = tables.col("cells", "dummy")
-#: a token-only dummy's ``cells`` row (a wire row with no slab row)
-_DUMMY_CELL = np.array(Cell.make_dummy(0, 0).state(), dtype=np.int64)
 _LEN = tables.col("queues", "len")
+_PAYLOAD = tables.col("wire", "payload")
 _PIEO_PEAK = tables.col("scalars", "pieo_peak")
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
@@ -100,12 +95,9 @@ _DELIVERY_WIDTH = 2 + _DELIVERY_FIELDS.size
 _DIGEST_BLOCK = 4096
 
 
-#: what ``pack()`` reports when a queued or in-flight cell carries state
+#: what ``pack()`` reports when a transmission's header carries state
 #: the column layout has no field for
 _HEADERS = "queued cells carry non-vectorizable headers"
-#: ... and when a cell's spray phase is not the one the slab derives for
-#: it (its queue link's phase + 1, or its send slot's phase + 1)
-_PHASE = "a queued or in-flight cell's spray phase is not its slot's"
 
 #: most raw words one ``random_raw`` call of the RNG replay generates: the
 #: replay's memory is this block (8 bytes a word), whatever the run drew
@@ -119,9 +111,9 @@ class _Decline(Exception):
 def _fast_ineligible_reason(engine):
     """Why the slab cannot run this engine state, or None if it can.
 
-    Per-cell conditions (failure tokens, control sidecars, spray hints
-    unset or off their slot's phase) are verified during packing; this
-    covers everything visible without walking queues.  The reason string
+    Per-header conditions (failure tokens, control sidecars) are verified
+    during packing; this covers everything visible without walking the
+    wire.  The reason string
     is recorded as ``Engine.backend_reason`` and feeds the
     de-acceleration notice, so it names the feature that forced the
     reference pipeline.
@@ -609,21 +601,9 @@ class _VectorRun:
         return (self._peak_buckets(), int(self.pieo_peak.max()),
                 int(self._node_occupancy().max()))
 
-    def _queued_phases(self, lens) -> np.ndarray:
-        """The spray phase of every cell of queues ``lens`` long (node-major,
-        link-minor): its queue link's phase plus one, as the enqueue set
-        it."""
-        hint = (np.arange(self.L) // self.rm1 + 1) % self.h
-        return np.repeat(np.tile(hint, self.n), lens)
-
-    def _load_cells(self, cells: np.ndarray, nid: int, phase) -> int:
+    def _load_cells(self, cells: np.ndarray, nid: int) -> int:
         """Rows of the ``cells`` table into slab records ``nid`` on, as
-        they are, if each one's spray phase is ``phase`` (per row, or one
-        for all); returns the next free row."""
-        if cells[:, _DUMMY].any() or (cells[:, _SPHASE] < 0).any():
-            raise _Decline(_HEADERS)
-        if (cells[:, _SPHASE] != phase).any():
-            raise _Decline(_PHASE)
+        they are; returns the next free row."""
         end = nid + len(cells)
         self._slab[nid:end] = cells
         return end
@@ -634,8 +614,7 @@ class _VectorRun:
         node-major, link-minor, FIFO order)."""
         first = self.Ln  # cell rows start past the queue sentinels
         lens = model["queues"][:, _LEN]
-        nid = self._load_cells(model["cells"][:lens.sum()], first,
-                               self._queued_phases(lens))
+        nid = self._load_cells(model["cells"][:lens.sum()], first)
         self._thread_queues(first, lens, np.arange(self.n))
         self.pieo_peak[:] = model["scalars"][:, _PIEO_PEAK]
         # the cursors hold Flow objects: a node's first unfinished flow is
@@ -680,16 +659,16 @@ class _VectorRun:
             return nid
         if len(model["wire_ctrl"]):
             raise _Decline(_HEADERS)
-        senders, recvs, arrivals = wire.T
-        cells = model["cells"][-len(wire):]
-        # a token-only dummy is a wire row with no slab row (-1)
-        payload = cells[:, _DUMMY] == 0
+        senders, recvs, arrivals, payload = wire.T
+        payload = payload != 0
+        # a bare header is a wire row with no slab row (-1)
         rows = np.where(payload, nid + payload.cumsum() - 1, -1)
+        nid = self._load_cells(
+            model["cells"][len(model["cells"]) - int(payload.sum()):], nid)
         # every cell of one arrival left in the same TX slot, on its
         # phase: the batch's spray phase is that phase plus one
         esph = (np.asarray(self.phase_table)[
             (arrivals - self.delay) % self.epoch] + 1) % self.h
-        nid = self._load_cells(cells[payload], nid, esph[payload])
         fresh = payload & (self.c_sprays[rows] > 0)
         tokens = self._header_codes(model)
         cuts = [0, *(np.flatnonzero(np.diff(arrivals)) + 1).tolist(),
@@ -718,10 +697,10 @@ class _VectorRun:
             raise _Decline(_HEADERS)
         return arrival, senders, rows, recvs, fresh, esph
 
-    def _queued_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The slab row of every queued cell, node-major, link-minor, FIFO,
-        and its spray phase: all the linked lists walked at once, one
-        position per round, each as far as its length."""
+    def _queued_rows(self) -> np.ndarray:
+        """The slab row of every queued cell, node-major, link-minor, FIFO:
+        all the linked lists walked at once, one position per round, each
+        as far as its length."""
         lens = self.q_len.T.reshape(-1)
         ends = lens.cumsum()
         out = np.empty(int(ends[-1]), dtype=np.int64)
@@ -735,7 +714,7 @@ class _VectorRun:
             pos += 1
             more = pos < end
             pos, end, row = pos[more], end[more], nxt[row[more]]
-        return out, self._queued_phases(lens)
+        return out
 
     def export_model(self):
         """The nodes, the wire and the active set of a synced run as the
@@ -745,29 +724,21 @@ class _VectorRun:
         can owe work in a slab-eligible state).  Gathers columns only: no
         object is touched and the run goes on as it is."""
         model = tables.idle(self.n, self.L)
-        wire = np.zeros((sum(batch[1].size for batch in self.batches), 3),
+        wire = np.zeros((sum(batch[1].size for batch in self.batches), 4),
                         dtype=np.int64)
         sent = np.zeros(len(wire), dtype=np.int64)
-        sent_phase = np.zeros(len(wire), dtype=np.int64)
         lo = 0
         for batch in self.batches:
             hi = lo + batch[1].size
-            wire[lo:hi] = np.stack(
+            wire[lo:hi, :3] = np.stack(
                 (batch[1], batch[3], np.full(hi - lo, batch[0]))).T
             sent[lo:hi] = batch[2]
-            sent_phase[lo:hi] = batch[5]
             self._export_headers(model, batch, lo)
             lo = hi
-        queued, queued_phase = self._queued_rows()
-        rows = np.concatenate((queued, sent))
-        cells = self._slab[rows]
-        # the one field the records do not keep
-        cells[:, _SPHASE] = np.concatenate((queued_phase, sent_phase))
-        dummy = (sent < 0).nonzero()[0]
-        if dummy.size:
-            at = rows.size - sent.size + dummy
-            cells[at] = _DUMMY_CELL
-            cells[at, :2] = wire[dummy, :2]
+        # a bare header (slab row -1) has no ``cells`` row
+        wire[:, _PAYLOAD] = sent >= 0
+        cells = self._slab[np.concatenate((self._queued_rows(),
+                                           sent[sent >= 0]))]
         occupancy = self._node_occupancy()
         model["cells"], model["wire"] = cells, wire
         model["queues"][:, _LEN] = self.q_len.T.reshape(-1)
@@ -847,10 +818,10 @@ class _VectorRun:
         """Next-hop link index per forwarded cell (the arguments are
         :meth:`_forward`'s).
 
-        Every cell of the batch carries the spray-phase hint ``esph`` (its
-        send slot's phase plus one).  Spraying cells take one
+        Every cell of the batch sprays next on phase ``esph`` (its send
+        slot's phase plus one).  Spraying cells take one
         ``randrange(1, r)`` draw each, in batch (= node-id) order, on that
-        phase; direct cells take the first phase, from the hint on, whose
+        phase; direct cells take the first phase, from ``esph`` on, whose
         digit differs between receiver and destination
         (``Node._choose_direct_hop``).
         """
@@ -871,7 +842,7 @@ class _VectorRun:
             d0 -= rv // r
             d1 = dd - rv
             d1 -= d0 * r
-            # the hinted phase unless its digit already matches (the other
+            # phase esph unless its digit already matches (the other
             # then cannot: the cell is not home)
             take0 = d1 == 0
             if esph == 0:
@@ -880,7 +851,7 @@ class _VectorRun:
             d1 += 3 * r
             link = self._link2[np.where(take0, d0, d1)]
             # the batch's emissions are its spraying cells, all on the
-            # hinted phase
+            # batch phase
             sids = emask.nonzero()[0]
             if sids.size:
                 link[sids] = self._spray_offsets(sids, rv, esph) \
@@ -915,7 +886,7 @@ class _VectorRun:
 
     def _shortest_queue(self, sids, rv, sph: int) -> np.ndarray:
         """spray-short's :meth:`_spray_offsets`: the shortest queue of the
-        hinted phase at each receiver; ties draw ``randrange(count)`` and
+        batch phase at each receiver; ties draw ``randrange(count)`` and
         take the drawn tie in offset order, exactly as
         ``Node.enqueue_forward`` does (receivers are distinct within a
         batch, so no choice sees another's enqueue)."""
@@ -980,8 +951,8 @@ class _VectorRun:
         """Slab rows for one freshly admitted cell per source in ``e``."""
         k = e.size
         rows = self._alloc(k)
-        # the constant fields (sprays remaining, dummy, hops) were written
-        # once at construction, and the spray phase is never read
+        # the constant fields (sprays remaining, hops) were written once
+        # at construction
         V = self._new_rec[:k]
         V[:, _SRC] = e
         V[:, _DST] = dst

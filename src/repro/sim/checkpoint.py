@@ -87,8 +87,10 @@ __all__ = [
 #: 5: a ``cells`` row has no enqueue slot, and ``metrics`` is the four
 #: entries a run reads — scalars, the two sample tallies, ``measuring``;
 #: 6: the PIEO high-water mark is a node's ``scalars`` column, not a
-#: ``queues`` one)
-CHECKPOINT_VERSION = 6
+#: ``queues`` one; 7: a ``cells`` row has no spray phase or dummy flag,
+#: ``queues`` and ``ranks`` no seq, and a ``wire`` row says whether it
+#: carries a payload — a bare header has no ``cells`` row)
+CHECKPOINT_VERSION = 7
 
 _log = logging.getLogger("repro.checkpoint")
 

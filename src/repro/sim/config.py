@@ -169,6 +169,18 @@ class SimConfig:
                 f"got {self.metrics_sample_interval}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        # mechanism parameters that would crash or stall a run, not tune it
+        for name in ("pull_batch", "initial_window", "ndp_queue_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.first_hop_token_budget < 0:
+            raise ValueError(
+                f"first_hop_token_budget must be >= 0 (0: same as "
+                f"token_budget), got {self.first_hop_token_budget}")
+        if not self.isd_rate_factor > 0:  # nan too; inf means uncapped
+            raise ValueError(
+                f"isd_rate_factor must be > 0, got {self.isd_rate_factor}")
 
     @property
     def uses_spray_short(self) -> bool:

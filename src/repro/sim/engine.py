@@ -164,7 +164,7 @@ class Engine:
         self._epoch_length = self.schedule.epoch_length
         self._phase_table = self.schedule.phase_table
         self._offset_table = self.schedule.offset_table
-        #: payload (non-dummy) cells currently on the wire — part of the
+        #: payload cells currently on the wire — part of the
         #: cell-conservation invariant and the quiescence condition
         self._in_flight_payload = 0
         #: currently failed *directed* links as (sender, receiver) pairs;

@@ -75,8 +75,9 @@ class ControlMessage:
 
 
 class Transmission:
-    """Everything sent over one link in one timeslot: a cell plus header
-    sidecars (tokens and control messages)."""
+    """Everything sent over one link in one timeslot: a header with its
+    sidecars (tokens and control messages) and, when it carries a payload,
+    a cell — ``cell`` is None for a bare header."""
 
     __slots__ = ("sender", "receiver", "cell", "tokens", "ctrl", "arrival")
 
@@ -98,11 +99,15 @@ class Transmission:
         self.arrival = -1
 
     def state_rows(self, rows: Dict[str, list]) -> None:
-        """Append this transmission (it is on the wire, so it carries a
-        cell) to the plain model's row lists (:mod:`repro.sim.tables`)."""
+        """Append this transmission to the plain model's row lists
+        (:mod:`repro.sim.tables`): a ``cells`` row only if it carries a
+        payload."""
         wire = len(rows["wire"])
-        rows["wire"].append((self.sender, self.receiver, self.arrival))
-        rows["cells"].append(self.cell.state())
+        cell = self.cell
+        rows["wire"].append((self.sender, self.receiver, self.arrival,
+                             cell is not None))
+        if cell is not None:
+            rows["cells"].append(cell.state())
         rows["wire_tokens"].extend(
             (wire, *token.state()) for token in self.tokens)
         rows["wire_ctrl"].extend((wire, *msg.state()) for msg in self.ctrl)
@@ -112,7 +117,7 @@ class Transmission:
         """One of :func:`repro.sim.tables.wire_states`' tuples, as built."""
         sender, receiver, arrival, cell, tokens, ctrl = state
         tx = cls(
-            sender, receiver, Cell.from_state(cell),
+            sender, receiver, None if cell is None else Cell.from_state(cell),
             tuple(Token.from_state(t) for t in tokens),
             tuple(ControlMessage.from_state(m) for m in ctrl),
         )
@@ -305,7 +310,8 @@ class Node:
         #: neighbour id -> LINK_SILENT/LINK_DEAF bitmask explaining why the
         #: neighbour sits in ``failed_neighbors``
         self._fail_cause: Dict[int, int] = {}
-        #: neighbours owed one explicit dummy (a probe reply) even when idle
+        #: neighbours owed one explicit header (a probe reply) even when
+        #: idle
         self._force_dummy: Set[int] = set()
         # per-flow delivered counts for PULL pacing at the receiver
         self._recv_counts: Dict[int, int] = {}
@@ -383,7 +389,8 @@ class Node:
 
         Returns ``None`` when the node has neither data, tokens nor control
         messages for the current neighbour (a real network would send an
-        empty dummy cell; the simulator elides it).  Either way ``run_tx``
+        empty header; the simulator elides it).  A transmission without
+        data carries ``cell=None``.  Either way ``run_tx``
         then retires the node from the link's visit set if it owes the
         neighbour nothing more.
 
@@ -413,11 +420,11 @@ class Node:
         items = self._link_items[link]
         if items:
             if not self.uses_hbh:
-                # priority queues store ranked (rank, seq, cell) entries;
+                # priority queues store ranked (rank, cell) entries;
                 # every other mode uses the bare-cell fifo representation
                 cell = items.pop(0)
                 if self._is_priority:
-                    cell = cell[2]
+                    cell = cell[1]
                 self.total_enqueued -= 1
                 n = cell.sprays_remaining
                 if n > 0:
@@ -545,8 +552,6 @@ class Node:
             ctrl = self._pop_ctrl(link)
         if cell is None and not tokens and not ctrl and not force:
             return None
-        if cell is None:
-            cell = Cell.make_dummy(self.node_id, neighbor)
         pool = self._tx_pool
         if pool:
             tx = pool.pop()
@@ -562,11 +567,11 @@ class Node:
                                offset: int) -> Transmission:
         """Probe a neighbour this node believes is down (Section 3.4).
 
-        A real Shale node transmits a (dummy) cell on every link in every
+        A real Shale node transmits a header on every link in every
         connected slot; that constant chatter is what lets the other side of
         a recovered link notice it is alive again.  The simulator elides
-        dummies on healthy links, so links under suspicion must send them
-        explicitly — once per epoch, since a pair meets once per epoch.
+        bare headers on healthy links, so links under suspicion must send
+        them explicitly — once per epoch, since a pair meets once per epoch.
         While we cannot *hear* the neighbour, the probe also carries a
         deafness complaint token so a one-way link failure shuts the link
         down on both sides (symmetric detection).
@@ -582,8 +587,7 @@ class Node:
             tokens += taken
         ctrl = (ControlMessage(CTRL_PROBE, -1, self.node_id, neighbor),)
         ctrl += self._pop_ctrl(self.link_index(phase, offset))
-        cell = Cell.make_dummy(self.node_id, neighbor)
-        return Transmission(self.node_id, neighbor, cell, tuple(tokens), ctrl)
+        return Transmission(self.node_id, neighbor, None, tuple(tokens), ctrl)
 
     def _hbh_eligible(self, cell: Cell, neighbor: int) -> bool:
         """Hop-by-hop eligibility: final hops are free, others need credit."""
@@ -641,7 +645,6 @@ class Node:
         )
         cell.prev_hop = self.node_id
         cell.hops = 1
-        cell.spray_phase = (phase + 1) % self.h
         self.engine.metrics.on_retransmission()
         self.engine.metrics.on_cell_injected()
         return cell
@@ -736,7 +739,6 @@ class Node:
         )
         cell.prev_hop = self.node_id
         cell.hops = 1
-        cell.spray_phase = (phase + 1) % self.h
         if self.uses_hbh:
             # charge(..., first_hop=True) inlined; _pick_flow just verified
             # the credit exists, so the over-budget branch cannot trigger
@@ -848,12 +850,15 @@ class Node:
             for msg in tx.ctrl:
                 self._handle_ctrl(msg, t, phase)
         cell = tx.cell
-        if cell is None or cell.dummy:
+        if cell is None:
             return
         if cell.dst == self.node_id:
             self._deliver(cell, t)
             return
-        self.enqueue_forward(cell, t, phase)
+        # the cell left on the phase of the link it came in on, and sprays
+        # next on the phase after it
+        spray = self._link_of[sender] // self._rm1 + 1
+        self.enqueue_forward(cell, t, spray if spray < self.h else 0)
 
     def _deliver(self, cell: Cell, t: int) -> None:
         """Final-hop delivery: reorder queue + flow accounting + pulls."""
@@ -885,21 +890,19 @@ class Node:
         elif record is not None:
             self._recv_counts.pop(cell.flow_id, None)
 
-    def enqueue_forward(self, cell: Cell, t: int, arrival_phase: int) -> None:
+    def enqueue_forward(self, cell: Cell, t: int, phase: int) -> None:
         """Assign the cell's next hop and enqueue it (the RX enqueue step).
 
-        The next hop's phase follows the *previous hop's wire phase* (the
-        ``spray_phase`` hint carried on the cell), not the arrival slot's
-        phase: with a long propagation delay the arrival slot may already
-        belong to the next phase, and using it would skip a coordinate in
-        the spraying semi-path, breaking the EBS path structure.
+        ``phase`` is the phase of the cell's next spraying hop, and where a
+        direct hop starts looking for a coordinate to fix: the phase after
+        the one the *previous hop's wire* was in, not the arrival slot's —
+        with a long propagation delay the arrival slot may already belong
+        to the next phase, and using it would skip a coordinate in the
+        spraying semi-path, breaking the EBS path structure.
         """
-        hint = cell.spray_phase
-        if hint < 0:
-            hint = (arrival_phase + 1) % self.h
         n = cell.sprays_remaining
         if n > 0:
-            next_phase = hint
+            next_phase = phase
             # common case of _choose_spray_offset: plain VLB spraying with
             # nothing to avoid is a single RNG draw
             if not self.uses_spray_short and not self.failed_neighbors \
@@ -950,7 +953,7 @@ class Node:
             r = self.r
             weights = self._weights
             my_digits = self._my_digits
-            p = hint
+            p = phase
             next_phase = -1
             for _ in range(h):
                 mine = my_digits[p]
@@ -968,12 +971,11 @@ class Node:
                     f"{self.node_id}"
                 )
         else:
-            hop = self._choose_direct_hop(cell, hint)
+            hop = self._choose_direct_hop(cell, phase)
             if hop is None:
                 return  # dropped inside
             next_phase, offset = hop
             n = cell.sprays_remaining  # may have been reset by a reroute
-        cell.spray_phase = (next_phase + 1) % self.h
         link = next_phase * self._rm1 + offset - 1
         queue = self.link_queues[link]
         items = queue._items
@@ -1165,10 +1167,10 @@ class Node:
 
     def _consume_ctrl(self, msg: ControlMessage, t: int) -> None:
         if msg.kind == CTRL_PROBE:
-            # A liveness probe: reply with an explicit dummy at the next
+            # A liveness probe: reply with an explicit header at the next
             # meeting so the prober hears us even if we are idle.  Replies
             # carry no probe marker, which is what stops two healthy idle
-            # nodes from ping-ponging dummies forever.
+            # nodes from ping-ponging headers forever.
             self._force_dummy.add(msg.src)
             self._wake_peer(msg.src)
             return
@@ -1272,11 +1274,11 @@ class Node:
         i = self.node_id
         cells, queues = rows["cells"], rows["queues"]
         for queue in self.link_queues:
-            elements, ranks, seq = queue.state()
-            queues.append((len(elements), seq))
+            elements, ranks = queue.state()
+            queues.append((len(elements),))
             if elements:
                 cells.extend(map(Cell.state, elements))
-                rows["ranks"].extend(ranks)
+                rows["ranks"].extend((rank,) for rank in ranks)
         tracker = self.bucket_tracker
         rows["scalars"].append((
             self.total_enqueued, self.pending_tokens, self.pending_ctrl,
@@ -1327,9 +1329,9 @@ class Node:
          failed, peak, self._pieo_peak), = state["scalars"]
         self.failed = bool(failed)
         cells = map(Cell.from_state, state["cells"])
-        ranks = iter(state["ranks"])
-        for queue, (length, seq) in zip(self.link_queues, state["queues"]):
-            queue.load_state(list(islice(cells, length)), ranks, seq)
+        ranks = (rank for rank, in state["ranks"])
+        for queue, (length,) in zip(self.link_queues, state["queues"]):
+            queue.load_state(list(islice(cells, length)), ranks)
         self.token_return.clear()
         for _, nb, *token in state["tokens"]:
             self.token_return.setdefault(nb, []).append(

@@ -16,7 +16,7 @@ queue, so the node keeps it (``Node.max_pieo_occupancy``).
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, Iterable, List, Optional, TypeVar
 
 __all__ = ["PieoQueue"]
 
@@ -26,8 +26,10 @@ T = TypeVar("T")
 class PieoQueue(Generic[T]):
     """An ordered queue supporting first-eligible extraction.
 
-    Elements are ranked by ``(rank, arrival sequence)`` so ties preserve
-    insertion order — exactly the behaviour of the hardware priority encoder.
+    Elements are ranked by rank, ties in insertion order — exactly the
+    behaviour of the hardware priority encoder.  Every push is the newest
+    element, so it goes after every element of equal or lower rank and no
+    arrival sequence number is needed.
     With the default rank of 0 for every element the queue behaves as a FIFO
     with eligibility filtering.
 
@@ -36,21 +38,20 @@ class PieoQueue(Generic[T]):
             ``OverflowError`` beyond it (models the fixed-size on-chip PIEO
             storage of the FPGA prototype).
         fifo: when True the queue promises every rank is 0 and stores bare
-            elements instead of ``(rank, seq, element)`` entries.  Ordering
+            elements instead of ``(rank, element)`` entries.  Ordering
             is unchanged (rank-0 PIEO extraction *is* FIFO order); the flat
             representation just skips one tuple allocation and one
             indexing step per element on the simulator's hot path.  Pushing
             a non-zero rank into a fifo queue raises ``ValueError``.
     """
 
-    __slots__ = ("_items", "_seq", "capacity", "fifo")
+    __slots__ = ("_items", "capacity", "fifo")
 
     def __init__(self, capacity: Optional[int] = None, fifo: bool = False):
-        # fifo: list of elements; ranked: list of (rank, seq, element)
-        # kept sorted by (rank, seq).  The list object's identity is stable
+        # fifo: list of elements; ranked: list of (rank, element) kept
+        # sorted by rank, stable.  The list object's identity is stable
         # for the queue's lifetime (hot paths hold direct references).
         self._items: List = []
-        self._seq = 0
         self.capacity = capacity
         self.fifo = fifo
 
@@ -63,7 +64,7 @@ class PieoQueue(Generic[T]):
     def __iter__(self) -> Iterable[T]:
         if self.fifo:
             return iter(self._items)
-        return (element for _, _, element in self._items)
+        return (element for _, element in self._items)
 
     def push(self, element: T, rank: int = 0) -> None:
         """Insert ``element`` at its rank position (stable among equals)."""
@@ -77,24 +78,19 @@ class PieoQueue(Generic[T]):
                 raise ValueError("fifo PieoQueue only accepts rank 0")
             items.append(element)
             return
-        entry = (rank, self._seq, element)
-        self._seq += 1
-        # Arrival sequence numbers strictly increase, so a rank no smaller
-        # than the current tail's always belongs at the end — the common
-        # case (FIFO ranks) is a plain append.
+        entry = (rank, element)
+        # the newest element goes after every one of equal or lower rank
+        # (bisect-right on rank): a rank no smaller than the tail's is a
+        # plain append (the common case), any other a binary search —
+        # O(log n) compares + O(n) shift, the "push in" the hardware does
+        # in O(1) with a shift register
         if not items or items[-1][0] <= rank:
             items.append(entry)
         else:
-            # Binary search for the insertion point keeps push O(log n)
-            # compare + O(n) shift, matching the "push in" of the hardware
-            # (which does it in O(1) with a shift register).
             lo, hi = 0, len(items)
             while lo < hi:
                 mid = (lo + hi) // 2
-                mid_entry = items[mid]
-                if mid_entry[0] < rank or (
-                    mid_entry[0] == rank and mid_entry[1] < entry[1]
-                ):
+                if items[mid][0] <= rank:
                     lo = mid + 1
                 else:
                     hi = mid
@@ -116,7 +112,7 @@ class PieoQueue(Generic[T]):
                     del items[i]
                     return element
             return None
-        for i, (_, _, element) in enumerate(items):
+        for i, (_, element) in enumerate(items):
             if eligible(element):
                 del items[i]
                 return element
@@ -134,13 +130,13 @@ class PieoQueue(Generic[T]):
         if not self._items:
             return None
         head = self._items.pop(0)
-        return head if self.fifo else head[2]
+        return head if self.fifo else head[1]
 
     def peek_head(self) -> Optional[T]:
         """Return the head element without removing it."""
         if not self._items:
             return None
-        return self._items[0] if self.fifo else self._items[0][2]
+        return self._items[0] if self.fifo else self._items[0][1]
 
     def remove(self, element: T) -> bool:
         """Remove the first occurrence of ``element``; True if found."""
@@ -151,7 +147,7 @@ class PieoQueue(Generic[T]):
                     del items[i]
                     return True
             return False
-        for i, (_, _, existing) in enumerate(items):
+        for i, (_, existing) in enumerate(items):
             if existing == element:
                 del items[i]
                 return True
@@ -169,8 +165,8 @@ class PieoQueue(Generic[T]):
                     kept.append(element)
         else:
             for entry in self._items:
-                if predicate(entry[2]):
-                    removed.append(entry[2])
+                if predicate(entry[1]):
+                    removed.append(entry[1])
                 else:
                     kept.append(entry)
         # in-place so the list object's identity is stable (hot paths hold
@@ -183,18 +179,17 @@ class PieoQueue(Generic[T]):
         self._items.clear()
 
     def state(self) -> tuple:
-        """``(elements in queue order, their (rank, seq) pairs — none for a
-        fifo queue —, the next arrival seq)``: the queue's part of the
-        plain model (:mod:`repro.sim.tables`)."""
+        """``(elements in queue order, their ranks — none for a fifo
+        queue)``: the queue's part of the plain model
+        (:mod:`repro.sim.tables`)."""
         if self.fifo:
-            return self._items, (), self._seq
-        return ([entry[2] for entry in self._items],
-                [entry[:2] for entry in self._items],
-                self._seq)
+            return self._items, ()
+        return ([entry[1] for entry in self._items],
+                [entry[0] for entry in self._items])
 
-    def load_state(self, elements: List[T], ranks, seq: int) -> None:
+    def load_state(self, elements: List[T], ranks) -> None:
         """Restore :meth:`state`; ``ranks`` is an iterator this queue takes
-        its ``(rank, seq)`` pairs from (a fifo queue takes none).
+        its ranks from (a fifo queue takes none).
 
         The element list is refilled in place — its identity is part of the
         queue's contract (hot paths hold direct references to it).
@@ -202,5 +197,4 @@ class PieoQueue(Generic[T]):
         if self.fifo:
             self._items[:] = elements
         else:
-            self._items[:] = [(*next(ranks), e) for e in elements]
-        self._seq = seq
+            self._items[:] = [(next(ranks), e) for e in elements]

@@ -12,6 +12,11 @@ them back (:mod:`repro.sim.backends`), ``Node.state_rows`` /
 ``Node.load_state`` encode and fill objects (:mod:`repro.sim.node`), and
 the checkpoint file stores the tables as they are
 (:mod:`repro.sim.checkpoint`).
+
+A table holds what a header carries and nothing the schedule implies: a
+bare header (no payload) is a ``wire`` row with ``payload`` 0 and no
+``cells`` row, and no column holds a cell's next spray phase — a queued
+cell's is its link's phase plus one, an in-flight cell's its send slot's.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ CTRL_KINDS = ("pull", "trim", "rtx", "probe")
 
 #: ``Cell.state()``'s fields, in its order
 _CELL = ("src", "dst", "flow_id", "seq", "sprays_remaining", "prev_hop",
-         "created_at", "spray_phase", "flow_size", "dummy", "hops")
+         "created_at", "flow_size", "hops")
 _CTRL = ("kind", "flow_id", "src", "dst", "seq", "sprays_remaining")
 
 #: table -> columns.  A node has ``L = h * (r - 1)`` links; queue ``q`` is
@@ -42,15 +47,16 @@ TABLES: Dict[str, Sequence[str]] = {
     # longest any of the node's queues has been (paper Fig 13's PIEO depth)
     "scalars": ("total_enqueued", "pending_tokens", "pending_ctrl",
                 "failed", "tracker_peak", "pieo_peak"),
-    "queues": ("len", "seq"),
+    "queues": ("len",),
     # the queued cells — node-major, link-minor, FIFO — then one cell per
-    # row of ``wire``, in wire order; ``ranks`` has a row per queued cell
-    # under priority ranking and none otherwise
+    # payload row of ``wire``, in wire order; ``ranks`` has a row per
+    # queued cell under priority ranking and none otherwise
     "cells": _CELL,
-    "ranks": ("rank", "seq"),
+    "ranks": ("rank",),
     # transmissions in flight, FIFO, and their header sidecars in header
-    # order (``wire`` is the row of the transmission carrying them)
-    "wire": ("sender", "receiver", "arrival"),
+    # order (``wire`` is the row of the transmission carrying them); a
+    # ``payload`` of 0 is a bare header, which has no ``cells`` row
+    "wire": ("sender", "receiver", "arrival", "payload"),
     "wire_tokens": ("wire", "dest", "sprays", "kind"),
     "wire_ctrl": ("wire",) + _CTRL,
     "active_ids": ("node",),
@@ -161,15 +167,18 @@ def node_states(model: PlainModel) -> Iterator[Dict[str, list]]:
 
 def wire_states(model: PlainModel) -> Iterator[tuple]:
     """Per transmission in flight, FIFO: ``(sender, receiver, arrival,
-    cell, token rows, control rows)`` as plain lists, the sidecar rows
-    without their ``wire`` column (what ``Transmission.from_state``
-    reads)."""
-    wire = model["wire"].tolist()
-    cells = model["cells"][len(model["cells"]) - len(wire):].tolist()
+    cell, token rows, control rows)`` as plain lists — ``cell`` None for
+    a bare header —, the sidecar rows without their ``wire`` column (what
+    ``Transmission.from_state`` reads)."""
+    wire = model["wire"][:, :3].tolist()
+    payload = model["wire"][:, col("wire", "payload")]
+    cells = iter(model["cells"][len(model["cells"])
+                                - int(payload.sum()):].tolist())
     sidecars = []
     for name in ("wire_tokens", "wire_ctrl"):
         cut = _groups(model[name][:, 0], len(wire))
         rows = model[name][:, 1:].tolist()
         sidecars.append([rows[lo:hi] for lo, hi in zip(cut, cut[1:])])
-    for row, cell, tokens, ctrl in zip(wire, cells, *sidecars):
-        yield (*row, cell, tokens, ctrl)
+    for row, carries, tokens, ctrl in zip(wire, payload.tolist(),
+                                          *sidecars):
+        yield (*row, next(cells) if carries else None, tokens, ctrl)

@@ -1,6 +1,6 @@
 """Cell-path tracing and VLB path validation.
 
-When a :class:`CellTracer` is attached to an engine, every non-dummy cell's
+When a :class:`CellTracer` is attached to an engine, every payload cell's
 hop sequence is recorded: ``(timeslot, from, to, sprays_remaining_at_send)``
 per hop plus the delivery time.  Traces serve two purposes:
 

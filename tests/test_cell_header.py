@@ -16,6 +16,8 @@ from repro.core.header import (
     Token,
     crc8,
 )
+from repro.sim import tables
+from repro.sim.node import Transmission
 
 
 class TestCell:
@@ -29,15 +31,24 @@ class TestCell:
         assert cell.bucket() == (9, 2)
 
     def test_dummy(self):
-        dummy = Cell.make_dummy(3, 4)
-        assert dummy.dummy
-        assert dummy.src == 3
+        # a dummy is a bare header, not a cell: a transmission without a
+        # payload carries ``cell=None`` and leaves no ``cells`` row
+        assert not hasattr(Cell(3, 4), "dummy")
+        tx = Transmission(3, 4, None)
+        tx.arrival = 5
+        rows = {name: [] for name in tables.TABLES}
+        tx.state_rows(rows)
+        assert rows["wire"] == [(3, 4, 5, False)] and rows["cells"] == []
+        restored = Transmission.from_state(next(tables.wire_states(
+            tables.model(rows))))
+        assert (restored.sender, restored.receiver, restored.arrival,
+                restored.cell) == (3, 4, 5, None)
 
     def test_defaults(self):
         cell = Cell(0, 1)
         assert cell.prev_hop == -1
         assert cell.hops == 0
-        assert not cell.dummy
+        assert len(cell.state()) == len(tables.TABLES["cells"]) == 9
 
 
 class TestCrc8:
@@ -124,6 +135,10 @@ class TestHeaderCodec:
         with pytest.raises(ValueError):
             self.codec.pack(src=0, dst=0, sprays=4, seq=0)
         with pytest.raises(ValueError):
+            self.codec.pack(src=0, dst=0, sprays=0, seq=1 << 18)
+
+    def test_seq_error_names_its_18_bits(self):
+        with pytest.raises(ValueError, match="exceeds 18-bit field"):
             self.codec.pack(src=0, dst=0, sprays=0, seq=1 << 18)
 
     def test_max_values_roundtrip(self):

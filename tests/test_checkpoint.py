@@ -237,6 +237,70 @@ class TestQueuedControlAndTokens:
         assert restored.digest.value == straight.digest.value
 
 
+class TestBareHeadersAcrossSnapshot:
+    """A snapshot taken while a header with no payload is on the wire: the
+    ``wire`` row says ``payload`` 0 and has no ``cells`` row, and the
+    resumed run is the uninterrupted one."""
+
+    DURATION = 400
+
+    def _engine(self, n, cc, backend, events):
+        cfg = SimConfig(n=n, h=2, seed=4, duration=self.DURATION,
+                        propagation_delay=3, congestion_control=cc,
+                        backend=backend)
+        manager = FailureManager(events=list(events)) if events else None
+        engine = Engine(cfg, workload=permutation_workload(cfg, 40),
+                        failure_manager=manager)
+        engine.enable_digest()
+        return engine
+
+    @staticmethod
+    def _bare(model, empty):
+        """The wire rows of ``model`` that carry no payload (and, if
+        ``empty``, no token or control message either)."""
+        rows = (model["wire"][:, tables.col("wire", "payload")] == 0)
+        rows = rows.nonzero()[0]
+        if empty:
+            rows = np.setdiff1d(rows, np.concatenate(
+                (model["wire_tokens"][:, 0], model["wire_ctrl"][:, 0])))
+        return rows
+
+    @pytest.mark.parametrize("n, cc, backend, events", [
+        # hop-by-hop credit returns in bare headers
+        (64, "hbh+spray", "object", ()),
+        # a link that recovers: the first side to hear the other's probe
+        # again answers with a probe reply, a header carrying nothing
+        (16, "none", "object",
+         (LinkFailureEvent(0, 0, 1), LinkFailureEvent(100, 0, 1,
+                                                      failed=False))),
+        (144, "hbh+spray", "vector", ()),
+    ])
+    def test_resume_from_a_bare_header_on_the_wire(self, n, cc, backend,
+                                                   events, tmp_path):
+        straight = self._engine(n, cc, backend, events)
+        straight.run()
+        engine = self._engine(n, cc, backend, events)
+        payload = tables.col("wire", "payload")
+        while True:
+            engine.run(1)
+            assert engine.t < self.DURATION, "no bare header ever in flight"
+            snapshot = engine.snapshot()
+            if self._bare(snapshot.state["nodes"], bool(events)).size:
+                break
+        path = tmp_path / "bare.ckpt"
+        save_checkpoint(snapshot, path)
+        loaded = load_checkpoint(path)
+        model = loaded.state["nodes"]
+        assert (model["wire"][:, payload] == 0).any()
+        assert len(model["cells"]) == model["queues"].sum() \
+            + model["wire"][:, payload].sum()
+        restored = restore_engine(loaded)
+        restored.run(self.DURATION - restored.t)
+        assert restored.digest.hexdigest() == straight.digest.hexdigest()
+        assert restored.backend_effective == straight.backend_effective \
+            == backend
+
+
 _MAGIC = b"SHALECKPT\n"
 
 
@@ -301,25 +365,30 @@ HOSTILE = {
     "version-2-pickle-era": (
         lambda parts, sentinel: _sealed(pickle.dumps(
             {"version": 2, "config": _Planted(sentinel), "state": {}})),
-        r"unsupported checkpoint version.*: 2 or earlier \(want 6\)"),
+        r"unsupported checkpoint version.*: 2 or earlier \(want 7\)"),
     # a v3 file's digest value is FNV-1a state: continuing it with the
     # two-level hash would give a digest that matches nothing
     "version-3-fnv-digest": (
         lambda parts, _: _sealed(b"3\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 3 \(want 6\)"),
+        r"unsupported checkpoint version.*: 3 \(want 7\)"),
     # a v4 file's cells carry a twelfth column and its metrics two records
     # no v6 reader has a place for
     "version-4-unread-records": (
         lambda parts, _: _sealed(b"4\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 4 \(want 6\)"),
+        r"unsupported checkpoint version.*: 4 \(want 7\)"),
     # a v5 file keeps the PIEO high-water mark per queue, where a v6
     # reader finds a queue's seq
     "version-5-queue-peaks": (
         lambda parts, _: _sealed(b"5\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 5 \(want 6\)"),
+        r"unsupported checkpoint version.*: 5 \(want 7\)"),
+    # a v6 file's cells carry a spray phase and a dummy flag, its queues
+    # and ranks a seq, and its wire rows a cell each, bare headers too
+    "version-6-dummy-cells": (
+        lambda parts, _: _sealed(b"6\n", *parts[2:4]),
+        r"unsupported checkpoint version.*: 6 \(want 7\)"),
     "version-99": (
         lambda parts, _: _sealed(b"99\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 99 \(want 6\)"),
+        r"unsupported checkpoint version.*: 99 \(want 7\)"),
     "flipped-byte": (_flipped, "integrity"),
     "section-overruns-file": (
         _section(2, [10**6, 12]),

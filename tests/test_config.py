@@ -64,6 +64,26 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("pull_batch", 0),              # ZeroDivisionError mid-run (ndp)
+        ("pull_batch", -1),             # a PULL on every delivery (rd)
+        ("initial_window", 0),          # no flow ever completes
+        ("ndp_queue_limit", 0),         # every forwarded cell trimmed
+        ("first_hop_token_budget", -1),  # refused only once a node is built
+        ("isd_rate_factor", 0.0),       # no cell ever injected
+        ("isd_rate_factor", -1.0),
+        ("isd_rate_factor", float("nan")),
+    ])
+    def test_mechanism_fields_rejected(self, field, value):
+        """Mechanism parameters that crash or stall a run are refused at
+        construction, not found mid-run."""
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_infinite_isd_rate_is_uncapped(self):
+        assert SimConfig(isd_rate_factor=float("inf")).isd_rate_factor \
+            == float("inf")
+
     @pytest.mark.parametrize(
         "cc,spray,hbh",
         [

@@ -218,8 +218,7 @@ class TestWireDrop:
             engine.step()
             for tx in engine._in_flight:
                 cell = tx.cell
-                if cell is not None and not cell.dummy \
-                        and tx.receiver != cell.dst:
+                if cell is not None and tx.receiver != cell.dst:
                     victim = tx
                     break
             if victim is not None:
@@ -242,8 +241,7 @@ class TestWireDrop:
             engine.step()
             for tx in engine._in_flight:
                 cell = tx.cell
-                if cell is not None and not cell.dummy \
-                        and tx.receiver == cell.dst:
+                if cell is not None and tx.receiver == cell.dst:
                     victim = tx
                     break
             if victim is not None:

@@ -151,7 +151,7 @@ class TestRoutingAroundFailures:
             for tx in engine._in_flight:
                 if tx.receiver == 5:
                     # only liveness probes may cross a detected-dead link
-                    assert tx.cell.dummy
+                    assert tx.cell is None
 
 
 class TestLinkFailures:

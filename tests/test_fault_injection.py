@@ -352,8 +352,7 @@ class TestWireDropTokenHeal:
             engine.run(1)
             for cand in engine._in_flight:
                 cell = cand.cell
-                if cell is not None and not cell.dummy \
-                        and cand.receiver != cell.dst:
+                if cell is not None and cand.receiver != cell.dst:
                     tx = cand
                     break
             if tx is not None:

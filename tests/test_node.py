@@ -48,7 +48,7 @@ class TestLinkIndexing:
         node = engine.nodes[0]
         assert not any(engine._visit)
         cell = fresh_cell(engine, 1, 9)
-        node.enqueue_forward(cell, t=0, arrival_phase=0)
+        node.enqueue_forward(cell, t=0, phase=1)
         link, = (i for i, items in enumerate(node._link_items) if items)
         assert [0 in visit for visit in engine._visit] \
             == [i == link for i in range(len(engine._visit))]
@@ -66,17 +66,17 @@ class TestRxPath:
         assert engine.metrics.payload_cells_delivered == 1
 
     def test_dummy_cells_not_forwarded(self):
+        # a dummy is a bare header: it carries no cell to forward
         engine = make_engine()
         node = engine.nodes[0]
-        dummy = Cell.make_dummy(1, 0)
-        node.receive(Transmission(1, 0, dummy), t=0, phase=0)
+        node.receive(Transmission(1, 0, None), t=0, phase=0)
         assert node.total_enqueued == 0
 
     def test_forwarded_cell_enqueued_on_spray_link(self):
         engine = make_engine()
         node = engine.nodes[0]
         cell = fresh_cell(engine, 1, 9, sprays=1)
-        node.enqueue_forward(cell, t=0, arrival_phase=0)
+        node.enqueue_forward(cell, t=0, phase=1)
         # spray must land on a phase-1 link
         phase1_links = range(node.link_index(1, 1), node.link_index(1, 3) + 1)
         occupied = [i for i, q in enumerate(node.link_queues) if len(q)]
@@ -89,7 +89,7 @@ class TestRxPath:
         dst = cs.node_id((0, 3))  # differs only in coordinate 1
         node = engine.nodes[node_id]
         cell = fresh_cell(engine, 1, dst, sprays=0)
-        node.enqueue_forward(cell, t=0, arrival_phase=0)
+        node.enqueue_forward(cell, t=0, phase=1)
         link = node.link_index(1, 3)  # phase 1, offset 3
         assert len(node.link_queues[link]) == 1
 
@@ -98,9 +98,8 @@ class TestRxPath:
         node = engine.nodes[0]
         node.ledger.charge(1, (9, 1))
         assert not node.ledger.can_send(1, (9, 1))
-        dummy = Cell.make_dummy(1, 0)
         node.receive(
-            Transmission(1, 0, dummy, tokens=(Token(9, 1, TOKEN_REGULAR),)),
+            Transmission(1, 0, None, tokens=(Token(9, 1, TOKEN_REGULAR),)),
             t=0, phase=0,
         )
         assert node.ledger.can_send(1, (9, 1))
@@ -129,7 +128,7 @@ class TestTxPath:
         flow = engine.flows.new_flow(0, 9, size_cells=3, arrival=0)
         node.add_flow(flow)
         forwarded = fresh_cell(engine, 1, 9, sprays=1)
-        node.enqueue_forward(forwarded, t=0, arrival_phase=0)
+        node.enqueue_forward(forwarded, t=0, phase=1)
         # find the link the forwarded cell is on and transmit there
         link = next(i for i, q in enumerate(node.link_queues) if len(q))
         phase, offset = divmod(link, engine.coords.r - 1)
@@ -144,7 +143,7 @@ class TestTxPath:
         node._queue_token(neighbor, Token(9, 0, TOKEN_REGULAR))
         tx = node.transmit(0, 0, 1)
         assert tx is not None
-        assert tx.cell.dummy
+        assert tx.cell is None
         assert len(tx.tokens) == 1
         assert node.pending_tokens == 0
 
@@ -176,7 +175,7 @@ class TestTxPath:
         # exhaust the first-hop budget toward this neighbour
         node.ledger.charge(neighbor, (9, 1), first_hop=True)
         tx = node.transmit(0, 0, 1)
-        assert tx is None or tx.cell.dummy
+        assert tx is None or tx.cell is None
         assert flow.sent == 0
 
     def test_hbh_forward_generates_upstream_token(self):
@@ -205,7 +204,7 @@ class TestTxPath:
         penultimate = cs.phase_neighbors(dst, 0)[0]
         node = engine.nodes[penultimate]
         cell = fresh_cell(engine, 1, dst, sprays=0)
-        node.enqueue_forward(cell, t=0, arrival_phase=1)
+        node.enqueue_forward(cell, t=0, phase=0)
         link = next(i for i, q in enumerate(node.link_queues) if len(q))
         phase, offset = divmod(link, cs.r - 1)
         # no credit pre-charged anywhere; final hops are always eligible
@@ -224,7 +223,7 @@ class TestTxPath:
         blocked = fresh_cell(engine, 1, cs.node_id((1, 1)), sprays=0)
         behind = fresh_cell(engine, 1, cs.node_id((1, 2)), sprays=0)
         for cell in (blocked, behind):
-            node.enqueue_forward(cell, t=0, arrival_phase=1)
+            node.enqueue_forward(cell, t=0, phase=0)
         (link,) = [i for i, q in enumerate(node.link_queues) if len(q)]
         phase, offset = divmod(link, cs.r - 1)
         neighbor = node.neighbors_flat[link]
@@ -248,7 +247,7 @@ class TestTxPath:
         for i in range(2):
             node._queue_token(other, Token(i + 7, 0, TOKEN_REGULAR))
         tx = node.transmit(0, 0, 1)
-        assert tx.cell.dummy
+        assert tx.cell is None
         assert [tok.dest for tok in tx.tokens] == [1, 2, 3]
         assert not node.token_return[neighbor]
         # the other neighbour's tokens wait for their own slot
@@ -260,7 +259,7 @@ class TestTxPath:
         node = engine.nodes[0]
         node.add_flow(engine.flows.new_flow(0, 9, size_cells=3, arrival=0))
         stale = Transmission(
-            7, 8, Cell.make_dummy(7, 8),
+            7, 8, None,
             tokens=(Token(5, 0, TOKEN_REGULAR),),
             ctrl=(ControlMessage("pull", 1, 7, 8),),
         )
@@ -268,7 +267,7 @@ class TestTxPath:
         tx = node.transmit(0, 0, 1)
         assert tx is stale and not engine._tx_pool
         assert (tx.sender, tx.receiver) == (0, node.neighbors[0][0])
-        assert not tx.cell.dummy and tx.cell.dst == 9
+        assert tx.cell is not None and tx.cell.dst == 9
         assert tx.tokens == () and tx.ctrl == ()
 
 
@@ -281,8 +280,8 @@ class TestWire:
             SimConfig(n=16, h=2, duration=1000, propagation_delay=2),
             failure_manager=FailureManager(failed_nodes=[5]),
         )
-        delivered = Transmission(1, 0, Cell.make_dummy(1, 0))
-        dropped = Transmission(1, 5, Cell.make_dummy(1, 5))
+        delivered = Transmission(1, 0, None)
+        dropped = Transmission(1, 5, None)
         for tx in (delivered, dropped):
             tx.arrival = 0
             engine._in_flight.append(tx)
