@@ -69,13 +69,13 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
 }
 
 
-#: Private attributes of ``Node``, ``PieoQueue``, ``TokenLedger`` and
+#: Private attributes of ``Node``, ``TokenLedger`` and
 #: ``ActiveBucketTracker`` that the slab steppers used to read and refill in
-#: place.  The steppers now pack from, and export, the checkpoint's
+#: place (a node's send queues are plain lists, ``Node.link_queues``).  The steppers now pack from, and export, the checkpoint's
 #: plain-data encoding (DESIGN.md §11), so on anything but ``self`` these
 #: names mean an object walker is growing back.
 OBJECT_LAYOUT = frozenset({
-    "_items", "_spent_map", "_refcount_map", "_is_first_map",
+    "_spent_map", "_refcount_map", "_is_first_map",
     "_token_cache", "_spent", "_refcount",
 })
 

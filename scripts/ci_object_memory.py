@@ -4,8 +4,8 @@
 Builds the object model of an n=1296, h=2 hbh+spray engine (Poisson short
 flows at ``load_for(2)``), runs 300 slots, and prints the MB each family
 of per-node containers holds, then the process's RSS growth and peak.
-The families are the send queues (the ``PieoQueue`` wrappers, their
-backing lists and the per-node views of them), the control queues, the
+The families are the send queues (the per-link lists of cells and the
+per-node views of them; also printed per queue), the control queues, the
 token-return queues, the engine's token intern table, the per-node
 neighbour-to-link index (``_link_of``), and the cells queued or on the
 wire.  A family's figure is the bytes of the objects only it holds
@@ -53,12 +53,11 @@ def families(engine) -> dict:
     shared = {id(token) for token in interned.values()}
     send = control = tokens = index = cells = 0
     for node in nodes:
-        send += getsizeof(node.link_queues) + getsizeof(node._link_items) \
-            + getsizeof(node._phase_items) \
+        send += getsizeof(node.link_queues) + getsizeof(node._phase_items) \
             + sum(map(getsizeof, node._phase_items))
         for queue in node.link_queues:
-            send += getsizeof(queue) + getsizeof(queue._items)
-            cells += sum(map(getsizeof, queue._items))
+            send += getsizeof(queue)
+            cells += sum(map(getsizeof, queue))
         control += getsizeof(node.ctrl_out) + sum(
             getsizeof(held) + sum(map(getsizeof, held))
             for held in node.ctrl_out.values())
@@ -104,6 +103,9 @@ def main() -> int:
     for name, size in held.items():
         print(f"  {name:<24} {size / MB:8.2f} MB")
     print(f"  {'total':<24} {sum(held.values()) / MB:8.2f} MB")
+    queues = sum(len(node.link_queues) for node in engine.nodes)
+    print(f"send queues: {queues}, {held['send queues'] / queues:.1f} B "
+          f"each with the per-node views")
     bare = sum(tx.cell is None for tx in engine._in_flight)
     print(f"wire: {len(engine._in_flight)} transmissions, {bare} of them "
           f"bare headers (no cell); one Cell is {getsizeof(Cell(0, 0))} B")

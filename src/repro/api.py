@@ -46,7 +46,7 @@ from .sim.checkpoint import (
     restore_engine,
 )
 from .sim.config import SimConfig
-from .sim.engine import Engine, ScheduledFlow
+from .sim.engine import Engine, ScheduledFlow, check_slots
 from .sim.flows import FlowTable
 from .sim.metrics import MetricsCollector
 
@@ -175,6 +175,8 @@ def simulate(
         A :class:`RunResult`; bit-exact whether or not the run was
         interrupted and resumed through ``checkpoint``.
     """
+    if duration is not None:
+        check_slots(duration, "duration")
     resumed_from = None
     engine = None
     if checkpoint is not None:

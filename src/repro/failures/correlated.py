@@ -37,6 +37,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.coordinates import CoordinateSystem
+from .injector import check_rates
 from .manager import FailureEvent, FailureManager, LinkFailureEvent
 
 __all__ = ["CorrelatedFaultInjector", "rack_outage_events"]
@@ -122,11 +123,8 @@ class CorrelatedFaultInjector:
     ):
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
-        for name, value in (("outage_mttr", outage_mttr),
-                            ("primary_mtbf", primary_mtbf),
-                            ("primary_mttr", primary_mttr)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        check_rates(outage_mttr=outage_mttr, primary_mtbf=primary_mtbf,
+                    primary_mttr=primary_mttr)
         if not 0.0 <= cascade_probability <= 1.0:
             raise ValueError(
                 f"cascade probability must be in [0, 1], "

@@ -15,6 +15,7 @@ MTBF/MTTR model.  ``mttr = 0`` means failures are permanent.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,6 +23,15 @@ from ..core.coordinates import CoordinateSystem
 from .manager import FailureEvent, FailureManager, LinkFailureEvent
 
 __all__ = ["FaultInjector"]
+
+
+def check_rates(**rates: float) -> None:
+    """Refuse an MTBF / MTTR that is negative, nan or infinite, naming
+    it; 0 keeps its meaning (disabled, or permanent)."""
+    for name, value in rates.items():
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(
+                f"{name} must be finite and non-negative, got {value}")
 
 
 class FaultInjector:
@@ -57,10 +67,8 @@ class FaultInjector:
         node_ids: Optional[Sequence[int]] = None,
         links: Optional[Sequence[Tuple[int, int]]] = None,
     ):
-        for name, value in (("node_mtbf", node_mtbf), ("node_mttr", node_mttr),
-                            ("link_mtbf", link_mtbf), ("link_mttr", link_mttr)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        check_rates(node_mtbf=node_mtbf, node_mttr=node_mttr,
+                    link_mtbf=link_mtbf, link_mttr=link_mttr)
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
         coords = CoordinateSystem.shared(n, h)

@@ -660,7 +660,8 @@ class FailureManager:
             offset = (theirs - mine) % coords.r
             link = node.link_index(phase, offset)
             queue = node.link_queues[link]
-            stranded = queue.remove_if(lambda c: True)
+            stranded = queue[:]
+            queue.clear()
             node.total_enqueued -= len(stranded)
             for cell in stranded:
                 self._respray(engine, node, cell, failed_id, phase, t)
@@ -674,9 +675,10 @@ class FailureManager:
         offset = (coords.coordinate(via, p) - coords.coordinate(node.node_id, p)) \
             % coords.r
         link = node.link_index(p, offset)
-        stranded = node.link_queues[link].remove_if(
-            lambda c: c.sprays_remaining == 0 and c.dst == dest
-        )
+        queue = node.link_queues[link]
+        stranded = [c for c in queue
+                    if c.sprays_remaining == 0 and c.dst == dest]
+        queue[:] = [c for c in queue if c.sprays_remaining or c.dst != dest]
         node.total_enqueued -= len(stranded)
         for cell in stranded:
             self._respray(engine, node, cell, via, p, t)

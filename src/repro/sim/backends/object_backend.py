@@ -102,7 +102,7 @@ def run_tx(engine, t: int, phase: int, offset: int) -> None:
         # None the last three are false by construction; after a send the
         # node leaves on the visit that emptied the link
         if visit is not None and not (
-            node._link_items[link] or node.local_flows or node.rtx_queue
+            node.link_queues[link] or node.local_flows or node.rtx_queue
         ):
             peer = node.neighbors_flat[link]
             if not (

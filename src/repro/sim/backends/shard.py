@@ -877,8 +877,7 @@ class ShardBackend(EngineBackend):
             for li in range(hi - lo):
                 node = engine.nodes[lo + li]
                 peaks[li] = node._pieo_peak
-                for l, queue in enumerate(node.link_queues):
-                    items = queue._items
+                for l, items in enumerate(node.link_queues):
                     counts[li, l] = len(items)
                     rows.extend(map(Cell.state, items))
                 live = [

@@ -230,13 +230,8 @@ class TokenRun(_VectorRun):
             codes[np.arange(self.tq_cap) < held[:, None]],
             np.repeat(used % n, held), np.repeat(nb, held),
         )
-        owed = self.tq_len.reshape(self.L, n).sum(axis=0)
-        scalars = model["scalars"]
-        scalars[:, tables.col("scalars", "pending_tokens")] = owed
-        scalars[:, tables.col("scalars", "tracker_peak")] = self.tr_peak
-        # a node owing tokens has work even with empty queues
-        model["active_ids"] = np.union1d(
-            model["active_ids"][:, 0], owed.nonzero()[0])[:, None]
+        peak = tables.col("scalars", "tracker_peak")
+        model["scalars"][:, peak] = self.tr_peak
         return model
 
     # ------------------------------------------------------------------ #

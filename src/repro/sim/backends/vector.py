@@ -717,12 +717,11 @@ class _VectorRun:
         return out
 
     def export_model(self):
-        """The nodes, the wire and the active set of a synced run as the
-        plain model's tables (:mod:`repro.sim.tables`) — what an object run
-        holds at this slot, with ``active_ids`` exactly the nodes with work
-        (a legal instance of the engine's superset invariant: nothing else
-        can owe work in a slab-eligible state).  Gathers columns only: no
-        object is touched and the run goes on as it is."""
+        """The nodes and the wire of a synced run as the plain model's
+        tables (:mod:`repro.sim.tables`) — what an object run holds at this
+        slot; no occupancy and no active set, which the tables imply.
+        Gathers columns only: no object is touched and the run goes on as
+        it is."""
         model = tables.idle(self.n, self.L)
         wire = np.zeros((sum(batch[1].size for batch in self.batches), 4),
                         dtype=np.int64)
@@ -739,10 +738,8 @@ class _VectorRun:
         wire[:, _PAYLOAD] = sent >= 0
         cells = self._slab[np.concatenate((self._queued_rows(),
                                            sent[sent >= 0]))]
-        occupancy = self._node_occupancy()
         model["cells"], model["wire"] = cells, wire
         model["queues"][:, _LEN] = self.q_len.T.reshape(-1)
-        model["scalars"][:, tables.col("scalars", "total_enqueued")] = occupancy
         model["scalars"][:, _PIEO_PEAK] = self.pieo_peak
         # a node's flows: its cursor, then the ones waiting behind it
         # (Flow objects, so that part is a walk — over flows, not nodes)
@@ -753,8 +750,6 @@ class _VectorRun:
                           for flow in self.waiting[i]], 2),
         ))
         model["local_flows"] = flows[flows[:, 0].argsort(kind="stable")]
-        model["active_ids"] = np.flatnonzero(
-            (occupancy > 0) | self.has_flow)[:, None]
         return model
 
     def _export_headers(self, model, batch, lo: int) -> None:

@@ -89,8 +89,11 @@ __all__ = [
 #: 6: the PIEO high-water mark is a node's ``scalars`` column, not a
 #: ``queues`` one; 7: a ``cells`` row has no spray phase or dummy flag,
 #: ``queues`` and ``ranks`` no seq, and a ``wire`` row says whether it
-#: carries a payload — a bare header has no ``cells`` row)
-CHECKPOINT_VERSION = 7
+#: carries a payload — a bare header has no ``cells`` row; 8: nothing the
+#: other tables imply — no ``ranks`` or ``active_ids`` table, no occupancy
+#: or owed-token / control counts in ``scalars``, no in-flight payload
+#: count)
+CHECKPOINT_VERSION = 8
 
 _log = logging.getLogger("repro.checkpoint")
 
@@ -135,9 +138,9 @@ class Checkpoint:
 
 #: what :func:`snapshot_engine` writes and :func:`apply_checkpoint` reads
 _STATE_KEYS = frozenset({
-    "t", "loop", "rng", "rng_gauss", "pending_flows", "in_flight_payload",
-    "failed_links", "isd_last", "force_full_scan", "flows", "metrics",
-    "nodes", "digest", "monitor", "telemetry", "events", "failure_manager",
+    "t", "loop", "rng", "rng_gauss", "pending_flows", "failed_links",
+    "isd_last", "force_full_scan", "flows", "metrics", "nodes", "digest",
+    "monitor", "telemetry", "events", "failure_manager",
 })
 
 
@@ -321,7 +324,6 @@ def snapshot_engine(engine, loop: Optional[Tuple[int, int]] = None) -> Checkpoin
         "rng": np.array(rng_key, dtype=np.int64),
         "rng_gauss": rng_gauss,
         "pending_flows": tables.table(list(engine._pending_flows), 5),
-        "in_flight_payload": engine._in_flight_payload,
         "failed_links": tables.table(sorted(engine.failed_links), 2),
         "isd_last": tables.table(sorted(engine._isd_last.items()), 2),
         "force_full_scan": engine.force_full_scan,
@@ -376,7 +378,8 @@ def apply_checkpoint(engine, checkpoint: Checkpoint) -> None:
     engine.flows.load_state(state["flows"])
     engine.failed_links.clear()
     engine.failed_links.update(map(tuple, state["failed_links"].tolist()))
-    engine._in_flight_payload = state["in_flight_payload"]
+    engine._in_flight_payload = int(
+        state["nodes"]["wire"][:, tables.col("wire", "payload")].sum())
     engine._isd_last.clear()
     engine._isd_last.update(state["isd_last"].tolist())
     engine.force_full_scan = state["force_full_scan"]

@@ -56,6 +56,14 @@ _backend_log = logging.getLogger("repro.backend")
 _fallbacks_logged: Set[Tuple[str, str]] = set()
 
 
+def check_slots(value, name: str) -> int:
+    """``value`` as a number of timeslots to run: an integer >= 0 (no
+    ``bool``, no float to round), else a ValueError naming ``name``."""
+    if not is_integer_field(value) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 class _OnFirstRead:
     """A root of the object model: ``Engine.nodes`` or ``Engine._in_flight``.
 
@@ -131,8 +139,9 @@ class Engine:
         #: A node enters a set when it gets work on that link, or all of
         #: them for work not tied to one link (``Node.wake``);
         #: ``object_backend.run_tx`` retires it from a set on the visit
-        #: after which it owes that link nothing.  Their union is the
-        #: model's ``active_ids``.  Built before the nodes, which alias them
+        #: after which it owes that link nothing.  The plain model stores
+        #: none: a load puts :func:`tables.busy_nodes` on every set.  Built
+        #: before the nodes, which alias them
         self._visit: Tuple[Set[int], ...] = tuple(
             set() for _ in range(self.coords.h * (self.coords.r - 1)))
         #: reference switch for the visit sets: offer every live node every
@@ -287,7 +296,7 @@ class Engine:
                 node.load_state(state, flow_lookup)
             self._in_flight.extend(
                 map(Transmission.from_state, tables.wire_states(model)))
-            self._set_active(model["active_ids"][:, 0].tolist())
+            self._set_active(tables.busy_nodes(model))
 
     def _plain_model(self) -> Optional[tables.PlainModel]:
         """The plain model (:mod:`repro.sim.tables`) of whichever
@@ -305,7 +314,6 @@ class Engine:
             node.state_rows(rows)
         for tx in self._in_flight:
             tx.state_rows(rows)
-        rows["active_ids"] = [(i,) for i in sorted(set().union(*self._visit))]
         return tables.model(rows)
 
     def _set_active(self, ids: List[int]) -> None:
@@ -379,7 +387,7 @@ class Engine:
             scalars, col = model["scalars"], tables.col
             return (int(scalars[:, col("scalars", "tracker_peak")].max()),
                     int(scalars[:, col("scalars", "pieo_peak")].max()),
-                    int(scalars[:, col("scalars", "total_enqueued")].max()))
+                    int(tables.occupancy(model).max()))
         buckets = pieo = buffered = 0
         for node in self._built_nodes or ():
             if node.bucket_tracker is not None:
@@ -519,7 +527,7 @@ class Engine:
         """Run for ``duration`` timeslots (default: ``config.duration``)."""
         if duration is None:
             duration = self.config.duration
-        self._drive(self.t + duration, drain=False)
+        self._drive(self.t + check_slots(duration, "duration"), drain=False)
         return self.metrics
 
     def run_until_quiescent(self, max_extra: int = 1_000_000) -> MetricsCollector:
@@ -529,7 +537,7 @@ class Engine:
         attached, liveness probes keep crossing suspect links forever, so
         waiting for an empty wire would never terminate.
         """
-        self._drive(self.t + max_extra, drain=True)
+        self._drive(self.t + check_slots(max_extra, "max_extra"), drain=True)
         return self.metrics
 
     def _drive(self, end: int, drain: bool) -> None:
@@ -713,7 +721,7 @@ class Engine:
             enqueued = node.total_enqueued
             buffers.append(enqueued)
             if enqueued:
-                for items in node._link_items:
+                for items in node.link_queues:
                     if items:
                         queue_lengths.append(len(items))
             if node._pieo_peak > pieo_peak:

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.interleave import InterleavedSchedule
 from .config import SimConfig
-from .engine import Engine, ScheduledFlow
+from .engine import Engine, ScheduledFlow, check_slots
 from .flows import FlowRecord
 
 __all__ = ["MultiClassSimulation"]
@@ -100,13 +100,13 @@ class MultiClassSimulation:
 
     def run(self, duration: int) -> None:
         """Run ``duration`` master timeslots."""
-        end = self.t + duration
+        end = self.t + check_slots(duration, "duration")
         while self.t < end:
             self.step()
 
     def run_until_quiescent(self, max_extra: int = 1_000_000) -> None:
         """Run until all engines drain (or the safety cap is hit)."""
-        deadline = self.t + max_extra
+        deadline = self.t + check_slots(max_extra, "max_extra")
         while self.t < deadline and any(
             e._pending_flows or e.flows.active_count or e._in_flight
             for e in self.engines

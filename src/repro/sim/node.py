@@ -1,7 +1,8 @@
 """End-host model for the packet-level simulator.
 
 Each :class:`Node` mirrors the structure of the paper's FPGA end-host
-(Section 4.1): per-link send queues (PIEO under hop-by-hop), a token ledger
+(Section 4.1): per-link send queues (lists of cells, which the TX scan
+reads PIEO-style under hop-by-hop), a token ledger
 and per-neighbour token-return queues, local flow queues, and the RX/TX
 processing paths.  The same node implementation hosts every congestion
 control mechanism of Section 5.3 — ``none``, ``priority``, ``ISD``, ``RD``,
@@ -25,7 +26,6 @@ from ..core.cell import Cell
 from ..core.header import TOKEN_INVALIDATE, TOKEN_REGULAR, Token
 from .config import SimConfig
 from .flows import Flow
-from .pieo import PieoQueue
 from .tables import CTRL_KINDS
 
 __all__ = ["Node", "Transmission", "ControlMessage",
@@ -184,7 +184,6 @@ class Node:
         "_simple_pick",
         "_metrics",
         "_tx_pool",
-        "_link_items",
         "_pieo_peak",
         "_routing",
         "_default_routing",
@@ -253,22 +252,17 @@ class Node:
         #: shares one instance per bucket
         self._token_cache: Dict[Tuple[int, int], Token] = engine._token_cache
         links = self.h * (self.r - 1)
-        # only priority ranking ever pushes a non-zero rank; every other
-        # mode gets the cheaper bare-cell fifo representation.  The queues
-        # are uncapped: NDP enforces its limit by trimming at enqueue
-        self.link_queues: List[PieoQueue] = [
-            PieoQueue(fifo=not self._is_priority) for _ in range(links)
-        ]
-        #: the queues' backing lists, flat by link index (the TX hot path)
-        #: — their identity is stable (PieoQueue never reassigns ``_items``)
-        self._link_items: Tuple[list, ...] = tuple(
-            q._items for q in self.link_queues
-        )
+        #: the send queues by link index, each a list of cells in PIEO
+        #: order: FIFO, or by rank under priority ranking (see
+        #: :meth:`enqueue_forward`).  Uncapped: NDP enforces its limit by
+        #: trimming at enqueue.  A list's identity is stable (the caches
+        #: below alias it), so it is only ever mutated in place
+        self.link_queues: List[List[Cell]] = [[] for _ in range(links)]
         #: the same lists grouped by phase (the spray scan iterates one
         #: phase): ``map(len, …)`` over one group reads every queue length
         #: without Python frames
         self._phase_items: Tuple[List[list], ...] = tuple(
-            list(self._link_items[p * self._rm1:(p + 1) * self._rm1])
+            self.link_queues[p * self._rm1:(p + 1) * self._rm1]
             for p in range(self.h)
         )
         #: the longest any of this node's queues has been (the PIEO depth
@@ -417,14 +411,10 @@ class Node:
 
         cell = None
         node_id = self.node_id
-        items = self._link_items[link]
+        items = self.link_queues[link]
         if items:
             if not self.uses_hbh:
-                # priority queues store ranked (rank, cell) entries;
-                # every other mode uses the bare-cell fifo representation
                 cell = items.pop(0)
-                if self._is_priority:
-                    cell = cell[1]
                 self.total_enqueued -= 1
                 n = cell.sprays_remaining
                 if n > 0:
@@ -977,19 +967,26 @@ class Node:
             next_phase, offset = hop
             n = cell.sprays_remaining  # may have been reset by a reroute
         link = next_phase * self._rm1 + offset - 1
-        queue = self.link_queues[link]
-        items = queue._items
+        items = self.link_queues[link]
         if self.is_ndp and len(items) >= self.config.ndp_queue_limit:
             self._trim(cell, t)
             return
         if self._is_priority:
-            # ranked push (the only mode with non-zero ranks)
-            queue.push(
-                cell, cell.created_at + cell.flow_size * self.epoch_length
-            )
+            # PIEO push-in by the rank the cell implies (paper §5.3
+            # baseline 2): after every cell of equal or lower rank, which
+            # keeps equal ranks in arrival order (bisect-right)
+            epoch = self.epoch_length
+            rank = cell.created_at + cell.flow_size * epoch
+            lo, hi = 0, len(items)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                other = items[mid]
+                if other.created_at + other.flow_size * epoch <= rank:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            items.insert(lo, cell)
         else:
-            # PieoQueue.push inlined for the bare-cell fifo representation
-            # (node send queues are uncapped): a plain append
             items.append(cell)
         length = len(items)
         if length > self._pieo_peak:
@@ -1020,7 +1017,7 @@ class Node:
             if not avoid:
                 # fast path: every neighbour is a candidate
                 for i in range(self._rm1):
-                    length = len(queues[base + i]._items)
+                    length = len(queues[base + i])
                     if best_len is None or length < best_len:
                         best_len = length
                         best_offsets = [i + 1]
@@ -1030,7 +1027,7 @@ class Node:
                 for i, nb in enumerate(neighbors):
                     if nb in self.failed_neighbors or nb in self.known_failed:
                         continue
-                    length = len(queues[base + i]._items)
+                    length = len(queues[base + i])
                     if best_len is None or length < best_len:
                         best_len = length
                         best_offsets = [i + 1]
@@ -1209,10 +1206,11 @@ class Node:
         data — the host still has it — and simply resume sending.
         """
         drop = self.engine.drop_cell
-        for queue in self.link_queues:
-            for cell in queue.remove_if(lambda c: True):
+        for items in self.link_queues:
+            for cell in items:
                 cell.prev_hop = -1
                 drop(cell, t)
+            items.clear()
         self.total_enqueued = 0
         self.token_return.clear()
         self.pending_tokens = 0
@@ -1242,14 +1240,14 @@ class Node:
         """Install gathered queue contents from a shard worker, in place.
 
         ``per_link_cells`` holds one FIFO-ordered cell list per link index
-        and ``pieo_peak`` the node's PIEO high-water mark.  The queues'
-        backing lists are aliased by this node's TX caches, so they are
-        mutated in place, never rebound — the boundary-crossing receive
-        side of the ``"shard"`` backend (see repro.sim.backends.shard).
+        and ``pieo_peak`` the node's PIEO high-water mark.  The queues are
+        aliased by this node's TX caches, so they are mutated in place,
+        never rebound — the boundary-crossing receive side of the
+        ``"shard"`` backend (see repro.sim.backends.shard).
         """
         total = 0
-        for queue, cells in zip(self.link_queues, per_link_cells):
-            queue._items[:] = cells
+        for items, cells in zip(self.link_queues, per_link_cells):
+            items[:] = cells
             total += len(cells)
         self.total_enqueued = total
         self._pieo_peak = pieo_peak
@@ -1273,15 +1271,12 @@ class Node:
         """
         i = self.node_id
         cells, queues = rows["cells"], rows["queues"]
-        for queue in self.link_queues:
-            elements, ranks = queue.state()
-            queues.append((len(elements),))
-            if elements:
-                cells.extend(map(Cell.state, elements))
-                rows["ranks"].extend((rank,) for rank in ranks)
+        for items in self.link_queues:
+            queues.append((len(items),))
+            if items:
+                cells.extend(map(Cell.state, items))
         tracker = self.bucket_tracker
         rows["scalars"].append((
-            self.total_enqueued, self.pending_tokens, self.pending_ctrl,
             self.failed, 0 if tracker is None else tracker.peak,
             self._pieo_peak,
         ))
@@ -1322,16 +1317,18 @@ class Node:
         still leads with the node id).
 
         Containers are refilled in place wherever the hot path aliases them
-        (queue backing lists, ledger/tracker dicts); ``flow_lookup`` maps a
-        flow id back to the engine's live Flow object.
+        (send queues, ledger/tracker dicts); ``flow_lookup`` maps a flow id
+        back to the engine's live Flow object.  The counters are the
+        lengths of the rows they count.
         """
-        (self.total_enqueued, self.pending_tokens, self.pending_ctrl,
-         failed, peak, self._pieo_peak), = state["scalars"]
+        (failed, peak, self._pieo_peak), = state["scalars"]
         self.failed = bool(failed)
+        self.total_enqueued = len(state["cells"])
+        self.pending_tokens = len(state["tokens"])
+        self.pending_ctrl = len(state["ctrl_out"])
         cells = map(Cell.from_state, state["cells"])
-        ranks = (rank for rank, in state["ranks"])
-        for queue, (length,) in zip(self.link_queues, state["queues"]):
-            queue.load_state(list(islice(cells, length)), ranks)
+        for items, (length,) in zip(self.link_queues, state["queues"]):
+            items[:] = islice(cells, length)
         self.token_return.clear()
         for _, nb, *token in state["tokens"]:
             self.token_return.setdefault(nb, []).append(

@@ -7,9 +7,13 @@ hop-by-hop congestion control stores per-link queues of bucket ids in PIEO
 queues so that a cell whose bucket is awaiting tokens does not head-of-line
 block cells in other buckets (paper Section 3.3.2, second change).
 
-The software implementation here preserves PIEO's semantics — strict
-insertion order among equal-rank elements, first-eligible extraction.  The
-occupancy high-water mark the hardware resource model consumes (paper
+:class:`PieoQueue` is the primitive's reference model — strict insertion
+order among equal-rank elements, first-eligible extraction — with its own
+unit and property tests.  The simulator's send queues are plain lists of
+cells (``Node.link_queues``): FIFO, or kept in rank order by the bisect in
+``Node.enqueue_forward`` under priority ranking, with the rank computed
+from the cell; ``Node.transmit``'s scan is the first-eligible extraction.
+The occupancy high-water mark the hardware resource model consumes (paper
 Fig. 13 reports max PIEO queue length) is provisioned per node, not per
 queue, so the node keeps it (``Node.max_pieo_occupancy``).
 """
@@ -37,23 +41,14 @@ class PieoQueue(Generic[T]):
         capacity: optional maximum occupancy; ``push`` raises
             ``OverflowError`` beyond it (models the fixed-size on-chip PIEO
             storage of the FPGA prototype).
-        fifo: when True the queue promises every rank is 0 and stores bare
-            elements instead of ``(rank, element)`` entries.  Ordering
-            is unchanged (rank-0 PIEO extraction *is* FIFO order); the flat
-            representation just skips one tuple allocation and one
-            indexing step per element on the simulator's hot path.  Pushing
-            a non-zero rank into a fifo queue raises ``ValueError``.
     """
 
-    __slots__ = ("_items", "capacity", "fifo")
+    __slots__ = ("_items", "capacity")
 
-    def __init__(self, capacity: Optional[int] = None, fifo: bool = False):
-        # fifo: list of elements; ranked: list of (rank, element) kept
-        # sorted by rank, stable.  The list object's identity is stable
-        # for the queue's lifetime (hot paths hold direct references).
+    def __init__(self, capacity: Optional[int] = None):
+        # (rank, element) entries kept sorted by rank, stable
         self._items: List = []
         self.capacity = capacity
-        self.fifo = fifo
 
     def __len__(self) -> int:
         return len(self._items)
@@ -62,8 +57,6 @@ class PieoQueue(Generic[T]):
         return bool(self._items)
 
     def __iter__(self) -> Iterable[T]:
-        if self.fifo:
-            return iter(self._items)
         return (element for _, element in self._items)
 
     def push(self, element: T, rank: int = 0) -> None:
@@ -73,11 +66,6 @@ class PieoQueue(Generic[T]):
             raise OverflowError(
                 f"PIEO queue full (capacity {self.capacity})"
             )
-        if self.fifo:
-            if rank != 0:
-                raise ValueError("fifo PieoQueue only accepts rank 0")
-            items.append(element)
-            return
         entry = (rank, element)
         # the newest element goes after every one of equal or lower rank
         # (bisect-right on rank): a rank no smaller than the tail's is a
@@ -106,12 +94,6 @@ class PieoQueue(Generic[T]):
         eligibility test followed by a priority encoder.
         """
         items = self._items
-        if self.fifo:
-            for i, element in enumerate(items):
-                if eligible(element):
-                    del items[i]
-                    return element
-            return None
         for i, (_, element) in enumerate(items):
             if eligible(element):
                 del items[i]
@@ -129,24 +111,17 @@ class PieoQueue(Generic[T]):
         """Remove and return the head element unconditionally (FIFO pop)."""
         if not self._items:
             return None
-        head = self._items.pop(0)
-        return head if self.fifo else head[1]
+        return self._items.pop(0)[1]
 
     def peek_head(self) -> Optional[T]:
         """Return the head element without removing it."""
         if not self._items:
             return None
-        return self._items[0] if self.fifo else self._items[0][1]
+        return self._items[0][1]
 
     def remove(self, element: T) -> bool:
         """Remove the first occurrence of ``element``; True if found."""
         items = self._items
-        if self.fifo:
-            for i, existing in enumerate(items):
-                if existing == element:
-                    del items[i]
-                    return True
-            return False
         for i, (_, existing) in enumerate(items):
             if existing == element:
                 del items[i]
@@ -157,44 +132,14 @@ class PieoQueue(Generic[T]):
         """Remove and return every element matching ``predicate``."""
         kept: List = []
         removed: List[T] = []
-        if self.fifo:
-            for element in self._items:
-                if predicate(element):
-                    removed.append(element)
-                else:
-                    kept.append(element)
-        else:
-            for entry in self._items:
-                if predicate(entry[1]):
-                    removed.append(entry[1])
-                else:
-                    kept.append(entry)
-        # in-place so the list object's identity is stable (hot paths hold
-        # direct references to it)
-        self._items[:] = kept
+        for entry in self._items:
+            if predicate(entry[1]):
+                removed.append(entry[1])
+            else:
+                kept.append(entry)
+        self._items = kept
         return removed
 
     def clear(self) -> None:
         """Drop every element."""
         self._items.clear()
-
-    def state(self) -> tuple:
-        """``(elements in queue order, their ranks — none for a fifo
-        queue)``: the queue's part of the plain model
-        (:mod:`repro.sim.tables`)."""
-        if self.fifo:
-            return self._items, ()
-        return ([entry[1] for entry in self._items],
-                [entry[0] for entry in self._items])
-
-    def load_state(self, elements: List[T], ranks) -> None:
-        """Restore :meth:`state`; ``ranks`` is an iterator this queue takes
-        its ranks from (a fifo queue takes none).
-
-        The element list is refilled in place — its identity is part of the
-        queue's contract (hot paths hold direct references to it).
-        """
-        if self.fifo:
-            self._items[:] = elements
-        else:
-            self._items[:] = [(next(ranks), e) for e in elements]

@@ -1,4 +1,4 @@
-"""The plain model: a network's nodes, wire and active set as integer tables.
+"""The plain model: a network's nodes and wire as integer tables.
 
 A Shale node's whole state is a few small integer tables (paper §4, Fig 7),
 and the ``r**h`` coordinates make every piece of it index-addressable.  The
@@ -17,6 +17,12 @@ A table holds what a header carries and nothing the schedule implies: a
 bare header (no payload) is a ``wire`` row with ``payload`` 0 and no
 ``cells`` row, and no column holds a cell's next spray phase — a queued
 cell's is its link's phase plus one, an in-flight cell's its send slot's.
+Nor does a table hold anything another table or the cell implies: a
+queued cell's PIEO rank is its ``created_at + flow_size * epoch``, a
+node's occupancy and its owed tokens and control messages are the lengths
+of its ``queues``, ``tokens`` and ``ctrl_out`` rows, the cells on the wire
+are its ``payload`` column's sum, and the nodes with work are
+:func:`busy_nodes` of the tables.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "CTRL_KINDS", "PlainModel", "TABLES", "col", "idle", "model",
-    "node_states", "reference_only_node", "table", "wire_states",
+    "CTRL_KINDS", "PlainModel", "TABLES", "busy_nodes", "col", "idle",
+    "model", "node_states", "occupancy", "reference_only_node", "table",
+    "wire_states",
 ]
 
 PlainModel = Dict[str, np.ndarray]
@@ -45,21 +52,17 @@ _CTRL = ("kind", "flow_id", "src", "dst", "seq", "sprays_remaining")
 TABLES: Dict[str, Sequence[str]] = {
     # one row per node / per queue, in id order; ``pieo_peak`` is the
     # longest any of the node's queues has been (paper Fig 13's PIEO depth)
-    "scalars": ("total_enqueued", "pending_tokens", "pending_ctrl",
-                "failed", "tracker_peak", "pieo_peak"),
+    "scalars": ("failed", "tracker_peak", "pieo_peak"),
     "queues": ("len",),
-    # the queued cells — node-major, link-minor, FIFO — then one cell per
-    # payload row of ``wire``, in wire order; ``ranks`` has a row per
-    # queued cell under priority ranking and none otherwise
+    # the queued cells — node-major, link-minor, in queue order — then one
+    # cell per payload row of ``wire``, in wire order
     "cells": _CELL,
-    "ranks": ("rank",),
     # transmissions in flight, FIFO, and their header sidecars in header
     # order (``wire`` is the row of the transmission carrying them); a
     # ``payload`` of 0 is a bare header, which has no ``cells`` row
     "wire": ("sender", "receiver", "arrival", "payload"),
     "wire_tokens": ("wire", "dest", "sprays", "kind"),
     "wire_ctrl": ("wire",) + _CTRL,
-    "active_ids": ("node",),
     # (node, ...) rows, node-major; within a node in the order noted
     "local_flows": ("node", "flow_id"),                        # list order
     "tokens": ("node", "neighbor", "dest", "sprays", "kind"),  # neighbor, FIFO
@@ -117,19 +120,32 @@ def idle(n: int, links: int) -> PlainModel:
 def reference_only_node(model: PlainModel, hbh: bool) -> Optional[int]:
     """The first node holding state no slab column holds (None if none):
     a failure marking, control traffic, or a token owed without
-    hop-by-hop (``ctrl_out`` rows come with ``pending_ctrl``,
-    ``fail_cause`` rows with ``failed_neighbors``, ``recv_counts`` only
-    under rd / ndp)."""
-    scalars = model["scalars"]
-    marked = scalars[:, col("scalars", "failed")] \
-        | scalars[:, col("scalars", "pending_ctrl")]
-    if not hbh:
-        marked = marked | scalars[:, col("scalars", "pending_tokens")]
-    found = np.concatenate([marked.nonzero()[0][:1]] + [
-        model[name][:1, 0]
-        for name in ("rtx_queue", "failed_neighbors", "known_failed",
-                     "link_invalid", "force_dummy")])
+    hop-by-hop (``fail_cause`` rows come with ``failed_neighbors``,
+    ``recv_counts`` only under rd / ndp)."""
+    failed = model["scalars"][:, col("scalars", "failed")]
+    names = ("ctrl_out", "rtx_queue", "failed_neighbors", "known_failed",
+             "link_invalid", "force_dummy") + (() if hbh else ("tokens",))
+    found = np.concatenate([failed.nonzero()[0][:1]]
+                           + [model[name][:1, 0] for name in names])
     return int(found.min()) if found.size else None
+
+
+def occupancy(model: PlainModel) -> np.ndarray:
+    """The cells queued at each node, in id order."""
+    n = len(model["scalars"])
+    return model["queues"][:, col("queues", "len")].reshape(n, -1).sum(1)
+
+
+def busy_nodes(model: PlainModel) -> List[int]:
+    """The nodes with work, in id order: queued cells, a local flow or an
+    rtx request, tokens or control messages owed, a suspect neighbour to
+    probe, a probe reply owed — everything that can make a node send
+    (the engine's visit sets hold at least these)."""
+    found = np.concatenate([occupancy(model).nonzero()[0]] + [
+        model[name][:, 0]
+        for name in ("local_flows", "rtx_queue", "tokens", "ctrl_out",
+                     "failed_neighbors", "force_dummy")])
+    return np.unique(found).tolist()
 
 
 # ---------------------------------------------------------------------- #
@@ -144,19 +160,16 @@ def _groups(keys: np.ndarray, count: int) -> List[int]:
 def node_states(model: PlainModel) -> Iterator[Dict[str, list]]:
     """Per node, in id order, its rows of every node-keyed table as plain
     lists (what ``Node.load_state`` reads): ``scalars`` one row, ``queues``
-    one per link, ``cells`` / ``ranks`` its queued cells, the ``(node,
-    ...)`` tables its rows with the node column still on."""
+    one per link, ``cells`` its queued cells, the ``(node, ...)`` tables
+    its rows with the node column still on."""
     n = len(model["scalars"])
     ids = np.arange(n + 1)
     links = len(model["queues"]) // max(1, n)
     queued = np.concatenate(
         ([0], model["queues"][:, col("queues", "len")].cumsum())
     )[ids * links]
-    bounds = {
-        "scalars": ids, "queues": ids * links, "cells": queued,
-        "ranks": queued if len(model["ranks"]) else ids * 0,
-    }
-    bounds = {name: cut.tolist() for name, cut in bounds.items()}
+    bounds = {name: cut.tolist() for name, cut in (
+        ("scalars", ids), ("queues", ids * links), ("cells", queued))}
     for name in _NODE_ROWS:
         bounds[name] = _groups(model[name][:, 0], n)
     rows = {name: model[name].tolist() for name in bounds}

@@ -42,16 +42,11 @@ class RunState(dict):
 
 
 def run_state(engine):
-    """``engine.snapshot().state`` minus the observers and the plain
-    model's ``active_ids``, which may be any superset of the nodes with work
-    (the object pipeline retires idle nodes lazily, a slab export lists
-    exactly the busy ones): clock, RNG, pending flows, every other table of
-    the plain model, the flow table, the metrics, the digest, the failure
-    manager.  Builds no node on an engine whose state is parked on a
-    slab."""
+    """``engine.snapshot().state`` minus the observers: clock, RNG,
+    pending flows, every table of the plain model, the flow table, the
+    metrics, the digest, the failure manager.  Builds no node on an engine
+    whose state is parked on a slab."""
     state = RunState(engine.snapshot().state)
     for key in _NOT_COMPARED:
         del state[key]
-    state["nodes"] = {name: held for name, held in state["nodes"].items()
-                      if name != "active_ids"}
     return state

@@ -597,10 +597,9 @@ class TestResidentSlab:
         # spent credit and tokens on their way back
         model = state["nodes"]
         assert len(model["wire"]) and len(model["cells"]) > len(model["wire"])
-        assert model["scalars"][:, tables.col("scalars", "total_enqueued")].any()
+        assert model["queues"][:, tables.col("queues", "len")].any()
         if cc == "hbh+spray":
             assert model["ledger"][:, tables.col("ledger", "spent")].all()
-            assert model["scalars"][:, tables.col("scalars", "pending_tokens")].any()
             assert len(model["tokens"]) and len(model["wire_tokens"])
         # integer tables through and through, every one the schema names
         assert set(model) == set(tables.TABLES)
@@ -611,11 +610,8 @@ class TestResidentSlab:
         twin.nodes
         assert twin.model_syncs == 1 and twin._parked is None
         assert equal(twin.snapshot().state, state)
-        # ... and as the object run's, where the active set may hold idle
-        # nodes the reference loop has not retired yet
-        expected = reference.snapshot().state
-        assert set(model["active_ids"][:, 0].tolist()) \
-            <= set(expected["nodes"]["active_ids"][:, 0].tolist())
+        # ... and as the object run's, every table
+        assert equal(reference.snapshot().state["nodes"], model)
         assert _trace(engine) == _trace(reference)
 
     @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
@@ -958,9 +954,7 @@ class TestExportedModels:
         assert engine.backend_effective == "vector", engine.backend_reason
         assert engine.model_syncs == 0
         for name in tables.TABLES:
-            if name != "active_ids":
-                assert equal(models["object"][name], models["vector"][name]), \
-                    name
+            assert equal(models["object"][name], models["vector"][name]), name
         wire = models["vector"]["wire"]
         payload = wire[:, tables.col("wire", "payload")]
         assert len(models["vector"]["cells"]) \

@@ -13,6 +13,7 @@ import json
 import logging
 import pathlib
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import open_session
+from repro.failures import FaultInjector
 from repro.failures.manager import (
     FailureEvent,
     FailureManager,
@@ -41,7 +43,8 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.workloads.generators import permutation_workload
+from repro.workloads.distributions import ShortFlowDistribution
+from repro.workloads.generators import permutation_workload, poisson_workload
 from repro.workloads.streaming import OpenLoopSource
 
 from .equivalence import equal
@@ -138,6 +141,80 @@ class TestRoundTripProperty:
         tmp = tmp_path_factory.mktemp("ckpt")
         resumed = _run_through_checkpoint(cc, params, k, tmp)
         assert resumed == straight
+
+
+#: the mechanisms the vector slab steps (above its size floor)
+SLAB_FAMILIES = ("none", "spray-short", "hop-by-hop", "hbh+spray")
+
+
+def _assert_counters_cached(engine):
+    """Every runtime counter the plain model no longer stores equals the
+    lengths of the queues it counts."""
+    for node in engine.nodes:
+        assert node.total_enqueued == sum(map(len, node.link_queues))
+        assert node.pending_tokens == sum(
+            map(len, node.token_return.values()))
+        assert node.pending_ctrl == sum(map(len, node.ctrl_out.values()))
+    assert engine._in_flight_payload == sum(
+        tx.cell is not None for tx in engine._in_flight)
+
+
+class TestDerivedCounters:
+    """A snapshot stores no occupancy, no owed-token or control count, no
+    in-flight count and no active set: a load counts them off the tables.
+    So the runtime counters must be caches of the queues at every slot —
+    drift in one would no longer reach a checkpoint diff — and a restore
+    must put exactly the busy nodes on every visit set and still replay
+    the uninterrupted run."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(cc=st.sampled_from(SimConfig.VALID_CC), h=st.sampled_from((2, 3)),
+           failures=st.booleans(), above_floor=st.booleans(),
+           k=st.integers(1, 250))
+    def test_counters_are_caches_of_the_queues(self, cc, h, failures,
+                                               above_floor, k,
+                                               tmp_path_factory):
+        slab = cc in SLAB_FAMILIES
+        # the slab families draw n on both sides of the slab's size floor
+        n = {2: (16, 144), 3: (27, 125)}[h][slab and above_floor]
+        cfg = SimConfig(n=n, h=h, duration=k + 150, seed=k,
+                        propagation_delay=4, congestion_control=cc,
+                        backend="vector" if slab else "object")
+
+        def build():
+            manager = None
+            if failures:
+                manager = FaultInjector(
+                    n, h, cfg.duration, seed=k, node_mtbf=400,
+                    node_mttr=80, link_mtbf=600, link_mttr=60,
+                ).build_manager()
+            engine = Engine(cfg, failure_manager=manager, workload=(
+                poisson_workload(cfg, ShortFlowDistribution(), 0.3,
+                                 rng=random.Random(k))))
+            engine.enable_digest()
+            return engine
+
+        straight = build()
+        straight.run(k)
+        checkpoint = straight.snapshot()
+        model = checkpoint.state["nodes"]
+        assert straight._in_flight_payload \
+            == model["wire"][:, tables.col("wire", "payload")].sum()
+        if straight._built_nodes is not None:
+            _assert_counters_cached(straight)
+        path = tmp_path_factory.mktemp("ckpt") / "mid.ckpt"
+        save_checkpoint(checkpoint, path)
+        resumed = restore_engine(load_checkpoint(path))
+        # the object model loaded from the tables: counters counted off
+        # them, and every link's visit set exactly the busy nodes
+        _assert_counters_cached(resumed)
+        busy = set(tables.busy_nodes(model))
+        assert all(visit == busy for visit in resumed._visit)
+        for engine in (straight, resumed):
+            engine.run(cfg.duration - k)
+        assert straight.digest.hexdigest() == resumed.digest.hexdigest()
+        assert straight.metrics.summary() == resumed.metrics.summary()
+        assert straight.peak_occupancies() == resumed.peak_occupancies()
 
 
 class TestObserversAcrossRestore:
@@ -365,30 +442,35 @@ HOSTILE = {
     "version-2-pickle-era": (
         lambda parts, sentinel: _sealed(pickle.dumps(
             {"version": 2, "config": _Planted(sentinel), "state": {}})),
-        r"unsupported checkpoint version.*: 2 or earlier \(want 7\)"),
+        r"unsupported checkpoint version.*: 2 or earlier \(want 8\)"),
     # a v3 file's digest value is FNV-1a state: continuing it with the
     # two-level hash would give a digest that matches nothing
     "version-3-fnv-digest": (
         lambda parts, _: _sealed(b"3\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 3 \(want 7\)"),
+        r"unsupported checkpoint version.*: 3 \(want 8\)"),
     # a v4 file's cells carry a twelfth column and its metrics two records
     # no v6 reader has a place for
     "version-4-unread-records": (
         lambda parts, _: _sealed(b"4\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 4 \(want 7\)"),
+        r"unsupported checkpoint version.*: 4 \(want 8\)"),
     # a v5 file keeps the PIEO high-water mark per queue, where a v6
     # reader finds a queue's seq
     "version-5-queue-peaks": (
         lambda parts, _: _sealed(b"5\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 5 \(want 7\)"),
+        r"unsupported checkpoint version.*: 5 \(want 8\)"),
     # a v6 file's cells carry a spray phase and a dummy flag, its queues
     # and ranks a seq, and its wire rows a cell each, bare headers too
     "version-6-dummy-cells": (
         lambda parts, _: _sealed(b"6\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 6 \(want 7\)"),
+        r"unsupported checkpoint version.*: 6 \(want 8\)"),
+    # a v7 file's scalars carry three counters, and it holds a ranks
+    # table, an active set and an in-flight count a v8 reader derives
+    "version-7-stored-counters": (
+        lambda parts, _: _sealed(b"7\n", *parts[2:4]),
+        r"unsupported checkpoint version.*: 7 \(want 8\)"),
     "version-99": (
         lambda parts, _: _sealed(b"99\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 99 \(want 7\)"),
+        r"unsupported checkpoint version.*: 99 \(want 8\)"),
     "flipped-byte": (_flipped, "integrity"),
     "section-overruns-file": (
         _section(2, [10**6, 12]),

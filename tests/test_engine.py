@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.api import simulate
+from repro.core.interleave import two_class_interleave
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
+from repro.sim.multiclass import MultiClassSimulation
 from repro.workloads.generators import (
     incast_workload,
     permutation_workload,
@@ -189,6 +192,68 @@ class TestDummyAndTokens:
         cfg, engine = make_engine(duration=500)
         engine.run()
         assert engine.metrics.cells_sent == 0
+
+
+def _busy_engine(t):
+    """An engine at slot ``t`` with two flows still sending."""
+    cfg, engine = make_engine()
+    engine.schedule_flows([(0, 0, 15, 500, 0), (0, 3, 9, 500, 0)])
+    engine.run(t)
+    return engine
+
+
+def _busy_multiclass(t):
+    inter = two_class_interleave(16, 2, 4, s=0.5, cutoff_cells=50)
+    sim = MultiClassSimulation(inter, SimConfig(n=16, h=2, seed=8),
+                               workload=[(0, 0, 15, 500, 0)])
+    sim.run(t)
+    return sim
+
+
+def _simulate(slots):
+    cfg = SimConfig(n=16, h=2, duration=50, seed=3)
+    return simulate(cfg, single_flow_workload(0, 15, 20), duration=slots)
+
+
+class TestSlotCounts:
+    """Every run loop takes a slot count: an integer >= 0, refused at
+    entry otherwise — ``run(2.5)`` used to run 3 slots, ``run(True)`` 1,
+    and a negative count returned at once with the work undone."""
+
+    @pytest.mark.parametrize("start,call,slots", [
+        (0, lambda sim, k: sim.run(k), 2.5),
+        (0, lambda sim, k: sim.run(k), True),
+        (0, lambda sim, k: sim.run(k), -1),
+        (100, lambda sim, k: sim.run_until_quiescent(k), 2.5),
+        (100, lambda sim, k: sim.run_until_quiescent(k), -1),
+        (None, lambda sim, k: _simulate(k), -10),
+        (None, lambda sim, k: _simulate(k), 1.5),
+        ("mc", lambda sim, k: sim.run(k), 2.5),
+        ("mc", lambda sim, k: sim.run(k), -1),
+        ("mc", lambda sim, k: sim.run_until_quiescent(k), 2.5),
+        ("mc", lambda sim, k: sim.run_until_quiescent(k), -1),
+    ], ids=["run-float", "run-bool", "run-negative", "drain-float",
+            "drain-negative", "simulate-negative", "simulate-float",
+            "multiclass-run-float", "multiclass-run-negative",
+            "multiclass-drain-float", "multiclass-drain-negative"])
+    def test_refused_at_entry(self, start, call, slots):
+        sim = (None if start is None else _busy_multiclass(100)
+               if start == "mc" else _busy_engine(start))
+        t = None if sim is None else sim.t
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            call(sim, slots)
+        assert sim is None or sim.t == t
+
+    def test_zero_is_a_no_op(self):
+        engine = _busy_engine(100)
+        engine.run(0)
+        engine.run_until_quiescent(0)
+        assert engine.t == 100 and engine.flows.active_count == 2
+        sim = _busy_multiclass(100)
+        sim.run(0)
+        sim.run_until_quiescent(0)
+        assert sim.t == 100
+        assert _simulate(0).engine.t == 0
 
 
 class TestQuiescenceDeadline:

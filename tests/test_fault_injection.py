@@ -1,8 +1,12 @@
 """Tests for the stochastic fault injector and the run-health watchdog."""
 
+import math
+
 import pytest
 
-from repro.failures import FailureEvent, FaultInjector, LinkFailureEvent
+from repro.failures import (
+    CorrelatedFaultInjector, FailureEvent, FaultInjector, LinkFailureEvent,
+)
 from repro.failures.manager import FailureManager
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
@@ -87,6 +91,32 @@ class TestFaultInjector:
             FaultInjector(16, 2, 0)
         with pytest.raises(ValueError):
             FaultInjector(16, 2, 1000, node_mtbf=-1)
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: FaultInjector(16, 2, 1000, node_mtbf=math.nan), "node_mtbf"),
+        (lambda: FaultInjector(16, 2, 1000, node_mtbf=1000,
+                               node_mttr=math.nan), "node_mttr"),
+        (lambda: FaultInjector(16, 2, 1000, link_mtbf=math.inf),
+         "link_mtbf"),
+        (lambda: FaultInjector(16, 2, 1000, node_mtbf=100,
+                               node_mttr=math.inf), "node_mttr"),
+        (lambda: CorrelatedFaultInjector(16, 2, 1000, outages=2,
+                                         outage_mttr=math.nan),
+         "outage_mttr"),
+        (lambda: CorrelatedFaultInjector(16, 2, 1000, primary_mtbf=500,
+                                         primary_mttr=math.nan),
+         "primary_mttr"),
+        (lambda: CorrelatedFaultInjector(16, 2, 1000, primary_mtbf=math.nan),
+         "primary_mtbf"),
+    ], ids=["node_mtbf-nan", "node_mttr-nan", "link_mtbf-inf",
+            "node_mttr-inf", "outage_mttr-nan", "primary_mttr-nan",
+            "primary_mtbf-nan"])
+    def test_non_finite_rates_refused(self, make, name):
+        """A nan or infinite MTBF / MTTR is refused at construction,
+        naming the parameter — it used to yield no events, a permanent
+        failure, a ZeroDivisionError or a NaN-to-integer error."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make()
 
     def test_from_config_uses_sim_seed(self):
         cfg = SimConfig(n=16, h=2, duration=20_000, seed=77)

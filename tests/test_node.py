@@ -49,7 +49,7 @@ class TestLinkIndexing:
         assert not any(engine._visit)
         cell = fresh_cell(engine, 1, 9)
         node.enqueue_forward(cell, t=0, phase=1)
-        link, = (i for i, items in enumerate(node._link_items) if items)
+        link, = (i for i, items in enumerate(node.link_queues) if items)
         assert [0 in visit for visit in engine._visit] \
             == [i == link for i in range(len(engine._visit))]
 

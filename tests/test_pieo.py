@@ -91,8 +91,7 @@ class TestCapacity:
         queue = node.link_queues[node.link_index(1, 3)]
         for seq in range(5):
             node.enqueue_forward(Cell(1, dst, seq=seq), t=0, phase=1)
-        for _ in range(5):
-            queue.extract_head()
+        del queue[:]
         node.enqueue_forward(Cell(1, dst, seq=5), t=0, phase=1)
         assert len(queue) == 1
         assert node.max_pieo_occupancy() == 5

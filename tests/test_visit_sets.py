@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.failures import FailureEvent, LinkFailureEvent
 from repro.failures.manager import FailureManager
+from repro.sim import tables
 from repro.sim.backends.vector import VectorBackend
 from repro.sim.checkpoint import restore_engine
 from repro.sim.config import SimConfig
@@ -144,7 +145,7 @@ class TestHandOffs:
     def test_slab_to_object_hand_off_matches_full_scan(self):
         """n=144 hbh+spray steps on the slab until a monitor is attached;
         the object pipeline then runs from the slab's export, whose
-        ``active_ids`` enter every link's set."""
+        busy nodes (``tables.busy_nodes``) enter every link's set."""
         assert 144 >= VectorBackend.TOKEN_SLAB_MIN_N
         cfg = SimConfig(n=144, h=2, duration=10**9, propagation_delay=2,
                         congestion_control="hbh+spray", seed=6,
@@ -212,7 +213,7 @@ class TestRetireOnTheLastSend:
             tx = transmit(node, t, phase, offset)
             calls += 1
             if tx is None and not (
-                node._link_items[phase * node._rm1 + offset - 1]
+                node.link_queues[phase * node._rm1 + offset - 1]
                 or node.local_flows or node.rtx_queue
             ):
                 empty += 1
@@ -335,7 +336,7 @@ class TestMemoryBound:
         epoch = engine.schedule.epoch_length
         engine.run(3 * epoch + cfg.propagation_delay)
         assert not any(engine._visit)
-        assert not len(engine.snapshot().state["nodes"]["active_ids"])
+        assert not tables.busy_nodes(engine.snapshot().state["nodes"])
 
     def test_fresh_engine_lists_only_the_nodes_with_flows(self):
         cfg = SimConfig(n=64, h=2, duration=10**9, propagation_delay=2,
@@ -345,5 +346,5 @@ class TestMemoryBound:
                                        for s in sources])
         engine.step()
         assert set().union(*engine._visit) == set(sources)
-        assert engine.snapshot().state["nodes"]["active_ids"][:, 0] \
-            .tolist() == sources
+        assert tables.busy_nodes(engine.snapshot().state["nodes"]) \
+            == sources
