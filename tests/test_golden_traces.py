@@ -29,6 +29,10 @@ adding a new registered strategy, add a scenario naming it here, run
 ``--record``, and verify the diff only *adds* entries — regenerating must
 never change an existing digest (that is the bit-exactness proof for the
 default strategies).
+
+Targeted scenarios (``TARGETED``) run one mechanism each, on a path the
+scenario x mechanism cross leaves unpinned (the FIFO ablation, RD pulls,
+NDP trims, link-failure reroutes, ...); ``--record`` re-runs them too.
 """
 
 import json
@@ -37,12 +41,14 @@ import sys
 
 import pytest
 
-from repro.failures.manager import FailureEvent, FailureManager
+from repro.failures.manager import (FailureEvent, FailureManager,
+                                    LinkFailureEvent)
 from repro.obs.events import EventLog, RingSink
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.workloads.generators import permutation_workload
+from repro.workloads.distributions import ShortFlowDistribution
+from repro.workloads.generators import permutation_workload, poisson_workload
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_traces.json"
 
@@ -63,6 +69,41 @@ SCENARIOS = {
                         routing="semi_oblivious"),
 }
 
+#: four links of the n=16, h=2 network that fail for good (slot, a, b)
+LINK_FAILURES = ((100, 0, 1), (100, 0, 4), (160, 5, 9), (200, 10, 14))
+
+#: targeted scenarios, one mechanism each, for the paths the cross above
+#: leaves unpinned: priority ranking, RD pulls, NDP trims, shortest-queue
+#: spraying, the FIFO ablation and link-failure reroutes.  name ->
+#: (cc, parameters); ``config`` holds extra SimConfig fields, ``load`` asks
+#: for Poisson short flows instead of a permutation, ``link_failures``
+#: lists links that fail for good
+TARGETED = {
+    "n16_priority_poisson": ("priority", dict(
+        n=16, h=2, seed=4, duration=600, load=0.3)),
+    "n27_rd_pulls": ("rd", dict(
+        n=27, h=3, seed=2, duration=600, size_cells=30,
+        config=dict(initial_window=4, pull_batch=3))),
+    "n16_ndp_trims": ("ndp", dict(
+        n=16, h=2, seed=3, duration=500, size_cells=30,
+        config=dict(ndp_queue_limit=2))),
+    "n16_spray_short": ("spray-short", dict(
+        n=16, h=2, seed=6, duration=500, size_cells=30)),
+    "n16_fifo_t1": ("hop-by-hop", dict(
+        n=16, h=2, seed=1, duration=500, size_cells=30,
+        config=dict(use_fifo_for_hbh=True))),
+    "n16_fifo_t2f1": ("hop-by-hop", dict(
+        n=16, h=2, seed=1, duration=500, size_cells=30,
+        config=dict(use_fifo_for_hbh=True, token_budget=2,
+                    first_hop_token_budget=1))),
+    "n16_linkfail": ("hbh+spray", dict(
+        n=16, h=2, seed=2, duration=600, size_cells=30,
+        link_failures=LINK_FAILURES)),
+    "n16_linkfail_hbh": ("hop-by-hop", dict(
+        n=16, h=2, seed=2, duration=600, size_cells=30,
+        link_failures=LINK_FAILURES)),
+}
+
 
 def run_scenario(cc: str, params: dict) -> dict:
     """Run one golden scenario and return its digest + headline metrics."""
@@ -75,15 +116,22 @@ def run_scenario(cc: str, params: dict) -> dict:
         congestion_control=cc,
         schedule=params.get("schedule", "ebs"),
         routing=params.get("routing", "vlb"),
+        **params.get("config", {}),
     )
-    manager = None
+    events = [LinkFailureEvent(t, a, b)
+              for t, a, b in params.get("link_failures", ())]
     if "fail_node" in params:
-        manager = FailureManager(events=[
+        events += [
             FailureEvent(params["fail_at"], params["fail_node"], failed=True),
             FailureEvent(params["recover_at"], params["fail_node"],
                          failed=False),
-        ])
-    workload = permutation_workload(cfg, params["size_cells"])
+        ]
+    manager = FailureManager(events=events) if events else None
+    if "load" in params:
+        workload = poisson_workload(cfg, ShortFlowDistribution(),
+                                    load=params["load"])
+    else:
+        workload = permutation_workload(cfg, params["size_cells"])
     engine = Engine(cfg, workload=workload, failure_manager=manager)
     digest = engine.enable_digest()
     # full telemetry stack on: the goldens double as the proof that
@@ -128,6 +176,13 @@ def test_golden_trace(cc, scenario):
     )
 
 
+@pytest.mark.parametrize("scenario", sorted(TARGETED))
+def test_targeted_golden_trace(scenario):
+    cc, params = TARGETED[scenario]
+    golden = _load_goldens()[scenario][cc]
+    assert run_scenario(cc, params) == golden, f"{scenario}/{cc} diverged"
+
+
 def test_goldens_cover_all_mechanisms():
     goldens = _load_goldens()
     for scenario in SCENARIOS:
@@ -148,16 +203,18 @@ def _record() -> None:
     goldens = {}
     moved = []
     print("| scenario | cc | old digest | new digest |\n|---|---|---|---|")
-    for scenario, params in SCENARIOS.items():
-        goldens[scenario] = {}
-        for cc in MECHANISMS:
-            new = goldens[scenario][cc] = run_scenario(cc, params)
-            before = old.get(scenario, {}).get(cc, {})
-            print(f"| {scenario} | {cc} | {before.get('digest', '(none)')} "
-                  f"| {new['digest']} |")
-            moved += [(scenario, cc, key, before[key], value)
-                      for key, value in new.items()
-                      if key != "digest" and before.get(key, value) != value]
+    runs = [(scenario, cc, params) for scenario, params in SCENARIOS.items()
+            for cc in MECHANISMS]
+    runs += [(scenario, cc, params)
+             for scenario, (cc, params) in TARGETED.items()]
+    for scenario, cc, params in runs:
+        new = goldens.setdefault(scenario, {})[cc] = run_scenario(cc, params)
+        before = old.get(scenario, {}).get(cc, {})
+        print(f"| {scenario} | {cc} | {before.get('digest', '(none)')} "
+              f"| {new['digest']} |")
+        moved += [(scenario, cc, key, before[key], value)
+                  for key, value in new.items()
+                  if key != "digest" and before.get(key, value) != value]
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
