@@ -7,8 +7,9 @@ of per-node containers holds, then the process's RSS growth and peak.
 The families are the send queues (the per-link lists of cells and the
 per-node views of them; also printed per queue), the control queues, the
 token-return queues, the engine's token intern table, the per-node
-neighbour-to-link index (``_link_of``), and the cells queued or on the
-wire.  A family's figure is the bytes of the objects only it holds
+neighbour tables (``neighbors_flat``, link -> peer) and their inverse
+(``_link_of``, peer -> link), and the cells queued or on the wire.  A
+family's figure is the bytes of the objects only it holds
 (``sys.getsizeof`` over its containers and their members), so it is
 exact and repeats run to run; tracemalloc is not used, because its own
 traces would swell the RSS reading next to it.
@@ -51,7 +52,7 @@ def families(engine) -> dict:
     nodes = engine.nodes
     interned = engine._token_cache
     shared = {id(token) for token in interned.values()}
-    send = control = tokens = index = cells = 0
+    send = control = tokens = neighbours = index = cells = 0
     for node in nodes:
         send += getsizeof(node.link_queues) + getsizeof(node._phase_items) \
             + sum(map(getsizeof, node._phase_items))
@@ -65,6 +66,10 @@ def families(engine) -> dict:
             getsizeof(held) + sum(getsizeof(token) for token in held
                                   if id(token) not in shared)
             for held in node.token_return.values())
+        # a peer id above 256 is an int of its own (CPython caches the
+        # small ones); the index's keys are these same objects
+        neighbours += getsizeof(node.neighbors_flat) + sum(
+            getsizeof(peer) for peer in node.neighbors_flat if peer > 256)
         index += getsizeof(node._link_of)
     # a bare header carries no cell (``tx.cell is None``): nothing to count
     cells += sum(getsizeof(tx.cell) for tx in engine._in_flight
@@ -76,6 +81,7 @@ def families(engine) -> dict:
         "control queues": control,
         "token-return queues": tokens,
         "token intern table": table,
+        "neighbour tables": neighbours,
         "link index (_link_of)": index,
         "cells": cells,
     }

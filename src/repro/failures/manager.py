@@ -595,7 +595,7 @@ class FailureManager:
         """The link to ``neighbor`` died: announce every destination whose
         last valid direct route ran through it."""
         coords = engine.coords
-        p = coords.mismatched_phases(node.node_id, neighbor)[0]
+        p = node.link_to(neighbor) // (coords.r - 1)
         affected_coord = coords.coordinate(neighbor, p)
         nid = node.node_id
         for dest in range(coords.n):
@@ -648,33 +648,21 @@ class FailureManager:
         cells on direct semi-paths via it restart their spraying semi-path;
         cells on spraying hops via it re-spray within the same phase.
         """
-        coords = engine.coords
-        h = coords.h
-        for phase in range(h):
-            mine = coords.coordinate(node.node_id, phase)
-            theirs = coords.coordinate(failed_id, phase)
-            if mine == theirs:
-                continue
-            if coords.with_coordinate(node.node_id, phase, theirs) != failed_id:
-                continue
-            offset = (theirs - mine) % coords.r
-            link = node.link_index(phase, offset)
-            queue = node.link_queues[link]
-            stranded = queue[:]
-            queue.clear()
-            node.total_enqueued -= len(stranded)
-            for cell in stranded:
-                self._respray(engine, node, cell, failed_id, phase, t)
+        link = node.link_to(failed_id)
+        phase = link // (engine.coords.r - 1)
+        queue = node.link_queues[link]
+        stranded = queue[:]
+        queue.clear()
+        node.total_enqueued -= len(stranded)
+        for cell in stranded:
+            self._respray(engine, node, cell, failed_id, phase, t)
 
     def _requeue_direct_cells(self, engine, node, via: int, dest: int,
                               t: int) -> None:
         """A route token invalidated (via, dest): pull the direct cells for
         ``dest`` off the link to ``via`` and re-spray them."""
-        coords = engine.coords
-        p = coords.mismatched_phases(node.node_id, via)[0]
-        offset = (coords.coordinate(via, p) - coords.coordinate(node.node_id, p)) \
-            % coords.r
-        link = node.link_index(p, offset)
+        link = node.link_to(via)
+        p = link // (engine.coords.r - 1)
         queue = node.link_queues[link]
         stranded = [c for c in queue
                     if c.sprays_remaining == 0 and c.dst == dest]

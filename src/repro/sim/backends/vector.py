@@ -818,7 +818,7 @@ class _VectorRun:
         ``randrange(1, r)`` draw each, in batch (= node-id) order, on that
         phase; direct cells take the first phase, from ``esph`` on, whose
         digit differs between receiver and destination
-        (``Node._choose_direct_hop``).
+        (``Node._direct_link``).
         """
         n = self.n
         h = self.h

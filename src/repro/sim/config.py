@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .flows import is_integer_field
+
 __all__ = ["SimConfig", "TimingModel", "PAPER_TIMING"]
 
 
@@ -144,6 +146,14 @@ class SimConfig:
         from ..core.strategies import validate_design
         from .backends import backend_class, default_backend
 
+        # a float would fail mid-run (a slice index, a checkpoint table)
+        for name in ("n", "h", "propagation_delay", "duration",
+                     "token_budget", "first_hop_token_budget",
+                     "tokens_per_header", "ndp_queue_limit", "pull_batch",
+                     "initial_window", "warmup", "metrics_sample_interval"):
+            if not is_integer_field(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         # raises with a registry-aware message for unknown strategy names
         # and a strategy-specific one for infeasible (n, h)
         validate_design(self.schedule, self.routing, self.n, self.h)

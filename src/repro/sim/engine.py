@@ -685,9 +685,9 @@ class Engine:
         """Account a payload cell lost on the wire and heal sender credit.
 
         The sender charged a token for the cell's next-hop bucket when it
-        transmitted (``Node._finish_forward``); the cell will never arrive
-        to return it, so the credit is restored here.  Final-hop cells were
-        never charged.
+        transmitted (the forward scan in ``Node.transmit``); the cell will
+        never arrive to return it, so the credit is restored here.
+        Final-hop cells were never charged.
         """
         self.metrics.on_wire_loss()
         cell = tx.cell

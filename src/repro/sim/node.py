@@ -141,7 +141,6 @@ class Node:
         "uses_spray_short",
         "is_ndp",
         "is_rd_family",
-        "neighbors",
         "link_queues",
         "token_return",
         "ledger",
@@ -212,12 +211,8 @@ class Node:
         #: consult ``_routing.admission_sprays`` per cell.
         self._default_routing = config.routing == "vlb"
 
-        # neighbors[p][k-1] = phase-p neighbour at round-robin offset k
-        self.neighbors: List[List[int]] = [
-            [self.coords.neighbor_at_offset(node_id, p, k) for k in range(1, self.r)]
-            for p in range(self.h)
-        ]
-        #: same table flattened so neighbors_flat[link_index] is the peer
+        #: the peer of each link: neighbors_flat[link_index(p, k)] is the
+        #: phase-p neighbour at round-robin offset k
         self.neighbors_flat = self.coords.neighbor_table(node_id)
         #: the inverse: a neighbour's link index
         self._link_of: Dict[int, int] = {
@@ -353,11 +348,16 @@ class Node:
         for visit in self._visit:
             visit.add(node_id)
 
+    def link_to(self, peer: int) -> Optional[int]:
+        """The index of the link on which this node meets ``peer``; ``None``
+        if ``peer`` is no neighbour."""
+        return self._link_of.get(peer)
+
     def _wake_peer(self, peer: int) -> None:
         """Put this node on the visit set of the link to ``peer``, which
         something (a token, a probe reply) is now owed to; everywhere if
         ``peer`` is no neighbour."""
-        link = self._link_of.get(peer)
+        link = self.link_to(peer)
         if link is None:
             self.wake()
         else:
@@ -390,13 +390,12 @@ class Node:
 
         This is the object pipeline's only TX routine (``run_tx`` calls it
         for every node on the slot's link's visit set) and its hottest
-        function.  The PIEO scan fuses
-        the eligibility test with the next-hop charge — the hit's check just
-        proved the credit exists — and the token-upstream / bucket-release
-        step works on the ledger's and tracker's dicts directly, so a
-        forwarded cell costs one pass over the queue and no method calls.
-        (:meth:`_finish_forward` is that step through the ledger/tracker
-        methods; the FIFO ablation, which never scans, uses it as is.)
+        function.  Under hop-by-hop it holds the one forward rule: the
+        PIEO scan sends the first cell with next-hop credit (the FIFO
+        ablation scans only the head), charging the credit as it finds
+        the hit, and the token-upstream / bucket-release step works on
+        the ledger's and tracker's dicts directly, so a forwarded cell
+        costs one pass over the queue and no method calls.
         """
         link = phase * self._rm1 + offset - 1
         neighbor = self.neighbors_flat[link]
@@ -421,23 +420,17 @@ class Node:
                     cell.sprays_remaining = n - 1
                 cell.prev_hop = node_id
                 cell.hops += 1
-            elif self._fifo_hbh:
-                # FIFO ablation: only the head may be sent; if it lacks
-                # credit the whole queue head-of-line blocks
-                if self._hbh_eligible(items[0], neighbor):
-                    cell = items.pop(0)
-                    self.total_enqueued -= 1
-                    self._finish_forward(cell, neighbor)
             else:
                 # first eligible cell wins: final hops are free, other hops
-                # need next-hop bucket credit (cf. _hbh_eligible); the
-                # _finish_forward charge is fused into the scan — the hit's
-                # eligibility check just guaranteed the credit exists
+                # need next-hop bucket credit, charged as the hit is found.
+                # The FIFO ablation offers only the head: if it lacks
+                # credit the whole queue head-of-line blocks
                 spent = self._spent_map
+                scan = items[:1] if self._fifo_hbh else items
                 if self._budget1:
                     # uniform budget T = T_F = 1: one credit remains exactly
                     # when the (neighbour, bucket) pair has nothing spent
-                    for i, c in enumerate(items):
+                    for i, c in enumerate(scan):
                         dst = c.dst
                         if neighbor == dst:
                             del items[i]
@@ -455,7 +448,7 @@ class Node:
                     is_first = ledger._is_first
                     budget = ledger.budget
                     fh_budget = ledger.first_hop_budget
-                    for i, c in enumerate(items):
+                    for i, c in enumerate(scan):
                         dst = c.dst
                         if neighbor == dst:
                             del items[i]
@@ -470,7 +463,8 @@ class Node:
                             spent[key] = used + 1
                             break
                 if cell is not None:
-                    # rest of _finish_forward: token upstream, bucket release
+                    # token upstream, naming the bucket the cell occupied
+                    # here (paper Fig. 5), and bucket release
                     self.total_enqueued -= 1
                     n = cell.sprays_remaining
                     dst = cell.dst
@@ -579,32 +573,6 @@ class Node:
         ctrl += self._pop_ctrl(self.link_index(phase, offset))
         return Transmission(self.node_id, neighbor, None, tuple(tokens), ctrl)
 
-    def _hbh_eligible(self, cell: Cell, neighbor: int) -> bool:
-        """Hop-by-hop eligibility: final hops are free, others need credit."""
-        if neighbor == cell.dst:
-            return True
-        n = cell.sprays_remaining
-        next_bucket = (cell.dst, n - 1) if n > 0 else (cell.dst, 0)
-        return self.ledger.can_send(neighbor, next_bucket)
-
-    def _finish_forward(self, cell: Cell, neighbor: int) -> None:
-        """Charge tokens, return a token upstream, update the cell header."""
-        n = cell.sprays_remaining
-        if self.uses_hbh:
-            if neighbor != cell.dst:
-                next_bucket = (cell.dst, n - 1) if n > 0 else (cell.dst, 0)
-                self.ledger.charge(neighbor, next_bucket)
-            # Token back to the hop we received this cell from, naming the
-            # bucket the cell occupied here (paper Fig. 5).
-            prev = cell.prev_hop
-            if prev >= 0:
-                self._queue_token(prev, Token(cell.dst, n, TOKEN_REGULAR))
-            self.bucket_tracker.release((cell.dst, n))
-        if n > 0:
-            cell.sprays_remaining = n - 1
-        cell.prev_hop = self.node_id
-        cell.hops += 1
-
     def _admit_local_cell(self, t: int, phase: int, neighbor: int) -> Optional[Cell]:
         """Generate a cell from a local flow (or the NDP retransmit queue)."""
         # Retransmissions first: NDP receivers have explicitly requested them.
@@ -620,11 +588,7 @@ class Node:
         return self._emit_flow_cell(flow, t, phase, neighbor)
 
     def _admit_retransmission(self, t: int, phase: int, neighbor: int) -> Optional[Cell]:
-        flow_id, dst, seq = self.rtx_queue[0]
-        if neighbor == dst and self.h == 1:
-            # fine: spray hop straight to the destination still delivers
-            pass
-        self.rtx_queue.popleft()
+        flow_id, dst, seq = self.rtx_queue.popleft()
         flow = self.engine.flows.get(flow_id)
         size = flow.size_cells if flow is not None else 1
         sprays = self._hm1 if self._default_routing else \
@@ -642,7 +606,6 @@ class Node:
     def _pick_flow(self, t: int, neighbor: int, phase: int = 0) -> Optional[Flow]:
         """Choose which local flow (if any) may emit a cell this slot."""
         candidates = self.local_flows
-        mode = self.mode
         chosen: Optional[Flow] = None
         if self._is_priority:
             best_rank = None
@@ -652,26 +615,11 @@ class Node:
                 rank = flow.arrival + flow.size_cells * self.epoch_length
                 if best_rank is None or rank < best_rank:
                     best_rank, chosen = rank, flow
-        elif mode == "isd":
-            engine = self.engine
-            for flow in candidates:
-                if flow.done_sending:
-                    continue
-                if engine.isd_credit(flow, t):
-                    chosen = flow
-                    break
-        elif self.is_rd_family:
-            window = self.config.initial_window
-            for flow in candidates:
-                if flow.done_sending:
-                    continue
-                if flow.sent < window + flow.credit:
-                    chosen = flow
-                    break
         else:
-            # every remaining mode admits unconditionally
+            # the first unfinished flow the transport admits
             for flow in candidates:
-                if not flow.done_sending:
+                if not flow.done_sending \
+                        and self._transport_eligible(flow, t, neighbor):
                     chosen = flow
                     break
         if chosen is not None and self.uses_hbh:
@@ -704,8 +652,6 @@ class Node:
                     ):
                         chosen = flow
                         break
-        if chosen is not None and chosen.done_sending:
-            return None
         return chosen
 
     def _transport_eligible(self, flow: Flow, t: int, neighbor: int) -> bool:
@@ -892,9 +838,8 @@ class Node:
         """
         n = cell.sprays_remaining
         if n > 0:
-            next_phase = phase
-            # common case of _choose_spray_offset: plain VLB spraying with
-            # nothing to avoid is a single RNG draw
+            # the failure-free cases of _choose_spray_offset, inlined: plain
+            # VLB spraying is a single RNG draw
             if not self.uses_spray_short and not self.failed_neighbors \
                     and not self.known_failed:
                 # randrange(1, r) unrolled onto the raw generator
@@ -907,10 +852,9 @@ class Node:
                 offset = v + 1
             elif self.uses_spray_short and not self.failed_neighbors \
                     and not self.known_failed:
-                # shortest-queue spraying with nothing to avoid, inlined
-                # from _choose_spray_offset's fast path; min/count/index do
-                # the scanning in C
-                lengths = list(map(len, self._phase_items[next_phase]))
+                # shortest-queue spraying: min/count/index do the
+                # scanning in C
+                lengths = list(map(len, self._phase_items[phase]))
                 shortest = min(lengths)
                 count = lengths.count(shortest)
                 if count == 1:
@@ -929,44 +873,26 @@ class Node:
                         v -= 1
                     offset = idx + 1
             else:
-                offset = self._choose_spray_offset(cell, next_phase)
+                offset = self._choose_spray_offset(phase)
                 if offset is None:
                     self.release_upstream(cell)
                     self.engine.drop_cell(cell, t)
                     return
-        elif not self.failed_neighbors and not self.known_failed \
-                and not self.link_invalid:
-            # direct hop with no failure state: _choose_direct_hop's loop
-            # inlined (no reroute/drop possible when the avoid sets are empty)
-            dst = cell.dst
-            h = self.h
-            r = self.r
-            weights = self._weights
-            my_digits = self._my_digits
-            p = phase
-            next_phase = -1
-            for _ in range(h):
-                mine = my_digits[p]
-                want = (dst // weights[p]) % r
-                if mine != want:
-                    next_phase = p
-                    offset = (want - mine) % r
-                    break
-                p += 1
-                if p >= h:
-                    p -= h
-            if next_phase < 0:
-                raise AssertionError(
-                    f"direct-hop cell for {dst} already at destination "
-                    f"{self.node_id}"
-                )
+            link = phase * self._rm1 + offset - 1
         else:
-            hop = self._choose_direct_hop(cell, phase)
-            if hop is None:
-                return  # dropped inside
-            next_phase, offset = hop
-            n = cell.sprays_remaining  # may have been reset by a reroute
-        link = next_phase * self._rm1 + offset - 1
+            link = self._direct_link(cell.dst, phase)
+            if self.failed_neighbors or self.known_failed \
+                    or self.link_invalid:
+                # Appendix A: only a direct hop into a failure reroutes
+                target = self.neighbors_flat[link]
+                if target in self.failed_neighbors \
+                        or target in self.known_failed \
+                        or (target, cell.dst) in self.link_invalid:
+                    link = self._reroute_around_failure(
+                        cell, target, link // self._rm1)
+                    if link is None:
+                        return  # dropped inside
+                    n = cell.sprays_remaining
         items = self.link_queues[link]
         if self.is_ndp and len(items) >= self.config.ndp_queue_limit:
             self._trim(cell, t)
@@ -1005,84 +931,50 @@ class Node:
         if length > metrics.max_queue_length:
             metrics.max_queue_length = length
 
-    def _choose_spray_offset(self, cell: Cell, phase: int) -> Optional[int]:
-        """Pick the spraying next hop: random, or shortest-queue (spray-short)."""
-        neighbors = self.neighbors[phase]
-        avoid = self.failed_neighbors or self.known_failed
+    def _choose_spray_offset(self, phase: int) -> Optional[int]:
+        """Pick the spraying next hop among the phase's neighbours not known
+        to be down: random, or shortest-queue (spray-short).  ``None`` when
+        every one is down."""
         base = phase * self._rm1
-        if self.uses_spray_short:
-            queues = self.link_queues
-            best_offsets: List[int] = []
-            best_len = None
-            if not avoid:
-                # fast path: every neighbour is a candidate
-                for i in range(self._rm1):
-                    length = len(queues[base + i])
-                    if best_len is None or length < best_len:
-                        best_len = length
-                        best_offsets = [i + 1]
-                    elif length == best_len:
-                        best_offsets.append(i + 1)
-            else:
-                for i, nb in enumerate(neighbors):
-                    if nb in self.failed_neighbors or nb in self.known_failed:
-                        continue
-                    length = len(queues[base + i])
-                    if best_len is None or length < best_len:
-                        best_len = length
-                        best_offsets = [i + 1]
-                    elif length == best_len:
-                        best_offsets.append(i + 1)
-            if not best_offsets:
-                return None
-            if len(best_offsets) == 1:
-                return best_offsets[0]
-            return best_offsets[self._randrange(len(best_offsets))]
-        if not avoid:
-            return self._randrange(1, self.r)
+        failed, unreachable = self.failed_neighbors, self.known_failed
         options = [
-            i + 1
-            for i, nb in enumerate(neighbors)
-            if nb not in self.failed_neighbors and nb not in self.known_failed
+            offset for offset, nb in enumerate(
+                self.neighbors_flat[base:base + self._rm1], 1)
+            if nb not in failed and nb not in unreachable
         ]
         if not options:
             return None
+        if self.uses_spray_short:
+            queues = self.link_queues
+            lengths = [len(queues[base + offset - 1]) for offset in options]
+            shortest = min(lengths)
+            options = [offset for offset, length in zip(options, lengths)
+                       if length == shortest]
+            if len(options) == 1:
+                return options[0]
         return options[self._randrange(len(options))]
 
-    def _choose_direct_hop(self, cell: Cell, start_phase: int) -> Optional[Tuple[int, int]]:
-        """Pick the next direct hop phase/offset, handling failed routes.
-
-        Scans phases cyclically starting at ``start_phase`` (the phase after
-        the previous hop's wire phase).  Returns ``None`` when the cell was
-        dropped instead.
-        """
-        dst = cell.dst
+    def _direct_link(self, dst: int, phase: int) -> int:
+        """The link of the direct hop toward ``dst``: it fixes the first
+        coordinate, counting cyclically from ``phase``, in which this node
+        differs from ``dst`` (the EBS direct semi-path)."""
         h = self.h
         r = self.r
         weights = self._weights
         my_digits = self._my_digits
-        for i in range(h):
-            p = start_phase + i
-            if p >= h:
-                p -= h
+        p = phase
+        for _ in range(h):
             mine = my_digits[p]
-            weight = weights[p]
-            want = (dst // weight) % r
-            if mine == want:
-                continue
-            target = self.node_id + (want - mine) * weight
-            if (
-                (self.failed_neighbors and target in self.failed_neighbors)
-                or (self.known_failed and target in self.known_failed)
-                or (self.link_invalid and (target, dst) in self.link_invalid)
-            ):
-                return self._reroute_around_failure(cell, target, p)
-            return p, (want - mine) % r
+            want = (dst // weights[p]) % r
+            if mine != want:
+                return p * self._rm1 + (want - mine) % r - 1
+            p += 1
+            if p >= h:
+                p = 0
         # all coordinates already match: this IS the destination — but then
         # receive() would have delivered it.  Treat as corrupt state.
         raise AssertionError(
-            f"direct-hop cell for {dst} already at destination {self.node_id}"
-        )
+            f"direct hop for {dst} already at destination {self.node_id}")
 
     def release_upstream(self, cell: Cell) -> None:
         """Return the upstream hop's token when a cell leaves its bucket
@@ -1105,10 +997,11 @@ class Node:
             )
         cell.prev_hop = -1
 
-    def _reroute_around_failure(
-        self, cell: Cell, failed_target: int, phase: int
-    ) -> Optional[Tuple[int, int]]:
-        """Appendix A: direct hops through failures reset to fresh sprays."""
+    def _reroute_around_failure(self, cell: Cell, failed_target: int,
+                                phase: int) -> Optional[int]:
+        """Appendix A: a direct hop through a failure resets the cell to
+        fresh sprays; returns the link of its first, or ``None`` when the
+        cell was dropped instead."""
         self.release_upstream(cell)
         if self.engine.tracer is not None:
             self.engine.tracer.on_reroute(cell)
@@ -1118,12 +1011,12 @@ class Node:
         # Reset to the first spraying hop: the cell will take h spray hops
         # from here (its bucket index at this node becomes h transiently).
         cell.sprays_remaining = self.h
-        next_phase = (phase + 1) % self.h if self.h > 1 else phase
-        offset = self._choose_spray_offset(cell, next_phase)
+        next_phase = (phase + 1) % self.h
+        offset = self._choose_spray_offset(next_phase)
         if offset is None:
             self.engine.drop_cell(cell, self.engine.t)
             return None
-        return next_phase, offset
+        return next_phase * self._rm1 + offset - 1
 
     # ------------------------------------------------------------------ #
     # control-message handling (RD / NDP)
@@ -1142,25 +1035,13 @@ class Node:
             self._consume_ctrl(msg, t)
             return
         n = msg.sprays_remaining
+        phase = (arrival_phase + 1) % self.h
         if n > 0:
             msg.sprays_remaining = n - 1
-            phase = (arrival_phase + 1) % self.h
-            offset = self.rng.randrange(1, self.r)
+            link = self.link_index(phase, self.rng.randrange(1, self.r))
         else:
-            coords = self.coords
-            phase = offset = None
-            for i in range(1, self.h + 1):
-                p = (arrival_phase + i) % self.h
-                mine = coords.coordinate(self.node_id, p)
-                want = coords.coordinate(msg.dst, p)
-                if mine != want:
-                    phase, offset = p, (want - mine) % self.r
-                    break
-            if phase is None:
-                # already at destination coordinates — consume defensively
-                self._consume_ctrl(msg, t)
-                return
-        self._queue_ctrl(self.link_index(phase, offset), msg)
+            link = self._direct_link(msg.dst, phase)
+        self._queue_ctrl(link, msg)
 
     def _consume_ctrl(self, msg: ControlMessage, t: int) -> None:
         if msg.kind == CTRL_PROBE:

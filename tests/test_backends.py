@@ -832,7 +832,7 @@ class TestSlabTables:
                                      (81, 4)])
     def test_next_hop_is_the_nodes_own(self, n, h):
         """Every (hint, receiver, dst) the slab can route — one direct
-        cell each — takes ``Node._choose_direct_hop``'s hop."""
+        cell each — takes ``Node._direct_link``'s hop."""
         engine = Engine(SimConfig(n=n, h=h, backend="vector"))
         run = vector_mod._VectorRun(
             engine, vector_mod._SlabTables(engine.schedule, engine.coords))
@@ -848,11 +848,8 @@ class TestSlabTables:
         for hint in range(h):
             link = run._next_hops(
                 fc, rv, dd, np.zeros(rv.size, dtype=bool), hint)
-            expected = [
-                nodes[i].link_index(*nodes[i]._choose_direct_hop(
-                    Cell(i, d), hint))
-                for i, d in zip(rv.tolist(), dd.tolist())
-            ]
+            expected = [nodes[i]._direct_link(d, hint)
+                        for i, d in zip(rv.tolist(), dd.tolist())]
             assert link.tolist() == expected, hint
 
     def test_tables_are_linear_in_n(self):

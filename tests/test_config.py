@@ -1,5 +1,6 @@
 """Unit tests for simulation configuration and the timing model."""
 
+import numpy as np
 import pytest
 
 from repro.sim.config import PAPER_TIMING, SimConfig, TimingModel
@@ -79,6 +80,33 @@ class TestSimConfig:
         construction, not found mid-run."""
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 16.0),
+        ("h", 2.0),
+        ("propagation_delay", 1.5),   # a checkpoint's wire table is float
+        ("propagation_delay", True),
+        ("duration", 100.5),
+        ("token_budget", 1.5),
+        ("first_hop_token_budget", 1.5),
+        ("tokens_per_header", 2.5),   # slice indices must be integers
+        ("ndp_queue_limit", 1.5),
+        ("pull_batch", 2.5),
+        ("initial_window", 4.5),
+        ("warmup", 2.5),
+        ("metrics_sample_interval", 2.5),
+    ])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        """Every integer field refuses a float or a bool by name, at
+        construction instead of mid-run."""
+        config = {"n": 16, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**config)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = SimConfig(n=np.int64(16), h=np.int32(2),
+                           duration=np.int64(100))
+        assert config.n == 16 and config.duration == 100
 
     def test_infinite_isd_rate_is_uncapped(self):
         assert SimConfig(isd_rate_factor=float("inf")).isd_rate_factor \

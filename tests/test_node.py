@@ -40,7 +40,7 @@ class TestLinkIndexing:
         node = engine.nodes[5]
         for p in range(2):
             for k in range(1, 4):
-                assert node.neighbors[p][k - 1] == \
+                assert node.neighbors_flat[node.link_index(p, k)] == \
                     engine.coords.neighbor_at_offset(5, p, k)
 
     def test_enqueue_wakes_only_its_link(self):
@@ -119,7 +119,7 @@ class TestTxPath:
         assert tx is not None
         assert tx.cell.dst == 9
         assert tx.cell.sprays_remaining == engine.coords.h - 1
-        assert tx.receiver == node.neighbors[0][0]
+        assert tx.receiver == node.neighbors_flat[node.link_index(0, 1)]
         assert flow.sent == 1
 
     def test_forwarded_cells_take_priority_over_local(self):
@@ -139,7 +139,7 @@ class TestTxPath:
     def test_token_return_rides_dummy(self):
         engine = make_engine(cc="hop-by-hop")
         node = engine.nodes[0]
-        neighbor = node.neighbors[0][0]
+        neighbor = node.neighbors_flat[node.link_index(0, 1)]
         node._queue_token(neighbor, Token(9, 0, TOKEN_REGULAR))
         tx = node.transmit(0, 0, 1)
         assert tx is not None
@@ -150,7 +150,7 @@ class TestTxPath:
     def test_tokens_capped_per_header(self):
         engine = make_engine(cc="hop-by-hop", tokens_per_header=2)
         node = engine.nodes[0]
-        neighbor = node.neighbors[0][0]
+        neighbor = node.neighbors_flat[node.link_index(0, 1)]
         for i in range(5):
             node._queue_token(neighbor, Token(i + 1, 0, TOKEN_REGULAR))
         tx = node.transmit(0, 0, 1)
@@ -171,7 +171,7 @@ class TestTxPath:
         node = engine.nodes[0]
         flow = engine.flows.new_flow(0, 9, size_cells=10, arrival=0)
         node.add_flow(flow)
-        neighbor = node.neighbors[0][0]
+        neighbor = node.neighbors_flat[node.link_index(0, 1)]
         # exhaust the first-hop budget toward this neighbour
         node.ledger.charge(neighbor, (9, 1), first_hop=True)
         tx = node.transmit(0, 0, 1)
@@ -241,7 +241,8 @@ class TestTxPath:
     def test_token_backlog_within_limit_leaves_in_one_header(self):
         engine = make_engine(cc="hop-by-hop", tokens_per_header=3)
         node = engine.nodes[0]
-        neighbor, other = node.neighbors[0][0], node.neighbors[0][1]
+        neighbor = node.neighbors_flat[node.link_index(0, 1)]
+        other = node.neighbors_flat[node.link_index(0, 2)]
         for i in range(3):
             node._queue_token(neighbor, Token(i + 1, 0, TOKEN_REGULAR))
         for i in range(2):
@@ -266,7 +267,8 @@ class TestTxPath:
         engine._tx_pool.append(stale)
         tx = node.transmit(0, 0, 1)
         assert tx is stale and not engine._tx_pool
-        assert (tx.sender, tx.receiver) == (0, node.neighbors[0][0])
+        assert (tx.sender, tx.receiver) == \
+            (0, node.neighbors_flat[node.link_index(0, 1)])
         assert tx.cell is not None and tx.cell.dst == 9
         assert tx.tokens == () and tx.ctrl == ()
 

@@ -1,6 +1,8 @@
 """Unit tests for the PIEO queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cell import Cell
 from repro.sim.config import SimConfig
@@ -131,3 +133,68 @@ class TestRemoval:
         assert not eligible(q.peek_head())
         # PIEO view: the eligible cell still goes out
         assert q.extract_first_eligible(eligible) == ("bucket-B", "cell2")
+
+
+class TestNodeSendQueueOracle:
+    """``PieoQueue`` is the oracle for a node's send queue: the node keeps
+    the same order under priority ranking, and under hop-by-hop sends the
+    PIEO's first eligible cell (the FIFO ablation: the head, if eligible).
+    n=16, h=2 from node 0; node 4 is its neighbour on link 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 8)),
+                    max_size=25))
+    def test_priority_order_is_pieo_order(self, cells):
+        engine = Engine(SimConfig(n=16, h=2, congestion_control="priority"))
+        node = engine.nodes[0]
+        epoch = engine.schedule.epoch_length
+        oracle = PieoQueue()
+        for i, (created, size) in enumerate(cells):
+            cell = Cell(1, 5, i, 0, 0, created, size)
+            node.enqueue_forward(cell, created, 0)
+            oracle.push(cell, rank=created + size * epoch)
+        queues = [items for items in node.link_queues if items]
+        assert len(queues) == (1 if cells else 0)
+        assert [id(c) for c in (queues[0] if cells else [])] == \
+            [id(c) for c in oracle]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.sampled_from([4, 5, 6, 9]),
+                                 st.integers(0, 1)), min_size=1, max_size=12),
+        charges=st.lists(st.tuples(st.sampled_from([5, 6, 9]),
+                                   st.integers(0, 1), st.booleans()),
+                         max_size=12),
+        budgets=st.sampled_from([(1, 1), (2, 2), (1, 3), (2, 1)]),
+        fifo=st.booleans(),
+    )
+    def test_hop_by_hop_sends_the_first_eligible(self, cells, charges,
+                                                 budgets, fifo):
+        budget, first_hop = budgets
+        engine = Engine(SimConfig(
+            n=16, h=2, congestion_control="hop-by-hop", token_budget=budget,
+            first_hop_token_budget=first_hop, use_fifo_for_hbh=fifo))
+        node = engine.nodes[0]
+        neighbor = node.neighbors_flat[0]
+        ledger = node.ledger
+        for dst, sprays, is_first in charges:
+            if ledger.can_send(neighbor, (dst, sprays), first_hop=is_first):
+                ledger.charge(neighbor, (dst, sprays), first_hop=is_first)
+        oracle = PieoQueue()
+        for i, (dst, sprays) in enumerate(cells):
+            cell = Cell(1, dst, i, 0, sprays, 0, 1)
+            node.link_queues[0].append(cell)
+            oracle.push(cell)
+        node.total_enqueued = len(cells)
+
+        def eligible(cell):
+            return cell.dst == neighbor or ledger.can_send(
+                neighbor, (cell.dst, max(cell.sprays_remaining - 1, 0)))
+
+        head = oracle.peek_head()
+        if fifo:
+            expected = head if eligible(head) else None
+        else:
+            expected = oracle.first_eligible(eligible)
+        tx = node.transmit(0, 0, 1)
+        assert (tx.cell if tx is not None else None) is expected
