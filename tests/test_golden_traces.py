@@ -105,8 +105,8 @@ TARGETED = {
 }
 
 
-def run_scenario(cc: str, params: dict) -> dict:
-    """Run one golden scenario and return its digest + headline metrics."""
+def build_scenario(cc: str, params: dict) -> Engine:
+    """The engine of one golden scenario, built and not yet run."""
     cfg = SimConfig(
         n=params["n"],
         h=params["h"],
@@ -132,7 +132,12 @@ def run_scenario(cc: str, params: dict) -> dict:
                                     load=params["load"])
     else:
         workload = permutation_workload(cfg, params["size_cells"])
-    engine = Engine(cfg, workload=workload, failure_manager=manager)
+    return Engine(cfg, workload=workload, failure_manager=manager)
+
+
+def run_scenario(cc: str, params: dict) -> dict:
+    """Run one golden scenario and return its digest + headline metrics."""
+    engine = build_scenario(cc, params)
     digest = engine.enable_digest()
     # full telemetry stack on: the goldens double as the proof that
     # observation never perturbs simulated behavior
@@ -141,7 +146,7 @@ def run_scenario(cc: str, params: dict) -> dict:
     log.add_sink(RingSink())
     log.attach(engine)
     engine.enable_profiler()
-    engine.run(cfg.duration)
+    engine.run()
     fcts = [record.fct for record in engine.flows.completed]
     return {
         "digest": digest.hexdigest(),
