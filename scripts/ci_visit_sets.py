@@ -8,8 +8,9 @@ visit set.  This script runs that session shape in process twice — n=64,
 hbh+spray, a diurnal ``OpenLoopSource`` with the benchmark's two tenants,
 telemetry on, 40 quanta of 256 slots — once on the visit sets and once
 with ``force_full_scan`` (every live node offered every slot), asserts the
-digests, the telemetry rows and ``metrics.summary()`` (which carries
-``max_pieo_length``, no telemetry column does) are identical, and prints
+digests, the telemetry rows and ``metrics.summary()`` (which carries the
+run's high-water marks, ``max_queue_length`` and ``max_active_buckets``;
+no telemetry column does) are identical, and prints
 both wall times.  A second, untimed pass of each counts ``Node.transmit``
 calls and the ``None`` they return, printed per slot so the visit count
 is on record per commit.

@@ -41,6 +41,7 @@ from typing import Any, Dict, Iterable, Optional
 
 from .service.session import Session, _wire_observers
 from .sim.checkpoint import (
+    check_interval,
     load_checkpoint_or_none,
     remove_checkpoint,
     restore_engine,
@@ -177,6 +178,8 @@ def simulate(
     """
     if duration is not None:
         check_slots(duration, "duration")
+    if checkpoint_every is not None:
+        check_interval(checkpoint_every, "checkpoint_every")
     resumed_from = None
     engine = None
     if checkpoint is not None:

@@ -155,23 +155,21 @@ class ActiveBucketTracker:
     """Tracks how many buckets are *active* at a node (paper Section 4.2).
 
     A bucket is active while it has enqueued cells or outstanding tokens.
-    The FPGA prototype only allocates storage for ``A`` active buckets; this
-    tracker measures the high-water mark of ``A`` needed, which feeds the
-    hardware memory model (Fig. 7) and the scalability experiment (Fig. 13).
+    The FPGA prototype only allocates storage for ``A`` active buckets; the
+    run's high-water mark of ``len(tracker)`` over every node
+    (``MetricsCollector.max_active_buckets``, raised where a bucket turns
+    active) feeds the hardware memory model (Fig. 7) and the scalability
+    experiment (Fig. 13).
     """
 
-    __slots__ = ("_refcount", "peak")
+    __slots__ = ("_refcount",)
 
     def __init__(self) -> None:
         self._refcount: Dict[BucketId, int] = {}
-        self.peak = 0
 
     def acquire(self, bucket: BucketId) -> None:
         """Record one more cell/token referencing ``bucket``."""
-        count = self._refcount.get(bucket, 0) + 1
-        self._refcount[bucket] = count
-        if count == 1 and len(self._refcount) > self.peak:
-            self.peak = len(self._refcount)
+        self._refcount[bucket] = self._refcount.get(bucket, 0) + 1
 
     def release(self, bucket: BucketId) -> None:
         """Drop one reference; bucket goes inactive at zero."""
@@ -183,16 +181,15 @@ class ActiveBucketTracker:
 
     def state(self) -> list:
         """``(dest, sprays, count)`` rows, sorted (the tracker's rows of the
-        plain model; :attr:`peak` rides in the per-node table)."""
+        plain model)."""
         return [(*bucket, count)
                 for bucket, count in sorted(self._refcount.items())]
 
-    def load_state(self, rows, peak: int) -> None:
+    def load_state(self, rows) -> None:
         """Restore :meth:`state` rows in place (the dict is aliased)."""
         self._refcount.clear()
         self._refcount.update(
             ((dest, sprays), count) for dest, sprays, count in rows)
-        self.peak = peak
 
     def __len__(self) -> int:
         """Number of currently active buckets."""

@@ -69,6 +69,7 @@ import pathlib
 import sys
 import time
 import traceback
+from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import ALL_EXPERIMENTS
@@ -326,11 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.paper_scale:
         overrides.setdefault("paper_scale", True)
 
-    if args.cell_retries is not None:
-        from ..sim.parallel import set_default_cell_retries
-
-        set_default_cell_retries(args.cell_retries)
-
     if args.workers is not None:
         workers = args.workers
     else:
@@ -338,60 +334,49 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         workers = default_workers()
 
-    cache = None
-    previous_cache = None
-    cache_dir = args.cache or os.environ.get("REPRO_CACHE") or None
-    if cache_dir:
-        from ..sim.cellcache import CellCache, set_default_cache
+    # every ambient default main() installs is restored on the way out,
+    # also when a later one refuses its value
+    with ExitStack() as restore:
+        if args.cell_retries is not None:
+            from ..sim.parallel import set_default_cell_retries
 
-        cache = CellCache(cache_dir)
-        previous_cache = set_default_cache(cache)
+            restore.callback(set_default_cell_retries,
+                             set_default_cell_retries(args.cell_retries))
 
-    previous_backend = None
-    if args.backend is not None:
-        from ..sim.backends import set_default_backend
+        cache = None
+        cache_dir = args.cache or os.environ.get("REPRO_CACHE") or None
+        if cache_dir:
+            from ..sim.cellcache import CellCache, set_default_cache
 
-        # validates the name up front; forked sweep workers inherit the
-        # module-level default, and it lands in every resolved SimConfig
-        # (hence in cell-cache keys and checkpoint validation)
-        previous_backend = set_default_backend(args.backend)
+            cache = CellCache(cache_dir)
+            restore.callback(set_default_cache, set_default_cache(cache))
 
-    previous_shards = None
-    if args.shards is not None:
-        from ..sim.backends import set_default_shards
-
-        # validates up front; shard-pool workers are spawned lazily by the
-        # backend, so setting the module default is all the wiring needed
-        previous_shards = set_default_shards(args.shards)
-
-    policy = None
-    previous_policy = None
-    if args.checkpoint_dir is not None:
-        from ..sim.checkpoint import CheckpointPolicy, set_default_policy
-
-        policy = CheckpointPolicy(args.checkpoint_dir,
-                                  every=args.checkpoint_every)
-        previous_policy = set_default_policy(policy)
-
-    try:
-        return _run_all(names, overrides, workers, cache, args)
-    finally:
-        if cache is not None:
-            from ..sim.cellcache import set_default_cache
-
-            set_default_cache(previous_cache)
-        if policy is not None:
-            from ..sim.checkpoint import set_default_policy
-
-            set_default_policy(previous_policy)
-        if previous_backend is not None:
+        if args.backend is not None:
             from ..sim.backends import set_default_backend
 
-            set_default_backend(previous_backend)
-        if previous_shards is not None:
+            # validates the name up front; forked sweep workers inherit the
+            # module-level default, and it lands in every resolved
+            # SimConfig (hence in cell-cache keys and checkpoint validation)
+            restore.callback(set_default_backend,
+                             set_default_backend(args.backend))
+
+        if args.shards is not None:
             from ..sim.backends import set_default_shards
 
-            set_default_shards(previous_shards)
+            # validates up front; shard-pool workers are spawned lazily by
+            # the backend, so setting the module default is all the wiring
+            # needed
+            restore.callback(set_default_shards,
+                             set_default_shards(args.shards))
+
+        if args.checkpoint_dir is not None:
+            from ..sim.checkpoint import CheckpointPolicy, set_default_policy
+
+            policy = CheckpointPolicy(args.checkpoint_dir,
+                                      every=args.checkpoint_every)
+            restore.callback(set_default_policy, set_default_policy(policy))
+
+        return _run_all(names, overrides, workers, cache, args)
 
 
 def _run_all(names: List[str], overrides: Dict[str, Any], workers: int,

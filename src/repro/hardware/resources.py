@@ -25,9 +25,10 @@ class ResourceObservation:
     Attributes:
         n, h: network parameters.
         max_active_buckets: peak number of simultaneously active buckets at
-            any node.
-        max_pieo_length: peak occupancy of any PIEO queue.
-        max_buffer_occupancy: peak total cells buffered at any node.
+            any node (exact).
+        max_pieo_length: peak occupancy of any PIEO queue (exact).
+        max_buffer_occupancy: peak total cells buffered at any node, at the
+            sample windows.
     """
 
     n: int
@@ -38,18 +39,15 @@ class ResourceObservation:
 
 
 def observe_resources(engine: Engine) -> ResourceObservation:
-    """Extract peak hardware-relevant occupancies from a finished run."""
-    max_active, max_pieo, max_buffer = engine.peak_occupancies()
-    # metrics track sampled maxima too; take the larger of the two views
-    max_active = max(max_active, engine.metrics.max_active_buckets)
-    max_pieo = max(max_pieo, engine.metrics.max_pieo_length)
-    max_buffer = max(max_buffer, engine.metrics.max_buffer_occupancy)
+    """Extract peak hardware-relevant occupancies from a finished run:
+    the run's high-water marks, as its metrics record them."""
+    metrics = engine.metrics
     return ResourceObservation(
         n=engine.config.n,
         h=engine.config.h,
-        max_active_buckets=max_active,
-        max_pieo_length=max_pieo,
-        max_buffer_occupancy=max_buffer,
+        max_active_buckets=metrics.max_active_buckets,
+        max_pieo_length=metrics.max_queue_length,
+        max_buffer_occupancy=metrics.max_buffer_occupancy,
     )
 
 

@@ -36,6 +36,8 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from ..sim.engine import check_slots
+from ..sim.flows import is_integer_field
 from ..workloads.streaming import (
     OpenLoopSource,
     TenantProfile,
@@ -83,8 +85,11 @@ class ServiceServer:
         quantum: int = 256,
         max_slots: Optional[int] = None,
     ):
-        if quantum <= 0:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
+        if not is_integer_field(quantum) or quantum < 1:
+            raise ValueError(
+                f"quantum must be an integer >= 1, got {quantum!r}")
+        if max_slots is not None:
+            check_slots(max_slots, "max_slots")
         self.session = session
         self.host = host
         self._requested_port = port

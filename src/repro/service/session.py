@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..sim.checkpoint import (
+    check_interval,
     load_checkpoint_or_none,
     remove_checkpoint,
     save_checkpoint,
@@ -141,12 +142,9 @@ class Session:
         self.config = config
         self.source = source
         self.checkpoint_path = checkpoint
-        self.checkpoint_every = (100_000 if checkpoint_every is None
-                                 else checkpoint_every)
-        if self.checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint interval must be >= 1, got {checkpoint_every}"
-            )
+        self.checkpoint_every = check_interval(
+            100_000 if checkpoint_every is None else checkpoint_every,
+            "checkpoint_every")
         self.resumed_from: Optional[int] = None
         self.closed = False
 

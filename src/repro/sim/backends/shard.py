@@ -232,7 +232,6 @@ class _WorkerRun(_VectorRun):
             self._put_cols(np.arange(nid, nid + m), qcols)
         # the per-queue linked lists over the consecutive rows
         self._thread_queues(nid, counts.reshape(-1), np.arange(lo, hi))
-        self.pieo_peak[lo:hi] = queues["peaks"]
         nid += m
         self.q_cells = m
         # the initial wire: one pre-split sub-batch per arrival slot
@@ -508,7 +507,6 @@ class _WorkerRun(_VectorRun):
             "icum": self.m_inj,
             "scum": self.m_sent,
             "net": self.m_sent - self.m_arr,
-            "pk": int(self.pieo_peak[lo:hi].max()) if q.size else 0,
             "buf": q.sum(axis=0),
             "qnz": qt[qt > 0],
         })
@@ -651,7 +649,6 @@ class _WorkerRun(_VectorRun):
         return {
             "queues": {
                 "counts": self.q_len[:, lo:hi].T.copy(),
-                "peaks": self.pieo_peak[lo:hi].copy(),
                 "cols": self._cols(queued),
             },
             "cursor": {
@@ -866,7 +863,6 @@ class ShardBackend(EngineBackend):
         cursors = []
         for lo, hi in ranges:
             counts = np.zeros((hi - lo, L), dtype=np.int64)
-            peaks = np.zeros(hi - lo, dtype=np.int64)
             rows: List[tuple] = []
             has = np.zeros(hi - lo, dtype=bool)
             cfid = np.zeros(hi - lo, dtype=np.int64)
@@ -876,7 +872,6 @@ class ShardBackend(EngineBackend):
             waitlists = []
             for li in range(hi - lo):
                 node = engine.nodes[lo + li]
-                peaks[li] = node._pieo_peak
                 for l, items in enumerate(node.link_queues):
                     counts[li, l] = len(items)
                     rows.extend(map(Cell.state, items))
@@ -898,7 +893,6 @@ class ShardBackend(EngineBackend):
                 waitlists.append(wl)
             queues.append({
                 "counts": counts,
-                "peaks": peaks,
                 "cols": (
                     np.array(rows, dtype=np.int64).T if rows
                     else np.empty((_CELL_COLS, 0), dtype=np.int64)
@@ -1084,14 +1078,13 @@ class ShardBackend(EngineBackend):
                 t,
                 np.concatenate([r["buf"] for r in rows]),
                 np.concatenate([r["qnz"] for r in rows]),
-                pieo_peak=max(r["pk"] for r in rows),
                 active_buckets=0,  # workers step cc=none only: no buckets
             )
-        # final counters and maxima.  The buffer/PIEO maxima come only
-        # from the replayed (valid) windows above — worker-side cumulative
-        # peaks may include overrun slots past the quiescent stop —
-        # while max_queue_length is enqueue-driven and overrun slots
-        # provably enqueue nothing, so the worker cums are exact.
+        # final counters and the queue maximum.  The buffer maximum comes
+        # only from the replayed (valid) windows above, while
+        # max_queue_length is enqueue-driven and overrun slots past the
+        # quiescent stop provably enqueue nothing, so the worker cums are
+        # exact.
         finals = [r["final"] for r in results]
         set_counters(finals)
         maxq = max(init["maxq"], max(f["maxq"] for f in finals))
@@ -1110,7 +1103,6 @@ class ShardBackend(EngineBackend):
             q = res["queues"]
             made = _cells_from_cols(q["cols"])
             counts = q["counts"].tolist()
-            peaks = q["peaks"].tolist()
             cur = res["cursor"]
             has_l = cur["has"].tolist()
             fid_l = cur["fid"].tolist()
@@ -1122,7 +1114,7 @@ class ShardBackend(EngineBackend):
                 for cnt in counts[li]:
                     per_link.append(made[pos:pos + cnt])
                     pos += cnt
-                node.absorb_shard_state(per_link, peaks[li])
+                node.absorb_shard_state(per_link)
                 local = []
                 if has_l[li]:
                     flow = flows._active[fid_l[li]]

@@ -34,7 +34,6 @@ from typing import Dict, List
 import numpy as np
 
 from ...core.header import TOKEN_REGULAR
-from .. import tables
 from .vector import _HEADERS, _Decline, _VectorRun
 
 __all__ = ["TokenRun"]
@@ -72,7 +71,6 @@ class TokenRun(_VectorRun):
         # active-bucket tracker: ref[node * nh + dst * h + sprays]
         self.tr_ref = np.zeros(n * self.nh, dtype=np.int32)
         self.tr_active = np.zeros(n, dtype=np.int64)
-        self.tr_peak = np.zeros(n, dtype=np.int64)
         # token-return rings, one per queue index ``link * n + node``
         self.tq_cap = self.RING_SLOTS
         self.tq = np.zeros((self.Ln, self.tq_cap), dtype=np.int64)
@@ -143,7 +141,6 @@ class TokenRun(_VectorRun):
         holder, dst, sprays, count = model["tracker"].T
         self.tr_ref[holder * nh + dst * h + sprays] = count
         self.tr_active[:] = np.bincount(holder, minlength=n)
-        self.tr_peak[:] = model["scalars"][:, tables.col("scalars", "tracker_peak")]
         holder, nb, *token = model["tokens"].T
         if holder.size:
             q = self._link_between(holder, nb) * n + holder
@@ -230,8 +227,6 @@ class TokenRun(_VectorRun):
             codes[np.arange(self.tq_cap) < held[:, None]],
             np.repeat(used % n, held), np.repeat(nb, held),
         )
-        peak = tables.col("scalars", "tracker_peak")
-        model["scalars"][:, peak] = self.tr_peak
         return model
 
     # ------------------------------------------------------------------ #
@@ -268,9 +263,6 @@ class TokenRun(_VectorRun):
 
     def _active_buckets(self) -> int:
         return int(self.tr_active.max())
-
-    def _peak_buckets(self) -> int:
-        return int(self.tr_peak.max())
 
     # ------------------------------------------------------------------ #
     # token-return rings
@@ -340,7 +332,10 @@ class TokenRun(_VectorRun):
             nodes = rv[fresh]
             active = self.tr_active[nodes] + 1
             self.tr_active[nodes] = active
-            self.tr_peak[nodes] = np.maximum(self.tr_peak[nodes], active)
+            metrics = self.engine.metrics
+            mx = int(active.max())
+            if mx > metrics.max_active_buckets:
+                metrics.max_active_buckets = mx
 
     def _pick(self, link: int, ids, nb):
         """PIEO extraction on every non-empty queue of ``link``: the first

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -82,7 +82,6 @@ _SRC, _DST, _FID, _SEQ, _SPRAYS, _PREV, _CREATED, _FSIZE, _HOPS = (
     tables.col("cells", field) for field in _FIELDS.values())
 _LEN = tables.col("queues", "len")
 _PAYLOAD = tables.col("wire", "payload")
-_PIEO_PEAK = tables.col("scalars", "pieo_peak")
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
 #: record fields of a delivery event, in on_delivery order (flow id, seq,
@@ -284,9 +283,6 @@ class _VectorRun:
         self.q_len = np.zeros((self.L, self.n), dtype=np.int64)
         self.qf_tail = self.q_tail.reshape(-1)
         self.qf_len = self.q_len.reshape(-1)
-        # the longest any of a node's queues has been: raised per enqueue
-        # on the receiver, which a batch holds once (``Node._pieo_peak``)
-        self.pieo_peak = np.zeros(self.n, dtype=np.int64)
         # per-node occupancy totals are derived from q_len on demand (at
         # sample windows and export), not maintained per slot
         # flow cursor columns + waiting lists
@@ -596,11 +592,6 @@ class _VectorRun:
                 flow.delivered = int(self.f_del[fid])
         self._sync_rng()
 
-    def peak_occupancies(self) -> Tuple[int, int, int]:
-        """:meth:`Engine.peak_occupancies`, from the columns."""
-        return (self._peak_buckets(), int(self.pieo_peak.max()),
-                int(self._node_occupancy().max()))
-
     def _load_cells(self, cells: np.ndarray, nid: int) -> int:
         """Rows of the ``cells`` table into slab records ``nid`` on, as
         they are; returns the next free row."""
@@ -616,7 +607,6 @@ class _VectorRun:
         lens = model["queues"][:, _LEN]
         nid = self._load_cells(model["cells"][:lens.sum()], first)
         self._thread_queues(first, lens, np.arange(self.n))
-        self.pieo_peak[:] = model["scalars"][:, _PIEO_PEAK]
         # the cursors hold Flow objects: a node's first unfinished flow is
         # its cursor, the rest wait in list order
         lookup = self.engine.flows.get
@@ -740,7 +730,6 @@ class _VectorRun:
                                            sent[sent >= 0]))]
         model["cells"], model["wire"] = cells, wire
         model["queues"][:, _LEN] = self.q_len.T.reshape(-1)
-        model["scalars"][:, _PIEO_PEAK] = self.pieo_peak
         # a node's flows: its cursor, then the ones waiting behind it
         # (Flow objects, so that part is a walk — over flows, not nodes)
         cursor = self.has_flow.nonzero()[0]
@@ -913,8 +902,6 @@ class _VectorRun:
         tail[lin] = fc
         newlen = qlen[lin] + 1
         qlen[lin] = newlen
-        peak = self.pieo_peak
-        peak[rv] = np.maximum(peak[rv], newlen)
         metrics = self.engine.metrics
         mx = int(newlen.max())
         if mx > metrics.max_queue_length:
@@ -1032,24 +1019,16 @@ class _VectorRun:
         metrics.cells_sent += m
         engine._in_flight_payload += m
 
-    def _node_occupancy(self) -> np.ndarray:
-        """Per-node total enqueued cells, summed from the queue lengths."""
-        return self.q_len.sum(axis=0)
-
     def _active_buckets(self) -> int:
         """Most active hop-by-hop buckets at any node (none without it)."""
         return 0
 
-    def _peak_buckets(self) -> int:
-        """The high-water mark of :meth:`_active_buckets` at any node."""
-        return 0
-
     def _sample(self, t: int) -> None:
-        # every queue in memory order, empty ones too: the tally is by
-        # value and skips zeros
+        # per-node totals summed from the queue lengths, then every queue
+        # in memory order, empty ones too: the tally is by value and skips
+        # zeros
         self.engine._close_window(
-            t, self._node_occupancy(), self.qf_len,
-            int(self.pieo_peak.max()), self._active_buckets(),
+            t, self.q_len.sum(axis=0), self.qf_len, self._active_buckets(),
         )
 
     # ------------------------------------------------------------------ #

@@ -62,6 +62,7 @@ import numpy as np
 
 from . import tables
 from .config import SimConfig, TimingModel
+from .flows import is_integer_field
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -70,6 +71,7 @@ __all__ = [
     "CheckpointPolicy",
     "CheckpointWriter",
     "CellScope",
+    "check_interval",
     "apply_checkpoint",
     "default_policy",
     "load_checkpoint",
@@ -92,8 +94,9 @@ __all__ = [
 #: carries a payload — a bare header has no ``cells`` row; 8: nothing the
 #: other tables imply — no ``ranks`` or ``active_ids`` table, no occupancy
 #: or owed-token / control counts in ``scalars``, no in-flight payload
-#: count)
-CHECKPOINT_VERSION = 8
+#: count; 9: ``scalars`` is ``failed`` alone — a run's high-water marks
+#: are the metrics', no node keeps one)
+CHECKPOINT_VERSION = 9
 
 _log = logging.getLogger("repro.checkpoint")
 
@@ -432,6 +435,15 @@ def restore_engine(checkpoint: Checkpoint):
 # ---------------------------------------------------------------------- #
 # periodic writer (driven by the engine's run driver)
 
+def check_interval(value, name: str) -> int:
+    """``value`` as a snapshot interval in timeslots: an integer >= 1 (no
+    ``bool``, no float to round), else a ValueError naming ``name``."""
+    if not is_integer_field(value) or value < 1:
+        raise ValueError(f"checkpoint interval {name}={value!r} is not an "
+                         f"integer >= 1")
+    return int(value)
+
+
 class CheckpointWriter:
     """Writes a snapshot of one engine every ``every`` timeslots.
 
@@ -443,10 +455,8 @@ class CheckpointWriter:
     __slots__ = ("path", "every", "due_t", "written", "last_t")
 
     def __init__(self, path, every: int):
-        if every is None or every <= 0:
-            raise ValueError(f"checkpoint interval must be >= 1, got {every}")
+        self.every = check_interval(every, "every")
         self.path = pathlib.Path(path)
-        self.every = int(every)
         self.due_t = 0
         #: snapshots written so far
         self.written = 0
@@ -499,11 +509,9 @@ class CheckpointPolicy:
     """
 
     def __init__(self, directory, every: int = 100_000):
+        self.every = check_interval(every, "every")
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        if every is None or every <= 0:
-            raise ValueError(f"checkpoint interval must be >= 1, got {every}")
-        self.every = int(every)
 
     def key_for(self, fn: Callable, kwargs: Dict[str, object]) -> str:
         """Content-addressed cell key: code fingerprint + fn + kwargs.

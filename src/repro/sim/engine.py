@@ -374,28 +374,6 @@ class Engine:
                 return node.node_id
         return None
 
-    def peak_occupancies(self) -> Tuple[int, int, int]:
-        """``(active buckets, PIEO occupancy, buffered cells)``: the
-        high-water marks of any node's bucket tracker and of any send
-        queue, and the most cells buffered at any node now — column maxima
-        of a parked run or a pending model, never materialising the object
-        model."""
-        if self._parked is not None:
-            return self._parked.peak_occupancies()
-        model = self._pending_model
-        if model is not None:
-            scalars, col = model["scalars"], tables.col
-            return (int(scalars[:, col("scalars", "tracker_peak")].max()),
-                    int(scalars[:, col("scalars", "pieo_peak")].max()),
-                    int(tables.occupancy(model).max()))
-        buckets = pieo = buffered = 0
-        for node in self._built_nodes or ():
-            if node.bucket_tracker is not None:
-                buckets = max(buckets, node.bucket_tracker.peak)
-            pieo = max(pieo, node.max_pieo_occupancy())
-            buffered = max(buffered, node.buffer_occupancy())
-        return buckets, pieo, buffered
-
     def enable_profiler(self):
         """Attach (and return) a step profiler; see repro.obs.profiler.
 
@@ -504,12 +482,13 @@ class Engine:
             self.digest.on_drop(cell, t)
 
     def _close_window(self, t: int, buffers, queue_lengths,
-                      pieo_peak: int, active_buckets: int) -> None:
+                      active_buckets: int) -> None:
         """The sample window ending at slot ``t`` closes: one metrics
-        sample (:meth:`MetricsCollector.close_window` documents the four
-        inputs), then the one telemetry row."""
+        sample (:meth:`MetricsCollector.close_window` documents the two
+        arrays), then the one telemetry row, which also reports
+        ``active_buckets``, the most active buckets at any node now."""
         queued, max_queue, max_buffer = self.metrics.close_window(
-            buffers, queue_lengths, pieo_peak, active_buckets
+            buffers, queue_lengths
         )
         if self.telemetry is not None:
             self.telemetry.on_window(
@@ -707,13 +686,11 @@ class Engine:
 
     def _sample_metrics(self) -> None:
         """What the object model holds at a sampling instant: one walk
-        over the live nodes in id order.  Each node's occupancy is read;
-        its queues' lengths only when it holds cells (an empty node's are
-        all zero), and its PIEO high-water mark from the node's running
-        maximum (``Node.max_pieo_occupancy``), never from the queues."""
+        over the live nodes in id order.  Each node's occupancy is read,
+        and its queues' lengths only when it holds cells (an empty node's
+        are all zero)."""
         buffers: List[int] = []
         queue_lengths: List[int] = []
-        pieo_peak = 0
         active_buckets = 0
         for node in self.nodes:
             if node.failed:
@@ -724,16 +701,12 @@ class Engine:
                 for items in node.link_queues:
                     if items:
                         queue_lengths.append(len(items))
-            if node._pieo_peak > pieo_peak:
-                pieo_peak = node._pieo_peak
             tracker = node.bucket_tracker
             if tracker is not None:
                 active = len(tracker)
                 if active > active_buckets:
                     active_buckets = active
-        self._close_window(
-            self.t, buffers, queue_lengths, pieo_peak, active_buckets
-        )
+        self._close_window(self.t, buffers, queue_lengths, active_buckets)
 
     #: the slot body's section callables, in
     #: :data:`repro.obs.profiler.SECTIONS` order, each taking the engine

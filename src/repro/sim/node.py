@@ -183,7 +183,6 @@ class Node:
         "_simple_pick",
         "_metrics",
         "_tx_pool",
-        "_pieo_peak",
         "_routing",
         "_default_routing",
     )
@@ -260,10 +259,6 @@ class Node:
             self.link_queues[p * self._rm1:(p + 1) * self._rm1]
             for p in range(self.h)
         )
-        #: the longest any of this node's queues has been (the PIEO depth
-        #: the hardware provisions, paper Fig 13), raised where a queue
-        #: grows (``enqueue_forward``) and carried in the plain model
-        self._pieo_peak = 0
         #: tokens owed to each neighbour, oldest first; a peer gets a list
         #: the first time it is owed one (a plain list: an empty deque
         #: costs ~760 B with its block, and every drain allocated a fresh
@@ -914,22 +909,20 @@ class Node:
             items.insert(lo, cell)
         else:
             items.append(cell)
-        length = len(items)
-        if length > self._pieo_peak:
-            self._pieo_peak = length
         self.total_enqueued += 1
         self._visit[link].add(self.node_id)
+        # the run's high-water marks rise here (MetricsCollector holds them)
+        metrics = self._metrics
+        length = len(items)
+        if length > metrics.max_queue_length:
+            metrics.max_queue_length = length
         if self.uses_hbh:
-            tracker = self.bucket_tracker
             refcount = self._refcount_map
             bucket = (cell.dst, n)
             count = refcount.get(bucket, 0) + 1
             refcount[bucket] = count
-            if count == 1 and len(refcount) > tracker.peak:
-                tracker.peak = len(refcount)
-        metrics = self._metrics
-        if length > metrics.max_queue_length:
-            metrics.max_queue_length = length
+            if count == 1 and len(refcount) > metrics.max_active_buckets:
+                metrics.max_active_buckets = len(refcount)
 
     def _choose_spray_offset(self, phase: int) -> Optional[int]:
         """Pick the spraying next hop among the phase's neighbours not known
@@ -1117,21 +1110,19 @@ class Node:
     # ------------------------------------------------------------------ #
     # shard-backend receive hook
 
-    def absorb_shard_state(self, per_link_cells, pieo_peak: int) -> None:
+    def absorb_shard_state(self, per_link_cells) -> None:
         """Install gathered queue contents from a shard worker, in place.
 
-        ``per_link_cells`` holds one FIFO-ordered cell list per link index
-        and ``pieo_peak`` the node's PIEO high-water mark.  The queues are
-        aliased by this node's TX caches, so they are mutated in place,
-        never rebound — the boundary-crossing receive side of the
-        ``"shard"`` backend (see repro.sim.backends.shard).
+        ``per_link_cells`` holds one FIFO-ordered cell list per link
+        index.  The queues are aliased by this node's TX caches, so they
+        are mutated in place, never rebound — the boundary-crossing receive
+        side of the ``"shard"`` backend (see repro.sim.backends.shard).
         """
         total = 0
         for items, cells in zip(self.link_queues, per_link_cells):
             items[:] = cells
             total += len(cells)
         self.total_enqueued = total
-        self._pieo_peak = pieo_peak
 
     # ------------------------------------------------------------------ #
     # checkpoint support
@@ -1157,10 +1148,7 @@ class Node:
             if items:
                 cells.extend(map(Cell.state, items))
         tracker = self.bucket_tracker
-        rows["scalars"].append((
-            self.failed, 0 if tracker is None else tracker.peak,
-            self._pieo_peak,
-        ))
+        rows["scalars"].append((self.failed,))
         rows["local_flows"].extend(
             (i, flow.flow_id) for flow in self.local_flows)
         if self.pending_tokens:
@@ -1202,7 +1190,7 @@ class Node:
         back to the engine's live Flow object.  The counters are the
         lengths of the rows they count.
         """
-        (failed, peak, self._pieo_peak), = state["scalars"]
+        (failed,), = state["scalars"]
         self.failed = bool(failed)
         self.total_enqueued = len(state["cells"])
         self.pending_tokens = len(state["tokens"])
@@ -1217,7 +1205,7 @@ class Node:
         if self.bucket_tracker is not None:
             self.ledger.load_state(row[1:] for row in state["ledger"])
             self.bucket_tracker.load_state(
-                (row[1:] for row in state["tracker"]), peak)
+                row[1:] for row in state["tracker"])
         self._cache_hbh_state()
         self.local_flows[:] = [
             flow for flow in (flow_lookup(fid)
@@ -1243,14 +1231,3 @@ class Node:
                            (self._recv_counts, "recv_counts")):
             held.clear()
             held.update((key, value) for _, key, value in state[name])
-
-    # ------------------------------------------------------------------ #
-    # metrics
-
-    def buffer_occupancy(self) -> int:
-        """Total data cells enqueued at this node (all send queues)."""
-        return self.total_enqueued
-
-    def max_pieo_occupancy(self) -> int:
-        """The longest any of this node's PIEO queues has been."""
-        return self._pieo_peak

@@ -66,8 +66,9 @@ __all__ = ["sweep", "sweep_cells", "default_workers", "CellOutcome",
 _default_cell_retries = 1
 
 
-def set_default_cell_retries(retries: int) -> None:
-    """Install the process-wide crash-retry budget for sweeps.
+def set_default_cell_retries(retries: int) -> int:
+    """Install the process-wide crash-retry budget for sweeps; returns the
+    previous one.
 
     A cell that dies inside a pool worker is retried sequentially in the
     parent up to this many times (with logged exponential backoff between
@@ -78,7 +79,9 @@ def set_default_cell_retries(retries: int) -> None:
     global _default_cell_retries
     if retries < 0:
         raise ValueError(f"retry budget must be >= 0, got {retries}")
+    previous = _default_cell_retries
     _default_cell_retries = retries
+    return previous
 
 
 def default_cell_retries() -> int:

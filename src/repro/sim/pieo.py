@@ -14,8 +14,8 @@ cells (``Node.link_queues``): FIFO, or kept in rank order by the bisect in
 ``Node.enqueue_forward`` under priority ranking, with the rank computed
 from the cell; ``Node.transmit``'s scan is the first-eligible extraction.
 The occupancy high-water mark the hardware resource model consumes (paper
-Fig. 13 reports max PIEO queue length) is provisioned per node, not per
-queue, so the node keeps it (``Node.max_pieo_occupancy``).
+Fig. 13 reports max PIEO queue length) is the run's, not a queue's: the
+enqueue that lengthens a queue raises ``MetricsCollector.max_queue_length``.
 """
 
 from __future__ import annotations

@@ -50,9 +50,8 @@ _CTRL = ("kind", "flow_id", "src", "dst", "seq", "sprays_remaining")
 #: table -> columns.  A node has ``L = h * (r - 1)`` links; queue ``q`` is
 #: link ``q % L`` of node ``q // L``.  Row order is part of the schema.
 TABLES: Dict[str, Sequence[str]] = {
-    # one row per node / per queue, in id order; ``pieo_peak`` is the
-    # longest any of the node's queues has been (paper Fig 13's PIEO depth)
-    "scalars": ("failed", "tracker_peak", "pieo_peak"),
+    # one row per node / per queue, in id order
+    "scalars": ("failed",),
     "queues": ("len",),
     # the queued cells — node-major, link-minor, in queue order — then one
     # cell per payload row of ``wire``, in wire order

@@ -567,10 +567,11 @@ class TestResidentSlab:
     @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
     def test_manual_step_materialises_once(self, cc, no_floor):
         reference, engine = self._twins(cc)
-        # mid-run maxima come off the parked columns, nothing is built
-        peaks = engine.peak_occupancies()
-        assert peaks == reference.peak_occupancies() and all(peaks[1:])
-        assert bool(peaks[0]) == (cc == "hbh+spray")
+        # mid-run maxima are the metrics', nothing is built
+        summary = engine.metrics.summary()
+        assert summary == reference.metrics.summary()
+        assert summary["max_queue_length"] and summary["max_buffer"]
+        assert bool(summary["max_active_buckets"]) == (cc == "hbh+spray")
         assert engine.model_syncs == 0
         for twin in (reference, engine):
             for _ in range(5):
@@ -632,7 +633,7 @@ class TestResidentSlab:
         assert parked._parked is None
         for twin in (restored, parked):
             # engine-level reads answer from the pending plain model
-            assert twin.peak_occupancies() == reference.peak_occupancies()
+            assert twin.metrics.summary() == reference.metrics.summary()
             assert twin.throughput() == reference.throughput()
             assert _trace(twin) == _trace(reference)
         for twin in (reference, engine, restored, parked):
@@ -958,8 +959,7 @@ class TestExportedModels:
             == models["vector"]["queues"].sum() + payload.sum()
         # the token family returns credit in bare headers
         assert (payload == 0).any() == (cc in ("hop-by-hop", "hbh+spray"))
-        assert models["vector"]["scalars"][
-            :, tables.col("scalars", "pieo_peak")].max() > 1
+        assert engine.metrics.max_queue_length > 1
         assert any(mid_list) == (cc in ("hop-by-hop", "hbh+spray"))
 
 

@@ -97,13 +97,26 @@ class TestActiveBucketTracker:
         assert len(tracker) == 1  # still one reference
 
     def test_peak_tracks_high_water_mark(self):
-        tracker = ActiveBucketTracker()
-        for i in range(5):
-            tracker.acquire((i, 0))
-        for i in range(5):
-            tracker.release((i, 0))
-        tracker.acquire((9, 0))
-        assert tracker.peak == 5
+        """The high-water mark is the run's (``max_active_buckets``), raised
+        by the enqueue that turns a bucket active; a release does not
+        lower it."""
+        from repro import Engine, SimConfig
+        from repro.core.cell import Cell
+
+        engine = Engine(SimConfig(n=16, h=2,
+                                  congestion_control="hop-by-hop"))
+        node = engine.nodes[0]
+        tracker = node.bucket_tracker
+        # direct cells to five destinations: five buckets (dst, 0)
+        dsts = [engine.coords.node_id((0, c)) for c in (1, 2, 3)] + [
+            engine.coords.node_id((c, 0)) for c in (1, 2)]
+        for seq, dst in enumerate(dsts):
+            node.enqueue_forward(Cell(0, dst, seq=seq), t=0, phase=0)
+        assert len(tracker) == 5
+        for dst in dsts:
+            tracker.release((dst, 0))
+        node.enqueue_forward(Cell(0, dsts[0], seq=5), t=0, phase=0)
+        assert engine.metrics.max_active_buckets == 5
         assert len(tracker) == 1
 
     def test_release_unknown_is_noop(self):

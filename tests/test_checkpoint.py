@@ -34,6 +34,7 @@ from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointPolicy,
+    CheckpointWriter,
     apply_checkpoint,
     load_checkpoint,
     load_checkpoint_or_none,
@@ -214,7 +215,6 @@ class TestDerivedCounters:
             engine.run(cfg.duration - k)
         assert straight.digest.hexdigest() == resumed.digest.hexdigest()
         assert straight.metrics.summary() == resumed.metrics.summary()
-        assert straight.peak_occupancies() == resumed.peak_occupancies()
 
 
 class TestObserversAcrossRestore:
@@ -442,35 +442,40 @@ HOSTILE = {
     "version-2-pickle-era": (
         lambda parts, sentinel: _sealed(pickle.dumps(
             {"version": 2, "config": _Planted(sentinel), "state": {}})),
-        r"unsupported checkpoint version.*: 2 or earlier \(want 8\)"),
+        r"unsupported checkpoint version.*: 2 or earlier \(want 9\)"),
     # a v3 file's digest value is FNV-1a state: continuing it with the
     # two-level hash would give a digest that matches nothing
     "version-3-fnv-digest": (
         lambda parts, _: _sealed(b"3\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 3 \(want 8\)"),
+        r"unsupported checkpoint version.*: 3 \(want 9\)"),
     # a v4 file's cells carry a twelfth column and its metrics two records
     # no v6 reader has a place for
     "version-4-unread-records": (
         lambda parts, _: _sealed(b"4\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 4 \(want 8\)"),
+        r"unsupported checkpoint version.*: 4 \(want 9\)"),
     # a v5 file keeps the PIEO high-water mark per queue, where a v6
     # reader finds a queue's seq
     "version-5-queue-peaks": (
         lambda parts, _: _sealed(b"5\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 5 \(want 8\)"),
+        r"unsupported checkpoint version.*: 5 \(want 9\)"),
     # a v6 file's cells carry a spray phase and a dummy flag, its queues
     # and ranks a seq, and its wire rows a cell each, bare headers too
     "version-6-dummy-cells": (
         lambda parts, _: _sealed(b"6\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 6 \(want 8\)"),
+        r"unsupported checkpoint version.*: 6 \(want 9\)"),
     # a v7 file's scalars carry three counters, and it holds a ranks
     # table, an active set and an in-flight count a v8 reader derives
     "version-7-stored-counters": (
         lambda parts, _: _sealed(b"7\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 7 \(want 8\)"),
+        r"unsupported checkpoint version.*: 7 \(want 9\)"),
+    # a v8 file's scalars carry each node's tracker and PIEO peaks, where
+    # a v9 reader finds ``failed`` alone
+    "version-8-node-peaks": (
+        lambda parts, _: _sealed(b"8\n", *parts[2:4]),
+        r"unsupported checkpoint version.*: 8 \(want 9\)"),
     "version-99": (
         lambda parts, _: _sealed(b"99\n", *parts[2:4]),
-        r"unsupported checkpoint version.*: 99 \(want 8\)"),
+        r"unsupported checkpoint version.*: 99 \(want 9\)"),
     "flipped-byte": (_flipped, "integrity"),
     "section-overruns-file": (
         _section(2, [10**6, 12]),
@@ -644,6 +649,29 @@ class TestCheckpointInterval:
         None means the default."""
         with pytest.raises(ValueError, match="checkpoint interval"):
             entry(tmp_path, every)
+
+    @pytest.mark.parametrize("make, every, name", [
+        (lambda path, every: CheckpointWriter(path / "w.ckpt", every),
+         2.5, "every"),
+        (lambda path, every: CheckpointWriter(path / "w.ckpt", every),
+         True, "every"),
+        (lambda path, every: CheckpointPolicy(path, every=every),
+         2.5, "every"),
+        (lambda path, every: CheckpointPolicy(path, every=every),
+         True, "every"),
+        (_session_every, 2.5, "checkpoint_every"),
+        (_session_every, True, "checkpoint_every"),
+        (_simulate_every, 2.5, "checkpoint_every"),
+    ], ids=["writer-float", "writer-bool", "policy-float", "policy-bool",
+            "session-float", "session-bool", "simulate-float"])
+    def test_non_integral_interval_is_refused(self, tmp_path, make, every,
+                                              name):
+        """An interval is never truncated (2.5 -> 2), read as 1 (True) or
+        kept as a float that schedules a snapshot at slot 12.5: each entry
+        point refuses it, by name."""
+        with pytest.raises(ValueError,
+                           match=f"checkpoint interval {name}={every!r} "):
+            make(tmp_path, every)
 
 
 class TestCellScope:

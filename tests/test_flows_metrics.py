@@ -158,10 +158,14 @@ class TestMetricsCollector:
         assert m.retransmissions == 1
 
     def test_queue_max_tracking(self):
+        # the queue high-water mark is the enqueue's record: a window
+        # samples the lengths and raises only the buffer maximum
         m = MetricsCollector()
         for lengths in ([3], [7, 1], [2]):
-            m.close_window([sum(lengths)], lengths, 0, 0)
-        assert m.max_queue_length == 7
+            m.close_window([sum(lengths)], lengths)
+        assert m.queue_length_percentile(100) == 7
+        assert m.max_buffer_occupancy == 8
+        assert m.max_queue_length == 0
 
     def test_sampling_interval_and_warmup(self):
         """The sampling policy lives in the engine's slot body: a window
@@ -180,54 +184,53 @@ class TestMetricsCollector:
         pytest.param(  # one node sampled per window feeds the percentiles
             # ('lower' interpolation returns an observed sample, 2, not
             # the linear midpoint 2.5)
-            [([occ], [occ], 0, 0) for occ in (1, 2, 3, 100)],
+            [([occ], [occ]) for occ in (1, 2, 3, 100)],
             (100, 100, 100), 2.0,
             dict(buffer_counts=[0, 1, 1, 1] + [0] * 96 + [1],
                  queue_counts=[0, 1, 1, 1] + [0] * 96 + [1],
-                 max_buffer_occupancy=100, max_queue_length=100),
+                 max_buffer_occupancy=100),
             id="node-samples"),
-        pytest.param(  # the resource maxima only ever rise
-            [([0], [], 9, 5), ([0], [], 2, 3)],
-            (0, 0, 0), 0.0,
-            dict(buffer_counts=[2], queue_counts=[],
-                 max_pieo_length=9, max_active_buckets=5),
+        pytest.param(  # the buffer maximum only ever rises, and the
+            # enqueue-driven maxima are no window's to raise
+            [([5], [3, 2]), ([1], [1])],
+            (1, 1, 1), 1.0,
+            dict(buffer_counts=[0, 1, 0, 0, 0, 1], queue_counts=[0, 1, 1, 1],
+                 max_buffer_occupancy=5, max_queue_length=0,
+                 max_active_buckets=0),
             id="resource-peaks"),
         pytest.param(  # what the engine's walk hands over for three nodes
             # (7 cells in queues of 4 and 0 | failed | 2 in one queue):
             # the failed node and the empty queue are not sampled
-            [([7, 2], [4, 2], 9, 3)],
+            [([7, 2], [4, 2])],
             (9, 4, 7), 2.0,
             dict(buffer_counts=[0, 0, 1, 0, 0, 0, 0, 1],
                  queue_counts=[0, 0, 1, 0, 1],
-                 max_buffer_occupancy=7, max_queue_length=4,
-                 max_pieo_length=9, max_active_buckets=3),
+                 max_buffer_occupancy=7),
             id="node-walk"),
         pytest.param(  # the slab hands over every queue, empty ones too,
             # in its own order: the empty ones are no samples
-            [([0], [0, 0, 0], 0, 0), ([7, 2], [0, 2, 0, 0, 4, 0], 9, 3)],
+            [([0], [0, 0, 0]), ([7, 2], [0, 2, 0, 0, 4, 0])],
             (9, 4, 7), 2.0,
             dict(buffer_counts=[1, 0, 1, 0, 0, 0, 0, 1],
                  queue_counts=[0, 0, 1, 0, 1],
-                 max_buffer_occupancy=7, max_queue_length=4,
-                 max_pieo_length=9, max_active_buckets=3),
+                 max_buffer_occupancy=7),
             id="all-queues"),
         pytest.param(  # nothing queued anywhere: no sample at all
-            [([0, 0], [0, 0, 0, 0], 0, 0)],
+            [([0, 0], [0, 0, 0, 0])],
             (0, 0, 0), 0.0,
-            dict(buffer_counts=[2], queue_counts=[], max_queue_length=0),
+            dict(buffer_counts=[2], queue_counts=[], max_buffer_occupancy=0),
             id="all-queues-empty"),
     ])
     def test_close_window(self, windows, populations, buffer_p50, state):
-        """Same maxima, same sample tallies (``counts[v]`` samples equal
-        to ``v``, no longer than the largest one) — whichever pipeline
-        computed the four inputs.  ``populations`` is what the last window
-        returns for the telemetry row."""
+        """Same buffer maximum, same sample tallies (``counts[v]`` samples
+        equal to ``v``, no longer than the largest one) — whichever
+        pipeline computed the two arrays.  ``populations`` is what the last
+        window returns for the telemetry row."""
         m = MetricsCollector()
         for window in windows:
             returned = m.close_window(*window)
         assert returned == populations
         assert m.buffer_occupancy_percentile(50) == buffer_p50
-        assert m.queue_length_percentile(99) <= m.max_queue_length
         for name, value in state.items():
             got = getattr(m, name)
             assert (got.tolist() if hasattr(got, "tolist") else got) \
@@ -265,7 +268,7 @@ class TestMetricsCollector:
         m = MetricsCollector()
         buffers, queues = [], []
         for window in [([], [])] + windows:
-            m.close_window(*window, 0, 0)
+            m.close_window(*window)
             buffers += window[0]
             queues += window[1]
             for pct in (0, 50, 99, 99.9, 99.99, 100, q):

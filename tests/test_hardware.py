@@ -185,6 +185,27 @@ class TestResources:
         obs = observe_resources(engine)
         assert obs.max_active_buckets == 0  # no bucket tracking without HBH
 
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_active_bucket_peak_survives_a_recovery(self, crash):
+        """Node 0 reaches the run's peak of 5 active buckets in slot 2533;
+        a crash two slots later hands it a fresh tracker on recovery, and
+        the peak must not go with the old one."""
+        from repro.experiments.common import load_for, workload_for
+        from repro.failures.manager import FailureEvent, FailureManager
+
+        cfg = SimConfig(n=16, h=2, duration=3000, propagation_delay=8,
+                        congestion_control="hbh+spray", seed=2)
+        manager = FailureManager(events=[
+            FailureEvent(2535, 0, failed=True),
+            FailureEvent(2573, 0, failed=False),
+        ]) if crash else None
+        engine = Engine(cfg, workload=workload_for(cfg, "short-flow",
+                                                   load=load_for(2)),
+                        failure_manager=manager)
+        engine.run()
+        assert observe_resources(engine).max_active_buckets == 5
+        assert engine.metrics.summary()["max_active_buckets"] == 5
+
     def test_fig13_cell_reads_the_slab_not_the_object_model(self,
                                                             monkeypatch):
         """A Fig. 13 cell stepped on the vector slab reports the object
@@ -214,9 +235,9 @@ class TestResources:
         assert engine.model_syncs == 0
         assert observation == seen["object"][1]
         assert rows["vector"] == rows["object"]
-        # the exact tracker peaks, not just the sampled maxima
+        # one record per high-water mark: the observation is the metrics'
+        summary = engine.metrics.summary()
         assert observation.max_active_buckets \
-            >= engine.metrics.max_active_buckets > 0
-        assert observation.max_pieo_length > 0
-        assert engine.peak_occupancies() \
-            == seen["object"][0].peak_occupancies()
+            == summary["max_active_buckets"] > 0
+        assert observation.max_pieo_length == summary["max_queue_length"] > 0
+        assert summary == seen["object"][0].metrics.summary()

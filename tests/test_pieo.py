@@ -85,8 +85,8 @@ class TestCapacity:
 
     def test_peak_occupancy(self):
         # the occupancy high-water mark the hardware provisions (paper Fig
-        # 13) is a node's, not a queue's: the longest any of its queues
-        # has been, which emptying the queue does not lower
+        # 13) is the run's, not a queue's: the longest any queue has been,
+        # which emptying the queue does not lower
         engine = Engine(SimConfig(n=16, h=2, congestion_control="none"))
         node = engine.nodes[0]
         dst = engine.coords.node_id((0, 3))  # direct: phase 1, offset 3
@@ -96,7 +96,7 @@ class TestCapacity:
         del queue[:]
         node.enqueue_forward(Cell(1, dst, seq=5), t=0, phase=1)
         assert len(queue) == 1
-        assert node.max_pieo_occupancy() == 5
+        assert engine.metrics.max_queue_length == 5
 
 
 class TestRemoval:

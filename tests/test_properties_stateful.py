@@ -244,7 +244,7 @@ class ResidentSlabMachine(RuleBasedStateMachine):
 
     @rule()
     def engine_level_queries(self):
-        peaks = self.both(lambda engine: engine.peak_occupancies())
+        peaks = self.both(lambda engine: engine.metrics.summary())
         speeds = self.both(lambda engine: engine.throughput())
         assert peaks[0] == peaks[1] and speeds[0] == speeds[1]
 

@@ -173,6 +173,29 @@ class TestBackendFlag:
         with pytest.raises(ValueError, match="backend"):
             runner.main(["figa", "--backend", "warp"])
 
+    def test_cell_retries_installed_and_restored(self, fake_experiments):
+        """``--cell-retries`` is the ambient budget while the experiment
+        runs and no longer: restored afterwards, also when a later flag
+        is refused."""
+        registry, _ = fake_experiments
+        from repro.sim.parallel import default_cell_retries
+
+        seen = {}
+
+        def run_probe(**kwargs):
+            seen["retries"] = default_cell_retries()
+            return {"name": "probe"}
+
+        registry["figp"] = make_module("figp", run_probe)
+        before = default_cell_retries()
+        assert runner.main(
+            ["figp", "--cell-retries", "0", "--workers", "1"]) == 0
+        assert seen["retries"] == 0 != before
+        assert default_cell_retries() == before
+        with pytest.raises(ValueError, match="backend"):
+            runner.main(["figp", "--cell-retries", "0", "--backend", "warp"])
+        assert default_cell_retries() == before
+
 
 class TestTelemetryArtifacts:
     def _run(self, tmp_path, tag):

@@ -717,6 +717,22 @@ class TestServeArguments:
             server_mod.main([flag, "0",
                              "--checkpoint", str(tmp_path / "s.ckpt")])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(quantum=2.5), "quantum must be an integer >= 1, got 2.5"),
+        (dict(quantum=True), "quantum must be an integer >= 1, got True"),
+        (dict(max_slots=-5), "max_slots must be an integer >= 0, got -5"),
+        (dict(max_slots=2.5), "max_slots must be an integer >= 0, got 2.5"),
+    ], ids=["quantum-float", "quantum-bool", "max-slots-negative",
+            "max-slots-float"])
+    def test_bad_quantum_or_max_slots_is_refused(self, kwargs, message):
+        """``quantum=2.5`` once constructed and died on the first advance
+        with a message about ``duration``, and ``max_slots=-5`` drained at
+        slot 0 without a word; both are refused at construction, by
+        name."""
+        session = open_session(_cfg())
+        with pytest.raises(ValueError, match=message):
+            ServiceServer(session, **kwargs)
+
 
 @pytest.mark.slow
 class TestServeSubprocess:

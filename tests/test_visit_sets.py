@@ -230,13 +230,15 @@ class TestRetireOnTheLastSend:
 
 def _watch_samples(engine):
     """Check every window the object pipeline closes on ``engine``: its
-    four inputs must be what a read of every queue of every live node
-    gives.  Returns the ``(t, live nodes, busy nodes, pieo_peak)``
-    checked so far."""
+    three inputs must be what a read of every queue of every live node
+    gives, and the run's high-water marks at least what it holds now.
+    Returns the ``(t, live nodes, busy nodes, longest queue)`` checked so
+    far."""
     checked = []
     close = engine._close_window
+    metrics = engine.metrics
 
-    def close_window(t, buffers, queue_lengths, pieo_peak, active_buckets):
+    def close_window(t, buffers, queue_lengths, active_buckets):
         live = [node for node in engine.nodes if not node.failed]
         queues = [q for node in live for q in node.link_queues]
         trackers = [node.bucket_tracker for node in live
@@ -245,11 +247,12 @@ def _watch_samples(engine):
                                  for node in live]
         assert sorted(filter(None, queue_lengths)) == \
             sorted(filter(None, map(len, queues)))
-        assert pieo_peak == max((node.max_pieo_occupancy() for node in live),
-                                default=0) >= max(map(len, queues), default=0)
+        longest = max(map(len, queues), default=0)
+        assert metrics.max_queue_length >= longest
         assert active_buckets == max(map(len, trackers), default=0)
-        checked.append((t, len(live), sum(map(bool, buffers)), pieo_peak))
-        close(t, buffers, queue_lengths, pieo_peak, active_buckets)
+        assert metrics.max_active_buckets >= active_buckets
+        checked.append((t, len(live), sum(map(bool, buffers)), longest))
+        close(t, buffers, queue_lengths, active_buckets)
 
     engine._close_window = close_window
     return checked
@@ -267,11 +270,12 @@ class TestSampleWalk:
         assert len(checked) == 90
         assert any(busy for _, _, busy, _ in checked)
         assert any(busy < cfg.n for _, _, busy, _ in checked)
-        assert engine.metrics.max_pieo_length > 1
+        assert engine.metrics.max_queue_length > 1
 
     def test_crash_recovery_and_link_flap(self):
-        """Node 3 crashes holding the highest queue peak of any node: the
-        windows while it is down must not count it."""
+        """Node 3 crashes and recovers: the windows while it is down must
+        not count it, and the run's high-water marks outlive the crash
+        that emptied it."""
         manager = FailureManager(events=[
             LinkFailureEvent(200, 0, 1),
             LinkFailureEvent(700, 0, 1, failed=False),
@@ -284,44 +288,53 @@ class TestSampleWalk:
         engine = Engine(cfg, workload=_poisson(cfg, 0.2, duration=1600),
                         failure_manager=manager)
         checked = _watch_samples(engine)
-        engine.run(2000)
+        engine.run(400)
+        peaks = (engine.metrics.max_queue_length,
+                 engine.metrics.max_active_buckets)
+        assert min(peaks) > 1
+        engine.run(1600)
         assert len(checked) == 200 and engine.failure_manager.detections
         assert {live for _, live, _, _ in checked} == {15, 16}
         assert not engine.nodes[3].failed
-        crashed_peak = engine.nodes[3].max_pieo_occupancy()
-        assert any(live == 15 and peak < crashed_peak
-                   for _, live, _, peak in checked)
+        assert engine.metrics.max_queue_length >= peaks[0]
+        assert engine.metrics.max_active_buckets >= peaks[1]
+        assert any(live == 15 and longest < peaks[0]
+                   for _, live, _, longest in checked)
 
     @pytest.mark.parametrize("cc", ["hbh+spray", "priority"])
     def test_snapshot_restore_mid_run(self, cc):
-        """A restored engine's per-node high-water marks come from the
-        loaded queues."""
+        """A restored engine's windows read the loaded queues, and its
+        high-water marks are the snapshot's."""
         cfg = SimConfig(n=16, h=2, duration=10**9, propagation_delay=2,
                         congestion_control=cc, seed=4,
                         metrics_sample_interval=10)
         engine = Engine(cfg, workload=_poisson(cfg, 0.3))
         engine.run(300)
         restored = restore_engine(engine.snapshot())
+        assert restored.metrics.summary() == engine.metrics.summary()
         checked = _watch_samples(restored)
         restored.run(500)
-        assert len(checked) == 50 and restored.metrics.max_pieo_length
+        assert len(checked) == 50 and restored.metrics.max_queue_length
 
     def test_slab_to_object_hand_off(self):
         """n=144 hbh+spray steps on the slab; the object model that
-        ``load_state`` fills from its export carries the slab's peaks."""
+        ``load_state`` fills from its export carries on the peaks the slab
+        raised."""
         cfg = SimConfig(n=144, h=2, duration=10**9, propagation_delay=2,
                         congestion_control="hbh+spray", seed=6,
                         backend="vector", metrics_sample_interval=10)
         engine = Engine(cfg, workload=_poisson(cfg, 0.2, duration=400))
         engine.run(200)
         assert engine.model_syncs == 0
-        peak = engine.peak_occupancies()[1]
-        assert peak
+        peaks = (engine.metrics.max_queue_length,
+                 engine.metrics.max_active_buckets)
+        assert min(peaks) > 1
         RunMonitor().attach(engine)
         checked = _watch_samples(engine)
         engine.run(300)
         assert engine.model_syncs == 1 and len(checked) == 30
-        assert engine.metrics.max_pieo_length >= peak
+        assert engine.metrics.max_queue_length >= peaks[0]
+        assert engine.metrics.max_active_buckets >= peaks[1]
 
 
 class TestMemoryBound:
