@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
-"""CI record and check: the slab's cell hop at paper scale.
+"""CI record and check: the slab's cell hop at paper scale, and what the
+token family costs on it.
 
-Runs a cc=none permutation (h=2) on the vector slab for 300 slots at
-n=1296 and n=4096 with the step profiler attached, and prints the
-microseconds each profiler section costs per node-slot, plus the process's
-RSS growth over the run and the bytes one slab cell record takes — the
-slab's cost is linear per cell, so these figures are what a paper-scale
-run pays.  At n=1296 it also asserts:
+Runs with the step profiler attached and prints the microseconds each
+profiler section costs per node-slot:
+
+* a cc=none permutation (h=2) for 300 slots at n=1296 and n=4096, with the
+  process's RSS growth over the run and the bytes one slab cell record
+  takes — the slab's cost is linear per cell, so these figures are what a
+  paper-scale run pays;
+* hbh+spray on Poisson short flows at the paper's load (``load_for(2)``)
+  at n=256 (the benchmark's ``hbh_shortflow`` shape) and n=1296, timed
+  over 300 slots after a 300-slot warm-up that loads the network.
+
+It then prints µs/slot for none / spray-short / hop-by-hop / hbh+spray on
+the same n=256 short-flow traffic, each with its multiple of none's.
+Asserts, for the cc=none permutation at n=1296 and for hbh+spray at n=256:
 
 * the 100-slot prefix digest is the object backend's;
 * a mid-run snapshot, saved to a file in the current checkpoint format,
@@ -21,6 +30,7 @@ Run from the repo root::
 """
 
 import pathlib
+import random
 import resource
 import sys
 import tempfile
@@ -29,6 +39,7 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.experiments.common import load_for  # noqa: E402
 from repro.sim.checkpoint import (  # noqa: E402
     CHECKPOINT_VERSION,
     load_checkpoint,
@@ -37,10 +48,21 @@ from repro.sim.checkpoint import (  # noqa: E402
 )
 from repro.sim.config import SimConfig  # noqa: E402
 from repro.sim.engine import Engine  # noqa: E402
-from repro.workloads.generators import permutation_workload  # noqa: E402
+from repro.workloads import (  # noqa: E402
+    ShortFlowDistribution,
+    permutation_workload,
+    poisson_workload,
+)
 
 SIZES = (1296, 4096)
+TOKEN_SIZES = (256, 1296)
+FAMILY = ("none", "spray-short", "hop-by-hop", "hbh+spray")
 SLOTS = 300
+#: untimed slots before a short-flow profile, and its whole horizon
+WARMUP = 300
+TOKEN_SLOTS = WARMUP + SLOTS
+#: the family table's horizon: short flows need a while to load the net
+FAMILY_SLOTS = 1000
 PREFIX = 100
 MB = 2 ** 20
 
@@ -52,10 +74,18 @@ def rss_mb() -> float:
     return pages * resource.getpagesize() / MB
 
 
-def engine_for(n: int, backend: str) -> Engine:
-    config = SimConfig(n=n, h=2, duration=SLOTS, seed=1, backend=backend,
-                       congestion_control="none")
-    engine = Engine(config, workload=permutation_workload(config, 10 ** 6))
+def engine_for(n: int, backend: str, cc: str = "none",
+               slots: int = SLOTS, short: bool = False) -> Engine:
+    """A saturated permutation, or (``short``) Poisson short flows at
+    ``load_for(2)``, the same flows whatever ``cc``."""
+    config = SimConfig(n=n, h=2, duration=slots, seed=1, backend=backend,
+                       congestion_control=cc)
+    if not short:
+        flows = permutation_workload(config, 10 ** 6)
+    else:
+        flows = poisson_workload(config, ShortFlowDistribution(),
+                                 load=load_for(2), rng=random.Random(1))
+    engine = Engine(config, workload=flows)
     engine.enable_digest()
     return engine
 
@@ -65,44 +95,67 @@ def on_slab(engine: Engine) -> None:
     assert engine.model_syncs == 0, engine.model_syncs
 
 
-def profile(n: int) -> str:
-    """Run ``SLOTS`` slots at ``n`` under the profiler; print the per-section
-    cost and the RSS growth; return the digest."""
+def profile(n: int, cc: str = "none") -> str:
+    """Run ``SLOTS`` slots at ``n`` under the profiler (short flows after
+    ``WARMUP`` more); print the per-section cost (and, for cc=none, the RSS
+    growth); return the digest."""
     before = rss_mb()
-    engine = engine_for(n, "vector")
+    short = cc != "none"
+    engine = engine_for(n, "vector", cc, TOKEN_SLOTS if short else SLOTS,
+                        short)
+    engine.run(WARMUP if short else 0)
     profiler = engine.enable_profiler()
     started = time.perf_counter()
     engine.run(SLOTS)
     wall = time.perf_counter() - started
     on_slab(engine)
-    record = engine._parked._slab[0].nbytes
     node_slots = n * SLOTS
     costs = "  ".join(
         f"{name} {seconds * 1e6 / node_slots:.3f}"
         for name, seconds in profiler.totals.items() if seconds)
-    print(f"n={n}: {SLOTS} slots in {wall:.2f} s; us/node-slot: {costs}")
-    print(f"n={n}: RSS growth {rss_mb() - before:+.1f} MB; "
-          f"{record} B per slab cell record")
+    print(f"{cc} n={n}: {SLOTS} slots in {wall:.2f} s; "
+          f"us/node-slot: {costs}")
+    if cc == "none":
+        record = engine._parked._slab[0].nbytes
+        print(f"{cc} n={n}: RSS growth {rss_mb() - before:+.1f} MB; "
+              f"{record} B per slab cell record")
     return engine.digest.hexdigest()
 
 
-def check_prefix() -> None:
-    """The first ``PREFIX`` slots at n=1296: slab digest == object digest."""
+def family(n: int) -> None:
+    """µs/slot of every slab mechanism on the same short flows."""
+    cost = {}
+    for cc in FAMILY:
+        engine = engine_for(n, "vector", cc, FAMILY_SLOTS, short=True)
+        started = time.perf_counter()
+        engine.run()
+        cost[cc] = (time.perf_counter() - started) * 1e6 / FAMILY_SLOTS
+        on_slab(engine)
+        metrics = engine.metrics
+        print(f"n={n} {cc:>11}: {cost[cc]:6.0f} us/slot  "
+              f"x{cost[cc] / cost['none']:.2f} none  "
+              f"{metrics.cells_sent / FAMILY_SLOTS:.0f} sends/slot  "
+              f"{metrics.tokens_sent / FAMILY_SLOTS:.0f} tokens/slot")
+
+
+def check_prefix(n: int, cc: str = "none") -> None:
+    """The first ``PREFIX`` slots at ``n``: slab digest == object digest."""
     digests = {}
     for backend in ("object", "vector"):
-        engine = engine_for(SIZES[0], backend)
+        engine = engine_for(n, backend, cc, short=cc != "none")
         engine.run(PREFIX)
         digests[backend] = engine.digest.hexdigest()
     on_slab(engine)
-    print(f"n={SIZES[0]}: {PREFIX}-slot prefix digest {digests['vector']}")
+    print(f"{cc} n={n}: {PREFIX}-slot prefix digest {digests['vector']}")
     assert digests["vector"] == digests["object"], digests
 
 
-def check_resume(whole: str) -> None:
+def check_resume(n: int, whole: str, cc: str = "none",
+                 slots: int = SLOTS) -> None:
     """Snapshot at mid-run, through a file, restored: the run resumes on
-    the slab to the uninterrupted run's digest ``whole``."""
-    engine = engine_for(SIZES[0], "vector")
-    engine.run(SLOTS // 2)
+    the slab to the uninterrupted ``slots``-slot run's digest ``whole``."""
+    engine = engine_for(n, "vector", cc, slots, cc != "none")
+    engine.run(slots // 2)
     on_slab(engine)
     with tempfile.TemporaryDirectory() as scratch:
         path = pathlib.Path(scratch) / "mid.ckpt"
@@ -110,18 +163,23 @@ def check_resume(whole: str) -> None:
         checkpoint = load_checkpoint(path)
     assert checkpoint.version == CHECKPOINT_VERSION
     resumed = restore_engine(checkpoint)
-    resumed.run(SLOTS - SLOTS // 2)
+    resumed.run(slots - slots // 2)
     on_slab(resumed)
     digest = resumed.digest.hexdigest()
-    print(f"n={SIZES[0]}: v{checkpoint.version} snapshot at slot "
-          f"{SLOTS // 2} resumed to {digest}")
+    print(f"{cc} n={n}: v{checkpoint.version} snapshot at slot "
+          f"{slots // 2} resumed to {digest}")
     assert digest == whole, (digest, whole)
 
 
 def main() -> int:
     whole = {n: profile(n) for n in SIZES}
-    check_prefix()
-    check_resume(whole[SIZES[0]])
+    tokens = {n: profile(n, "hbh+spray") for n in TOKEN_SIZES}
+    family(TOKEN_SIZES[0])
+    check_prefix(SIZES[0])
+    check_resume(SIZES[0], whole[SIZES[0]])
+    check_prefix(TOKEN_SIZES[0], "hbh+spray")
+    check_resume(TOKEN_SIZES[0], tokens[TOKEN_SIZES[0]], "hbh+spray",
+                 TOKEN_SLOTS)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MB")
     return 0

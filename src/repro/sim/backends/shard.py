@@ -65,7 +65,10 @@ from ..parallel import ShardCrash, ShardWorkerError, get_shard_pool
 from . import EngineBackend, default_shards, register_backend
 from .object_backend import advance as advance_reference
 from .vector import (
+    _CREATED,
     _EV_DELIVERY,
+    _FSIZE,
+    _SEQ,
     _SlabTables,
     _VectorRun,
     _fast_ineligible_reason,
@@ -434,15 +437,13 @@ class _WorkerRun(_VectorRun):
         k = e.size
         if k:
             ge = e + lo
-            s = self.cur_sent[ge]
-            sz = self.cur_size[ge]
-            rows = self._new_cells(
-                ge, self.cur_dst[ge], self.cur_fid[ge], s, sz, t
-            )
-            s += 1
+            rec = self._cursor.take(ge, axis=0)
+            rec[:, _CREATED] = t
+            rows = self._new_cells(rec)
+            s = rec[:, _SEQ] + 1
             self.cur_sent[ge] = s
             self.m_inj += k
-            done = s >= sz
+            done = s >= rec[:, _FSIZE]
             if np.count_nonzero(done):
                 for gi in ge[done].tolist():
                     queue = self.waiting[gi]

@@ -17,12 +17,15 @@ hop-by-hop flow control (Section 3.3.2) at the uniform budget
   queue's head, round ``k`` the ``k``-th cell of the queues still blocked
   and at least ``k`` long.  A mid-list pick unlinks through its
   predecessor, so FIFO order holds.
-* **token return** — per-(node, link) ring buffers of ``dst * h + sprays``
-  codes, drained ``tokens_per_header`` at a time into whatever the node
-  sends toward that neighbour, or into a bare header (a wire row whose
-  cell is ``-1``) when it sends nothing else.
-* **active buckets** — dense per-(node, bucket) reference counts with the
-  per-node active count and its high-water mark.
+* **token return** — per-(node, link) FIFOs of bucket codes (``dst * h +
+  sprays + 1``; 0 is no token), the oldest first and 0 past the last,
+  drained ``tokens_per_header`` at a time into whatever the node sends
+  toward that neighbour, or into a bare header when it sends no cell.  A
+  wire batch carries only its token-bearing headers, as their receivers
+  and a ``(headers, tokens_per_header)`` block of codes (0 where a header
+  holds fewer).
+* **active buckets** — dense per-(node, bucket) reference counts and each
+  node's count of active buckets.
 
 See DESIGN.md §11 for the column layout and the within-slot event order.
 """
@@ -34,7 +37,7 @@ from typing import Dict, List
 import numpy as np
 
 from ...core.header import TOKEN_REGULAR
-from .vector import _HEADERS, _Decline, _VectorRun
+from .vector import _DST, _FID, _FSIZE, _HEADERS, _SEQ, _Decline, _VectorRun
 
 __all__ = ["TokenRun"]
 
@@ -42,6 +45,9 @@ _EV_TOKENS = 4  # DeterminismDigest token tag (see repro.sim.digest)
 
 #: closes every ledger column, so a lookup never indexes past the end
 _LEDGER_END = np.iinfo(np.int64).max
+
+#: the record fields a waiting flow's cell takes from the flow
+_FLOW_FIELDS = [_DST, _FID, _SEQ, _FSIZE]
 
 
 def _positions(keys: np.ndarray):
@@ -55,7 +61,8 @@ def _positions(keys: np.ndarray):
 class TokenRun(_VectorRun):
     """One packed stretch of hop-by-hop stepping (see the module docstring)."""
 
-    #: initial token-ring capacity (a power of two; rings double when full)
+    #: initial token-FIFO capacity (a power of two, at least
+    #: ``tokens_per_header``; a FIFO that fills doubles them all)
     RING_SLOTS = 4
 
     def __init__(self, engine, tables):
@@ -63,27 +70,46 @@ class TokenRun(_VectorRun):
         self.peer, back, self.pair_key, self.pair_link = tables.links
         self.back = back.tolist()
         n, h, L = self.n, self.h, self.L
-        self.nh = n * h
-        self.tph = engine.config.tokens_per_header
+        nh = self.nh = n * h
+        tph = self.tph = engine.config.tokens_per_header
         self.ledger = [
             np.array([_LEDGER_END], dtype=np.int64) for _ in range(L)
         ]
         # active-bucket tracker: ref[node * nh + dst * h + sprays]
-        self.tr_ref = np.zeros(n * self.nh, dtype=np.int32)
+        self.tr_ref = np.zeros(n * nh, dtype=np.int32)
         self.tr_active = np.zeros(n, dtype=np.int64)
-        # token-return rings, one per queue index ``link * n + node``
+        # token-return FIFOs, one per queue index ``link * n + node``
         self.tq_cap = self.RING_SLOTS
+        while self.tq_cap < tph:
+            self.tq_cap *= 2
         self.tq = np.zeros((self.Ln, self.tq_cap), dtype=np.int64)
-        # heads run free: positions are read modulo the capacity
-        self.tq_head = np.zeros(self.Ln, dtype=np.int64)
         self.tq_len = np.zeros(self.Ln, dtype=np.int64)
-        # the link on which the batch being received reaches its senders
-        self._rx_back = 0
+        # the FIFO index ``link * n`` of the batch being received: its
+        # receivers owe the tokens of its cells on that link
+        self._rx_fifo = 0
         # per-slot TX scratch: whether the cell a node sends (``_cell_of``,
         # -1: none) is a fresh emission
         self._fresh = np.zeros(n, dtype=bool)
-        self._tok_field = np.arange(4 + 3 * self.tph)
-        self._header_slot = np.arange(self.tph)
+        # a bucket's code is ``dst * h + sprays + 1``, and node ``i``'s key
+        # for it ``_node_base[i] + code`` (the ledger's and the tracker's
+        # ``(i * n + dst) * h + sprays``)
+        ids = np.arange(n, dtype=np.int64)
+        self._node_base = ids * nh - 1
+        self._dst_code = ids * h + 1
+        self._first_key = self._node_base + self.hm1
+        dst, sprays = np.divmod(np.arange(-1, nh, dtype=np.int64), h)
+        onward = sprays - (sprays > 0)
+        #: per code: the code of the bucket a forwarded cell takes at the
+        #: next hop, and that bucket's sprays
+        self._onward_code = dst * h + onward + 1
+        self._onward = onward
+        #: per code: a token's digest fields (dest, sprays, kind); code 0,
+        #: no token, has none
+        self._token_fields = np.stack(
+            (dst, sprays, np.full(nh + 1, TOKEN_REGULAR)), axis=1)
+        self._token_fields[0] = 0
+        #: on_tokens row width by tokens carried
+        self._token_width = 4 + 3 * np.arange(tph + 1)
 
     def _event_width(self) -> int:
         # on_tokens rows: [tag, sender, receiver, t, (dest, sprays, kind)
@@ -97,7 +123,8 @@ class TokenRun(_VectorRun):
 
     def _init_slab(self, count: int) -> None:
         super()._init_slab(count)
-        #: link on which the cell's current holder reaches ``c_prev``
+        #: the FIFO (``link * n + holder``) of the token the cell's
+        #: current holder owes ``c_prev``
         self.c_back = np.zeros(self.cap, dtype=np.int64)
 
     def _grow_slab(self, need: int) -> None:
@@ -126,7 +153,7 @@ class TokenRun(_VectorRun):
         holders = np.repeat(np.arange(n), self.q_len.sum(axis=0))
         self.c_back[self.Ln:nid] = self._link_between(
             holders, self.c_prev[self.Ln:nid]
-        )
+        ) * n + holders
         holder, nb, dst, sprays, _, first_hop = model["ledger"].T
         if first_hop.any():
             raise _Decline("ledger carries first-hop markings")
@@ -156,7 +183,7 @@ class TokenRun(_VectorRun):
         slot, held = _positions(wire)
         if held.size and held.max() > self.tph:
             raise _Decline(_HEADERS)
-        codes = np.full((self.tph, len(model["wire"])), -1, dtype=np.int64)
+        codes = np.zeros((self.tph, len(model["wire"])), dtype=np.int64)
         codes[slot, wire] = self._token_codes(*token)
         return codes
 
@@ -166,34 +193,48 @@ class TokenRun(_VectorRun):
         back = self._link_between(recvs, senders)
         if (back != back[0]).any():
             raise _Decline(_HEADERS)
-        if not ((tokens >= 0).any() or (rows < 0).any()):
-            tokens = None
-        return (arrival, senders, rows, recvs, fresh, esph, tokens,
-                int(back[0]))
+        headers = tokens[0] > 0
+        payload = rows >= 0
+        if (~payload & ~headers).any():
+            raise _Decline(_HEADERS)  # a header with nothing in it
+        tokens = (recvs[headers], tokens[:, headers].T.copy()) \
+            if headers.any() else None
+        return (arrival, senders[payload], rows[payload], recvs[payload],
+                fresh[payload], esph, tokens, int(back[0]))
 
     def _token_codes(self, dest, sprays, kind) -> np.ndarray:
-        """The ``dest * h + sprays`` code of each token, all regular (the
-        only kind a ring or a header holds on the slab)."""
+        """The bucket code of each token, all regular (the only kind a
+        FIFO or a header holds on the slab)."""
         if (kind != TOKEN_REGULAR).any():
             raise _Decline(_HEADERS)
-        return dest * self.h + sprays
+        return dest * self.h + sprays + 1
 
-    def _export_headers(self, model, batch, lo: int) -> None:
-        if batch[6] is not None:
-            # by transmission, then header position
-            tokens = batch[6].T
-            held = tokens >= 0
-            model["wire_tokens"] = np.concatenate((
-                model["wire_tokens"],
-                self._token_rows(tokens[held], lo + held.nonzero()[0]),
-            ))
+    def _export_batch(self, model, batch, lo: int):
+        senders, rows, recvs = batch[1], batch[2], batch[3]
+        if batch[6] is None:
+            return senders, recvs, rows
+        # the token-bearing headers, and the bare ones among them, merged
+        # into the payload transmissions in sender order
+        back, (heard, codes) = batch[7], batch[6]
+        owing = self.peer[back, heard]
+        bare = ~np.isin(owing, senders)
+        senders = np.concatenate((senders, owing[bare]))
+        order = senders.argsort()
+        senders = senders[order]
+        recvs = np.concatenate((recvs, heard[bare]))[order]
+        rows = np.concatenate((rows, np.full(bare.sum(), -1)))[order]
+        # by transmission, then header position
+        held = codes > 0
+        at = lo + senders.searchsorted(owing)
+        model["wire_tokens"] = np.concatenate((
+            model["wire_tokens"],
+            self._token_rows(codes[held], np.repeat(at, held.sum(axis=1))),
+        ))
+        return senders, recvs, rows
 
     def _token_rows(self, codes, *keys) -> np.ndarray:
         """``(*keys, dest, sprays, kind)`` rows for the tokens ``codes``."""
-        return np.stack((
-            *keys, *np.divmod(codes, self.h),
-            np.full(codes.size, TOKEN_REGULAR),
-        )).T
+        return np.column_stack((*keys, self._token_fields[codes]))
 
     def export_model(self):
         model = super().export_model()
@@ -214,17 +255,14 @@ class TokenRun(_VectorRun):
         holder, code = np.divmod(live, nh)
         model["tracker"] = np.stack(
             (holder, *np.divmod(code, h), self.tr_ref[live])).T
-        # token rings in (holder, neighbour) order, each in FIFO order
+        # token FIFOs in (holder, neighbour) order, each oldest first
         used = self.tq_len.nonzero()[0]
         nb = self.peer.reshape(-1)[used]
         order = np.lexsort((nb, used % n))
         used, nb = used[order], nb[order]
         held = self.tq_len[used]
-        order = (self.tq_head[used, None] + np.arange(self.tq_cap)) \
-            & (self.tq_cap - 1)
-        codes = self.tq[used[:, None], order]
         model["tokens"] = self._token_rows(
-            codes[np.arange(self.tq_cap) < held[:, None]],
+            self.tq[used][np.arange(self.tq_cap) < held[:, None]],
             np.repeat(used % n, held), np.repeat(nb, held),
         )
         return model
@@ -246,7 +284,8 @@ class TokenRun(_VectorRun):
         pos = column.searchsorted(key)
         # a token for an un-charged pair is a tolerated no-op
         pos = pos[column[pos] == key]
-        keep = np.ones(column.size, dtype=bool)
+        keep = np.empty(column.size, dtype=bool)
+        keep.fill(True)
         keep[pos] = False
         self.ledger[link] = column[keep]
 
@@ -257,33 +296,47 @@ class TokenRun(_VectorRun):
     def _release(self, nodes, idx) -> None:
         count = self.tr_ref[idx]
         self.tr_ref[idx] = count - (count > 0)
-        gone = (count == 1).nonzero()[0]
-        if gone.size:
-            self.tr_active[nodes[gone]] -= 1
+        self.tr_active[nodes] -= count == 1
 
     def _active_buckets(self) -> int:
         return int(self.tr_active.max())
 
     # ------------------------------------------------------------------ #
-    # token-return rings
+    # token-return FIFOs
 
     def _grow_rings(self) -> None:
-        cap = self.tq_cap
-        order = (self.tq_head[:, None] + np.arange(cap)) & (cap - 1)
-        grown = np.zeros((self.Ln, 2 * cap), dtype=np.int64)
-        grown[:, :cap] = np.take_along_axis(self.tq, order, axis=1)
+        grown = np.zeros((self.Ln, 2 * self.tq_cap), dtype=np.int64)
+        grown[:, :self.tq_cap] = self.tq
         self.tq = grown
-        # contents now start at position 0
-        self.tq_head = np.zeros(self.Ln, dtype=np.int64)
-        self.tq_cap = 2 * cap
+        self.tq_cap *= 2
 
     def _queue_tokens(self, q, code) -> None:
-        """Append one token per ring in ``q`` (distinct rings)."""
+        """Append one token per FIFO in ``q`` (distinct FIFOs)."""
         length = self.tq_len[q]
-        if int(length.max()) >= self.tq_cap:
+        if length.max() >= self.tq_cap:
             self._grow_rings()
-        self.tq[q, (self.tq_head[q] + length) & (self.tq_cap - 1)] = code
+        self.tq[q, length] = code
         self.tq_len[q] = length + 1
+
+    def _drain_tokens(self, link: int):
+        """Up to ``tokens_per_header`` codes from every non-empty FIFO
+        toward this slot's neighbour: ``(nodes, codes (k, tph) padded with
+        0, how many each node sends)``, or None when no node owes any."""
+        lo = link * self.n
+        owed = self.tq_len[lo:lo + self.n]
+        owing = owed.nonzero()[0]
+        if not owing.size:
+            return None
+        q = owing + lo
+        tph = self.tph
+        held = self.tq.take(q, axis=0)
+        # the rest move to the front, and 0 fills in behind them
+        self.tq[q, :-tph] = held[:, tph:]
+        self.tq[q, -tph:] = 0
+        length = owed[owing]
+        taken = np.minimum(length, tph)
+        owed[owing] = length - taken
+        return owing, held[:, :tph], taken
 
     # ------------------------------------------------------------------ #
     # per-slot sections
@@ -293,162 +346,157 @@ class TokenRun(_VectorRun):
         while batches and batches[0][0] <= t:
             _, _, cells, recvs, fresh, esph, tokens, back = batches.popleft()
             if tokens is not None:
-                self._receive_tokens(recvs, tokens, back)
-                payload = cells >= 0
-                if not payload.all():
-                    cells = cells[payload]
-                    recvs = recvs[payload]
-                    fresh = fresh[payload]
-            self._rx_back = back
+                self._receive_tokens(*tokens, back)
+            self._rx_fifo = back * self.n
             if cells.size:
                 self._arrive(t, cells, recvs, fresh, esph)
 
-    def _receive_tokens(self, recvs, tokens, back: int) -> None:
+    def _receive_tokens(self, recvs, codes, back: int) -> None:
         """Header tokens at their receivers: restore the ledger credit and
         release the bucket, header position by header position (so two
-        tokens in one header act in order)."""
-        keys = []
-        for col in tokens:
-            have = (col >= 0).nonzero()[0]
+        tokens in one header act in order; every header holds a first)."""
+        base = self._node_base[recvs]
+        keys = base + codes[:, 0]
+        self._release(recvs, keys)
+        for col in codes.T[1:]:
+            have = col.nonzero()[0]
             if not have.size:
                 break
-            nodes = recvs[have]
-            idx = nodes * self.nh + col[have]
-            keys.append(idx)
-            self._release(nodes, idx)
-        if keys:
-            self._credit(back, keys[0] if len(keys) == 1
-                         else np.concatenate(keys))
+            key = base[have] + col[have]
+            self._release(recvs[have], key)
+            keys = np.concatenate((keys, key))
+        self._credit(back, keys)
 
     def _forward(self, fc, rv, dd, emask, esph) -> None:
         super()._forward(fc, rv, dd, emask, esph)
-        self.c_back[fc] = self._rx_back
+        self.c_back[fc] = rv + self._rx_fifo
         # the cell now occupies bucket (dst, sprays) at its receiver
-        idx = rv * self.nh + dd * self.h + self.c_sprays[fc]
-        count = self.tr_ref[idx] + 1
-        self.tr_ref[idx] = count
-        fresh = (count == 1).nonzero()[0]
-        if fresh.size:
-            nodes = rv[fresh]
-            active = self.tr_active[nodes] + 1
-            self.tr_active[nodes] = active
-            metrics = self.engine.metrics
-            mx = int(active.max())
-            if mx > metrics.max_active_buckets:
-                metrics.max_active_buckets = mx
+        idx = self._node_base[rv] + self._dst_code[dd] + self.c_sprays[fc]
+        count = self.tr_ref[idx]
+        self.tr_ref[idx] = count + 1
+        # no node's count exceeds the recorded peak, so the receivers'
+        # largest count is the peak's candidate
+        active = self.tr_active[rv] + (count == 0)
+        self.tr_active[rv] = active
+        mx = int(active.max())
+        metrics = self.engine.metrics
+        if mx > metrics.max_active_buckets:
+            metrics.max_active_buckets = mx
+
+    def _headers(self, ids, cells, nb):
+        """For cells ``cells`` held by ``ids``: the code of the bucket each
+        occupies here, the ledger key of the bucket it takes at the next
+        hop, and whether that hop is its last."""
+        dst = self.c_dst[cells]
+        code = self._dst_code[dst] + self.c_sprays[cells]
+        key = self._node_base[ids] + self._onward_code[code]
+        return code, key, nb[ids] == dst
 
     def _pick(self, link: int, ids, nb):
         """PIEO extraction on every non-empty queue of ``link``: the first
         cell that is on its final hop or whose next-hop bucket has credit.
 
-        Returns ``(nodes, cells, pred, last, dst, sprays, onward, keys)``:
-        the picked cells with their list predecessors and whether each was
-        its queue's last cell, their headers (``onward`` is the sprays left
-        after this hop) and the ledger keys to charge (the picks that were
-        not final hops).
+        Returns ``(nodes, cells, pred, left, code, key, final)``: the
+        picked cells with their list predecessors and the cells from each
+        to its queue's tail, then :meth:`_headers` of the picks.
         """
-        n, h = self.n, self.h
         nxt = self.c_nxt
         column = self.ledger[link]
-        pred = ids + link * n      # round one: the queue sentinels
+        pred = ids + link * self.n      # round one: the queue sentinels
         cells = nxt[pred]
-        left = self.q_len[link][ids]  # cells from this one to the tail
-        found = []
-        while True:
-            dst = self.c_dst[cells]
-            sprays = self.c_sprays[cells]
-            onward = sprays - (sprays > 0)
-            key = (ids * n + dst) * h + onward
-            final = nb[ids] == dst
-            ok = final | (column[column.searchsorted(key)] != key)
-            if ok.all():
-                found.append((ids, cells, pred, left == 1, dst, sprays,
-                              onward, key[~final]))
-                break
-            hit = ok.nonzero()[0]
-            found.append((ids[hit], cells[hit], pred[hit], left[hit] == 1,
-                          dst[hit], sprays[hit], onward[hit],
-                          key[hit][~final[hit]]))
-            # next round: the following cell of every still-blocked queue
-            # that has one
-            more = ~ok & (left > 1)
-            ids = ids[more]
-            if not ids.size:
-                break
-            pred = cells[more]
-            cells = nxt[pred]
-            left = left[more] - 1
-        if len(found) == 1:
-            return found[0]
-        return tuple(np.concatenate(part) for part in zip(*found))
+        left = self.q_len[link][ids]
+        code, key, final = self._headers(ids, cells, nb)
+        ok = final | (column[column.searchsorted(key)] != key)
+        if np.count_nonzero(ok) == ok.size:
+            return ids, cells, pred, left, code, key, final
+        # later rounds: the next cell of every queue still blocked that
+        # has one; a pick takes its queue's place in the round-one arrays
+        blocked = (~ok & (left > 1)).nonzero()[0]
+        before = cells[blocked]
+        depth = 1
+        while blocked.size:
+            here = nxt[before]
+            _, key, final = self._headers(ids[blocked], here, nb)
+            hit = final | (column[column.searchsorted(key)] != key)
+            at = blocked[hit]
+            cells[at] = here[hit]
+            pred[at] = before[hit]
+            left[at] -= depth
+            ok[at] = True
+            depth += 1
+            more = ~hit & (left[blocked] > depth)
+            blocked = blocked[more]
+            before = here[more]
+        picked = ok.nonzero()[0]
+        ids, cells = ids[picked], cells[picked]
+        return (ids, cells, pred[picked], left[picked],
+                *self._headers(ids, cells, nb))
 
     def _admit_blocked(self, link: int, blocked, t: int):
         """``Node._pick_flow``'s fallback for sources whose cursor flow has
         no first-hop credit: the first waiting flow that has.
 
-        Returns ``(nodes, rows, keys)`` of the cells admitted this way, or
-        None when there are none.
+        Returns ``(nodes, records, keys)`` of the cells admitted this way
+        (``records`` without ``created_at``), or None when there are none.
         """
+        waiting = self.waiting
         n, h, hm1 = self.n, self.h, self.hm1
-        waiting = [(i, flow) for i in blocked.tolist()
-                   for flow in self.waiting[i]]
-        if not waiting:
+        options = [(i, flow) for i in blocked.tolist() if waiting[i]
+                   for flow in waiting[i]]
+        if not options:
             return None
-        key = np.array([(i * n + flow.dst) * h + hm1 for i, flow in waiting],
+        key = np.array([(i * n + flow.dst) * h + hm1 for i, flow in options],
                        dtype=np.int64)
         chosen: Dict[int, tuple] = {}
-        for (i, flow), k, spent in zip(waiting, key.tolist(),
+        for (i, flow), k, spent in zip(options, key.tolist(),
                                        self._spent(link, key).tolist()):
             if not spent and i not in chosen:
                 chosen[i] = (flow, k)
         if not chosen:
             return None
         nodes = np.array(list(chosen), dtype=np.int64)
-        flows = [flow for flow, _ in chosen.values()]
-        rows = self._new_cells(
-            nodes,
-            [flow.dst for flow in flows], [flow.flow_id for flow in flows],
-            [flow.sent for flow in flows], [flow.size_cells for flow in flows],
-            t,
-        )
-        for i, flow in zip(chosen, flows):
+        records = self._cursor.take(nodes, axis=0)
+        records[:, _FLOW_FIELDS] = [
+            (flow.dst, flow.flow_id, flow.sent, flow.size_cells)
+            for flow, _ in chosen.values()
+        ]
+        for i, (flow, _) in chosen.items():
             flow.sent += 1
             if flow.sent >= flow.size_cells:
-                self.waiting[i].remove(flow)
+                waiting[i].remove(flow)
         self.engine.metrics.cells_injected += nodes.size
-        return nodes, rows, np.array([k for _, k in chosen.values()],
-                                     dtype=np.int64)
+        return nodes, records, np.array([k for _, k in chosen.values()],
+                                        dtype=np.int64)
 
     def _send_forwards(self, link: int, nb, charges: list) -> int:
         """The PIEO pick on every non-empty queue of ``link``, with what
         forwarding a cell entails: unlink it, token upstream, bucket
         release, header update.  Returns the number of cells picked."""
-        n, h = self.n, self.h
-        queued = (self.q_len[link] > 0).nonzero()[0]
+        qlen = self.q_len[link]
+        queued = qlen.nonzero()[0]
         if not queued.size:
             return 0
-        ids, cells, pred, last, dst, sprays, onward, keys = self._pick(
+        ids, cells, pred, left, code, key, final = self._pick(
             link, queued, nb
         )
         if not ids.size:
             return 0
         # a last cell's nxt is past its list's end: its predecessor, the
         # new tail, takes it unread
-        self.c_nxt[pred] = self.c_nxt[cells]
-        last = last.nonzero()[0]
+        nxt = self.c_nxt
+        nxt[pred] = nxt[cells]
+        last = (left == 1).nonzero()[0]
         if last.size:
             self.q_tail[link][ids[last]] = pred[last]
-        self.q_len[link][ids] -= 1
+        qlen[ids] -= 1
         # the token names the bucket the cell occupied here
-        code = dst * h + sprays
-        self._queue_tokens(self.c_back[cells] * n + ids, code)
-        self._release(ids, ids * self.nh + code)
-        self.c_sprays[cells] = onward
+        self._queue_tokens(self.c_back[cells], code)
+        self._release(ids, self._node_base[ids] + code)
+        self.c_sprays[cells] = self._onward[code]
         self.c_prev[cells] = ids
         self.c_hops[cells] += 1
         self._cell_of[ids] = cells
-        if keys.size:
-            charges.append(keys)
+        charges.append(key[~final])
         return ids.size
 
     def _send_admissions(self, link: int, t: int, charges: list) -> int:
@@ -456,97 +504,70 @@ class TokenRun(_VectorRun):
         against the bucket ``(neighbour, flow.dst, h-1)`` — charged even
         when the neighbour is the destination, as ``_emit_flow_cell``
         does.  Returns the number of cells admitted."""
-        cell_of, fresh = self._cell_of, self._fresh
+        cell_of = self._cell_of
         e = (self.has_flow & (cell_of < 0)).nonzero()[0]
         if not e.size:
             return 0
-        admitted = 0
-        key = (e * self.n + self.cur_dst[e]) * self.h + self.hm1
+        key = self._first_key[e] + self._dst_code[self.cur_dst[e]]
         spent = self._spent(link, key)
-        if spent.any():
-            other = self._admit_blocked(link, e[spent], t)
-            if other is not None:
-                late, rows, keys = other
-                admitted = late.size
-                cell_of[late] = rows
-                fresh[late] = True
-                charges.append(keys)
-            e = e[~spent]
-            key = key[~spent]
-        if e.size:
-            admitted += e.size
+        late = None
+        if np.count_nonzero(spent):
+            late = self._admit_blocked(link, e[spent], t)
+            go = ~spent
+            e, key = e[go], key[go]
+        charges.append(key)
+        if late is None:
             cell_of[e] = self._emit(e, t)
-            fresh[e] = True
-            charges.append(key)
-        return admitted
-
-    def _drain_tokens(self, link: int):
-        """Up to ``tokens_per_header`` codes from every non-empty ring
-        toward this slot's neighbour: ``(nodes, codes (k, tph) padded with
-        -1, how many each node sends)``."""
-        lo = link * self.n
-        owed = self.tq_len[lo:lo + self.n]
-        owing = owed.nonzero()[0]
-        if not owing.size:
-            return owing, None, None
-        q = owing + lo
-        head = self.tq_head[q]
-        length = owed[owing]
-        codes = self.tq[
-            q[:, None],
-            (head[:, None] + self._header_slot) & (self.tq_cap - 1),
-        ]
-        codes[self._header_slot >= length[:, None]] = -1
-        taken = np.minimum(length, self.tph)
-        self.tq_head[q] = head + taken
-        owed[owing] = length - taken
-        return owing, codes, taken
+        else:
+            nodes, records, keys = late
+            charges.append(keys)
+            rows = self._emit(e, t, records)
+            e = np.concatenate((e, nodes))
+            cell_of[e] = rows
+        self._fresh[e] = True
+        return e.size
 
     def _tx(self, t: int, slot: int, phase: int) -> None:
         engine = self.engine
         link = self.link_table[slot]
         nb = self.nbr[slot]
-        esph = (phase + 1) % self.h
         cell_of = self._cell_of
         cell_of.fill(-1)
         self._fresh.fill(False)
         charges: List[np.ndarray] = []
-        payload = self._send_forwards(link, nb, charges)
-        payload += self._send_admissions(link, t, charges)
+        payload = self._send_forwards(link, nb, charges) \
+            + self._send_admissions(link, t, charges)
         if charges:
             self._charge(link, charges)
-        owing, codes, taken = self._drain_tokens(link)
-        send = cell_of >= 0
-        if owing.size:
-            send[owing] = True  # bare headers where no cell goes
-        senders = send.nonzero()[0]
-        m = senders.size
-        if not m:
-            return
+        drained = self._drain_tokens(link)
         metrics = engine.metrics
+        # transmissions: the payload ones, plus a bare header from every
+        # node that owes tokens and sends no cell
+        m = payload
         tokens = None
-        if owing.size:
-            # every owing node sends, so its position among the senders
-            # is a search in an ascending list
-            tokens = np.full((self.tph, m), -1, dtype=np.int64)
-            tokens[:, senders.searchsorted(owing)] = codes.T
+        if drained is not None:
+            owing, codes, taken = drained
+            heard = nb[owing]
+            tokens = (heard, codes)
+            m += np.count_nonzero(cell_of[owing] < 0)
             metrics.tokens_sent += int(taken.sum())
             if engine.digest is not None:
                 # one on_tokens event per token-bearing header, in sender
-                # order (``owing`` is ascending), each row zero past its
-                # header's tokens
-                width = 4 + 3 * taken
-                ev = self._events(owing.size, width)
+                # order; an absent token's fields are the zero row
+                ev = self._events(owing.size, self._token_width[taken])
                 ev[:, 0] = _EV_TOKENS
                 ev[:, 1] = owing
-                ev[:, 2] = nb[owing]
+                ev[:, 2] = heard
                 ev[:, 3] = t
-                ev[:, 4::3], ev[:, 5::3] = np.divmod(codes, self.h)
-                ev[:, 6::3] = TOKEN_REGULAR
-                ev[self._tok_field >= width[:, None]] = 0
+                ev[:, 4:4 + 3 * self.tph] = self._token_fields.take(
+                    codes, axis=0).reshape(owing.size, -1)
+        if not m:
+            return
+        senders = (cell_of >= 0).nonzero()[0]
         self.batches.append((
             t + self.delay, senders, cell_of[senders], nb[senders],
-            self._fresh[senders], esph, tokens, self.back[link],
+            self._fresh[senders], (phase + 1) % self.h, tokens,
+            self.back[link],
         ))
         metrics.cells_sent += m
         metrics.dummy_cells_sent += m - payload

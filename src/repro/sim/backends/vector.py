@@ -14,8 +14,9 @@ every node in a timeslot with a handful of array operations:
   freelist recycles slab rows as cells are delivered.  No record holds a
   cell's next spray phase: every cell of a wire batch left in the same
   slot, so the batch carries it once (the send slot's phase plus one).
-* **flow cursors** — per-node columns for the currently emitting flow
-  (id, dst, sent, size) with the waiting flows in per-node Python lists;
+* **flow cursors** — per node, the record of the next cell its currently
+  emitting flow admits (the flow's id, dst, sent and size are its columns),
+  with the waiting flows in per-node Python lists;
   per-flow ``delivered`` / ``size`` columns detect completions by array
   compare instead of per-cell object updates.
 * **wire** — in-flight transmissions as per-arrival-slot batches of
@@ -81,7 +82,6 @@ _WIDTH = len(tables.TABLES["cells"])
 _SRC, _DST, _FID, _SEQ, _SPRAYS, _PREV, _CREATED, _FSIZE, _HOPS = (
     tables.col("cells", field) for field in _FIELDS.values())
 _LEN = tables.col("queues", "len")
-_PAYLOAD = tables.col("wire", "payload")
 
 _EV_DELIVERY = 1  # DeterminismDigest delivery tag (see repro.sim.digest)
 #: record fields of a delivery event, in on_delivery order (flow id, seq,
@@ -260,12 +260,8 @@ class _VectorRun:
             [(ids // self.r ** (self.h - 1 - p)) % self.r
              for p in range(self.h)]
         )
-        # the h=2 next hop's ``p * (r-1) + diff % r - 1`` as one gather:
-        # the link for a digit difference ``diff`` in (-r, r) on phase
-        # ``p`` sits at ``(2p + 1) * r + diff``
-        diff = np.arange(-self.r, self.r)
-        self._link2 = np.concatenate(
-            [p * self.rm1 + diff % self.r - 1 for p in (0, 1)])
+        if self.h == 2:
+            self._hop2 = self._direct_links2()
         # queue columns, one row per link index (plus flat aliases for the
         # RX scatter, which addresses queues as ``link * n + node``).
         # Queues are sentinel-headed, length-delimited linked lists: slab
@@ -285,12 +281,20 @@ class _VectorRun:
         self.qf_len = self.q_len.reshape(-1)
         # per-node occupancy totals are derived from q_len on demand (at
         # sample windows and export), not maintained per slot
-        # flow cursor columns + waiting lists
+        # flow cursors + waiting lists.  A node's cursor is the record of
+        # the next cell its cursor flow emits, all but ``created_at``:
+        # the flow's columns (dst, id, sent as the next seq, size) are
+        # views of it, and the rest is constant (src = prev hop = the
+        # node, ``h-1`` sprays, one hop)
         self.has_flow = np.zeros(self.n, dtype=bool)
-        self.cur_fid = np.zeros(self.n, dtype=np.int64)
-        self.cur_dst = np.zeros(self.n, dtype=np.int64)
-        self.cur_sent = np.zeros(self.n, dtype=np.int64)
-        self.cur_size = np.zeros(self.n, dtype=np.int64)
+        self._cursor = np.zeros((self.n, _WIDTH), dtype=np.int64)
+        self._cursor[:, _SRC] = self._cursor[:, _PREV] = ids
+        self._cursor[:, _SPRAYS] = self.hm1
+        self._cursor[:, _HOPS] = 1
+        self.cur_fid = self._cursor[:, _FID]
+        self.cur_dst = self._cursor[:, _DST]
+        self.cur_sent = self._cursor[:, _SEQ]
+        self.cur_size = self._cursor[:, _FSIZE]
         self.cur_flow: List[Optional[object]] = [None] * self.n
         self.waiting: List[deque] = [deque() for _ in range(self.n)]
         # per-flow completion columns
@@ -301,11 +305,6 @@ class _VectorRun:
         self.batches: deque = deque()
         # scratch: the cell each node sends this slot, by node id
         self._cell_of = np.empty(self.n, dtype=np.int64)
-        # scratch: one record per emission of a slot, scattered into the
-        # slab as whole rows; its constant fields are written here
-        self._new_rec = np.zeros((self.n, _WIDTH), dtype=np.int64)
-        self._new_rec[:, _SPRAYS] = self.hm1
-        self._new_rec[:, _HOPS] = 1
         # digest rows waiting to be folded, in event order, each zero
         # past its width: a delivery's [tag, flow id, seq, src, dst,
         # hops, t], or a subclass's wider events
@@ -326,12 +325,31 @@ class _VectorRun:
         self.rng_synced = None      # engine.rng.getstate() at rng_prestate
         self.bg = None
         self._reset_draws()
-        if cfg.uses_spray_short:
-            self._spray_offsets = self._shortest_queue
-            # flat q_len strides of one phase's r-1 queues, as a column
-            self._phase_stride = (
-                np.arange(self.rm1, dtype=np.int64) * self.n
-            )[:, None]
+        self._spray_short = cfg.uses_spray_short
+        if self._spray_short:
+            # per phase, its r-1 rows of queue lengths (a view)
+            self._phase_lens = self.q_len.reshape(self.h, self.rm1, self.n)
+            # ``randrange(count)`` takes the top ``count.bit_length()``
+            # bits of a 32-bit word: the shift, per tie count
+            self._tie_shift = [32 - count.bit_length()
+                               for count in range(self.r)]
+
+    def _direct_links2(self):
+        """The h=2 direct hop as one gather per cell: per spray phase, the
+        link toward the destination, indexed by ``_hop_to[dst] -
+        _hop_at[node]``, which encodes both digit differences ``(d0, d1)``
+        (node ``x`` has digits ``(x // r, x % r)``).  The phase is the
+        batch phase unless its digit already matches (the other then
+        cannot: the cell is not home), and phase 1 only while the first
+        digit matches."""
+        r = self.r
+        ids = np.arange(self.n, dtype=np.int64)
+        self._hop_at = (ids // r) * (2 * r) + ids % r
+        self._hop_to = self._hop_at + 2 * r * r + r
+        d0, d1 = (d - r for d in np.divmod(np.arange(4 * r * r), 2 * r))
+        return [np.where((d1 == 0) | ((d0 != 0) & (esph == 0)),
+                         d0 % r - 1, self.rm1 + d1 % r - 1)
+                for esph in (0, 1)]
 
     # ------------------------------------------------------------------ #
     # slab management
@@ -406,8 +424,10 @@ class _VectorRun:
 
     def _events(self, k: int, width) -> np.ndarray:
         """The next ``k`` digest rows, ``width`` fields each (one int, or
-        one per row), for the caller to fill — with zeros past each row's
-        width.  Folds the held rows first once they make a block."""
+        one per row), for the caller to fill.  They come zeroed past a
+        delivery's width, so a delivery writes its own fields only and a
+        wider event writes all of them.  Folds the held rows first once
+        they make a block."""
         held = self._events_held
         if held >= _DIGEST_BLOCK:
             self._fold_events()
@@ -422,6 +442,7 @@ class _VectorRun:
         if held:
             self.engine.digest.fold_table(self._events_buf[:held],
                                           self._events_widths[:held])
+            self._events_buf[:held, _DELIVERY_WIDTH:] = 0
             self._events_held = 0
 
     # ------------------------------------------------------------------ #
@@ -488,29 +509,37 @@ class _VectorRun:
 
         CPython's ``_randbelow`` draws ``count.bit_length()`` bits — the
         top bits of one 32-bit word — until the value fits, so every
-        attempt costs one word whatever the width.
+        attempt costs one word whatever the width.  A batch that runs
+        past the words generated so far is drawn again, from its first
+        word, over a longer list.
         """
-        words = self.raw
-        pos = self.raw_pos
-        out = []
-        for count in counts:
-            if count == 1:
-                out.append(0)
+        shifts = self._tie_shift
+        while True:
+            words = self.raw
+            pos = self.raw_pos
+            out = []
+            append = out.append
+            try:
+                for count in counts:
+                    if count == 1:
+                        append(0)
+                        continue
+                    shift = shifts[count]
+                    v = words[pos] >> shift
+                    pos += 1
+                    while v >= count:
+                        v = words[pos] >> shift
+                        pos += 1
+                    append(v)
+            except IndexError:
+                pos = self.raw_pos
+                self.raw = words[pos:] + self.bg.random_raw(4096).tolist()
+                self.words_generated += pos
+                self.raw_pos = 0
                 continue
-            shift = 32 - count.bit_length()
-            while True:
-                if pos == len(words):
-                    words = self.raw = self.bg.random_raw(4096).tolist()
-                    self.words_generated += pos
-                    pos = 0
-                v = words[pos] >> shift
-                pos += 1
-                if v < count:
-                    break
-            out.append(v)
-        self.raw_pos = pos
-        self.words_consumed = self.words_generated + pos
-        return out
+            self.raw_pos = pos
+            self.words_consumed = self.words_generated + pos
+            return out
 
     def _sync_rng(self) -> None:
         """Advance the engine's Random past the words the stepper consumed
@@ -713,19 +742,18 @@ class _VectorRun:
         Gathers columns only: no object is touched and the run goes on as
         it is."""
         model = tables.idle(self.n, self.L)
-        wire = np.zeros((sum(batch[1].size for batch in self.batches), 4),
-                        dtype=np.int64)
-        sent = np.zeros(len(wire), dtype=np.int64)
+        wire = [np.zeros((0, 4), dtype=np.int64)]
+        sent = [np.zeros(0, dtype=np.int64)]
         lo = 0
         for batch in self.batches:
-            hi = lo + batch[1].size
-            wire[lo:hi, :3] = np.stack(
-                (batch[1], batch[3], np.full(hi - lo, batch[0]))).T
-            sent[lo:hi] = batch[2]
-            self._export_headers(model, batch, lo)
-            lo = hi
-        # a bare header (slab row -1) has no ``cells`` row
-        wire[:, _PAYLOAD] = sent >= 0
+            senders, recvs, rows = self._export_batch(model, batch, lo)
+            # a bare header (slab row -1) has no ``cells`` row
+            wire.append(np.stack((senders, recvs,
+                                  np.full(senders.size, batch[0]),
+                                  rows >= 0)).T)
+            sent.append(rows)
+            lo += senders.size
+        wire, sent = np.concatenate(wire), np.concatenate(sent)
         cells = self._slab[np.concatenate((self._queued_rows(),
                                            sent[sent >= 0]))]
         model["cells"], model["wire"] = cells, wire
@@ -741,10 +769,12 @@ class _VectorRun:
         model["local_flows"] = flows[flows[:, 0].argsort(kind="stable")]
         return model
 
-    def _export_headers(self, model, batch, lo: int) -> None:
-        """Add the tokens in the headers of wire ``batch``, whose first
-        transmission is wire row ``lo``, to ``model`` (no header carries
-        any without hop-by-hop)."""
+    def _export_batch(self, model, batch, lo: int):
+        """The transmissions of wire ``batch`` in wire order, as
+        ``(senders, receivers, slab rows)`` (row -1: a bare header), with
+        the tokens their headers carry added to ``model`` — none without
+        hop-by-hop; ``lo`` is the wire row of the first."""
+        return batch[1], batch[3], batch[2]
 
     # ------------------------------------------------------------------ #
     # per-slot sections (the slab's deliver / inject / tx / sample)
@@ -775,9 +805,8 @@ class _VectorRun:
                 # one on_delivery event per cell
                 ev = self._events(cnt, _DELIVERY_WIDTH)
                 ev[:, 0] = _EV_DELIVERY
-                ev[:, 1:6] = rec[:, _DELIVERY_FIELDS]
+                ev[:, 1:6] = rec.take(_DELIVERY_FIELDS, axis=1)
                 ev[:, 6] = t
-                ev[:, _DELIVERY_WIDTH:] = 0
             fids = rec[:, _FID]
             fd = self.f_del[fids] + 1
             self.f_del[fids] = fd
@@ -820,20 +849,7 @@ class _VectorRun:
             link -= 1
             return link
         if h == 2:
-            # node x has digits (x // r, x % r): the digit differences
-            # toward the destination, each in (-r, r)
-            d0 = dd // r
-            d0 -= rv // r
-            d1 = dd - rv
-            d1 -= d0 * r
-            # phase esph unless its digit already matches (the other
-            # then cannot: the cell is not home)
-            take0 = d1 == 0
-            if esph == 0:
-                take0 |= d0 != 0
-            d0 += r  # each phase's offset into _link2
-            d1 += 3 * r
-            link = self._link2[np.where(take0, d0, d1)]
+            link = self._hop2[esph][self._hop_to[dd] - self._hop_at[rv]]
             # the batch's emissions are its spraying cells, all on the
             # batch phase
             sids = emask.nonzero()[0]
@@ -864,8 +880,12 @@ class _VectorRun:
     def _spray_offsets(self, sids, rv, sph: int) -> np.ndarray:
         """Spraying choice (round-robin offset minus one) for the cells at
         batch positions ``sids``, whose receivers are ``rv[sids]``, on
-        spray phase ``sph``.  Uniform spraying: one ``randrange(1, r)``
-        draw each."""
+        spray phase ``sph``: :meth:`_shortest_queue` under spray-short,
+        else one ``randrange(1, r)`` draw each (a test, not a bound method
+        stored on the run, which would make a cycle that keeps a dropped
+        run's columns alive until the collector runs)."""
+        if self._spray_short:
+            return self._shortest_queue(sids, rv, sph)
         return self._draw(sids.size)
 
     def _shortest_queue(self, sids, rv, sph: int) -> np.ndarray:
@@ -874,11 +894,9 @@ class _VectorRun:
         take the drawn tie in offset order, exactly as
         ``Node.enqueue_forward`` does (receivers are distinct within a
         batch, so no choice sees another's enqueue)."""
-        first = sph * (self.rm1 * self.n) + rv[sids]
-        lens = self.qf_len[first + self._phase_stride]  # (r-1, k)
-        ties = lens == lens.min(axis=0)
-        rank = ties.cumsum(axis=0)
-        pick = np.array(self._draw_ties(rank[-1].tolist()), dtype=np.int64)
+        lens = self._phase_lens[sph].take(rv[sids], axis=1)  # (r-1, k)
+        rank = (lens == lens.min(axis=0)).cumsum(axis=0)
+        pick = self._draw_ties(rank[-1].tolist())
         # the pick-th tie sits after exactly the positions ranked <= pick
         return (rank <= pick).sum(axis=0)
 
@@ -929,33 +947,26 @@ class _VectorRun:
                 self.cur_size[src] = size_cells
                 self.cur_flow[src] = flow
 
-    def _new_cells(self, e, dst, fid, seq, size, t) -> np.ndarray:
-        """Slab rows for one freshly admitted cell per source in ``e``."""
-        k = e.size
-        rows = self._alloc(k)
-        # the constant fields (sprays remaining, hops) were written once
-        # at construction
-        V = self._new_rec[:k]
-        V[:, _SRC] = e
-        V[:, _DST] = dst
-        V[:, _FID] = fid
-        V[:, _SEQ] = seq
-        V[:, _PREV] = e
-        V[:, _CREATED] = t
-        V[:, _FSIZE] = size
-        self._slab[rows] = V
+    def _new_cells(self, rec: np.ndarray) -> np.ndarray:
+        """Slab rows holding the records ``rec``, one new cell each."""
+        rows = self._alloc(len(rec))
+        self._slab[rows] = rec
         return rows
 
-    def _emit(self, e, t) -> np.ndarray:
+    def _emit(self, e, t, late: Optional[np.ndarray] = None) -> np.ndarray:
         """Admit one cell from the cursor flow of every node in ``e`` and
-        advance the cursors; returns the cells' slab rows."""
-        s = self.cur_sent[e]
-        sz = self.cur_size[e]
-        rows = self._new_cells(e, self.cur_dst[e], self.cur_fid[e], s, sz, t)
-        s += 1
+        advance the cursors; returns the cells' slab rows — followed by
+        those of the records ``late`` (cells admitted another way), which
+        are stored with them."""
+        rec = self._cursor.take(e, axis=0)
+        s = rec[:, _SEQ] + 1
         self.cur_sent[e] = s
         self.engine.metrics.cells_injected += e.size
-        done = s >= sz
+        done = s >= rec[:, _FSIZE]
+        if late is not None:
+            rec = np.concatenate((rec, late))
+        rec[:, _CREATED] = t
+        rows = self._new_cells(rec)
         if np.count_nonzero(done):
             for i in e[done].tolist():
                 flow = self.cur_flow[i]

@@ -728,11 +728,12 @@ class TestResidentSlab:
         session.engine.step()
         assert session.status()["model_syncs"] == 1
 
-    def test_a_dropped_engine_frees_its_slab_at_once(self):
+    @pytest.mark.parametrize("cc", SLAB_MECHANISMS)
+    def test_a_dropped_engine_frees_its_slab_at_once(self, cc, no_floor):
         """A parked run holds no reference back to its engine: no cycle
         keeps the slab of a finished run alive until the collector runs
         (a sweep would otherwise carry several engines' columns)."""
-        engine = _build("vector", 64, 2, "none", 3)
+        engine = _build("vector", 64, 2, cc, 3)
         engine.run(50)
         engine.run(50)
         run = weakref.ref(engine._parked)
@@ -1079,6 +1080,60 @@ class TestDigestBuffer:
         assert len(folds) > 10 * len(slices)
         assert any((widths == 7).any() and (widths > 7).any()
                    for widths in folds)
+
+
+class TestTokenHeaders:
+    """Every header size the slab accepts, straight and resumed from a
+    file: a header carries up to ``tokens_per_header`` tokens, and a node
+    that owes tokens but sends no cell sends them in a bare header."""
+
+    SLOTS = 240
+    CUTS = (90, 170)
+
+    def _engine(self, backend, n, h, cc, tph):
+        engine = _build(backend, n, h, cc, 11, size_cells=80,
+                        duration=self.SLOTS, tokens_per_header=tph)
+        engine.enable_digest()
+        return engine
+
+    @staticmethod
+    def _outcome(engine):
+        return (engine.digest.hexdigest(), engine.digest.events,
+                engine.metrics.payload_cells_delivered,
+                engine.metrics.max_active_buckets)
+
+    @pytest.mark.parametrize("n,h", ((144, 2), (125, 3)))
+    @pytest.mark.parametrize("cc", ("hop-by-hop", "hbh+spray"))
+    @pytest.mark.parametrize("tph", (1, 2, 3))
+    def test_headers_match_the_object_pipeline(self, tph, cc, n, h,
+                                               tmp_path):
+        assert n >= VectorBackend.TOKEN_SLAB_MIN_N
+        reference = self._engine("object", n, h, cc, tph)
+        reference.run()
+        expected = self._outcome(reference)
+        straight = self._engine("vector", n, h, cc, tph)
+        straight.run()
+        assert straight.backend_effective == "vector", \
+            straight.backend_reason
+        assert straight.model_syncs == 0
+        assert self._outcome(straight) == expected
+        for cut in self.CUTS:
+            engine = self._engine("vector", n, h, cc, tph)
+            engine.run(cut)
+            model = engine.snapshot().state["nodes"]
+            # the cut lands on headers in flight: bare ones, and (when a
+            # header holds more than one) ones carrying several tokens
+            wire = model["wire"]
+            assert (wire[:, tables.col("wire", "payload")] == 0).any()
+            per_header = np.bincount(model["wire_tokens"][:, 0])
+            assert (per_header.max() > 1) == (tph > 1)
+            path = tmp_path / f"{cut}.ckpt"
+            save_checkpoint(engine.snapshot(), path)
+            resumed = restore_engine(load_checkpoint(path))
+            resumed.run(self.SLOTS - cut)
+            assert resumed.backend_effective == "vector"
+            assert resumed.model_syncs == 0
+            assert self._outcome(resumed) == expected, cut
 
 
 class TestGoldenTracesOnVectorBackend:
