@@ -2,8 +2,14 @@
 """CI record and check: the slab's cell hop at paper scale, and what the
 token family costs on it.
 
-Runs with the step profiler attached and prints the microseconds each
-profiler section costs per node-slot:
+First it prints the process's ``VmRSS`` / ``VmHWM`` after each of three
+consecutive 300-slot cc=none permutation runs at n=1296, each dropped
+before the next — flat from the second on, since every slab array is on
+pages the slab owns — and then the bytes the last run's slab arrays map
+against the bytes of them resident.
+
+Then it runs with the step profiler attached and prints the microseconds
+each profiler section costs per node-slot:
 
 * a cc=none permutation (h=2) for 300 slots at n=1296 and n=4096, with the
   process's RSS growth over the run and the bytes one slab cell record
@@ -22,7 +28,8 @@ Asserts, for the cc=none permutation at n=1296 and for hbh+spray at n=256:
   loaded and restored, resumes on the slab to the uninterrupted run's
   digest.
 
-No timing is gated: shared CI machines are too noisy to gate on.
+No timing or memory figure is gated: shared CI machines are too noisy
+to gate on.
 
 Run from the repo root::
 
@@ -38,6 +45,8 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from repro.experiments.common import load_for  # noqa: E402
 from repro.sim.checkpoint import (  # noqa: E402
@@ -64,6 +73,8 @@ TOKEN_SLOTS = WARMUP + SLOTS
 #: the family table's horizon: short flows need a while to load the net
 FAMILY_SLOTS = 1000
 PREFIX = 100
+#: consecutive cc=none runs at ``SIZES[0]`` whose memory ``ratchet`` prints
+RATCHET_RUNS = 3
 MB = 2 ** 20
 
 
@@ -72,6 +83,25 @@ def rss_mb() -> float:
     with open("/proc/self/statm") as statm:
         pages = int(statm.read().split()[1])
     return pages * resource.getpagesize() / MB
+
+
+def vm_mb(*fields: str) -> list:
+    """The named ``/proc/self/status`` fields (``VmRSS``, ...) in MB."""
+    with open("/proc/self/status") as status:
+        values = dict(line.split(":", 1) for line in status)
+    return [int(values[field].split()[0]) / 1024 for field in fields]
+
+
+def resident_bytes(array: np.ndarray) -> int:
+    """Bytes of the pages under a contiguous ``array`` that are in RAM
+    (bit 63 of each page's ``/proc/self/pagemap`` entry)."""
+    page = resource.getpagesize()
+    start = array.__array_interface__["data"][0]
+    first, end = start // page, -(-(start + array.nbytes) // page)
+    with open("/proc/self/pagemap", "rb") as pagemap:
+        pagemap.seek(first * 8)
+        entries = np.frombuffer(pagemap.read((end - first) * 8), np.uint64)
+    return int(np.count_nonzero(entries >> np.uint64(63))) * page
 
 
 def engine_for(n: int, backend: str, cc: str = "none",
@@ -138,6 +168,25 @@ def family(n: int) -> None:
               f"{metrics.tokens_sent / FAMILY_SLOTS:.0f} tokens/slot")
 
 
+def ratchet(n: int) -> None:
+    """``RATCHET_RUNS`` cc=none runs at ``n`` in a row: the process's RSS
+    and high-water mark after each, then what the last run's slab maps
+    and what of it is resident."""
+    for run in range(1, RATCHET_RUNS + 1):
+        engine = engine_for(n, "vector")
+        engine.run()
+        on_slab(engine)
+        rss, hwm = vm_mb("VmRSS", "VmHWM")
+        print(f"none n={n}: run {run} of {RATCHET_RUNS}: VmRSS {rss:.1f} MB, "
+              f"VmHWM {hwm:.1f} MB")
+    slab = engine._parked
+    arrays = (slab._slab, slab.c_nxt, slab.free)
+    mapped = sum(array.nbytes for array in arrays)
+    resident = sum(resident_bytes(array) for array in arrays)
+    print(f"none n={n}: slab maps {mapped / MB:.1f} MB, "
+          f"{resident / MB:.1f} MB of it resident")
+
+
 def check_prefix(n: int, cc: str = "none") -> None:
     """The first ``PREFIX`` slots at ``n``: slab digest == object digest."""
     digests = {}
@@ -172,6 +221,7 @@ def check_resume(n: int, whole: str, cc: str = "none",
 
 
 def main() -> int:
+    ratchet(SIZES[0])
     whole = {n: profile(n) for n in SIZES}
     tokens = {n: profile(n, "hbh+spray") for n in TOKEN_SIZES}
     family(TOKEN_SIZES[0])

@@ -27,8 +27,9 @@ class ResourceObservation:
         max_active_buckets: peak number of simultaneously active buckets at
             any node (exact).
         max_pieo_length: peak occupancy of any PIEO queue (exact).
-        max_buffer_occupancy: peak total cells buffered at any node, at the
-            sample windows.
+        max_buffer_occupancy: peak total cells buffered at any node, as
+            sampled at the sample windows: a lower bound on the run's peak,
+            which can fall between samples.
     """
 
     n: int

@@ -250,10 +250,7 @@ class _WorkerRun(_VectorRun):
         for arr, trig in task["wire_trig"]:
             self.trigbuf[arr] = trig
         # freelist over the remaining rows
-        self.free[: self.cap - nid] = np.arange(
-            nid, self.cap, dtype=np.int64
-        )
-        self.free_top = self.cap - nid
+        self._push_rows(nid, self.cap)
         # flow cursors (waiting entries are (fid, dst, sent, size) tuples)
         cur = task["cursor"]
         self.has_flow[lo:hi] = cur["has"]

@@ -37,7 +37,8 @@ from typing import Dict, List
 import numpy as np
 
 from ...core.header import TOKEN_REGULAR
-from .vector import _DST, _FID, _FSIZE, _HEADERS, _SEQ, _Decline, _VectorRun
+from .vector import (_DST, _FID, _FSIZE, _HEADERS, _SEQ, _Decline, _pages,
+                     _VectorRun)
 
 __all__ = ["TokenRun"]
 
@@ -76,13 +77,13 @@ class TokenRun(_VectorRun):
             np.array([_LEDGER_END], dtype=np.int64) for _ in range(L)
         ]
         # active-bucket tracker: ref[node * nh + dst * h + sprays]
-        self.tr_ref = np.zeros(n * nh, dtype=np.int32)
+        self.tr_ref = _pages(n * nh, np.int32)
         self.tr_active = np.zeros(n, dtype=np.int64)
         # token-return FIFOs, one per queue index ``link * n + node``
         self.tq_cap = self.RING_SLOTS
         while self.tq_cap < tph:
             self.tq_cap *= 2
-        self.tq = np.zeros((self.Ln, self.tq_cap), dtype=np.int64)
+        self.tq = _pages((self.Ln, self.tq_cap))
         self.tq_len = np.zeros(self.Ln, dtype=np.int64)
         # the FIFO index ``link * n`` of the batch being received: its
         # receivers owe the tokens of its cells on that link
@@ -125,12 +126,12 @@ class TokenRun(_VectorRun):
         super()._init_slab(count)
         #: the FIFO (``link * n + holder``) of the token the cell's
         #: current holder owes ``c_prev``
-        self.c_back = np.zeros(self.cap, dtype=np.int64)
+        self.c_back = _pages(self.cap)
 
     def _grow_slab(self, need: int) -> None:
         old = self.c_back
         super()._grow_slab(need)
-        self.c_back = np.zeros(self.cap, dtype=np.int64)
+        self.c_back = _pages(self.cap)
         self.c_back[: old.size] = old
 
     # ------------------------------------------------------------------ #
@@ -305,7 +306,7 @@ class TokenRun(_VectorRun):
     # token-return FIFOs
 
     def _grow_rings(self) -> None:
-        grown = np.zeros((self.Ln, 2 * self.tq_cap), dtype=np.int64)
+        grown = _pages((self.Ln, 2 * self.tq_cap))
         grown[:, :self.tq_cap] = self.tq
         self.tq = grown
         self.tq_cap *= 2

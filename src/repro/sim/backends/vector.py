@@ -59,6 +59,7 @@ eligible.
 
 from __future__ import annotations
 
+import mmap
 import random
 from collections import deque
 from typing import List, Optional
@@ -101,6 +102,24 @@ _HEADERS = "queued cells carry non-vectorizable headers"
 #: most raw words one ``random_raw`` call of the RNG replay generates: the
 #: replay's memory is this block (8 bytes a word), whatever the run drew
 _REPLAY_BLOCK = 1 << 16
+
+
+def _pages(shape, dtype=np.int64) -> np.ndarray:
+    """A zeroed array on a private anonymous mapping of its own.
+
+    The slab's per-cell arrays, its token FIFO block and its n² tracker
+    come from here, never from malloc: glibc raises its mmap threshold to
+    the size of any mapped block freed (a doubling, a dropped run), then
+    serves blocks that size from the heap, zeroed by a memset that makes
+    every page resident, and keeps their pages after they die.  These
+    pages are resident only once written, copy-on-write across a fork
+    (private, never ``MAP_SHARED``), and unmapped with the last view.
+    """
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    pages = mmap.mmap(-1, count * dtype.itemsize,
+                      flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype, count).reshape(shape)
 
 
 class _Decline(Exception):
@@ -358,11 +377,12 @@ class _VectorRun:
         cap = self.Ln + max(1024, 2 * (count + self.n))
         self.cap = cap
         # one (row, field) block of records plus the list pointers; rows
-        # [0, Ln) are the queue sentinels, which use only ``c_nxt``
-        self._slab = np.zeros((cap, _WIDTH), dtype=np.int64)
-        self.c_nxt = np.zeros(cap, dtype=np.int64)
+        # [0, Ln) are the queue sentinels, which use only ``c_nxt``, so
+        # their records are never written, never resident
+        self._slab = _pages((cap, _WIDTH))
+        self.c_nxt = _pages(cap)
         self._bind_columns()
-        self.free = np.empty(cap, dtype=np.int64)
+        self.free = _pages(cap)
         self.free_top = 0
 
     def _bind_columns(self) -> None:
@@ -376,19 +396,18 @@ class _VectorRun:
         cap = old * 2
         while cap - old < need:
             cap *= 2
-        slab = np.zeros((cap, _WIDTH), dtype=np.int64)
+        slab = _pages((cap, _WIDTH))
         # the sentinel records are never written, so never made resident
         slab[self.Ln:old] = self._slab[self.Ln:]
         self._slab = slab
-        nxt = np.zeros(cap, dtype=np.int64)
+        nxt = _pages(cap)
         nxt[:old] = self.c_nxt
         self.c_nxt = nxt
         self._bind_columns()
-        self.free = np.concatenate(
-            [self.free[: self.free_top], np.arange(old, cap, dtype=np.int64),
-             np.zeros(old - self.free_top, dtype=np.int64)]
-        )
-        self.free_top += cap - old
+        free = _pages(cap)
+        free[: self.free_top] = self.free[: self.free_top]
+        self.free = free
+        self._push_rows(old, cap)
         self.cap = cap
 
     def _alloc(self, k: int) -> np.ndarray:
@@ -398,6 +417,16 @@ class _VectorRun:
         ids = self.free[top : self.free_top].copy()
         self.free_top = top
         return ids
+
+    def _push_rows(self, lo: int, hi: int) -> None:
+        """Push rows ``[lo, hi)`` on the free stack, ascending, in place: a
+        temporary ``arange`` that long would raise malloc's mmap threshold
+        (see :func:`_pages`)."""
+        rows = self.free[self.free_top : self.free_top + hi - lo]
+        rows.fill(1)
+        rows[0] = lo
+        np.cumsum(rows, out=rows)
+        self.free_top += hi - lo
 
     def _free_cells(self, ids: np.ndarray) -> None:
         m = ids.size
@@ -586,8 +615,7 @@ class _VectorRun:
             self.f_del[fid] = flow.delivered
             self.f_size[fid] = flow.size_cells
         # the remaining rows form the freelist
-        self.free[: self.cap - nid] = np.arange(nid, self.cap, dtype=np.int64)
-        self.free_top = self.cap - nid
+        self._push_rows(nid, self.cap)
         return None
 
     def resume(self, engine) -> Optional[str]:

@@ -11,7 +11,12 @@ can never silently mix backends.
 import contextlib
 import gc
 import logging
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -888,6 +893,88 @@ class TestSlabTables:
         del result
         gc.collect()
         assert tables() is None and nbr() is None
+
+
+class TestSlabPages:
+    """The slab's arrays live on pages of their own (DESIGN.md §5): private,
+    so a forked sweep cell or shard worker copies on write, and returned to
+    the OS with their run, so a process that runs one simulation after
+    another does not keep the largest slab it ever freed."""
+
+    def test_a_forked_child_never_writes_its_parents_slab(self):
+        engine = _build("vector", 144, 2, "none", 5)
+        engine.run(60)
+        run = engine._parked
+        assert run is not None and run.free_top > 0
+        arrays = (run._slab, run.c_nxt, run.free)
+        before = [array.copy() for array in arrays]
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child exits at once
+            try:
+                for array in arrays:
+                    array[...] = -7
+            finally:
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        for array, copy in zip(arrays, before):
+            assert np.array_equal(array, copy)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_a_second_run_does_not_ratchet_the_peak(self):
+        """Four consecutive cc=none runs at n=1296 in a fresh process: the
+        high-water mark after the fourth is within 5 MB of the first's.
+        Slab arrays from malloc rose ≈ 12 MB here, as glibc's threshold
+        moved the second run's slab onto the heap."""
+        probe = textwrap.dedent("""
+            from repro import SimConfig, simulate
+            from repro.workloads import permutation_workload
+
+            def hwm():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmHWM:"):
+                            return int(line.split()[1]) / 1024
+
+            marks = []
+            for _ in range(4):
+                config = SimConfig(n=1296, h=2, duration=300,
+                                   congestion_control="none",
+                                   backend="vector")
+                simulate(config, permutation_workload(config, 10 ** 6))
+                marks.append(hwm())
+            print(*marks)
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        marks = [float(mark) for mark in proc.stdout.split()]
+        assert marks[-1] - marks[0] <= 5.0, marks
+
+
+class TestFirstHopCharge:
+    """A first-hop admission whose neighbour is the destination charges a
+    bucket the destination never credits: it delivers the cell and returns
+    no token, so the charge outlives every cell (ROADMAP item 9).  Pinned
+    as it stands on both pipelines until the fix lands with new goldens."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the direct-delivery first-hop "
+                       "charge is never returned (ROADMAP item 9)")
+    @pytest.mark.parametrize("backend", ("object", "vector"))
+    def test_no_charge_to_the_destination_outlives_the_run(self, backend,
+                                                           no_floor):
+        engine = _build(backend, 16, 2, "hbh+spray", 3)
+        engine.run()
+        engine.run_until_quiescent(max_extra=20_000)
+        assert engine.backend_effective == backend
+        ledger = engine.snapshot().state["nodes"]["ledger"]
+        to_dest = (ledger[:, tables.col("ledger", "neighbor")]
+                   == ledger[:, tables.col("ledger", "dest")])
+        assert not to_dest.any(), f"{to_dest.sum()} of {len(ledger)} rows"
 
 
 class TestLongPropagationDelays:
