@@ -82,10 +82,11 @@ def _wire_observers(
         monitor_obj = (monitor if isinstance(monitor, RunMonitor)
                        else RunMonitor())
         monitor_obj.attach(engine)
-    recorder = None
-    if telemetry:
-        recorder = (telemetry if isinstance(telemetry, TimeSeriesRecorder)
-                    else TimeSeriesRecorder())
+    # a built recorder with no row yet has len() 0: its type, not its
+    # truth, says that one was passed
+    recorder = (telemetry if isinstance(telemetry, TimeSeriesRecorder)
+                else TimeSeriesRecorder() if telemetry else None)
+    if recorder is not None:
         recorder.attach(engine)
     event_log = None
     if events:

@@ -550,7 +550,7 @@ class TokenRun(_VectorRun):
             owing, codes, taken = drained
             heard = nb[owing]
             tokens = (heard, codes)
-            m += np.count_nonzero(cell_of[owing] < 0)
+            m += int(np.count_nonzero(cell_of[owing] < 0))
             metrics.tokens_sent += int(taken.sum())
             if engine.digest is not None:
                 # one on_tokens event per token-bearing header, in sender

@@ -2,9 +2,11 @@
 
 A snapshot is by construction the definition of a run's state — its plain
 model is the one interface between the object model, a backend's packed run
-and the checkpoint file (DESIGN.md §11) — so every equivalence suite
-(object vs vector, vector vs shard, sliced vs whole, resumed vs
-uninterrupted) compares :func:`run_state` instead of hand-picking fields.
+and the checkpoint file (DESIGN.md §11) — so the differential machine
+(``tests/test_differential.py``: vector vs object, sliced vs batch,
+resumed vs uninterrupted, visit sets vs full scan), the fixed-config
+backend tests and the shard suite compare :func:`run_state` instead of
+hand-picking fields.
 Equal networks give *byte-equal* tables whichever form produced them, and
 :func:`equal` is that equality: the same keys, arrays of the same dtype,
 shape and contents, everything else ``==``.

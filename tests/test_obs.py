@@ -28,7 +28,6 @@ from repro.obs.serialize import canonical_json
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim import engine as engine_mod
 from repro.sim.backends import set_default_shards
-from repro.sim.backends.vector import VectorBackend
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.node import Node
@@ -346,10 +345,10 @@ class TestProfiler:
     @pytest.mark.parametrize("backend", ["object", "vector", "shard"])
     def test_profiled_run_matches_unprofiled(self, backend, cc, drain,
                                              checkpoints, tmp_path,
-                                             two_shards, monkeypatch):
-        # n=16 sits below the token family's size floor; lift it so the
-        # matrix profiles the token slab, not a silent reference fallback
-        monkeypatch.setattr(VectorBackend, "TOKEN_SLAB_MIN_N", 0)
+                                             two_shards, slab_floor):
+        # n=16 sits below the token family's size floor; the fixture lifts
+        # it so the matrix profiles the token slab, not a silent reference
+        # fallback
 
         def run(observed, backend=backend):
             # flows outlast the run so the drain has work; the warm-up

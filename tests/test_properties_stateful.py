@@ -1,16 +1,12 @@
 """Model-based and additional property tests (hypothesis)."""
 
-import os
 import random
-import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
-    initialize,
     invariant,
-    precondition,
     rule,
 )
 
@@ -21,20 +17,12 @@ from repro.core.interleave import (
 )
 from repro.core.schedule import Schedule
 from repro.failures import FaultInjector
-from repro.sim.backends.vector import VectorBackend
-from repro.sim.checkpoint import (
-    load_checkpoint,
-    restore_engine,
-    save_checkpoint,
-)
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.monitor import RunMonitor
 from repro.sim.reorder import ReorderBuffer
 from repro.workloads.generators import permutation_workload
 from repro.baselines.opera.topology import RotorTopology
-
-from .equivalence import run_state
 
 
 class TokenLedgerMachine(RuleBasedStateMachine):
@@ -116,160 +104,6 @@ class ReorderBufferMachine(RuleBasedStateMachine):
 
 
 TestReorderBufferModel = ReorderBufferMachine.TestCase
-
-
-class ResidentSlabMachine(RuleBasedStateMachine):
-    """A vector-backend engine against an object-backend twin under any
-    interleaving of advances, submissions and the things that read or
-    re-wire an engine between them.  After every rule the two runs' states
-    are equal — read off the slab's columns or a restored checkpoint's
-    plain data when that is where the state is; the vector engine's object
-    model is built only when a rule needs it, which ``model_syncs`` must
-    count exactly."""
-
-    def __init__(self):
-        super().__init__()
-        # the measured size floor would keep these small networks off the
-        # slab; the machine runs with it lifted, as tests/test_backends does
-        self.floor = VectorBackend.TOKEN_SLAB_MIN_N
-        VectorBackend.TOKEN_SLAB_MIN_N = 0
-
-    def teardown(self):
-        VectorBackend.TOKEN_SLAB_MIN_N = self.floor
-        # once read, the objects say what the columns or plain data said
-        before = run_state(self.slab)
-        self.slab.nodes
-        assert run_state(self.slab) == before == run_state(self.reference)
-
-    @initialize(cc=st.sampled_from(["none", "spray-short", "hbh+spray"]),
-                seed=st.integers(0, 2**16))
-    def build(self, cc, seed):
-        self.reference, self.slab = (
-            Engine(SimConfig(n=16, h=2, seed=seed, propagation_delay=3,
-                             congestion_control=cc, backend=backend))
-            for backend in ("object", "vector")
-        )
-        self.seed = seed
-        self.monitored = False
-        #: what the slab engine must report.  Where its nodes and wire
-        #: are: "nowhere" yet (it has not run), "parked" on the slab,
-        #: "pending" in a restored checkpoint's plain data, or "objects" —
-        #: and how often those have been built
-        self.model = "nowhere"
-        self.syncs = 0
-
-    def both(self, act):
-        return act(self.reference), act(self.slab)
-
-    def model_read(self):
-        """Something read the slab engine's nodes or wire: that builds
-        them unless they are what holds the state already."""
-        if self.model != "objects":
-            self.model = "objects"
-            self.syncs += 1
-
-    @rule(slots=st.sampled_from([1, 2, 7, 40]))
-    def advance(self, slots):
-        self.both(lambda engine: engine.run(slots))
-        if self.monitored:
-            self.model_read()       # the reference pipeline took over
-        else:
-            self.model = "parked"
-
-    @rule(size=st.integers(1, 30))
-    def submit(self, size):
-        self.seed += 1
-        cfg = SimConfig(n=16, h=2, seed=self.seed)
-        flows = [(self.slab.t, *flow[1:])
-                 for flow in permutation_workload(cfg, size)]
-        self.both(lambda engine: engine.schedule_flows(flows))
-
-    @rule()
-    def manual_step(self):
-        self.both(lambda engine: engine.step())
-        self.model_read()
-
-    def snapshots(self):
-        """A snapshot moves nothing: a parked run stays parked, pending
-        data stays pending.  Only an engine that has not run has nothing
-        to encode but freshly built nodes."""
-        checkpoints = self.both(lambda engine: engine.snapshot())
-        if self.model == "nowhere":
-            self.model_read()
-        return checkpoints
-
-    @rule()
-    def snapshot(self):
-        self.snapshots()
-
-    def through_a_file(self, checkpoint):
-        """``checkpoint`` as a resumed process would meet it: written,
-        read back, restored — so object-built, slab-exported and
-        file-loaded tables all answer to the same equality."""
-        fd, path = tempfile.mkstemp(suffix=".ckpt")
-        os.close(fd)
-        try:
-            save_checkpoint(checkpoint, path)
-            return restore_engine(load_checkpoint(path))
-        finally:
-            os.unlink(path)
-
-    @rule()
-    def restore_and_swap(self):
-        self.reference, self.slab = map(self.through_a_file,
-                                        self.snapshots())
-        if self.monitored:
-            self.both(lambda engine: RunMonitor(strict=True).attach(engine))
-        self.model = "pending"      # a restored engine builds no node
-        self.syncs = 0
-
-    @precondition(lambda self: not self.monitored)
-    @rule()
-    def attach_monitor(self):
-        self.both(lambda engine: RunMonitor(strict=True).attach(engine))
-        self.monitored = True
-
-    @rule()
-    def enable_digest(self):
-        self.both(lambda engine: engine.enable_digest())
-
-    @rule()
-    def enable_profiler(self):
-        self.both(lambda engine: engine.enable_profiler())
-
-    @rule()
-    def somebody_draws_from_the_rng(self):
-        drawn = self.both(lambda engine: engine.rng.random())
-        assert drawn[0] == drawn[1]
-
-    @rule()
-    def engine_level_queries(self):
-        peaks = self.both(lambda engine: engine.metrics.summary())
-        speeds = self.both(lambda engine: engine.throughput())
-        assert peaks[0] == peaks[1] and speeds[0] == speeds[1]
-
-    @invariant()
-    def the_runs_are_equal(self):
-        # (snapshotting an engine that has not run would build its nodes;
-        # the ``snapshot`` rule covers that)
-        if self.model != "nowhere":
-            assert run_state(self.slab) == run_state(self.reference)
-        assert self.slab.has_pending_work == self.reference.has_pending_work
-
-    @invariant()
-    def the_model_is_built_only_when_read(self):
-        slab = self.slab
-        assert slab.model_syncs == self.syncs
-        assert (slab._parked is not None) == (self.model == "parked")
-        assert (slab._pending_model is not None) == (self.model == "pending")
-        assert (slab._built_nodes is not None) == (self.model == "objects")
-
-
-ResidentSlabMachine.TestCase.settings = settings(
-    max_examples=20, stateful_step_count=14, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-TestResidentSlabModel = ResidentSlabMachine.TestCase
 
 
 class TestInterleaveProperties:

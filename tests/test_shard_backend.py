@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.sim.backends import default_shards, set_default_shards
 from repro.sim.backends.shard import ShardBackend, shard_ranges
-from repro.sim.backends.vector import VectorBackend
 from repro.sim.cellcache import CellCache
 from repro.sim.checkpoint import (
     load_checkpoint,
@@ -105,11 +104,10 @@ class TestGoldenEquivalence:
         assert engine.backend_effective == "shard"
 
     def test_token_family_runs_the_in_process_slab(self, shards,
-                                                   monkeypatch):
+                                                   slab_floor):
         # shard workers carry no token columns: above the size floor
         # hbh+spray steps on the parent's own slab — still accelerated, so
         # not a reference fallback — and never scatters
-        monkeypatch.setattr(VectorBackend, "TOKEN_SLAB_MIN_N", 0)
         shards(4)
         engine = _build("shard", 64, 2, "hbh+spray", 3)
         digest = engine.enable_digest()
