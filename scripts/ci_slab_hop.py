@@ -6,15 +6,18 @@ First it prints the process's ``VmRSS`` / ``VmHWM`` after each of three
 consecutive 300-slot cc=none permutation runs at n=1296, each dropped
 before the next — flat from the second on, since every slab array is on
 pages the slab owns — and then the bytes the last run's slab arrays map
-against the bytes of them resident.
+against the bytes of them resident.  The first run's slab doubles twice;
+it prints the rows before and after and ``VmHWM - VmRSS`` at its end,
+which stays within one growth block: a growth never holds the old and
+the new array both resident.
 
 Then it runs with the step profiler attached and prints the microseconds
 each profiler section costs per node-slot:
 
 * a cc=none permutation (h=2) for 300 slots at n=1296 and n=4096, with the
-  process's RSS growth over the run and the bytes one slab cell record
-  takes — the slab's cost is linear per cell, so these figures are what a
-  paper-scale run pays;
+  process's RSS growth over the run and the bytes one slab cell record and
+  one live cell (its record and its list pointer) take — the slab's cost
+  is linear per cell, so these figures are what a paper-scale run pays;
 * hbh+spray on Poisson short flows at the paper's load (``load_for(2)``)
   at n=256 (the benchmark's ``hbh_shortflow`` shape) and n=1296, timed
   over 300 slots after a 300-slot warm-up that loads the network.
@@ -146,9 +149,11 @@ def profile(n: int, cc: str = "none") -> str:
     print(f"{cc} n={n}: {SLOTS} slots in {wall:.2f} s; "
           f"us/node-slot: {costs}")
     if cc == "none":
-        record = engine._parked._slab[0].nbytes
+        slab = engine._parked
+        record = slab._slab[0].nbytes
         print(f"{cc} n={n}: RSS growth {rss_mb() - before:+.1f} MB; "
-              f"{record} B per slab cell record")
+              f"{record} B per slab cell record, "
+              f"{record + slab.c_nxt.itemsize} B per live cell")
     return engine.digest.hexdigest()
 
 
@@ -174,11 +179,16 @@ def ratchet(n: int) -> None:
     and what of it is resident."""
     for run in range(1, RATCHET_RUNS + 1):
         engine = engine_for(n, "vector")
-        engine.run()
+        engine.run(1)
+        first = engine._parked.cap
+        engine.run(SLOTS - 1)
         on_slab(engine)
         rss, hwm = vm_mb("VmRSS", "VmHWM")
         print(f"none n={n}: run {run} of {RATCHET_RUNS}: VmRSS {rss:.1f} MB, "
               f"VmHWM {hwm:.1f} MB")
+        if run == 1:
+            print(f"none n={n}: slab grew {first} -> {engine._parked.cap} "
+                  f"rows; VmHWM - VmRSS {hwm - rss:.1f} MB")
     slab = engine._parked
     arrays = (slab._slab, slab.c_nxt, slab.free)
     mapped = sum(array.nbytes for array in arrays)

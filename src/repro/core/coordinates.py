@@ -180,11 +180,19 @@ class CoordinateSystem:
         Entry ``p * (r - 1) + (k - 1)`` is the phase-``p`` neighbour at
         round-robin offset ``k`` — the layout the per-node send queues use,
         so ``table[link_index]`` resolves a link's peer in one index.
+
+        Digit arithmetic, one phase at a time: the phase-``p`` neighbours
+        at offsets ``1 ..`` are ``node + w``, ``node + 2w``, ... up to the
+        top of the phase group, then wrap to its base (``w`` is the
+        coordinate's weight) — the entries :meth:`neighbor_at_offset`
+        gives one by one.
         """
+        r = self.r
         out: List[int] = []
-        for p in range(self.h):
-            for k in range(1, self.r):
-                out.append(self.neighbor_at_offset(node, p, k))
+        for w in self._weights:
+            base = node - (node // w) % r * w
+            out += range(node + w, base + r * w, w)
+            out += range(base, node, w)
         return tuple(out)
 
     def offset_to(self, node: int, p: int, other: int) -> int:

@@ -183,7 +183,7 @@ class Session:
         elif workload is not None:
             engine.schedule_flows(list(workload))
         self.engine = engine
-        self.recorder, self.monitor, self.events = _wire_observers(
+        _, self.monitor, self.events = _wire_observers(
             engine, telemetry=telemetry, monitor=monitor,
             digest=digest, events=events,
         )
@@ -196,6 +196,13 @@ class Session:
     def t(self) -> int:
         """The engine's current timeslot."""
         return self.engine.t
+
+    @property
+    def recorder(self):
+        """The telemetry recorder attached to the engine now (None without
+        one) — also one attached after the session opened, which every
+        telemetry read and the snapshot then report."""
+        return self.engine.telemetry
 
     def _check_open(self) -> None:
         if self.closed:

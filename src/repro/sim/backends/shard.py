@@ -72,6 +72,7 @@ from .vector import (
     _SlabTables,
     _VectorRun,
     _fast_ineligible_reason,
+    _narrow_reason,
     VectorBackend,
 )
 
@@ -249,8 +250,8 @@ class _WorkerRun(_VectorRun):
         self.init_arrs.sort()
         for arr, trig in task["wire_trig"]:
             self.trigbuf[arr] = trig
-        # freelist over the remaining rows
-        self._push_rows(nid, self.cap)
+        # rows from here on were never used
+        self.bump = nid
         # flow cursors (waiting entries are (fid, dst, sent, size) tuples)
         cur = task["cursor"]
         self.has_flow[lo:hi] = cur["has"]
@@ -340,7 +341,7 @@ class _WorkerRun(_VectorRun):
         senders, cells, recvs, esph = batch
         m = senders.size
         self.m_arr += m
-        d = self.c_dst[cells]
+        d = self.c_dst[cells].astype(np.intp)
         deliver = d == recvs
         emask = self.c_sprays[cells] > 0
         if gvals is not None:
@@ -361,7 +362,7 @@ class _WorkerRun(_VectorRun):
                 rec["src"].append(self.c_src[dc])
                 rec["dst"].append(d[del_ids])
                 rec["hops"].append(self.c_hops[dc])
-            fids = self.c_fid[dc]
+            fids = self.c_fid[dc].astype(np.intp)
             self._ensure_flow(int(fids.max()))
             fd = self.f_del[fids] + 1
             self.f_del[fids] = fd
@@ -783,8 +784,9 @@ class ShardBackend(EngineBackend):
         scat = self._scatter(engine, t0, end, drain, ranges)
         if scat is None:
             # per-cell disqualification (headers the column layout cannot
-            # carry): the inner vector backend re-derives the reason and
-            # notes the de-acceleration itself
+            # carry, values a 32-bit record cannot hold): the inner vector
+            # backend re-derives the reason and notes the de-acceleration
+            # itself
             self._inner.advance(engine, end, drain)
             return
         tasks, init, rngpay = scat
@@ -842,7 +844,7 @@ class ShardBackend(EngineBackend):
 
     def _scatter(self, engine, t0, end, drain, ranges):
         rngpay = _rng_state_payload(engine.rng)
-        if rngpay is None:
+        if rngpay is None or _narrow_reason(engine, end) is not None:
             return None
         cfg = engine.config
         n = cfg.n

@@ -38,7 +38,7 @@ import numpy as np
 
 from ...core.header import TOKEN_REGULAR
 from .vector import (_DST, _FID, _FSIZE, _HEADERS, _SEQ, _Decline, _pages,
-                     _VectorRun)
+                     _regrow, _VectorRun)
 
 __all__ = ["TokenRun"]
 
@@ -101,9 +101,9 @@ class TokenRun(_VectorRun):
         dst, sprays = np.divmod(np.arange(-1, nh, dtype=np.int64), h)
         onward = sprays - (sprays > 0)
         #: per code: the code of the bucket a forwarded cell takes at the
-        #: next hop, and that bucket's sprays
+        #: next hop, and that bucket's sprays (int32, as the records hold it)
         self._onward_code = dst * h + onward + 1
-        self._onward = onward
+        self._onward = onward.astype(np.int32)
         #: per code: a token's digest fields (dest, sprays, kind); code 0,
         #: no token, has none
         self._token_fields = np.stack(
@@ -128,11 +128,9 @@ class TokenRun(_VectorRun):
         #: current holder owes ``c_prev``
         self.c_back = _pages(self.cap)
 
-    def _grow_slab(self, need: int) -> None:
-        old = self.c_back
-        super()._grow_slab(need)
-        self.c_back = _pages(self.cap)
-        self.c_back[: old.size] = old
+    def _grow_slab(self, rows: int) -> None:
+        super()._grow_slab(rows)
+        self.c_back = _regrow(self.c_back, self.cap, self.Ln, self.bump)
 
     # ------------------------------------------------------------------ #
     # pack / export
@@ -306,9 +304,7 @@ class TokenRun(_VectorRun):
     # token-return FIFOs
 
     def _grow_rings(self) -> None:
-        grown = _pages((self.Ln, 2 * self.tq_cap))
-        grown[:, :self.tq_cap] = self.tq
-        self.tq = grown
+        self.tq = _regrow(self.tq, (self.Ln, 2 * self.tq_cap), 0, self.Ln)
         self.tq_cap *= 2
 
     def _queue_tokens(self, q, code) -> None:
@@ -388,7 +384,7 @@ class TokenRun(_VectorRun):
         """For cells ``cells`` held by ``ids``: the code of the bucket each
         occupies here, the ledger key of the bucket it takes at the next
         hop, and whether that hop is its last."""
-        dst = self.c_dst[cells]
+        dst = self.c_dst[cells].astype(np.intp)
         code = self._dst_code[dst] + self.c_sprays[cells]
         key = self._node_base[ids] + self._onward_code[code]
         return code, key, nb[ids] == dst
@@ -509,7 +505,8 @@ class TokenRun(_VectorRun):
         e = (self.has_flow & (cell_of < 0)).nonzero()[0]
         if not e.size:
             return 0
-        key = self._first_key[e] + self._dst_code[self.cur_dst[e]]
+        key = self._first_key[e] \
+            + self._dst_code[self.cur_dst[e].astype(np.intp)]
         spent = self._spent(link, key)
         late = None
         if np.count_nonzero(spent):

@@ -1,19 +1,24 @@
 """The vectorized numpy slot stepper.
 
 Instead of one Python object pipeline per node per slot, this backend keeps
-the whole network's mutable hot state in flat int64 columns and advances
+the whole network's mutable hot state in flat integer columns and advances
 every node in a timeslot with a handful of array operations:
 
 * **cell slab** — one record per live cell: a row of the plain model's
   ``cells`` table, i.e. :meth:`~repro.core.cell.Cell.state`, so a hop
-  reads and writes one record (nine int64 fields, 72 B), not one entry in
-  each of nine columns.  A separate ``nxt`` column threads cells into
-  per-(node, link) FIFO linked lists, each as long as its length says (the
-  queue ``head`` / ``tail`` / ``qlen`` columns are ``(L, n)`` arrays, one
-  row per link index; the PIEO high-water mark is one per node).  A
-  freelist recycles slab rows as cells are delivered.  No record holds a
-  cell's next spray phase: every cell of a wire batch left in the same
-  slot, so the batch carries it once (the send slot's phase plus one).
+  reads and writes one record (nine int32 fields, 36 B), not one entry in
+  each of nine columns.  Every field fits 32 bits for any run the slab
+  accepts; a run that would write a value past them (a slot, a flow's
+  cell count or a flow id at ``2**31``) is declined, never wrapped.  A
+  separate intp ``nxt`` column threads cells into per-(node, link) FIFO
+  linked lists, each as long as its length says (the queue ``head`` /
+  ``tail`` / ``qlen`` columns are ``(L, n)`` arrays, one row per link
+  index; the PIEO high-water mark is one per node).  Rows come off a
+  LIFO free stack of recycled rows, topped up from a bump pointer over
+  rows never used, so a live cell costs its record and its ``nxt``:
+  44 B.  No record holds a cell's next spray phase: every cell of a wire
+  batch left in the same slot, so the batch carries it once (the send
+  slot's phase plus one).
 * **flow cursors** — per node, the record of the next cell its currently
   emitting flow admits (the flow's id, dst, sent and size are its columns),
   with the waiting flows in per-node Python lists;
@@ -62,6 +67,7 @@ from __future__ import annotations
 import mmap
 import random
 from collections import deque
+from itertools import takewhile
 from typing import List, Optional
 
 import numpy as np
@@ -104,6 +110,13 @@ _HEADERS = "queued cells carry non-vectorizable headers"
 _REPLAY_BLOCK = 1 << 16
 
 
+#: a slab record field holds values below this (int32)
+_NARROW = 1 << 31
+
+#: bytes of an old array :func:`_regrow` copies before it hands them back
+_GROW_BLOCK = 1 << 20
+
+
 def _pages(shape, dtype=np.int64) -> np.ndarray:
     """A zeroed array on a private anonymous mapping of its own.
 
@@ -122,8 +135,63 @@ def _pages(shape, dtype=np.int64) -> np.ndarray:
     return np.frombuffer(pages, dtype, count).reshape(shape)
 
 
+def _regrow(old: np.ndarray, shape, lo: int, hi: int) -> np.ndarray:
+    """A :func:`_pages` array of ``shape`` (no shorter, no narrower than
+    ``old``) holding ``old``'s rows ``[lo, hi)``, the rest zero.
+
+    The rows move ``_GROW_BLOCK`` bytes at a time, and each block's pages
+    go back to the kernel (``MADV_DONTNEED``) as soon as it is copied, so
+    the two arrays are never both resident: a growth costs one block over
+    the new array's rows, where a whole-array copy cost the old array.
+    ``old`` reads zero there afterwards; the caller drops it.
+    """
+    new = _pages(shape, old.dtype)
+    view = old
+    while isinstance(view, np.ndarray):
+        view = view.base
+    pages = view.obj  # np.frombuffer's memoryview of the mapping
+    row = old.strides[0]
+    step = max(1, _GROW_BLOCK // row)
+    cols = tuple(slice(0, width) for width in old.shape[1:])
+    page = mmap.PAGESIZE
+    released = lo * row // page * page
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        new[(slice(start, stop), *cols)] = old[start:stop]
+        # whole pages only: the page the next block starts on stays
+        end = stop * row // page * page
+        if end > released:
+            pages.madvise(mmap.MADV_DONTNEED, released, end - released)
+            released = end
+    return new
+
+
 class _Decline(Exception):
     """Raised inside ``pack()`` helpers: the state cannot be packed."""
+
+
+def _narrow_reason(engine, end: int) -> Optional[str]:
+    """Why advancing ``engine`` to slot ``end`` could write a value a slab
+    record cannot hold, or None: every record field is 32 bits, so a slot
+    (``created_at``), a flow's cell count (``flow_size``, ``seq``) or a
+    flow id at ``2**31`` or past is declined, never wrapped.  Reads the
+    active flows and the arrivals before ``end``: the flows the advance
+    can emit cells of."""
+    if end >= _NARROW:
+        return f"end slot {end} does not fit a 32-bit slab record"
+    flows = engine.flows
+    arriving = [size_cells for arrival, _, _, size_cells, _
+                in takewhile(lambda flow: flow[0] < end,
+                             engine._pending_flows)]
+    largest = max(arriving + [flow.size_cells
+                              for flow in flows._active.values()],
+                  default=0)
+    if largest >= _NARROW:
+        return f"a flow of {largest} cells does not fit a 32-bit slab record"
+    last = flows._next_id + len(arriving) - 1
+    if last >= _NARROW:
+        return f"flow id {last} does not fit a 32-bit slab record"
+    return None
 
 
 def _fast_ineligible_reason(engine):
@@ -304,9 +372,10 @@ class _VectorRun:
         # the next cell its cursor flow emits, all but ``created_at``:
         # the flow's columns (dst, id, sent as the next seq, size) are
         # views of it, and the rest is constant (src = prev hop = the
-        # node, ``h-1`` sprays, one hop)
+        # node, ``h-1`` sprays, one hop).  int32 like the slab's records,
+        # so an emission stores them without a cast
         self.has_flow = np.zeros(self.n, dtype=bool)
-        self._cursor = np.zeros((self.n, _WIDTH), dtype=np.int64)
+        self._cursor = np.zeros((self.n, _WIDTH), dtype=np.int32)
         self._cursor[:, _SRC] = self._cursor[:, _PREV] = ids
         self._cursor[:, _SPRAYS] = self.hm1
         self._cursor[:, _HOPS] = 1
@@ -376,14 +445,18 @@ class _VectorRun:
     def _init_slab(self, count: int) -> None:
         cap = self.Ln + max(1024, 2 * (count + self.n))
         self.cap = cap
-        # one (row, field) block of records plus the list pointers; rows
-        # [0, Ln) are the queue sentinels, which use only ``c_nxt``, so
-        # their records are never written, never resident
-        self._slab = _pages((cap, _WIDTH))
+        # one (row, field) block of int32 records plus the intp list
+        # pointers; rows [0, Ln) are the queue sentinels, which use only
+        # ``c_nxt``, so their records are never written, never resident
+        self._slab = _pages((cap, _WIDTH), np.int32)
         self.c_nxt = _pages(cap)
         self._bind_columns()
+        # recycled rows, LIFO; rows from ``bump`` on were never used, and
+        # no page of them is touched before the stack runs short and takes
+        # them, a slot's worth at a time
         self.free = _pages(cap)
         self.free_top = 0
+        self.bump = self.Ln
 
     def _bind_columns(self) -> None:
         """Point the ``c_*`` column views and ``heads2d`` at the slab."""
@@ -391,42 +464,35 @@ class _VectorRun:
             setattr(self, name, self._slab[:, tables.col("cells", field)])
         self.heads2d = self.c_nxt[: self.Ln].reshape(self.L, self.n)
 
-    def _grow_slab(self, need: int) -> None:
-        old = self.cap
-        cap = old * 2
-        while cap - old < need:
+    def _grow_slab(self, rows: int) -> None:
+        """Double the per-cell arrays until ``rows`` rows fit, moving only
+        the rows in use (:func:`_regrow`): records ``[Ln, bump)`` — the
+        sentinels' are never written — pointers ``[0, bump)`` and the
+        free stack."""
+        cap = self.cap * 2
+        while cap < rows:
             cap *= 2
-        slab = _pages((cap, _WIDTH))
-        # the sentinel records are never written, so never made resident
-        slab[self.Ln:old] = self._slab[self.Ln:]
-        self._slab = slab
-        nxt = _pages(cap)
-        nxt[:old] = self.c_nxt
-        self.c_nxt = nxt
+        self._slab = _regrow(self._slab, (cap, _WIDTH), self.Ln, self.bump)
+        self.c_nxt = _regrow(self.c_nxt, cap, 0, self.bump)
         self._bind_columns()
-        free = _pages(cap)
-        free[: self.free_top] = self.free[: self.free_top]
-        self.free = free
-        self._push_rows(old, cap)
+        self.free = _regrow(self.free, cap, 0, self.free_top)
         self.cap = cap
 
     def _alloc(self, k: int) -> np.ndarray:
-        if self.free_top < k:
-            self._grow_slab(k)
-        top = self.free_top - k
-        ids = self.free[top : self.free_top].copy()
-        self.free_top = top
-        return ids
-
-    def _push_rows(self, lo: int, hi: int) -> None:
-        """Push rows ``[lo, hi)`` on the free stack, ascending, in place: a
-        temporary ``arange`` that long would raise malloc's mmap threshold
-        (see :func:`_pages`)."""
-        rows = self.free[self.free_top : self.free_top + hi - lo]
-        rows.fill(1)
-        rows[0] = lo
-        np.cumsum(rows, out=rows)
-        self.free_top += hi - lo
+        """``k`` slab rows for new cells, off the free stack.  A stack that
+        runs short takes rows never used off the bump pointer first — at
+        least a slot's worth (``n``), so the next allocations pop."""
+        top = self.free_top
+        if top < k:
+            lo = self.bump
+            hi = lo + max(k - top, self.n)
+            if hi > self.cap:
+                self._grow_slab(hi)
+            self.free[top:top + hi - lo] = np.arange(lo, hi)
+            top += hi - lo
+            self.bump = hi
+        self.free_top = top - k
+        return self.free[top - k:top].copy()
 
     def _free_cells(self, ids: np.ndarray) -> None:
         m = ids.size
@@ -614,18 +680,22 @@ class _VectorRun:
             self._ensure_flow(fid)
             self.f_del[fid] = flow.delivered
             self.f_size[fid] = flow.size_cells
-        # the remaining rows form the freelist
-        self._push_rows(nid, self.cap)
+        # rows from here on were never used
+        self.bump = nid
         return None
 
-    def resume(self, engine) -> Optional[str]:
-        """Ready the run for an ``advance`` on ``engine`` — a new run
-        before it packs, a parked one before it continues; None, or the
-        reason it cannot step.  Everything else the stepper uses of the
-        engine it reads afresh each call, so only an ``engine.rng`` that
-        moved since the last sync (or was never mirrored) needs work: a new
-        mirror."""
+    def resume(self, engine, end: int) -> Optional[str]:
+        """Ready the run for an ``advance`` on ``engine`` to slot ``end`` —
+        a new run before it packs, a parked one before it continues; None,
+        or the reason it cannot step: a value the advance would write that
+        a record cannot hold (:func:`_narrow_reason`), or an RNG it cannot
+        mirror.  Everything else the stepper uses of the engine it reads
+        afresh each call, so only an ``engine.rng`` that moved since the
+        last sync (or was never mirrored) needs work: a new mirror."""
         self.engine = engine
+        reason = _narrow_reason(engine, end)
+        if reason is not None:
+            return reason
         if engine.rng.getstate() != self.rng_synced:
             try:
                 self._mirror_rng()
@@ -784,7 +854,7 @@ class _VectorRun:
         wire, sent = np.concatenate(wire), np.concatenate(sent)
         cells = self._slab[np.concatenate((self._queued_rows(),
                                            sent[sent >= 0]))]
-        model["cells"], model["wire"] = cells, wire
+        model["cells"], model["wire"] = cells.astype(np.int64), wire
         model["queues"][:, _LEN] = self.q_len.T.reshape(-1)
         # a node's flows: its cursor, then the ones waiting behind it
         # (Flow objects, so that part is a walk — over flows, not nodes)
@@ -819,7 +889,8 @@ class _VectorRun:
         engine = self.engine
         digest = engine.digest
         flows = engine.flows
-        d = self.c_dst[cells]
+        # record fields that index (dst, flow id) widen once per batch
+        d = self.c_dst[cells].astype(np.intp)
         deliver = d == recvs
         del_ids = deliver.nonzero()[0]
         cnt = del_ids.size
@@ -835,7 +906,7 @@ class _VectorRun:
                 ev[:, 0] = _EV_DELIVERY
                 ev[:, 1:6] = rec.take(_DELIVERY_FIELDS, axis=1)
                 ev[:, 6] = t
-            fids = rec[:, _FID]
+            fids = rec[:, _FID].astype(np.intp)
             fd = self.f_del[fids] + 1
             self.f_del[fids] = fd
             complete = fd >= self.f_size[fids]
@@ -1143,9 +1214,14 @@ class VectorBackend(EngineBackend):
                 run = TokenRun(engine, tables)
             else:
                 run = _VectorRun(engine, tables)
-        # the RNG mirror first: it is the cheap decline, and the plain
-        # model of built objects is a full encode
-        reason = run.resume(engine)
+            # the run keeps the tables it steps with; the rest (``peer``
+            # without hop-by-hop, L * n int64s) goes now, not after the
+            # advance
+            del tables
+        # a value no record holds and the RNG mirror first: they are the
+        # cheap declines, and the plain model of built objects is a full
+        # encode
+        reason = run.resume(engine, end)
         if reason is None and parked is None:
             reason = run.pack(engine._plain_model())
         if reason is None:

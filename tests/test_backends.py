@@ -925,6 +925,124 @@ class TestSlabPages:
         marks = [float(mark) for mark in proc.stdout.split()]
         assert marks[-1] - marks[0] <= 5.0, marks
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_growth_never_holds_two_copies(self):
+        """A 2 000-slot cc=none run at n=1296, whose slab doubles twice,
+        in a fresh process: the high-water mark ends within one growth
+        block (``_GROW_BLOCK``) of the final RSS.  Copying each array
+        whole while the old one was still resident left it 4 MB above."""
+        probe = textwrap.dedent("""
+            from repro import SimConfig
+            from repro.sim.backends.vector import _GROW_BLOCK
+            from repro.sim.engine import Engine
+            from repro.workloads import permutation_workload
+
+            def vm(field):
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith(field + ":"):
+                            return int(line.split()[1]) * 1024
+
+            config = SimConfig(n=1296, h=2, duration=2000,
+                               congestion_control="none", backend="vector")
+            engine = Engine(config,
+                            workload=permutation_workload(config, 10 ** 6))
+            engine.run(1)
+            first = engine._parked.cap
+            engine.run()
+            print(first, engine._parked.cap, engine.model_syncs,
+                  vm("VmHWM") - vm("VmRSS"), _GROW_BLOCK)
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        first, cap, syncs, spike, block = map(int, proc.stdout.split())
+        assert cap >= 4 * first and syncs == 0, proc.stdout
+        assert spike <= block, proc.stdout
+
+    @pytest.mark.parametrize("cc", ("none", "hbh+spray"))
+    def test_bytes_per_row_of_every_per_cell_array(self, cc, slab_floor):
+        """Every array with a row per slab row: the record block is nine
+        int32 fields, every index column one intp.  A live cell holds its
+        record and its ``nxt`` (and, with hop-by-hop, its ``back``), and
+        no free-stack entry."""
+        engine = _build("vector", 144, 2, cc, 5)
+        engine.run(60)
+        run = engine._parked
+        assert run.bump > run.Ln
+        per_row = {
+            name: value.nbytes // run.cap
+            for name, value in vars(run).items()
+            if isinstance(value, np.ndarray) and value.flags.c_contiguous
+            and len(value) == run.cap
+        }
+        expected = {"_slab": 36, "c_nxt": 8, "free": 8}
+        if cc != "none":
+            expected["c_back"] = 8
+        assert per_row == expected
+        live = sum(per_row.values()) - per_row["free"]
+        assert live == (44 if cc == "none" else 52)
+
+
+class TestNarrowRecords:
+    """Slab records are int32: an advance that would write a value past
+    2**31 - 1 is declined with its reason, never wrapped, and runs on the
+    object pipeline to the object backend's state."""
+
+    @staticmethod
+    def _pair(tweak, slots=60):
+        """The object and the vector engine, each ``tweak``-ed, after
+        ``slots`` slots."""
+        engines = {}
+        for backend in ("object", "vector"):
+            engine = _build(backend, 16, 2, "none", 3)
+            engine.enable_digest()
+            tweak(engine)
+            engine.run(slots)
+            engines[backend] = engine
+        assert _trace(engines["vector"]) == _trace(engines["object"])
+        return engines["vector"]
+
+    def test_a_flow_of_2_31_cells(self):
+        engine = self._pair(lambda engine: engine.schedule_flows(
+            [(5, 0, 9, 2 ** 31, 0)]))
+        assert engine.backend_effective == "object"
+        assert engine.backend_reason == \
+            "a flow of 2147483648 cells does not fit a 32-bit slab record"
+
+    def test_an_end_slot_past_2_31(self):
+        def late(engine):
+            engine.t = 2 ** 31 - 40
+            engine.schedule_flows([(engine.t, 0, 9, 30, 0)])
+
+        engine = self._pair(late)
+        assert engine.backend_effective == "object"
+        assert engine.backend_reason == \
+            "end slot 2147483668 does not fit a 32-bit slab record"
+
+    def test_a_flow_id_past_2_31(self):
+        def renumbered(engine):
+            engine.flows._next_id = 2 ** 31 + 1 - len(engine._pending_flows)
+
+        engine = self._pair(renumbered)
+        assert engine.backend_effective == "object"
+        assert engine.backend_reason == \
+            "flow id 2147483648 does not fit a 32-bit slab record"
+
+    def test_the_largest_values_that_fit_stay_on_the_slab(self):
+        # (not the largest flow id: the slab's per-flow columns are
+        # indexed by it)
+        def edge(engine):
+            engine.t = 2 ** 31 - 41
+            engine.schedule_flows([(engine.t, 0, 9, 2 ** 31 - 1, 0)])
+
+        engine = self._pair(edge, slots=40)
+        assert engine.backend_effective == "vector", engine.backend_reason
+        assert engine.model_syncs == 0
+
 
 class TestFirstHopCharge:
     """A first-hop admission whose neighbour is the destination charges a
@@ -1025,7 +1143,7 @@ class TestExportedModels:
 class TestCellLayout:
     """One cell layout, written three times: ``Cell.state()``, the plain
     model's ``cells`` table and the slab's records — rows of that table,
-    nine int64 fields, read through one column view per field (the list
+    nine int32 fields, read through one column view per field (the list
     pointer ``nxt`` is a column of its own)."""
 
     #: slab column -> the ``Cell`` field it holds
@@ -1061,7 +1179,7 @@ class TestCellLayout:
         assert run.pack(model) is None
         row = run.Ln  # the first row past the queue sentinels
         assert run._slab[row].tolist() == list(state)
-        assert run._slab[row].nbytes == 72
+        assert run._slab[row].nbytes == 36
         for column, field in self.SLAB_FIELD.items():
             assert getattr(run, column)[row] == values[field], column
         assert run.export_model()["cells"].tolist() == [list(state)]

@@ -178,6 +178,24 @@ class TestNeighborhood:
             for nb in cs.all_neighbors(node):
                 assert node in cs.all_neighbors(nb)
 
+    def test_neighbor_table_is_the_per_entry_lookup(self):
+        """Every feasible (n, h) with n <= 1296: the digit-arithmetic
+        table is ``neighbor_at_offset`` entry by entry, in link order —
+        at every node for h >= 2; for h = 1, where a table is the other
+        n - 1 nodes, at a middle one (its table runs up, then wraps)."""
+        for h in range(1, 11):
+            for r in range(2, 1297):
+                n = r ** h
+                if n > 1296:
+                    break
+                cs = CoordinateSystem(n, h)
+                nodes = range(n) if h > 1 else (n // 2,)
+                for node in nodes:
+                    expected = tuple(
+                        cs.neighbor_at_offset(node, p, k)
+                        for p in range(h) for k in range(1, r))
+                    assert cs.neighbor_table(node) == expected, (n, h, node)
+
 
 class TestDistance:
     def test_distance_zero_to_self(self):

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro import RunResult, Session, SimConfig, open_session, simulate
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.service import (
     PROTOCOL_VERSION,
     ServiceClient,
@@ -33,6 +34,7 @@ from repro.service.protocol import (
     decode_message,
     encode_message,
 )
+from repro.sim.checkpoint import load_checkpoint
 from repro.workloads import (
     OpenLoopSource,
     diurnal_curve,
@@ -249,6 +251,30 @@ class TestSessionApi:
         assert not status["closed"]
         assert status["backend"] == cfg.backend
         assert status["backend_reason"] == ""
+
+    def test_a_recorder_attached_later_is_the_one_reported(self, tmp_path):
+        """Telemetry reads the recorder on the engine, not the one the
+        session was opened with: rows, row count, status, the checkpoint
+        and the result all see a recorder attached afterwards."""
+        cfg = _cfg()
+        path = tmp_path / "late.ckpt"
+        session = open_session(cfg, source=OpenLoopSource(cfg, load=0.2),
+                               checkpoint=str(path))
+        assert session.telemetry_row_count() == 0
+        recorder = TimeSeriesRecorder()
+        recorder.attach(session.engine)
+        session.advance(200)
+        rows = len(recorder)
+        assert rows > 0
+        assert session.recorder is recorder
+        assert session.telemetry_row_count() == rows
+        assert session.status()["telemetry_rows"] == rows
+        assert [row["t"] for row in session.telemetry_rows()] == \
+            recorder.series()["t"].tolist()
+        session.checkpoint_now()
+        saved = load_checkpoint(path).state["telemetry"]["cols"]
+        assert saved["t"].tolist() == recorder.series()["t"].tolist()
+        assert session.finish().telemetry is recorder
 
     def test_status_says_why_the_backend_fell_back(self):
         cfg = _cfg("isd", backend="vector")

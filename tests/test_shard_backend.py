@@ -129,6 +129,23 @@ class TestGoldenEquivalence:
         engine.run(50)
         assert engine.backend_effective == "object"
 
+    def test_a_value_past_a_32_bit_record_is_declined(self, shards):
+        """The workers' slabs are the vector slab's int32 records: a flow
+        of 2**31 cells never scatters, and the run says why."""
+        shards(4)
+        states = {}
+        for backend in ("object", "shard"):
+            engine = _build(backend, 64, 2, "none", 3)
+            engine.enable_digest()
+            engine.schedule_flows([(5, 0, 9, 2 ** 31, 0)])
+            engine.run(60)
+            states[backend] = run_state(engine)
+        assert engine.backend.dispatches == 0
+        assert engine.backend_effective == "object"
+        assert engine.backend_reason == \
+            "a flow of 2147483648 cells does not fit a 32-bit slab record"
+        assert states["shard"] == states["object"]
+
 
 class TestShardCountInvariance:
     @settings(max_examples=6, deadline=None)
