@@ -16,6 +16,7 @@ Run:
 """
 
 from repro import Engine, SimConfig
+from repro.analysis import normalized_fcts
 from repro.workloads import incast_workload
 
 N = 64
@@ -49,10 +50,8 @@ def main() -> None:
         engine = run(mechanism)
         metrics = engine.metrics
         completed = engine.flows.completed
-        fcts = sorted(
-            r.normalized_fct(engine.config.propagation_delay)
-            for r in completed
-        )
+        fcts = sorted(normalized_fcts(
+            completed, engine.config.propagation_delay).tolist())
         tail = fcts[int(len(fcts) * 0.999)] if fcts else float("nan")
         print(
             f"{mechanism:>10} {len(completed):>5} "

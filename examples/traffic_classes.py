@@ -32,9 +32,9 @@ def mixed_workload(config: SimConfig, load: float):
     )
 
 
-def short_flow_tail(records, delay):
+def short_flow_tail(completed, delay):
     """99.9% size-normalised FCT over the smallest flow-size bucket."""
-    tails = fct_table(records, delay).tail(99.9)
+    tails = fct_table(completed, delay).tail(99.9)
     return tails.get(min(tails), float("nan")) if tails else float("nan")
 
 
@@ -72,17 +72,17 @@ def main() -> None:
     load_mix = 0.9 * ((1 - SHARE) / 4 + SHARE / 8)  # combined guarantee
 
     print("Running pure h=2 (high throughput, higher latency)...")
-    h2_records, h2_cells = run_single(2, load_h2)
+    h2_completed, h2_cells = run_single(2, load_h2)
     print("Running pure h=4 (low latency, lower throughput)...")
-    h4_records, h4_cells = run_single(4, load_h4)
+    h4_completed, h4_cells = run_single(4, load_h4)
     print(f"Running interleaved (s={int(SHARE*100)}% of slots to h=4)...")
-    mix_records, mix_cells = run_interleaved(load_mix)
+    mix_completed, mix_cells = run_interleaved(load_mix)
 
     rows = [
-        ("pure h=2", load_h2, h2_cells, short_flow_tail(h2_records, DELAY)),
-        ("pure h=4", load_h4, h4_cells, short_flow_tail(h4_records, DELAY)),
+        ("pure h=2", load_h2, h2_cells, short_flow_tail(h2_completed, DELAY)),
+        ("pure h=4", load_h4, h4_cells, short_flow_tail(h4_completed, DELAY)),
         ("interleaved", load_mix, mix_cells,
-         short_flow_tail(mix_records, DELAY)),
+         short_flow_tail(mix_completed, DELAY)),
     ]
     print(f"\n{'configuration':>14} {'offered L':>10} {'cells':>10} "
           f"{'short-flow p99.9 FCT':>22}")

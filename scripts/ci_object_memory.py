@@ -11,8 +11,13 @@ neighbour tables (``neighbors_flat``, link -> peer) and their inverse
 (``_link_of``, peer -> link), and the cells queued or on the wire.  A
 family's figure is the bytes of the objects only it holds
 (``sys.getsizeof`` over its containers and their members), so it is
-exact and repeats run to run; tracemalloc is not used, because its own
-traces would swell the RSS reading next to it.
+exact and repeats run to run; tracemalloc is not used there, because its
+own traces would swell the RSS reading next to it.
+
+Last, it prints what the run's history costs: the bytes a completed flow
+adds, on both pipelines (n=256 hbh+spray; the traced bytes held at slot
+5 000 over those at 3 000, per flow completed between, so buffers that
+fill once are past; after everything above is read).  It gates nothing.
 
 Run from the repo root::
 
@@ -24,6 +29,7 @@ import random
 import resource
 import sys
 import time
+import tracemalloc
 from sys import getsizeof
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,6 +44,8 @@ from repro.workloads.generators import poisson_workload  # noqa: E402
 
 N, H, SLOTS = 1296, 2, 300
 MB = 2 ** 20
+#: the history run: size, first slot read, slots between the readings
+FLOW_N, FLOW_FROM, FLOW_SLOTS = 256, 3000, 2000
 
 
 def rss_mb() -> float:
@@ -87,6 +95,30 @@ def families(engine) -> dict:
     }
 
 
+def bytes_per_completed_flow(backend: str):
+    """(pipeline that ran, flows completed between the readings, traced
+    bytes they added per flow) of the history run, traced from slot
+    ``FLOW_FROM - FLOW_SLOTS`` on."""
+    config = SimConfig(n=FLOW_N, h=H, seed=1,
+                       duration=FLOW_FROM + FLOW_SLOTS,
+                       congestion_control="hbh+spray", backend=backend)
+    flows = poisson_workload(config, ShortFlowDistribution(),
+                             load=load_for(H), rng=random.Random(1))
+    engine = Engine(config, flows)
+    engine.run(FLOW_FROM - FLOW_SLOTS)
+    tracemalloc.start()
+    try:
+        engine.run(FLOW_SLOTS)
+        held, done = tracemalloc.get_traced_memory()[0], \
+            len(engine.flows.completed)
+        engine.run(FLOW_SLOTS)
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    completed = len(engine.flows.completed) - done
+    return engine.backend_effective, completed, held / completed
+
+
 def main() -> int:
     config = SimConfig(n=N, h=H, seed=1, duration=SLOTS,
                        congestion_control="hbh+spray", backend="object")
@@ -119,6 +151,11 @@ def main() -> int:
           f"build + {SLOTS} slots {after - base:+.1f} MB")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MB")
+    for backend in ("object", "vector"):
+        ran, completed, per_flow = bytes_per_completed_flow(backend)
+        print(f"history, n={FLOW_N} hbh+spray on {ran}: {per_flow:.0f} B "
+              f"per completed flow ({completed} flows over slots "
+              f"{FLOW_FROM}-{FLOW_FROM + FLOW_SLOTS})")
     return 0
 
 

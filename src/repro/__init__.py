@@ -79,7 +79,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     ".core.schedule": ("Schedule", "srrd_schedule"),
     ".sim.config": ("SimConfig", "TimingModel"),
     ".sim.engine": ("Engine",),
-    ".sim.flows": ("FlowRecord",),
+    ".sim.flows": ("CompletedFlows",),
     ".sim.metrics": ("MetricsCollector",),
     ".sim.multiclass": ("MultiClassSimulation",),
     ".sim.pieo": ("PieoQueue",),

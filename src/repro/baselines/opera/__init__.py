@@ -3,6 +3,6 @@
 from ... import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
-    ".sim": ("OperaConfig", "OperaFlowRecord", "OperaSimulator"),
+    ".sim": ("OperaConfig", "OperaSimulator"),
     ".topology": ("RotorTopology",),
 })

@@ -28,11 +28,10 @@ import random
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ...sim.flows import FlowRecord
-from ...workloads.distributions import bucket_of
+from ...sim.flows import CompletedFlows
 from .topology import RotorTopology
 
-__all__ = ["OperaConfig", "OperaFlowRecord", "OperaSimulator"]
+__all__ = ["OperaConfig", "OperaSimulator"]
 
 
 class OperaConfig:
@@ -73,32 +72,6 @@ class OperaConfig:
         self.seed = seed
 
 
-class OperaFlowRecord:
-    """Completion record in the same shape as the Shale simulator's."""
-
-    __slots__ = ("flow_id", "src", "dst", "size_cells", "size_bytes",
-                 "arrival", "completed_at", "bulk")
-
-    def __init__(self, flow_id: int, src: int, dst: int, size_cells: int,
-                 size_bytes: int, arrival: int, completed_at: int, bulk: bool):
-        self.flow_id = flow_id
-        self.src = src
-        self.dst = dst
-        self.size_cells = size_cells
-        self.size_bytes = size_bytes
-        self.arrival = arrival
-        self.completed_at = completed_at
-        self.bulk = bulk
-
-    @property
-    def fct(self) -> int:
-        return self.completed_at - self.arrival
-
-    def normalized_fct(self, propagation_delay: int) -> float:
-        """Size-normalised FCT against the single-hop line-rate ideal."""
-        return self.fct / (self.size_cells + propagation_delay)
-
-
 class _BulkFlow:
     __slots__ = ("flow_id", "src", "dst", "size_cells", "size_bytes",
                  "arrival", "remaining", "relayed_pending")
@@ -127,7 +100,9 @@ class OperaSimulator:
         self.config = config
         self.topology = RotorTopology(config.n, config.uplinks)
         self.rng = random.Random(config.seed)
-        self.completed: List[OperaFlowRecord] = []
+        #: completed flows, as rows of the Shale engine's table (a flow
+        #: rode RotorLB iff its ``size_cells > config.bulk_cutoff_cells``)
+        self.completed = CompletedFlows()
         self._bulk: List[_BulkFlow] = []
         self._next_arrival = 0
         self._workload: List[Tuple[int, int, int, int, int]] = []
@@ -210,12 +185,8 @@ class OperaSimulator:
         per_hop_transmit = cells * cfg.uplinks
         queueing = self._queueing_delay_cells()
         fct = hops * (per_hop_transmit + cfg.propagation_cells + queueing)
-        self.completed.append(
-            OperaFlowRecord(
-                flow_id, src, dst, cells, size_bytes,
-                arrival, start + fct, bulk=False,
-            )
-        )
+        self.completed.append(flow_id, src, dst, cells, size_bytes,
+                              arrival, start + fct)
 
     def _queueing_delay_cells(self) -> int:
         """Mean per-hop queueing (cells) from the utilisation EWMA (M/D/1)."""
@@ -261,11 +232,8 @@ class OperaSimulator:
             if flow.remaining <= 0 and not flow.relayed_pending:
                 finished.append(flow)
                 self.completed.append(
-                    OperaFlowRecord(
-                        flow.flow_id, flow.src, flow.dst, flow.size_cells,
-                        flow.size_bytes, flow.arrival,
-                        now + cfg.period_cells, bulk=True,
-                    )
+                    flow.flow_id, flow.src, flow.dst, flow.size_cells,
+                    flow.size_bytes, flow.arrival, now + cfg.period_cells,
                 )
         if finished:
             gone = {id(f) for f in finished}

@@ -15,9 +15,9 @@ Scaled default: N=144 with proportionally shortened horizons; pass
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from ..analysis.fct import FctTable, fct_table
+from ..analysis.fct import fct_table
 from ..baselines.opera import OperaConfig, OperaSimulator
 from ..sim.config import SimConfig
 from ..sim.engine import Engine
@@ -82,8 +82,7 @@ def _run_system(
         opera.schedule_flows(workload)
         opera.run(duration)
         opera.run_until_quiescent()
-        table = FctTable(_bucketize(opera.completed, propagation_delay))
-        return table.tail(99.9)
+        return fct_table(opera.completed, propagation_delay).tail(99.9)
     raise ValueError(f"unknown system {system!r}")
 
 
@@ -122,17 +121,6 @@ def run(
         opera_tails=opera_tails,
         propagation_delay=propagation_delay,
     )
-
-
-def _bucketize(records, propagation_delay: int) -> Dict[int, List[float]]:
-    from ..workloads.distributions import bucket_of
-
-    out: Dict[int, List[float]] = {}
-    for record in records:
-        out.setdefault(bucket_of(record.size_bytes), []).append(
-            record.normalized_fct(propagation_delay)
-        )
-    return out
 
 
 def report(result: Fig04Result) -> str:

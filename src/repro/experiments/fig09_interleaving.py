@@ -77,7 +77,7 @@ def _run_cell(
         engine = Engine(base, workload=workload)
         engine.run()
         engine.run_until_quiescent(max_extra=duration * 3)
-        records = engine.flows.completed
+        completed = engine.flows.completed
     else:
         interleave = two_class_interleave(
             n, h_bulk, h_latency, s, cutoff_cells=cutoff_cells
@@ -85,8 +85,8 @@ def _run_cell(
         sim = MultiClassSimulation(interleave, base, workload=workload)
         sim.run(duration)
         sim.run_until_quiescent(max_extra=duration * 3)
-        records = sim.completed_flows()
-    return load, fct_table(records, propagation_delay).tail(99.9)
+        completed = sim.completed_flows()
+    return load, fct_table(completed, propagation_delay).tail(99.9)
 
 
 @experiment_entrypoint

@@ -69,11 +69,11 @@ def _run_cell(
     }
     cfg = replace(base, congestion_control=mechanism)
     engine = run_cc_experiment(cfg, workload)
-    records = engine.flows.completed
+    completed = engine.flows.completed
     return {
-        "all": fct_table(records, propagation_delay).tail(99.9),
+        "all": fct_table(completed, propagation_delay).tail(99.9),
         "non_incast": fct_table(
-            records, propagation_delay, exclude_dsts=sorted(elephant_dsts)
+            completed, propagation_delay, exclude_dsts=sorted(elephant_dsts)
         ).tail(99.9),
         "excluded": len(elephant_dsts),
     }

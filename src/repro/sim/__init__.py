@@ -11,7 +11,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
                     "set_default_policy"),
     ".config": ("PAPER_TIMING", "SimConfig", "TimingModel"),
     ".engine": ("Engine", "ScheduledFlow"),
-    ".flows": ("Flow", "FlowRecord", "FlowTable"),
+    ".flows": ("CompletedFlows", "Flow", "FlowTable"),
     ".metrics": ("MetricsCollector", "percentile"),
     ".monitor": ("ConservationError", "RunMonitor"),
     ".multiclass": ("MultiClassSimulation",),

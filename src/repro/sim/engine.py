@@ -34,7 +34,7 @@ from .backends import make_backend
 from .backends import object_backend as _object_backend
 from .config import SimConfig
 from .digest import DeterminismDigest
-from .flows import Flow, FlowRecord, FlowTable, is_integer_field
+from .flows import Flow, FlowTable, is_integer_field
 from .metrics import MetricsCollector
 from .node import Node, Transmission
 
@@ -464,16 +464,14 @@ class Engine:
             })
         return flow
 
-    def _finish_flow(self, flow: Flow, t: int) -> FlowRecord:
+    def _finish_flow(self, flow: Flow, t: int) -> None:
         """The last cell of ``flow`` was delivered at slot ``t``."""
-        record = self.flows.finalize(flow, t)
+        self.flows.finalize(flow, t)
         if self.events is not None:
             self.events.emit(t, "flow_end", {
-                "flow": record.flow_id, "src": record.src,
-                "dst": record.dst, "cells": record.size_cells,
-                "fct": record.fct,
+                "flow": flow.flow_id, "src": flow.src, "dst": flow.dst,
+                "cells": flow.size_cells, "fct": t - flow.arrival,
             })
-        return record
 
     def drop_cell(self, cell, t: int) -> None:
         """A payload cell is dropped inside a node at slot ``t``."""

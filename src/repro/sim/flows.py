@@ -3,20 +3,23 @@
 A *flow* is a unidirectional transfer of a fixed number of cells between two
 end hosts.  Flows are injected by a workload generator, admit cells into the
 network according to the active congestion-control policy, and complete when
-the receiver has every cell.  The :class:`FlowTable` owns all flow state and
-produces the per-flow records the FCT analysis consumes.
+the receiver has every cell.  The :class:`FlowTable` owns all flow state:
+the active flows as objects, the completed ones as rows of one integer
+table (:class:`CompletedFlows`), the form the FCT analysis reads.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from numbers import Integral
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .tables import table
 
-__all__ = ["Flow", "FlowRecord", "FlowTable", "is_integer_field"]
+__all__ = ["COMPLETED_COLUMNS", "CompletedFlow", "CompletedFlows", "Flow",
+           "FlowTable", "is_integer_field"]
 
 
 def is_integer_field(value) -> bool:
@@ -48,7 +51,6 @@ class Flow:
         "arrival",
         "sent",
         "delivered",
-        "completed_at",
         "credit",
     )
 
@@ -73,7 +75,6 @@ class Flow:
         self.arrival = arrival
         self.sent = 0
         self.delivered = 0
-        self.completed_at: Optional[int] = None
         #: transport-level send credit (used by RD/NDP/ISD policies)
         self.credit = 0.0
 
@@ -92,7 +93,7 @@ class Flow:
         return (
             self.flow_id, self.src, self.dst, self.size_cells,
             self.size_bytes, self.arrival, self.sent, self.delivered,
-            self.completed_at, self.credit,
+            self.credit,
         )
 
     @classmethod
@@ -100,56 +101,70 @@ class Flow:
         flow = cls.__new__(cls)
         (flow.flow_id, flow.src, flow.dst, flow.size_cells,
          flow.size_bytes, flow.arrival, flow.sent, flow.delivered,
-         flow.completed_at, flow.credit) = state
+         flow.credit) = state
         return flow
 
 
-class FlowRecord:
-    """Immutable record of a completed flow, for analysis."""
+#: a completed flow's row: the columns of :class:`CompletedFlows`, and of
+#: the ``completed`` table a checkpoint stores
+COMPLETED_COLUMNS = ("flow_id", "src", "dst", "size_cells", "size_bytes",
+                     "arrival", "completed_at")
 
-    __slots__ = ("flow_id", "src", "dst", "size_cells", "size_bytes",
-                 "arrival", "completed_at")
 
-    def __init__(self, flow: Flow):
-        if flow.completed_at is None:
-            raise ValueError("flow has not completed")
-        self.flow_id = flow.flow_id
-        self.src = flow.src
-        self.dst = flow.dst
-        self.size_cells = flow.size_cells
-        self.size_bytes = flow.size_bytes
-        self.arrival = flow.arrival
-        self.completed_at = flow.completed_at
+class CompletedFlow(namedtuple("CompletedFlow", COMPLETED_COLUMNS)):
+    """One row of :class:`CompletedFlows`, built as it is read."""
+
+    __slots__ = ()
 
     @property
     def fct(self) -> int:
         """Flow completion time in timeslots."""
         return self.completed_at - self.arrival
 
-    def state(self) -> tuple:
-        """All fields as a flat tuple (checkpoint encoding)."""
-        return (
-            self.flow_id, self.src, self.dst, self.size_cells,
-            self.size_bytes, self.arrival, self.completed_at,
-        )
 
-    @classmethod
-    def from_state(cls, state: tuple) -> "FlowRecord":
-        # bypass __init__, which demands a live completed Flow
-        record = cls.__new__(cls)
-        (record.flow_id, record.src, record.dst, record.size_cells,
-         record.size_bytes, record.arrival, record.completed_at) = state
-        return record
+class CompletedFlows:
+    """The completed flows of a run, in completion order, as rows of one
+    ``(flows, 7)`` int64 table (columns :data:`COMPLETED_COLUMNS`): what a
+    checkpoint stores and what the FCT analysis reads a column at a time.
 
-    def normalized_fct(self, propagation_delay: int) -> float:
-        """Size-normalised FCT (paper Section 5).
+    Rows fill blocks of :attr:`BLOCK` rows, so a flow costs its 56 B and
+    growing the history never copies what it holds; a ``table`` to start
+    from (a restored checkpoint's) is the first block, as it is.
+    """
 
-        The ideal single-hop line-rate transfer of ``F`` cells with
-        propagation delay ``P`` takes ``F + P`` slots; the normalised FCT is
-        the measured FCT divided by that ideal.
-        """
-        ideal = self.size_cells + propagation_delay
-        return self.fct / ideal
+    BLOCK = 1024
+
+    __slots__ = ("_blocks", "_fill")
+
+    def __init__(self, table=()) -> None:
+        block = np.array(table, dtype=np.int64).reshape(-1, 7)
+        self._blocks = [block]
+        self._fill = len(block)  # rows used in the last block
+
+    def append(self, *row: int) -> None:
+        """Add one row, its fields in :data:`COMPLETED_COLUMNS` order."""
+        block = self._blocks[-1]
+        if self._fill == len(block):
+            block = np.empty((self.BLOCK, 7), dtype=np.int64)
+            self._blocks.append(block)
+            self._fill = 0
+        block[self._fill] = row
+        self._fill += 1
+
+    def __len__(self) -> int:
+        return sum(map(len, self._blocks[:-1])) + self._fill
+
+    def table(self) -> np.ndarray:
+        """Every row, as one new ``(flows, 7)`` int64 array."""
+        return np.concatenate(
+            self._blocks[:-1] + [self._blocks[-1][:self._fill]])
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Column name -> that column of :meth:`table`."""
+        return dict(zip(COMPLETED_COLUMNS, self.table().T))
+
+    def __iter__(self) -> Iterator[CompletedFlow]:
+        return map(CompletedFlow._make, self.table().tolist())
 
 
 class FlowTable:
@@ -157,7 +172,7 @@ class FlowTable:
 
     def __init__(self) -> None:
         self._active: Dict[int, Flow] = {}
-        self.completed: List[FlowRecord] = []
+        self.completed = CompletedFlows()
         self._next_id = 0
         #: per-destination count of flows currently being sent (for ISD)
         self.incast_degree: Dict[int, int] = {}
@@ -183,23 +198,22 @@ class FlowTable:
         """Look up an active flow (None once completed)."""
         return self._active.get(flow_id)
 
-    def finalize(self, flow: Flow, t: int) -> FlowRecord:
-        """Complete ``flow`` at time ``t`` and return its record.
+    def finalize(self, flow: Flow, t: int) -> None:
+        """Complete ``flow`` at time ``t``: its row joins :attr:`completed`.
 
         Callers must have already counted the final delivery (``delivered``
         at or past ``size_cells``); the simulator's delivery hot path inlines
         that counting and only calls here on the completing cell.
         """
-        flow.completed_at = t
-        record = FlowRecord(flow)
-        self.completed.append(record)
+        self.completed.append(flow.flow_id, flow.src, flow.dst,
+                              flow.size_cells, flow.size_bytes,
+                              flow.arrival, t)
         del self._active[flow.flow_id]
         remaining = self.incast_degree.get(flow.dst, 1) - 1
         if remaining:
             self.incast_degree[flow.dst] = remaining
         else:
             self.incast_degree.pop(flow.dst, None)
-        return record
 
     def active_flows(self) -> Iterable[Flow]:
         """Iterate flows that have not completed."""
@@ -215,16 +229,14 @@ class FlowTable:
 
     def state_dict(self) -> dict:
         """The whole registry as tables (checkpoint encoding): ``active``
-        holds ``Flow.state()`` up to ``delivered`` (an active flow has no
-        completion time) with the one float field beside it in ``credit``,
-        ``completed`` is ``(records, FlowRecord.state() fields)``."""
+        holds ``Flow.state()`` but its one float field, which is beside it
+        in ``credit``, ``completed`` is :attr:`completed`'s table."""
         active = list(self._active.values())
         return {
             "active": table([flow.state()[:8] for flow in active], 8),
             "credit": np.array([flow.credit for flow in active],
                                dtype=np.float64),
-            "completed": table(
-                [record.state() for record in self.completed], 7),
+            "completed": self.completed.table(),
             "next_id": self._next_id,
             "incast": table(sorted(self.incast_degree.items()), 2),
         }
@@ -239,10 +251,9 @@ class FlowTable:
         self._active.clear()
         for row, credit in zip(state["active"].tolist(),
                                state["credit"].tolist()):
-            flow = Flow.from_state((*row, None, credit))
+            flow = Flow.from_state((*row, credit))
             self._active[flow.flow_id] = flow
-        self.completed[:] = map(
-            FlowRecord.from_state, state["completed"].tolist())
+        self.completed = CompletedFlows(state["completed"])
         self._next_id = state["next_id"]
         self.incast_degree.clear()
         self.incast_degree.update(state["incast"].tolist())

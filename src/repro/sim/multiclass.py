@@ -23,10 +23,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.interleave import InterleavedSchedule
 from .config import SimConfig
 from .engine import Engine, ScheduledFlow, check_slots
-from .flows import FlowRecord
+from .flows import CompletedFlows
 
 __all__ = ["MultiClassSimulation"]
 
@@ -147,19 +149,16 @@ class MultiClassSimulation:
     # ------------------------------------------------------------------ #
     # results
 
-    def completed_flows(self) -> List[FlowRecord]:
-        """All completed flows across classes (master-clock FCTs)."""
-        out: List[FlowRecord] = []
-        for engine in self.engines:
-            out.extend(engine.flows.completed)
-        return out
+    def completed_flows(self) -> CompletedFlows:
+        """All completed flows across classes (master-clock FCTs), class
+        by class."""
+        return CompletedFlows(np.concatenate(
+            [engine.flows.completed.table() for engine in self.engines]))
 
-    def completed_by_class(self) -> Dict[int, List[FlowRecord]]:
+    def completed_by_class(self) -> Dict[int, CompletedFlows]:
         """Completed flows grouped by sub-schedule index."""
-        return {
-            i: list(engine.flows.completed)
-            for i, engine in enumerate(self.engines)
-        }
+        return {i: engine.flows.completed
+                for i, engine in enumerate(self.engines)}
 
     def total_delivered_cells(self) -> int:
         """Payload cells delivered across every class."""

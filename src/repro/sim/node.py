@@ -804,12 +804,13 @@ class Node:
             engine.delivery_hook(cell, t)
         # count the cell on its flow, finalise only on the last
         flow = engine.flows._active.get(cell.flow_id)
-        record = None
+        finished = False
         if flow is not None:
             flow.delivered += 1
             if flow.delivered >= flow.size_cells:
-                record = engine._finish_flow(flow, t)
-        if self.is_rd_family and record is None:
+                engine._finish_flow(flow, t)
+                finished = True
+        if self.is_rd_family and not finished:
             # flow still running: maybe request more cells from the sender
             count = self._recv_counts.get(cell.flow_id, 0) + 1
             self._recv_counts[cell.flow_id] = count
@@ -818,7 +819,7 @@ class Node:
                     ControlMessage(CTRL_PULL, cell.flow_id, self.node_id, cell.src),
                     t,
                 )
-        elif record is not None:
+        elif finished:
             self._recv_counts.pop(cell.flow_id, None)
 
     def enqueue_forward(self, cell: Cell, t: int, phase: int) -> None:

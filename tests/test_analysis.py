@@ -1,8 +1,15 @@
 """Tests for the analysis package: theory formulas and FCT statistics."""
 
-import pytest
+import bisect
 
-from repro.analysis.fct import FctTable, bucketed_fcts, fct_table
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.analysis.fct import (
+    FctTable, bucketed_fcts, fct_table, normalized_fcts,
+)
 from repro.analysis.theory import (
     effective_radix,
     feasible_h_values,
@@ -20,7 +27,8 @@ from repro.congestion.token_budget import (
     required_interior_budget,
 )
 from repro.core.schedule import Schedule
-from repro.sim.flows import Flow, FlowRecord
+from repro.sim.flows import CompletedFlows
+from repro.workloads.distributions import FLOW_SIZE_BUCKETS
 
 
 class TestTheory:
@@ -124,11 +132,14 @@ class TestTokenBudget:
 
 
 def make_record(size_cells, fct, size_bytes=None, dst=0):
-    flow = Flow(0, src=1, dst=dst, size_cells=size_cells, arrival=0,
-                size_bytes=size_bytes)
-    flow.delivered = size_cells
-    flow.completed_at = fct
-    return FlowRecord(flow)
+    """A completed flow's row: arrived at slot 0, done ``fct`` slots on."""
+    if size_bytes is None:
+        size_bytes = size_cells * 244
+    return (0, 1, dst, size_cells, size_bytes, 0, fct)
+
+
+def completed(records):
+    return CompletedFlows(np.array(records, dtype=np.int64).reshape(-1, 7))
 
 
 class TestFctAnalysis:
@@ -137,12 +148,12 @@ class TestFctAnalysis:
             make_record(1, 10, size_bytes=1000),          # 0-4kB
             make_record(100, 500, size_bytes=20_000),      # 16-64kB
         ]
-        buckets = bucketed_fcts(records, propagation_delay=0)
+        buckets = bucketed_fcts(completed(records), propagation_delay=0)
         assert set(buckets) == {0, 2}
 
     def test_table_statistics(self):
         records = [make_record(10, 20 * (i + 1)) for i in range(10)]
-        table = fct_table(records, propagation_delay=10)
+        table = fct_table(completed(records), propagation_delay=10)
         mean = table.mean()
         assert len(mean) == 1
         bucket = next(iter(mean))
@@ -153,7 +164,7 @@ class TestFctAnalysis:
         assert table.counts()[bucket] == 10
 
     def test_rows_format(self):
-        table = fct_table([make_record(1, 5, size_bytes=100)], 0)
+        table = fct_table(completed([make_record(1, 5, size_bytes=100)]), 0)
         rows = table.rows()
         assert rows[0][0] == "0-4kB"
         assert rows[0][1] == 1
@@ -163,17 +174,74 @@ class TestFctAnalysis:
             make_record(1, 10, size_bytes=100, dst=0),
             make_record(1, 10, size_bytes=100, dst=5),
         ]
-        table = fct_table(records, 0, exclude_dsts=[5])
+        table = fct_table(completed(records), 0, exclude_dsts=[5])
         assert table.counts()[0] == 1
 
     def test_overall_tail(self):
         records = [make_record(1, i + 1, size_bytes=100) for i in range(100)]
-        table = fct_table(records, 0)
+        table = fct_table(completed(records), 0)
         # 'lower' interpolation: the percentile is an observed FCT, never
         # a midpoint between two samples (50.5 under linear interpolation)
         assert table.overall_tail(50) == pytest.approx(50.0)
 
     def test_empty_table(self):
-        table = fct_table([], 0)
+        table = fct_table(CompletedFlows(), 0)
         assert table.tail() == {}
         assert table.overall_tail() == 0.0
+
+
+def reference_buckets(rows, propagation_delay, exclude_dsts=None):
+    """Per-row FCT bucketing: each flow's measured FCT over its ideal
+    ``size_cells + propagation_delay``, an int-by-int division, appended
+    to its size bucket (upper edges inclusive) in completion order."""
+    excluded = set(exclude_dsts or ())
+    out = {}
+    for _, _, dst, size_cells, size_bytes, arrival, completed_at in rows:
+        if dst in excluded:
+            continue
+        fct = completed_at - arrival
+        out.setdefault(bisect.bisect_left(FLOW_SIZE_BUCKETS, size_bytes),
+                       []).append(fct / (size_cells + propagation_delay))
+    return out
+
+
+#: sizes on and beside every bucket edge, and anywhere between
+_SIZES = st.one_of(
+    st.sampled_from([edge + d for edge in FLOW_SIZE_BUCKETS
+                     for d in (-1, 0, 1)]),
+    st.integers(1, 2 * FLOW_SIZE_BUCKETS[-1]),
+)
+_ROWS = st.lists(st.tuples(
+    st.integers(0, 10 ** 9), st.integers(0, 15), st.integers(0, 15),
+    st.integers(1, 10 ** 7), _SIZES, st.integers(0, 10 ** 9),
+    st.integers(0, 10 ** 7),
+).map(lambda r: (*r[:6], r[5] + r[6])), max_size=60)
+
+
+def _bits(buckets):
+    return {i: [value.hex() for value in values]
+            for i, values in buckets.items()}
+
+
+class TestFctColumns:
+    """The column FCT path against the per-row reference: every float the
+    same bits, every bucket's values in completion order."""
+
+    @given(rows=_ROWS, delay=st.integers(0, 500),
+           exclude=st.one_of(st.none(), st.lists(st.integers(0, 15))))
+    def test_columns_are_the_per_row_arithmetic(self, rows, delay, exclude):
+        flows = completed(rows)
+        expected = reference_buckets(rows, delay, exclude)
+        buckets = bucketed_fcts(flows, delay, exclude)
+        assert sorted(buckets) == sorted(expected)
+        assert _bits(buckets) == _bits(expected)
+        assert [v.hex() for v in normalized_fcts(flows, delay).tolist()] \
+            == [((done - arrival) / (size + delay)).hex()
+                for _, _, _, size, _, arrival, done in rows]
+        table, reference = fct_table(flows, delay, exclude), \
+            FctTable(expected)
+        # means summed left to right, in completion order
+        assert {i: v.hex() for i, v in table.mean().items()} == \
+            {i: v.hex() for i, v in reference.mean().items()}
+        assert table.rows() == reference.rows()
+        assert table.overall_tail().hex() == reference.overall_tail().hex()

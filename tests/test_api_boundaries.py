@@ -143,7 +143,7 @@ EXPECTED_ALL = {
     "repro": [
         "Cell", "CoordinateSystem", "Engine", "RunResult", "Session",
         "open_session", "simulate",
-        "FlowRecord", "HeaderCodec", "InterleavedSchedule",
+        "CompletedFlows", "HeaderCodec", "InterleavedSchedule",
         "MetricsCollector", "MultiClassSimulation", "PieoQueue", "Router",
         "Schedule", "SimConfig", "TimingModel", "Token", "TokenLedger",
         "srrd_schedule", "two_class_interleave", "__version__",
@@ -161,7 +161,7 @@ EXPECTED_ALL = {
         "default_policy", "load_checkpoint",
         "load_checkpoint_or_none", "save_checkpoint", "set_default_policy",
         "RunMonitor", "Flow",
-        "FlowRecord", "FlowTable", "MetricsCollector",
+        "CompletedFlows", "FlowTable", "MetricsCollector",
         "MultiClassSimulation", "Node", "PAPER_TIMING", "PieoQueue",
         "CellTrace", "CellTracer", "TraceError", "validate_trace",
         "ScheduledFlow", "SimConfig", "TimingModel", "Transmission",

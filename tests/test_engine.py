@@ -29,7 +29,7 @@ class TestSingleFlowDelivery:
         engine.schedule_flows(single_flow_workload(0, 15, 20))
         engine.run_until_quiescent(max_extra=50_000)
         assert len(engine.flows.completed) == 1
-        record = engine.flows.completed[0]
+        (record,) = engine.flows.completed
         assert record.size_cells == 20
         assert record.fct > 0
 
@@ -44,7 +44,7 @@ class TestSingleFlowDelivery:
         cfg, engine = make_engine(cc="none", delay=10)
         engine.schedule_flows(single_flow_workload(0, 15, 5))
         engine.run_until_quiescent(max_extra=50_000)
-        record = engine.flows.completed[0]
+        (record,) = engine.flows.completed
         assert record.fct >= 5 + 10  # cells + one propagation
 
     def test_h1_srrd_works(self):

@@ -79,13 +79,15 @@ class TestEndToEnd:
         )
         dedicated = Engine(cfg, workload=[(0, 0, 15, size, size * 244)])
         dedicated.run_until_quiescent(max_extra=100_000)
-        dedicated_fct = dedicated.flows.completed[0].fct
+        (dedicated_flow,) = dedicated.flows.completed
+        dedicated_fct = dedicated_flow.fct
 
         inter, sim = make_sim(s=0.5, duration=8000, cutoff=size)
         sim.schedule_flows([(0, 0, 15, size, size * 244)])
         sim.run(8000)
         sim.run_until_quiescent(max_extra=100_000)
-        inter_fct = sim.completed_flows()[0].fct
+        (inter_flow,) = sim.completed_flows()
+        inter_fct = inter_flow.fct
         assert 1.3 * dedicated_fct < inter_fct < 6 * dedicated_fct
 
     def test_completed_by_class(self):

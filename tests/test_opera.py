@@ -2,7 +2,14 @@
 
 import pytest
 
+from repro.analysis.fct import normalized_fcts
 from repro.baselines.opera import OperaConfig, OperaSimulator, RotorTopology
+
+
+def only_flow(sim):
+    """The one row of ``sim.completed``, and whether it rode RotorLB."""
+    (row,) = sim.completed
+    return row, row.size_cells > sim.config.bulk_cutoff_cells
 
 
 class TestRotorTopology:
@@ -72,21 +79,19 @@ class TestOperaSimulator:
         sim = self.make()
         sim.schedule_flows([(0, 0, 7, 10, 2440)])
         sim.run_until_quiescent()
-        assert len(sim.completed) == 1
-        record = sim.completed[0]
-        assert not record.bulk
+        row, bulk = only_flow(sim)
+        assert not bulk
         # a 10-cell flow over a few expander hops: far below one rotor cycle
-        assert record.fct < 35 * 100
+        assert row.fct < 35 * 100
 
     def test_bulk_flow_waits_for_matchings(self):
         sim = self.make(bulk_cutoff_cells=50, indirect=False)
         sim.schedule_flows([(0, 0, 7, 1000, 244_000)])
         sim.run_until_quiescent()
-        assert len(sim.completed) == 1
-        record = sim.completed[0]
-        assert record.bulk
+        _, bulk = only_flow(sim)
+        assert bulk
         # served only ~uplinks/(n-1) of the time: heavy slowdown vs ideal
-        assert record.normalized_fct(5) > 2.0
+        assert normalized_fcts(sim.completed, 5)[0] > 2.0
 
     def test_bulk_penalty_grows_with_n(self):
         """The Fig. 4 mechanism: RotorLB slowdown scales with N."""
@@ -98,7 +103,7 @@ class TestOperaSimulator:
             ))
             sim.schedule_flows([(0, 0, n // 2, 2000, 488_000)])
             sim.run_until_quiescent()
-            slowdowns[n] = sim.completed[0].normalized_fct(5)
+            slowdowns[n] = normalized_fcts(sim.completed, 5)[0]
         assert slowdowns[96] > 1.5 * slowdowns[24]
 
     def test_indirect_relaying_helps(self):
@@ -107,7 +112,7 @@ class TestOperaSimulator:
             sim = self.make(bulk_cutoff_cells=50, indirect=indirect)
             sim.schedule_flows([(0, 0, 7, 2000, 488_000)])
             sim.run_until_quiescent()
-            fcts[indirect] = sim.completed[0].fct
+            fcts[indirect] = only_flow(sim)[0].fct
         assert fcts[True] <= fcts[False]
 
     def test_capacity_shared_at_receiver(self):
@@ -118,9 +123,8 @@ class TestOperaSimulator:
             (0, 2, 0, 500, 122_000),
         ])
         sim.run(20_000)
-        delivered = sum(
-            r.size_cells for r in sim.completed if r.dst == 0
-        )
+        columns = sim.completed.columns()
+        delivered = columns["size_cells"][columns["dst"] == 0].sum()
         # ingress cap: at most period_cells per period
         assert delivered <= sim.period * 100
 
@@ -132,5 +136,5 @@ class TestOperaSimulator:
         sim = self.make()
         sim.schedule_flows([(0, 0, 7, 10, 2440)])
         sim.run_until_quiescent()
-        record = sim.completed[0]
-        assert record.normalized_fct(5) == record.fct / 15
+        row, _ = only_flow(sim)
+        assert normalized_fcts(sim.completed, 5)[0] == row.fct / 15

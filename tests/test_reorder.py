@@ -91,6 +91,6 @@ class TestReorderTracker:
         plain = Engine(base_cfg, workload=single_flow_workload(0, 15, 60))
         plain.run_until_quiescent(max_extra=100_000)
         engine, _tracker = self.run_tracked()
-        assert (
-            plain.flows.completed[0].fct == engine.flows.completed[0].fct
-        )
+        (plain_flow,) = plain.flows.completed
+        (tracked_flow,) = engine.flows.completed
+        assert plain_flow.fct == tracked_flow.fct
