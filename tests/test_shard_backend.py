@@ -227,5 +227,48 @@ class TestShardedCheckpoints:
         assert run_state(engine) == baseline
 
 
+class TestFlowCounterPreload:
+    def test_each_advance_hands_the_flows_it_can_deliver(self, shards,
+                                                         monkeypatch):
+        """Flows arriving all through the run: every advance hands the
+        workers the delivered counts of the flows active or arriving
+        before its end slot, not of every flow still pending, and the run
+        is the vector run."""
+        handed = []
+        scatter = ShardBackend._scatter
+
+        def spy(self, engine, t0, end, drain, ranges):
+            out = scatter(self, engine, t0, end, drain, ranges)
+            if out is not None:
+                flows, pending = engine.flows, engine._pending_flows
+                arriving = [flows._next_id + off
+                            for off, flow in enumerate(pending)
+                            if flow[0] < end]
+                ids = [fid for task in out[0] for fid, _ in task["fdel"]]
+                assert sorted(ids) == sorted(flows._active) + arriving
+                handed.append(len(pending) - len(arriving))
+            return out
+
+        monkeypatch.setattr(ShardBackend, "_scatter", spy)
+        shards(2)
+        states = []
+        for backend in ("vector", "shard"):
+            cfg = SimConfig(n=64, h=2, duration=400, seed=5,
+                            propagation_delay=4, congestion_control="none",
+                            backend=backend)
+            workload = sorted(
+                flow for arrival in range(0, 400, 40)
+                for flow in permutation_workload(cfg, 6, arrival=arrival))
+            engine = Engine(cfg, workload=workload)
+            engine.enable_digest()
+            for _ in range(4):
+                engine.run(100)
+            engine.run_until_quiescent(max_extra=20_000)
+            states.append(run_state(engine))
+        assert states[0] == states[1]
+        # some advance left flows pending past its end out
+        assert max(handed) > 0
+
+
 def teardown_module(module):
     shutdown_shard_pools()
