@@ -8,5 +8,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
                  "decompose_trace"),
     ".theory": ("TradeoffPoint", "effective_radix", "feasible_h_values",
                 "intrinsic_latency_slots", "srrd_latency_slots",
-                "throughput_guarantee", "tradeoff_curve"),
+                "throughput_guarantee", "tradeoff_curve", "tradeoff_point"),
 })

@@ -23,6 +23,7 @@ __all__ = [
     "throughput_guarantee",
     "feasible_h_values",
     "TradeoffPoint",
+    "tradeoff_point",
     "tradeoff_curve",
     "srrd_latency_slots",
     "effective_radix",
@@ -84,6 +85,20 @@ class TradeoffPoint:
     latency_ns: float
 
 
+def tradeoff_point(n: int, slot_ns: float, h: int) -> TradeoffPoint:
+    """One tuning's (throughput, latency) point — module-level, so a
+    parallel sweep can run it per ``h``."""
+    r = effective_radix(n, h)
+    latency = 2 * h * (r - 1)
+    return TradeoffPoint(
+        h=h,
+        radix=r,
+        throughput=throughput_guarantee(h),
+        latency_slots=latency,
+        latency_ns=latency * slot_ns,
+    )
+
+
 def tradeoff_curve(
     n: int = 100_000,
     slot_ns: float = 5.632,
@@ -100,17 +115,5 @@ def tradeoff_curve(
         One point per feasible ``h``, ordered by increasing ``h`` (i.e.
         decreasing latency, decreasing throughput).
     """
-    points = []
-    for h in feasible_h_values(n, max_h):
-        r = effective_radix(n, h)
-        latency = 2 * h * (r - 1)
-        points.append(
-            TradeoffPoint(
-                h=h,
-                radix=r,
-                throughput=throughput_guarantee(h),
-                latency_slots=latency,
-                latency_ns=latency * slot_ns,
-            )
-        )
-    return points
+    return [tradeoff_point(n, slot_ns, h)
+            for h in feasible_h_values(n, max_h)]

@@ -25,9 +25,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.theory import (
     TradeoffPoint,
-    effective_radix,
     feasible_h_values,
-    throughput_guarantee,
+    tradeoff_point,
 )
 from .common import experiment_entrypoint, format_table
 
@@ -46,19 +45,6 @@ class Fig01Result:
     slot_ns: float
     points: List[TradeoffPoint]
     designs: Optional[List[Dict[str, Any]]] = field(default=None)
-
-
-def _point(n: int, slot_ns: float, h: int) -> TradeoffPoint:
-    """One tuning's (throughput, latency) point — module-level for sweeps."""
-    r = effective_radix(n, h)
-    latency = 2 * h * (r - 1)
-    return TradeoffPoint(
-        h=h,
-        radix=r,
-        throughput=throughput_guarantee(h),
-        latency_slots=latency,
-        latency_ns=latency * slot_ns,
-    )
 
 
 def parse_design(spec: str) -> Tuple[str, str, Optional[int]]:
@@ -149,7 +135,7 @@ def run(*, n: int = 100_000, slot_ns: float = 5.632,
 
     grid = [dict(n=n, slot_ns=slot_ns, h=h)
             for h in feasible_h_values(n, max_h)]
-    points = sweep(_point, grid, workers=workers)
+    points = sweep(tradeoff_point, grid, workers=workers)
     matrix: Optional[List[Dict[str, Any]]] = None
     if designs:
         from ..core.strategies import validate_design

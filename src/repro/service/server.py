@@ -279,6 +279,8 @@ class ServiceServer:
                 raise ServiceError("adjust-load needs a numeric 'factor'")
             try:
                 new_factor = session.adjust_load(float(factor))
+            except OverflowError as exc:    # an int past float range
+                raise ServiceError(f"'factor' {exc}") from exc
             except (ValueError, RuntimeError) as exc:
                 raise ServiceError(str(exc)) from exc
             return ok_response(request_id, factor=new_factor, t=session.t)

@@ -9,9 +9,9 @@ backends ship:
   (``Node.transmit`` / ``Node.receive``), driven over per-link visit sets.
   Every mechanism, failure scenario and observer is supported; this is
   the default.
-* ``"vector"`` — a vectorized slot stepper that keeps per-node queue heads,
-  cell headers and flow cursors in flat numpy int64 columns and advances
-  every node per timeslot with array operations (see
+* ``"vector"`` — a vectorized slot stepper that keeps cell headers and
+  flow cursors in int32 numpy records, threaded into per-node queues, and
+  advances every node per timeslot with array operations (see
   :mod:`repro.sim.backends.vector`).  It reproduces the object backend
   *bit-exactly* — including CPython's ``randrange`` rejection-loop RNG
   consumption — for the configurations it accelerates, and transparently

@@ -171,7 +171,7 @@ class _WorkerRun(_VectorRun):
             metrics=_Proxy(max_queue_length=0),
         )
         _VectorRun.__init__(self, engine, _Proxy(
-            nbr=tables["nbr"], link_table=tables["link_table"],
+            peer=tables["peer"], link_table=tables["link_table"],
         ))
         self.k = idx
         self.K = count
@@ -464,7 +464,7 @@ class _WorkerRun(_VectorRun):
             self.round_slots.append(entry)
             return
         m = senders.size
-        recvs = self.nbr[slot][senders]
+        recvs = self.peer[link][senders]
         dsts = self.c_dst[cells]
         tmask = (self.c_sprays[cells] > 0) & (recvs != dsts)
         if tmask.any():
@@ -611,7 +611,8 @@ class _WorkerRun(_VectorRun):
                     else np.concatenate(subs_r)
                 )
                 self.rxbuf[arr] = (
-                    senders, rows, self.nbr[sslot][senders],
+                    senders, rows,
+                    self.peer[self.link_table[sslot]][senders],
                     (self.phase_table[sslot] + 1) % self.h,
                 )
         if self.drain:
@@ -827,7 +828,7 @@ class ShardBackend(EngineBackend):
             "epoch": schedule.epoch_length,
             "phase_table": list(schedule.phase_table),
             "link_table": list(tables.link_table),
-            "nbr": tables.nbr,
+            "peer": tables.peer,
         }
 
     # -------------------------------------------------------------- #

@@ -528,7 +528,7 @@ class TokenRun(_VectorRun):
     def _tx(self, t: int, slot: int, phase: int) -> None:
         engine = self.engine
         link = self.link_table[slot]
-        nb = self.nbr[slot]
+        nb = self.peer[link]
         cell_of = self._cell_of
         cell_of.fill(-1)
         self._fresh.fill(False)

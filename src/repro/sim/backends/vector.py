@@ -306,7 +306,6 @@ class _SlabTables:
         peer: ``(L, n)``; ``peer[l, i]`` is node ``i``'s neighbour on link
             ``l = phase * (r - 1) + offset - 1``.
         link_table: the link every node transmits on, per slot of the epoch.
-        nbr: ``(epoch, n)``; ``nbr[s] == peer[link_table[s]]``.
     """
 
     def __init__(self, schedule, coords) -> None:
@@ -324,7 +323,6 @@ class _SlabTables:
             for phase, offset in zip(schedule.phase_table,
                                      schedule.offset_table)
         ]
-        self.nbr = self.peer[self.link_table]
         self._links = None
 
     @property
@@ -380,7 +378,7 @@ class _VectorRun:
         self.rm1 = self.r - 1
         self.L = self.h * self.rm1
         self.delay = cfg.propagation_delay
-        self.nbr = tables.nbr
+        self.peer = tables.peer
         self.link_table = tables.link_table
         schedule = engine.schedule
         self.epoch = schedule.epoch_length
@@ -1159,7 +1157,7 @@ class _VectorRun:
             return
         self.batches.append((
             t + self.delay, senders, self._cell_of[senders],
-            self.nbr[slot][senders], emit[senders], (phase + 1) % self.h,
+            self.peer[link][senders], emit[senders], (phase + 1) % self.h,
         ))
         metrics = engine.metrics
         metrics.cells_sent += m
@@ -1250,9 +1248,7 @@ class VectorBackend(EngineBackend):
                 run = TokenRun(engine, tables)
             else:
                 run = _VectorRun(engine, tables)
-            # the run keeps the tables it steps with; the rest (``peer``
-            # without hop-by-hop, L * n int64s) goes now, not after the
-            # advance
+            # the run keeps only the tables it steps with
             del tables
         # a value no record holds and the RNG mirror first: they are the
         # cheap declines, and the plain model of built objects is a full

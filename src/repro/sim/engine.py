@@ -22,6 +22,7 @@ and the failure manager hooks (Section 3.4).
 
 from __future__ import annotations
 
+import heapq
 import logging
 import random
 from collections import deque
@@ -43,6 +44,7 @@ __all__ = ["Engine", "ScheduledFlow"]
 #: A flow injection request: (arrival timeslot, src, dst, size in cells,
 #: size in bytes).
 ScheduledFlow = Tuple[int, int, int, int, int]
+FLOW_FIELDS = ("arrival", "src", "dst", "size_cells", "size_bytes")
 
 #: Observers called with each freshly constructed Engine.  The telemetry
 #: capture context (:class:`repro.obs.capture.TelemetryCapture`) registers
@@ -407,21 +409,27 @@ class Engine:
     # workload plumbing
 
     def schedule_flows(self, workload: Iterable[ScheduledFlow]) -> None:
-        """Queue flow arrivals; they must be sorted by arrival timeslot.
+        """Queue flow arrivals; the batch must be sorted by arrival timeslot.
 
         The whole batch is checked before any of it is queued, so a
         rejected batch (``TypeError`` / ``ValueError``) leaves nothing
-        behind: every field an int (a ``bool`` is not one), ``src`` and
-        ``dst`` distinct node ids, at least one cell, no negative bytes,
-        arrivals sorted after those already queued.
+        behind: every field an int (a ``bool`` is not one) below ``2**63``
+        (a checkpoint stores them as int64), ``src`` and ``dst`` distinct
+        node ids, at least one cell, no negative bytes, arrivals sorted.
+        A batch arriving before flows already queued (a source's arrivals
+        behind a future-dated submission) is merged in by arrival, the
+        queued flows first on ties.
         """
         batch = list(workload)
         n = self.config.n
-        last = self._pending_flows[-1][0] if self._pending_flows else -1
+        last = -1
         for item in batch:
             arrival, src, dst, size_cells, size_bytes = item
             if not all(map(is_integer_field, item)):
                 raise TypeError(f"flow fields must be integers, got {item!r}")
+            big = [name for name, v in zip(FLOW_FIELDS, item) if v >= 2**63]
+            if big:
+                raise ValueError(f"flow {item!r}: {big[0]} exceeds int64")
             if not (0 <= src < n and 0 <= dst < n) or src == dst:
                 raise ValueError(
                     f"flow {item!r} needs distinct src and dst in [0, {n})")
@@ -431,7 +439,11 @@ class Engine:
             if arrival < last:
                 raise ValueError("workload must be sorted by arrival time")
             last = arrival
-        self._pending_flows.extend(batch)
+        pending = self._pending_flows
+        if batch and pending and batch[0][0] < pending[-1][0]:
+            batch = list(heapq.merge(pending, batch, key=lambda f: f[0]))
+            pending.clear()
+        pending.extend(batch)
 
     def _inject_flows(self, t: int) -> None:
         pending = self._pending_flows

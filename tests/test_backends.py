@@ -19,7 +19,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import open_session, simulate
@@ -62,9 +62,6 @@ MECHANISMS = ("none", "spray-short", "hop-by-hop", "hbh+spray", "isd")
 
 #: the mechanisms the vector slab steps itself (above the size floor)
 SLAB_MECHANISMS = ("none", "spray-short", "hop-by-hop", "hbh+spray")
-
-#: (n, h) pairs with integral radix r = n**(1/h)
-TOPOLOGIES = ((16, 1), (16, 2), (64, 1), (64, 2), (64, 3))
 
 
 def _build(backend, n, h, cc, seed, fail=False, size_cells=25, duration=300,
@@ -184,27 +181,6 @@ class TestHandOff:
     """The object model is authoritative between backend calls, so a run
     may be cut anywhere: every cut packs and unpacks the ledger, the token
     rings, the tracker and the token-bearing and dummy transmissions."""
-
-    # (the floor stays lowered across the examples)
-    @settings(deadline=None, max_examples=10,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        st.sampled_from(TOPOLOGIES),
-        st.sampled_from(("spray-short", "hop-by-hop", "hbh+spray")),
-        st.integers(min_value=0, max_value=2**16),
-        st.integers(min_value=1, max_value=40),
-    )
-    def test_manual_steps_then_run(self, slab_floor, topo, cc, seed, steps):
-        n, h = topo
-        reference, _ = _run("object", n, h, cc, seed)
-        engine = _build("vector", n, h, cc, seed)
-        engine.enable_digest()
-        for _ in range(steps):
-            engine.step()       # the reference slot body, by hand
-        engine.run(engine.config.duration - engine.t)
-        engine.run_until_quiescent(max_extra=20_000)
-        assert _trace(engine) == reference
-        assert engine.backend_effective == "vector"
 
     def test_token_rings_grow(self, slab_floor, monkeypatch):
         """A ring that fills doubles; start from one slot so it must."""
@@ -389,16 +365,6 @@ class TestCheckpointBackendValidation:
         assert _trace(restored) == _trace(reference)
 
 
-def _staggered_flows(cfg, seed, waves=5, gap=97):
-    """Permutation waves ``gap`` slots apart, sorted by arrival."""
-    flows = []
-    for wave in range(waves):
-        wave_cfg = SimConfig(n=cfg.n, h=cfg.h, seed=seed + wave)
-        flows.extend((wave * gap, src, dst, cells, size) for _, src, dst,
-                     cells, size in permutation_workload(wave_cfg, 60))
-    return flows
-
-
 @pytest.fixture
 def nodes_built(monkeypatch):
     """The ids of every ``Node`` constructed while the test runs."""
@@ -411,19 +377,6 @@ def nodes_built(monkeypatch):
 
     monkeypatch.setattr(node_mod.Node, "__init__", counting)
     return built
-
-
-@pytest.fixture
-def packs(monkeypatch):
-    """One entry per ``pack()`` of any slab run while the test runs."""
-    calls = []
-    pack = vector_mod._VectorRun.pack
-    monkeypatch.setattr(
-        vector_mod._VectorRun, "pack",
-        lambda run, model: (calls.append(type(run).__name__),
-                            pack(run, model))[1],
-    )
-    return calls
 
 
 class TestResidentSlab:
@@ -451,38 +404,6 @@ class TestResidentSlab:
         assert sorted(nodes_built) == list(range(64))
         assert _trace(engine) == reference and engine.model_syncs == 1
 
-    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
-    @pytest.mark.parametrize("stride", [1, 7, 256])
-    def test_slicing_is_invisible(self, cc, stride, slab_floor, packs,
-                                  nodes_built):
-        """One ``run(T)`` against slices of ``stride`` slots with the
-        flows of each slice scheduled just before it (what a live session
-        does): same engine-level state after the last slice, one pack."""
-        horizon = 600
-        cfg = _build("object", 64, 2, cc, 5).config
-        flows = _staggered_flows(cfg, 5)
-        whole = Engine(cfg, workload=flows)
-        whole.enable_digest()
-        whole.run(horizon)
-        del packs[:], nodes_built[:]
-        sliced = Engine(_build("vector", 64, 2, cc, 5).config)
-        sliced.enable_digest()
-        cursor = 0
-        while sliced.t < horizon:
-            target = min(horizon, sliced.t + stride)
-            upto = cursor
-            while upto < len(flows) and flows[upto][0] < target:
-                upto += 1
-            sliced.schedule_flows(flows[cursor:upto])
-            cursor = upto
-            sliced.run(target - sliced.t)
-        assert _trace(sliced) == _trace(whole)
-        assert len(packs) == 1 and not nodes_built
-        assert sliced.model_syncs == 0
-        assert sliced.backend_effective == "vector"
-        sliced.nodes
-        assert _trace(sliced) == _trace(whole)
-
     def _twins(self, cc, seed=8, backends=("object", "vector")):
         # flows long enough to be mid-send at every cut of these tests
         engines = [_build(backend, 64, 2, cc, seed, duration=500,
@@ -492,90 +413,6 @@ class TestResidentSlab:
             engine.enable_digest()
             engine.run(120)
         return engines
-
-    @pytest.mark.parametrize("cc", ["none", "hbh+spray"])
-    def test_manual_step_materialises_once(self, cc, slab_floor):
-        reference, engine = self._twins(cc)
-        # mid-run maxima are the metrics', nothing is built
-        summary = engine.metrics.summary()
-        assert summary == reference.metrics.summary()
-        assert summary["max_queue_length"] and summary["max_buffer"]
-        assert bool(summary["max_active_buckets"]) == (cc == "hbh+spray")
-        assert engine.model_syncs == 0
-        for twin in (reference, engine):
-            for _ in range(5):
-                twin.step()
-        assert engine.model_syncs == 1
-        assert _trace(engine) == _trace(reference)
-        for twin in (reference, engine):
-            twin.run(100)       # packs again, from the object model
-            twin.run(100)
-        assert _trace(engine) == _trace(reference)
-        assert engine.model_syncs == 1
-        assert engine.backend_effective == "vector"
-
-    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
-    def test_snapshot_is_read_off_the_columns(self, cc, slab_floor,
-                                              nodes_built):
-        reference, engine, twin = self._twins(
-            cc, backends=("object", "vector", "vector"))
-        del nodes_built[:]
-        state = engine.snapshot().state
-        assert not nodes_built
-        assert engine._parked is not None and engine.model_syncs == 0
-        # mid-run: cells queued and in flight — and, under hop-by-hop,
-        # spent credit and tokens on their way back
-        model = state["nodes"]
-        assert len(model["wire"]) and len(model["cells"]) > len(model["wire"])
-        assert model["queues"][:, tables.col("queues", "len")].any()
-        if cc == "hbh+spray":
-            assert model["ledger"][:, tables.col("ledger", "spent")].all()
-            assert len(model["tokens"]) and len(model["wire_tokens"])
-        # integer tables through and through, every one the schema names
-        assert set(model) == set(tables.TABLES)
-        assert all(held.dtype == np.int64
-                   and held.shape[1:] == (len(tables.TABLES[name]),)
-                   for name, held in model.items())
-        # the same state, every key, as a snapshot of the loaded objects
-        twin.nodes
-        assert twin.model_syncs == 1 and twin._parked is None
-        assert equal(twin.snapshot().state, state)
-        # ... and as the object run's, every table
-        assert equal(reference.snapshot().state["nodes"], model)
-        assert _trace(engine) == _trace(reference)
-
-    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
-    def test_restore_continues_on_the_slab(self, cc, slab_floor, nodes_built,
-                                           packs):
-        """Was ``test_snapshot_materialises_once_and_restores``: neither a
-        snapshot nor a restore builds a node any more."""
-        reference, engine = self._twins(cc)
-        checkpoint = engine.snapshot()
-        # restoring onto a parked run drops the run
-        parked = _build("vector", 64, 2, cc, 8, duration=500,
-                        size_cells=200)
-        parked.run(40)
-        assert parked._parked is not None
-        del nodes_built[:], packs[:]
-        restored = restore_engine(checkpoint)
-        apply_checkpoint(parked, checkpoint)
-        assert parked._parked is None
-        for twin in (restored, parked):
-            # engine-level reads answer from the pending plain model
-            assert twin.metrics.summary() == reference.metrics.summary()
-            assert twin.throughput() == reference.throughput()
-            assert _trace(twin) == _trace(reference)
-        for twin in (reference, engine, restored, parked):
-            twin.run(380)
-        assert not nodes_built and len(packs) == 2
-        for twin in (engine, restored, parked):
-            assert twin.backend_effective == "vector"
-            assert twin.backend_reason == "" and twin.model_syncs == 0
-            assert _trace(twin) == _trace(reference)
-        # the first read loads the nodes, equal to the object run's
-        restored.nodes
-        assert restored.model_syncs == 1
-        assert _trace(restored) == _trace(reference)
 
     def test_a_restored_failed_node_is_seen_without_building_it(
             self, slab_floor, nodes_built):
@@ -610,30 +447,6 @@ class TestResidentSlab:
         assert engine.backend_reason == "monitor attached"
         assert monitors[0].checks == monitors[1].checks > 0
         assert _trace(engine) == _trace(reference)
-
-    @pytest.mark.parametrize("cc", ["none", "spray-short", "hbh+spray"])
-    def test_engine_level_changes_between_slices_do_not_materialise(
-            self, cc, slab_floor, packs, nodes_built):
-        """A digest or profiler enabled between slices is picked up by the
-        next one, and an engine RNG somebody else drew from is mirrored
-        again — all on the parked run."""
-        engines = [_build(backend, 64, 2, cc, 8, duration=500,
-                          size_cells=200)
-                   for backend in ("object", "vector")]
-        del packs[:], nodes_built[:]
-        for engine in engines:
-            engine.run(90)
-            engine.enable_digest()
-            engine.run(90)
-            engine.rng.random()
-            engine.run(90)
-            profiler = engine.enable_profiler()
-            engine.run(90)
-            assert profiler.steps == 90
-        reference, engine = engines
-        assert _trace(engine) == _trace(reference)
-        assert engine.model_syncs == 0 and len(packs) == 1
-        assert nodes_built == list(range(64))   # the object twin's
 
     def test_an_rng_the_slab_cannot_mirror_hands_back(self, slab_floor):
         reference, engine = self._twins("none")
@@ -761,9 +574,6 @@ class TestSlabTables:
         # the loop the arithmetic replaced, kept here as the reference
         flat = [node.neighbors_flat for node in engine.nodes]
         assert tables.peer.T.tolist() == [list(row) for row in flat]
-        assert tables.nbr.tolist() == [
-            [row[link] for row in flat] for link in tables.link_table
-        ]
         assert tables.link_table == [
             engine.nodes[0].link_index(phase, offset)
             for phase, offset in zip(engine.schedule.phase_table,
@@ -809,7 +619,7 @@ class TestSlabTables:
         for value in vars(tables).values():
             held += value if isinstance(value, tuple) else [value]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
-        assert len(arrays) >= 5  # peer, nbr, back, pair_key, pair_link
+        assert len(arrays) >= 4  # peer, back, pair_key, pair_link
         bound = 4 * (2 * (engine.coords.r - 1)) * 1296 * 8
         assert max(a.nbytes for a in arrays) <= bound
 
@@ -852,18 +662,18 @@ class TestSlabTables:
 
         def record(tables, schedule, coords):
             init(tables, schedule, coords)
-            built.append((weakref.ref(tables), weakref.ref(tables.nbr)))
+            built.append((weakref.ref(tables), weakref.ref(tables.peer)))
 
         monkeypatch.setattr(vector_mod._SlabTables, "__init__", record)
         cfg = SimConfig(n=64, h=2, duration=60, congestion_control="none",
                         backend="vector")
         result = simulate(cfg, permutation_workload(cfg, 10))
         assert result.engine.model_syncs == 0
-        ((tables, nbr),) = built
-        assert nbr() is not None  # the parked run still steps with it
+        ((tables, peer),) = built
+        assert peer() is not None  # the parked run still steps with it
         del result
         gc.collect()
-        assert tables() is None and nbr() is None
+        assert tables() is None and peer() is None
 
 
 class TestSlabPages:
@@ -969,7 +779,7 @@ class TestSlabPages:
         """A 1-slot cc=none run at n=4096 of an engine that holds no cell,
         in a fresh process: the high-water mark rises over the built
         engine's RSS by at most five ``L * n`` int64 arrays (the run keeps
-        three: ``peer``, ``nbr``, ``q_tail``).  Packing an idle model's
+        two: ``peer`` and ``q_tail``).  Packing an idle model's
         per-queue table and threading every queue, held or not, rose
         it by seven (28 MB)."""
         probe = textwrap.dedent("""
@@ -1164,49 +974,42 @@ class TestFirstHopCharge:
 
 class TestLongPropagationDelays:
     """No cell keeps its next spray phase: the receiver reads it off the
-    link the cell came in on (the send slot's phase plus one), and the
-    slab off the batch's send slot.  With a propagation delay that is not
-    a multiple of the phase length the arrival slot's phase is another
-    one, so taking it instead would skip a coordinate of the spraying
-    semi-path — an illegal path, and a run the slab no longer matches."""
+    link the cell came in on (the send slot's phase plus one).  With a
+    propagation delay that is not a multiple of the phase length the
+    arrival slot's phase is another one, so taking it instead would skip
+    a coordinate of the spraying semi-path.  The differential machine
+    holds the slab to the object run at delays 0-40; what it cannot say
+    is that the object run's paths are legal."""
 
     @settings(max_examples=12, deadline=None)
     @given(cc=st.sampled_from(SLAB_MECHANISMS), h=st.sampled_from((2, 3)),
-           above_floor=st.booleans(), delay=st.integers(0, 40),
-           seed=st.integers(0, 2**16))
-    def test_paths_and_digests_hold_at_any_delay(self, cc, h, above_floor,
-                                                 delay, seed):
-        n = {2: (64, 144), 3: (64, 125)}[h][above_floor]
-        assert (n >= VectorBackend.TOKEN_SLAB_MIN_N) == above_floor
-        digests = {}
-        for backend in ("object", "vector"):
-            cfg = SimConfig(n=n, h=h, duration=150, seed=seed,
-                            propagation_delay=delay, congestion_control=cc,
-                            backend=backend)
-            engine = Engine(cfg, workload=permutation_workload(cfg, 12))
-            engine.enable_digest()
-            if backend == "object":
-                tracer = CellTracer.attach(engine)
-            engine.run()
-            engine.run_until_quiescent(max_extra=2_000)
-            digests[backend] = engine.digest.hexdigest()
-        assert engine.backend_effective == \
-            ("vector" if above_floor or cc == "none" else "object")
-        assert digests["object"] == digests["vector"]
+           delay=st.integers(0, 40), seed=st.integers(0, 2**16))
+    def test_paths_are_legal_at_any_delay(self, cc, h, delay, seed):
+        cfg = SimConfig(n=64, h=h, duration=150, seed=seed,
+                        propagation_delay=delay, congestion_control=cc)
+        engine = Engine(cfg, workload=permutation_workload(cfg, 12))
+        tracer = CellTracer.attach(engine)
+        engine.run()
+        engine.run_until_quiescent(max_extra=2_000)
         completed = tracer.completed()
         assert completed
         for trace in completed:
             validate_trace(trace, engine.schedule)
 
 
-class TestExportedModels:
-    """A slab run exported mid-run is the object run's plain model at the
-    same slot, table by table — bare headers on the wire, the per-node
-    PIEO peaks and, after hop-by-hop's mid-list picks, FIFO order."""
+class TestLargeSlabExports:
+    """What the differential machine (n <= 125) does not draw: a slab run
+    at n = 144, 256 and 216, exported mid-run, is the object run's plain
+    model at the same slot, table by table — with the queues in FIFO
+    order after hop-by-hop's mid-list picks, bare headers on the wire and
+    headers carrying several tokens in flight."""
 
-    @pytest.mark.parametrize("cc", SLAB_MECHANISMS)
-    @pytest.mark.parametrize("n,h", ((144, 2), (256, 2), (125, 3), (216, 3)))
-    def test_export_is_the_object_model(self, cc, n, h, monkeypatch):
+    @pytest.mark.parametrize("n,h,cc,tph", (
+        (144, 2, "hop-by-hop", 3),
+        (256, 2, "spray-short", 1),
+        (216, 3, "hbh+spray", 2),
+    ))
+    def test_export_is_the_object_model(self, n, h, cc, tph, monkeypatch):
         mid_list = []
         pick = TokenRun._pick
 
@@ -1219,21 +1022,24 @@ class TestExportedModels:
         models = {}
         for backend in ("object", "vector"):
             engine = _build(backend, n, h, cc, 7, size_cells=60,
-                            duration=10**6)
+                            duration=10**6, tokens_per_header=tph)
             engine.run(150)
             models[backend] = engine._plain_model()
         assert engine.backend_effective == "vector", engine.backend_reason
         assert engine.model_syncs == 0
         for name in tables.TABLES:
             assert equal(models["object"][name], models["vector"][name]), name
-        wire = models["vector"]["wire"]
-        payload = wire[:, tables.col("wire", "payload")]
-        assert len(models["vector"]["cells"]) \
-            == models["vector"]["queues"].sum() + payload.sum()
-        # the token family returns credit in bare headers
-        assert (payload == 0).any() == (cc in ("hop-by-hop", "hbh+spray"))
         assert engine.metrics.max_queue_length > 1
-        assert any(mid_list) == (cc in ("hop-by-hop", "hbh+spray"))
+        tokens = cc in ("hop-by-hop", "hbh+spray")
+        assert any(mid_list) == tokens
+        model = models["vector"]
+        # the token family returns credit in bare headers, up to
+        # ``tokens_per_header`` tokens a header
+        assert (model["wire"][:, tables.col("wire", "payload")] == 0).any() \
+            == tokens
+        if tokens:
+            per_header = np.bincount(model["wire_tokens"][:, 0])
+            assert (per_header.max() > 1) == (tph > 1)
 
 
 class TestCellLayout:
@@ -1353,60 +1159,6 @@ class TestDigestBuffer:
         assert len(folds) > 10 * len(slices)
         assert any((widths == 7).any() and (widths > 7).any()
                    for widths in folds)
-
-
-class TestTokenHeaders:
-    """Every header size the slab accepts, straight and resumed from a
-    file: a header carries up to ``tokens_per_header`` tokens, and a node
-    that owes tokens but sends no cell sends them in a bare header."""
-
-    SLOTS = 240
-    CUTS = (90, 170)
-
-    def _engine(self, backend, n, h, cc, tph):
-        engine = _build(backend, n, h, cc, 11, size_cells=80,
-                        duration=self.SLOTS, tokens_per_header=tph)
-        engine.enable_digest()
-        return engine
-
-    @staticmethod
-    def _outcome(engine):
-        return (engine.digest.hexdigest(), engine.digest.events,
-                engine.metrics.payload_cells_delivered,
-                engine.metrics.max_active_buckets)
-
-    @pytest.mark.parametrize("n,h", ((144, 2), (125, 3)))
-    @pytest.mark.parametrize("cc", ("hop-by-hop", "hbh+spray"))
-    @pytest.mark.parametrize("tph", (1, 2, 3))
-    def test_headers_match_the_object_pipeline(self, tph, cc, n, h,
-                                               tmp_path):
-        assert n >= VectorBackend.TOKEN_SLAB_MIN_N
-        reference = self._engine("object", n, h, cc, tph)
-        reference.run()
-        expected = self._outcome(reference)
-        straight = self._engine("vector", n, h, cc, tph)
-        straight.run()
-        assert straight.backend_effective == "vector", \
-            straight.backend_reason
-        assert straight.model_syncs == 0
-        assert self._outcome(straight) == expected
-        for cut in self.CUTS:
-            engine = self._engine("vector", n, h, cc, tph)
-            engine.run(cut)
-            model = engine.snapshot().state["nodes"]
-            # the cut lands on headers in flight: bare ones, and (when a
-            # header holds more than one) ones carrying several tokens
-            wire = model["wire"]
-            assert (wire[:, tables.col("wire", "payload")] == 0).any()
-            per_header = np.bincount(model["wire_tokens"][:, 0])
-            assert (per_header.max() > 1) == (tph > 1)
-            path = tmp_path / f"{cut}.ckpt"
-            save_checkpoint(engine.snapshot(), path)
-            resumed = restore_engine(load_checkpoint(path))
-            resumed.run(self.SLOTS - cut)
-            assert resumed.backend_effective == "vector"
-            assert resumed.model_syncs == 0
-            assert self._outcome(resumed) == expected, cut
 
 
 class TestGoldenTracesOnVectorBackend:

@@ -14,7 +14,8 @@ snapshot -> file -> restore (into a fresh session, or applied onto the
 running engine), ``force_full_scan`` toggles, a digest, a profiler, a
 monitor, a telemetry recorder and an event log attached mid-run, draws from
 the engine RNG by somebody else, engine-level reads and reads of the object
-model.
+model; a rule that hands the state over may be followed by a stretch, so
+the slots right after a hand-off are drawn too.
 
 *Oracle*: one object-backend engine on visit sets, given the same calls —
 except the restores, which the oracle never makes, so every resumed state
@@ -24,9 +25,10 @@ not, so its stretches run another pipeline than the oracle's until a rule
 moves it.  After every rule both runs' ``run_state`` (clock, RNG, pending
 flows, every plain-model table, flows, metrics, digest, failure protocol)
 must be equal, and so must the attached observers; every built object model
-must keep its counters as caches of its queues; and the vector engine must
-have built its object model exactly when a rule read it and report the
-pipeline and fallback reason the eligibility table below says.  At teardown
+must keep its counters as caches of its queues and owe nothing over a link
+whose visit set it is off; and the vector engine must have built its
+object model exactly when a rule read it and report the pipeline and
+fallback reason the eligibility table below says.  At teardown
 the oracle must equal one plain batch ``run()`` of the recorded flows, cut
 only where the digest was enabled or somebody drew from the RNG.
 """
@@ -87,6 +89,10 @@ NETWORKS = st.one_of(
               st.sampled_from(BELOW + ABOVE), st.booleans()),
 )
 
+#: the stretch after a rule that hands the state over or changes what the
+#: next stretch sees (0: none)
+THEN = st.sampled_from([0, 7, 40])
+
 #: observers that attach themselves, by the ``Session`` keyword naming them
 OBSERVERS = {
     "monitor": lambda: RunMonitor(strict=True),
@@ -135,7 +141,7 @@ class DifferentialMachine(RuleBasedStateMachine):
                 tokens_per_header=st.integers(1, 3),
                 delay=st.integers(0, 40),
                 seed=st.integers(0, 2**16),
-                cells=st.integers(1, 20),
+                cells=st.sampled_from([1, 5, 20, 80]),
                 slots=st.sampled_from([0, 40, 97, 97]))
     def build(self, network, tokens_per_header, delay, seed, cells, slots):
         floor = VectorBackend.TOKEN_SLAB_MIN_N
@@ -260,10 +266,16 @@ class DifferentialMachine(RuleBasedStateMachine):
                 for _ in range(count))
         self.submit(flows)
 
+    def stretch(self, slots):
+        """Run both engines ``slots`` slots (none for 0)."""
+        if slots:
+            self.both(lambda engine: engine.run(slots))
+            self.advanced()
+            self.untouched = False
+
     @rule(slots=st.sampled_from([1, 2, 7, 40, 97]))
     def run(self, slots):
-        self.both(lambda engine: engine.run(slots))
-        self.advanced()
+        self.stretch(slots)
 
     @rule(slots=st.sampled_from([1, 13, 64]))
     def session_advance(self, slots):
@@ -278,13 +290,14 @@ class DifferentialMachine(RuleBasedStateMachine):
         if busy:
             self.advanced()
 
-    @rule()
-    def step(self):
+    @rule(then=THEN)
+    def step(self, then):
         self.both(lambda engine: engine.step())
         self.model_read()
+        self.stretch(then)
 
-    @rule(onto_the_engine=st.booleans())
-    def restore(self, onto_the_engine):
+    @rule(onto_the_engine=st.booleans(), then=THEN)
+    def restore(self, onto_the_engine, then):
         """The vector run, saved to a file and restored: applied onto its
         engine (a parked run is dropped, built nodes are shelved), or a
         killed session reopened from the file with its observers.  Either
@@ -326,18 +339,20 @@ class DifferentialMachine(RuleBasedStateMachine):
                 event(f"restored with {what}")
         if not model["wire"][:, tables.col("wire", "payload")].all():
             event("restored with bare headers on the wire")
+        self.stretch(then)
 
-    @rule()
-    def toggle_full_scan(self):
+    @rule(then=THEN)
+    def toggle_full_scan(self, then):
         """The reference switch for the visit sets: while it is on, the
         vector engine runs the object pipeline offering every live node
         every slot, against the oracle's visit sets."""
         self.subject.force_full_scan = not self.subject.force_full_scan
         self.untouched = True
+        self.stretch(then)
 
     @rule(observer=st.sampled_from(
-        ["monitor", "telemetry", "events", "profiler", "digest"]))
-    def attach(self, observer):
+        ["monitor", "telemetry", "events", "profiler", "digest"]), then=THEN)
+    def attach(self, observer, then):
         """An observer attached mid-run on both engines: a strict
         conservation monitor (the slab declines the engine from then on),
         a telemetry recorder or an event log (the slab feeds them), a
@@ -354,12 +369,14 @@ class DifferentialMachine(RuleBasedStateMachine):
             self.observed[observer] = make
             self.both(lambda engine: make().attach(engine))
         self.untouched = observer != "digest"
+        self.stretch(then)
 
-    @rule()
-    def somebody_draws_from_the_rng(self):
+    @rule(then=THEN)
+    def somebody_draws_from_the_rng(self, then):
         self.cuts.append((self.subject.t, "draw"))
         drawn = self.both(lambda engine: engine.rng.random())
         assert drawn[0] == drawn[1]
+        self.stretch(then)
 
     @rule()
     def engine_level_reads(self):
@@ -383,8 +400,8 @@ class DifferentialMachine(RuleBasedStateMachine):
         assert statuses[0] == statuses[1]
         self.untouched = True
 
-    @rule()
-    def read_the_objects(self):
+    @rule(then=THEN)
+    def read_the_objects(self, then):
         """The first read of the nodes loads whatever holds the state; a
         loaded model puts exactly its busy nodes on every link's visit
         set."""
@@ -395,6 +412,7 @@ class DifferentialMachine(RuleBasedStateMachine):
             busy = set(tables.busy_nodes(model))
             assert all(visit == busy for visit in subject._visit)
         self.model_read()
+        self.stretch(then)
 
     # ------------------------------------------------------------------ #
     # invariants
@@ -440,6 +458,30 @@ class DifferentialMachine(RuleBasedStateMachine):
         assert subject.backend_reason == self.reason
         assert subject.backend_effective \
             == ("object" if self.reason else "vector")
+
+    @invariant()
+    def a_node_off_a_visit_set_owes_that_link_nothing(self):
+        """``Engine._visit``'s invariant, read off the objects themselves
+        (a load fills the sets from ``tables.busy_nodes``, a send retires
+        a node by ``run_tx``'s rule): a live node off link ``l``'s set has
+        no cell queued on ``l``, no local flow or rtx request, no probe of
+        ``l``'s peer due and no token, control message or probe reply
+        owed over ``l``."""
+        for engine in (self.reference, self.subject):
+            for node in engine._built_nodes or ():
+                if node.failed:
+                    continue
+                owes_every_link = node.local_flows or node.rtx_queue
+                for link, visit in enumerate(engine._visit):
+                    if node.node_id in visit:
+                        continue
+                    peer = node.neighbors_flat[link]
+                    assert not (owes_every_link or node.link_queues[link]
+                                or peer in node.failed_neighbors
+                                or node.token_return.get(peer)
+                                or node.ctrl_out.get(link)
+                                or peer in node._force_dummy), \
+                        (node.node_id, link)
 
     @invariant()
     def counters_are_caches_of_the_queues(self):

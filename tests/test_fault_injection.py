@@ -296,47 +296,6 @@ class TestRecoveryEdgeWindow:
         assert digests[0] == digests[1]
 
 
-class TestRecoveryActiveSetEquivalence:
-    """Regression: a node revived via ``Node.reset_for_recovery`` while
-    outside the engine's per-link visit sets (``Engine._visit``) must
-    rejoin every link's set before its next pending work (resumed local
-    flows, probe replies, rtx queue) — otherwise ``run_tx``, which visits
-    only the slot's link's set, silently skips it until an unrelated
-    arrival, diverging from the full scan (the reference for the visit
-    sets: same ``Node.transmit``, every live node offered every slot)."""
-
-    def _run(self, full_scan):
-        manager = FailureManager(events=[
-            FailureEvent(300, 3, failed=True),
-            FailureEvent(900, 3, failed=False),
-        ])
-        cfg, engine = make_engine(manager, duration=2500, seed=17)
-        engine.force_full_scan = full_scan
-        digest = engine.enable_digest()
-        engine.schedule_flows(permutation_workload(cfg, size_cells=800))
-        revived_sent = []
-        engine.delivery_hook = lambda cell, t: (
-            revived_sent.append((t, cell.seq))
-            if cell.src == 3 and t > 900 else None
-        )
-        engine.run()
-        engine.run_until_quiescent(max_extra=20_000)
-        return (
-            digest.hexdigest(),
-            engine.metrics.payload_cells_delivered,
-            sorted(manager.detections),
-            len(revived_sent),
-        )
-
-    def test_kill_and_revive_matches_full_scan(self):
-        fast = self._run(full_scan=False)
-        ref = self._run(full_scan=True)
-        assert fast == ref
-        # the revival mattered: the node resumed sending its surviving
-        # local flow after recovery, through the active-set path too
-        assert fast[3] > 0
-
-
 class TestWireDropTokenHeal:
     """Regression: the wire-loss token heal must not depend on the sender's
     liveness.  A sender can crash *between* transmitting a cell and the

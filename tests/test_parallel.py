@@ -215,9 +215,9 @@ def _fig10_grid():
 
 
 def _fig01_grid():
-    from repro.experiments.fig01_tradeoff import _point
+    from repro.analysis.theory import tradeoff_point
 
-    return _point, [dict(n=4096, slot_ns=5.632, h=h) for h in (1, 2)]
+    return tradeoff_point, [dict(n=4096, slot_ns=5.632, h=h) for h in (1, 2)]
 
 
 def _fig04_grid():

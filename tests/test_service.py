@@ -3,10 +3,10 @@
 The load-bearing guarantee is **batch/live equivalence**: a session driven
 incrementally — ``advance(k)`` interleaved with mid-run ``submit`` calls —
 must produce the same :class:`~repro.sim.digest.DeterminismDigest` as one
-batch :func:`repro.simulate` with every flow pre-scheduled.  The golden
-test pins that for all four congestion-control mechanisms; the
-differential machine (``tests/test_differential.py``) fuzzes the slicing,
-the submissions and the restores.
+batch :func:`repro.simulate` with every flow pre-scheduled.  The
+differential machine (``tests/test_differential.py``) holds the slicing,
+the submissions and the restores to that, for every mechanism; here an
+attached open-loop source is held to its materialised trace.
 """
 
 import asyncio
@@ -68,16 +68,20 @@ MALFORMED_FLOWS = [
     [0, 1.5, 2, 4, 4880],   # fractional src
     [0, 3, 4, 4.0, 4880],   # fractional cells
     [True, 3, 4, 4, 4880],  # boolean arrival
+    [0, 3, 4, 2**63, 4880],  # cells past int64 (a snapshot then raised)
+    [0, 3, 4, 4, 2**70],    # bytes past int64
 ]
 
 
 def _malformed_batches(now):
     """Batches that must be refused whole: a good flow (marked by the
     cells=1 / 9999-byte pair no source draws) ahead of each malformed one,
-    and a batch whose second arrival goes back in time."""
-    good = [now + 100_000, 0, 5, 1, 9999]
+    both due now once clamped, and a batch whose second arrival goes back
+    in time."""
+    good = [now, 0, 5, 1, 9999]
     batches = [[good, bad] for bad in MALFORMED_FLOWS]
-    batches.append([good, [now + 90_000, 1, 6, 1, 9999]])
+    batches.append([[now + 100_000, 0, 5, 1, 9999],
+                    [now + 90_000, 1, 6, 1, 9999]])
     return batches
 
 
@@ -92,41 +96,8 @@ def _queued_sizes(engine):
     return sizes
 
 
-def _drive_in_chunks(session, flows, boundaries, horizon):
-    """Advance through ``boundaries``, submitting due flows just in time."""
-    cursor = 0
-    for target in list(boundaries) + [horizon]:
-        if target <= session.t:
-            continue
-        due = []
-        while cursor < len(flows) and flows[cursor][0] < target:
-            due.append(flows[cursor])
-            cursor += 1
-        if due:
-            session.submit(due)
-        session.advance(target - session.t)
-    assert cursor == len(flows), "every flow submitted before its slot"
-
-
 class TestGoldenEquivalence:
-    """Incremental advance + live submission == batch, bit for bit."""
-
-    @pytest.mark.parametrize("cc", MECHANISMS)
-    def test_session_advance_matches_batch_digest(self, cc):
-        cfg = _cfg(cc)
-        curve = diurnal_curve(1_000)
-        trace = streaming_workload(cfg, load=0.3, curve=curve,
-                                   duration=2_000)
-        batch = simulate(cfg, trace, drain=True, digest=True,
-                         telemetry=True)
-
-        session = open_session(cfg, telemetry=True, digest=True)
-        _drive_in_chunks(session, trace, [137, 512, 513, 1_400], 2_000)
-        live = session.finish(drain=True)
-
-        assert live.digest == batch.digest
-        assert live.summary == batch.summary
-        assert len(live.telemetry) == len(batch.telemetry)
+    """A live source == its materialised trace, bit for bit."""
 
     @pytest.mark.parametrize("cc", MECHANISMS)
     def test_attached_source_matches_materialised_trace(self, cc):
@@ -135,14 +106,17 @@ class TestGoldenEquivalence:
         curve = diurnal_curve(1_000)
         trace = streaming_workload(cfg, load=0.3, curve=curve,
                                    duration=2_000)
-        batch = simulate(cfg, trace, drain=True, digest=True)
+        batch = simulate(cfg, trace, drain=True, digest=True,
+                         telemetry=True)
 
         source = OpenLoopSource(cfg, load=0.3, curve=curve)
-        session = open_session(cfg, source=source, digest=True)
+        session = open_session(cfg, source=source, digest=True,
+                               telemetry=True)
         while session.t < 2_000:
             session.advance(min(333, 2_000 - session.t))
         live = session.finish(drain=True)
         assert live.digest == batch.digest
+        assert len(live.telemetry) == len(batch.telemetry)
 
 
 class TestSessionApi:
@@ -184,6 +158,25 @@ class TestSessionApi:
         assert session.engine.flows.active_count >= 1
         with pytest.raises(ValueError, match="late"):
             session.submit([(500, 0, 1, 2, 128)], late="maybe")
+
+    def test_a_future_dated_flow_waits_for_its_slot(self):
+        """A flow submitted for a later slot, then the source's arrivals
+        before it: they merge in ahead of it, and the run is one batch run
+        of the source's trace with the flow first among its slot's
+        arrivals."""
+        cfg = _cfg("none", duration=3_000)
+        session = open_session(cfg, source=OpenLoopSource(cfg, load=0.2),
+                               digest=True)
+        session.advance(1_100)
+        flow = (2_000, 0, 1, 1, 9999)
+        assert session.submit([flow]) == 1
+        while session.t < cfg.duration:
+            session.advance(100)
+        assert flow not in session.engine._pending_flows
+        trace = streaming_workload(cfg, load=0.2)
+        at = sum(arrival < flow[0] for arrival, *_ in trace)
+        batch = simulate(cfg, trace[:at] + [flow] + trace[at:], digest=True)
+        assert session.finish().digest == batch.digest
 
     def test_submit_validates_tuple_shape(self):
         session = open_session(_cfg())
@@ -497,7 +490,9 @@ class TestControlPlane:
                 await client.request("submit", flows="nope")
             with pytest.raises(ServiceError, match="factor"):
                 await client.request("adjust-load", factor="lots")
-            # connection still alive after three errors
+            with pytest.raises(ServiceError, match="factor"):
+                await client.request("adjust-load", factor=10**400)
+            # connection still alive after four errors
             assert (await client.ping())["ok"]
             return True
 
@@ -527,6 +522,28 @@ class TestControlPlane:
             sizes = _queued_sizes(server.session.engine)
             assert not {(1, 9999), (4, 4880), (0, 4880), (4, -1)} & sizes
             assert (await client.status())["load_factor"] == 1.0
+            return True
+
+        assert self._serve(scenario)
+
+    def test_a_future_dated_submission_runs_past_its_slot(self):
+        """A flow submitted for a later slot waits in the queue while the
+        source's earlier arrivals merge in ahead of it; the drive loop runs
+        on past the slot and the flow is injected."""
+        async def scenario(server, client):
+            start = (await client.ping())["t"]
+            # (thousands of slots out: the loop runs quanta between replies)
+            assert await client.submit([[start + 5_000, 0, 5, 1, 9999]],
+                                       late="raise") == 1
+            for _ in range(500):
+                pong = await client.ping()
+                if pong["t"] > start + 6_000:
+                    break
+                await asyncio.sleep(0.01)
+            assert pong["ok"] and pong["t"] > start + 6_000
+            assert (1, 9999) in _queued_sizes(server.session.engine)
+            assert not any(size == 9999 for *_, size
+                           in server.session.engine._pending_flows)
             return True
 
         assert self._serve(scenario)

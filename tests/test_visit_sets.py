@@ -3,13 +3,13 @@
 ``object_backend.run_tx`` visits, for the slot's link, only the nodes in
 that link's visit set, and retires a node from it when the node owes the
 link nothing; with ``force_full_scan`` every live node is offered every
-slot and the sets are left alone.  Both call the same ``Node.transmit``, so
-each case below runs twice and must produce identical delivery events,
-digests and ``cells_sent``.  Unlike the saturated permutations of
-``test_properties.TestEngineFastPathEquivalence``, these are the states
-where nodes do leave sets: light Poisson load, failures and recovery, the
-receiver-driven control plane, restored checkpoints, and hand-offs from
-the slab and the shard workers into the object pipeline.
+slot and the sets are left alone.  Both call the same ``Node.transmit``.
+The differential machine (``tests/test_differential.py``) holds the visit
+sets to the full scan under every mechanism, failures and recovery,
+restores and hand-offs from the slab.  What it cannot make runs twice
+here and must produce identical delivery events, digests and
+``cells_sent``: NDP's control plane under trimming, and the hand-off
+from the shard workers.
 
 The sample walk is checked the same way: it reads a node's queues only
 when the node holds cells and its PIEO high-water mark from a per-node
@@ -20,13 +20,10 @@ queue of every live node gives.
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.failures import FailureEvent, LinkFailureEvent
 from repro.failures.manager import FailureManager
 from repro.sim import tables
-from repro.sim.backends.vector import VectorBackend
 from repro.sim.checkpoint import restore_engine
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
@@ -77,19 +74,9 @@ def _assert_same(build, stretches, between=None, hooked_from=0):
 
 
 class TestLightLoad:
-    @settings(deadline=None, max_examples=20)
-    @given(
-        st.sampled_from([16, 64]),
-        st.sampled_from([1, 2]),
-        st.sampled_from(SimConfig.VALID_CC),
-        st.floats(min_value=0.1, max_value=0.3),
-        st.integers(min_value=0, max_value=2**16),
-    )
-    def test_poisson_short_flows_match_full_scan(self, n, h, cc, load, seed):
-        cfg = SimConfig(n=n, h=h, duration=10**9, propagation_delay=2,
-                        congestion_control=cc, seed=seed)
-        _assert_same(lambda: Engine(cfg, workload=_poisson(cfg, load)),
-                     [800])
+    """What the differential machine does not draw: an NDP queue limit
+    small enough to trim, so on light load nodes owe links pulls and rtx
+    requests and nothing else."""
 
     def test_ndp_control_plane_matches_full_scan(self):
         """Trims, pulls and rtx requests: a small queue limit under a
@@ -106,63 +93,7 @@ class TestLightLoad:
         assert engine.metrics.control_messages and engine.metrics.cells_trimmed
 
 
-class TestFailures:
-    def test_link_flap_and_node_crash_match_full_scan(self):
-        def build():
-            manager = FailureManager(events=[
-                LinkFailureEvent(200, 0, 1),
-                LinkFailureEvent(700, 0, 1, failed=False),
-                FailureEvent(400, 5, failed=True),
-                FailureEvent(1100, 5, failed=False),
-            ])
-            cfg = SimConfig(n=16, h=2, duration=10**9, propagation_delay=2,
-                            congestion_control="hbh+spray", seed=9)
-            return Engine(cfg, workload=_poisson(cfg, 0.2, duration=1600),
-                          failure_manager=manager)
-
-        _assert_same(build, [2000])
-        engine = build()
-        engine.run(2000)
-        assert engine.failure_manager.detections
-
-
-class TestRestore:
-    @pytest.mark.parametrize("cc", ["hbh+spray", "ndp", "none"])
-    def test_snapshot_restore_mid_run_matches_full_scan(self, cc):
-        """A restore re-enters every node the snapshot lists on every link;
-        the run goes on exactly as the uninterrupted full scan."""
-        cfg = SimConfig(n=16, h=2, duration=10**9, propagation_delay=2,
-                        congestion_control=cc, seed=4)
-
-        def restore(engine, i):
-            return restore_engine(engine.snapshot())
-
-        _assert_same(lambda: Engine(cfg, workload=_poisson(cfg, 0.2)),
-                     [300, 500], restore)
-
-
 class TestHandOffs:
-    def test_slab_to_object_hand_off_matches_full_scan(self):
-        """n=144 hbh+spray steps on the slab until a monitor is attached;
-        the object pipeline then runs from the slab's export, whose
-        busy nodes (``tables.busy_nodes``) enter every link's set."""
-        assert 144 >= VectorBackend.TOKEN_SLAB_MIN_N
-        cfg = SimConfig(n=144, h=2, duration=10**9, propagation_delay=2,
-                        congestion_control="hbh+spray", seed=6,
-                        backend="vector")
-
-        pipelines = []
-
-        def attach_monitor(engine, i):
-            pipelines.append((engine.force_full_scan, engine.model_syncs))
-            RunMonitor().attach(engine)
-
-        _assert_same(lambda: Engine(cfg, workload=_poisson(cfg, 0.2,
-                                                           duration=400)),
-                     [200, 300], attach_monitor, hooked_from=1)
-        # the fast run stayed on the slab until the monitor came
-        assert pipelines == [(False, 0), (True, 1)]
-
     @pytest.mark.shard
     def test_shard_round_then_object_stretch_matches_full_scan(self):
         """The shard gather installs queues and flows on the objects; the
