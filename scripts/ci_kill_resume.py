@@ -21,6 +21,11 @@ run manifest, clean and resumed, says ``backend_effective == "vector"``
 with no fallback reason: the snapshot was written from the slab's columns
 and the resumed run continued on them.
 
+The ``simulate`` case does the same to one ``simulate()`` call (n=16
+hbh+spray, a Poisson workload, ``checkpoint_every`` 2 000, drained, with a
+digest) run in a child process: the rerun must report a ``resumed_from``
+slot > 0 and the uninterrupted run's digest and summary.
+
 Exit 0 only if everything matches.
 """
 
@@ -67,11 +72,99 @@ def _env():
     return env
 
 
+def _simulate_cmd(ckpt=None):
+    """This script as the child that runs the ``simulate`` case's call."""
+    return [sys.executable, __file__, "simulate-run",
+            "" if ckpt is None else str(ckpt)]
+
+
+def _simulate_run(ckpt: str) -> int:
+    """The ``simulate`` case's call; prints its result as one JSON line."""
+    from repro import SimConfig, simulate
+    from repro.workloads import ShortFlowDistribution, poisson_workload
+
+    config = SimConfig(n=16, h=2, duration=60_000,
+                       congestion_control="hbh+spray")
+    flows = poisson_workload(config, ShortFlowDistribution(), load=0.2)
+    result = simulate(config, flows, drain=True, digest=True,
+                      checkpoint=ckpt or None,
+                      checkpoint_every=int(CHECKPOINT_EVERY))
+    print(json.dumps({"digest": result.digest, "summary": result.summary,
+                      "resumed_from": result.resumed_from},
+                     sort_keys=True))
+    return 0
+
+
+def _kill_at_first_snapshot(cmd, ckpts: pathlib.Path) -> bool:
+    """Start ``cmd`` and SIGKILL it once a ``*.ckpt`` file appears in
+    ``ckpts``; False (with the reason on stderr) if none ever does."""
+    print("[2/4] victim run (SIGKILL at first snapshot)", flush=True)
+    victim = subprocess.Popen(cmd, env=_env())
+    deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
+    try:
+        while not list(ckpts.glob("*.ckpt")):
+            if victim.poll() is not None:
+                print("victim finished before any snapshot was written; "
+                      "lower the checkpoint interval", file=sys.stderr)
+                return False
+            if time.monotonic() > deadline:
+                print("timed out waiting for a snapshot", file=sys.stderr)
+                return False
+            time.sleep(KILL_POLL_SECONDS)
+    finally:
+        if victim.poll() is None:
+            victim.send_signal(signal.SIGKILL)
+            victim.wait()
+    print(f"      killed pid {victim.pid} with "
+          f"{len(list(ckpts.glob('*.ckpt')))} snapshot(s) on disk",
+          flush=True)
+    return True
+
+
+def _simulate_case() -> int:
+    def run(ckpt=None):
+        out = subprocess.run(_simulate_cmd(ckpt), check=True, env=_env(),
+                             stdout=subprocess.PIPE, text=True).stdout
+        return json.loads(out)
+
+    with tempfile.TemporaryDirectory(prefix="kill-resume-") as tmp:
+        ckpt = pathlib.Path(tmp) / "run.ckpt"
+        print("[1/4] clean run (simulate)", flush=True)
+        clean = run()
+        if not _kill_at_first_snapshot(_simulate_cmd(ckpt), ckpt.parent):
+            return 1
+        print("[3/4] resumed run", flush=True)
+        resumed = run(ckpt)
+        print("[4/4] comparing results", flush=True)
+        status = 0
+        if resumed["resumed_from"]:
+            print(f"      resumed from slot {resumed['resumed_from']}")
+        else:
+            print("      the rerun did not resume: it started at slot 0",
+                  file=sys.stderr)
+            status = 1
+        for key in ("digest", "summary"):
+            same = (json.dumps(clean[key], sort_keys=True)
+                    == json.dumps(resumed[key], sort_keys=True))
+            print(f"      {key}: {'identical' if same else 'DIFFERS'}",
+                  file=sys.stdout if same else sys.stderr)
+            status |= not same
+        if ckpt.exists():
+            print("      the completed run left its checkpoint behind",
+                  file=sys.stderr)
+            status = 1
+        return status
+
+
 def main(argv) -> int:
     case = argv[0] if argv else "fig08"
+    if case == "simulate-run":
+        return _simulate_run(argv[1])
+    if case == "simulate":
+        return _simulate_case()
     if case not in CASES:
-        print(f"unknown case {case!r}; one of {sorted(CASES)}",
-              file=sys.stderr)
+        print(f"unknown case {case!r}; one of {sorted(CASES)} or "
+              f"'simulate'", file=sys.stderr)
         return 2
     figure, args, effective = CASES[case]
     with tempfile.TemporaryDirectory(prefix="kill-resume-") as tmp:
@@ -83,28 +176,9 @@ def main(argv) -> int:
         print(f"[1/4] clean run ({case})", flush=True)
         subprocess.run(_cmd(figure, args, clean), check=True, env=_env())
 
-        print("[2/4] victim run (SIGKILL at first snapshot)", flush=True)
-        victim = subprocess.Popen(_cmd(figure, args, resumed, ckpts),
-                                  env=_env())
-        deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
-        try:
-            while not list(ckpts.glob("*.ckpt")):
-                if victim.poll() is not None:
-                    print("victim finished before any snapshot was written; "
-                          "lower --checkpoint-every", file=sys.stderr)
-                    return 1
-                if time.monotonic() > deadline:
-                    print("timed out waiting for a snapshot",
-                          file=sys.stderr)
-                    return 1
-                time.sleep(KILL_POLL_SECONDS)
-        finally:
-            if victim.poll() is None:
-                victim.send_signal(signal.SIGKILL)
-                victim.wait()
-        print(f"      killed pid {victim.pid} with "
-              f"{len(list(ckpts.glob('*.ckpt')))} snapshot(s) on disk",
-              flush=True)
+        if not _kill_at_first_snapshot(_cmd(figure, args, resumed, ckpts),
+                                       ckpts):
+            return 1
 
         print("[3/4] resumed run", flush=True)
         subprocess.run(_cmd(figure, args, resumed, ckpts), check=True,

@@ -26,11 +26,11 @@ Quickstart::
     print(result.summary)
 
 :func:`simulate` also wires up telemetry, run monitoring, determinism
-digests and checkpoint/resume behind keywords; :func:`open_session` is its
-live twin — a :class:`~repro.service.Session` you step incrementally while
-submitting flows, with the same observer keywords and a durability
-checkpoint (serve one over TCP with ``python -m repro serve``); drop down
-to :class:`~repro.sim.engine.Engine` for full control.
+digests and checkpoint/resume behind keywords; it is a
+:class:`~repro.service.Session` run to its horizon, and
+:func:`open_session` opens one you step incrementally while submitting
+flows (serve one over TCP with ``python -m repro serve``); drop down to
+:class:`~repro.sim.engine.Engine` for full control.
 """
 
 __version__ = "1.0.0"

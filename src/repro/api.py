@@ -26,12 +26,16 @@ want one of two things:
       1000
       >>> result = session.finish(drain=True)
 
-Both wire the common observers behind the *identical* keyword set
-(``telemetry=``, ``monitor=``, ``digest=``, ``events=`` — one shared
-wiring helper), both expose checkpoint/resume with a single ``checkpoint=``
-path, and both produce the same :class:`RunResult`.  Incremental
-``Session.advance`` stepping is bit-exact with an equivalent batch
-``simulate`` over the same flows.
+There is one bootstrap: :func:`simulate` opens a
+:class:`~repro.service.session.Session`, advances it to the horizon and
+finishes it, so both paths take the same keywords, open, snapshot and
+resume a run the same way and return the same :class:`RunResult`.  With
+``checkpoint=`` a snapshot lands on every ``checkpoint_every``-th slot,
+inside an advance too; a resumed run ignores ``workload=`` (the snapshot
+holds the flows not yet injected) and is bit-exact with the uninterrupted
+one.  A snapshot of another configuration is refused by name and its file
+left in place; a truncated or foreign-version file is discarded with a
+WARNING and the run starts at slot 0.
 """
 
 from __future__ import annotations
@@ -39,13 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
-from .service.session import Session, _wire_observers
-from .sim.checkpoint import (
-    check_interval,
-    load_checkpoint_or_none,
-    remove_checkpoint,
-    restore_engine,
-)
+from .service.session import Session
 from .sim.config import SimConfig
 from .sim.engine import Engine, ScheduledFlow, check_slots
 from .sim.flows import FlowTable
@@ -86,51 +84,11 @@ class RunResult:
 def open_session(
     config: SimConfig,
     workload: Optional[Iterable[ScheduledFlow]] = None,
-    *,
-    source=None,
-    telemetry: Any = None,
-    monitor: Any = None,
-    digest: bool = False,
-    events: Any = None,
-    failures=None,
-    checkpoint=None,
-    checkpoint_every: Optional[int] = None,
+    **options: Any,
 ) -> Session:
-    """Open a live :class:`~repro.service.session.Session`.
-
-    The live twin of :func:`simulate`: the same config, workload and
-    observer keywords, but instead of running to completion it returns a
-    session you drive incrementally — ``advance(slots)`` between
-    ``submit(flows)`` calls, durability snapshots via ``checkpoint=``,
-    and ``finish()`` for the :class:`RunResult`.
-
-    Args:
-        config: the run's :class:`~repro.sim.config.SimConfig`.
-        workload: flows to pre-schedule before the first advance.
-        source: an :class:`~repro.workloads.streaming.OpenLoopSource`
-            pulled automatically by every ``advance``.
-        telemetry / monitor / digest / events: observer wiring, identical
-            to :func:`simulate`.
-        failures: a :class:`~repro.failures.FailureManager` to apply.
-        checkpoint: durability file path — resume from it when it exists,
-            snapshot into it while running, removed on ``finish()``.
-        checkpoint_every: snapshot interval in timeslots (default 100000).
-
-    Returns:
-        An open :class:`~repro.service.session.Session`.
-    """
-    return Session(
-        config,
-        workload,
-        source=source,
-        telemetry=telemetry,
-        monitor=monitor,
-        digest=digest,
-        events=events,
-        failures=failures,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-    )
+    """Open a live :class:`~repro.service.session.Session`; the arguments
+    are its constructor's, documented there."""
+    return Session(config, workload, **options)
 
 
 def simulate(
@@ -147,75 +105,30 @@ def simulate(
     checkpoint=None,
     checkpoint_every: Optional[int] = None,
 ) -> RunResult:
-    """Run one simulation end to end and return a :class:`RunResult`.
+    """Run one simulation end to end and return a :class:`RunResult`: a
+    :class:`~repro.service.session.Session` advanced to the horizon and
+    finished.
 
     Args:
         config: the run's :class:`~repro.sim.config.SimConfig`.
         workload: scheduled flows to inject (``(t, src, dst, cells)``-style
             tuples from :mod:`repro.workloads`); None runs an idle network.
         duration: timeslots to simulate (default: ``config.duration``).
-        drain: also run past the horizon until all admitted flows finish.
-        telemetry: True to attach a fresh
-            :class:`~repro.obs.timeseries.TimeSeriesRecorder`, or an
-            already-built recorder to attach.
-        monitor: True to attach a default
-            :class:`~repro.sim.monitor.RunMonitor`, or a configured one.
-        digest: record a :class:`~repro.sim.digest.DeterminismDigest` and
-            return its value (for bit-exactness comparisons).
-        events: True to attach an :class:`~repro.obs.events.EventLog`
-            backed by an in-memory ring, or an already-built log.
-        failures: a :class:`~repro.failures.FailureManager` to
-            apply (ignored when resuming — the restored state carries it).
-        checkpoint: a file path enabling checkpoint/resume: resume from it
-            when it exists, periodically snapshot into it while running,
-            remove it on clean completion.
-        checkpoint_every: snapshot interval in timeslots (default 100000;
-            only meaningful with ``checkpoint``).
+        drain: also run past the horizon until all admitted flows finish
+            (at most 1 000 000 slots past it).
+        telemetry / monitor / digest / events / failures / checkpoint /
+            checkpoint_every: as for the session.
 
     Returns:
         A :class:`RunResult`; bit-exact whether or not the run was
         interrupted and resumed through ``checkpoint``.
     """
-    if duration is not None:
-        check_slots(duration, "duration")
-    if checkpoint_every is not None:
-        check_interval(checkpoint_every, "checkpoint_every")
-    resumed_from = None
-    engine = None
-    if checkpoint is not None:
-        # a stale file from another experiment is discarded like any
-        # other unusable one, with the loader's WARNING: start over
-        saved = load_checkpoint_or_none(checkpoint, config)
-        if saved is not None:
-            engine = restore_engine(saved)
-            resumed_from = engine.t
-    if engine is None:
-        engine = Engine(config, workload=None if workload is None
-                        else list(workload),
-                        failure_manager=failures)
-    recorder, _, event_log = _wire_observers(
-        engine, telemetry=telemetry, monitor=monitor,
-        digest=digest, events=events,
-    )
-    if checkpoint is not None:
-        engine.enable_checkpoints(
-            checkpoint,
-            100_000 if checkpoint_every is None else checkpoint_every)
-
-    engine.run(duration)
-    if drain:
-        engine.run_until_quiescent()
-
-    if checkpoint is not None:
-        remove_checkpoint(checkpoint)
-    return RunResult(
-        config=config,
-        metrics=engine.metrics,
-        flows=engine.flows,
-        summary=engine.metrics.summary(),
-        telemetry=recorder,
-        events=event_log,
-        digest=None if engine.digest is None else engine.digest.value,
-        resumed_from=resumed_from,
-        engine=engine,
-    )
+    horizon = (config.duration if duration is None
+               else check_slots(duration, "duration"))
+    session = Session(
+        config, workload, telemetry=telemetry, monitor=monitor,
+        digest=digest, events=events, failures=failures,
+        checkpoint=checkpoint, checkpoint_every=checkpoint_every)
+    session.advance_to(max(horizon, session.t))
+    # a run resumed inside its drain keeps the drain's original bound
+    return session.finish(drain, max(0, horizon + 1_000_000 - session.t))

@@ -1,31 +1,35 @@
-"""Long-running simulation sessions: incremental stepping behind one API.
+"""Live simulation sessions: the one way a run is opened, stepped,
+snapshotted and resumed.
 
-:func:`repro.api.simulate` runs a configuration to completion in one call;
-a *service* needs the same engine kept alive between interactions — advance
-a few thousand slots, accept newly arrived flows, snapshot for durability,
-read telemetry, repeat.  :class:`Session` is that surface:
+:func:`repro.api.simulate` is a session run to its horizon; a *service*
+keeps the same engine alive between interactions — advance a few thousand
+slots, accept newly arrived flows, snapshot for durability, read
+telemetry, repeat.  :class:`Session` is that surface, and the one
+bootstrap of a run:
 
 * ``advance(slots)`` steps the engine incrementally.  The slot loop is the
   ordinary engine run loop, so any slicing of the timeline is bit-exact
-  with a single batch run over the same flows (pinned by the golden
-  digest-equality tests in ``tests/test_service.py``).
+  with a single batch run over the same flows (the differential machine,
+  ``tests/test_differential.py``, holds it to that).
 * ``submit(flows)`` injects work between steps — the open-loop counterpart
   of handing ``simulate`` a workload up front.
 * an attached :class:`~repro.workloads.streaming.OpenLoopSource` is pulled
   automatically: each ``advance`` takes exactly the arrivals before its
   target slot, so a live trace and its materialised batch twin schedule
   identical flows.
-* ``checkpoint=`` makes the session durable: a snapshot (engine *plus*
-  workload-source state) is written after any advance that crosses the
-  ``checkpoint_every`` mark, and :func:`repro.api.open_session` resumes
-  from it bit-exactly — including the telemetry columns, so a restarted
-  service regenerates a gap-free time series.
-* ``finish()`` produces the same :class:`~repro.api.RunResult` type the
-  batch path returns.
-
-Observer wiring (``telemetry=/monitor=/digest=/events=``) is shared with
-``simulate`` through one helper, :func:`_wire_observers` — the two entry
-points accept the identical keyword set by construction.
+* ``checkpoint=`` makes the session durable through the engine's
+  :class:`~repro.sim.checkpoint.CheckpointWriter`: a snapshot lands on
+  every ``checkpoint_every``-th slot counted from the last one, inside an
+  advance too.  It holds the engine, the source as pulled up to that
+  advance's target and, in the pending queue, the arrivals pulled but not
+  injected yet.  Reopening with the same arguments resumes from it
+  bit-exactly — telemetry columns included, so a restarted service
+  regenerates a gap-free time series.  A resumed session ignores
+  ``workload=`` (the snapshot holds the flows not yet injected), refuses
+  a snapshot of another configuration by name and leaves that file in
+  place; a truncated or foreign-version file is discarded with a WARNING
+  and the run starts at slot 0.
+* ``finish()`` produces the :class:`~repro.api.RunResult`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from ..sim.checkpoint import (
     check_interval,
     load_checkpoint_or_none,
     remove_checkpoint,
+    restore_engine,
     save_checkpoint,
 )
 from ..sim.config import SimConfig
@@ -45,79 +50,33 @@ from ..sim.flows import is_integer_field
 __all__ = ["Session"]
 
 
-def _wire_observers(
-    engine,
-    *,
-    telemetry: Any = None,
-    monitor: Any = None,
-    digest: bool = False,
-    events: Any = None,
-):
-    """Attach the common observers to ``engine`` behind uniform keywords.
-
-    The single wiring path shared by :func:`repro.api.simulate` and
-    :class:`Session` — both accept the identical keyword set:
-
-    * ``telemetry``: True for a fresh
-      :class:`~repro.obs.timeseries.TimeSeriesRecorder`, or a built one.
-    * ``monitor``: True for a default
-      :class:`~repro.sim.monitor.RunMonitor`, or a configured one.
-    * ``digest``: record a :class:`~repro.sim.digest.DeterminismDigest`.
-    * ``events``: True for an :class:`~repro.obs.events.EventLog` backed
-      by an in-memory ring, or an already-built log.
-
-    Attach order (digest, monitor, telemetry, events) is fixed so both
-    entry points absorb restored checkpoint observer state identically.
-    Returns ``(recorder, monitor, event_log)`` — the attached instances or
-    None each.
-    """
-    from ..obs.events import EventLog, RingSink
-    from ..obs.timeseries import TimeSeriesRecorder
-    from ..sim.monitor import RunMonitor
-
-    if digest:
-        engine.enable_digest()
-    monitor_obj = None
-    if monitor:
-        monitor_obj = (monitor if isinstance(monitor, RunMonitor)
-                       else RunMonitor())
-        monitor_obj.attach(engine)
-    # a built recorder with no row yet has len() 0: its type, not its
-    # truth, says that one was passed
-    recorder = (telemetry if isinstance(telemetry, TimeSeriesRecorder)
-                else TimeSeriesRecorder() if telemetry else None)
-    if recorder is not None:
-        recorder.attach(engine)
-    event_log = None
-    if events:
-        event_log = (events if isinstance(events, EventLog)
-                     else EventLog([RingSink()]))
-        event_log.attach(engine)
-    return recorder, monitor_obj, event_log
-
-
 class Session:
     """A live simulation: incremental stepping, submission, durability.
 
-    Build one through :func:`repro.api.open_session`; the constructor
-    mirrors ``simulate``'s keywords exactly (one shared wiring path) plus
-    the session-specific ``source``.
-
     Args:
         config: the run's :class:`~repro.sim.config.SimConfig`.
-        workload: flows to pre-schedule (the batch-style argument); live
-            flows arrive through :meth:`submit` or the attached source.
+        workload: flows to pre-schedule (the batch-style argument; ignored
+            when resuming — the snapshot holds the flows not yet
+            injected); live flows arrive through :meth:`submit` or the
+            attached source.
         source: an :class:`~repro.workloads.streaming.OpenLoopSource`
             pulled automatically by every :meth:`advance`; its generator
-            state rides along in session checkpoints so a restarted
-            session replays the exact arrivals.
-        telemetry / monitor / digest / events: observer wiring, identical
-            to ``simulate`` (see :func:`_wire_observers`).
+            state rides along in the snapshots so a restarted session
+            replays the exact arrivals.
+        telemetry: True to attach a fresh
+            :class:`~repro.obs.timeseries.TimeSeriesRecorder`, or an
+            already-built recorder to attach.
+        monitor: True to attach a default
+            :class:`~repro.sim.monitor.RunMonitor`, or a configured one.
+        digest: record a :class:`~repro.sim.digest.DeterminismDigest`
+            (for bit-exactness comparisons).
+        events: True to attach an :class:`~repro.obs.events.EventLog`
+            backed by an in-memory ring, or an already-built log.
         failures: a :class:`~repro.failures.FailureManager` to apply
             (ignored when resuming — the restored state carries it).
         checkpoint: file path enabling durability: resume from it when it
-            exists, periodically snapshot into it between advances, remove
-            it on :meth:`finish`.
+            exists, snapshot into it while running, remove it on
+            :meth:`finish`.
         checkpoint_every: snapshot interval in timeslots (default 100000).
     """
 
@@ -135,59 +94,77 @@ class Session:
         checkpoint=None,
         checkpoint_every: Optional[int] = None,
     ):
+        from ..obs.events import EventLog, RingSink
+        from ..obs.timeseries import TimeSeriesRecorder
+        from ..sim.monitor import RunMonitor
+
         if source is not None and source.config.n != config.n:
             raise ValueError(
                 f"source was built for n={source.config.n}, "
                 f"config says n={config.n}"
             )
+        every = check_interval(
+            100_000 if checkpoint_every is None else checkpoint_every,
+            "checkpoint_every")
         self.config = config
         self.source = source
         self.checkpoint_path = checkpoint
-        self.checkpoint_every = check_interval(
-            100_000 if checkpoint_every is None else checkpoint_every,
-            "checkpoint_every")
         self.resumed_from: Optional[int] = None
         self.closed = False
 
-        engine = None
-        if checkpoint is not None:
-            saved = load_checkpoint_or_none(checkpoint)
-            if saved is not None:
-                if saved.config != config:
-                    raise ValueError(
-                        f"checkpoint {checkpoint} was taken under a "
-                        f"different configuration; refusing to resume a "
-                        f"live session from it"
-                    )
-                engine = Engine.restore(saved)
-                # a session continues under a new advance schedule; the
-                # original call sequence is never replayed
-                engine.discard_resume_plan()
-                self.resumed_from = engine.t
-                service_state = saved.state.get("service")
-                if service_state and service_state.get("source") is not None:
-                    if source is None:
-                        raise ValueError(
-                            f"checkpoint {checkpoint} carries workload-"
-                            f"source state but no source= was supplied; "
-                            f"resuming without it would change the "
-                            f"arrival stream"
-                        )
-                    source.load_state(service_state["source"])
-        if engine is None:
+        saved = (None if checkpoint is None
+                 else load_checkpoint_or_none(checkpoint))
+        if saved is None:
             engine = Engine(
                 config,
                 workload=None if workload is None else list(workload),
                 failure_manager=failures,
             )
-        elif workload is not None:
-            engine.schedule_flows(list(workload))
+        else:
+            if saved.config != config:
+                raise ValueError(
+                    f"checkpoint {checkpoint} was taken under a different "
+                    f"configuration; refusing to resume from it"
+                )
+            engine = restore_engine(saved)
+            # the run continues under this session's advances; the loops
+            # of the run that wrote the snapshot are never replayed
+            engine.discard_resume_plan()
+            self.resumed_from = engine.t
+            saved_source = saved.state.get("service", {}).get("source")
+            if saved_source is not None:
+                if source is None:
+                    raise ValueError(
+                        f"checkpoint {checkpoint} carries workload-source "
+                        f"state but no source= was supplied; resuming "
+                        f"without it would change the arrival stream"
+                    )
+                source.load_state(saved_source)
+        engine.source = source
         self.engine = engine
-        _, self.monitor, self.events = _wire_observers(
-            engine, telemetry=telemetry, monitor=monitor,
-            digest=digest, events=events,
-        )
-        self._next_checkpoint_t = engine.t + self.checkpoint_every
+
+        # attach order (digest, monitor, telemetry, events) is fixed so
+        # restored observer state is absorbed the same way every time
+        if digest:
+            engine.enable_digest()
+        self.monitor = None
+        if monitor:
+            self.monitor = (monitor if isinstance(monitor, RunMonitor)
+                            else RunMonitor())
+            self.monitor.attach(engine)
+        # a built recorder with no row yet has len() 0: its type, not its
+        # truth, says that one was passed
+        if isinstance(telemetry, TimeSeriesRecorder):
+            telemetry.attach(engine)
+        elif telemetry:
+            TimeSeriesRecorder().attach(engine)
+        self.events = None
+        if events:
+            self.events = (events if isinstance(events, EventLog)
+                           else EventLog([RingSink()]))
+            self.events.attach(engine)
+        self._writer = (None if checkpoint is None
+                        else engine.enable_checkpoints(checkpoint, every))
 
     # ------------------------------------------------------------------ #
     # the live surface
@@ -255,9 +232,10 @@ class Session:
 
         Pulls the attached source (exactly the arrivals before the target
         slot) first, so live generation and batch pre-scheduling inject
-        identical flows, then steps the engine and writes a durability
-        snapshot if the advance crossed the checkpoint mark.  ``pull=False``
-        steps without generating new load (incremental draining).
+        identical flows, then steps the engine, which writes any
+        durability snapshot due inside the advance on its exact slot.
+        ``pull=False`` steps without generating new load (incremental
+        draining).
         """
         self._check_open()
         if slots <= 0:
@@ -268,9 +246,6 @@ class Session:
             if arrivals:
                 self.engine.schedule_flows(arrivals)
         self.engine.run(slots)
-        if (self.checkpoint_path is not None
-                and self.engine.t >= self._next_checkpoint_t):
-            self.checkpoint_now()
         return self.engine.t
 
     def advance_to(self, target: int) -> int:
@@ -299,19 +274,16 @@ class Session:
 
         The snapshot carries the engine state plus the workload source's
         generator state, so a resumed session continues the exact arrival
-        stream.
+        stream.  The next periodic snapshot is due ``checkpoint_every``
+        slots from this one.
         """
         self._check_open()
         path = path if path is not None else self.checkpoint_path
         if path is None:
             raise RuntimeError("session has no checkpoint path configured")
-        snapshot = self.engine.snapshot()
-        snapshot.state["service"] = {
-            "source": (None if self.source is None
-                       else self.source.state_dict()),
-        }
-        save_checkpoint(snapshot, path)
-        self._next_checkpoint_t = self.engine.t + self.checkpoint_every
+        save_checkpoint(self.engine.snapshot(), path)
+        if self._writer is not None:
+            self._writer.arm(self.engine.t)
         return path
 
     # ------------------------------------------------------------------ #

@@ -25,9 +25,11 @@ the run's ``SimConfig`` and the section table (dotted path, dtype, shape).
 
 Writes are atomic (``tempfile.mkstemp`` + ``os.replace``), so the file on
 disk is always a complete snapshot.  Loads are *self-healing* through
-:func:`load_checkpoint_or_none`: a truncated, corrupted, foreign-versioned
-or config-mismatched file is treated as "no checkpoint" (and removed), so a
-resume can always fall back to slot 0 rather than crash.
+:func:`load_checkpoint_or_none`: a truncated, corrupted or foreign-versioned
+file (and, for a sweep cell, one of another configuration) is treated as
+"no checkpoint" and removed, so a resume can always fall back to slot 0
+rather than crash.  A session — ``simulate()`` is one — refuses a snapshot
+of another configuration by name and leaves the file in place.
 
 What is **not** captured, by design:
 
@@ -308,7 +310,9 @@ def snapshot_engine(engine, loop: Optional[Tuple[int, int]] = None) -> Checkpoin
     ``(loop ordinal, absolute end slot)`` — the periodic writer passes it so
     a resumed engine re-entering the same cell code can fast-forward loops
     that completed before the snapshot and stop the interrupted loop at the
-    original end.  Manual snapshots leave it None.
+    original end.  Manual snapshots leave it None.  An attached workload
+    source's generator state rides along under ``service.source``; an
+    engine without one writes no ``service`` entry.
     """
     telemetry = engine.telemetry
     if telemetry is not None and not hasattr(telemetry, "state_dict"):
@@ -344,6 +348,8 @@ def snapshot_engine(engine, loop: Optional[Tuple[int, int]] = None) -> Checkpoin
         "failure_manager": (None if engine.failure_manager is None
                             else engine.failure_manager.state_dict()),
     }
+    if engine.source is not None:
+        state["service"] = {"source": engine.source.state_dict()}
     return Checkpoint(CHECKPOINT_VERSION, engine.config, state)
 
 
@@ -449,7 +455,9 @@ class CheckpointWriter:
 
     The engine's run driver ends a backend segment on :attr:`due_t` and
     calls :meth:`write` there; each write atomically replaces ``path``,
-    so the file always holds the latest complete snapshot.
+    so the file always holds the latest complete snapshot.  The count
+    runs from the last snapshot, across loops: a run cut into many short
+    loops (a session's advances) still reaches every mark.
     """
 
     __slots__ = ("path", "every", "due_t", "written", "last_t")
@@ -464,16 +472,17 @@ class CheckpointWriter:
         self.last_t = -1
 
     def arm(self, t: int) -> None:
-        """Schedule the next write relative to the loop's starting slot."""
+        """Schedule the next write ``every`` slots after slot ``t`` (the
+        start, or a snapshot)."""
         self.due_t = t + self.every
 
     def write(self, engine, ordinal: int, end: int) -> None:
-        """Snapshot ``engine`` mid-loop and advance the due time."""
+        """Snapshot ``engine`` mid-loop and re-arm."""
         save_checkpoint(snapshot_engine(engine, loop=(ordinal, end)),
                         self.path)
         self.written += 1
         self.last_t = engine.t
-        self.due_t = engine.t + self.every
+        self.arm(engine.t)
 
 
 # ---------------------------------------------------------------------- #

@@ -192,6 +192,9 @@ class Engine:
         #: optional StepProfiler (repro.obs.profiler); attach via
         #: :meth:`enable_profiler`, which also wraps the slot sections
         self.profiler = None
+        #: optional OpenLoopSource (repro.workloads.streaming) a session
+        #: pulls before each advance; a snapshot carries its state
+        self.source = None
         self._pending_flows: Deque[ScheduledFlow] = deque()
         if workload is not None:
             self.schedule_flows(workload)
@@ -427,9 +430,10 @@ class Engine:
             arrival, src, dst, size_cells, size_bytes = item
             if not all(map(is_integer_field, item)):
                 raise TypeError(f"flow fields must be integers, got {item!r}")
-            big = [name for name, v in zip(FLOW_FIELDS, item) if v >= 2**63]
-            if big:
-                raise ValueError(f"flow {item!r}: {big[0]} exceeds int64")
+            if max(item) >= 2**63:
+                big = next(name for name, v in zip(FLOW_FIELDS, item)
+                           if v >= 2**63)
+                raise ValueError(f"flow {item!r}: {big} exceeds int64")
             if not (0 <= src < n and 0 <= dst < n) or src == dst:
                 raise ValueError(
                     f"flow {item!r} needs distinct src and dst in [0, {n})")
@@ -545,8 +549,6 @@ class Engine:
             if end is None:
                 return  # loop completed before the snapshot
         writer = self._checkpointer
-        if writer is not None:
-            writer.arm(self.t)
         while self.t < end and (not drain or self.has_pending_work):
             target = end
             if writer is not None:
@@ -590,13 +592,16 @@ class Engine:
     # ------------------------------------------------------------------ #
     # checkpoint/restore (see repro.sim.checkpoint for the format)
 
-    def enable_checkpoints(self, path, every: int) -> None:
-        """Write a snapshot to ``path`` every ``every`` timeslots while a
-        run/drain loop is active (atomic replace; the file always holds the
-        latest complete snapshot)."""
+    def enable_checkpoints(self, path, every: int) -> "CheckpointWriter":
+        """Write a snapshot to ``path`` every ``every`` timeslots, counted
+        from now and then from each snapshot, on the exact slot, inside
+        any run/drain loop (atomic replace; the file always holds the
+        latest complete snapshot).  Returns the writer."""
         from .checkpoint import CheckpointWriter
 
-        self._checkpointer = CheckpointWriter(path, every)
+        writer = self._checkpointer = CheckpointWriter(path, every)
+        writer.arm(self.t)
+        return writer
 
     def snapshot(self) -> "Checkpoint":
         """Capture the complete mutable simulation state as a
@@ -622,12 +627,13 @@ class Engine:
 
         A checkpoint taken inside a run/drain loop records which loop (by
         entry order) it interrupted, so code that *replays the original
-        call sequence* — ``simulate()`` resuming its own checkpoint — can
+        call sequence* — a sweep cell resuming its own checkpoint — can
         fast-forward completed loops and stop the interrupted one at its
-        original end.  A live :class:`~repro.service.session.Session` does
-        the opposite: it continues from the restored slot under a brand-new
-        advance schedule, so it must drop the marker or its first
-        ``advance()`` calls would be swallowed as already-completed loops.
+        original end.  A :class:`~repro.service.session.Session` (and so
+        ``simulate()``) does the opposite: it continues from the restored
+        slot under its own advance schedule, so it must drop the marker or
+        its first ``advance()`` calls would be swallowed as
+        already-completed loops.
         """
         self._resume = None
         self._loops_entered = 0

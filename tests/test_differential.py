@@ -4,8 +4,9 @@ reference under any interleaving of what a caller can do to an engine.
 *Axes* (drawn once per example): every congestion-control mechanism of
 ``SimConfig.VALID_CC``; ``(n, h)`` on both sides of the token family's real
 size floor (``VectorBackend.TOKEN_SLAB_MIN_N``, never patched here) for
-h = 1, 2, 3; one to three tokens per header; a propagation delay; failures
-(a node crash and a link flap, both healed) on or off.  Half the draws are
+h = 1, 2, 3; one to three tokens per header; a propagation delay; an NDP
+queue limit small enough to trim, or the default; failures (a node crash
+and a link flap, both healed) on or off.  Half the draws are
 states the slab steps.
 
 *Rules* (interleaved): flows scheduled mid-run, ``run`` / ``run_until_
@@ -140,10 +141,12 @@ class DifferentialMachine(RuleBasedStateMachine):
     @initialize(network=NETWORKS,
                 tokens_per_header=st.integers(1, 3),
                 delay=st.integers(0, 40),
+                queue_limit=st.sampled_from([2, 100]),
                 seed=st.integers(0, 2**16),
                 cells=st.sampled_from([1, 5, 20, 80]),
                 slots=st.sampled_from([0, 40, 97, 97]))
-    def build(self, network, tokens_per_header, delay, seed, cells, slots):
+    def build(self, network, tokens_per_header, delay, queue_limit, seed,
+              cells, slots):
         floor = VectorBackend.TOKEN_SLAB_MIN_N
         assert max(BELOW)[0] < floor <= min(ABOVE)[0]
         cc, (n, h), failures = network
@@ -151,9 +154,13 @@ class DifferentialMachine(RuleBasedStateMachine):
             backend: SimConfig(
                 n=n, h=h, seed=seed, propagation_delay=delay,
                 congestion_control=cc, tokens_per_header=tokens_per_header,
+                ndp_queue_limit=queue_limit,
                 metrics_sample_interval=10, backend=backend)
             for backend in ("object", "vector")
         }
+        if cc == "ndp":
+            # a limit of 2 trims: pulls, trim notices and rtx requests
+            event(f"ndp_queue_limit={queue_limit}")
         self.config = self.configs["vector"]
         self.failures = failures
         self.sessions = {

@@ -37,7 +37,9 @@ from repro.service.protocol import (
 from repro.sim.checkpoint import load_checkpoint
 from repro.workloads import (
     OpenLoopSource,
+    ShortFlowDistribution,
     diurnal_curve,
+    poisson_workload,
     streaming_workload,
 )
 
@@ -320,6 +322,72 @@ class TestSessionDurability:
         assert result.telemetry.series()["t"].tolist() == \
             ref_result.telemetry.series()["t"].tolist()
         assert not path.exists()  # finish() removed the resume point
+
+    def test_a_snapshot_inside_an_advance_replays_its_arrivals(self,
+                                                              tmp_path):
+        """Snapshots land on exact slots, also inside an advance (every
+        500 slots, advances of 300: slot 500 falls inside 300 -> 600).
+        Such a snapshot holds the source as pulled to the advance's target
+        and, queued, the arrivals pulled but not injected yet; resuming
+        from it replays the uninterrupted run."""
+        cfg = _cfg()
+
+        def open_(checkpoint=None):
+            return open_session(cfg, source=OpenLoopSource(cfg, load=0.3),
+                                digest=True, checkpoint=checkpoint,
+                                checkpoint_every=500)
+
+        def run(session):
+            while session.t < 1_500:
+                session.advance(min(300, 1_500 - session.t))
+            return session.finish(drain=True)
+
+        straight = run(open_())
+        path = tmp_path / "mid.ckpt"
+        first = open_(str(path))
+        first.advance(300)
+        first.advance(300)
+        saved = load_checkpoint(path)
+        assert saved.t == 500
+        pulled = OpenLoopSource(cfg, load=0.3)
+        trace = pulled.take(600)
+        assert saved.state["service"]["source"]["emitted"] == len(trace)
+        assert saved.state["pending_flows"].tolist() == \
+            [list(flow) for flow in trace if flow[0] >= 500]
+        del first
+
+        resumed = open_(str(path))
+        assert resumed.resumed_from == 500
+        result = run(resumed)
+        assert result.digest == straight.digest
+        assert result.summary == straight.summary
+
+    def test_a_resumed_session_runs_its_workload_once(self, tmp_path):
+        """Reopened with the ``workload=`` it was opened with, a session
+        resumes from its snapshot, which already holds the flows not yet
+        injected: the workload is not scheduled a second time (it was,
+        and every flow ran twice: 118 completed flows instead of 59)."""
+        cfg = _cfg()
+        flows = poisson_workload(cfg, ShortFlowDistribution(), load=0.2)
+
+        def open_(checkpoint=None):
+            return open_session(cfg, flows, digest=True,
+                                checkpoint=checkpoint, checkpoint_every=500)
+
+        reference = open_()
+        reference.advance_to(2_000)
+        straight = reference.finish(drain=True)
+
+        path = tmp_path / "wl.ckpt"
+        first = open_(str(path))
+        first.advance_to(1_000)
+        del first  # killed: no finish(), the snapshot stays
+        resumed = open_(str(path))
+        assert resumed.resumed_from == 1_000
+        resumed.advance_to(2_000)
+        result = resumed.finish(drain=True)
+        assert len(result.flows.completed) == len(straight.flows.completed)
+        assert result.digest == straight.digest
 
     def test_resume_without_source_refused(self, tmp_path):
         cfg = _cfg()

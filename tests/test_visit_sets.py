@@ -74,9 +74,13 @@ def _assert_same(build, stretches, between=None, hooked_from=0):
 
 
 class TestLightLoad:
-    """What the differential machine does not draw: an NDP queue limit
-    small enough to trim, so on light load nodes owe links pulls and rtx
-    requests and nothing else."""
+    """An NDP queue limit small enough to trim, so on light load nodes owe
+    links pulls and rtx requests and nothing else.  The differential
+    machine draws such a limit, but NDP is one mechanism in sixteen of its
+    networks, and at tier-1 settings no example under
+    ``--hypothesis-seed`` 1, 2 or 3 reaches one: a queued control message
+    that wakes no link passes it under seeds 1 and 2, an rtx request that
+    wakes no node under all three; both fail here."""
 
     def test_ndp_control_plane_matches_full_scan(self):
         """Trims, pulls and rtx requests: a small queue limit under a
