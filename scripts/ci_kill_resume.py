@@ -21,6 +21,12 @@ run manifest, clean and resumed, says ``backend_effective == "vector"``
 with no fallback reason: the snapshot was written from the slab's columns
 and the resumed run continued on them.
 
+The ``fig08-telemetry`` case kills a victim run *without* ``--telemetry``
+and reruns it with ``--telemetry``: a snapshot names the cell's identity,
+which includes whether telemetry is captured, so the rerun must not resume
+(every ``cell_resume_slot`` null) and its ``fig08.json`` must equal the
+clean telemetry run's, series from slot 0.
+
 The ``simulate`` case does the same to one ``simulate()`` call (n=16
 hbh+spray, a Poisson workload, ``checkpoint_every`` 2 000, drained, with a
 digest) run in a child process: the rerun must report a ``resumed_from``
@@ -40,25 +46,29 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+FIG08_ARGS = ["--set", "n=16", "--set", "duration=12000", "--workers", "1"]
+
 #: case -> (figure, runner arguments, the pipeline every run manifest must
-#: name as having really run, or None to leave it unchecked); small enough
-#: for CI, big enough for several snapshots per cell
+#: name as having really run or None to leave it unchecked, whether the
+#: victim runs with --telemetry and so must be resumed); small enough for
+#: CI, big enough for several snapshots per cell
 CASES = {
-    "fig08": ("fig08", ["--set", "n=16", "--set", "duration=12000",
-                        "--workers", "1"], None),
+    "fig08": ("fig08", FIG08_ARGS, None, True),
     "fig13-slab": ("fig13", ["--set", "sizes={2: (144,)}",
                              "--set", "duration=12000",
                              "--backend", "vector", "--workers", "1"],
-                   "vector"),
+                   "vector", True),
+    "fig08-telemetry": ("fig08", FIG08_ARGS, None, False),
 }
 CHECKPOINT_EVERY = "2000"
 KILL_POLL_SECONDS = 0.05
 KILL_TIMEOUT_SECONDS = 300
 
 
-def _cmd(figure, args, out_dir, ckpt_dir=None):
-    cmd = [sys.executable, "-m", "repro", figure, *args,
-           "--out", str(out_dir), "--telemetry", str(out_dir)]
+def _cmd(figure, args, out_dir, ckpt_dir=None, telemetry=True):
+    cmd = [sys.executable, "-m", "repro", figure, *args, "--out", str(out_dir)]
+    if telemetry:
+        cmd += ["--telemetry", str(out_dir)]
     if ckpt_dir is not None:
         cmd += ["--checkpoint-dir", str(ckpt_dir),
                 "--checkpoint-every", CHECKPOINT_EVERY]
@@ -166,7 +176,7 @@ def main(argv) -> int:
         print(f"unknown case {case!r}; one of {sorted(CASES)} or "
               f"'simulate'", file=sys.stderr)
         return 2
-    figure, args, effective = CASES[case]
+    figure, args, effective, resumes = CASES[case]
     with tempfile.TemporaryDirectory(prefix="kill-resume-") as tmp:
         tmp = pathlib.Path(tmp)
         clean = tmp / "clean"
@@ -176,8 +186,8 @@ def main(argv) -> int:
         print(f"[1/4] clean run ({case})", flush=True)
         subprocess.run(_cmd(figure, args, clean), check=True, env=_env())
 
-        if not _kill_at_first_snapshot(_cmd(figure, args, resumed, ckpts),
-                                       ckpts):
+        victim = _cmd(figure, args, resumed, ckpts, telemetry=resumes)
+        if not _kill_at_first_snapshot(victim, ckpts):
             return 1
 
         print("[3/4] resumed run", flush=True)
@@ -190,12 +200,20 @@ def main(argv) -> int:
                  for entry in runtime["runs"]
                  if isinstance(entry.get("runtime"), dict)]
         resumed_slots = [s for s in slots if s is not None]
-        if not resumed_slots:
+        if resumes and not resumed_slots:
             print("no cell reported a resume slot — the resumed run "
                   "recomputed everything from scratch", file=sys.stderr)
             return 1
-        print(f"      cell(s) resumed from slot(s) {resumed_slots}",
-              flush=True)
+        if not resumes and resumed_slots:
+            print(f"cell(s) resumed a snapshot taken without telemetry, "
+                  f"from slot(s) {resumed_slots}", file=sys.stderr)
+            return 1
+        if resumes:
+            print(f"      cell(s) resumed from slot(s) {resumed_slots}",
+                  flush=True)
+        else:
+            print("      no cell resumed a snapshot taken without telemetry",
+                  flush=True)
 
         print("[4/4] comparing artifacts", flush=True)
         status = 0

@@ -22,7 +22,7 @@ from ..core.schedule import Schedule
 from ..sim.config import SimConfig
 from ..sim.engine import Engine
 from ..workloads.generators import permutation_workload
-from .common import experiment_entrypoint, format_table
+from .common import format_table
 
 __all__ = ["AppDResult", "run", "report"]
 
@@ -68,7 +68,6 @@ def _run_cell(
     )
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 64,

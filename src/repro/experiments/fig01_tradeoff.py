@@ -28,7 +28,7 @@ from ..analysis.theory import (
     feasible_h_values,
     tradeoff_point,
 )
-from .common import experiment_entrypoint, format_table
+from .common import format_table
 
 __all__ = ["Fig01Result", "run", "report"]
 
@@ -119,7 +119,6 @@ def _design_cell(*, design: str, schedule: str, routing: str, n: int, h: int,
     }
 
 
-@experiment_entrypoint
 def run(*, n: int = 100_000, slot_ns: float = 5.632,
         max_h: Optional[int] = None, workers: int = 1,
         designs: Optional[Sequence[str]] = None, sim_n: int = 16,

@@ -23,7 +23,7 @@ from ..sim.config import SimConfig
 from ..sim.engine import Engine
 from ..workloads.distributions import HeavyTailedDistribution, bucket_label
 from ..workloads.generators import poisson_workload
-from .common import experiment_entrypoint, format_table
+from .common import format_table
 
 __all__ = ["Fig04Result", "run", "report"]
 
@@ -86,7 +86,6 @@ def _run_system(
     raise ValueError(f"unknown system {system!r}")
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 144,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.memory_model import ShaleMemoryModel, shoal_on_chip_bytes
-from .common import experiment_entrypoint, format_table
+from .common import format_table
 
 __all__ = ["Fig07Result", "run", "report", "DEFAULT_OBSERVATIONS"]
 
@@ -40,7 +40,6 @@ class Fig07Result:
     shale: Dict[int, List[int]]  # h -> bytes per size
 
 
-@experiment_entrypoint
 def run(
     *,
     sizes: Optional[Sequence[int]] = None,

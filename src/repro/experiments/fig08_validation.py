@@ -23,7 +23,7 @@ from ..hardware.prototype import HardwareNetwork, HardwareTimings
 from ..sim.config import SimConfig
 from ..sim.engine import Engine
 from ..workloads.generators import permutation_workload
-from .common import experiment_entrypoint, format_table
+from .common import format_table
 
 __all__ = ["Fig08Result", "run", "report"]
 
@@ -75,7 +75,6 @@ def _run_cell(
             sim_maxq, guarantee)
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 16,

@@ -23,7 +23,7 @@ from ..sim.config import SimConfig
 from ..sim.multiclass import MultiClassSimulation
 from ..workloads.distributions import HeavyTailedDistribution, bucket_label
 from ..workloads.generators import poisson_workload
-from .common import experiment_entrypoint, format_table, load_for
+from .common import format_table, load_for
 
 __all__ = ["Fig09Result", "run", "report", "combined_load"]
 
@@ -89,7 +89,6 @@ def _run_cell(
     return load, fct_table(completed, propagation_delay).tail(99.9)
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 81,

@@ -23,7 +23,7 @@ from ..analysis.fct import fct_table
 from ..congestion.mechanisms import EVALUATION_ORDER
 from ..sim.config import SimConfig
 from ..workloads.distributions import bucket_label
-from .common import experiment_entrypoint, format_table, load_for, run_cc_experiment, workload_for
+from .common import DISTRIBUTIONS, format_table, load_for, run_cc_experiment, workload_for
 
 __all__ = ["CcResult", "CcCell", "run", "report"]
 
@@ -97,7 +97,6 @@ def _run_cell(
     )
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 16,
@@ -112,11 +111,16 @@ def run(
 ) -> CcResult:
     """Run the full mechanism x tuning grid on one workload.
 
+    This is also ``fig14_mean_fct.run`` and ``fig15_queues.run``;
+    ``fig11_heavytail.run`` is it with the heavy-tailed defaults bound.
     ``workers > 1`` fans the independent grid cells out over a process pool
     (each cell is its own simulation; results are identical to sequential).
     """
     from ..sim.parallel import sweep
 
+    if workload_name not in DISTRIBUTIONS:
+        raise ValueError(f"unknown workload {workload_name!r}; known: "
+                         f"{sorted(DISTRIBUTIONS)}")
     grid = [
         dict(
             mechanism=mechanism, h=h, n=n, duration=duration,

@@ -11,41 +11,12 @@ elephants (Appendix B.3 refines this).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import functools
 
-from ..congestion.mechanisms import EVALUATION_ORDER
-from .common import experiment_entrypoint
-from .fig10_shortflow import CcResult, report as _report, run as _run
+from .fig10_shortflow import report, run as _run
 
 __all__ = ["run", "report"]
 
-
-@experiment_entrypoint
-def run(
-    *,
-    n: int = 16,
-    h_values: Sequence[int] = (2, 4),
-    mechanisms: Sequence[str] = EVALUATION_ORDER,
-    duration: int = 60_000,
-    propagation_delay: int = 8,
-    seed: int = 11,
-    load: Optional[float] = None,
-    workers: int = 1,
-) -> CcResult:
-    """The Fig. 11 grid: all mechanisms on the heavy-tailed workload."""
-    return _run(
-        n=n,
-        h_values=h_values,
-        mechanisms=mechanisms,
-        duration=duration,
-        propagation_delay=propagation_delay,
-        workload_name="heavy-tailed",
-        seed=seed,
-        load=load,
-        workers=workers,
-    )
-
-
-def report(result: CcResult) -> str:
-    """Fig. 11-shaped report (same layout as Fig. 10's)."""
-    return _report(result)
+#: the Fig. 10 grid on the heavy-tailed workload; every knob stays a keyword
+run = functools.partial(_run, workload_name="heavy-tailed", duration=60_000,
+                        seed=11)

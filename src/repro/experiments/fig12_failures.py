@@ -29,7 +29,7 @@ from ..sim.config import SimConfig
 from ..sim.engine import Engine
 from ..sim.monitor import RunMonitor
 from ..workloads.generators import overlaid_permutations_workload
-from .common import experiment_entrypoint, format_table
+from .common import format_table
 
 __all__ = ["Fig12Result", "Fig12Row", "run", "report"]
 
@@ -121,7 +121,6 @@ def _run_cell(
     )
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 81,

@@ -30,7 +30,7 @@ from ..hardware.resources import observe_resources
 from ..sim.config import SimConfig
 from ..sim.engine import Engine
 from ..workloads.distributions import bucket_label
-from .common import experiment_entrypoint, format_table, load_for, run_cc_experiment, workload_for
+from .common import format_table, load_for, run_cc_experiment, workload_for
 
 __all__ = ["Fig13Result", "run", "report", "DEFAULT_SIZES", "PAPER_SIZES"]
 
@@ -121,7 +121,6 @@ def _run_cell(
     )
 
 
-@experiment_entrypoint
 def run(
     *,
     sizes: Optional[Dict[int, Sequence[int]]] = None,

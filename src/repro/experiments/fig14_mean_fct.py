@@ -8,45 +8,13 @@ the mean.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-from ..congestion.mechanisms import EVALUATION_ORDER
 from ..workloads.distributions import bucket_label
-from .common import experiment_entrypoint, format_table
-from .fig10_shortflow import CcResult
-from .fig10_shortflow import run as _run_shortflow
-from .fig11_heavytail import run as _run_heavytail
+from .common import format_table
+from .fig10_shortflow import CcResult, run
 
 __all__ = ["run", "report"]
-
-
-@experiment_entrypoint
-def run(
-    *,
-    workload_name: str = "short-flow",
-    n: int = 16,
-    h_values: Sequence[int] = (2, 4),
-    mechanisms: Sequence[str] = EVALUATION_ORDER,
-    duration: int = 40_000,
-    propagation_delay: int = 8,
-    seed: int = 5,
-    load: Optional[float] = None,
-    workers: int = 1,
-) -> CcResult:
-    """Run the CC grid (the mean statistics are computed alongside)."""
-    if workload_name == "short-flow":
-        return _run_shortflow(
-            n=n, h_values=h_values, mechanisms=mechanisms, duration=duration,
-            propagation_delay=propagation_delay, seed=seed, load=load,
-            workers=workers,
-        )
-    if workload_name == "heavy-tailed":
-        return _run_heavytail(
-            n=n, h_values=h_values, mechanisms=mechanisms, duration=duration,
-            propagation_delay=propagation_delay, seed=seed, load=load,
-            workers=workers,
-        )
-    raise ValueError(f"unknown workload {workload_name!r}")
 
 
 def report(result: CcResult) -> str:

@@ -8,36 +8,10 @@ the trimming threshold, explaining its worse buffering.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..congestion.mechanisms import EVALUATION_ORDER
-from .common import experiment_entrypoint, format_table
-from .fig10_shortflow import CcResult
-from .fig14_mean_fct import run as _run
+from .common import format_table
+from .fig10_shortflow import CcResult, run
 
 __all__ = ["run", "report"]
-
-
-@experiment_entrypoint
-def run(
-    *,
-    workload_name: str = "short-flow",
-    n: int = 16,
-    h_values: Sequence[int] = (2, 4),
-    mechanisms: Sequence[str] = EVALUATION_ORDER,
-    duration: int = 40_000,
-    propagation_delay: int = 8,
-    seed: int = 5,
-    load: Optional[float] = None,
-    workers: int = 1,
-) -> CcResult:
-    """Run the CC grid (queue statistics are computed alongside)."""
-    return _run(
-        workload_name=workload_name, n=n, h_values=h_values,
-        mechanisms=mechanisms, duration=duration,
-        propagation_delay=propagation_delay, seed=seed, load=load,
-        workers=workers,
-    )
 
 
 def report(result: CcResult) -> str:

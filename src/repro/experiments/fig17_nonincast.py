@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..analysis.fct import fct_table
 from ..sim.config import SimConfig
 from ..workloads.distributions import bucket_label, bytes_to_cells
-from .common import experiment_entrypoint, format_table, load_for, run_cc_experiment, workload_for
+from .common import format_table, load_for, run_cc_experiment, workload_for
 
 __all__ = ["Fig17Result", "run", "report", "ELEPHANT_BYTES"]
 
@@ -79,7 +79,6 @@ def _run_cell(
     }
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 64,

@@ -32,7 +32,13 @@ sequential execution.
 inside a pool worker (default 1); each retry runs sequentially in the
 parent after a logged exponential backoff, and the attempt count lands in
 the runtime sidecar.  ``--seed S`` forwards a master seed to every
-experiment (shorthand for ``--set seed=S``).
+experiment whose ``run()`` declares ``seed`` (the runner injects
+``workers`` the same way); ``--set seed=S`` is an override like any
+other, so a single run of an experiment without a seed fails loudly on it.
+
+A value an installer refuses (``--backend``, ``--shards``,
+``--cell-retries``, ``--checkpoint-every``) is a usage error: one line
+naming the flag, exit status 2.
 
 ``--cache DIR`` (or the ``REPRO_CACHE`` environment variable) installs a
 content-addressed cell cache (:mod:`repro.sim.cellcache`): grid cells
@@ -69,7 +75,7 @@ import pathlib
 import sys
 import time
 import traceback
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import ALL_EXPERIMENTS
@@ -109,15 +115,14 @@ def split_overrides(
     return accepted, rejected
 
 
-def accepts_workers(module) -> bool:
-    """Whether ``module.run`` has an explicit ``workers`` parameter.
+def _declares(module, name: str) -> bool:
+    """Whether ``module.run`` declares the keyword ``name`` itself.
 
-    A bare ``**kwargs`` does NOT count — injecting ``workers`` into a
-    ``run()`` that merely swallows keywords would change its behaviour
-    silently, so only experiments that declare the parameter get it.
+    A bare ``**kwargs`` does NOT count: the runner injects ``workers`` and
+    ``--seed`` only into a ``run()`` that declares them, so an experiment
+    without a grid or an RNG never receives either.
     """
-    params = inspect.signature(module.run).parameters
-    param = params.get("workers")
+    param = inspect.signature(module.run).parameters.get(name)
     return param is not None and param.kind in (
         inspect.Parameter.POSITIONAL_OR_KEYWORD,
         inspect.Parameter.KEYWORD_ONLY,
@@ -143,7 +148,8 @@ def run_experiment(name: str, overrides: Optional[Dict[str, Any]] = None) -> str
 
 
 def _write_telemetry(directory: pathlib.Path, name: str, result: Any,
-                     overrides: Dict[str, Any], capture) -> None:
+                     overrides: Dict[str, Any], capture,
+                     wall_seconds: float) -> None:
     """Write the machine-readable artifacts for one experiment.
 
     ``<name>.json`` holds only deterministic data (result, summaries,
@@ -153,16 +159,9 @@ def _write_telemetry(directory: pathlib.Path, name: str, result: Any,
     """
     from ..obs.events import encode_event
     from ..obs.serialize import canonical_json, to_jsonable
-    from .common import ExperimentResult
 
     runs, runtimes, events = capture.collect_bundle()
     directory.mkdir(parents=True, exist_ok=True)
-    run_runtime = None
-    if isinstance(result, ExperimentResult):
-        # deterministic payload and volatile runtime travel to different
-        # files, so <name>.json stays byte-identical across (resumed) runs
-        run_runtime = to_jsonable(result.runtime)
-        result = result.payload
     payload = {
         "schema": 1,
         "experiment": name,
@@ -173,7 +172,8 @@ def _write_telemetry(directory: pathlib.Path, name: str, result: Any,
     (directory / f"{name}.json").write_text(canonical_json(payload) + "\n")
     (directory / f"{name}.runtime.json").write_text(
         canonical_json({"experiment": name, "runs": runtimes,
-                        "experiment_runtime": run_runtime}) + "\n"
+                        "experiment_runtime": {"wall_seconds": wall_seconds}})
+        + "\n"
     )
     with (directory / f"{name}.events.jsonl").open("w") as fh:
         for record in events:
@@ -229,8 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         metavar="S",
-        help="master seed forwarded to every experiment's run() "
-             "(shorthand for --set seed=S)",
+        help="master seed for every experiment whose run() takes a seed",
     )
     parser.add_argument(
         "--designs",
@@ -320,8 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         else [args.experiment]
     )
     overrides = _parse_overrides(args.overrides)
-    if args.seed is not None:
-        overrides.setdefault("seed", args.seed)
     if args.designs is not None:
         overrides.setdefault("designs", tuple(args.designs))
     if args.paper_scale:
@@ -334,14 +331,23 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         workers = default_workers()
 
+    @contextmanager
+    def flag(name: str):
+        # a value an installer refuses is a usage error, exit 2
+        try:
+            yield
+        except ValueError as exc:
+            parser.error(f"argument {name}: {exc}")
+
     # every ambient default main() installs is restored on the way out,
     # also when a later one refuses its value
     with ExitStack() as restore:
         if args.cell_retries is not None:
             from ..sim.parallel import set_default_cell_retries
 
-            restore.callback(set_default_cell_retries,
-                             set_default_cell_retries(args.cell_retries))
+            with flag("--cell-retries"):
+                restore.callback(set_default_cell_retries,
+                                 set_default_cell_retries(args.cell_retries))
 
         cache = None
         cache_dir = args.cache or os.environ.get("REPRO_CACHE") or None
@@ -357,8 +363,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             # validates the name up front; forked sweep workers inherit the
             # module-level default, and it lands in every resolved
             # SimConfig (hence in cell-cache keys and checkpoint validation)
-            restore.callback(set_default_backend,
-                             set_default_backend(args.backend))
+            with flag("--backend"):
+                restore.callback(set_default_backend,
+                                 set_default_backend(args.backend))
 
         if args.shards is not None:
             from ..sim.backends import set_default_shards
@@ -366,14 +373,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             # validates up front; shard-pool workers are spawned lazily by
             # the backend, so setting the module default is all the wiring
             # needed
-            restore.callback(set_default_shards,
-                             set_default_shards(args.shards))
+            with flag("--shards"):
+                restore.callback(set_default_shards,
+                                 set_default_shards(args.shards))
 
         if args.checkpoint_dir is not None:
             from ..sim.checkpoint import CheckpointPolicy, set_default_policy
 
-            policy = CheckpointPolicy(args.checkpoint_dir,
-                                      every=args.checkpoint_every)
+            with flag("--checkpoint-every"):
+                policy = CheckpointPolicy(args.checkpoint_dir,
+                                          every=args.checkpoint_every)
             restore.callback(set_default_policy, set_default_policy(policy))
 
         return _run_all(names, overrides, workers, cache, args)
@@ -402,8 +411,10 @@ def _run_all(names: List[str], overrides: Dict[str, Any], workers: int,
             )
         else:
             accepted = dict(overrides)  # single run: unknown keys fail loudly
-        if "workers" not in accepted and accepts_workers(module):
-            accepted["workers"] = workers
+        for key, value in (("workers", workers), ("seed", args.seed)):
+            if (value is not None and key not in accepted
+                    and _declares(module, key)):
+                accepted[key] = value
         started = time.time()
         stats0 = cache.stats() if cache is not None else None
         capture = None
@@ -439,7 +450,8 @@ def _run_all(names: List[str], overrides: Dict[str, Any], workers: int,
             args.out.mkdir(parents=True, exist_ok=True)
             (args.out / f"{name}.txt").write_text(report + "\n")
         if args.telemetry is not None:
-            _write_telemetry(args.telemetry, name, result, accepted, capture)
+            _write_telemetry(args.telemetry, name, result, accepted, capture,
+                             elapsed)
     if failed:
         print(
             f"{len(failed)} of {len(names)} experiment(s) failed: "

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..scenarios import build_scorecard, format_scorecard, run_matrix
 from ..scenarios.registry import FAILURE_PATTERNS, WORKLOAD_SHAPES
-from .common import experiment_entrypoint
 
 __all__ = ["ScenariosResult", "run", "report"]
 
@@ -44,7 +43,6 @@ class ScenariosResult:
     scorecard: Dict[str, Any] = field(default_factory=dict)
 
 
-@experiment_entrypoint
 def run(
     *,
     n: int = 16,

@@ -7,7 +7,9 @@ run, and the cell returns its reduced metrics plus resilience score.
 
 Cells run through :func:`repro.sim.parallel.sweep`, so they pick up the
 ambient cell cache, checkpoint policy, telemetry capture and crash-retry
-budget exactly like the figure experiments.
+budget exactly like the figure experiments: the runner's flags install
+them, or from Python ``set_default_cache``, ``set_default_policy`` and a
+``TelemetryCapture`` block.
 
 Determinism: every cell's engine seed is
 :func:`scenario_cell_seed(master, pattern, workload, mechanism)

@@ -8,7 +8,9 @@ resolved :class:`~repro.sim.config.SimConfig` field defaults, and a
 fingerprint of the package's source code — is hashed into a key, and the
 cell's plain picklable outcome (result, its
 :class:`~repro.sim.digest.DeterminismDigest` hexdigests, and the shipped
-telemetry bundle when one was captured) is stored under it.
+telemetry bundle when one was captured) is stored under it.  The same key,
+:func:`cell_key`, names the cell's snapshot files under an ambient
+:class:`~repro.sim.checkpoint.CheckpointPolicy`: one cell, one identity.
 
 Correctness properties:
 
@@ -59,6 +61,7 @@ __all__ = [
     "CellCache",
     "MISS",
     "SCHEMA",
+    "cell_key",
     "code_fingerprint",
     "default_cache",
     "set_default_cache",
@@ -123,6 +126,37 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
+def cell_key(fn: Callable, kwargs: Dict[str, Any], telemetry: bool) -> str:
+    """Content key of one grid cell: its cache entry and its checkpoints.
+
+    Covers the worker function's qualified name, its kwargs, the full
+    set of :class:`SimConfig` field values the cell resolves to (cell
+    kwargs override the dataclass defaults where names match — so a
+    changed *default* also invalidates), the cache schema version, the
+    source fingerprint, and whether a telemetry capture is active: a
+    cached entry carries the shipped telemetry bundle and a snapshot the
+    recorders' state, so neither, taken without a capture, may satisfy an
+    instrumented run (its series would start at the snapshot's slot).
+    """
+    from ..obs.serialize import canonical_json, to_jsonable
+    from .config import SimConfig
+
+    resolved = to_jsonable(SimConfig())
+    for name in resolved:
+        if name in kwargs:
+            resolved[name] = to_jsonable(kwargs[name])
+    identity = {
+        "schema": SCHEMA,
+        "code": code_fingerprint(),
+        "fn": f"{getattr(fn, '__module__', '?')}."
+              f"{getattr(fn, '__qualname__', repr(fn))}",
+        "kwargs": to_jsonable(kwargs),
+        "config": resolved,
+        "telemetry": bool(telemetry),
+    }
+    return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
+
+
 class CellCache:
     """One cache directory of content-addressed sweep cells.
 
@@ -144,33 +178,8 @@ class CellCache:
 
     def key_for(self, fn: Callable, kwargs: Dict[str, Any],
                 telemetry: bool = False) -> str:
-        """Content key of one grid cell.
-
-        Covers the worker function's qualified name, its kwargs, the full
-        set of :class:`SimConfig` field values the cell resolves to (cell
-        kwargs override the dataclass defaults where names match — so a
-        changed *default* also invalidates), the cache schema version, the
-        source fingerprint, and whether a telemetry capture is active
-        (cached entries carry the shipped telemetry bundle, so entries
-        recorded without one must not satisfy an instrumented run).
-        """
-        from ..obs.serialize import canonical_json, to_jsonable
-        from .config import SimConfig
-
-        resolved = to_jsonable(SimConfig())
-        for name in resolved:
-            if name in kwargs:
-                resolved[name] = to_jsonable(kwargs[name])
-        identity = {
-            "schema": SCHEMA,
-            "code": code_fingerprint(),
-            "fn": f"{getattr(fn, '__module__', '?')}."
-                  f"{getattr(fn, '__qualname__', repr(fn))}",
-            "kwargs": to_jsonable(kwargs),
-            "config": resolved,
-            "telemetry": bool(telemetry),
-        }
-        return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
+        """Content key of one grid cell: :func:`cell_key`."""
+        return cell_key(fn, kwargs, telemetry)
 
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.pkl"

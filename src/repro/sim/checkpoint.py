@@ -58,7 +58,7 @@ import os
 import pathlib
 import tempfile
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -509,37 +509,18 @@ def set_default_policy(
 class CheckpointPolicy:
     """Directory + interval for ambient sweep-cell checkpointing.
 
-    Installed by the runner's ``--checkpoint-dir`` (or programmatically via
-    :func:`set_default_policy` / the experiment ``checkpoint_dir=`` keyword).
-    ``parallel.sweep`` opens a :class:`CellScope` per cell; each engine the
-    cell builds gets a content-addressed checkpoint file, resumes from it
-    when one survives a crash, and the files are removed when the cell
-    completes cleanly.
+    Installed by the runner's ``--checkpoint-dir`` (or from Python with
+    :func:`set_default_policy`).  ``parallel.sweep`` opens a
+    :class:`CellScope` per cell, named by the cell's
+    :func:`~repro.sim.cellcache.cell_key`; each engine the cell builds gets
+    a checkpoint file under that name, resumes from it when one survives a
+    crash, and the files are removed when the cell completes cleanly.
     """
 
     def __init__(self, directory, every: int = 100_000):
         self.every = check_interval(every, "every")
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-
-    def key_for(self, fn: Callable, kwargs: Dict[str, object]) -> str:
-        """Content-addressed cell key: code fingerprint + fn + kwargs.
-
-        Mirrors the cell cache's keying so a checkpoint can never be
-        resumed by a cell running different code or parameters — such a
-        file is simply never looked up.
-        """
-        from ..obs.serialize import canonical_json
-        from .cellcache import code_fingerprint
-
-        identity = {
-            "code": code_fingerprint(),
-            "fn": f"{getattr(fn, '__module__', '?')}."
-                  f"{getattr(fn, '__qualname__', repr(fn))}",
-            "kwargs": kwargs,
-        }
-        raw = canonical_json(identity).encode()
-        return hashlib.sha256(raw).hexdigest()[:32]
 
     @contextmanager
     def cell_scope(self, key: str):

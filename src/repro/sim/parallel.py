@@ -25,6 +25,11 @@ On top of plain dispatch the sweep provides:
   or a directory) or install a process-wide default via the runner's
   ``--cache`` flag; cells whose content key is already stored are restored
   instead of recomputed, byte-identical to a fresh run.
+* **Checkpoints** — under an ambient
+  :class:`~repro.sim.checkpoint.CheckpointPolicy` (the runner's
+  ``--checkpoint-dir``, or :func:`~repro.sim.checkpoint.set_default_policy`)
+  a cell's engines snapshot under the cell's
+  :func:`~repro.sim.cellcache.cell_key`, the key of its cache entry too.
 * **Determinism digests** — with ``digest=True`` (implied by caching),
   every engine built inside a cell gets a
   :class:`~repro.sim.digest.DeterminismDigest`; the hexdigests ride along
@@ -215,7 +220,9 @@ def _invoke(fn: Callable, kwargs: Dict[str, Any],
         scope = None
         policy = _checkpoint.default_policy()
         if policy is not None:
-            key = policy.key_for(fn, kwargs)
+            from .cellcache import cell_key
+
+            key = cell_key(fn, kwargs, telemetry=outer is not None)
             scope = stack.enter_context(policy.cell_scope(key))
         result = fn(**kwargs)
         if scope is not None:

@@ -235,24 +235,22 @@ def test_all_names_importable(package):
         assert hasattr(module, name), f"{package}.{name} not importable"
 
 
-UNIFORM_TAIL = ("workers", "cache", "telemetry", "seed",
-                "checkpoint_dir", "checkpoint_every")
-
-
-def test_every_experiment_has_uniform_tail():
-    """Satellite of the API redesign: one signature for every run()."""
+def test_every_run_is_keyword_only_and_grids_take_workers_and_seed():
+    """One signature rule for every run(): keyword-only, and an experiment
+    with a grid (it calls ``sweep`` or ``run_matrix``) declares ``workers``
+    and ``seed``, the two keywords the runner injects where declared."""
     from repro.experiments import ALL_EXPERIMENTS
 
     for name, module in sorted(ALL_EXPERIMENTS.items()):
         sig = inspect.signature(module.run)
-        for param in UNIFORM_TAIL:
-            assert param in sig.parameters, (name, param)
-            assert (sig.parameters[param].kind
-                    is inspect.Parameter.KEYWORD_ONLY), (name, param)
-        # and everything else is keyword-only too
         for param in sig.parameters.values():
             assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
                 name, param.name)
+        # fig11's run() is fig10's with three defaults bound
+        source = inspect.getsource(getattr(module.run, "func", module.run))
+        if "sweep(" in source or "run_matrix(" in source:
+            for param in ("workers", "seed"):
+                assert param in sig.parameters, (name, param)
 
 
 def test_positional_calls_are_type_errors():

@@ -553,25 +553,16 @@ def _session_every(tmp_path, every):
                  checkpoint_every=every)
 
 
-def _experiment_every(tmp_path, every):
-    from repro.experiments.common import experiment_entrypoint
-
-    @experiment_entrypoint
-    def run():
-        return {}
-
-    run(checkpoint_dir=tmp_path, checkpoint_every=every)
-
-
 class TestCheckpointInterval:
     @pytest.mark.parametrize("every", [0, -1])
     @pytest.mark.parametrize("entry", [
-        _simulate_every, _session_every, _experiment_every,
-    ], ids=["simulate", "open_session", "experiment_entrypoint"])
+        _simulate_every, _session_every,
+    ], ids=["simulate", "open_session"])
     def test_interval_below_one_is_refused(self, tmp_path, entry, every):
         """Regression: ``checkpoint_every=0`` used to read as "unset" and
-        become the 100 000-slot default at all three entry points; only
-        None means the default."""
+        become the 100 000-slot default; only None means the default.  The
+        runner's ``--checkpoint-every`` is a usage error instead
+        (``tests/test_runner_cli.py``)."""
         with pytest.raises(ValueError, match="checkpoint interval"):
             entry(tmp_path, every)
 
@@ -645,6 +636,69 @@ class TestCellScope:
             engine.run()
             scope.discard()
         assert not list(tmp_path.glob(f"{key}-*.ckpt"))
+
+
+class _Killed(Exception):
+    pass
+
+
+#: the slot at which :func:`_sweep_cell` dies, or None to run to the end;
+#: module state, not a cell kwarg, so a rerun has the dead cell's identity
+_KILL_AT = None
+
+
+def _sweep_cell(n, duration):
+    cfg = SimConfig(n=n, h=2, seed=3, duration=duration,
+                    congestion_control="hbh+spray")
+    engine = Engine(cfg, workload=permutation_workload(cfg, 400))
+    if _KILL_AT is not None:
+        # die inside the same run() a rerun makes: a snapshot resumes the
+        # loop it was taken in
+        real_step = engine.step
+
+        def step():
+            if engine.t >= _KILL_AT:
+                raise _Killed(f"killed at slot {engine.t}")
+            real_step()
+        engine.step = step
+    engine.run()
+    return engine.metrics.payload_cells_delivered
+
+
+class TestCellIdentity:
+    def test_a_snapshot_taken_without_telemetry_is_not_resumed_under_it(
+            self, tmp_path, monkeypatch):
+        """Regression: the snapshot's name left out whether a capture was
+        on, so a cell killed without telemetry and rerun with it resumed
+        from the snapshot and recorded its series from that slot on."""
+        from repro.obs.capture import TelemetryCapture
+        from repro.obs.serialize import canonical_json
+        from repro.sim.checkpoint import set_default_policy
+        from repro.sim.parallel import sweep
+
+        grid = [dict(n=16, duration=1_000)]
+
+        def instrumented():
+            with TelemetryCapture() as capture:
+                values = sweep(_sweep_cell, grid)
+            runs, runtimes, _ = capture.collect_bundle()
+            return values, runs, runtimes
+
+        clean, clean_runs, _ = instrumented()
+        previous = set_default_policy(CheckpointPolicy(tmp_path, every=200))
+        try:
+            monkeypatch.setitem(globals(), "_KILL_AT", 500)
+            with pytest.raises(_Killed):
+                sweep(_sweep_cell, grid)
+            assert list(tmp_path.glob("*.ckpt"))
+            monkeypatch.setitem(globals(), "_KILL_AT", None)
+            values, runs, runtimes = instrumented()
+        finally:
+            set_default_policy(previous)
+        assert runtimes[0]["runtime"]["cell_resume_slot"] is None
+        assert values == clean
+        assert runs[0]["series"]["t"][0] == 0
+        assert canonical_json(runs) == canonical_json(clean_runs)
 
 
 class TestApiFacade:

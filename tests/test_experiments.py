@@ -143,6 +143,22 @@ class TestCcGrids:
     def test_all_cells_present(self, shortflow):
         assert len(shortflow.cells) == 4
 
+    def test_one_grid_behind_figs_10_11_14_15(self):
+        assert fig14_mean_fct.run is fig10_shortflow.run
+        assert fig15_queues.run is fig10_shortflow.run
+        assert fig11_heavytail.run.func is fig10_shortflow.run
+        assert fig11_heavytail.run.keywords == dict(
+            workload_name="heavy-tailed", duration=60_000, seed=11)
+        assert fig11_heavytail.report is fig10_shortflow.report
+
+    def test_unknown_workload_is_refused_before_any_cell(self, monkeypatch):
+        def no_cell(**cell):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(fig10_shortflow, "_run_cell", no_cell)
+        with pytest.raises(ValueError, match="unknown workload 'bogus'"):
+            fig10_shortflow.run(workload_name="bogus")
+
     def test_spray_short_improves_buffers(self, shortflow):
         none_cell = shortflow.cell("none", 2)
         spray_cell = shortflow.cell("spray-short", 2)

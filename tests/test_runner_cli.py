@@ -167,13 +167,17 @@ class TestBackendFlag:
         assert runner.main(["figx", "--backend", "vector"]) == 1
         assert default_backend() == before
 
-    def test_unknown_backend_fails_loudly(self, fake_experiments):
+    def test_unknown_backend_fails_loudly(self, fake_experiments, capsys):
         # validated up front by set_default_backend, before any experiment
-        # runs — a typo fails at the command line
-        with pytest.raises(ValueError, match="backend"):
+        # runs: a typo is a usage error at the command line
+        with pytest.raises(SystemExit) as exit_info:
             runner.main(["figa", "--backend", "warp"])
+        assert exit_info.value.code == 2
+        assert "argument --backend: unknown engine backend 'warp'" in \
+            capsys.readouterr().err
 
-    def test_cell_retries_installed_and_restored(self, fake_experiments):
+    def test_cell_retries_installed_and_restored(self, fake_experiments,
+                                                 capsys):
         """``--cell-retries`` is the ambient budget while the experiment
         runs and no longer: restored afterwards, also when a later flag
         is refused."""
@@ -192,9 +196,84 @@ class TestBackendFlag:
             ["figp", "--cell-retries", "0", "--workers", "1"]) == 0
         assert seen["retries"] == 0 != before
         assert default_cell_retries() == before
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(SystemExit) as exit_info:
             runner.main(["figp", "--cell-retries", "0", "--backend", "warp"])
+        assert exit_info.value.code == 2
         assert default_cell_retries() == before
+        assert "argument --backend: " in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, flag", [
+        (["--shards", "0"], "--shards"),
+        (["--cell-retries", "-1"], "--cell-retries"),
+        (["--checkpoint-dir", "{tmp}", "--checkpoint-every", "0"],
+         "--checkpoint-every"),
+        (["--checkpoint-dir", "{tmp}", "--checkpoint-every", "-1"],
+         "--checkpoint-every"),
+    ], ids=["shards", "cell-retries", "checkpoint-every-0",
+            "checkpoint-every-negative"])
+    def test_a_refused_value_is_a_usage_error(self, fake_experiments,
+                                              tmp_path, capsys, args, flag):
+        """A value an installer refuses exits 2 with one line naming the
+        flag, before any experiment runs, and every default installed
+        before it is restored."""
+        from repro.sim.backends import default_backend, default_shards
+        from repro.sim.checkpoint import default_policy
+        from repro.sim.parallel import default_cell_retries
+
+        _, calls = fake_experiments
+        args = [arg.format(tmp=tmp_path / "ckpts") for arg in args]
+        before = (default_backend(), default_shards(),
+                  default_cell_retries(), default_policy())
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["figa", "--backend", "vector", "--cell-retries", "3",
+                         *args])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: " in errors[0]
+        assert calls == {}
+        assert (default_backend(), default_shards(), default_cell_retries(),
+                default_policy()) == before
+
+
+class TestSeedInjection:
+    @pytest.fixture
+    def seedless(self, monkeypatch):
+        """One experiment without a seed next to one that declares it."""
+        calls = {}
+
+        def run_analytic(*, sizes=(1, 2)):
+            calls["analytic"] = dict(sizes=sizes)
+            return {"name": "analytic"}
+
+        def run_seeded(*, n=8, seed=1, workers=1):
+            calls["seeded"] = dict(n=n, seed=seed, workers=workers)
+            return {"name": "seeded"}
+
+        monkeypatch.setattr(runner, "ALL_EXPERIMENTS", {
+            "figs": make_module("figs", run_analytic),
+            "figt": make_module("figt", run_seeded),
+        })
+        return calls
+
+    def test_seed_flag_skips_a_run_without_seed(self, seedless):
+        assert runner.main(["figs", "--seed", "3"]) == 0
+        assert seedless["analytic"] == dict(sizes=(1, 2))
+
+    def test_set_seed_on_a_run_without_seed_fails_loudly(self, seedless,
+                                                         capsys):
+        assert runner.main(["figs", "--set", "seed=3"]) == 1
+        err = capsys.readouterr().err
+        assert "unexpected keyword argument 'seed'" in err
+        assert "analytic" not in seedless
+
+    def test_all_seed_warns_about_nothing(self, seedless, capsys):
+        assert runner.main(["all", "--seed", "3", "--workers", "2"]) == 0
+        assert "does not accept override" not in capsys.readouterr().err
+        assert seedless == {"analytic": dict(sizes=(1, 2)),
+                            "seeded": dict(n=8, seed=3, workers=2)}
 
 
 class TestTelemetryArtifacts:
